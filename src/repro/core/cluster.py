@@ -20,6 +20,7 @@ from typing import Optional
 
 from ..histories.records import RunHistory
 from ..metrics.collector import MetricsCollector
+from ..metrics.profiler import PROFILER
 from ..metrics.registry import MetricsRegistry, _set_latest
 from ..metrics.tracing import TRACER
 from ..middleware.bootstrap import BootstrapCoordinator, BootstrapSettings
@@ -432,51 +433,30 @@ class ReplicatedDatabase:
         speed_factors = draw_speed_factors(
             self.params, self.rngs.stream("speed"), config.num_replicas
         )
-        schemas = list(workload.schemas())
         heartbeat = config.heartbeat_settings
         standby_name = "certifier-standby" if config.standby_certifier else None
         #: None for num_partitions=1 — every layer then runs its legacy path
         self.partition_map = config.partition_map
-        for name, speed in zip(self.replica_names, speed_factors):
-            database = Database(name=f"{name}-db")
-            for schema in schemas:
-                database.create_table(schema)
-            # Identical population on every copy: a fresh registry per
-            # replica replays the same "populate" stream.
-            workload.populate(database, RngRegistry(config.seed).stream("populate"))
-            if database.version != 0:
+        # Every replica starts from the identical version-0 data set: build
+        # it once and give each replica a copy-on-write clone.
+        with PROFILER.section("cluster.populate"):
+            seed_db = self._empty_database("seed-db")
+            workload.populate(seed_db, self.rngs.stream("populate"))
+            if seed_db.version != 0:
                 raise RuntimeError("populate() must not advance the database version")
-            engine = StorageEngine(database, name=f"{name}-engine")
-            perf = ReplicaPerformance(self.params, self.rngs.stream(f"perf:{name}"), speed)
-            self.replicas[name] = ReplicaProxy(
-                env=self.env,
-                network=self.network,
-                name=name,
-                engine=engine,
-                perf=perf,
-                level=self.policy,
-                templates=self.templates,
-                precheck_committed=config.precheck_committed,
-                early_certification=config.early_certification,
-                certify_reads=config.certify_reads,
-                vacuum_interval_ms=config.vacuum_interval_ms,
-                heartbeat=heartbeat,
-                standby_name=standby_name,
-                certify_timeout_ms=config.certify_timeout_ms,
-                batch_refresh_apply=config.batch_refresh_apply,
-                refresh_batch_limit=config.refresh_batch_limit,
-                partition_map=self.partition_map,
-            )
+        with PROFILER.section("cluster.replicas"):
+            for name, speed in zip(self.replica_names, speed_factors):
+                self.replicas[name] = self._make_replica(
+                    name, seed_db.clone(f"{name}-db"), speed
+                )
 
-        # Anti-entropy oracles: seeded from replica 0's populated database at
-        # version 0 (every copy loads the identical initial data set).  The
-        # standby keeps its own tracker, fed from the records it tails, so a
-        # promoted certifier still holds a live oracle.
+        # Anti-entropy oracles, seeded from the version-0 image.  The standby
+        # keeps its own tracker, fed from the records it tails, so a promoted
+        # certifier still holds a live oracle.
         scrub_settings = config.scrub_settings
         digest_tracker = None
         standby_tracker = None
         if scrub_settings is not None:
-            seed_db = self.replicas[self.replica_names[0]].engine.database
             digest_tracker = DigestTracker.from_database(seed_db)
             if config.standby_certifier:
                 standby_tracker = DigestTracker.from_database(seed_db)
@@ -566,6 +546,36 @@ class ReplicatedDatabase:
         self.metrics = self._build_metrics_registry()
         _set_latest(self.metrics)
 
+    def _empty_database(self, name: str) -> Database:
+        """A database holding the workload's tables and no rows."""
+        database = Database(name=name)
+        for schema in self.workload.schemas():
+            database.create_table(schema)
+        return database
+
+    def _make_replica(self, name: str, database: Database, speed: float) -> ReplicaProxy:
+        """Wire one replica (engine, CPU model, proxy) around ``database``."""
+        config = self.config
+        return ReplicaProxy(
+            env=self.env,
+            network=self.network,
+            name=name,
+            engine=StorageEngine(database, name=f"{name}-engine"),
+            perf=ReplicaPerformance(self.params, self.rngs.stream(f"perf:{name}"), speed),
+            level=self.policy,
+            templates=self.templates,
+            precheck_committed=config.precheck_committed,
+            early_certification=config.early_certification,
+            certify_reads=config.certify_reads,
+            vacuum_interval_ms=config.vacuum_interval_ms,
+            heartbeat=config.heartbeat_settings,
+            standby_name="certifier-standby" if config.standby_certifier else None,
+            certify_timeout_ms=config.certify_timeout_ms,
+            batch_refresh_apply=config.batch_refresh_apply,
+            refresh_batch_limit=config.refresh_batch_limit,
+            partition_map=self.partition_map,
+        )
+
     def _adopt_certifier(self, certifier: Certifier) -> None:
         """Promotion hook: the promoted standby becomes ``self.certifier`` so
         stats, audits and the injector keep seeing the live one."""
@@ -638,32 +648,8 @@ class ReplicatedDatabase:
             name = f"replica-{len(self.replica_names)}"
         if name in self.replicas:
             raise ValueError(f"replica {name!r} already exists")
-        database = Database(name=f"{name}-db")
-        for schema in self.workload.schemas():
-            database.create_table(schema)
-        engine = StorageEngine(database, name=f"{name}-engine")
         speed = draw_speed_factors(self.params, self.rngs.stream(f"speed:{name}"), 1)[0]
-        perf = ReplicaPerformance(self.params, self.rngs.stream(f"perf:{name}"), speed)
-        config = self.config
-        proxy = ReplicaProxy(
-            env=self.env,
-            network=self.network,
-            name=name,
-            engine=engine,
-            perf=perf,
-            level=self.policy,
-            templates=self.templates,
-            precheck_committed=config.precheck_committed,
-            early_certification=config.early_certification,
-            certify_reads=config.certify_reads,
-            vacuum_interval_ms=config.vacuum_interval_ms,
-            heartbeat=config.heartbeat_settings,
-            standby_name="certifier-standby" if config.standby_certifier else None,
-            certify_timeout_ms=config.certify_timeout_ms,
-            batch_refresh_apply=config.batch_refresh_apply,
-            refresh_batch_limit=config.refresh_batch_limit,
-            partition_map=self.partition_map,
-        )
+        proxy = self._make_replica(name, self._empty_database(f"{name}-db"), speed)
         proxy.bootstrap_name = self.bootstrap.name
         self.replica_names.append(name)
         self.replicas[name] = proxy

@@ -13,9 +13,10 @@ from typing import Any, Mapping, Optional
 
 from .digest import row_content_hash
 from .errors import StorageError, UnknownTableError
+from .rows import RowVersion
 from .schema import TableSchema
 from .table import VersionedTable
-from .writeset import OpKind, WriteSet
+from .writeset import OpKind, WriteOp, WriteSet
 
 __all__ = ["Database"]
 
@@ -172,13 +173,34 @@ class Database:
         if self._version != 0:
             raise StorageError("load_row is only legal before the first commit")
         tbl = self.table(table)
-        from .writeset import WriteOp  # local import avoids cycle
-
         op = WriteOp(table, tbl.schema.key_of(values), OpKind.INSERT, values)
         if self.maintain_digests:
             self._digest_apply(tbl, op, 0)
         else:
             tbl.apply_op(op, 0)
+
+    def clone(self, name: str) -> "Database":
+        """A copy-on-write copy of the version-0 data set.
+
+        A fully replicated cluster populates one database and gives every
+        replica a clone: the row images and version chains are shared (see
+        :meth:`VersionedTable.clone`) until a copy writes the row.  The
+        digest state comes along unfolded, so the lazy fold stays lazy.
+        Only legal before the first commit.
+        """
+        if self._version != 0:
+            raise StorageError("clone is only legal before the first commit")
+        twin = Database(name, self.allow_gaps, self.maintain_digests)
+        twin._tables = {
+            table_name: table.clone() for table_name, table in self._tables.items()
+        }
+        twin._digests = dict(self._digests)
+        twin._latest_hash = dict(self._latest_hash)
+        twin._pending_digest_ops = {
+            table_name: list(ops)
+            for table_name, ops in self._pending_digest_ops.items()
+        }
+        return twin
 
     def writesets_since(self, version: int) -> list[tuple[int, WriteSet]]:
         """(commit_version, writeset) pairs committed after ``version``,
@@ -346,11 +368,12 @@ class Database:
         """Bit-rot injection: scramble the newest image of ``(table, key)``
         in place, beneath the incremental digest.  Returns False when there
         is no visible image to corrupt."""
-        chain = self.table(table)._chains.get(key)
+        tbl = self.table(table)
+        chain = tbl.private_chain(key)
         latest = chain.latest if chain is not None else None
         if latest is None or latest.deleted:
             return False
-        schema = self.table(table).schema
+        schema = tbl.schema
         values = dict(latest.values)
         for column in sorted(values):
             if column == schema.primary_key:
@@ -362,10 +385,11 @@ class Database:
                 values[column] = current + current + 1
             else:
                 values[column] = f"{current}☠"
-            # Swap in a corrupted copy rather than mutating the stored dict:
-            # a row-sync capture taken before the corruption must keep
-            # observing the clean image it captured.
-            object.__setattr__(latest, "values", values)
+            # Install a corrupted version rather than touching the stored
+            # one: sibling replicas may still share it, and a row-sync
+            # capture taken before the corruption must keep observing the
+            # clean image it captured.
+            chain.replace_latest(RowVersion(latest.commit_version, values))
             return True
         return False
 

@@ -7,6 +7,11 @@ version with ``deleted=True`` makes the row invisible from that point on.
 
 Chains are append-mostly: commits append, reads binary-search, and
 :meth:`VersionChain.vacuum` trims versions no active snapshot can see.
+
+A chain can be *frozen*: every replica of a cluster starts from the same
+version-0 data set, so their tables share one set of chains until a replica
+writes a row (``VersionedTable.clone``).  A frozen chain refuses every
+mutation; the table swaps in a private :meth:`VersionChain.copy` first.
 """
 
 from __future__ import annotations
@@ -46,14 +51,29 @@ class RowVersion:
         )
 
 
+_FROZEN = (
+    "mutating a frozen (shared) version chain; the owning table must install "
+    "a private copy first"
+)
+
+
 class VersionChain:
     """Committed versions of a single row, ordered by commit version."""
 
-    __slots__ = ("_versions", "_commit_versions")
+    __slots__ = ("_versions", "_commit_versions", "frozen")
 
     def __init__(self):
         self._versions: list[RowVersion] = []
         self._commit_versions: list[int] = []
+        #: shared between several tables: reads only, any mutation raises
+        self.frozen = False
+
+    def copy(self) -> "VersionChain":
+        """A private, unfrozen chain over the same (immutable) versions."""
+        twin = VersionChain()
+        twin._versions = list(self._versions)
+        twin._commit_versions = list(self._commit_versions)
+        return twin
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -78,6 +98,8 @@ class VersionChain:
         Commit versions must be strictly increasing — the proxy applies
         commits in the certifier's total order, which guarantees this.
         """
+        if self.frozen:
+            raise RuntimeError(_FROZEN)
         if self._commit_versions and version.commit_version <= self._commit_versions[-1]:
             raise ValueError(
                 f"out-of-order commit version {version.commit_version} "
@@ -85,6 +107,18 @@ class VersionChain:
             )
         self._versions.append(version)
         self._commit_versions.append(version.commit_version)
+
+    def replace_latest(self, version: RowVersion) -> None:
+        """Swap the newest entry for another image at the same commit
+        version (the corruption fault model's bit rot; never a commit)."""
+        if self.frozen:
+            raise RuntimeError(_FROZEN)
+        if version.commit_version != self._commit_versions[-1]:
+            raise ValueError(
+                f"replacement is at v{version.commit_version}, "
+                f"chain is at v{self._commit_versions[-1]}"
+            )
+        self._versions[-1] = version
 
     def visible_at(self, snapshot_version: int) -> Optional[RowVersion]:
         """The version a snapshot at ``snapshot_version`` observes.
@@ -112,6 +146,8 @@ class VersionChain:
         idx = bisect_right(self._commit_versions, horizon_version)
         if idx <= 1:
             return 0
+        if self.frozen:
+            raise RuntimeError(_FROZEN)
         removed = idx - 1
         del self._versions[:removed]
         del self._commit_versions[:removed]

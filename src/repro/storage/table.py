@@ -5,6 +5,11 @@ vacuumed) and answers snapshot reads and scans.  Secondary indexes map a
 column value to the set of keys that *ever* held that value; lookups filter
 candidates through snapshot visibility, so index reads are as consistent as
 primary reads.
+
+:meth:`VersionedTable.clone` gives a copy-on-write twin: both tables keep a
+complete key → chain map (reads never look anywhere else) over *shared*,
+frozen chains, and a table replaces a frozen chain with a private copy the
+first time it writes that row.
 """
 
 from __future__ import annotations
@@ -40,6 +45,38 @@ class VersionedTable:
         #: lookups on unindexed columns that degraded to a full scan
         self.scan_fallbacks = 0
         self._fallback_logged: set[str] = set()
+
+    def clone(self) -> "VersionedTable":
+        """A copy-on-write twin of this table.
+
+        Every chain is frozen and then shared by both tables; what a write
+        mutates in place (the key → chain map, the index sets) is copied.
+        The key-order snapshot is shared as is: it is only ever replaced,
+        never edited.
+        """
+        for chain in self._chains.values():
+            chain.frozen = True
+        twin = VersionedTable(self.schema)
+        twin._chains = dict(self._chains)
+        twin._indexes = {
+            column: {value: set(keys) for value, keys in index.items()}
+            for column, index in self._indexes.items()
+        }
+        twin._sorted_cache = self._sorted_cache
+        twin._key_type = self._key_type
+        twin._mixed_keys = self._mixed_keys
+        twin.scan_fallbacks = self.scan_fallbacks
+        twin._fallback_logged = set(self._fallback_logged)
+        return twin
+
+    def private_chain(self, key: Any) -> Optional[VersionChain]:
+        """This table's own mutable chain for ``key`` (None when the key was
+        never written): a chain still shared with a clone is replaced by a
+        private copy first, so the write stays in this table."""
+        chain = self._chains.get(key)
+        if chain is not None and chain.frozen:
+            chain = self._chains[key] = chain.copy()
+        return chain
 
     # -- key ordering -------------------------------------------------------
     def _note_key(self, key: Any) -> None:
@@ -171,6 +208,8 @@ class VersionedTable:
         if chain is None:
             chain = self._chains[op.key] = VersionChain()
             self._note_key(op.key)
+        elif chain.frozen:
+            chain = self._chains[op.key] = chain.copy()
         if op.kind is OpKind.DELETE:
             chain.append(RowVersion(commit_version, None, deleted=True))
             return

@@ -156,10 +156,16 @@ class Workload:
         raise NotImplementedError
 
     def populate(self, database: Database, rng: Rng) -> None:
-        """Load the initial data set into a database copy.
+        """Load the initial data set (version 0) with ``database.load_row``.
 
-        Called once per replica with an identical RNG stream so all copies
-        start bit-identical at version 0.
+        Called **once per cluster**: the system is fully replicated, so the
+        cluster populates one seed database and every replica starts as a
+        copy-on-write clone of it (``Database.clone``).  The method must
+        therefore be a pure function of ``(database, rng)`` — no state kept
+        on the workload, no commits (the database must stay at version 0) —
+        and the row images it loads are shared by all replicas: rows
+        returned by reads are read-only, transactions change them through
+        writesets only.
         """
         raise NotImplementedError
 

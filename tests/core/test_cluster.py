@@ -41,6 +41,29 @@ class TestConstruction:
                 for row in reference.table(table).scan(0):
                     assert other.table(table).read(row["id"], 0) == row
 
+    def test_populates_once_and_shares_the_version_zero_image(self):
+        calls = []
+
+        class Counting(MicroBenchmark):
+            def populate(self, database, rng):
+                calls.append(database.name)
+                super().populate(database, rng)
+
+        cluster = ReplicatedDatabase(Counting(rows_per_table=20), num_replicas=8)
+        assert len(calls) == 1
+        first = cluster.replica(0).engine.database.table("t0")
+        last = cluster.replica(7).engine.database.table("t0")
+        assert first.read(3, 0) is last.read(3, 0)
+        assert first is not last and first._chains is not last._chains
+        session = cluster.open_session("w")
+        session.execute("micro-update-0", {"key": 3})
+        cluster.quiesce()
+        version = cluster.commit_version
+        # Each replica applied the commit to a chain of its own.
+        assert first.read(3, version) == last.read(3, version)
+        assert first._chains[3] is not last._chains[3]
+        assert first.read(4, version) is last.read(4, version)  # still shared
+
     def test_history_recording_optional(self):
         assert make_cluster(record_history=False).history is None
         assert make_cluster(record_history=True).history is not None

@@ -43,6 +43,30 @@ class TestCorruptionInjector:
         with pytest.raises(ValueError):
             injector.corrupt_row("replica-9")
 
+    def test_corruption_stays_on_the_targeted_replica(self):
+        """Replicas share the version-0 row images; bit rot and a doubled
+        refresh on one of them must not show on the others."""
+        cluster = build()
+        injector = FaultInjector(cluster)
+        databases = {
+            name: proxy.engine.database for name, proxy in cluster.replicas.items()
+        }
+        clean = databases["replica-1"].recompute_digests()
+        # A row no transaction has written yet: still the shared image.
+        injector.corrupt_row("replica-0", table="t0", key=5)
+        assert databases["replica-0"].recompute_digests() != clean
+        assert databases["replica-1"].recompute_digests() == clean
+        assert databases["replica-2"].recompute_digests() == clean
+        injector.double_apply_refresh("replica-2")
+        session = cluster.open_session("w")
+        session.execute("micro-update-1", {"key": 9})
+        cluster.quiesce()
+        healthy = databases["replica-1"]
+        assert healthy.recompute_digests() == healthy.digests()
+        sick = databases["replica-2"]
+        assert sick.recompute_digests() != sick.digests()
+        assert sick.digests() == healthy.digests()
+
     def test_injections_are_recorded(self):
         cluster = build()
         session = cluster.open_session("w")

@@ -94,3 +94,45 @@ class TestVersionChain:
 
     def test_vacuum_empty_chain(self):
         assert VersionChain().vacuum(10) == 0
+
+
+class TestFrozenChain:
+    """A frozen chain is shared between tables: it must refuse every
+    mutation, so a write path that forgot to take a private copy fails
+    loudly instead of leaking into sibling replicas."""
+
+    def make(self):
+        chain = VersionChain()
+        chain.append(RowVersion(0, {"v": 0}))
+        chain.frozen = True
+        return chain
+
+    def test_append_raises(self):
+        chain = self.make()
+        with pytest.raises(RuntimeError):
+            chain.append(RowVersion(1, {"v": 1}))
+        assert len(chain) == 1
+
+    def test_replace_latest_raises(self):
+        with pytest.raises(RuntimeError):
+            self.make().replace_latest(RowVersion(0, {"v": 9}))
+
+    def test_reads_and_noop_vacuum_still_work(self):
+        chain = self.make()
+        assert chain.visible_at(5).values == {"v": 0}
+        assert chain.vacuum(5) == 0  # one version: nothing to trim
+
+    def test_copy_is_private_and_shares_the_versions(self):
+        chain = self.make()
+        twin = chain.copy()
+        twin.append(RowVersion(1, {"v": 1}))
+        assert not twin.frozen
+        assert len(chain) == 1 and len(twin) == 2
+        assert twin.visible_at(0) is chain.visible_at(0)
+
+    def test_replace_latest_keeps_the_commit_version(self):
+        chain = self.make().copy()
+        chain.replace_latest(RowVersion(0, {"v": 9}))
+        assert chain.latest.values == {"v": 9}
+        with pytest.raises(ValueError):
+            chain.replace_latest(RowVersion(3, {"v": 9}))
