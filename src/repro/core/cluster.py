@@ -438,7 +438,7 @@ class ReplicatedDatabase:
         #: None for num_partitions=1 — every layer then runs its legacy path
         self.partition_map = config.partition_map
         # Every replica starts from the identical version-0 data set: build
-        # it once and give each replica a copy-on-write clone.
+        # it once and give each replica a clone over the same row versions.
         with PROFILER.section("cluster.populate"):
             seed_db = self._empty_database("seed-db")
             workload.populate(seed_db, self.rngs.stream("populate"))

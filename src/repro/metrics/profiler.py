@@ -12,13 +12,18 @@ section timers behind a single global switch:
   profiler can stay wired into hot paths permanently;
 * **on** (``--profile`` on the CLI and bench runner): sections accumulate
   wall-clock seconds and call counts, and :meth:`Profiler.report` renders
-  an events/sec summary plus a top-sections table.
+  an events/sec summary plus a top-sections table.  While on, a
+  ``gc.callbacks`` hook also times CPython's cyclic collector — its work
+  grows with the objects a run retains, and it runs *inside* whichever
+  section happens to allocate — as a ``gc.collect`` section plus
+  ``gc.gen0``/``gc.gen1``/``gc.gen2`` collection counters.
 
 All times here are *real* seconds, never virtual milliseconds.
 """
 
 from __future__ import annotations
 
+import gc
 from time import perf_counter
 from typing import Optional
 
@@ -65,7 +70,7 @@ class _Section:
 class Profiler:
     """Named counters plus wall-clock section timers, off by default."""
 
-    __slots__ = ("enabled", "counters", "sections")
+    __slots__ = ("enabled", "counters", "sections", "_gc_start")
 
     def __init__(self):
         self.enabled = False
@@ -73,13 +78,29 @@ class Profiler:
         self.counters: dict[str, int] = {}
         #: name -> (cumulative wall seconds, number of entries)
         self.sections: dict[str, tuple[float, int]] = {}
+        self._gc_start = 0.0
 
     # -- switching ---------------------------------------------------------
     def enable(self) -> None:
+        if not self.enabled:
+            gc.callbacks.append(self._on_gc)
         self.enabled = True
 
     def disable(self) -> None:
+        if self.enabled:
+            gc.callbacks.remove(self._on_gc)
         self.enabled = False
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` hook (registered only while enabled)."""
+        if phase == "start":
+            self._gc_start = perf_counter()
+            return
+        elapsed = perf_counter() - self._gc_start
+        total, calls = self.sections.get("gc.collect", (0.0, 0))
+        self.sections["gc.collect"] = (total + elapsed, calls + 1)
+        name = f"gc.gen{info['generation']}"
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     def reset(self) -> None:
         """Clear all accumulated counters and section timings."""

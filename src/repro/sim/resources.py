@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from .kernel import Environment, Event, SimulationError, Timeout, _TRIGGERED
+from .kernel import Environment, Event, SimulationError, _TRIGGERED
 
 __all__ = ["Request", "Resource", "Store"]
 
@@ -24,14 +24,15 @@ __all__ = ["Request", "Resource", "Store"]
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Fires when the slot is granted.  Must be released with
-    :meth:`Resource.release` (or used via ``with``-style helpers in client
-    code).  Cancelling a not-yet-granted request removes it from the queue.
+    Fires ``hold`` ms after the slot is granted (0: at the grant itself).
+    Must be released with :meth:`Resource.release` (or used via
+    ``with``-style helpers in client code).  Cancelling a not-yet-granted
+    request removes it from the queue.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "hold")
 
-    def __init__(self, resource: "Resource"):
+    def __init__(self, resource: "Resource", hold: float = 0.0):
         # Flattened Event.__init__: one request per resource claim makes
         # this one of the hottest allocation sites in the simulation.
         self.env = resource.env
@@ -40,6 +41,7 @@ class Request(Event):
         self._ok = True
         self._state = 0  # _PENDING
         self.resource = resource
+        self.hold = hold
 
 
 class Resource:
@@ -89,20 +91,24 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._waiting)
 
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
-        req = Request(self)
+    def request(self, hold: float = 0.0) -> Request:
+        """Claim a slot; the returned event fires ``hold`` ms after the slot
+        is granted — by default at the grant itself."""
+        if hold < 0:
+            raise SimulationError(f"negative hold: {hold!r}")
+        req = Request(self, hold)
         if len(self._users) < self.capacity:
-            self._account()
-            self._users.add(req)
-            # Inlined req.succeed() for the uncontended grant (hot path).
-            req._state = _TRIGGERED
-            env = self.env
-            env._immediate.append((env._now, next(env._event_counter), req))
-            env.immediate_scheduled += 1
+            self._grant(req)
         else:
             self._waiting.append(req)
         return req
+
+    def _grant(self, req: Request) -> None:
+        self._account()
+        self._users.add(req)
+        # req.succeed(), ``hold`` from now
+        req._state = _TRIGGERED
+        self.env._schedule(req, req.hold)
 
     def release(self, request: Request) -> None:
         """Return a previously granted slot."""
@@ -125,9 +131,7 @@ class Resource:
             req = self._waiting.popleft()
             if req.triggered:  # defensive: skip stale entries
                 continue
-            self._account()
-            self._users.add(req)
-            req.succeed()
+            self._grant(req)
 
     def use(self, duration: float):
         """Process helper: hold one slot for ``duration`` ms.
@@ -136,13 +140,14 @@ class Resource:
 
             yield from resource.use(service_time)
 
+        One kernel event per hold: the grant is scheduled ``duration`` after
+        the slot is taken, so the process wakes once, when the hold is over.
         Interrupt-safe: whether the interrupt lands while waiting for the
         slot or while holding it, the request is withdrawn/released.
         """
-        req = self.request()
+        req = self.request(duration)
         try:
             yield req
-            yield Timeout(self.env, duration)
         finally:
             self.release(req)
 

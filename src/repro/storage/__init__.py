@@ -17,7 +17,7 @@ from .errors import (
     UnknownTableError,
     WriteConflictError,
 )
-from .rows import RowVersion, VersionChain
+from .rows import RowVersion
 from .schema import Column, TableSchema
 from .table import VersionedTable
 from .transaction import Transaction, TxnState
@@ -39,7 +39,6 @@ __all__ = [
     "TxnState",
     "UnknownRowError",
     "UnknownTableError",
-    "VersionChain",
     "VersionedTable",
     "WriteConflictError",
     "WriteOp",

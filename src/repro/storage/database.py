@@ -13,7 +13,6 @@ from typing import Any, Mapping, Optional
 
 from .digest import row_content_hash
 from .errors import StorageError, UnknownTableError
-from .rows import RowVersion
 from .schema import TableSchema
 from .table import VersionedTable
 from .writeset import OpKind, WriteOp, WriteSet
@@ -180,12 +179,13 @@ class Database:
             tbl.apply_op(op, 0)
 
     def clone(self, name: str) -> "Database":
-        """A copy-on-write copy of the version-0 data set.
+        """A copy of the version-0 data set over the same row versions.
 
         A fully replicated cluster populates one database and gives every
-        replica a clone: the row images and version chains are shared (see
-        :meth:`VersionedTable.clone`) until a copy writes the row.  The
-        digest state comes along unfolded, so the lazy fold stays lazy.
+        replica a clone: the row versions are shared (see
+        :meth:`VersionedTable.clone`), and stay shared as the copies apply
+        the same certified ops.  The digest state comes along unfolded, so
+        the lazy fold stays lazy.
         Only legal before the first commit.
         """
         if self._version != 0:
@@ -369,8 +369,7 @@ class Database:
         in place, beneath the incremental digest.  Returns False when there
         is no visible image to corrupt."""
         tbl = self.table(table)
-        chain = tbl.private_chain(key)
-        latest = chain.latest if chain is not None else None
+        latest = tbl.latest(key)
         if latest is None or latest.deleted:
             return False
         schema = tbl.schema
@@ -386,10 +385,10 @@ class Database:
             else:
                 values[column] = f"{current}☠"
             # Install a corrupted version rather than touching the stored
-            # one: sibling replicas may still share it, and a row-sync
-            # capture taken before the corruption must keep observing the
-            # clean image it captured.
-            chain.replace_latest(RowVersion(latest.commit_version, values))
+            # one: sibling replicas share it, and a row-sync capture taken
+            # before the corruption must keep observing the clean image it
+            # captured.
+            tbl.swap_latest(key, values)
             return True
         return False
 

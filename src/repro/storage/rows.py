@@ -1,48 +1,59 @@
-"""Row version chains for multiversion concurrency control.
+"""Row versions for multiversion concurrency control.
 
-Each primary key maps to a :class:`VersionChain` — the row's committed
-versions ordered by commit version.  A transaction reading at snapshot
-version *v* sees the newest version whose commit version is ``<= v``; a
-version with ``deleted=True`` makes the row invisible from that point on.
+A row's committed history is a *persistent* newest-first chain: the table
+maps each primary key to the newest :class:`RowVersion` and every version
+links to its predecessor through ``prev``.  A transaction reading at
+snapshot version *v* walks from the head to the first version whose commit
+version is ``<= v``; a tombstone (``deleted=True``) makes the row invisible
+from that point on.
 
-Chains are append-mostly: commits append, reads binary-search, and
-:meth:`VersionChain.vacuum` trims versions no active snapshot can see.
+A version is immutable once a table has published it, which is what lets
+one object serve the whole cluster: every replica installs the same
+after-images in the same order, so their chains *are* the same nodes (see
+``VersionedTable.apply_op``).  Nothing here ever edits a node — a commit
+puts a new head in front, and :func:`vacuumed` rebuilds the kept prefix
+instead of cutting a node other tables may still reach.
 
-A chain can be *frozen*: every replica of a cluster starts from the same
-version-0 data set, so their tables share one set of chains until a replica
-writes a row (``VersionedTable.clone``).  A frozen chain refuses every
-mutation; the table swaps in a private :meth:`VersionChain.copy` first.
+The functions below take a chain by its head (``None`` = empty chain).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
-__all__ = ["RowVersion", "VersionChain"]
+__all__ = ["RowVersion"]
 
 
 class RowVersion:
-    """One committed version of a row.
+    """One committed version of a row, linked to the version it replaced.
 
-    ``values`` is a private snapshot of the full row at that version
-    (copied on construction, never mutated afterwards); ``deleted`` marks
-    a tombstone.  A plain slotted class rather than a frozen dataclass:
-    one of these is allocated per committed write per replica, and the
-    frozen-dataclass ``object.__setattr__`` init shows up in profiles.
+    ``values`` is the full row at that version, *adopted, not copied*: the
+    caller hands over a dict nobody mutates afterwards (a certified
+    ``WriteOp`` copies the image once when it is captured, and committed
+    rows are read-only for everyone); ``deleted`` marks a tombstone, whose
+    ``values`` is None.  Commit versions strictly decrease along ``prev`` —
+    the proxy applies commits in the certifier's total order, and the
+    constructor refuses anything else.
     """
 
-    __slots__ = ("commit_version", "values", "deleted")
+    __slots__ = ("commit_version", "values", "deleted", "prev")
 
     def __init__(
         self,
         commit_version: int,
         values: Optional[Mapping[str, Any]],
         deleted: bool = False,
+        prev: Optional["RowVersion"] = None,
     ):
+        if prev is not None and commit_version <= prev.commit_version:
+            raise ValueError(
+                f"out-of-order commit version {commit_version} "
+                f"(chain is at {prev.commit_version})"
+            )
         self.commit_version = commit_version
-        self.values = None if deleted else dict(values or {})
+        self.values = None if deleted else values
         self.deleted = deleted
+        self.prev = prev
 
     def __repr__(self) -> str:
         return (
@@ -51,104 +62,45 @@ class RowVersion:
         )
 
 
-_FROZEN = (
-    "mutating a frozen (shared) version chain; the owning table must install "
-    "a private copy first"
-)
+def versions(head: Optional[RowVersion]) -> Iterator[RowVersion]:
+    """Iterate a chain's committed versions, newest first."""
+    while head is not None:
+        yield head
+        head = head.prev
 
 
-class VersionChain:
-    """Committed versions of a single row, ordered by commit version."""
+def visible_at(head: Optional[RowVersion], snapshot_version: int) -> Optional[RowVersion]:
+    """The version a snapshot at ``snapshot_version`` observes.
 
-    __slots__ = ("_versions", "_commit_versions", "frozen")
+    Returns ``None`` when the row does not exist in that snapshot (never
+    inserted yet, or tombstoned).  One comparison for the newest version;
+    a read at an old snapshot walks past every newer version first.
+    """
+    while head is not None and head.commit_version > snapshot_version:
+        head = head.prev
+    return None if head is None or head.deleted else head
 
-    def __init__(self):
-        self._versions: list[RowVersion] = []
-        self._commit_versions: list[int] = []
-        #: shared between several tables: reads only, any mutation raises
-        self.frozen = False
 
-    def copy(self) -> "VersionChain":
-        """A private, unfrozen chain over the same (immutable) versions."""
-        twin = VersionChain()
-        twin._versions = list(self._versions)
-        twin._commit_versions = list(self._commit_versions)
-        return twin
+def vacuumed(head: Optional[RowVersion], horizon_version: int) -> tuple:
+    """``(head, removed)`` after dropping versions superseded before
+    ``horizon_version``.
 
-    def __len__(self) -> int:
-        return len(self._versions)
-
-    @property
-    def latest(self) -> Optional[RowVersion]:
-        """The newest committed version, tombstone or not."""
-        return self._versions[-1] if self._versions else None
-
-    @property
-    def latest_commit_version(self) -> int:
-        """Commit version of the newest entry, 0 when the chain is empty."""
-        return self._commit_versions[-1] if self._commit_versions else 0
-
-    def versions(self):
-        """Iterate the committed versions, oldest first."""
-        return iter(self._versions)
-
-    def append(self, version: RowVersion) -> None:
-        """Append a committed version.
-
-        Commit versions must be strictly increasing — the proxy applies
-        commits in the certifier's total order, which guarantees this.
-        """
-        if self.frozen:
-            raise RuntimeError(_FROZEN)
-        if self._commit_versions and version.commit_version <= self._commit_versions[-1]:
-            raise ValueError(
-                f"out-of-order commit version {version.commit_version} "
-                f"(chain is at {self._commit_versions[-1]})"
-            )
-        self._versions.append(version)
-        self._commit_versions.append(version.commit_version)
-
-    def replace_latest(self, version: RowVersion) -> None:
-        """Swap the newest entry for another image at the same commit
-        version (the corruption fault model's bit rot; never a commit)."""
-        if self.frozen:
-            raise RuntimeError(_FROZEN)
-        if version.commit_version != self._commit_versions[-1]:
-            raise ValueError(
-                f"replacement is at v{version.commit_version}, "
-                f"chain is at v{self._commit_versions[-1]}"
-            )
-        self._versions[-1] = version
-
-    def visible_at(self, snapshot_version: int) -> Optional[RowVersion]:
-        """The version a snapshot at ``snapshot_version`` observes.
-
-        Returns ``None`` when the row does not exist in that snapshot
-        (never inserted yet, or tombstoned).
-        """
-        idx = bisect_right(self._commit_versions, snapshot_version)
-        if idx == 0:
-            return None
-        version = self._versions[idx - 1]
-        return None if version.deleted else version
-
-    def exists_at(self, snapshot_version: int) -> bool:
-        """True when the row is visible in the given snapshot."""
-        return self.visible_at(snapshot_version) is not None
-
-    def vacuum(self, horizon_version: int) -> int:
-        """Drop versions superseded before ``horizon_version``.
-
-        Keeps the newest version at-or-below the horizon (still readable by
-        a snapshot at the horizon) plus everything newer.  Returns the number
-        of versions removed.
-        """
-        idx = bisect_right(self._commit_versions, horizon_version)
-        if idx <= 1:
-            return 0
-        if self.frozen:
-            raise RuntimeError(_FROZEN)
-        removed = idx - 1
-        del self._versions[:removed]
-        del self._commit_versions[:removed]
-        return removed
+    Keeps the newest version at-or-below the horizon (still readable by a
+    snapshot at the horizon) plus everything newer.  Published nodes are
+    never cut: when something is removed the kept prefix is rebuilt as
+    private nodes over the same row images; when nothing is, the chain
+    comes back as it was.
+    """
+    kept = []
+    node = head
+    while node is not None and node.commit_version > horizon_version:
+        kept.append(node)
+        node = node.prev
+    if node is None or node.prev is None:
+        return head, 0
+    kept.append(node)
+    removed = sum(1 for _ in versions(node.prev))
+    head = None
+    for node in reversed(kept):
+        head = RowVersion(node.commit_version, node.values, node.deleted, head)
+    return head, removed

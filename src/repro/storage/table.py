@@ -6,20 +6,24 @@ column value to the set of keys that *ever* held that value; lookups filter
 candidates through snapshot visibility, so index reads are as consistent as
 primary reads.
 
-:meth:`VersionedTable.clone` gives a copy-on-write twin: both tables keep a
-complete key → chain map (reads never look anywhere else) over *shared*,
-frozen chains, and a table replaces a frozen chain with a private copy the
-first time it writes that row.
+The primary index maps each key to the *newest* :class:`RowVersion`; older
+versions hang off it through ``prev`` (``storage.rows``).  Versions are
+immutable once installed, so tables share them freely: a
+:meth:`VersionedTable.clone` is a copy of the key → head map, and the
+replicas of a cluster, which install the same certified ops in the same
+order, end up holding one node per committed row write between them
+(:meth:`VersionedTable.apply_op`).  A table that diverges — peer resync,
+vacuum, injected corruption — gets private nodes from then on; nothing it
+does can reach a sibling.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .errors import SchemaError
-from .rows import RowVersion, VersionChain
+from .rows import RowVersion, vacuumed, versions, visible_at
 from .schema import TableSchema
 from .writeset import OpKind, WriteOp
 
@@ -33,7 +37,8 @@ class VersionedTable:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self._chains: dict[Any, VersionChain] = {}
+        #: key -> newest committed version (older ones through ``prev``)
+        self._chains: dict[Any, RowVersion] = {}
         self._indexes: dict[str, dict[Any, set]] = {col: {} for col in schema.indexes}
         #: key-ordered snapshot of the key set, rebuilt lazily after inserts
         self._sorted_cache: Optional[list] = None
@@ -47,15 +52,12 @@ class VersionedTable:
         self._fallback_logged: set[str] = set()
 
     def clone(self) -> "VersionedTable":
-        """A copy-on-write twin of this table.
+        """A twin of this table over the same (immutable) row versions.
 
-        Every chain is frozen and then shared by both tables; what a write
-        mutates in place (the key → chain map, the index sets) is copied.
-        The key-order snapshot is shared as is: it is only ever replaced,
-        never edited.
+        What a write mutates in place (the key → head map, the index sets)
+        is copied.  The key-order snapshot is shared as is: it is only ever
+        replaced, never edited.
         """
-        for chain in self._chains.values():
-            chain.frozen = True
         twin = VersionedTable(self.schema)
         twin._chains = dict(self._chains)
         twin._indexes = {
@@ -68,15 +70,6 @@ class VersionedTable:
         twin.scan_fallbacks = self.scan_fallbacks
         twin._fallback_logged = set(self._fallback_logged)
         return twin
-
-    def private_chain(self, key: Any) -> Optional[VersionChain]:
-        """This table's own mutable chain for ``key`` (None when the key was
-        never written): a chain still shared with a clone is replaced by a
-        private copy first, so the write stays in this table."""
-        chain = self._chains.get(key)
-        if chain is not None and chain.frozen:
-            chain = self._chains[key] = chain.copy()
-        return chain
 
     # -- key ordering -------------------------------------------------------
     def _note_key(self, key: Any) -> None:
@@ -104,26 +97,26 @@ class VersionedTable:
     # -- reads --------------------------------------------------------------
     def read(self, key: Any, snapshot_version: int) -> Optional[Mapping[str, Any]]:
         """Row values visible at ``snapshot_version``, or None."""
-        chain = self._chains.get(key)
-        if chain is None:
-            return None
-        # Inlined VersionChain.visible_at (hot read path).
-        commit_versions = chain._commit_versions
-        idx = bisect_right(commit_versions, snapshot_version)
-        if idx == 0:
-            return None
-        version = chain._versions[idx - 1]
-        return None if version.deleted else version.values
+        # Inlined rows.visible_at (hot read path); a tombstone's values
+        # are None already.
+        node = self._chains.get(key)
+        while node is not None and node.commit_version > snapshot_version:
+            node = node.prev
+        return None if node is None else node.values
 
     def exists(self, key: Any, snapshot_version: int) -> bool:
         """True when ``key`` is visible at ``snapshot_version``."""
-        chain = self._chains.get(key)
-        return chain is not None and chain.exists_at(snapshot_version)
+        return visible_at(self._chains.get(key), snapshot_version) is not None
+
+    def latest(self, key: Any) -> Optional[RowVersion]:
+        """Newest committed version of ``key``, tombstone or not (None if
+        never written)."""
+        return self._chains.get(key)
 
     def latest_commit_version(self, key: Any) -> int:
         """Newest commit version that wrote ``key`` (0 if never written)."""
-        chain = self._chains.get(key)
-        return 0 if chain is None else chain.latest_commit_version
+        head = self._chains.get(key)
+        return 0 if head is None else head.commit_version
 
     def scan(
         self,
@@ -135,7 +128,7 @@ class VersionedTable:
         count = 0
         chains = self._chains
         for key in self._ordered_keys():
-            version = chains[key].visible_at(snapshot_version)
+            version = visible_at(chains[key], snapshot_version)
             if version is None:
                 continue
             values = version.values
@@ -163,8 +156,7 @@ class VersionedTable:
             keys = []
             chains = self._chains
             for key in candidates:
-                chain = chains.get(key)
-                version = chain.visible_at(snapshot_version) if chain is not None else None
+                version = visible_at(chains.get(key), snapshot_version)
                 if version is not None and version.values.get(column) == value:
                     keys.append(key)
             if self._mixed_keys:
@@ -189,7 +181,9 @@ class VersionedTable:
     def count(self, snapshot_version: int) -> int:
         """Number of visible rows at ``snapshot_version``."""
         return sum(
-            1 for chain in self._chains.values() if chain.exists_at(snapshot_version)
+            1
+            for head in self._chains.values()
+            if visible_at(head, snapshot_version) is not None
         )
 
     # -- writes -----------------------------------------------------------
@@ -199,39 +193,76 @@ class VersionedTable:
         Called by the engine on local commit and on refresh application;
         the certifier's total order guarantees increasing commit versions
         per chain.
+
+        The first table to install ``op`` validates the row, builds the
+        :class:`RowVersion` over the op's own after-image and leaves it on
+        the op (``WriteOp._image``).  Every later table in the same state —
+        its head is the node that image was built on, same commit version —
+        installs that very node: one image per committed row write
+        cluster-wide.  A table whose head differs builds its own node, so
+        whatever made it differ stays here.
         """
         if op.table != self.schema.name:
             raise SchemaError(
                 f"op for table {op.table!r} applied to {self.schema.name!r}"
             )
-        chain = self._chains.get(op.key)
-        if chain is None:
-            chain = self._chains[op.key] = VersionChain()
-            self._note_key(op.key)
-        elif chain.frozen:
-            chain = self._chains[op.key] = chain.copy()
+        key = op.key
+        head = self._chains.get(key)
+        image = op._image
+        if (
+            image is None
+            or image.prev is not head
+            or image.commit_version != commit_version
+        ):
+            image = self._build_image(op, commit_version, head)
+        if head is None:
+            self._note_key(key)
+        self._chains[key] = image
+        if self._indexes and not image.deleted:
+            self._index_row(key, image.values)
+
+    def _build_image(
+        self, op: WriteOp, commit_version: int, head: Optional[RowVersion]
+    ) -> RowVersion:
+        """Validate ``op`` and build its row version on top of ``head``."""
         if op.kind is OpKind.DELETE:
-            chain.append(RowVersion(commit_version, None, deleted=True))
-            return
-        self.schema.validate_row(op.values)
-        if self.schema.key_of(op.values) != op.key:
-            raise SchemaError(
-                f"table {self.schema.name!r}: op key {op.key!r} does not match "
-                f"row primary key {self.schema.key_of(op.values)!r}"
-            )
-        chain.append(RowVersion(commit_version, op.values))
+            image = RowVersion(commit_version, None, True, head)
+        else:
+            self.schema.validate_row(op.values)
+            if self.schema.key_of(op.values) != op.key:
+                raise SchemaError(
+                    f"table {self.schema.name!r}: op key {op.key!r} does not match "
+                    f"row primary key {self.schema.key_of(op.values)!r}"
+                )
+            image = RowVersion(commit_version, op.values, False, head)
+        if op._image is None:
+            object.__setattr__(op, "_image", image)  # frozen dataclass
+        return image
+
+    def _index_row(self, key: Any, values: Mapping[str, Any]) -> None:
         for column, index in self._indexes.items():
-            index.setdefault(op.values[column], set()).add(op.key)
+            keys = index.get(values[column])
+            if keys is None:
+                index[values[column]] = {key}
+            else:
+                keys.add(key)
+
+    def swap_latest(self, key: Any, values: Mapping[str, Any]) -> None:
+        """Swap the newest image of ``key`` for ``values`` at the same
+        commit version (the corruption fault model's bit rot; never a
+        commit).  The installed node is left alone — siblings may hold it —
+        and a private one takes its place here."""
+        head = self._chains[key]
+        self._chains[key] = RowVersion(head.commit_version, values, prev=head.prev)
 
     # -- anti-entropy --------------------------------------------------------
     def latest_states(self):
         """Yield ``(key, values, latest_commit_version, deleted)`` for every
         key ever written — the newest committed image per chain, in key
         order.  Digest recomputation and peer row sync both walk this."""
+        chains = self._chains
         for key in self._ordered_keys():
-            latest = self._chains[key].latest
-            if latest is None:
-                continue
+            latest = chains[key]
             yield key, latest.values, latest.commit_version, latest.deleted
 
     def replace_rows(self, entries, keep_newer_than: Optional[int] = None) -> int:
@@ -252,58 +283,59 @@ class VersionedTable:
         incoming: dict[Any, RowVersion] = {}
         for key, values, commit_version, deleted in entries:
             incoming[key] = RowVersion(commit_version, values, deleted=deleted)
-        kept: dict[Any, VersionChain] = {}
+        chains: dict[Any, RowVersion] = {}
         if keep_newer_than is not None:
-            kept = {
-                key: chain
-                for key, chain in self._chains.items()
-                if chain.latest_commit_version > keep_newer_than
+            chains = {
+                key: head
+                for key, head in self._chains.items()
+                if head.commit_version > keep_newer_than
             }
         changed = 0
+        for key in self._chains:
+            if key not in incoming and key not in chains:
+                changed += 1
         for key, version in incoming.items():
-            if key in kept:
+            if key in chains:
                 continue
-            current = self._chains.get(key)
-            latest = current.latest if current is not None else None
+            latest = self._chains.get(key)
             if (
                 latest is None
                 or latest.deleted != version.deleted
                 or latest.values != version.values
             ):
                 changed += 1
-        for key in self._chains:
-            if key not in incoming and key not in kept:
-                changed += 1
-        chains: dict[Any, VersionChain] = dict(kept)
-        for key, version in incoming.items():
-            if key in kept:
-                continue
-            chain = chains[key] = VersionChain()
-            chain.append(version)
+            chains[key] = version
         self._chains = chains
         self._sorted_cache = None
         self._key_type = None
         self._mixed_keys = False
         for key in chains:
             self._note_key(key)
-        for column in self._indexes:
-            self._indexes[column] = {}
-        for key, chain in self._chains.items():
-            for version in chain.versions():
-                if not version.deleted:
-                    for column, index in self._indexes.items():
-                        index.setdefault(version.values[column], set()).add(key)
+        if self._indexes:
+            self._indexes = {column: {} for column in self._indexes}
+            for key, head in chains.items():
+                for version in versions(head):
+                    if not version.deleted:
+                        self._index_row(key, version.values)
         return changed
 
     # -- maintenance ---------------------------------------------------------
     def vacuum(self, horizon_version: int) -> int:
         """Trim version chains below the snapshot horizon; returns versions
-        removed."""
-        return sum(chain.vacuum(horizon_version) for chain in self._chains.values())
+        removed.  A trimmed chain is this table's own from then on (see
+        :func:`~repro.storage.rows.vacuumed`)."""
+        total = 0
+        chains = self._chains
+        for key, head in chains.items():
+            trimmed, removed = vacuumed(head, horizon_version)
+            if removed:
+                chains[key] = trimmed  # existing key: safe while iterating
+                total += removed
+        return total
 
     def version_count(self) -> int:
         """Total stored versions across all chains (storage footprint)."""
-        return sum(len(chain) for chain in self._chains.values())
+        return sum(1 for head in self._chains.values() for _ in versions(head))
 
     def __len__(self) -> int:
         """Number of keys ever written (including tombstoned)."""

@@ -38,6 +38,14 @@ class WriteOp:
     _content_hash: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: the ``RowVersion`` the first table to install this op built from it;
+    #: tables in the same state install that node instead of building their
+    #: own (``VersionedTable.apply_op``).  Like the hash it rides on the op
+    #: because the simulated network shares message objects: certifier log,
+    #: refresh messages and recovery replay all carry this one instance.
+    _image: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind is OpKind.DELETE:

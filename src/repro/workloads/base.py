@@ -160,12 +160,12 @@ class Workload:
 
         Called **once per cluster**: the system is fully replicated, so the
         cluster populates one seed database and every replica starts as a
-        copy-on-write clone of it (``Database.clone``).  The method must
-        therefore be a pure function of ``(database, rng)`` — no state kept
-        on the workload, no commits (the database must stay at version 0) —
-        and the row images it loads are shared by all replicas: rows
-        returned by reads are read-only, transactions change them through
-        writesets only.
+        clone of it over the same row versions (``Database.clone``).  The
+        method must therefore be a pure function of ``(database, rng)`` — no
+        state kept on the workload, no commits (the database must stay at
+        version 0) — and the row images it loads are shared by all replicas,
+        as is every image committed afterwards: rows returned by reads are
+        read-only, transactions change them through writesets only.
         """
         raise NotImplementedError
 

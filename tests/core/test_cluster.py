@@ -59,10 +59,13 @@ class TestConstruction:
         session.execute("micro-update-0", {"key": 3})
         cluster.quiesce()
         version = cluster.commit_version
-        # Each replica applied the commit to a chain of its own.
-        assert first.read(3, version) == last.read(3, version)
-        assert first._chains[3] is not last._chains[3]
-        assert first.read(4, version) is last.read(4, version)  # still shared
+        # Every replica installed the one image the commit produced, on top
+        # of the version-0 image they already shared.
+        assert first.read(3, version) is last.read(3, version)
+        assert first.latest(3) is last.latest(3)
+        assert first.latest(3).commit_version == version
+        assert first.latest(3).prev is last.latest(3).prev
+        assert first.read(4, version) is last.read(4, version)  # untouched row
 
     def test_history_recording_optional(self):
         assert make_cluster(record_history=False).history is None

@@ -1,0 +1,68 @@
+"""Counter gate: what one commit leaves behind on the host.
+
+Every replica installs the same certified after-images, so a committed row
+write should cost the *cluster* one stored row version — not one per
+replica — and CPython's cyclic collector, whose work grows with the
+population of GC-tracked objects, should see a commit retain about ten
+objects (writeset, log entry, metrics sample, the row version), not dozens.
+Counts, never wall-clock: the run is seeded and the numbers repeat.
+"""
+
+import gc
+
+from repro import ClusterConfig, ReplicatedDatabase
+from repro.metrics import MetricsCollector
+from repro.workloads import MicroBenchmark
+
+#: retained GC-tracked objects per commit version (list-pair chains: 25-35)
+MAX_RETAINED_PER_COMMIT = 12
+#: storage-layer objects (row versions + chain structure) per committed row
+#: write, over all 8 replicas (list-pair chains: 11-26)
+MAX_STORAGE_OBJECTS_PER_ROW_WRITE = 2
+
+
+def census():
+    gc.collect()
+    tracked = gc.get_objects()
+    storage = sum(
+        1 for obj in tracked
+        if type(obj).__module__ in ("repro.storage.rows", "repro.storage.table")
+    )
+    return len(tracked), storage
+
+
+def test_a_commit_retains_one_row_version_cluster_wide():
+    cluster = ReplicatedDatabase(
+        MicroBenchmark(update_types=40, rows_per_table=200),
+        ClusterConfig(num_replicas=8, seed=7, record_history=False),
+    )
+    cluster.add_clients(8, MetricsCollector())
+    cluster.run(300.0)  # past the warm-up: pools, caches and queues exist
+    first = cluster.commit_version
+    tracked_before, storage_before = census()
+    cluster.run(700.0)
+    last = cluster.commit_version
+    tracked_after, storage_after = census()
+
+    commits = last - first
+    log = cluster.certifier.log
+    written = [
+        op for version in range(first + 1, last + 1)
+        for op in log.entry(version).writeset
+    ]
+    assert commits >= 300 and len(written) >= commits
+    assert (tracked_after - tracked_before) / commits <= MAX_RETAINED_PER_COMMIT
+    assert (
+        (storage_after - storage_before) / len(written)
+        <= MAX_STORAGE_OBJECTS_PER_ROW_WRITE
+    )
+
+    # The replicas hold the same node wherever both have applied the write.
+    first_db, last_db = (cluster.replica(i).engine.database for i in (0, 7))
+    applied = min(first_db.version, last_db.version)
+    assert applied > first
+    for version in range(first + 1, applied + 1):
+        for op in log.entry(version).writeset:
+            mine = first_db.table(op.table).read(op.key, version)
+            assert mine is last_db.table(op.table).read(op.key, version)
+            assert mine is op.values  # ... and it is the certified image itself

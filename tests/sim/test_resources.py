@@ -98,6 +98,57 @@ class TestResource:
         env.run()
         assert env.now == 5.0
 
+    def test_use_costs_one_kernel_event_per_hold(self, env):
+        """Kick-off, the hold, the process's own completion: three events a
+        worker, whether it found the slot free or had to queue for it."""
+        res = Resource(env, capacity=1)
+        done = []
+
+        def worker(env):
+            yield from res.use(2.0)
+            done.append(env.now)
+
+        for _ in range(5):
+            env.process(worker(env))
+        env.run()
+        assert done == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert env.events_processed == 3 * 5
+
+    def test_request_with_a_hold_fires_when_the_hold_is_over(self, env):
+        res = Resource(env, capacity=1)
+        fired = []
+        first, second = res.request(5.0), res.request(2.0)
+        first.callbacks.append(lambda _e: (fired.append(env.now), res.release(first)))
+        second.callbacks.append(lambda _e: fired.append(env.now))
+        assert res.in_use == 1 and res.queue_length == 1
+        env.run()
+        assert fired == [5.0, 7.0]  # granted at 5, held for 2
+        assert res.busy_slot_ms == 7.0
+
+    def test_zero_length_use_still_takes_its_turn(self, env):
+        res = Resource(env, capacity=1)
+        order = []
+
+        def worker(env, name, duration):
+            yield from res.use(duration)
+            order.append((name, env.now))
+
+        env.process(worker(env, "long", 3.0))
+        env.process(worker(env, "instant", 0.0))
+        env.run()
+        assert order == [("long", 3.0), ("instant", 3.0)]
+
+    def test_negative_use_rejected_before_claiming_a_slot(self, env):
+        res = Resource(env, capacity=1)
+
+        def worker(env):
+            yield from res.use(-1.0)
+
+        proc = env.process(worker(env))
+        env.run()
+        assert isinstance(proc.value, SimulationError) and not proc.ok
+        assert res.in_use == 0 and res.queue_length == 0
+
 
 class TestInterruptInteraction:
     def test_interrupted_holder_releases_slot(self, env):

@@ -11,11 +11,11 @@ from repro.storage import (
     RowVersion,
     StorageEngine,
     TableSchema,
-    VersionChain,
     WriteConflictError,
     WriteOp,
     WriteSet,
 )
+from repro.storage.rows import vacuumed, visible_at
 
 keys = st.integers(min_value=1, max_value=8)
 values = st.integers(min_value=0, max_value=1000)
@@ -29,22 +29,22 @@ class TestVersionChainProperties:
         st.integers(min_value=0, max_value=25),
     )
     def test_visible_at_matches_linear_scan(self, entries, snapshot):
-        """Binary-search visibility must agree with a naive linear scan."""
-        chain = VersionChain()
+        """The newest-first walk must agree with a naive oldest-first scan."""
+        head = None
         log = []
         for offset, (deleted, value) in enumerate(entries):
             version = offset + 1
             if deleted:
-                chain.append(RowVersion(version, None, deleted=True))
+                head = RowVersion(version, None, deleted=True, prev=head)
             else:
-                chain.append(RowVersion(version, {"v": value}))
+                head = RowVersion(version, {"v": value}, prev=head)
             log.append((version, deleted, value))
 
         expected = None
         for version, deleted, value in log:
             if version <= snapshot:
                 expected = None if deleted else value
-        visible = chain.visible_at(snapshot)
+        visible = visible_at(head, snapshot)
         assert (visible.values["v"] if visible else None) == expected
 
     @given(
@@ -52,19 +52,21 @@ class TestVersionChainProperties:
         st.integers(min_value=0, max_value=20),
     )
     def test_vacuum_preserves_visibility_at_and_after_horizon(self, vals, horizon):
-        chain = VersionChain()
+        head = None
         for offset, value in enumerate(vals):
-            chain.append(RowVersion(offset + 1, {"v": value}))
-        before = {
-            snap: chain.visible_at(snap)
-            for snap in range(horizon, len(vals) + 2)
-        }
-        chain.vacuum(horizon)
-        for snap, expected in before.items():
-            got = chain.visible_at(snap)
-            assert (got.values if got else None) == (
-                expected.values if expected else None
-            )
+            head = RowVersion(offset + 1, {"v": value}, prev=head)
+        everything = {snap: visible_at(head, snap) for snap in range(len(vals) + 2)}
+        trimmed, removed = vacuumed(head, horizon)
+        assert removed == max(0, min(horizon, len(vals)) - 1)
+        for snap, expected in everything.items():
+            # The chain the vacuum was cut from still answers every snapshot
+            # with the same node; the trimmed one answers from the horizon on.
+            assert visible_at(head, snap) is expected
+            if snap >= horizon:
+                got = visible_at(trimmed, snap)
+                assert (got.values if got else None) == (
+                    expected.values if expected else None
+                )
 
 
 class TestWriteSetProperties:

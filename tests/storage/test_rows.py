@@ -1,16 +1,35 @@
-"""Tests for MVCC row version chains."""
+"""Tests for MVCC row versions and the newest-first chains they form."""
 
 import pytest
 
-from repro.storage import RowVersion, VersionChain
+from repro.storage import OpKind, RowVersion, WriteOp
+from repro.storage.rows import vacuumed, versions, visible_at
+
+
+def chain(*entries):
+    """Head of a chain built oldest-first from ``(commit_version, values)``
+    entries (``values=None`` appends a tombstone)."""
+    head = None
+    for commit_version, values in entries:
+        head = RowVersion(commit_version, values, deleted=values is None, prev=head)
+    return head
+
+
+def history(head):
+    """``(commit_version, values)`` oldest first — what ``chain`` took."""
+    return [(v.commit_version, v.values) for v in versions(head)][::-1]
 
 
 class TestRowVersion:
     def test_values_are_copied(self):
+        """Once, where the image is captured (``WriteOp``); the version
+        adopts that private dict instead of copying it a second time."""
         source = {"id": 1, "v": 2}
-        version = RowVersion(1, source)
+        op = WriteOp("t", 1, OpKind.INSERT, source)
+        version = RowVersion(1, op.values)
         source["v"] = 99
         assert version.values["v"] == 2
+        assert version.values is op.values
 
     def test_tombstone_has_no_values(self):
         version = RowVersion(3, {"id": 1}, deleted=True)
@@ -20,119 +39,94 @@ class TestRowVersion:
 
 class TestVersionChain:
     def test_empty_chain(self):
-        chain = VersionChain()
-        assert len(chain) == 0
-        assert chain.latest is None
-        assert chain.latest_commit_version == 0
-        assert chain.visible_at(100) is None
+        assert list(versions(None)) == []
+        assert visible_at(None, 100) is None
 
     def test_append_and_read_latest(self):
-        chain = VersionChain()
-        chain.append(RowVersion(1, {"id": 1, "v": 10}))
-        chain.append(RowVersion(3, {"id": 1, "v": 30}))
-        assert chain.latest.values["v"] == 30
-        assert chain.latest_commit_version == 3
+        head = chain((1, {"id": 1, "v": 10}), (3, {"id": 1, "v": 30}))
+        assert head.values["v"] == 30
+        assert head.commit_version == 3
+        assert head.prev.values["v"] == 10 and head.prev.prev is None
 
     def test_out_of_order_append_rejected(self):
-        chain = VersionChain()
-        chain.append(RowVersion(5, {"id": 1}))
+        head = chain((5, {"id": 1}))
         with pytest.raises(ValueError):
-            chain.append(RowVersion(5, {"id": 1}))
+            RowVersion(5, {"id": 1}, prev=head)
         with pytest.raises(ValueError):
-            chain.append(RowVersion(3, {"id": 1}))
+            RowVersion(3, {"id": 1}, prev=head)
 
     def test_snapshot_visibility_picks_newest_at_or_below(self):
-        chain = VersionChain()
-        chain.append(RowVersion(1, {"v": 10}))
-        chain.append(RowVersion(5, {"v": 50}))
-        chain.append(RowVersion(9, {"v": 90}))
-        assert chain.visible_at(0) is None
-        assert chain.visible_at(1).values["v"] == 10
-        assert chain.visible_at(4).values["v"] == 10
-        assert chain.visible_at(5).values["v"] == 50
-        assert chain.visible_at(8).values["v"] == 50
-        assert chain.visible_at(100).values["v"] == 90
+        head = chain((1, {"v": 10}), (5, {"v": 50}), (9, {"v": 90}))
+        assert visible_at(head, 0) is None
+        assert visible_at(head, 1).values["v"] == 10
+        assert visible_at(head, 4).values["v"] == 10
+        assert visible_at(head, 5).values["v"] == 50
+        assert visible_at(head, 8).values["v"] == 50
+        assert visible_at(head, 100).values["v"] == 90
 
     def test_tombstone_hides_row(self):
-        chain = VersionChain()
-        chain.append(RowVersion(1, {"v": 10}))
-        chain.append(RowVersion(2, None, deleted=True))
-        assert chain.visible_at(1).values["v"] == 10
-        assert chain.visible_at(2) is None
-        assert not chain.exists_at(2)
-        assert chain.exists_at(1)
+        head = chain((1, {"v": 10}), (2, None))
+        assert visible_at(head, 1).values["v"] == 10
+        assert visible_at(head, 2) is None
 
     def test_reinsert_after_delete(self):
-        chain = VersionChain()
-        chain.append(RowVersion(1, {"v": 10}))
-        chain.append(RowVersion(2, None, deleted=True))
-        chain.append(RowVersion(3, {"v": 30}))
-        assert chain.visible_at(2) is None
-        assert chain.visible_at(3).values["v"] == 30
+        head = chain((1, {"v": 10}), (2, None), (3, {"v": 30}))
+        assert visible_at(head, 2) is None
+        assert visible_at(head, 3).values["v"] == 30
 
     def test_version_zero_load_is_visible_everywhere(self):
-        chain = VersionChain()
-        chain.append(RowVersion(0, {"v": 1}))
-        assert chain.visible_at(0).values["v"] == 1
-        assert chain.visible_at(10).values["v"] == 1
+        head = chain((0, {"v": 1}))
+        assert visible_at(head, 0).values["v"] == 1
+        assert visible_at(head, 10).values["v"] == 1
 
     def test_vacuum_keeps_horizon_version(self):
-        chain = VersionChain()
-        for version in (1, 3, 5, 7):
-            chain.append(RowVersion(version, {"v": version}))
-        removed = chain.vacuum(5)
+        head = chain(*((version, {"v": version}) for version in (1, 3, 5, 7)))
+        trimmed, removed = vacuumed(head, 5)
         assert removed == 2  # versions 1 and 3
-        assert chain.visible_at(5).values["v"] == 5
-        assert chain.visible_at(7).values["v"] == 7
+        assert visible_at(trimmed, 5).values["v"] == 5
+        assert visible_at(trimmed, 7).values["v"] == 7
+        assert visible_at(trimmed, 4) is None
 
     def test_vacuum_below_first_version_is_noop(self):
-        chain = VersionChain()
-        chain.append(RowVersion(5, {"v": 5}))
-        assert chain.vacuum(3) == 0
-        assert chain.vacuum(5) == 0
-        assert len(chain) == 1
+        head = chain((5, {"v": 5}))
+        assert vacuumed(head, 3) == (head, 0)
+        assert vacuumed(head, 5) == (head, 0)
 
     def test_vacuum_empty_chain(self):
-        assert VersionChain().vacuum(10) == 0
+        assert vacuumed(None, 10) == (None, 0)
 
 
 class TestFrozenChain:
-    """A frozen chain is shared between tables: it must refuse every
-    mutation, so a write path that forgot to take a private copy fails
-    loudly instead of leaking into sibling replicas."""
-
-    def make(self):
-        chain = VersionChain()
-        chain.append(RowVersion(0, {"v": 0}))
-        chain.frozen = True
-        return chain
-
-    def test_append_raises(self):
-        chain = self.make()
-        with pytest.raises(RuntimeError):
-            chain.append(RowVersion(1, {"v": 1}))
-        assert len(chain) == 1
-
-    def test_replace_latest_raises(self):
-        with pytest.raises(RuntimeError):
-            self.make().replace_latest(RowVersion(0, {"v": 9}))
+    """An installed version is shared by every table that installed it, so
+    nothing may edit one: a commit puts a new head in front of it and a
+    vacuum that trims rebuilds what it keeps.  Whoever still holds the old
+    head keeps reading exactly what it read before."""
 
     def test_reads_and_noop_vacuum_still_work(self):
-        chain = self.make()
-        assert chain.visible_at(5).values == {"v": 0}
-        assert chain.vacuum(5) == 0  # one version: nothing to trim
+        head = chain((0, {"v": 0}))
+        assert visible_at(head, 5).values == {"v": 0}
+        trimmed, removed = vacuumed(head, 5)  # one version: nothing to trim
+        assert removed == 0 and trimmed is head  # ... and still shared
+
+    def test_append_leaves_the_shared_head_untouched(self):
+        shared = chain((0, {"v": 0}))
+        left = RowVersion(1, {"v": 1}, prev=shared)
+        right = RowVersion(2, {"v": 2}, prev=shared)
+        assert history(shared) == [(0, {"v": 0})]
+        assert history(left) == [(0, {"v": 0}), (1, {"v": 1})]
+        assert history(right) == [(0, {"v": 0}), (2, {"v": 2})]
+        assert left.prev is right.prev is shared
 
     def test_copy_is_private_and_shares_the_versions(self):
-        chain = self.make()
-        twin = chain.copy()
-        twin.append(RowVersion(1, {"v": 1}))
-        assert not twin.frozen
-        assert len(chain) == 1 and len(twin) == 2
-        assert twin.visible_at(0) is chain.visible_at(0)
-
-    def test_replace_latest_keeps_the_commit_version(self):
-        chain = self.make().copy()
-        chain.replace_latest(RowVersion(0, {"v": 9}))
-        assert chain.latest.values == {"v": 9}
-        with pytest.raises(ValueError):
-            chain.replace_latest(RowVersion(3, {"v": 9}))
+        """A trimming vacuum returns a private copy of the kept prefix over
+        the same row images; the chain it was cut from is as it was."""
+        head = chain((1, {"v": 1}), (2, {"v": 2}), (3, {"v": 3}))
+        before = history(head)
+        trimmed, removed = vacuumed(head, 2)
+        assert removed == 1
+        assert history(head) == before
+        assert history(trimmed) == before[1:]
+        assert all(
+            new is not old and new.values is old.values
+            for new, old in zip(versions(trimmed), versions(head))
+        )

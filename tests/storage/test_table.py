@@ -160,6 +160,22 @@ class TestApplyValidation:
                 WriteOp("items", 1, OpKind.INSERT, {"id": 1, "cat": 5, "v": 1}), 1
             )
 
+    def test_rejected_op_leaves_no_trace(self, table):
+        op = WriteOp("items", 1, OpKind.INSERT, {"id": 1, "cat": 5, "v": 1})
+        with pytest.raises(SchemaError):
+            table.apply_op(op, 1)
+        assert len(table) == 0 and table.latest(1) is None and op._image is None
+
+    def test_out_of_order_version_rejected(self, table):
+        apply_insert(table, 1, "a", 1, 5)
+        for version in (5, 3):
+            with pytest.raises(ValueError):
+                table.apply_op(
+                    WriteOp("items", 1, OpKind.UPDATE, {"id": 1, "cat": "a", "v": 2}),
+                    version,
+                )
+        assert table.latest_commit_version(1) == 5
+
 
 class TestMaintenance:
     def test_vacuum_reduces_version_count(self, table):
@@ -179,3 +195,25 @@ class TestMaintenance:
         apply_insert(table, 2, "a", 2, 2)
         table.apply_op(WriteOp("items", 1, OpKind.DELETE), 3)
         assert len(table) == 2  # tombstoned keys still counted
+
+class TestSwapLatest:
+    """The corruption fault model's bit rot: another image at the same
+    commit version, in this table only."""
+
+    def test_swap_latest_keeps_the_commit_version(self, table):
+        apply_insert(table, 1, "a", 1, 1)
+        apply_insert(table, 1, "a", 2, 4)
+        table.swap_latest(1, {"id": 1, "cat": "a", "v": 99})
+        assert table.latest_commit_version(1) == 4
+        assert table.read(1, 4)["v"] == 99
+        assert table.read(1, 3)["v"] == 1  # history below is untouched
+        assert table.version_count() == 2
+
+    def test_swap_latest_leaves_the_installed_node_alone(self, table):
+        apply_insert(table, 1, "a", 1, 1)
+        twin = table.clone()
+        installed = table.latest(1)
+        table.swap_latest(1, {"id": 1, "cat": "a", "v": 99})
+        assert installed.values["v"] == 1
+        assert twin.latest(1) is installed and twin.read(1, 1)["v"] == 1
+        assert table.latest(1) is not installed
