@@ -7,13 +7,15 @@ certification, so a single lagging replica (stale snapshots, deep windows)
 makes *every* commit more expensive.  The last-writer version index answers
 the same question in O(|writeset| + |readset|) probes.
 
-This bench drives both modes through the real certifier on identical
-request streams and reports:
+This bench drives both through the real certifier on identical request
+streams — the scan side is the reference function
+:func:`repro.middleware.certindex.scan_first_conflict`, plugged in by a
+small ``Certifier`` subclass — and reports:
 
 * row comparisons and wall-clock per certification at increasing window
   depths (the scan grows linearly, the index stays flat);
-* a decision-identity check — both modes must produce the same commit
-  versions and abort causes;
+* a decision-identity check — both must produce the same commit versions
+  and abort causes;
 * refresh-apply drain time on a backlogged replica, one-at-a-time vs.
   group refresh (``batch_refresh_apply``).
 
@@ -45,6 +47,7 @@ from repro.middleware import (
     ReplicaPerformance,
     ReplicaProxy,
 )
+from repro.middleware.certindex import scan_first_conflict
 from repro.sim import Environment, LatencyModel, Network, RngRegistry
 from repro.storage import Column, StorageEngine, TableSchema
 from repro.storage.writeset import OpKind, WriteOp, WriteSet
@@ -69,23 +72,35 @@ def quiet_params():
 # ---------------------------------------------------------------------------
 
 
+class ScanCertifier(Certifier):
+    """The certifier with its conflict check swapped for the reference
+    window scan (no truncation happens here, so no conservative abort)."""
+
+    def _find_conflict(self, request):
+        slots = request.writeset.slots | (request.readset or frozenset())
+        version, compared = scan_first_conflict(
+            self.log, slots, request.snapshot_version
+        )
+        self.row_comparisons += compared
+        return version
+
+
 def run_certification(mode, window, probes):
     """Preload ``window`` committed writesets, then certify ``probes``
     transactions whose snapshot predates the whole window (the worst case
     for the scan).  Probe writesets touch a disjoint table, so every
-    decision is a commit and both modes stay on identical streams."""
+    decision is a commit and both sides stay on identical streams."""
     env = Environment()
     network = Network(
         env, RngRegistry(42).stream("net"), LatencyModel(base=0.05, jitter=0.0)
     )
     origin = network.register("replica-0")
-    certifier = Certifier(
+    certifier = (ScanCertifier if mode == "scan" else Certifier)(
         env=env,
         network=network,
         perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
         replica_names=["replica-0"],
         level=ConsistencyLevel.SC_COARSE,
-        certification_mode=mode,
     )
 
     request_id = 0

@@ -72,11 +72,7 @@ def check_structure(doc: dict) -> list:
 
 def check_span_names(events: list) -> None:
     names = {e.get("name") for e in events}
-    missing = REQUIRED_SPAN_NAMES - {
-        # certification may run partitioned
-        "certifier.certify" if "certifier.certify_partitioned" in names else "",
-        *names,
-    }
+    missing = REQUIRED_SPAN_NAMES - names
     if missing:
         fail(f"expected lifecycle spans missing from trace: {sorted(missing)}")
 
@@ -96,7 +92,7 @@ def check_invariants(events: list, strict_appliers: int | None) -> int:
         if version is None:
             continue
         key = (e.get("pid"), version)
-        if e.get("name") in ("certifier.certify", "certifier.certify_partitioned"):
+        if e.get("name") == "certifier.certify":
             if (e.get("args") or {}).get("outcome", "commit") == "commit":
                 certs[key] += 1
         elif e.get("name") == "refresh.apply":

@@ -85,11 +85,6 @@ class ClusterConfig:
     routing: str = "least-active"
     #: periodic MVCC garbage collection at each replica (None = off)
     vacuum_interval_ms: Optional[float] = None
-    #: conflict detection at the certifier: "index" (last-writer version
-    #: index, O(|writeset|) per certification — the default) or "scan" (the
-    #: reference linear window scan, kept for differential testing); both
-    #: produce byte-identical decisions
-    certification_mode: str = "index"
     #: drain maximal runs of consecutive pending refresh versions into one
     #: engine apply pass (group refresh) instead of one CPU round-trip per
     #: version; off by default to keep the per-version timing model (and
@@ -98,8 +93,8 @@ class ClusterConfig:
     #: longest run of versions one batched apply pass may drain
     refresh_batch_limit: int = 32
     # -- partitioned certification (see docs/PROTOCOL.md) ------------------
-    #: number of table-group certifier shards; 1 (the default) keeps the
-    #: single monolithic certification pipeline byte-identical
+    #: number of table-group certifier shards; 1 (the default) is the
+    #: paper's single serial certifier — the one-shard case of the pipeline
     num_partitions: int = 1
     #: explicit table→partition assignment as a tuple of table tuples
     #: (group i → partition i); unlisted tables hash onto a partition
@@ -190,11 +185,6 @@ class ClusterConfig:
             raise ValueError("request_deadline_ms must be positive")
         if self.certify_timeout_ms is not None and self.certify_timeout_ms <= 0:
             raise ValueError("certify_timeout_ms must be positive")
-        if self.certification_mode not in ("index", "scan"):
-            raise ValueError(
-                "certification_mode must be 'index' or 'scan', "
-                f"got {self.certification_mode!r}"
-            )
         if self.refresh_batch_limit < 1:
             raise ValueError("refresh_batch_limit must be >= 1")
         # Fail fast on an invalid partition layout (count/groups).
@@ -326,8 +316,8 @@ class ClusterConfig:
     @property
     def partition_map(self) -> Optional[PartitionMap]:
         """The resolved table-group partition map — **None** for the default
-        single-partition deployment, so every component takes its unchanged
-        legacy code path (trace identity)."""
+        single-partition deployment: one certifier shard, and proxies and
+        balancer on their strict in-order paths (trace identity)."""
         if self.num_partitions == 1:
             return None
         return PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
@@ -435,7 +425,7 @@ class ReplicatedDatabase:
         )
         heartbeat = config.heartbeat_settings
         standby_name = "certifier-standby" if config.standby_certifier else None
-        #: None for num_partitions=1 — every layer then runs its legacy path
+        #: None for num_partitions=1 (one certifier shard, strict appliers)
         self.partition_map = config.partition_map
         # Every replica starts from the identical version-0 data set: build
         # it once and give each replica a clone over the same row versions.
@@ -470,7 +460,6 @@ class ReplicatedDatabase:
             log=DecisionLog(config.log_path),
             heartbeat=heartbeat,
             standby_name=standby_name,
-            certification_mode=config.certification_mode,
             inbound_queue_bound=config.certifier_queue_bound,
             partition_map=self.partition_map,
             departed_grace_ms=config.departed_grace_ms,
@@ -505,7 +494,6 @@ class ReplicatedDatabase:
                 name=standby_name,
                 heartbeat=heartbeat,
                 promote_hook=self._adopt_certifier,
-                certification_mode=config.certification_mode,
                 partition_map=self.partition_map,
                 departed_grace_ms=config.departed_grace_ms,
                 digest_tracker=standby_tracker,
@@ -680,7 +668,6 @@ class ReplicatedDatabase:
         return {
             "name": certifier.name,
             "epoch": certifier.epoch,
-            "mode": certifier.certification_mode,
             "row_comparisons": certifier.row_comparisons,
             "commit_version": certifier.commit_version,
             "replication_horizon": certifier.replication_horizon(),
@@ -800,7 +787,6 @@ class ReplicatedDatabase:
             "certification_aborts": cert["aborts"],
             "certifier_name": cert["name"],
             "certifier_epoch": cert["epoch"],
-            "certification_mode": cert["mode"],
             "row_comparisons": cert["row_comparisons"],
             "certifier_backpressure_rejects": cert["backpressure_rejects"],
             "partition": {

@@ -1,12 +1,12 @@
 """Table-group partitioning of the commit pipeline.
 
-The paper's certifier maintains *one* total order, one decision log and one
-refresh stream — the last serial bottleneck of the hot path.  SC-FINE's own
-Table I shows most transactions only care about the freshness of *their*
-tables, so the keyspace can be split into table-group partitions whose
-commit pipelines proceed independently: each partition gets its own
-certifier shard (certification index, decision log, refresh stream) and its
-own position in the per-partition version vector.
+The paper's certifier is one serial server in front of one total order —
+the last serial bottleneck of the hot path.  SC-FINE's own Table I shows
+most transactions only care about the freshness of *their* tables, so the
+keyspace can be split into table-group partitions whose commits proceed
+independently: each partition gets its own certifier service slot and its
+own position in the per-partition version vector, while the decision log,
+the certification index and the commit-version counter stay single.
 
 :class:`PartitionMap` is the one source of truth for that split.  It is
 deliberately tiny and stateless: a table name maps to a partition id either
@@ -16,10 +16,10 @@ independent of dict ordering, process hash seeds and run seeds).  Every
 layer — certifier, proxies, load balancer, standby — shares one instance,
 so "which shard owns table ``t``" has exactly one answer everywhere.
 
-The single-partition map (``num_partitions=1``) is *trivial*: callers check
-:attr:`PartitionMap.is_trivial` and keep the legacy scalar pipeline, which
-is what makes the default configuration trace-identical to the
-pre-partitioning code.
+The single-partition map (``num_partitions=1``) is *trivial*: the certifier
+runs it as its one-shard case, while proxies and load balancer check
+:attr:`PartitionMap.is_trivial` and keep their strict in-order paths — which
+keeps the default configuration trace-identical to the pre-partitioning code.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ class PartitionMap:
         *canonical shard order* in which a cross-partition transaction
         acquires its shards (total order on shard acquisition = no
         deadlocks)."""
+        if self.num_partitions == 1:
+            return (0,)
         return tuple(sorted({self.partition_of(table) for table in tables}))
 
     def split_slots(self, slots: Iterable[tuple[str, object]]) -> dict[int, set]:

@@ -109,14 +109,13 @@ def _render_partition(certifier: Mapping, balancer: Mapping, title: str = "") ->
     shards = certifier.get("shards", {})
     if shards:
         versions = balancer.get("partition_versions", {})
-        headers = ["shard", "certified", "aborts", "queue", "log", "last_global", "v_ack"]
+        headers = ["shard", "certified", "aborts", "queue", "last_global", "v_ack"]
         rows = [
             [
                 p,
                 shard.get("certified", 0),
                 shard.get("aborts", 0),
                 shard.get("queue_length", 0),
-                shard.get("log_length", 0),
                 shard.get("last_global", 0),
                 versions.get(p, 0),
             ]

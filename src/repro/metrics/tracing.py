@@ -487,8 +487,8 @@ def trace_invariant_report(
     to versions ``<= up_to_version``, e.g. the slowest replica's
     ``v_local`` so in-flight refreshes don't count as violations):
 
-    * exactly one certification span (``certifier.certify`` or
-      ``certifier.certify_partitioned``) produced that version, and
+    * exactly one certification span (``certifier.certify``) produced
+      that version, and
     * exactly ``expected_refresh_appliers`` ``refresh.apply`` spans
       exist — one per live non-origin replica — with no replica
       applying the same version twice.
@@ -496,7 +496,6 @@ def trace_invariant_report(
     Returns ``{"versions": n, "violations": [...]}:`` an empty
     ``violations`` list means the trace is causally consistent.
     """
-    certify_names = {"certifier.certify", "certifier.certify_partitioned"}
     certs: Dict[Tuple[int, int], int] = {}
     applies: Dict[Tuple[int, int], List[str]] = {}
     for span in spans:
@@ -504,7 +503,7 @@ def trace_invariant_report(
         if v is None:
             continue
         key = (getattr(span, "run", 0), v)
-        if span.name in certify_names:
+        if span.name == "certifier.certify":
             certs[key] = certs.get(key, 0) + 1
         elif span.name == "refresh.apply":
             applies.setdefault(key, []).append(span.component)

@@ -34,10 +34,17 @@ Self-healing extensions (all opt-in, see ``docs/PROTOCOL.md``):
   it, so a promotion never loses an acknowledged commit.  A standby that
   stops acking degrades the primary to asynchronous shipping after
   ``standby_ack_timeout_ms`` (counted in ``standby_sync_timeouts``).
+
+Table-group partitioning (``partition_map``) shards only the certifier's
+*service*: for every shard count there is one decision log, one
+certification index and one commit pipeline (:meth:`Certifier._certify`),
+which holds the :class:`~.shards.CertifierShard` slot of each partition a
+transaction touches.  The monolithic certifier is the one-shard case.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Optional
 
 from ..core.partition import PartitionMap
@@ -45,9 +52,7 @@ from ..core.policy import resolve_policy
 from ..metrics.tracing import TRACER
 from ..sim.kernel import Environment, Event
 from ..sim.network import Mailbox, Network
-from ..sim.resources import Resource
 from ..storage.digest import DigestTracker
-from ..storage.writeset import WriteSet
 from .certindex import CertificationIndex
 from .durability import DecisionLog, LogEntry
 from .heartbeat import HeartbeatMonitor, HeartbeatSettings
@@ -65,6 +70,7 @@ from .messages import (
     HeartbeatPing,
     RecoveryReply,
     RecoveryRequest,
+    RefreshWriteset,
     StandbyPromoted,
 )
 from .perfmodel import CertifierPerformance
@@ -89,20 +95,13 @@ class Certifier:
         standby_name: Optional[str] = None,
         standby_ack_timeout_ms: float = 10.0,
         epoch: int = 1,
-        certification_mode: str = "index",
         inbound_queue_bound: Optional[int] = None,
         partition_map: Optional[PartitionMap] = None,
-        shard_logs: Optional[dict] = None,
         departed_grace_ms: Optional[float] = None,
         digest_tracker: Optional[DigestTracker] = None,
     ):
         if inbound_queue_bound is not None and inbound_queue_bound < 1:
             raise ValueError("inbound_queue_bound must be >= 1")
-        if certification_mode not in ("index", "scan"):
-            raise ValueError(
-                f"certification_mode must be 'index' or 'scan', "
-                f"got {certification_mode!r}"
-            )
         self.env = env
         self.network = network
         self.perf = perf
@@ -111,45 +110,29 @@ class Certifier:
         #: legacy introspection: the enum member behind the policy, if any
         self.level = self.policy.level
         self.name = name
+        #: the one decision log, in commit-version order, whole writesets —
+        #: the durability point for every shard count
         self.log = log if log is not None else DecisionLog()
-        #: "index" (last-writer version index, O(|writeset| + |readset|)) or
-        #: "scan" (the reference linear window scan, kept for differential
-        #: testing); both produce byte-identical decisions.
-        self.certification_mode = certification_mode
-        #: table-group partitioning of the commit pipeline (None or a
-        #: trivial map = the legacy single-pipeline certifier, which stays
-        #: trace-identical to the pre-partitioning code)
-        self.partition_map = partition_map
-        self.partitioned = (
-            partition_map is not None and not partition_map.is_trivial
-        )
-        #: per-partition shards: independent log + index + service slot
-        self.shards: dict[int, CertifierShard] = {}
-        #: system-wide commit-version counter (partitioned mode only);
-        #: allocated at commit, so global versions stay contiguous
-        self._global_version = 0
-        if self.partitioned:
-            for p in range(partition_map.num_partitions):
-                self.shards[p] = CertifierShard(
-                    env, p, log=(shard_logs or {}).get(p)
-                )
-            self._global_version = max(
-                (s.last_global for s in self.shards.values()), default=0
-            )
-        #: the certification index, rebuilt from whatever log we start with
-        #: (a promoted standby passes its tailed state-machine copy here);
-        #: unused in partitioned mode, where each shard owns its own index
-        self._index: Optional[CertificationIndex] = (
-            CertificationIndex.from_log(self.log)
-            if certification_mode == "index" and not self.partitioned
-            else None
-        )
+        #: table-group partitioning of the service (None = one partition)
+        self.partition_map = partition_map or PartitionMap(1)
+        #: per-partition service slots (+ newest commit and counters)
+        self.shards: dict[int, CertifierShard] = {
+            p: CertifierShard(env, p)
+            for p in range(self.partition_map.num_partitions)
+        }
+        # The shard count decides exactly two things, both fixed here (the
+        # two-decision rule, DESIGN.md D5).  Dispatch: one shard certifies
+        # inside the message loop, so control messages queue behind it (the
+        # paper's serial server); several run one process per request.
+        self._concurrent = len(self.shards) > 1
+        # Predecessor vectors at commit and replay: only with several
+        # shards, because a single partition's predecessor is always v-1.
+        self._vectors = len(self.shards) > 1
         #: anti-entropy expectation oracle (None = scrubbing disabled): fed
         #: every certified writeset, it answers what any replica's per-table
         #: digests must be at any un-truncated version
         self.digest_tracker = digest_tracker
         self.mailbox: Mailbox = network.register(name)
-        self._service = Resource(env, capacity=1)
         # Replica progress: newest version each replica reported applied.
         self.applied_versions: dict[str, int] = {r: 0 for r in self.replica_names}
         # Progress of replicas removed from membership (crashed but may
@@ -169,18 +152,7 @@ class Certifier:
         # Fate resolution: request_id -> commit version for every logged
         # decision (rebuilt from the log, so it survives failover), plus the
         # request ids the certifier aborted or fenced.
-        self._request_index: dict[int, int] = {}
-        if self.partitioned:
-            for shard in self.shards.values():
-                for entry in shard.log._entries:
-                    if entry.request_id:
-                        self._request_index[entry.request_id] = entry.global_version
-        else:
-            self._request_index = {
-                entry.request_id: entry.commit_version
-                for entry in self.log._entries
-                if entry.request_id
-            }
+        self._derive_from_log()
         self._aborted_requests: set[int] = set()
         self._fenced: set[int] = set()
         # Semi-synchronous standby shipping.
@@ -203,7 +175,7 @@ class Certifier:
         self.abort_count = 0
         #: commits whose writeset touched exactly one partition
         self.single_partition_commits = 0
-        #: commits that took the multi-shard path
+        #: commits that held the slots of several partitions
         self.cross_partition_commits = 0
         #: shard-service acquisitions a cross-partition certification had
         #: to wait for (contention caused by multi-shard coordination)
@@ -221,8 +193,8 @@ class Certifier:
         #: already-decided requests redelivered by the network and answered
         #: by re-sending the original decision instead of re-certifying
         self.duplicate_certify_requests = 0
-        #: row comparisons performed by conflict detection (both modes);
-        #: the scaling bench and CI perf smoke key on this, not wall-clock
+        #: row comparisons performed by conflict detection; the scaling
+        #: bench and CI perf smoke key on this, not wall-clock
         self.row_comparisons = 0
         self.fenced_aborts = 0
         self.fate_queries = 0
@@ -253,14 +225,26 @@ class Certifier:
     def commit_version(self) -> int:
         """``V_commit`` — version of the latest certified transaction.
 
-        In partitioned mode this is the system-wide counter: global
-        versions are allocated at commit (never reserved), so the sequence
-        ``1..commit_version`` is contiguous and replica watermarks remain
-        meaningful against it.
+        Versions are allocated at commit (never reserved), so the sequence
+        ``1..commit_version`` is contiguous for every shard count and
+        replica watermarks remain meaningful against it.
         """
-        if self.partitioned:
-            return self._global_version
         return self.log.last_version
+
+    def _derive_from_log(self) -> None:
+        """Derive everything the log implies — certification index, request
+        index and each shard's newest commit — from whatever log we hold (a
+        promoted standby's is the tailed state-machine copy of the
+        primary's), so a successor decides exactly as the primary did."""
+        self._index = CertificationIndex.from_log(self.log)
+        self._request_index = {
+            entry.request_id: entry.commit_version
+            for entry in self.log
+            if entry.request_id
+        }
+        for entry in self.log:  # ascending, so the newest commit wins
+            for p in self.partition_map.partitions_for(entry.writeset.tables):
+                self.shards[p].last_global = entry.commit_version
 
     def _purge_departed(self) -> None:
         """Satellite fix for unbounded horizon pinning: a permanently
@@ -299,57 +283,37 @@ class Certifier:
         from: replays after ``after_version >= first_replayable - 1`` are
         servable, anything older needs a checkpoint (state transfer).
         1 while nothing has been truncated."""
-        if self.partitioned:
-            floor = max(
-                (s.truncated_global for s in self.shards.values()), default=0
-            )
-        else:
-            floor = self.log.truncation_version
-        return floor + 1
+        return self.log.truncation_version + 1
 
     def truncate_log(self) -> int:
         """Drop log entries below the replication horizon.
 
         Safe by construction: no live or departed replica can need a replay
-        below its own applied version.  The certification index garbage-
-        collects in lockstep: the versions leaving the log leave the per-key
-        writer lists too (conservative aborts for snapshots older than the
-        truncation point keep decisions identical in both modes).  Returns
-        entries dropped.
-
-        Partitioned mode truncates every shard against the same global
-        horizon — replica watermarks are global, so a version at or below
-        the horizon is applied everywhere regardless of its partition.
+        below its own applied version (replica watermarks are global, so a
+        version at or below the horizon is applied everywhere regardless of
+        its partition).  The certification index garbage-collects in
+        lockstep: the versions leaving the log leave the per-key writer
+        lists too, and a snapshot older than the truncation point aborts
+        conservatively (:meth:`_find_conflict`).  Returns entries dropped.
         """
         horizon = self.replication_horizon()
         if self.digest_tracker is not None:
             # The oracle's change-point history tracks the log: expectations
             # below the horizon are never asked for again.
             self.digest_tracker.truncate(horizon)
-        if self.partitioned:
-            return sum(
-                shard.truncate_to_global(horizon)
-                for shard in self.shards.values()
-            )
-        if self._index is not None and self.log.truncation_version < horizon:
-            high = min(horizon, self.log.last_version)
-            dropped = [
-                self.log.entry(version)
-                for version in range(self.log.truncation_version + 1, high + 1)
-            ]
-            self._index.truncate_to(horizon, dropped)
+        self._index.truncate_to(
+            horizon, takewhile(lambda e: e.commit_version <= horizon, self.log)
+        )
         return self.log.truncate_to(horizon)
 
     def stats(self) -> dict:
-        """Counter snapshot for metrics/tests (per-shard when partitioned)."""
+        """Counter snapshot for metrics/tests, with per-shard counters."""
         return {
             "certified": self.certified_count,
             "aborts": self.abort_count,
             "backpressure_rejects": self.backpressure_rejects,
             "queue_length": len(self.mailbox),
-            "num_partitions": (
-                self.partition_map.num_partitions if self.partition_map else 1
-            ),
+            "num_partitions": len(self.shards),
             "single_partition_commits": self.single_partition_commits,
             "cross_partition_commits": self.cross_partition_commits,
             "cross_shard_stalls": self.cross_shard_stalls,
@@ -357,31 +321,21 @@ class Certifier:
             "stale_recovery_refusals": self.stale_recovery_refusals,
             "catch_up_replays": self.catch_up_replays,
             "first_replayable": self.first_replayable_version(),
-            "durability": self._durability_stats(),
+            # Decision-log durability counters (see ``DecisionLog.load``).
+            "durability": {
+                "torn_tail_dropped": self.log.torn_tail_dropped,
+                "framed_lines_loaded": self.log.framed_lines_loaded,
+                "legacy_lines_loaded": self.log.legacy_lines_loaded,
+            },
             "shards": {
                 p: {
                     "certified": shard.certified_count,
                     "aborts": shard.abort_count,
                     "queue_length": shard.queue_length,
-                    "log_length": len(shard.log),
                     "last_global": shard.last_global,
                 }
                 for p, shard in self.shards.items()
             },
-        }
-
-    def _durability_stats(self) -> dict:
-        """Decision-log durability counters, aggregated over the shard logs
-        in partitioned mode (see ``DecisionLog.load``)."""
-        logs = (
-            [shard.log for shard in self.shards.values()]
-            if self.partitioned
-            else [self.log]
-        )
-        return {
-            "torn_tail_dropped": sum(log.torn_tail_dropped for log in logs),
-            "framed_lines_loaded": sum(log.framed_lines_loaded for log in logs),
-            "legacy_lines_loaded": sum(log.legacy_lines_loaded for log in logs),
         }
 
     def decision_for(self, request_id: int) -> Optional[int]:
@@ -405,38 +359,22 @@ class Certifier:
             "applied": dict(self.applied_versions),
             "departed": dict(self._departed_versions),
             "departed_since": dict(self._departed_since),
-            "certification_mode": self.certification_mode,
         }
 
     def restore_state(self, state: dict) -> None:
         """Adopt a peer's :meth:`snapshot_state` (standby promotion).
 
-        The certification index is never shipped — it is derived state and
-        is rebuilt here from our own decision log (which, on a promotion, is
-        the tailed state-machine copy of the primary's), so the successor's
-        decisions match the primary's exactly.
+        Nothing derived from the log is ever shipped: the certification
+        index, the request index and the shards' newest commits are rebuilt
+        here from our own decision log (which, on a promotion, is the tailed
+        state-machine copy of the primary's), so the successor's decisions
+        match the primary's exactly.
         """
         self.replica_names = list(state["replicas"])
         self.applied_versions = dict(state["applied"])
         self._departed_versions = dict(state["departed"])
         self._departed_since = dict(state.get("departed_since", {}))
-        mode = state.get("certification_mode")
-        if mode is not None:
-            self.certification_mode = mode
-        if self.partitioned:
-            # Shard logs were handed over at construction; re-derive every
-            # shard's index and the global counter from them.
-            for shard in self.shards.values():
-                shard.rebuild_from_log()
-            self._global_version = max(
-                (s.last_global for s in self.shards.values()), default=0
-            )
-        else:
-            self._index = (
-                CertificationIndex.from_log(self.log)
-                if self.certification_mode == "index"
-                else None
-            )
+        self._derive_from_log()
         if self.monitor is not None:
             for replica in self.replica_names:
                 self.monitor.add_target(replica)
@@ -457,15 +395,15 @@ class Certifier:
             if self.halted:
                 return
             if isinstance(message, CertifyRequest):
-                if self.partitioned:
+                if self._concurrent:
                     # Shards certify concurrently: each request runs as its
                     # own process queueing on only the shards it touches.
                     self.env.process(
-                        self._handle_certify_partitioned(message),
+                        self._certify(message),
                         name=f"{self.name}-certify-r{message.request_id}",
                     )
                 else:
-                    yield from self._handle_certify(message)
+                    yield from self._certify(message)
             elif isinstance(message, CommitApplied):
                 self._handle_commit_applied(message)
             elif isinstance(message, RecoveryRequest):
@@ -517,175 +455,42 @@ class Certifier:
         if version is None and request.request_id not in self._aborted_requests:
             return False
         self.duplicate_certify_requests += 1
-        self.network.send(
-            self.name,
-            request.origin,
-            CertifyReply(
-                txn_id=request.txn_id,
-                request_id=request.request_id,
-                certified=version is not None,
-                commit_version=version,
-            ),
-        )
+        self._reply(request, version)
         return True
 
-    def _handle_certify(self, request: CertifyRequest):
-        if self._replayed_decision(request):
-            return
-        if (
-            self.inbound_queue_bound is not None
-            and len(self.mailbox) >= self.inbound_queue_bound
-        ):
-            # Backpressure: the queue behind this request exceeds the bound.
-            # Refuse *before* spending certification time — no decision is
-            # made and nothing is logged, so the abort is trivially safe.
-            self.backpressure_rejects += 1
-            self.network.send(
-                self.name,
-                request.origin,
-                CertifyReply(
-                    txn_id=request.txn_id,
-                    request_id=request.request_id,
-                    certified=False,
-                    commit_version=None,
-                    overloaded=True,
-                ),
-            )
-            return
-        traced = TRACER.enabled and TRACER.is_sampled(request.request_id)
-        trace_start = self.env.now if traced else 0.0
-        # Certification + durable logging consume the certifier's CPU; this
-        # serialises decisions, which is what makes the total order total.
-        yield from self._service.use(self.perf.certify(len(request.writeset)))
-        if self.halted:
-            # Crashed mid-certification: the decision was never made.
-            return
+    def _certify(self, request: CertifyRequest):
+        """Decide one request — the one commit pipeline, at every shard count.
 
-        if request.request_id in self._fenced:
-            # The balancer already resolved this request's fate as aborted;
-            # committing now would double an answer the client acted on.
-            self.abort_count += 1
-            self.fenced_aborts += 1
-            self._aborted_requests.add(request.request_id)
-            if traced:
-                TRACER.record(
-                    "certifier.certify", self.name, trace_start, self.env.now,
-                    request_id=request.request_id, txn_id=request.txn_id,
-                    attrs={"outcome": "fenced-abort"},
-                )
-            self.network.send(
-                self.name,
-                request.origin,
-                CertifyReply(
-                    txn_id=request.txn_id,
-                    request_id=request.request_id,
-                    certified=False,
-                    commit_version=None,
-                ),
-            )
-            return
-
-        conflict_version = self._find_conflict(request)
-        if conflict_version is not None:
-            self.abort_count += 1
-            self._aborted_requests.add(request.request_id)
-            if traced:
-                TRACER.record(
-                    "certifier.certify", self.name, trace_start, self.env.now,
-                    request_id=request.request_id, txn_id=request.txn_id,
-                    attrs={"outcome": "conflict", "conflict_with": conflict_version},
-                )
-            reply = CertifyReply(
-                txn_id=request.txn_id,
-                request_id=request.request_id,
-                certified=False,
-                commit_version=None,
-                conflict_with=conflict_version,
-            )
-            self.network.send(self.name, request.origin, reply)
-            return
-
-        version = self.commit_version + 1
-        entry = LogEntry(
-            version, request.txn_id, request.origin, request.writeset,
-            request_id=request.request_id,
-        )
-        self.log.append(entry)
-        if traced:
-            TRACER.link_version(version, request.txn_id, request.request_id)
-            TRACER.record(
-                "certifier.certify", self.name, trace_start, self.env.now,
-                request_id=request.request_id, txn_id=request.txn_id,
-                commit_version=version, attrs={"outcome": "commit"},
-            )
-            TRACER.instant(
-                "certifier.log_append", self.name, self.env.now,
-                commit_version=version,
-            )
-        if self._index is not None:
-            self._index.record(version, request.writeset)
-        if self.digest_tracker is not None:
-            self.digest_tracker.apply(request.writeset, version)
-        self.certified_count += 1
-        self._request_index[request.request_id] = version
-        if self.policy.tracks_global_commit:
-            self._applied_by[version] = set()
-            self._awaiting_global[version] = (request.origin, request.request_id)
-
-        reply = CertifyReply(
-            txn_id=request.txn_id,
-            request_id=request.request_id,
-            certified=True,
-            commit_version=version,
-        )
-        if self.standby_name is not None:
-            # Semi-synchronous shipping: release only once the standby holds
-            # the record (or the ack timeout degrades us to asynchronous).
-            self._unreleased.add(version)
-            waiter = Event(self.env)
-            self._record_waiters[version] = waiter
-            self.network.send(self.name, self.standby_name, DecisionRecord(entry))
-            self.env.process(
-                self._release_after_standby(version, waiter, request, reply),
-                name=f"{self.name}-release-v{version}",
-            )
-        else:
-            self._release_decision(request, reply, version)
-
-    def _handle_certify_partitioned(self, request: CertifyRequest):
-        """Certify against only the shards the transaction touches.
-
-        Single-partition transactions queue on one shard's service slot and
-        proceed with zero cross-shard coordination.  Cross-partition
-        transactions acquire every involved shard's slot in canonical
-        partition order (a total order on acquisition — no deadlocks) and
-        hold all of them across the conflict check *and* the commit, so no
-        commit can slip into an already-checked shard — which is what
-        preserves first-committer-wins across the partitioned pipeline.
+        The request holds the service slot of every partition it touches —
+        the tables it wrote plus, in serializable mode, the tables it read —
+        across the conflict check *and* the commit, so no commit can slip
+        into an already-checked partition; that is what preserves
+        first-committer-wins.  Slots are taken in ascending partition order
+        (a total order on acquisition — no deadlocks).  A single-partition
+        transaction queues on one slot with zero cross-shard coordination;
+        with one shard that slot serialises every decision, which is what
+        makes the total order total.
         """
         if self._replayed_decision(request):
             return
-        if (
-            self.inbound_queue_bound is not None
-            and len(self.mailbox) >= self.inbound_queue_bound
-        ):
-            self.backpressure_rejects += 1
-            self.network.send(
-                self.name,
-                request.origin,
-                CertifyReply(
-                    txn_id=request.txn_id,
-                    request_id=request.request_id,
-                    certified=False,
-                    commit_version=None,
-                    overloaded=True,
-                ),
-            )
-            return
-        checked_tables = {op.table for op in request.writeset}
+        written = self.partition_map.partitions_for(op.table for op in request.writeset)
+        involved = written
         if request.readset:
-            checked_tables |= {table for table, _key in request.readset}
-        involved = self.partition_map.partitions_for(checked_tables)
+            read = self.partition_map.partitions_for(t for t, _key in request.readset)
+            involved = tuple(sorted({*written, *read}))
+        if self.inbound_queue_bound is not None and (
+            len(self.mailbox)
+            + max((self.shards[p].queue_length for p in involved), default=0)
+            >= self.inbound_queue_bound
+        ):
+            # Backpressure: the queue this request would wait behind — the
+            # mailbox plus the longest queue on a slot it needs — exceeds
+            # the bound.  Refuse *before* spending certification time — no
+            # decision is made and nothing is logged, so the abort is
+            # trivially safe.
+            self.backpressure_rejects += 1
+            self._reply(request, overloaded=True)
+            return
         cross = len(involved) > 1
         traced = TRACER.enabled and TRACER.is_sampled(request.request_id)
         grants: list = []
@@ -694,148 +499,132 @@ class Certifier:
                 grant = self.shards[p].service.request()
                 if cross and not grant.triggered:
                     self.cross_shard_stalls += 1
-                acquire_start = self.env.now if traced else 0.0
+                acquire_start = self.env.now
                 yield grant
                 grants.append((p, grant))
-                if traced:
+                if traced and self._concurrent:
+                    # Only concurrent dispatch can make a request wait here.
                     TRACER.record(
                         f"certifier.shard.{p}.acquire", self.name,
                         acquire_start, self.env.now,
                         request_id=request.request_id, txn_id=request.txn_id,
                         attrs={"cross_partition": cross},
                     )
-            trace_start = self.env.now if traced else 0.0
+            trace_start = self.env.now
+            # Certification + durable logging consume the certifier's CPU.
+            # The service time is drawn only once every slot is held:
+            # drawing earlier (or folding the hold into the last slot
+            # request) reorders the RNG draws of concurrent requests.
             yield self.env.timeout(self.perf.certify(len(request.writeset)))
-            if self.halted:
-                # Crashed mid-certification: the decision was never made.
+            # Crashed mid-certification: the decision was never made.  Or a
+            # duplicate that raced the original here serialised behind it on
+            # the shared shard slots: the decision now exists, replay it.
+            if self.halted or self._replayed_decision(request):
                 return
-            if self._replayed_decision(request):
-                # A duplicate that raced the original here serialised behind
-                # it on the shared shard slots; the decision now exists.
-                return
+            conflict = version = None
             if request.request_id in self._fenced:
-                self.abort_count += 1
+                # The balancer already resolved this request's fate as
+                # aborted; committing now would double an answer the client
+                # acted on.
+                outcome = "fenced-abort"
                 self.fenced_aborts += 1
-                self._aborted_requests.add(request.request_id)
-                if traced:
-                    TRACER.record(
-                        "certifier.certify_partitioned", self.name,
-                        trace_start, self.env.now,
-                        request_id=request.request_id, txn_id=request.txn_id,
-                        attrs={"outcome": "fenced-abort"},
-                    )
-                self.network.send(
-                    self.name,
-                    request.origin,
-                    CertifyReply(
-                        txn_id=request.txn_id,
-                        request_id=request.request_id,
-                        certified=False,
-                        commit_version=None,
-                    ),
-                )
-                return
-            conflict_version = self._find_conflict_partitioned(request, involved)
-            if conflict_version is not None:
-                self.abort_count += 1
-                for p in involved:
-                    self.shards[p].abort_count += 1
-                self._aborted_requests.add(request.request_id)
-                if traced:
-                    TRACER.record(
-                        "certifier.certify_partitioned", self.name,
-                        trace_start, self.env.now,
-                        request_id=request.request_id, txn_id=request.txn_id,
-                        attrs={"outcome": "conflict", "conflict_with": conflict_version},
-                    )
-                self.network.send(
-                    self.name,
-                    request.origin,
-                    CertifyReply(
-                        txn_id=request.txn_id,
-                        request_id=request.request_id,
-                        certified=False,
-                        commit_version=None,
-                        conflict_with=conflict_version,
-                    ),
-                )
-                return
-            self._commit_partitioned(request, cross)
+                self._abort(request)
+            else:
+                conflict = self._find_conflict(request)
+                if conflict is None:
+                    outcome = "commit"
+                    version = self._commit(request, written, cross)
+                else:
+                    outcome = "conflict"
+                    for p in involved:
+                        self.shards[p].abort_count += 1
+                    self._abort(request, conflict_with=conflict)
             if traced:
+                attrs = {"outcome": outcome, "cross_partition": cross}
+                if conflict is not None:
+                    attrs["conflict_with"] = conflict
                 TRACER.record(
-                    "certifier.certify_partitioned", self.name,
-                    trace_start, self.env.now,
+                    "certifier.certify", self.name, trace_start, self.env.now,
                     request_id=request.request_id, txn_id=request.txn_id,
-                    commit_version=self._request_index[request.request_id],
-                    attrs={"outcome": "commit", "cross_partition": cross},
+                    commit_version=version, attrs=attrs,
                 )
         finally:
             for p, grant in reversed(grants):
                 self.shards[p].service.release(grant)
 
-    def _find_conflict_partitioned(
-        self, request: CertifyRequest, involved: tuple
-    ) -> Optional[int]:
-        """Global version of the first conflicting commit, via the shards.
+    def _reply(self, request: CertifyRequest, version=None, **fields) -> None:
+        """Answer outside the commit path: abort, shed, or a replayed commit."""
+        self.network.send(
+            self.name,
+            request.origin,
+            CertifyReply(
+                txn_id=request.txn_id,
+                request_id=request.request_id,
+                certified=version is not None,
+                commit_version=version,
+                **fields,
+            ),
+        )
 
-        The involved shards partition the checked slots, and every shard's
-        index is keyed by global version, so the minimum over the per-shard
-        first conflicts *is* the global first conflict — identical to what
-        the single certifier's one index would have answered.
+    def _abort(self, request: CertifyRequest, conflict_with=None) -> None:
+        self.abort_count += 1
+        self._aborted_requests.add(request.request_id)
+        self._reply(request, conflict_with=conflict_with)
+
+    def _find_conflict(self, request: CertifyRequest) -> Optional[int]:
+        """Version of the first committed writeset in
+        ``(snapshot, V_commit]`` that conflicts with the request.
+
+        Always checks write-write conflicts (GSI first-committer-wins).
+        When the request carries a readset (serializable certification
+        mode), a committed write to any row the transaction *read* also
+        conflicts — backward validation, which makes the global history
+        one-copy serializable at the cost of extra aborts.
+
+        Answered from the last-writer certification index in
+        O(|writeset| + |readset|); the differential tests override this
+        method with the specification, the window scan
+        :func:`~.certindex.scan_first_conflict`, and require byte-identical
+        decisions — same commit versions, same ``conflict_with`` causes.
         """
         low = request.snapshot_version
+        if low < self.log.truncation_version:
+            # The conflict window reaches into the truncated prefix: absence
+            # of conflicts cannot be proven, so abort conservatively.  Only
+            # transactions on extraordinarily stale snapshots hit this.
+            return low + 1
         slots = request.writeset.slots
         if request.readset:
             slots = slots | request.readset
-        by_partition = self.partition_map.split_slots(slots)
-        conflict: Optional[int] = None
-        for p in involved:
-            shard = self.shards[p]
-            if low < shard.truncated_global:
-                # The conflict window reaches into this shard's truncated
-                # prefix; absence of conflicts cannot be proven.
-                return low + 1
-            part_slots = by_partition.get(p)
-            if not part_slots:
-                continue
-            before = shard.index.probes
-            found = shard.index.first_conflict(part_slots, low)
-            self.row_comparisons += shard.index.probes - before
-            if found is not None and (conflict is None or found < conflict):
-                conflict = found
+        before = self._index.probes
+        conflict = self._index.first_conflict(slots, low)
+        self.row_comparisons += self._index.probes - before
         return conflict
 
-    def _commit_partitioned(self, request: CertifyRequest, cross: bool) -> None:
-        """Allocate the global version, log per-shard slices, release."""
-        version = self._global_version + 1
-        write_parts = self.partition_map.partitions_for(
-            op.table for op in request.writeset
+    def _commit(self, request: CertifyRequest, written: tuple, cross: bool) -> int:
+        """Allocate the version, log and index the writeset, release."""
+        version = self.log.last_version + 1
+        # Per-partition predecessor vector, captured before the shards
+        # advance: the proxies' apply/sync horizons wait on exactly these.
+        prevs = None
+        if self._vectors:
+            prevs = tuple((p, self.shards[p].last_global) for p in written)
+        entry = LogEntry(
+            version, request.txn_id, request.origin, request.writeset,
+            request_id=request.request_id, prevs=prevs or (),
         )
-        # Per-partition predecessor vector, captured before appending: the
-        # proxies' apply/sync horizons wait on exactly these versions.
-        prevs = tuple((p, self.shards[p].last_global) for p in write_parts)
-        sub_ops: dict[int, list] = {p: [] for p in write_parts}
-        for op in request.writeset:
-            sub_ops[self.partition_map.partition_of(op.table)].append(op)
-        shard_entries = []
-        for p in write_parts:
-            entry = self.shards[p].append_commit(
-                version,
-                request.txn_id,
-                request.origin,
-                WriteSet(sub_ops[p]),
-                request.request_id,
-                prevs,
-            )
-            self.shards[p].certified_count += 1
-            shard_entries.append((p, entry))
-        self._global_version = version
+        self.log.append(entry)
+        self._index.record(version, request.writeset)
+        for p in written:
+            shard = self.shards[p]
+            shard.last_global = version
+            shard.certified_count += 1
         if TRACER.enabled and TRACER.is_sampled(request.request_id):
             TRACER.link_version(version, request.txn_id, request.request_id)
             TRACER.instant(
                 "certifier.log_append", self.name, self.env.now,
                 commit_version=version,
-                attrs={"shards": list(write_parts)},
+                attrs={"shards": list(written)},
             )
         if self.digest_tracker is not None:
             self.digest_tracker.apply(request.writeset, version)
@@ -857,32 +646,31 @@ class Certifier:
             prev_versions=prevs,
         )
         if self.standby_name is not None:
+            # Semi-synchronous shipping: release only once the standby holds
+            # the record (or the ack timeout degrades us to asynchronous).
             self._unreleased.add(version)
             waiter = Event(self.env)
             self._record_waiters[version] = waiter
-            self.network.send(
-                self.name,
-                self.standby_name,
-                DecisionRecord(None, shard_entries=tuple(shard_entries)),
-            )
+            self.network.send(self.name, self.standby_name, DecisionRecord(entry))
             self.env.process(
-                self._release_after_standby(version, waiter, request, reply, prevs),
+                self._release_after_standby(waiter, request, reply),
                 name=f"{self.name}-release-v{version}",
             )
         else:
-            self._release_decision(request, reply, version, prevs)
+            self._release_decision(request, reply)
+        return version
 
-    def _release_after_standby(self, version, waiter, request, reply, prevs=None):
+    def _release_after_standby(self, waiter, request, reply):
         timer = self.env.timeout(self.standby_ack_timeout_ms)
         yield self.env.any_of([waiter, timer])
-        self._record_waiters.pop(version, None)
+        self._record_waiters.pop(reply.commit_version, None)
         if not waiter.triggered:
             self.standby_sync_timeouts += 1
-        self._release_decision(request, reply, version, prevs)
+        self._release_decision(request, reply)
 
-    def _release_decision(self, request: CertifyRequest, reply: CertifyReply,
-                          version: int, prevs=None) -> None:
+    def _release_decision(self, request: CertifyRequest, reply: CertifyReply) -> None:
         """Send the decision to the origin and fan the refresh out."""
+        version = reply.commit_version
         self._unreleased.discard(version)
         if self.halted:
             return
@@ -893,8 +681,6 @@ class Certifier:
                 attrs={"fanout": max(0, len(self.replica_names) - 1)},
             )
         self.network.send(self.name, request.origin, reply)
-        from .messages import RefreshWriteset  # local import avoids cycle noise
-
         for replica in self.replica_names:
             if replica != request.origin:
                 self.network.send(
@@ -902,63 +688,9 @@ class Certifier:
                     replica,
                     RefreshWriteset(
                         version, request.writeset, request.origin,
-                        request.txn_id, prev_versions=prevs,
+                        request.txn_id, prev_versions=reply.prev_versions,
                     ),
                 )
-
-    def _find_conflict(self, request: CertifyRequest) -> Optional[int]:
-        """Version of the first committed writeset in
-        ``(snapshot, V_commit]`` that conflicts with the request.
-
-        Always checks write-write conflicts (GSI first-committer-wins).
-        When the request carries a readset (serializable certification
-        mode), a committed write to any row the transaction *read* also
-        conflicts — backward validation, which makes the global history
-        one-copy serializable at the cost of extra aborts.
-
-        Two implementations behind one contract: the last-writer
-        certification index (O(|writeset| + |readset|), the default) and
-        the reference window scan (O(window × rows), kept selectable via
-        ``certification_mode="scan"`` for differential testing).  The
-        differential property tests hold them to byte-identical decisions —
-        same commit versions, same ``conflict_with`` abort causes.
-        """
-        low = request.snapshot_version
-        if low < self.log.truncation_version:
-            # The conflict window reaches into the truncated prefix: absence
-            # of conflicts cannot be proven, so abort conservatively.  Only
-            # transactions on extraordinarily stale snapshots hit this.
-            return low + 1
-        if self._index is not None:
-            return self._find_conflict_index(request, low)
-        return self._find_conflict_scan(request, low)
-
-    def _find_conflict_index(
-        self, request: CertifyRequest, low: int
-    ) -> Optional[int]:
-        slots = request.writeset.slots
-        if request.readset:
-            slots = slots | request.readset
-        before = self._index.probes
-        conflict = self._index.first_conflict(slots, low)
-        self.row_comparisons += self._index.probes - before
-        return conflict
-
-    def _find_conflict_scan(
-        self, request: CertifyRequest, low: int
-    ) -> Optional[int]:
-        high = self.commit_version
-        for version in range(low + 1, high + 1):
-            committed = self.log.entry(version).writeset
-            self.row_comparisons += min(len(committed), len(request.writeset))
-            if committed.conflicts_with(request.writeset):
-                return version
-            if request.readset:
-                for op in committed:
-                    self.row_comparisons += 1
-                    if (op.table, op.key) in request.readset:
-                        return version
-        return None
 
     def _handle_fate(self, query: FateQuery) -> None:
         """Resolve the fate of a timed-out update (deadline path).
@@ -987,38 +719,51 @@ class Certifier:
             current = self.applied_versions[message.replica]
             if message.commit_version > current:
                 self.applied_versions[message.replica] = message.commit_version
-        if not self.policy.tracks_global_commit:
-            return
-        if self.partitioned:
-            # Partitioned proxies report their contiguous *watermark*: a
-            # report of w means every global version <= w is applied there,
-            # so credit the replica against every awaited version <= w.
-            for version in sorted(
-                v for v in self._applied_by if v <= message.commit_version
-            ):
-                applied = self._applied_by[version]
-                applied.add(message.replica)
-                if len(applied) >= len(self.replica_names):
-                    origin, request_id = self._awaiting_global.pop(version)
-                    del self._applied_by[version]
-                    self.network.send(
-                        self.name,
-                        origin,
-                        GlobalCommitNotice(version, request_id),
-                    )
-            return
-        applied = self._applied_by.get(message.commit_version)
-        if applied is None:
-            return
-        applied.add(message.replica)
-        if len(applied) >= len(self.replica_names):
-            origin, request_id = self._awaiting_global.pop(message.commit_version)
-            del self._applied_by[message.commit_version]
-            self.network.send(
-                self.name,
-                origin,
-                GlobalCommitNotice(message.commit_version, request_id),
+        if self.policy.tracks_global_commit:
+            self._credit(message.replica, message.commit_version)
+
+    def _credit(self, replica: str, watermark: int) -> None:
+        """EAGER counting: credit ``replica`` with every awaited version at
+        or below ``watermark``, notifying the origins of those now applied
+        everywhere.
+
+        Replicas apply — and report — in version order, so a report of w
+        vouches for every version <= w; crediting that whole prefix is what
+        lets a later report heal a lost one.
+        """
+        # Awaited versions are inserted at commit, so the dict is ascending.
+        for version in [v for v in self._applied_by if v <= watermark]:
+            applied = self._applied_by[version]
+            applied.add(replica)
+            if len(applied) >= len(self.replica_names):
+                origin, request_id = self._awaiting_global.pop(version)
+                del self._applied_by[version]
+                self.network.send(
+                    self.name, origin, GlobalCommitNotice(version, request_id)
+                )
+
+    def _replay_after(self, replica: str, after: int) -> RecoveryReply:
+        """The answer to a replay request: every decision above ``after``
+        (with predecessor vectors, when commits carry them) — or, the log
+        being truncated past ``after``, the refusal.  That is no dead end:
+        it carries the machine-readable reason and the first still-replayable
+        version, so the replica (via the bootstrap coordinator, when one
+        runs) can rejoin through a checkpoint instead of being stranded.
+        """
+        try:
+            replay = self.log.entries_after(after)
+        except KeyError:
+            return RecoveryReply(
+                replica,
+                (),
+                bootstrap_required=True,
+                first_replayable=self.first_replayable_version(),
             )
+        return RecoveryReply(
+            replica,
+            tuple((entry.commit_version, entry.writeset) for entry in replay),
+            prevs=tuple(entry.prevs for entry in replay) if self._vectors else None,
+        )
 
     def _handle_recovery(self, message: RecoveryRequest) -> None:
         # Re-admission is part of recovery: the request itself tells the
@@ -1028,40 +773,12 @@ class Certifier:
         # past the replica's version (possible once ``departed_grace_ms``
         # released its horizon pin), the replica cannot be caught up and is
         # refused rather than re-admitted with a hole in its history.
-        try:
-            if self.partitioned:
-                entries, prevs = self._partitioned_recovery_entries(
-                    message.after_version
-                )
-            else:
-                entries = tuple(
-                    (entry.commit_version, entry.writeset)
-                    for entry in self.log.entries_after(message.after_version)
-                )
-                prevs = None
-        except KeyError:
-            # Not a dead end any more: the refusal carries the machine-
-            # readable reason and the first still-replayable version, so the
-            # replica (via the bootstrap coordinator, when one runs) can
-            # rejoin through a checkpoint instead of being stranded.
+        reply = self._replay_after(message.replica, message.after_version)
+        if reply.bootstrap_required:
             self.stale_recovery_refusals += 1
-            self.network.send(
-                self.name,
-                message.replica,
-                RecoveryReply(
-                    message.replica,
-                    (),
-                    bootstrap_required=True,
-                    first_replayable=self.first_replayable_version(),
-                ),
-            )
-            return
-        self.add_replica(message.replica, applied_version=message.after_version)
-        self.network.send(
-            self.name,
-            message.replica,
-            RecoveryReply(message.replica, entries, prevs=prevs),
-        )
+        else:
+            self.add_replica(message.replica, applied_version=message.after_version)
+        self.network.send(self.name, message.replica, reply)
 
     def _handle_catch_up(self, message: CatchUpRequest) -> None:
         """Serve a replay to a bootstrapping replica *without* re-admitting
@@ -1074,64 +791,10 @@ class Certifier:
         via a normal :class:`RecoveryRequest` — only once it is within the
         configured lag bound.
         """
-        try:
-            if self.partitioned:
-                entries, prevs = self._partitioned_recovery_entries(
-                    message.after_version
-                )
-            else:
-                entries = tuple(
-                    (entry.commit_version, entry.writeset)
-                    for entry in self.log.entries_after(message.after_version)
-                )
-                prevs = None
-        except KeyError:
-            self.network.send(
-                self.name,
-                message.replica,
-                RecoveryReply(
-                    message.replica,
-                    (),
-                    bootstrap_required=True,
-                    first_replayable=self.first_replayable_version(),
-                ),
-            )
-            return
-        self.catch_up_replays += 1
-        self.network.send(
-            self.name,
-            message.replica,
-            RecoveryReply(message.replica, entries, prevs=prevs),
-        )
-
-    def _partitioned_recovery_entries(self, after: int) -> tuple:
-        """Merge the shard logs into one global-version-ascending replay.
-
-        A cross-partition commit left one entry per written shard, all
-        carrying the same global version — their sub-writesets are
-        reassembled (in partition order) into the full writeset.  Raises
-        :class:`KeyError` when any shard truncated past ``after``.
-        """
-        by_global: dict[int, dict] = {}
-        for p in sorted(self.shards):
-            shard = self.shards[p]
-            if shard.truncated_global > after:
-                raise KeyError(
-                    f"shard {p} truncated to g{shard.truncated_global}; "
-                    f"cannot replay after g{after}"
-                )
-            for entry in shard.log._entries:
-                if entry.global_version <= after:
-                    continue
-                record = by_global.setdefault(
-                    entry.global_version, {"ops": [], "prevs": entry.prevs}
-                )
-                record["ops"].extend(entry.writeset)
-        entries = tuple(
-            (g, WriteSet(by_global[g]["ops"])) for g in sorted(by_global)
-        )
-        prevs = tuple(by_global[g]["prevs"] for g in sorted(by_global))
-        return entries, prevs
+        reply = self._replay_after(message.replica, message.after_version)
+        if not reply.bootstrap_required:
+            self.catch_up_replays += 1
+        self.network.send(self.name, message.replica, reply)
 
     # -- membership (fault tolerance) ---------------------------------------
     def _on_replica_suspect(self, replica: str) -> None:
@@ -1191,16 +854,4 @@ class Certifier:
             # (or applied before a crash) are never reported individually,
             # and without the credit EAGER's global-commit bar — raised by
             # the join — could wedge clients forever.
-            for version in sorted(
-                v for v in self._applied_by if v <= applied_version
-            ):
-                applied = self._applied_by[version]
-                applied.add(replica)
-                if len(applied) >= len(self.replica_names):
-                    origin, request_id = self._awaiting_global.pop(version)
-                    del self._applied_by[version]
-                    self.network.send(
-                        self.name,
-                        origin,
-                        GlobalCommitNotice(version, request_id),
-                    )
+            self._credit(replica, applied_version)

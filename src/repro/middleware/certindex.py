@@ -1,12 +1,18 @@
 """Last-writer certification index — indexed conflict detection.
 
-The reference certifier re-scans every committed writeset in the conflict
-window ``(snapshot, V_commit]`` per certification request, which is
+The reference way to certify re-scans every committed writeset in the
+conflict window ``(snapshot, V_commit]`` per request, which is
 O(window × rows) and explodes exactly when stale snapshots matter most.
-This module provides the indexed alternative: a ``(table, key) → writer
-versions`` map plus a per-table *max writer version* for a fast-path miss,
-making certification O(|writeset| + |readset|) regardless of how stale the
-requesting snapshot is.
+This module provides the indexed alternative the certifier runs on: a
+``(table, key) → writer versions`` map plus a per-table *max writer
+version* for a fast-path miss, making certification O(|writeset| +
+|readset|) regardless of how stale the requesting snapshot is.
+
+The window scan lives on beside it as :func:`scan_first_conflict` — the
+specification the index is held to.  Nothing in the certifier calls it; the
+differential tests and ``benchmarks/bench_certifier_scaling.py`` do,
+through a small :class:`~.certifier.Certifier` subclass that overrides
+``_find_conflict``.
 
 Design constraints (enforced by the differential tests):
 
@@ -39,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Iterable, Optional
 
-__all__ = ["CertificationIndex"]
+__all__ = ["CertificationIndex", "scan_first_conflict"]
 
 
 class CertificationIndex:
@@ -121,8 +127,8 @@ class CertificationIndex:
         """Rebuild the index over a decision log's un-truncated suffix
         (standby promotion, state restore, crash recovery)."""
         index = cls()
-        for version in range(log.truncation_version + 1, log.last_version + 1):
-            index.record(version, log.entry(version).writeset)
+        for entry in log:
+            index.record(entry.commit_version, entry.writeset)
         return index
 
     # -- conflict detection -------------------------------------------------
@@ -165,3 +171,26 @@ class CertificationIndex:
             f"<CertificationIndex keys={len(self._writers)} "
             f"tables={len(self._table_max)}>"
         )
+
+
+def scan_first_conflict(
+    log, slots: Iterable[tuple[str, Any]], snapshot_version: int
+) -> tuple[Optional[int], int]:
+    """Reference conflict check — the window scan the index is held to.
+
+    Scans ``log``'s window ``(snapshot_version, last_version]`` for the
+    first committed writeset that wrote any of ``slots`` (the request's
+    written — and, in serializable mode, read — ``(table, key)`` pairs).
+    Returns ``(version | None, rows_compared)``; every committed row looked
+    at counts as one comparison, so the cost is O(window × rows) where
+    :meth:`CertificationIndex.first_conflict` pays O(|slots|).  The caller
+    guarantees the window starts at or above the log's truncation point.
+    """
+    slots = frozenset(slots)
+    compared = 0
+    for version in range(snapshot_version + 1, log.last_version + 1):
+        for op in log.entry(version).writeset:
+            compared += 1
+            if (op.table, op.key) in slots:
+                return version, compared
+    return None, compared

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..storage.writeset import OpKind, WriteOp, WriteSet
 
@@ -44,13 +44,12 @@ class LogEntry:
     when an update transaction times out (0 for entries predating the
     field, e.g. old file sinks).
 
-    Partitioned pipeline: a per-shard log counts its own contiguous
-    sequence in ``commit_version`` (the shard-local sequence number) while
-    ``global_version`` carries the system-wide commit version and ``prevs``
-    the commit's per-partition predecessor vector
-    ``((partition, prev_global_version), ...)``.  Both default to the
-    legacy "unset" values so single-partition logs serialise byte-identically
-    to the pre-partitioning format.
+    ``prevs`` is the commit's per-partition predecessor vector
+    ``((partition, prev_version), ...)`` — for each partition the writeset
+    wrote, the version of the previous commit there.  It is set only by a
+    certifier with more than one shard (a single partition's predecessor is
+    always ``commit_version - 1``), so single-shard logs serialise
+    byte-identically to the pre-partitioning format.
     """
 
     commit_version: int
@@ -58,7 +57,6 @@ class LogEntry:
     origin: str
     writeset: WriteSet
     request_id: int = 0
-    global_version: int = 0
     prevs: tuple = ()
 
     def to_json(self) -> str:
@@ -79,10 +77,8 @@ class LogEntry:
             "req": self.request_id,
             "ops": ops,
         }
-        # Emit partitioned fields only when set: legacy entries stay
-        # byte-identical to the pre-partitioning format.
-        if self.global_version:
-            payload["g"] = self.global_version
+        # Emitted only when set: single-shard entries stay byte-identical
+        # to the pre-partitioning format.
         if self.prevs:
             payload["prevs"] = [list(p) for p in self.prevs]
         return json.dumps(payload, sort_keys=True)
@@ -98,7 +94,6 @@ class LogEntry:
         return LogEntry(
             data["v"], data["txn"], data["origin"], WriteSet(ops),
             request_id=data.get("req", 0),
-            global_version=data.get("g", 0),
             prevs=tuple(tuple(p) for p in data.get("prevs", [])),
         )
 
@@ -156,6 +151,10 @@ class DecisionLog:
     def __len__(self) -> int:
         """Entries currently held in memory (excludes the truncated prefix)."""
         return len(self._entries)
+
+    def __iter__(self) -> Iterator[LogEntry]:
+        """The entries held in memory, in commit-version order."""
+        return iter(self._entries)
 
     @property
     def first_version(self) -> int:

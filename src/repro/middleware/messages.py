@@ -168,9 +168,9 @@ class CertifyReply:
     commit_version: Optional[int]
     conflict_with: Optional[int] = None  # version of the conflicting commit
     overloaded: bool = False
-    #: partitioned pipeline only: ``((partition, prev_global_version), ...)``
-    #: — for each partition the writeset touches, the global version of that
-    #: partition's previous commit.  The origin proxy's sync stage waits for
+    #: partitioned pipeline only: ``((partition, prev_version), ...)`` — for
+    #: each partition the writeset touches, the version of that partition's
+    #: previous commit.  The origin proxy's sync stage waits for
     #: exactly these predecessors instead of the full global prefix.
     prev_versions: Optional[tuple] = None
 
@@ -306,11 +306,6 @@ class DecisionRecord:
     (state-machine replication of the certifier)."""
 
     entry: Any  # durability.LogEntry; Any avoids a circular import
-    #: partitioned pipeline only: ``((partition, LogEntry), ...)`` — the
-    #: per-shard log entries of one commit (``entry`` is ``None`` then).
-    #: The standby appends each to its copy of that shard's log and acks
-    #: the commit's global version once all of them are replicated.
-    shard_entries: Optional[tuple] = None
 
 
 @dataclass(frozen=True)

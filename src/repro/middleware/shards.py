@@ -1,127 +1,40 @@
-"""Per-partition certifier shards for the partitioned commit pipeline.
+"""Per-partition service slots of the certifier.
 
-The partitioned certifier keeps one :class:`CertifierShard` per table-group
-partition (see :class:`repro.core.partition.PartitionMap`).  A shard owns
-everything that used to be global and serial:
-
-* a :class:`~repro.middleware.durability.DecisionLog` keyed by the shard's
-  own contiguous sequence number (each entry additionally records the
-  system-wide ``global_version`` it was assigned),
-* a :class:`~repro.middleware.certindex.CertificationIndex` over only that
-  partition's writeset slots (indexed by *global* versions, so conflict
-  checks compare directly against transaction snapshots),
-* a single-slot :class:`~repro.sim.resources.Resource` modelling the
-  shard's serial certification service.
-
-Single-partition transactions touch exactly one shard — certification,
-logging and refresh for them proceed with zero cross-shard coordination.
-Cross-partition transactions acquire every involved shard's service slot in
-canonical partition order and hold all of them across check + commit, which
-preserves first-committer-wins and keeps the per-partition commit orders
-consistent with one global total order.
+The certifier keeps one decision log and one certification index for every
+shard count; what table-group partitioning (see
+:class:`repro.core.partition.PartitionMap`) splits is its *service*.  A
+:class:`CertifierShard` is one partition's single-slot server, the version
+of that partition's newest commit (the predecessor the next commit there
+names) and its two counters.  A transaction holds the slot of every
+partition it touches, taken in ascending partition order, across conflict
+check and commit (``Certifier._certify``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.resources import Resource
-from ..storage.writeset import WriteSet
-from .certindex import CertificationIndex
-from .durability import DecisionLog, LogEntry
 
 __all__ = ["CertifierShard"]
 
 
 class CertifierShard:
-    """One partition's slice of the certifier: log, index, service slot."""
+    """One partition's slice of the certifier: slot, newest commit, counters."""
 
-    def __init__(self, env, partition: int, log: Optional[DecisionLog] = None):
+    def __init__(self, env, partition: int):
         self.partition = partition
-        self.log = log if log is not None else DecisionLog()
-        self.index = CertificationIndex()
-        #: serial certification service — single-partition transactions
+        #: serial certification service — transactions of this partition
         #: queue here independently of every other shard
         self.service = Resource(env, capacity=1)
-        #: global version of this shard's newest commit (the predecessor
-        #: link stamped into the next commit touching this partition)
+        #: version of this partition's newest commit (0 = none in the log)
         self.last_global = 0
-        #: conflict checks against snapshots older than this are
-        #: conservative aborts: entries at or below it were truncated
-        self.truncated_global = 0
         # -- per-shard counters (surfaced via Certifier.stats()) ----------
         self.certified_count = 0
         self.abort_count = 0
-        self.rebuild_from_log()
 
-    # -- commit ------------------------------------------------------------
-    def append_commit(
-        self,
-        global_version: int,
-        txn_id: int,
-        origin: str,
-        sub_writeset: WriteSet,
-        request_id: int,
-        prevs: tuple,
-    ) -> LogEntry:
-        """Log this shard's slice of a commit and index its slots.
-
-        ``sub_writeset`` holds only the ops owned by this partition;
-        ``prevs`` is the commit's full per-partition predecessor vector.
-        """
-        entry = LogEntry(
-            self.log.last_version + 1,
-            txn_id,
-            origin,
-            sub_writeset,
-            request_id=request_id,
-            global_version=global_version,
-            prevs=prevs,
-        )
-        self.log.append(entry)
-        self.index.record(global_version, sub_writeset)
-        self.last_global = global_version
-        return entry
-
-    # -- maintenance -------------------------------------------------------
-    def truncate_to_global(self, horizon: int) -> int:
-        """Drop log entries (and index postings) with
-        ``global_version <= horizon``; returns entries dropped.
-
-        Shard entries ascend in global version, so the prefix to drop is
-        found by counting from the front.
-        """
-        dropped_entries = []
-        for entry in self.log._entries:
-            if entry.global_version > horizon:
-                break
-            dropped_entries.append(entry)
-        if dropped_entries:
-            self.log.truncate_to(self.log.truncation_version + len(dropped_entries))
-            # The index's per-key lists hold *global* versions, so the
-            # global horizon is the right cut; the dropped entries name
-            # exactly the slots whose postings can go.
-            self.index.truncate_to(horizon, dropped_entries)
-            self.truncated_global = dropped_entries[-1].global_version
-        return len(dropped_entries)
-
-    def rebuild_from_log(self) -> None:
-        """Re-derive the index and version bookkeeping from the log
-        (standby promotion hands over per-shard log copies)."""
-        self.index = CertificationIndex()
-        self.last_global = 0
-        for entry in self.log._entries:
-            self.index.record(entry.global_version, entry.writeset)
-            self.last_global = max(self.last_global, entry.global_version)
-
-    # -- introspection -----------------------------------------------------
     @property
     def queue_length(self) -> int:
         """Requests waiting on this shard's service slot."""
         return self.service.queue_length
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<CertifierShard p{self.partition} seq={self.log.last_version} "
-            f"last_global={self.last_global}>"
-        )
+        return f"<CertifierShard p{self.partition} last_global={self.last_global}>"

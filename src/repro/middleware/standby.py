@@ -73,7 +73,6 @@ class CertifierStandby:
         balancer_name: str = "lb",
         heartbeat: Optional[HeartbeatSettings] = None,
         promote_hook: Optional[Callable[[Certifier], None]] = None,
-        certification_mode: str = "index",
         partition_map=None,
         departed_grace_ms: Optional[float] = None,
         digest_tracker=None,
@@ -91,12 +90,9 @@ class CertifierStandby:
         self.balancer_name = balancer_name
         self.heartbeat = heartbeat or HeartbeatSettings()
         self.promote_hook = promote_hook
-        #: conflict-detection mode the successor certifier starts with; a
-        #: primary-state snapshot (restore_state) overrides it at promotion
-        self.certification_mode = certification_mode
         self.mailbox: Mailbox = network.register(name)
-        #: optional table-group partition map (a partitioned primary ships
-        #: per-shard entries; the successor is constructed over the same map)
+        #: optional table-group partition map (the successor is constructed
+        #: over the same map, so it names the same predecessor vectors)
         self.partition_map = partition_map
         #: departed-replica horizon grace the successor certifier inherits
         self.departed_grace_ms = departed_grace_ms
@@ -106,21 +102,11 @@ class CertifierStandby:
         self.digest_tracker = digest_tracker
         #: state-machine replica of the primary's decision log
         self.log = DecisionLog()
-        #: per-shard log copies (partitioned primaries only), built lazily
-        #: from the partitions named in shipped records
-        self.shard_logs: dict[int, DecisionLog] = {}
         # Records that arrived ahead of a gap (link jitter can reorder
         # deliveries); appended once the gap fills.  Only the contiguous
         # prefix is acknowledged — an unacknowledged decision is never
         # released by the primary, so losing the buffered tail is safe.
         self._pending_records: dict[int, LogEntry] = {}
-        # Partitioned counterpart: whole commits (all their shard entries)
-        # buffered by global version.  Global versions are allocated from a
-        # single counter, so draining them contiguously also appends each
-        # shard's entries in shard-sequence order.
-        self._pending_shard_records: dict[int, tuple] = {}
-        #: newest global version whose shard entries are all appended
-        self._last_global = 0
         #: voters currently suspecting the primary
         self._votes: set[str] = set()
         #: latest soft-state snapshot piggybacked on the primary's acks
@@ -152,8 +138,6 @@ class CertifierStandby:
     @property
     def replicated_version(self) -> int:
         """Newest decision version the standby holds contiguously."""
-        if self.shard_logs:
-            return self._last_global
         return self.log.last_version
 
     # -- main loop ------------------------------------------------------------
@@ -161,10 +145,7 @@ class CertifierStandby:
         while True:
             message = yield self.mailbox.receive()
             if isinstance(message, DecisionRecord):
-                if message.shard_entries is not None:
-                    self._tail_shard_record(message.shard_entries)
-                else:
-                    self._tail_record(message.entry)
+                self._tail_record(message.entry)
             elif isinstance(message, CertifierSuspected):
                 self._handle_vote(message)
             elif isinstance(message, HeartbeatAck):
@@ -198,38 +179,6 @@ class CertifierStandby:
                 self.name, self.primary_name, DecisionAck(ready.commit_version)
             )
 
-    def _tail_shard_record(self, shard_entries: tuple) -> None:
-        """Tail one partitioned commit: the record carries every shard's
-        entry for a single global version.  Buffer by global version and
-        drain contiguously — globals come from one counter, so this also
-        keeps every shard's log copy contiguous in shard sequence."""
-        if self.promoted:
-            return  # a fenced/dying primary's leftovers
-        version = shard_entries[0][1].global_version
-        if version <= self._last_global:
-            # Duplicate (e.g. primary resend); re-ack so its waiter releases.
-            self.network.send(self.name, self.primary_name, DecisionAck(version))
-            return
-        self._pending_shard_records[version] = tuple(shard_entries)
-        while self._last_global + 1 in self._pending_shard_records:
-            ready = self._pending_shard_records.pop(self._last_global + 1)
-            for partition, entry in ready:
-                log = self.shard_logs.get(partition)
-                if log is None:
-                    log = self.shard_logs[partition] = DecisionLog()
-                log.append(entry)
-                if self.digest_tracker is not None:
-                    # Each shard slice folds in at the same global version;
-                    # the tracker replaces that version's change point.
-                    self.digest_tracker.apply(
-                        entry.writeset, entry.global_version
-                    )
-            self._last_global += 1
-            self.records_applied += 1
-            self.network.send(
-                self.name, self.primary_name, DecisionAck(self._last_global)
-            )
-
     # -- promotion ------------------------------------------------------------
     def _handle_vote(self, vote: CertifierSuspected) -> None:
         if self.promoted or vote.certifier != self.primary_name:
@@ -260,9 +209,7 @@ class CertifierStandby:
             heartbeat=self.heartbeat,
             standby_name=None,
             epoch=self.epoch,
-            certification_mode=self.certification_mode,
             partition_map=self.partition_map,
-            shard_logs=self.shard_logs or None,
             departed_grace_ms=self.departed_grace_ms,
             digest_tracker=self.digest_tracker,
         )

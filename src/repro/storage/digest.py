@@ -126,9 +126,9 @@ class DigestTracker:
         """Fold one certified writeset in at ``version``.
 
         O(|writeset|) — the same cost class as certification itself.  A
-        partitioned commit may arrive as several shard slices carrying the
-        same global version; each slice folds in and the change point for
-        that version is updated in place.
+        commit may be fed as several slices carrying the same version; each
+        slice folds in and the change point for that version is updated in
+        place.
         """
         if version < self.version:
             raise ValueError(

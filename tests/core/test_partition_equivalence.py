@@ -6,10 +6,13 @@ Three layers of evidence that sharding certification by table-group changes
 * **trace identity at num_partitions=1** — passing every partitioning knob
   at its default reproduces the pre-partitioning golden run byte-for-byte;
 * **differential decisions** — identical randomized request streams driven
-  sequentially through 1, 2 and 4 shards produce identical certify/abort
-  decisions (including the conflicting version reported) and identical
-  global commit versions, and each shard's log is exactly the projection of
-  the global commit order onto its partition;
+  sequentially through 1, 2 and 4 shards — with log truncation and
+  snapshot/restore failovers mid-stream — produce identical certify/abort
+  decisions (including the conflicting version reported, conservative
+  aborts below the truncation point too) and identical commit versions, and
+  the one decision log is the same entry for entry at every shard count,
+  its predecessor vectors naming exactly the previous commit of each
+  partition written;
 * **end-to-end checkers** — full clusters at 2 and 4 partitions (including
   a cross-partition-heavy workload) keep the strong-consistency and
   session-consistency audits green.
@@ -68,11 +71,11 @@ class TestPartitionKnobsDefaultOff:
         cluster.run(2_500.0)
         assert fingerprint(cluster, collector) == GOLDEN["sc-coarse"]
         assert cluster.partition_map is None
-        assert not cluster.certifier.partitioned
         stats = cluster.certifier.stats()
         assert stats["num_partitions"] == 1
-        assert stats["shards"] == {}
+        assert list(stats["shards"]) == [0]  # the monolith is the one-shard case
         assert stats["cross_partition_commits"] == 0
+        assert stats["single_partition_commits"] == stats["certified"]
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,7 @@ class TestPartitionKnobsDefaultOff:
 # ---------------------------------------------------------------------------
 
 
-def drive_certifier(num_partitions, steps=250, seed=9):
+def drive_certifier(num_partitions, steps=250, seed=9, maintenance=True):
     """Drive a bare certifier sequentially through a seeded random stream of
     single- and multi-table writesets with lagging snapshots.
 
@@ -89,6 +92,12 @@ def drive_certifier(num_partitions, steps=250, seed=9):
     counts is a protocol difference.  The stream generator feeds back the
     observed commit version, so identical decisions keep the streams
     identical across runs by construction.
+
+    With ``maintenance`` the stream also truncates the log every 40 requests
+    (to three versions below ``V_commit``, so later lagging snapshots fall
+    into the truncated prefix) and every 90 requests fails over to a
+    successor built through ``snapshot_state``/``restore_state`` on a log
+    clone.  Returns ``(decisions, certifier, conservative_aborts)``.
     """
     env = Environment()
     network = Network(
@@ -100,18 +109,33 @@ def drive_certifier(num_partitions, steps=250, seed=9):
         if num_partitions > 1
         else None
     )
-    certifier = Certifier(
-        env=env,
-        network=network,
-        perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
-        replica_names=["replica-0"],
-        level=ConsistencyLevel.SC_COARSE,
-        partition_map=partition_map,
-    )
+
+    def make(generation, log=None):
+        return Certifier(
+            env=env,
+            network=network,
+            perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
+            replica_names=["replica-0"],
+            level=ConsistencyLevel.SC_COARSE,
+            name=f"certifier-g{generation}",
+            log=log,
+            partition_map=partition_map,
+        )
+
+    certifier = make(0)
     rng = random.Random(seed)
     v_commit = 0
     decisions = []
+    conservative_aborts = 0
     for txn_id in range(1, steps + 1):
+        if maintenance and txn_id % 40 == 0:
+            certifier.applied_versions["replica-0"] = max(0, v_commit - 3)
+            certifier.truncate_log()
+        if maintenance and txn_id % 90 == 0:
+            successor = make(txn_id, log=certifier.log.clone())
+            successor.restore_state(certifier.snapshot_state())
+            certifier.halt()
+            certifier = successor
         num_tables = 2 if rng.random() < 0.3 else 1
         tables = rng.sample(TABLES, num_tables)
         ops = [
@@ -139,73 +163,68 @@ def drive_certifier(num_partitions, steps=250, seed=9):
                 )
                 if message.certified:
                     v_commit = message.commit_version
+                elif snapshot < certifier.log.truncation_version:
+                    assert message.conflict_with == snapshot + 1
+                    conservative_aborts += 1
     assert len(decisions) == steps
-    return decisions, certifier
+    return decisions, certifier, conservative_aborts
 
 
 class TestDifferentialDecisions:
     def test_decisions_identical_across_shard_counts(self):
-        reference, single = drive_certifier(1)
+        """Truncation and snapshot/restore mid-stream included: a snapshot
+        below the truncation point aborts conservatively, with the same
+        ``conflict_with``, whatever the shard count."""
+        reference, single, conservative = drive_certifier(1)
         commits = [d for d in reference if d[0]]
         aborts = [d for d in reference if not d[0]]
-        # The stream must actually exercise both outcomes.
+        # The stream must actually exercise every outcome.
         assert len(commits) > 50
         assert len(aborts) > 5
+        assert conservative > 0
+        assert single.log.truncation_version > 0
         for num_partitions in (2, 4):
-            decisions, certifier = drive_certifier(num_partitions)
+            decisions, certifier, _ = drive_certifier(num_partitions)
             assert decisions == reference, (
                 f"decision divergence at {num_partitions} partitions"
             )
+            assert certifier.log.truncation_version == single.log.truncation_version
             stats = certifier.stats()
-            assert stats["cross_partition_commits"] > 0
-            assert (
-                stats["single_partition_commits"] + stats["cross_partition_commits"]
-                == len(commits)
-            )
+            assert stats["certified"] == single.stats()["certified"]
 
     @pytest.mark.parametrize("num_partitions", [2, 4])
-    def test_shard_logs_are_projections_of_the_global_order(self, num_partitions):
-        _, single = drive_certifier(1)
-        _, sharded = drive_certifier(num_partitions)
-        partition_map = PartitionMap(
-            num_partitions, table_groups=GROUPS[num_partitions]
-        )
-        # Project the single-certifier commit order onto each partition.
-        expected = {p: [] for p in range(num_partitions)}
-        for entry in single.log._entries:
-            for p in partition_map.partitions_for(entry.writeset.tables):
-                expected[p].append(entry.commit_version)
-        for p, shard in sharded.shards.items():
-            got = [entry.global_version for entry in shard.log._entries]
-            assert got == expected[p], f"shard {p} commit order diverged"
-            # Shard sequence numbers are dense from 1.
-            assert [e.commit_version for e in shard.log._entries] == list(
-                range(1, len(got) + 1)
-            )
-
-    @pytest.mark.parametrize("num_partitions", [2, 4])
-    def test_cross_partition_entries_share_version_and_split_ops(
+    def test_one_log_for_every_shard_count_and_prevs_name_predecessors(
         self, num_partitions
     ):
-        _, sharded = drive_certifier(num_partitions)
-        partition_map = PartitionMap(
-            num_partitions, table_groups=GROUPS[num_partitions]
-        )
-        by_global = {}
-        for p, shard in sharded.shards.items():
-            for entry in shard.log._entries:
-                by_global.setdefault(entry.global_version, {})[p] = entry
-        cross = {g: parts for g, parts in by_global.items() if len(parts) > 1}
+        """The log at N shards equals the one-shard log entry for entry
+        (whole writesets, same versions); the only addition is ``prevs``,
+        which names — for exactly the partitions the commit wrote — the
+        previous commit there."""
+        _, single, _ = drive_certifier(1, maintenance=False)
+        _, sharded, _ = drive_certifier(num_partitions, maintenance=False)
+        partition_map = sharded.partition_map
+        assert len(sharded.log) == len(single.log) > 50
+        newest = {p: 0 for p in range(num_partitions)}
+        cross = 0
+        for ours, theirs in zip(sharded.log, single.log):
+            assert theirs.prevs == ()  # one shard: the predecessor is v-1
+            assert (
+                ours.commit_version, ours.txn_id, ours.origin, ours.request_id,
+                list(ours.writeset),
+            ) == (
+                theirs.commit_version, theirs.txn_id, theirs.origin,
+                theirs.request_id, list(theirs.writeset),
+            )
+            written = partition_map.partitions_for(ours.writeset.tables)
+            assert ours.prevs == tuple((p, newest[p]) for p in written)
+            for p in written:
+                newest[p] = ours.commit_version
+            cross += len(written) > 1
         assert cross, "the stream produced no cross-partition commits"
-        for g, parts in cross.items():
-            for p, entry in parts.items():
-                # Each shard holds only its own partition's ops...
-                assert {
-                    partition_map.partition_of(op.table) for op in entry.writeset
-                } == {p}
-                # ...and all slices agree on the predecessor vector.
-                assert entry.prevs == next(iter(parts.values())).prevs
-            assert {p for p, _prev in next(iter(parts.values())).prevs} == set(parts)
+        stats = sharded.stats()
+        assert stats["cross_partition_commits"] == cross
+        assert stats["single_partition_commits"] == len(sharded.log) - cross
+        assert {p: s["last_global"] for p, s in stats["shards"].items()} == newest
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class TestClusterRegistry:
         assert set(stats.keys()) == {
             "time_ms", "level", "commit_version", "replication_horizon",
             "certified", "certification_aborts", "certifier_name",
-            "certifier_epoch", "certification_mode", "row_comparisons",
+            "certifier_epoch", "row_comparisons",
             "certifier_backpressure_rejects", "partition", "network",
             "scrub", "bootstrap", "balancer", "kernel", "storage",
             "replicas",

@@ -200,6 +200,26 @@ class TestEagerCounters:
         assert notices[0].commit_version == 1
         assert notices[0].request_id == 42
 
+    def test_later_report_heals_a_lost_one(self, env, eager):
+        """A replica applies in version order, so its report of v2 vouches
+        for v1 too: a lost ``CommitApplied(1)`` must not leave v1's global
+        commit awaited forever."""
+        network, mailboxes, certifier = eager
+        certify(network, "replica-0", 0, ws(1), request_id=41, txn_id=1)
+        certify(network, "replica-0", 0, ws(2), request_id=42, txn_id=2)
+        env.run()
+        for version in (1, 2):
+            network.send("replica-0", "certifier", CommitApplied("replica-0", version))
+        # replica-1's report for v1 is lost; only the one for v2 arrives.
+        network.send("replica-1", "certifier", CommitApplied("replica-1", 2))
+        env.run()
+        notices = [
+            (m.commit_version, m.request_id)
+            for m in drain(mailboxes["replica-0"])
+            if isinstance(m, GlobalCommitNotice)
+        ]
+        assert notices == [(1, 41), (2, 42)]
+
     def test_removing_replica_releases_blocked_global_commit(self, env, eager):
         network, mailboxes, certifier = eager
         certify(network, "replica-0", 0, ws(1), request_id=1)

@@ -5,9 +5,9 @@ scan; its contract is *byte-identical decisions* — same commit versions,
 same ``conflict_with`` abort causes — under every wrinkle the protocol can
 throw at it: overwritten keys, serializable readsets, log truncation
 (including the conservative-abort edge), snapshot/restore mid-stream.  The
-differential tests here run an index-mode and a scan-mode certifier side by
-side on identical randomized request streams and fail on the first
-divergence.
+differential tests here run the certifier and a twin whose conflict check is
+the reference window scan (``scan_first_conflict``) side by side on
+identical randomized request streams and fail on the first divergence.
 """
 
 import random
@@ -22,6 +22,7 @@ from repro.middleware import (
     CertifyReply,
     CertifyRequest,
 )
+from repro.middleware.certindex import scan_first_conflict
 from repro.middleware.durability import DecisionLog, LogEntry
 from repro.sim import RngRegistry
 from repro.storage import OpKind, WriteOp, WriteSet
@@ -111,9 +112,23 @@ class TestCertificationIndexUnit:
 
 
 # ---------------------------------------------------------------------------
-# Differential harness: index-mode and scan-mode certifiers fed the same
-# request stream must never diverge.
+# Differential harness: the certifier and its scan twin fed the same request
+# stream must never diverge.
 # ---------------------------------------------------------------------------
+
+
+class ScanCertifier(Certifier):
+    """The certifier with its conflict check replaced by the specification:
+    the reference window scan (same conservative abort below truncation)."""
+
+    def _find_conflict(self, request):
+        low = request.snapshot_version
+        if low < self.log.truncation_version:
+            return low + 1
+        slots = request.writeset.slots | (request.readset or frozenset())
+        version, compared = scan_first_conflict(self.log, slots, low)
+        self.row_comparisons += compared
+        return version
 
 
 class CertifierPair:
@@ -128,15 +143,15 @@ class CertifierPair:
         }
         self.generation = 0
         self.certifiers = {
-            "a": self._make("a", "index", DecisionLog()),
-            "b": self._make("b", "scan", DecisionLog()),
+            "a": self._make("a", Certifier, DecisionLog()),
+            "b": self._make("b", ScanCertifier, DecisionLog()),
         }
         self.request_id = 0
         self.total_certified = 0
         self.total_aborted = 0
 
-    def _make(self, side, mode, log):
-        return Certifier(
+    def _make(self, side, cls, log):
+        return cls(
             env=self.env,
             network=self.network,
             perf=CertifierPerformance(
@@ -146,7 +161,6 @@ class CertifierPair:
             level=self.level,
             name=f"cert-{side}-{self.generation}",
             log=log,
-            certification_mode=mode,
         )
 
     def _drain_reply(self, side):
@@ -208,7 +222,7 @@ class CertifierPair:
         self.generation += 1
         successors = {}
         for side, old in self.certifiers.items():
-            successor = self._make(side, old.certification_mode, old.log.clone())
+            successor = self._make(side, type(old), old.log.clone())
             successor.restore_state(old.snapshot_state())
             old.halt()
             successors[side] = successor
@@ -280,7 +294,7 @@ class TestDifferentialEquivalence:
         for key in range(4):
             pair.certify(pair.commit_version, ws(key))
         pair.truncate(3)
-        # Snapshot inside the truncated prefix: both modes abort with the
+        # Snapshot inside the truncated prefix: both sides abort with the
         # same conservative cause, even for a key nobody ever wrote.
         reply = pair.certify(1, ws(("t2", 99)))
         assert not reply.certified

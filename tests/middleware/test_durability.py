@@ -302,7 +302,7 @@ class TestLoadCounters:
         assert log.legacy_lines_loaded == 0
         assert log.torn_tail_dropped == 0
 
-    def _certifier(self, log=None, partition_map=None, shard_logs=None):
+    def _certifier(self, log=None):
         from repro.core.consistency import ConsistencyLevel
         from repro.middleware import Certifier, CertifierPerformance
         from repro.sim import Environment, LatencyModel, Network, RngRegistry
@@ -321,8 +321,6 @@ class TestLoadCounters:
             replica_names=["replica-0"],
             level=ConsistencyLevel.SC_COARSE,
             log=log,
-            partition_map=partition_map,
-            shard_logs=shard_logs,
         )
 
     def test_certifier_stats_surface_the_counters(self, tmp_path):
@@ -335,23 +333,4 @@ class TestLoadCounters:
             "torn_tail_dropped": 1,
             "framed_lines_loaded": 4,
             "legacy_lines_loaded": 0,
-        }
-
-    def test_partitioned_stats_aggregate_over_shard_logs(self, tmp_path):
-        from repro.core.partition import PartitionMap
-
-        framed = DecisionLog.load(self.write_log(tmp_path, name="shard0.log"))
-        path = self.write_log(tmp_path, versions=3, name="shard1.log")
-        lines = open(path, encoding="utf-8").read().splitlines()
-        legacy = [line.rsplit("\t", 1)[0] for line in lines]
-        open(path, "w", encoding="utf-8").write("\n".join(legacy) + "\n")
-        certifier = self._certifier(
-            partition_map=PartitionMap(2, table_groups=(("t",), ("u",))),
-            shard_logs={0: framed, 1: DecisionLog.load(path)},
-        )
-        durability = certifier.stats()["durability"]
-        assert durability == {
-            "torn_tail_dropped": 0,
-            "framed_lines_loaded": 5,
-            "legacy_lines_loaded": 3,
         }

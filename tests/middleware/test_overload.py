@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.consistency import ConsistencyLevel
+from repro.core.partition import PartitionMap
 from repro.histories import RunHistory
 from repro.metrics import StageTimings
 from repro.middleware import (
@@ -408,7 +409,7 @@ def ws(key, value=1, table="t"):
 
 
 class TestCertifierBackpressure:
-    def build(self, env, bound):
+    def build(self, env, bound, partition_map=None):
         network = fixed_latency_network(env)
         mailbox = network.register("replica-0")
         certifier = Certifier(
@@ -420,6 +421,7 @@ class TestCertifierBackpressure:
             replica_names=["replica-0"],
             level=ConsistencyLevel.SC_COARSE,
             inbound_queue_bound=bound,
+            partition_map=partition_map,
         )
         return network, mailbox, certifier
 
@@ -449,6 +451,47 @@ class TestCertifierBackpressure:
         # Shed certifications decided nothing: no log entry, no version.
         assert all(not r.certified and r.commit_version is None for r in rejected)
         assert certifier.commit_version == len([r for r in accepted if r.certified])
+
+    @pytest.mark.parametrize("num_partitions", [1, 2])
+    def test_bound_sheds_steady_arrivals_at_every_shard_count(
+        self, env, num_partitions
+    ):
+        """With several shards the message loop hands each request to its
+        own process at once, so the queue forms behind the shard slots, not
+        in the mailbox: the bound must count it where the request waits."""
+        partition_map = (
+            PartitionMap(2, table_groups=(("t",), ("u",)))
+            if num_partitions > 1
+            else None
+        )
+        network, mailbox, certifier = self.build(env, 2, partition_map)
+        peak_slot_queue = 0
+
+        def arrivals():
+            nonlocal peak_slot_queue
+            for i in range(1, 201):
+                network.send(
+                    "replica-0",
+                    "certifier",
+                    CertifyRequest(
+                        txn_id=i, origin="replica-0", snapshot_version=0,
+                        writeset=ws(i, table="tu"[i % 2]), request_id=i,
+                    ),
+                )
+                yield env.timeout(0.01)  # far faster than one certification
+                peak_slot_queue = max(
+                    [peak_slot_queue]
+                    + [shard.queue_length for shard in certifier.shards.values()]
+                )
+
+        env.process(arrivals())
+        env.run()
+        replies = [m for m in drain(mailbox) if isinstance(m, CertifyReply)]
+        assert len(replies) == 200
+        shed = [r for r in replies if r.overloaded]
+        assert certifier.backpressure_rejects == len(shed) > 100
+        assert certifier.commit_version == 200 - len(shed) > 0
+        assert peak_slot_queue <= 2
 
     def test_unbounded_by_default(self, env):
         network, mailbox, certifier = self.build(env, bound=None)

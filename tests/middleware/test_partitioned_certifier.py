@@ -1,7 +1,7 @@
 """Units for the partitioned commit pipeline's middleware pieces.
 
 Covers the :class:`~repro.core.partition.PartitionMap` contract, the
-per-partition :class:`~repro.middleware.shards.CertifierShard` bookkeeping,
+per-partition :class:`~repro.middleware.shards.CertifierShard` service slot,
 the departed-replica horizon grace (the unbounded-pinning fix) and the
 stale-recovery refusal that keeps that fix safe.
 """
@@ -14,7 +14,6 @@ from repro.metrics import format_partition_stats
 from repro.middleware import (
     Certifier,
     CertifierPerformance,
-    CertifierShard,
     CertifyReply,
     CertifyRequest,
     RecoveryReply,
@@ -70,45 +69,6 @@ class TestPartitionMap:
             PartitionMap(2, table_groups=(("a",), ("a",)))  # duplicate table
 
 
-class TestCertifierShard:
-    def test_append_assigns_dense_shard_sequence(self):
-        env = Environment()
-        shard = CertifierShard(env, partition=0)
-        for i, global_version in enumerate((3, 7, 8), start=1):
-            entry = shard.append_commit(
-                global_version, txn_id=i, origin="replica-0",
-                sub_writeset=update_ws("t", i), request_id=i,
-                prevs=((0, global_version - 1),),
-            )
-            assert entry.commit_version == i  # shard-local sequence
-            assert entry.global_version == global_version
-        assert shard.last_global == 8
-        assert shard.index.last_writer("t", 2) == 7
-
-    def test_truncate_to_global_drops_prefix_and_marks_horizon(self):
-        env = Environment()
-        shard = CertifierShard(env, partition=0)
-        for i, g in enumerate((2, 5, 9), start=1):
-            shard.append_commit(g, i, "replica-0", update_ws("t", i), i, ())
-        assert shard.truncate_to_global(6) == 2
-        assert shard.truncated_global == 5
-        assert len(shard.log) == 1
-        # The surviving entry's slots are still indexed; dropped ones not.
-        assert shard.index.last_writer("t", 3) == 9
-        assert shard.index.last_writer("t", 1) == 0
-        # Nothing below the horizon remains to drop.
-        assert shard.truncate_to_global(6) == 0
-
-    def test_rebuild_from_log_restores_index_and_last_global(self):
-        env = Environment()
-        shard = CertifierShard(env, partition=0)
-        for i, g in enumerate((2, 5), start=1):
-            shard.append_commit(g, i, "replica-0", update_ws("t", i), i, ())
-        clone = CertifierShard(env, partition=0, log=shard.log.clone())
-        assert clone.last_global == 5
-        assert clone.index.last_writer("t", 2) == 5
-
-
 def bare_certifier(env, network, partition_map=None, **overrides):
     settings = dict(
         env=env,
@@ -141,6 +101,48 @@ def make_network(env):
     origin = network.register("replica-0")
     other = network.register("replica-1")
     return network, origin, other
+
+
+class TestCertifierShard:
+    """A shard is a service slot, its partition's newest commit and two
+    counters; log and index are the certifier's, one each — these check what
+    the shards derive from that one log."""
+
+    def _two_shard_certifier(self):
+        env = Environment()
+        network, _, _ = make_network(env)
+        pmap = PartitionMap(2, table_groups=(("t0",), ("t1",)))
+        certifier = bare_certifier(env, network, partition_map=pmap)
+        for txn, table in enumerate(("t0", "t1", "t1", "t0", "t1"), start=1):
+            certify(env, network, certifier, txn, table, txn)
+        return env, network, pmap, certifier
+
+    def test_truncate_to_global_drops_prefix_and_marks_horizon(self):
+        env, network, _, certifier = self._two_shard_certifier()
+        for replica in ("replica-0", "replica-1"):
+            network.send(replica, certifier.name, CommitApplied(replica, 3))
+        env.run()
+        # One horizon for the one log, whatever partition a version wrote.
+        assert certifier.truncate_log() == 3
+        assert certifier.first_replayable_version() == 4
+        assert [e.commit_version for e in certifier.log] == [4, 5]
+        # The surviving entries' slots are still indexed; dropped ones not.
+        assert certifier._index.last_writer("t0", 4) == 4
+        assert certifier._index.last_writer("t0", 1) == 0
+        # A shard remembers its newest commit; nothing of it was a log.
+        assert [s.last_global for s in certifier.shards.values()] == [4, 5]
+        assert certifier.truncate_log() == 0  # nothing below the horizon left
+
+    def test_rebuild_from_log_restores_index_and_last_global(self):
+        env, network, pmap, certifier = self._two_shard_certifier()
+        successor = bare_certifier(
+            env, network, partition_map=pmap, name="certifier-2",
+            log=certifier.log.clone(),
+        )
+        assert [s.last_global for s in successor.shards.values()] == [4, 5]
+        assert successor._index.last_writer("t1", 3) == 3
+        assert successor.decision_for(5) == 5
+        assert successor.commit_version == 5
 
 
 class TestDepartedGrace:
