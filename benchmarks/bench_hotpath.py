@@ -40,6 +40,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -344,10 +346,66 @@ def full(before_ref: str, output_path: Path, quick: bool = True) -> dict:
 # CI smoke
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _statement_counters():
+    """Count, from outside the program, what one write statement costs:
+    ``materialised[txn_id]`` is the number of ``WriteSet`` objects
+    ``Transaction.writeset`` built for that transaction, ``checks`` holds one
+    ``(row probes, pending refreshes)`` pair per statement-side
+    early-certification call.  Wraps four methods and restores them."""
+    from repro.middleware.proxy import ReplicaProxy
+    from repro.storage.database import Database
+    from repro.storage.transaction import Transaction
+    from repro.storage.writeset import WriteSet
+
+    patched = (
+        (Transaction, "writeset"),
+        (WriteSet, "__contains__"),
+        (Database, "latest_write_version"),
+        (ReplicaProxy, "early_certification_conflict"),
+    )
+    originals = build, contains, latest, check = [
+        vars(owner)[name] for owner, name in patched
+    ]
+    materialised: Counter = Counter()
+    checks: list = []
+    probes = 0
+
+    def writeset(txn):
+        materialised[txn.txn_id] += txn._writeset_cache is None
+        return build.fget(txn)
+
+    def counted_contains(ws, slot):
+        nonlocal probes
+        probes += 1
+        return contains(ws, slot)
+
+    def counted_latest(database, table, key):
+        nonlocal probes
+        probes += 1
+        return latest(database, table, key)
+
+    def counted_check(proxy, *statement):
+        before = probes
+        reason = check(proxy, *statement)
+        checks.append((probes - before, proxy.pending_refresh_count))
+        return reason
+
+    wrappers = (property(writeset), counted_contains, counted_latest, counted_check)
+    try:
+        for (owner, name), wrapper in zip(patched, wrappers):
+            setattr(owner, name, wrapper)
+        yield materialised, checks
+    finally:
+        for (owner, name), original in zip(patched, originals):
+            setattr(owner, name, original)
+
+
 def smoke() -> None:
     """CI perf smoke: deterministic counter assertions, no wall-clock."""
     from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
     from repro.metrics import MetricsCollector
+    from repro.middleware import CertifyRequest
     from repro.metrics.profiler import PROFILER, Profiler
     from repro.metrics.profiler import _NULL_SECTION
     from repro.storage.sql import plan_cache
@@ -364,11 +422,15 @@ def smoke() -> None:
 
     # 2. The kernel fast path carries real cluster traffic, and two
     #    identical runs produce identical decisions/fingerprints.
-    def run_once():
+    #    Update transactions write two rows, so a per-statement cost that
+    #    grows with the rows already buffered shows in the counters of 5.
+    def run_once(tap=None):
         cluster = ReplicatedDatabase(
-            MicroBenchmark(update_types=10, rows_per_table=100),
+            MicroBenchmark(update_types=10, rows_per_table=100, tables_per_txn=2),
             ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
         )
+        if tap is not None:
+            cluster.network.add_tap(tap)
         collector = MetricsCollector(measure_start=0.0)
         cluster.add_clients(4, collector)
         cluster.run(1_000.0)
@@ -381,7 +443,12 @@ def smoke() -> None:
         }
         return cluster, fingerprint
 
-    cluster, first = run_once()
+    certify_requests = []
+    with _statement_counters() as (materialised, checks):
+        cluster, first = run_once(
+            lambda sender, recipient, message: certify_requests.append(message)
+            if isinstance(message, CertifyRequest) else None
+        )
     assert cluster.env.immediate_scheduled > 0, "zero-delay fast path not exercised"
     assert cluster.env.events_processed > 0
     assert len(cluster.env._wakeup_pool) > 0, "wakeup pooling not exercised"
@@ -405,12 +472,28 @@ def smoke() -> None:
     cache.get(text)
     assert cache.hits == hits + 1
 
+    # 5. A write statement costs O(1) early-certification work, whatever
+    #    the transaction already buffered: one WriteSet per transaction that
+    #    reaches certification (the one in its CertifyRequest; the
+    #    arrival-side checks after the body reuse it), and per statement one
+    #    row probe per pending refresh plus one for the committed head.
+    assert certify_requests and any(len(r.writeset) > 1 for r in certify_requests)
+    rebuilt = [(r.txn_id, materialised[r.txn_id]) for r in certify_requests
+               if materialised[r.txn_id] != 1]
+    assert not rebuilt, f"(txn, WriteSets materialised) != 1: {rebuilt[:5]}"
+    assert any(pending for _, pending in checks), "no statement faced a pending refresh"
+    excess = [(probes, pending) for probes, pending in checks if probes > pending + 1]
+    assert not excess, f"early-certification probes > pending + 1: {excess[:5]}"
+
     print("perf smoke OK:")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")
     print(f"  delivery pool       : {len(cluster.network._delivery_pool)}")
     print(f"  fingerprint         : {first}")
+    print(f"  certified txns      : {len(certify_requests)} (1 WriteSet each)")
+    print(f"  early-cert checks   : {len(checks):,} "
+          f"(max {max(probes for probes, _ in checks)} row probes)")
 
 
 def main() -> None:

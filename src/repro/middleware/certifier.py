@@ -681,16 +681,15 @@ class Certifier:
                 attrs={"fanout": max(0, len(self.replica_names) - 1)},
             )
         self.network.send(self.name, request.origin, reply)
+        # One immutable message for every destination, like the WriteSet in
+        # it: the simulated network hands the same object to each recipient.
+        refresh = RefreshWriteset(
+            version, request.writeset, request.origin,
+            request.txn_id, prev_versions=reply.prev_versions,
+        )
         for replica in self.replica_names:
             if replica != request.origin:
-                self.network.send(
-                    self.name,
-                    replica,
-                    RefreshWriteset(
-                        version, request.writeset, request.origin,
-                        request.txn_id, prev_versions=reply.prev_versions,
-                    ),
-                )
+                self.network.send(self.name, replica, refresh)
 
     def _handle_fate(self, query: FateQuery) -> None:
         """Resolve the fate of a timed-out update (deadline path).
@@ -731,8 +730,9 @@ class Certifier:
         vouches for every version <= w; crediting that whole prefix is what
         lets a later report heal a lost one.
         """
-        # Awaited versions are inserted at commit, so the dict is ascending.
-        for version in [v for v in self._applied_by if v <= watermark]:
+        # Awaited versions are inserted at commit, so the dict is ascending:
+        # the credited prefix ends at the first version above the watermark.
+        for version in list(takewhile(watermark.__ge__, self._applied_by)):
             applied = self._applied_by[version]
             applied.add(replica)
             if len(applied) >= len(self.replica_names):

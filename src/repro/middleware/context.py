@@ -9,12 +9,14 @@ transaction on one replica.  The context:
   of the wall-clock interleaving);
 * tallies a **service-time cost per statement**, which the proxy then charges
   against the replica CPU — that queueing is the *queries* stage;
-* performs the paper's statement-side **early certification**: each update
-  statement's partial writeset is checked against the pending (received but
-  not yet applied) refresh writesets, and against rows already overwritten
-  past the transaction's snapshot; a conflict aborts the transaction on the
-  spot rather than wasting a certification round trip (Section IV's
-  hidden-deadlock prevention).
+* performs the paper's statement-side **early certification**: the row each
+  update statement buffers is checked against the pending (received but not
+  yet applied) refresh writesets, and against a committed write past the
+  transaction's snapshot; a conflict aborts the transaction on the spot
+  rather than wasting a certification round trip (Section IV's
+  hidden-deadlock prevention).  One row per statement covers the whole
+  partial writeset: a body runs at a single virtual instant, so the rows
+  earlier statements buffered were checked against this same state.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ class TxnContext:
     def insert(self, table: str, values: Mapping[str, Any], cost_ms: Optional[float] = None) -> None:
         """Insert a full row."""
         self._charge_write(cost_ms)
-        self._proxy.engine.insert(self._txn, table, values)
-        self._early_certify()
+        key = self._proxy.engine.insert(self._txn, table, values)
+        self._early_certify(table, key)
 
     def update(
         self, table: str, key: Any, changes: Mapping[str, Any], cost_ms: Optional[float] = None
@@ -108,13 +110,13 @@ class TxnContext:
         """Update columns of an existing row."""
         self._charge_write(cost_ms)
         self._proxy.engine.update(self._txn, table, key, changes)
-        self._early_certify()
+        self._early_certify(table, key)
 
     def delete(self, table: str, key: Any, cost_ms: Optional[float] = None) -> None:
         """Delete an existing row."""
         self._charge_write(cost_ms)
         self._proxy.engine.delete(self._txn, table, key)
-        self._early_certify()
+        self._early_certify(table, key)
 
     # -- internals ------------------------------------------------------------
     def _charge_read(self, cost_ms: Optional[float]) -> None:
@@ -125,9 +127,9 @@ class TxnContext:
         self.write_statement_count += 1
         self.statement_costs.append(self._proxy.perf.write_statement(cost_ms))
 
-    def _early_certify(self) -> None:
-        """Abort now if this transaction's partial writeset already conflicts
-        with a pending refresh writeset or a newer committed write."""
-        reason = self._proxy.early_certification_conflict(self._txn)
+    def _early_certify(self, table: str, key: Any) -> None:
+        """Abort now if the row this statement just buffered conflicts with
+        a pending refresh writeset or a newer committed write."""
+        reason = self._proxy.early_certification_conflict(self._txn, table, key)
         if reason is not None:
             raise TransactionAborted(reason)

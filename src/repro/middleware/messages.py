@@ -2,13 +2,15 @@
 
 Clients talk to the load balancer; the load balancer talks to replica
 proxies; proxies talk to the certifier.  Every message is a small frozen
-dataclass so tests can pattern-match on traffic via network taps.
+dataclass so tests can pattern-match on traffic via network taps, and so
+that a message the simulated network hands to many recipients cannot be
+changed by one of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Mapping, Optional
 
 from ..storage.writeset import WriteSet
@@ -54,7 +56,37 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
-@dataclass(frozen=True)
+def _message(cls):
+    """``@dataclass(frozen=True)`` whose ``__init__`` stores through the
+    instance ``__dict__``.
+
+    The generated ``__init__`` of a frozen dataclass pays one
+    ``object.__setattr__`` call per field, and a transaction builds several
+    messages.  Everything else is the frozen dataclass's: assignment raises
+    ``FrozenInstanceError``; ``__eq__``, ``__repr__``, ``fields`` and
+    ``replace`` work; the constructor has the same signature.  Defaults must
+    be immutable constants (no ``default_factory``, no ``__post_init__``).
+    """
+    cls = dataclass(frozen=True)(cls)
+    defaults = {
+        f"_default_{f.name}": f.default for f in fields(cls) if f.default is not MISSING
+    }
+    params = ", ".join(
+        f.name if f.default is MISSING else f"{f.name}=_default_{f.name}"
+        for f in fields(cls)
+    )
+    stores = "; ".join(f"d[{f.name!r}] = {f.name}" for f in fields(cls))
+    namespace: dict = {}
+    exec(
+        f"def __init__(self, {params}):\n    d = self.__dict__; {stores}",
+        defaults,
+        namespace,
+    )
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@_message
 class ClientRequest:
     """Client → load balancer: run one transaction.
 
@@ -76,7 +108,7 @@ class ClientRequest:
     degradable: bool = False
 
 
-@dataclass(frozen=True)
+@_message
 class ClientResponse:
     """Load balancer → client: transaction outcome.
 
@@ -97,7 +129,7 @@ class ClientResponse:
     retry_after_ms: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@_message
 class RoutedRequest:
     """Load balancer → replica proxy: the request plus the consistency tag.
 
@@ -109,7 +141,7 @@ class RoutedRequest:
     start_version: int
 
 
-@dataclass(frozen=True)
+@_message
 class TxnResponse:
     """Replica proxy → load balancer: outcome plus version bookkeeping.
 
@@ -132,7 +164,7 @@ class TxnResponse:
     result: Any = None
 
 
-@dataclass(frozen=True)
+@_message
 class CertifyRequest:
     """Proxy → certifier: certify an update transaction's writeset.
 
@@ -151,7 +183,7 @@ class CertifyRequest:
     readset: Optional[frozenset] = None
 
 
-@dataclass(frozen=True)
+@_message
 class CertifyReply:
     """Certifier → origin proxy: the decision.
 
@@ -175,7 +207,7 @@ class CertifyReply:
     prev_versions: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@_message
 class RefreshWriteset:
     """Certifier → non-origin proxies: a committed transaction's writeset to
     be applied locally as a refresh transaction."""
@@ -191,7 +223,7 @@ class RefreshWriteset:
     prev_versions: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@_message
 class CommitApplied:
     """Proxy → certifier: this replica has committed version
     ``commit_version`` (local or refresh).  Drives the EAGER global-commit
@@ -201,7 +233,7 @@ class CommitApplied:
     commit_version: int
 
 
-@dataclass(frozen=True)
+@_message
 class GlobalCommitNotice:
     """Certifier → origin proxy (EAGER only): every replica has committed
     ``commit_version``; the client may now be acknowledged."""
@@ -210,7 +242,7 @@ class GlobalCommitNotice:
     request_id: int
 
 
-@dataclass(frozen=True)
+@_message
 class RecoveryRequest:
     """Recovering proxy → certifier: replay all decisions after
     ``after_version``."""
@@ -219,7 +251,7 @@ class RecoveryRequest:
     after_version: int
 
 
-@dataclass(frozen=True)
+@_message
 class RecoveryReply:
     """Certifier → recovering proxy: the missed writesets, ascending.
 
@@ -244,7 +276,7 @@ class RecoveryReply:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_message
 class HeartbeatPing:
     """Monitor → monitored component: are you alive?
 
@@ -259,7 +291,7 @@ class HeartbeatPing:
     payload: Any = None
 
 
-@dataclass(frozen=True)
+@_message
 class HeartbeatAck:
     """Monitored component → monitor: still alive.
 
@@ -273,7 +305,7 @@ class HeartbeatAck:
     payload: Any = None
 
 
-@dataclass(frozen=True)
+@_message
 class FateQuery:
     """Load balancer → certifier: what happened to update ``request_id``?
 
@@ -287,7 +319,7 @@ class FateQuery:
     reply_to: str
 
 
-@dataclass(frozen=True)
+@_message
 class FateReply:
     """Certifier → load balancer: the resolved fate of an update.
 
@@ -300,7 +332,7 @@ class FateReply:
     commit_version: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@_message
 class DecisionRecord:
     """Primary certifier → standby: one appended decision-log entry
     (state-machine replication of the certifier)."""
@@ -308,7 +340,7 @@ class DecisionRecord:
     entry: Any  # durability.LogEntry; Any avoids a circular import
 
 
-@dataclass(frozen=True)
+@_message
 class DecisionAck:
     """Standby → primary certifier: the record is replicated; the decision
     may be released (semi-synchronous log shipping)."""
@@ -316,7 +348,7 @@ class DecisionAck:
     commit_version: int
 
 
-@dataclass(frozen=True)
+@_message
 class CertifierSuspected:
     """Replica proxy → standby certifier: this proxy's heartbeats to the
     primary timed out (``retract=True`` withdraws the vote after the primary
@@ -332,7 +364,7 @@ class CertifierSuspected:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_message
 class DigestRequest:
     """Scrubber → replica proxy: report your per-table state digests.
 
@@ -347,7 +379,7 @@ class DigestRequest:
     deep: bool = True
 
 
-@dataclass(frozen=True)
+@_message
 class DigestReply:
     """Replica proxy → scrubber: the digest vector, pinned to a version.
 
@@ -364,7 +396,7 @@ class DigestReply:
     aligned: bool = True
 
 
-@dataclass(frozen=True)
+@_message
 class TableSyncRequest:
     """Scrubber → healthy replica proxy: capture the latest row images of
     ``tables`` so ``target`` can be repaired from them."""
@@ -375,7 +407,7 @@ class TableSyncRequest:
     round_id: int
 
 
-@dataclass(frozen=True)
+@_message
 class TableSyncReply:
     """Healthy replica proxy → scrubber: the captured row images.
 
@@ -391,7 +423,7 @@ class TableSyncReply:
     rows: Mapping[str, tuple]
 
 
-@dataclass(frozen=True)
+@_message
 class RepairApply:
     """Scrubber → quarantined replica proxy: adopt these row images.
 
@@ -406,7 +438,7 @@ class RepairApply:
     rows: Mapping[str, tuple]
 
 
-@dataclass(frozen=True)
+@_message
 class RepairAck:
     """Repaired replica proxy → scrubber: the sync is installed.
 
@@ -425,7 +457,7 @@ class RepairAck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_message
 class CatchUpRequest:
     """Bootstrap coordinator → certifier, on a joiner's behalf: replay all
     decisions after ``after_version`` to ``replica`` *without* re-admitting
@@ -438,7 +470,7 @@ class CatchUpRequest:
     after_version: int
 
 
-@dataclass(frozen=True)
+@_message
 class CheckpointInstall:
     """Bootstrap coordinator → joining replica proxy: adopt this fuzzy
     checkpoint.
@@ -455,7 +487,7 @@ class CheckpointInstall:
     rows: Mapping[str, tuple]
 
 
-@dataclass(frozen=True)
+@_message
 class CheckpointInstalled:
     """Joining replica proxy → bootstrap coordinator: the checkpoint is
     installed and the replica's version is now ``version``."""
@@ -465,7 +497,7 @@ class CheckpointInstalled:
     version: int
 
 
-@dataclass(frozen=True)
+@_message
 class BootstrapRequired:
     """Replica proxy → bootstrap coordinator: my recovery replay was refused
     because the decision log no longer reaches back to my version (the
@@ -476,7 +508,7 @@ class BootstrapRequired:
     first_replayable: int
 
 
-@dataclass(frozen=True)
+@_message
 class StandbyPromoted:
     """New certifier → proxies, balancer, and the old primary: the standby
     has promoted itself as ``certifier`` with failover ``epoch``.  Receivers

@@ -768,30 +768,36 @@ class ReplicaProxy:
             self.vacuumed_versions += self.engine.database.vacuum(horizon)
 
     # -- early certification -------------------------------------------------
-    def early_certification_conflict(self, txn: Transaction) -> Optional[str]:
-        """Statement-side check: does the transaction's partial writeset
-        conflict with a pending refresh writeset (or, optionally, with a row
-        already overwritten past its snapshot)?  Returns the abort reason or
-        None."""
+    def early_certification_conflict(
+        self, txn: Transaction, table: str, key: Any
+    ) -> Optional[str]:
+        """Statement-side check of the row a statement just buffered: is it
+        written by a pending refresh writeset (or, optionally, already
+        overwritten past the snapshot)?  Returns the abort reason or None.
+
+        Probing this one row decides for the whole partial writeset: a
+        template body runs at a single virtual instant, so no refresh can
+        arrive and no head can move between two of its statements, and
+        every row buffered earlier passed this same check (DESIGN.md D9).
+        """
         if not self.early_certification:
             return None
         doomed = self._doomed.get(txn.txn_id)
         if doomed is not None:
             return doomed
-        partial = txn.partial_writeset()
+        slot = (table, key)
         for version, refresh in self._pending_refresh.items():
-            if refresh.conflicts_with(partial):
+            if slot in refresh:
                 return (
                     f"early certification: conflict with pending refresh v{version}"
                 )
         if self.precheck_committed:
-            for op in partial:
-                committed_at = self.engine.database.latest_write_version(op.table, op.key)
-                if committed_at > txn.snapshot_version:
-                    return (
-                        f"early certification: {op.table}:{op.key} overwritten "
-                        f"at v{committed_at} (snapshot v{txn.snapshot_version})"
-                    )
+            committed_at = self.engine.database.latest_write_version(table, key)
+            if committed_at > txn.snapshot_version:
+                return (
+                    f"early certification: {table}:{key} overwritten "
+                    f"at v{committed_at} (snapshot v{txn.snapshot_version})"
+                )
         return None
 
     # -- transaction execution ---------------------------------------------------

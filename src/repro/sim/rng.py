@@ -54,6 +54,11 @@ class Rng:
         Lognormal keeps service times strictly positive with a realistic
         right tail, which is what produces the slowest-replica penalty the
         eager approach pays.
+
+        The draw is ``random.Random.lognormvariate(mu, sigma)`` written out
+        (CPython's Kinderman–Monahan loop over the same generator, minus two
+        frames per draw): same uniforms in the same order, bit-identical
+        variates — ``tests/sim/test_rng.py`` pins that draw for draw.
         """
         params = self._lognormal_params.get((mean, cv))
         if params is None:
@@ -63,7 +68,14 @@ class Rng:
             mu = math.log(mean) - sigma2 / 2.0
             params = (mu, math.sqrt(sigma2))
             self._lognormal_params[(mean, cv)] = params
-        return self._random.lognormvariate(*params)
+        mu, sigma = params
+        uniform = self._random.random
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                return math.exp(mu + z * sigma)
 
     def choice(self, seq: Sequence[T]) -> T:
         """Uniform choice from a non-empty sequence."""

@@ -167,8 +167,9 @@ class StorageEngine:
         return sorted(keys, key=lambda k: (type(k).__name__, k))
 
     # -- writes -----------------------------------------------------------
-    def insert(self, txn: Transaction, table: str, values: Mapping[str, Any]) -> None:
-        """Buffer an insert; duplicate (visible) keys are rejected eagerly."""
+    def insert(self, txn: Transaction, table: str, values: Mapping[str, Any]) -> Any:
+        """Buffer an insert and return the row's primary key; duplicate
+        (visible) keys are rejected eagerly."""
         txn._require_active()
         tbl = self.database.table(table)
         tbl.schema.validate_row(values)
@@ -176,6 +177,7 @@ class StorageEngine:
         if self.read(txn, table, key) is not None:
             raise DuplicateKeyError(table, key)
         txn.buffer_write(WriteOp(table, key, OpKind.INSERT, values))
+        return key
 
     def update(
         self, txn: Transaction, table: str, key: Any, changes: Mapping[str, Any]

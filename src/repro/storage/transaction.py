@@ -145,7 +145,8 @@ class Transaction:
 
     def partial_writeset(self) -> WriteSet:
         """Alias for :attr:`writeset` taken mid-transaction — the *partial
-        writeset* the proxy checks during early certification."""
+        writeset* an arriving refresh writeset is checked against
+        (arrival-side early certification)."""
         return self.writeset
 
     @property

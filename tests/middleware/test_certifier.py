@@ -8,16 +8,18 @@ from repro.middleware import (
     CertifierPerformance,
     CertifyReply,
     CertifyRequest,
+    ClientRequest,
     CommitApplied,
     GlobalCommitNotice,
     RecoveryReply,
     RecoveryRequest,
     RefreshWriteset,
+    RoutedRequest,
 )
 from repro.sim import RngRegistry
 from repro.storage import OpKind, WriteOp, WriteSet
 
-from .conftest import fixed_latency_network, low_variance_params
+from .conftest import Harness, fixed_latency_network, low_variance_params
 
 
 @pytest.fixture
@@ -102,21 +104,36 @@ class TestCertification:
         assert reply.certified
         assert reply.commit_version == 2
 
-    def test_refresh_fanout_excludes_origin(self, env, setup):
-        network, mailboxes, certifier = setup
-        certify(network, "replica-0", 0, ws(1))
+    def test_refresh_fanout_excludes_origin(self, env):
+        """One refresh message per commit, shared by the N-1 non-origin
+        replicas; every replica installs the version exactly once."""
+        harness = Harness(env, num_replicas=3)
+        for proxy in harness.proxies.values():
+            proxy.engine.database.load_row("t", {"id": 1, "v": 0})
+        fanout = []
+        harness.network.add_tap(
+            lambda sender, recipient, message: fanout.append((recipient, message))
+            if isinstance(message, RefreshWriteset) else None
+        )
+        request = ClientRequest(
+            request_id=1, template="write-t", params={"key": 1, "v": 5},
+            session_id="s", reply_to="lb", submit_time=0.0,
+        )
+        harness.network.send("lb", "replica-0", RoutedRequest(request, 0))
         env.run()
-        origin_refreshes = [
-            m for m in drain(mailboxes["replica-0"]) if isinstance(m, RefreshWriteset)
-        ]
-        assert origin_refreshes == []
-        for other in ("replica-1", "replica-2"):
-            refreshes = [
-                m for m in drain(mailboxes[other]) if isinstance(m, RefreshWriteset)
-            ]
-            assert len(refreshes) == 1
-            assert refreshes[0].commit_version == 1
-            assert refreshes[0].origin == "replica-0"
+        assert sorted(recipient for recipient, _ in fanout) == ["replica-1", "replica-2"]
+        first, second = (message for _, message in fanout)
+        assert first == second
+        assert first.commit_version == 1
+        assert first.origin == "replica-0"
+        origin = harness.proxy(0)
+        assert (origin.committed_count, origin.refresh_applied_count) == (1, 0)
+        for other in (harness.proxy(1), harness.proxy(2)):
+            assert other.refresh_applied_count == 1
+            assert other.duplicate_refreshes_ignored == 0
+        for proxy in harness.proxies.values():
+            assert proxy.v_local == 1
+            assert proxy.engine.database.table("t").read(1, 1)["v"] == 5
 
     def test_total_order_is_serial_and_contiguous(self, env, setup):
         network, mailboxes, certifier = setup

@@ -231,7 +231,7 @@ class TestEarlyCertification:
         proxy.engine.update(txn, "t", 1, {"v": 50})
         # Apply a newer committed version under it.
         proxy.engine.apply_refresh(ws(1, 20), 1)
-        reason = proxy.early_certification_conflict(txn)
+        reason = proxy.early_certification_conflict(txn, "t", 1)
         assert reason is not None and "overwritten" in reason
 
     def test_no_conflict_returns_none(self, env, harness):
@@ -239,7 +239,7 @@ class TestEarlyCertification:
         seed(harness)
         txn = proxy.engine.begin()
         proxy.engine.update(txn, "t", 1, {"v": 50})
-        assert proxy.early_certification_conflict(txn) is None
+        assert proxy.early_certification_conflict(txn, "t", 1) is None
 
 
 class TestEagerStage:

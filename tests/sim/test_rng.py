@@ -1,11 +1,12 @@
 """Tests for deterministic random streams."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import RngRegistry
+from repro.sim import Rng, RngRegistry
 
 
 class TestRegistry:
@@ -86,6 +87,31 @@ class TestDistributions:
     def test_lognormal_rejects_nonpositive_mean(self, rng):
         with pytest.raises(ValueError):
             rng.lognormal_service(-1.0)
+
+    def test_lognormal_service_is_stdlib_lognormvariate_draw_for_draw(self):
+        """``lognormal_service`` writes ``random.Random.lognormvariate`` out
+        inline.  Every virtual-time golden depends on the two consuming the
+        same uniforms and returning the same floats, so an interpreter whose
+        ``normalvariate`` changes must fail here, not shift the goldens.
+        Other draws are interleaved on both streams: equal values after them
+        show equal generator state, not just equal variates."""
+        ours = Rng(20260926, "service")
+        stdlib = random.Random(20260926)
+        shapes = [(0.05, 0.3), (2.0, 0.25), (17.3, 1.0), (400.0, 0.05), (1.0, 3.0)]
+        for i in range(12_000):
+            mean, cv = shapes[i % len(shapes)]
+            sigma2 = math.log(1.0 + cv * cv)
+            mu = math.log(mean) - sigma2 / 2.0
+            assert ours.lognormal_service(mean, cv) == stdlib.lognormvariate(
+                mu, math.sqrt(sigma2)
+            ), f"draw {i} ({mean=}, {cv=})"
+            if i % 3 == 0:
+                assert ours.uniform(1.0, 2.0) == stdlib.uniform(1.0, 2.0)
+            elif i % 3 == 1:
+                assert ours.random() == stdlib.random()
+            else:
+                assert ours.exponential(5.0) == stdlib.expovariate(1.0 / 5.0)
+        assert ours._random.getstate() == stdlib.getstate()
 
     def test_choice_and_weighted_choice(self, rng):
         seq = ["a", "b", "c"]
