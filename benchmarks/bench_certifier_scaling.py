@@ -15,11 +15,9 @@ small ``Certifier`` subclass — and reports:
 * row comparisons and wall-clock per certification at increasing window
   depths (the scan grows linearly, the index stays flat);
 * a decision-identity check — both must produce the same commit versions
-  and abort causes;
-* refresh-apply drain time on a backlogged replica, one-at-a-time vs.
-  group refresh (``batch_refresh_apply``).
+  and abort causes.
 
-Run standalone (writes ``BENCH_certifier.json`` at the repo root)::
+Run standalone (prints its JSON record)::
 
     PYTHONPATH=src python benchmarks/bench_certifier_scaling.py
 
@@ -34,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from pathlib import Path
 
 from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
@@ -43,17 +40,10 @@ from repro.middleware import (
     CertifyReply,
     CertifyRequest,
     PerformanceParams,
-    RefreshWriteset,
-    ReplicaPerformance,
-    ReplicaProxy,
 )
 from repro.middleware.certindex import scan_first_conflict
 from repro.sim import Environment, LatencyModel, Network, RngRegistry
-from repro.storage import Column, StorageEngine, TableSchema
 from repro.storage.writeset import OpKind, WriteOp, WriteSet
-from repro.workloads.base import TemplateCatalog
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FULL_WINDOWS = (10, 100, 1_000)
 SMOKE_WINDOWS = (8, 64)
@@ -68,7 +58,7 @@ def quiet_params():
 
 
 # ---------------------------------------------------------------------------
-# Part A: certification cost vs. conflict-window depth
+# Certification cost vs. conflict-window depth
 # ---------------------------------------------------------------------------
 
 
@@ -177,79 +167,6 @@ def certification_rows(windows, probes):
 
 
 # ---------------------------------------------------------------------------
-# Part B: refresh-apply drain, one-at-a-time vs. group refresh
-# ---------------------------------------------------------------------------
-
-
-def run_refresh_drain(batched, versions, ops_per_refresh=2):
-    """Build a backlog of ``versions - 1`` pending refreshes behind a gap at
-    version 1, release the gap, and measure the *virtual* time the replica
-    needs to drain the run."""
-    env = Environment()
-    network = Network(
-        env, RngRegistry(7).stream("net"), LatencyModel(base=0.05, jitter=0.0)
-    )
-    network.register("certifier")  # sink for CommitApplied / gap repair
-    network.register("lb")
-    engine = StorageEngine()
-    engine.create_table(
-        TableSchema("t", [Column("id", int), Column("v", int)], "id")
-    )
-    proxy = ReplicaProxy(
-        env=env,
-        network=network,
-        name="replica-0",
-        engine=engine,
-        perf=ReplicaPerformance(quiet_params(), RngRegistry(3).stream("perf")),
-        level=ConsistencyLevel.SC_COARSE,
-        templates=TemplateCatalog(),
-        batch_refresh_apply=batched,
-    )
-
-    def refresh(version):
-        ops = [
-            WriteOp("t", version * 10 + i, OpKind.INSERT,
-                    {"id": version * 10 + i, "v": version})
-            for i in range(ops_per_refresh)
-        ]
-        network.send(
-            "certifier", "replica-0",
-            RefreshWriteset(version, WriteSet(ops), "replica-1", version),
-        )
-
-    for version in range(2, versions + 1):
-        refresh(version)
-    env.run()
-    assert proxy.v_local == 0 and proxy.pending_refresh_count == versions - 1
-    refresh(1)
-    started = env.now
-    env.run()
-    assert proxy.v_local == versions
-    assert proxy.refresh_applied_count == versions
-    return {
-        "batched": batched,
-        "versions": versions,
-        "ops_per_refresh": ops_per_refresh,
-        "virtual_drain_ms": round(env.now - started, 3),
-        "refresh_batches": proxy.refresh_batches,
-    }
-
-
-def refresh_result(versions):
-    one_at_a_time = run_refresh_drain(False, versions)
-    grouped = run_refresh_drain(True, versions)
-    return {
-        "versions": versions,
-        "one_at_a_time_drain_ms": one_at_a_time["virtual_drain_ms"],
-        "batched_drain_ms": grouped["virtual_drain_ms"],
-        "speedup": round(
-            one_at_a_time["virtual_drain_ms"] / grouped["virtual_drain_ms"], 2
-        ),
-        "refresh_batches": grouped["refresh_batches"],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
 
@@ -276,9 +193,6 @@ def smoke():
     assert large["comparisons_ratio"] >= growth / 2, (
         f"index beat the scan by only {large['comparisons_ratio']}x: {rows}"
     )
-    refresh = refresh_result(versions=64)
-    assert refresh["refresh_batches"] >= 1
-    assert refresh["batched_drain_ms"] <= refresh["one_at_a_time_drain_ms"]
     print("perf smoke OK:")
     for row in rows:
         print(
@@ -286,23 +200,16 @@ def smoke():
             f" vs index {row['index_row_comparisons']:>4} cmp"
             f" ({row['comparisons_ratio']}x)"
         )
-    print(
-        f"  refresh drain x{refresh['versions']}: "
-        f"{refresh['one_at_a_time_drain_ms']}ms one-at-a-time vs "
-        f"{refresh['batched_drain_ms']}ms batched ({refresh['speedup']}x)"
-    )
 
 
-def full(output):
+def full():
     probes = 100
     rows = certification_rows(FULL_WINDOWS, probes)
-    refresh = refresh_result(versions=400)
     deepest = rows[-1]
     result = {
         "bench": "bench_certifier_scaling",
         "probes_per_window": probes,
         "certification": rows,
-        "refresh_apply": refresh,
         "acceptance": {
             "ratio_at_window_1000": deepest["comparisons_ratio"],
             "ratio_at_least_10x": deepest["comparisons_ratio"] >= 10.0,
@@ -311,10 +218,7 @@ def full(output):
             "decisions_identical": all(r["decisions_identical"] for r in rows),
         },
     }
-    text = json.dumps(result, indent=2)
-    output.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"\nwrote {output}")
+    print(json.dumps(result, indent=2))
     return result
 
 
@@ -323,19 +227,13 @@ def main():
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny windows + assertions only (CI perf smoke); writes no file",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_certifier.json",
-        help="where the full run writes its JSON record",
+        help="tiny windows + assertions only (CI perf smoke)",
     )
     arguments = parser.parse_args()
     if arguments.smoke:
         smoke()
     else:
-        full(arguments.output)
+        full()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ varying cross-partition mixes and reports:
 * an **end-to-end acceptance run** — a 4-partition cluster under a
   single-partition-dominant workload (one cross-partition update type in
   24) must keep cross-shard commits under 5% of all commits with the
-  strong-consistency checker green.
+  strong-consistency checker green, and must install at least one version
+  ahead of a replica's watermark; the same run at 1 partition installs none.
 
 Run standalone (writes ``BENCH_partition.json`` at the repo root)::
 
@@ -50,6 +51,7 @@ from repro.middleware import (
     PerformanceParams,
 )
 from repro.sim import Environment, LatencyModel, Network, RngRegistry
+from repro.storage.database import Database
 from repro.storage.writeset import OpKind, WriteOp, WriteSet
 from repro.workloads.base import TemplateCatalog, TransactionTemplate
 from repro.workloads.microbench import MicroBenchmark, _read_body, _update_body
@@ -220,21 +222,35 @@ class MostlySinglePartitionBench(MicroBenchmark):
         return catalog
 
 
-def run_end_to_end(duration_ms, clients=6, seed=11):
-    cluster = ReplicatedDatabase(
-        MostlySinglePartitionBench(),
-        ClusterConfig(
-            num_replicas=4,
-            level="sc-coarse",
-            seed=seed,
-            num_partitions=4,
-            partition_table_groups=GROUPS[4],
-        ),
-    )
-    collector = MetricsCollector(measure_start=0.0)
-    cluster.add_clients(clients, collector)
-    cluster.run(duration_ms)
-    cluster.quiesce()
+def run_end_to_end(duration_ms, num_partitions=4, clients=6, seed=11):
+    # Counted from outside: how many versions any replica installed ahead
+    # of its watermark (the predecessor-gated applier at work).
+    installed_ahead = 0
+    advance_version = Database._advance_version
+
+    def counting_advance(database, commit_version):
+        nonlocal installed_ahead
+        installed_ahead += commit_version != database.version + 1
+        advance_version(database, commit_version)
+
+    Database._advance_version = counting_advance
+    try:
+        cluster = ReplicatedDatabase(
+            MostlySinglePartitionBench(),
+            ClusterConfig(
+                num_replicas=4,
+                level="sc-coarse",
+                seed=seed,
+                num_partitions=num_partitions,
+                partition_table_groups=GROUPS[num_partitions],
+            ),
+        )
+        collector = MetricsCollector(measure_start=0.0)
+        cluster.add_clients(clients, collector)
+        cluster.run(duration_ms)
+        cluster.quiesce()
+    finally:
+        Database._advance_version = advance_version
     stats = cluster.certifier.stats()
     total = stats["single_partition_commits"] + stats["cross_partition_commits"]
     return {
@@ -247,6 +263,7 @@ def run_end_to_end(duration_ms, clients=6, seed=11):
             stats["cross_partition_commits"] / max(total, 1), 4
         ),
         "cross_shard_stalls": stats["cross_shard_stalls"],
+        "installed_ahead": installed_ahead,
         "shard_commits": {
             p: shard["certified"] for p, shard in stats["shards"].items()
         },
@@ -288,6 +305,12 @@ def smoke():
     assert end_to_end["cross_commit_fraction"] < 0.05, end_to_end
     assert end_to_end["strongly_consistent"]
     assert end_to_end["replicas_converged"]
+    # One applier at every shard count: vectors let it install ahead of the
+    # watermark at 4 partitions; without them it never does.
+    assert end_to_end["installed_ahead"] >= 1, end_to_end
+    one_shard = run_end_to_end(duration_ms=1_200.0, num_partitions=1)
+    assert one_shard["committed"] > 200
+    assert one_shard["installed_ahead"] == 0, one_shard
     print("partitioned certifier smoke OK:")
     for row in rows:
         counters = row["per_shard"][4]
@@ -299,7 +322,8 @@ def smoke():
     print(
         f"  end-to-end 4p: {end_to_end['committed']} committed,"
         f" cross fraction {end_to_end['cross_commit_fraction']:.2%},"
-        f" checkers green"
+        f" {end_to_end['installed_ahead']} installs ahead of the watermark"
+        f" ({one_shard['installed_ahead']} at 1p), checkers green"
     )
 
 

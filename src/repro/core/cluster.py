@@ -85,14 +85,7 @@ class ClusterConfig:
     routing: str = "least-active"
     #: periodic MVCC garbage collection at each replica (None = off)
     vacuum_interval_ms: Optional[float] = None
-    #: drain maximal runs of consecutive pending refresh versions into one
-    #: engine apply pass (group refresh) instead of one CPU round-trip per
-    #: version; off by default to keep the per-version timing model (and
-    #: the golden equivalence runs) unchanged
-    batch_refresh_apply: bool = False
-    #: longest run of versions one batched apply pass may drain
-    refresh_batch_limit: int = 32
-    # -- partitioned certification (see docs/PROTOCOL.md) ------------------
+    # -- certifier shards (see docs/PROTOCOL.md) --------------------------
     #: number of table-group certifier shards; 1 (the default) is the
     #: paper's single serial certifier — the one-shard case of the pipeline
     num_partitions: int = 1
@@ -100,7 +93,7 @@ class ClusterConfig:
     #: (group i → partition i); unlisted tables hash onto a partition
     partition_table_groups: Optional[tuple] = None
     #: purge a departed replica's pinned replication-horizon entry after
-    #: this grace period (None = pin forever, the legacy behaviour)
+    #: this grace period (None = pin forever)
     departed_grace_ms: Optional[float] = None
     # -- self-healing (all off by default; see docs/PROTOCOL.md) -----------
     #: heartbeat period for failure detection (None = no heartbeats: faults
@@ -185,8 +178,6 @@ class ClusterConfig:
             raise ValueError("request_deadline_ms must be positive")
         if self.certify_timeout_ms is not None and self.certify_timeout_ms <= 0:
             raise ValueError("certify_timeout_ms must be positive")
-        if self.refresh_batch_limit < 1:
-            raise ValueError("refresh_batch_limit must be >= 1")
         # Fail fast on an invalid partition layout (count/groups).
         PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
         if self.routing == "partition-affinity" and self.num_partitions < 2:
@@ -316,8 +307,8 @@ class ClusterConfig:
     @property
     def partition_map(self) -> Optional[PartitionMap]:
         """The resolved table-group partition map — **None** for the default
-        single-partition deployment: one certifier shard, and proxies and
-        balancer on their strict in-order paths (trace identity)."""
+        single-partition deployment: one certifier shard, no predecessor
+        vectors, scalar version accounting at the balancer."""
         if self.num_partitions == 1:
             return None
         return PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
@@ -425,7 +416,7 @@ class ReplicatedDatabase:
         )
         heartbeat = config.heartbeat_settings
         standby_name = "certifier-standby" if config.standby_certifier else None
-        #: None for num_partitions=1 (one certifier shard, strict appliers)
+        #: None for num_partitions=1 (one certifier shard, no vectors)
         self.partition_map = config.partition_map
         # Every replica starts from the identical version-0 data set: build
         # it once and give each replica a clone over the same row versions.
@@ -451,18 +442,11 @@ class ReplicatedDatabase:
             if config.standby_certifier:
                 standby_tracker = DigestTracker.from_database(seed_db)
 
-        self.certifier = Certifier(
-            env=self.env,
-            network=self.network,
-            perf=CertifierPerformance(self.params, self.rngs.stream("perf:certifier")),
-            replica_names=list(self.replica_names),
-            level=self.policy,
+        self.certifier = self._make_certifier(
+            "certifier",
+            list(self.replica_names),
             log=DecisionLog(config.log_path),
-            heartbeat=heartbeat,
             standby_name=standby_name,
-            inbound_queue_bound=config.certifier_queue_bound,
-            partition_map=self.partition_map,
-            departed_grace_ms=config.departed_grace_ms,
             digest_tracker=digest_tracker,
         )
         self.load_balancer = LoadBalancer(
@@ -534,9 +518,28 @@ class ReplicatedDatabase:
         self.metrics = self._build_metrics_registry()
         _set_latest(self.metrics)
 
+    def _make_certifier(self, name: str, replica_names: list, **state) -> Certifier:
+        """Wire a certifier for this deployment; ``state`` is what the first
+        one and a successor differ in (log, epoch, standby, digest tracker)."""
+        config = self.config
+        return Certifier(
+            env=self.env,
+            network=self.network,
+            perf=CertifierPerformance(self.params, self.rngs.stream(f"perf:{name}")),
+            replica_names=replica_names,
+            level=self.policy,
+            name=name,
+            heartbeat=config.heartbeat_settings,
+            inbound_queue_bound=config.certifier_queue_bound,
+            partition_map=self.partition_map,
+            departed_grace_ms=config.departed_grace_ms,
+            **state,
+        )
+
     def _empty_database(self, name: str) -> Database:
-        """A database holding the workload's tables and no rows."""
-        database = Database(name=name)
+        """A database holding the workload's tables and no rows.  Digests
+        are maintained only when a scrubber will ask for them."""
+        database = Database(name, maintain_digests=self.config.scrub_settings is not None)
         for schema in self.workload.schemas():
             database.create_table(schema)
         return database
@@ -559,9 +562,6 @@ class ReplicatedDatabase:
             heartbeat=config.heartbeat_settings,
             standby_name="certifier-standby" if config.standby_certifier else None,
             certify_timeout_ms=config.certify_timeout_ms,
-            batch_refresh_apply=config.batch_refresh_apply,
-            refresh_batch_limit=config.refresh_batch_limit,
-            partition_map=self.partition_map,
         )
 
     def _adopt_certifier(self, certifier: Certifier) -> None:

@@ -17,9 +17,9 @@ layer — certifier, proxies, load balancer, standby — shares one instance,
 so "which shard owns table ``t``" has exactly one answer everywhere.
 
 The single-partition map (``num_partitions=1``) is *trivial*: the certifier
-runs it as its one-shard case, while proxies and load balancer check
-:attr:`PartitionMap.is_trivial` and keep their strict in-order paths — which
-keeps the default configuration trace-identical to the pre-partitioning code.
+runs it as its one-shard case and sends no predecessor vectors, so every
+replica applies in full-prefix order; the load balancer checks
+:attr:`PartitionMap.is_trivial` and keeps its scalar version accounting.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class PartitionMap:
     # -- mapping -------------------------------------------------------------
     @property
     def is_trivial(self) -> bool:
-        """True for the single-partition map (the legacy scalar pipeline)."""
+        """True for the single-partition map (one shard, no vectors)."""
         return self.num_partitions == 1
 
     def partition_of(self, table: str) -> int:
@@ -88,13 +88,6 @@ class PartitionMap:
         if self.num_partitions == 1:
             return (0,)
         return tuple(sorted({self.partition_of(table) for table in tables}))
-
-    def split_slots(self, slots: Iterable[tuple[str, object]]) -> dict[int, set]:
-        """Group writeset slots ``(table, key)`` by owning partition."""
-        grouped: dict[int, set] = {}
-        for slot in slots:
-            grouped.setdefault(self.partition_of(slot[0]), set()).add(slot)
-        return grouped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

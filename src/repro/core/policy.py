@@ -106,7 +106,7 @@ class ConsistencyPolicy(abc.ABC):
         table_set: Optional[Iterable[str]] = None,
         session_id: Optional[str] = None,
     ) -> dict:
-        """Per-partition start-version vector (partitioned accounting).
+        """Per-partition start-version vector (more than one partition).
 
         For each partition the transaction's table-set touches, the
         minimum version of *that partition* the replica must have applied.

@@ -29,7 +29,6 @@ from __future__ import annotations
 from ..core.cluster import ReplicatedDatabase
 from ..middleware.certifier import Certifier
 from ..middleware.messages import ClientRequest, RoutedRequest, next_request_id
-from ..middleware.perfmodel import CertifierPerformance
 
 __all__ = ["FaultInjector"]
 
@@ -260,19 +259,13 @@ class FaultInjector:
 
         self._failover_count += 1
         new_name = f"certifier-standby-{self._failover_count}"
-        successor = Certifier(
-            env=self.cluster.env,
-            network=self.cluster.network,
-            perf=CertifierPerformance(
-                self.cluster.params,
-                self.cluster.rngs.stream(f"perf:{new_name}"),
-            ),
-            replica_names=list(old.replica_names),
-            level=old.policy,
-            name=new_name,
+        successor = self.cluster._make_certifier(
+            new_name,
+            list(old.replica_names),
             log=old.log.clone(),
-            heartbeat=self.cluster.config.heartbeat_settings,
             epoch=old.epoch + 1,
+            # The tracker has folded exactly the cloned log's decisions.
+            digest_tracker=old.digest_tracker,
         )
         successor.restore_state(old.snapshot_state())
 

@@ -3,7 +3,7 @@
 The tracer records *spans* — named intervals of virtual milliseconds —
 across the full transaction lifecycle: client submit, load-balancer
 admission/queueing/dispatch, the proxy's pipeline stages, certification
-(including per-shard slot acquisition in partitioned mode), decision
+(including per-shard slot acquisition at more than one shard), decision
 logging, and the refresh apply of each commit on every other replica.
 Spans are linked by ``request_id``, ``txn_id`` and ``commit_version`` so
 a single transaction's trace can be reassembled cluster-wide and the

@@ -22,8 +22,8 @@ is brand new (empty storage) or that returned after the certifier's
    suffix above the joiner's version *without re-admitting it*, so a replica
    behind the pack never pins the replication horizon and never stalls
    EAGER's global-commit counting.  The replay flows through the proxy's
-   normal gap-tolerant recovery path (per-shard-aware when the commit
-   pipeline is partitioned).  If the log is truncated past the joiner again
+   normal recovery path (the replay carries the predecessor vectors
+   when the certifier has more than one shard).  If the log is truncated past the joiner again
    mid-flight, the transfer restarts from a fresh checkpoint.
 3. **live** — once the certifier's ``V_commit`` is within ``live_lag``
    versions of the joiner, the coordinator re-admits it atomically through a

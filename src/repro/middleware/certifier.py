@@ -448,8 +448,8 @@ class Certifier:
         committed — so a decided request_id is answered by replaying the
         original decision, never by deciding again.
 
-        A replayed partitioned commit omits ``prev_versions``; the origin
-        then falls back to the full-prefix sync wait — stricter, still safe.
+        A replayed commit omits ``prev_versions`` at every shard count; the
+        origin then waits for the full prefix — stricter, still safe.
         """
         version = self._request_index.get(request.request_id)
         if version is None and request.request_id not in self._aborted_requests:

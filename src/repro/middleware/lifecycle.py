@@ -93,8 +93,7 @@ class TxnLifecycle:
         self.result: Any = None
         self.writeset = None
         self.commit_version: Optional[int] = None
-        #: per-partition predecessor vector from the certify reply
-        #: (partitioned pipeline only)
+        #: predecessor vector from the certify reply (None: the full prefix)
         self.certify_prevs: Optional[tuple] = None
         #: version reserved at the applier for our pending local commit
         self.reserved_version: Optional[int] = None
@@ -296,17 +295,19 @@ class TxnLifecycle:
         """Wait for this commit's predecessors to be applied locally,
         holding the reservation the applier honours for our commit version.
 
-        Legacy pipeline: the predecessor set is the full prefix
-        ``1..commit_version-1``.  Partitioned pipeline: only the
-        per-partition predecessors from the certify reply — commits of
-        unrelated partitions are not waited for, which is the paper-level
-        win of partitioning the refresh stream.
+        Without a vector (one certifier shard, or a replayed decision at
+        any shard count) that is the full prefix ``1..commit_version-1``.
+        With one it is only the per-partition predecessors it lists —
+        commits of unrelated partitions are not waited for, which is the
+        paper-level win of partitioning the refresh stream.
         """
         proxy = self.proxy
         self.reserved_version = self.commit_version
         proxy._reserved.add(self.commit_version)
         proxy._wake_applier()
-        if proxy.partitioned and self.certify_prevs is not None:
+        if self.certify_prevs is None:
+            yield proxy.clock.wait_for(self.commit_version - 1)
+        else:
             for p, prev in self.certify_prevs:
                 # ``has_applied`` first: partition clocks are soft state,
                 # the database is the ground truth after a crash/replay.
@@ -314,8 +315,6 @@ class TxnLifecycle:
                     yield proxy.partition_clocks[p].wait_for(prev)
                     if proxy.crashed:
                         raise ReplicaCrashed
-        else:
-            yield proxy.clock.wait_for(self.commit_version - 1)
         if proxy.crashed:
             # The decision is durable at the certifier; the local commit is
             # lost until recovery replay.  No response (client sees failure).
@@ -328,23 +327,14 @@ class TxnLifecycle:
         yield from proxy.cpu.use(proxy.perf.commit(len(self.writeset)))
         if proxy.crashed:
             raise ReplicaCrashed
-        proxy.engine.commit_certified(self.txn, commit_version)
+        prevs = self.certify_prevs
+        after = None if prevs is None else tuple(prev for _p, prev in prevs)
+        proxy.engine.commit_certified(self.txn, commit_version, after)
         proxy._reserved.discard(commit_version)
         self.reserved_version = None
         self.committed_locally = True
         proxy.committed_count += 1
-        if proxy.partitioned:
-            for p, _prev in self.certify_prevs or ():
-                proxy.partition_clocks[p].advance_to(commit_version)
-            # The main clock and the progress report track the contiguous
-            # watermark, which an out-of-order commit may not advance.
-            proxy.clock.advance_to(proxy.engine.version)
-            proxy._wake_applier()
-            proxy._send_commit_applied(proxy.engine.version, len(self.writeset))
-        else:
-            proxy.clock.advance_to(commit_version)
-            proxy._wake_applier()
-            proxy._send_commit_applied(commit_version, len(self.writeset))
+        proxy._publish_applied(commit_version, prevs, len(self.writeset))
 
     def _stage_global(self):
         """Wait for the certifier's global-commit notice before

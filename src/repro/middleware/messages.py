@@ -200,10 +200,10 @@ class CertifyReply:
     commit_version: Optional[int]
     conflict_with: Optional[int] = None  # version of the conflicting commit
     overloaded: bool = False
-    #: partitioned pipeline only: ``((partition, prev_version), ...)`` — for
-    #: each partition the writeset touches, the version of that partition's
-    #: previous commit.  The origin proxy's sync stage waits for
-    #: exactly these predecessors instead of the full global prefix.
+    #: predecessor vector ``((partition, prev_version), ...)`` — for each
+    #: partition the writeset touches, the version of that partition's
+    #: previous commit.  The origin proxy's sync stage waits for exactly
+    #: these predecessors; None means the full prefix ``1..version-1``.
     prev_versions: Optional[tuple] = None
 
 
@@ -216,10 +216,10 @@ class RefreshWriteset:
     writeset: WriteSet
     origin: str
     txn_id: int
-    #: partitioned pipeline only: per-partition predecessor versions (same
-    #: shape as :attr:`CertifyReply.prev_versions`).  A receiving proxy may
-    #: apply this refresh as soon as every predecessor has been applied,
-    #: even if earlier global versions of *other* partitions are missing.
+    #: predecessor vector (same shape as :attr:`CertifyReply.prev_versions`).
+    #: A receiving proxy may apply this refresh as soon as every
+    #: predecessor has been applied, even if earlier global versions of
+    #: *other* partitions are missing; None means the full prefix.
     prev_versions: Optional[tuple] = None
 
 
@@ -264,8 +264,9 @@ class RecoveryReply:
 
     replica: str
     entries: tuple  # tuple[tuple[int, WriteSet], ...]
-    #: partitioned pipeline only: per-entry predecessor vectors, aligned
-    #: with ``entries`` (``prevs[i]`` belongs to ``entries[i]``).
+    #: per-entry predecessor vectors, aligned with ``entries``
+    #: (``prevs[i]`` belongs to ``entries[i]``); None means every entry
+    #: waits for the full prefix.
     prevs: Optional[tuple] = None
     bootstrap_required: bool = False
     first_replayable: int = 0
@@ -383,10 +384,10 @@ class DigestRequest:
 class DigestReply:
     """Replica proxy → scrubber: the digest vector, pinned to a version.
 
-    ``aligned=False`` flags that the replica holds out-of-order applies
-    above its watermark (partitioned pipeline in flight); its digests then
-    include images the watermark cannot vouch for and the scrubber skips
-    this reply rather than raise a false alarm.
+    ``aligned=False`` flags that the replica holds versions installed
+    ahead of its watermark; its digests then include images the watermark
+    cannot vouch for and the scrubber skips this reply rather than raise a
+    false alarm.
     """
 
     replica: str

@@ -112,18 +112,6 @@ class ReplicaPerformance:
             self.params.refresh_base_ms + self.params.refresh_per_op_ms * writeset_size
         )
 
-    def refresh_batch(self, batch_size: int, total_ops: int) -> float:
-        """Service time to apply a *group refresh* — a run of ``batch_size``
-        consecutive refresh writesets totalling ``total_ops`` ops in one
-        engine pass.  The per-op work is unchanged; the fixed per-refresh
-        overhead (transaction setup, scheduling round-trip) is paid once per
-        run instead of once per version — the batching win."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return self._sample(
-            self.params.refresh_base_ms + self.params.refresh_per_op_ms * total_ops
-        )
-
     def eager_commit_flush(self, writeset_size: int) -> float:
         """I/O delay to durably acknowledge one commit in the EAGER
         configuration (zero when the model disables it)."""

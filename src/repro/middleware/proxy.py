@@ -6,8 +6,9 @@ fronted by a proxy.  The proxy:
 * intercepts client transactions routed by the load balancer and drives
   each through the explicit :class:`~repro.middleware.lifecycle.TxnLifecycle`
   stage pipeline (version → queries → certify → sync → commit → global);
-* applies **refresh writesets** from remote transactions strictly in the
-  certifier's total order, interleaved with local commits;
+* applies **refresh writesets** from remote transactions in the
+  certifier's order — each once its predecessors are applied —
+  interleaved with local commits;
 * performs **early certification** to prevent the hidden-deadlock problem:
   client update statements are checked against pending refresh writesets,
   and arriving refresh writesets abort conflicting active local
@@ -20,10 +21,10 @@ fronted by a proxy.  The proxy:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Any, Optional
 
-from ..core.partition import PartitionMap
 from ..core.policy import resolve_policy
 from ..metrics.tracing import TRACER
 from ..sim.kernel import Environment, Event
@@ -84,12 +85,7 @@ class ReplicaProxy:
         standby_name: Optional[str] = None,
         certify_timeout_ms: Optional[float] = None,
         gap_repair_cooldown_ms: float = 100.0,
-        batch_refresh_apply: bool = False,
-        refresh_batch_limit: int = 32,
-        partition_map: Optional[PartitionMap] = None,
     ):
-        if refresh_batch_limit < 1:
-            raise ValueError("refresh_batch_limit must be >= 1")
         self.env = env
         self.network = network
         self.name = name
@@ -109,25 +105,13 @@ class ReplicaProxy:
         # validation at the certifier.
         self.certify_reads = certify_reads
 
-        #: table-group partitioning (None/trivial = legacy strict-order
-        #: refresh application, trace-identical to the pre-partitioning code)
-        self.partition_map = partition_map
-        self.partitioned = (
-            partition_map is not None and not partition_map.is_trivial
-        )
         #: per-partition apply horizons: clock ``p`` tracks the newest
-        #: global version applied here whose writeset touched partition
-        #: ``p``; the sync stage waits on these instead of the full prefix
-        self.partition_clocks: dict[int, VersionClock] = {}
-        if self.partitioned:
-            # Out-of-order applies: the database tracks a contiguous
-            # watermark and installs independent partitions' commits as
-            # their per-partition predecessors arrive.
-            engine.database.allow_gaps = True
-            self.partition_clocks = {
-                p: VersionClock(env, initial=0)
-                for p in range(partition_map.num_partitions)
-            }
+        #: global version applied here whose predecessor vector names
+        #: partition ``p``; a sync stage holding a vector waits on these
+        #: instead of the full prefix.  Created on first use — a replica
+        #: that never sees a vector (one certifier shard) never makes one —
+        #: and soft state: after a crash the database is the ground truth.
+        self.partition_clocks: dict[int, VersionClock] = defaultdict(lambda: VersionClock(env))
 
         self.mailbox: Mailbox = network.register(name)
         self.cpu = Resource(env, capacity=perf.params.cores)
@@ -138,21 +122,15 @@ class ReplicaProxy:
         self.clock = VersionClock(env, initial=engine.version)
         self.crashed = False
 
-        # Group refresh: drain runs of consecutive pending versions into one
-        # engine apply pass instead of one CPU round-trip per version.
-        self.batch_refresh_apply = batch_refresh_apply
-        self.refresh_batch_limit = refresh_batch_limit
-
         # Refresh writesets received but not applied yet, by version, plus a
         # min-heap over the pending versions so stale entries (at or below
         # V_local after a recovery replay) are purged from the front in
         # O(log n) instead of rescanning the dict on every message.
         self._pending_refresh: dict[int, Any] = {}
         self._pending_versions: list[int] = []
-        # Per-partition predecessor vectors of pending refreshes (kept out
-        # of ``_pending_refresh`` so its values stay plain writesets for
-        # early certification and the legacy applier).
-        self._pending_prevs: dict[int, Optional[tuple]] = {}
+        # Predecessor vectors of the pending refreshes that carry one; a
+        # refresh without a vector waits for the full prefix.
+        self._pending_prevs: dict[int, tuple] = {}
         # Versions reserved for local certified transactions.
         self._reserved: set[int] = set()
         # Active local transactions still executing (pre-certification),
@@ -170,7 +148,6 @@ class ReplicaProxy:
         self.committed_count = 0
         self.aborted_count = 0
         self.refresh_applied_count = 0
-        self.refresh_batches = 0
         self.early_abort_count = 0
         self.abandoned_count = 0
         self.gap_repairs = 0
@@ -373,9 +350,9 @@ class ReplicaProxy:
 
         A deep request rescans every visible row (the only way to see
         in-place corruption); a light one answers from the incremental
-        bookkeeping.  While out-of-order partitioned applies are in flight
-        the digests include images above the watermark, so the reply is
-        flagged unaligned and the scrubber skips it.
+        bookkeeping.  While versions are installed ahead of the watermark
+        the digests include their images, so the reply is flagged unaligned
+        and the scrubber skips it.
         """
         db = self.engine.database
         digests = db.recompute_digests() if request.deep else db.digests()
@@ -549,7 +526,7 @@ class ReplicaProxy:
             # ``has_applied`` in ``_receive_refresh``).
             self.duplicate_refreshes_ignored += 1
         self._pending_refresh[version] = writeset
-        if prevs is not None:
+        if prevs:
             self._pending_prevs[version] = prevs
 
     def _purge_stale_refreshes(self) -> None:
@@ -571,187 +548,128 @@ class ReplicaProxy:
             self._applier_wakeup.succeed()
 
     def _apply_refreshes(self):
-        """Apply refresh writesets strictly in the global commit order,
-        interleaving with local commits (which own their reserved versions)."""
+        """The one refresh applier: install each refresh once its
+        predecessors are applied, interleaved with local commits (which own
+        their reserved versions).
+
+        A refresh leaves the pending maps *before* its CPU hold, so
+        statement-side early certification does not see it during the hold;
+        a conflicting local write then travels to the certifier.
+        """
+        database = self.engine.database
         while True:
-            if self.crashed:
-                self._applier_wakeup = Event(self.env)
-                yield self._applier_wakeup
-                self._applier_wakeup = None
-                continue
-            next_version = self.engine.version + 1
             # A recovery replay can leave entries at or below V_local behind
             # a local commit; drop them so they cannot pin memory.
             self._purge_stale_refreshes()
-            if self.partitioned:
-                yield from self._apply_ready_partitioned()
-                continue
-            if next_version in self._reserved:
-                # A certified local transaction owns this version; it will
-                # advance the clock when it commits.  Checked before the
-                # pending map: a gap-repair replay may also hold the version
-                # as a refresh, and the reservation must win or the commit
-                # would be applied twice.  The wait is also wakeable so a
-                # crash/recovery (which voids reservations and replays the
-                # version as a refresh) cannot strand us.
-                self._applier_wakeup = Event(self.env)
-                yield self.env.any_of(
-                    [self.clock.wait_for(next_version), self._applier_wakeup]
-                )
-                self._applier_wakeup = None
-            elif next_version in self._pending_refresh:
-                batch = self._drain_refresh_run(next_version)
-                if len(batch) == 1:
-                    # One version pending: identical CPU pricing (and RNG
-                    # draw) to the unbatched path, so enabling batching is
-                    # behaviour-neutral until a backlog actually forms.
-                    service = self.perf.refresh(len(batch[0][1]))
-                else:
-                    total_ops = sum(len(ws) for _, ws in batch)
-                    service = self.perf.refresh_batch(len(batch), total_ops)
-                    self.refresh_batches += 1
-                yield from self.cpu.use(service)
-                if self.crashed:
-                    continue
-                self._apply_refresh_run(batch)
-            else:
+            version = None if self.crashed else self._ready_pending_version()
+            if version is None:
+                # Whatever can make a version ready also wakes us: arrivals,
+                # local commits (releasing their reservation), repairs,
+                # checkpoint installs, recovery.
                 self._applier_wakeup = Event(self.env)
                 yield self._applier_wakeup
                 self._applier_wakeup = None
+                continue
+            writeset = self._pending_refresh.pop(version)
+            prevs = self._pending_prevs.pop(version, None)
+            yield from self.cpu.use(self.perf.refresh(len(writeset)))
+            # Re-validate against what happened during the hold: a crash, a
+            # recovery replay that applied the version, or a certify reply
+            # that assigned it to a local transaction (whose commit owns it;
+            # our copy on top would be a duplicate).
+            if self.crashed or database.has_applied(version) or version in self._reserved:
+                continue
+            self._install_refresh(writeset, version, prevs)
+            self.refresh_applied_count += 1
+            # A duplicate that arrived during the hold must not linger.
+            self._pending_refresh.pop(version, None)
+            self._pending_prevs.pop(version, None)
+            self._publish_applied(version, prevs, len(writeset))
 
     def _ready_pending_version(self) -> Optional[int]:
-        """Smallest pending global version whose per-partition predecessors
-        have all been applied (partitioned mode).
+        """Smallest pending, unreserved version whose predecessors are all
+        applied.
 
-        A pending refresh without a predecessor vector (sent by a
-        pre-partitioning certifier) falls back to strict prefix order.
-        Versions reserved by local certified transactions are owned by
-        their commits and skipped.
+        ``V_local + 1`` is ready by construction.  Any other version can
+        only be ready through the vector the certifier sent, so the scan
+        covers ``_pending_prevs`` alone — empty at one shard.  A reserved
+        version belongs to its local commit even when a gap-repair replay
+        also holds it as a refresh.
         """
+        database = self.engine.database
+        reserved = self._reserved
+        head = database.version + 1
+        if head in self._pending_refresh and head not in reserved:
+            return head
         best: Optional[int] = None
-        for version in self._pending_refresh:
-            if version in self._reserved:
-                continue
-            if self.engine.database.has_applied(version):
-                continue
-            prevs = self._pending_prevs.get(version)
-            if prevs is None:
-                ready = version == self.engine.version + 1
-            else:
-                ready = all(
-                    self.engine.database.has_applied(prev) for _p, prev in prevs
-                )
-            if ready and (best is None or version < best):
+        for version, prevs in self._pending_prevs.items():
+            if (
+                (best is None or version < best)
+                and version not in reserved
+                and not database.has_applied(version)
+                and all(database.has_applied(prev) for _p, prev in prevs)
+            ):
                 best = version
         return best
 
-    def _apply_ready_partitioned(self):
-        """One applier turn in partitioned mode: install the smallest ready
-        refresh (its partition predecessors are applied), or sleep."""
-        version = self._ready_pending_version()
-        if version is None:
-            self._applier_wakeup = Event(self.env)
-            yield self._applier_wakeup
-            self._applier_wakeup = None
-            return
-        writeset = self._pending_refresh[version]
-        yield from self.cpu.use(self.perf.refresh(len(writeset)))
-        if self.crashed:
-            return
-        # Re-validate against what happened while the apply held the CPU:
-        # the version may have been applied by a recovery replay, or claimed
-        # by a certify reply for a local in-flight transaction.
-        if self.engine.database.has_applied(version) or version in self._reserved:
-            self._pending_refresh.pop(version, None)
-            self._pending_prevs.pop(version, None)
-            return
-        self._install_refresh(writeset, version)
-        self.refresh_applied_count += 1
-        self._pending_refresh.pop(version, None)
-        self._pending_prevs.pop(version, None)
-        self._advance_partition_clocks(version, writeset)
-        # The watermark may have absorbed a whole applied-ahead run; the
-        # main clock (and the progress report to the certifier) follow it,
-        # never the raw version — the watermark is the valid replay floor.
-        self.clock.advance_to(self.engine.version)
-        self._send_commit_applied(self.engine.version, len(writeset))
+    def _publish_applied(self, version: int, prevs, writeset_size: int) -> None:
+        """``version`` is installed (refresh or local commit): advance the
+        apply horizons of the partitions its vector names, then the main
+        clock, wake the applier and report progress to the certifier.
 
-    def _advance_partition_clocks(self, version: int, writeset) -> None:
-        """Advance the apply horizon of every partition ``writeset``
-        touches to ``version``."""
-        if not self.partitioned:
-            return
-        for p in self.partition_map.partitions_for(writeset.tables):
+        The main clock and the report follow the contiguous watermark —
+        which one install may leave alone or carry across a whole
+        applied-ahead run — never the raw version: the watermark is the
+        valid replay floor.
+
+        Lazy policies report immediately — the replicas run with
+        log-forcing off and the report is pure progress tracking.  A policy
+        with a synchronous commit acknowledgment (EAGER) makes the report
+        part of the commit round: it first serializes through the replica's
+        log-flush device, and the certifier's global-commit counter (and
+        hence the client acknowledgment) waits for it.
+        """
+        for p, _prev in prevs or ():
             self.partition_clocks[p].advance_to(version)
+        watermark = self.engine.version
+        self.clock.advance_to(watermark)
+        self._wake_applier()
+        flush = self.policy.commit_ack_flush(self.perf, writeset_size)
+        if flush > 0:
+            self.env.process(
+                self._flush_and_ack(watermark, flush),
+                name=f"{self.name}-flush-v{watermark}",
+            )
+            return
+        self.network.send(
+            self.name, self.certifier_name, CommitApplied(self.name, watermark)
+        )
 
-    def _install_refresh(self, writeset, version: int) -> None:
+    def _flush_and_ack(self, commit_version: int, flush: float):
+        yield from self.flush_device.use(flush)
+        if not self.crashed:
+            self.network.send(
+                self.name, self.certifier_name, CommitApplied(self.name, commit_version)
+            )
+
+    def _install_refresh(self, writeset, version: int, prevs) -> None:
         """Install one refresh writeset, honouring an armed corruption fault
         (``FaultInjector.skip_refresh`` / ``double_apply_refresh``)."""
         if TRACER.enabled and TRACER.version_sampled(version):
-            # Every apply path funnels through here — the in-order applier,
-            # the batched run, the partitioned applier and recovery/catch-up
-            # replay — so this is the one refresh-apply trace point.
+            # The one refresh-apply trace point: live refreshes and
+            # recovery/catch-up replay all install here.
             TRACER.instant(
                 "refresh.apply", self.name, self.env.now,
                 commit_version=version, attrs={"ops": len(writeset)},
             )
+        after = None if prevs is None else tuple(prev for _p, prev in prevs)
         mode = self._corrupt_next_refresh
         if mode is not None:
             self._corrupt_next_refresh = None
-            self.engine.database.apply_writeset_corrupted(writeset, version, mode)
+            self.engine.database.apply_writeset_corrupted(writeset, version, mode, after)
             self.corrupted_applies.append((self.env.now, mode, version))
             return
-        self.engine.apply_refresh(writeset, version)
-
-    def _drain_refresh_run(self, next_version: int) -> list:
-        """Pop the maximal run of consecutive pending versions starting at
-        ``next_version`` (a single version when batching is off).  The run
-        stops at a gap, at a version reserved by a local certified
-        transaction (the local commit owns it), or at the batch limit."""
-        batch = [(next_version, self._pending_refresh.pop(next_version))]
-        if self.batch_refresh_apply:
-            version = next_version + 1
-            while (
-                len(batch) < self.refresh_batch_limit
-                and version in self._pending_refresh
-                and version not in self._reserved
-            ):
-                batch.append((version, self._pending_refresh.pop(version)))
-                version += 1
-        return batch
-
-    def _apply_refresh_run(self, batch: list) -> None:
-        """Install a drained run in one engine pass, re-validating each
-        version against what happened while the apply held the CPU."""
-        for position, (version, writeset) in enumerate(batch):
-            if self.crashed:
-                return
-            if self.engine.version >= version:
-                # Applied while the CPU was held (e.g. a recovery replay
-                # raced a local commit that already owned the version).
-                continue
-            if version in self._reserved:
-                # While the apply held the CPU, a certify reply assigned
-                # this version to a local transaction (a recovery replay
-                # racing an in-flight certification).  The local commit owns
-                # the version; applying the drained copy on top would be a
-                # duplicate and kill the applier.  The rest of the run must
-                # wait behind that commit — put it back in the pending map.
-                for later, later_ws in batch[position:]:
-                    if (
-                        later > self.engine.version
-                        and later not in self._reserved
-                        and later not in self._pending_refresh
-                    ):
-                        self._enqueue_refresh(later, later_ws)
-                return
-            self._install_refresh(writeset, version)
-            self.refresh_applied_count += 1
-            # A duplicate of this version may have arrived while the apply
-            # held the CPU; drop it so it cannot linger.
-            self._pending_refresh.pop(version, None)
-            self.clock.advance_to(version)
-            self._send_commit_applied(version, len(writeset))
+        self.engine.apply_refresh(writeset, version, after=after)
 
     def _vacuum_loop(self, interval_ms: float):
         """Periodically trim row versions no local snapshot can still read.
@@ -805,35 +723,6 @@ class ReplicaProxy:
         yield from TxnLifecycle(self, routed).run()
 
     # -- helpers -----------------------------------------------------------
-    def _send_commit_applied(self, commit_version: int, writeset_size: int) -> None:
-        """Report this replica's commit of ``commit_version`` to the
-        certifier.
-
-        Lazy policies report immediately — the replicas run with
-        log-forcing off and the report is pure progress tracking.  A policy
-        with a synchronous commit acknowledgment (EAGER) makes the report
-        part of the commit round: it first serializes through the replica's
-        log-flush device, and the certifier's global-commit counter (and
-        hence the client acknowledgment) waits for it.
-        """
-        flush = self.policy.commit_ack_flush(self.perf, writeset_size)
-        if flush > 0:
-            self.env.process(
-                self._flush_and_ack(commit_version, flush),
-                name=f"{self.name}-flush-v{commit_version}",
-            )
-            return
-        self.network.send(
-            self.name, self.certifier_name, CommitApplied(self.name, commit_version)
-        )
-
-    def _flush_and_ack(self, commit_version: int, flush: float):
-        yield from self.flush_device.use(flush)
-        if not self.crashed:
-            self.network.send(
-                self.name, self.certifier_name, CommitApplied(self.name, commit_version)
-            )
-
     def _finish_abort(self, txn: Transaction, reason: str) -> None:
         self._executing.pop(txn.txn_id, None)
         self._doomed.pop(txn.txn_id, None)

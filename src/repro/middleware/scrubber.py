@@ -18,7 +18,7 @@ forever.  This module closes that hole with a classic anti-entropy loop:
 2. **Compare** — each reply's digest vector is checked against
    ``tracker.expected_at(reply.version)``.  A mismatch names the diverged
    table(s) directly (digests are per-table).  Replies flagged unaligned
-   (out-of-order partitioned applies in flight above the watermark) are
+   (versions installed ahead of the watermark) are
    skipped, not alarmed — the next round re-checks.
 3. **Quarantine** — a diverged replica is fenced off via
    :meth:`~.loadbalancer.LoadBalancer.quarantine_replica`: client traffic
@@ -223,7 +223,7 @@ class Scrubber:
             if replica in joining:
                 continue
             if not reply.aligned:
-                # Out-of-order partitioned applies in flight: the digests
+                # Versions installed ahead of the watermark: the digests
                 # include images above the watermark.  Not a divergence —
                 # skip, the next round re-checks.
                 self.unaligned_skips += 1

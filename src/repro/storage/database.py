@@ -23,22 +23,18 @@ __all__ = ["Database"]
 class Database:
     """Tables plus the committed-version counter of one replica."""
 
-    def __init__(self, name: str = "db", allow_gaps: bool = False,
-                 maintain_digests: bool = True):
+    def __init__(self, name: str = "db", maintain_digests: bool = True):
         self.name = name
         self._tables: dict[str, VersionedTable] = {}
         self._version = 0
         # commit_version -> writeset, kept for conflict checks and recovery.
         self._committed_writesets: dict[int, WriteSet] = {}
-        #: permit out-of-order applies (the partitioned commit pipeline
-        #: installs independent partitions' commits as they arrive);
-        #: :attr:`version` then reports the contiguous *watermark*
-        self.allow_gaps = allow_gaps
-        #: versions applied ahead of the watermark (only with ``allow_gaps``)
+        #: versions applied ahead of the watermark (an apply that named
+        #: its predecessors, see :meth:`apply_writeset`)
         self._applied_ahead: set[int] = set()
         #: maintain the incremental anti-entropy digests on the apply path
-        #: (pure computation, no simulation events — the overhead bench
-        #: toggles it off to price the maintenance)
+        #: (pure computation, no simulation events); a cluster without a
+        #: scrubber turns it off and :meth:`digests` rescans instead
         self.maintain_digests = maintain_digests
         #: table -> incremental XOR digest over visible latest row images
         self._digests: dict[str, int] = {}
@@ -92,11 +88,10 @@ class Database:
     def version(self) -> int:
         """This copy's committed database version (``V_local``).
 
-        With ``allow_gaps`` this is the contiguous *watermark*: the largest
-        ``v`` such that every version ``1..v`` has been applied.  Snapshots
-        are taken at the watermark, so a row installed out of order (its
-        version is above the watermark) stays invisible until the gap
-        below it fills — which keeps reads repeatable.
+        This is the contiguous *watermark*: the largest ``v`` such that
+        every version ``1..v`` has been applied.  Snapshots are taken at
+        the watermark, so a row installed ahead of it stays invisible until
+        the gap below it fills — which keeps reads repeatable.
         """
         return self._version
 
@@ -107,24 +102,26 @@ class Database:
 
     @property
     def has_applied_ahead(self) -> bool:
-        """True while versions above the contiguous watermark are installed
-        (out-of-order partitioned applies in flight).  Digest comparisons at
-        the watermark are skipped then — the digest already includes the
-        ahead images."""
+        """True while versions above the contiguous watermark are installed.
+        Digest comparisons at the watermark are skipped then — the digest
+        already includes the ahead images."""
         return bool(self._applied_ahead)
 
     # -- commit application ---------------------------------------------------
-    def apply_writeset(self, writeset: WriteSet, commit_version: int) -> None:
+    def apply_writeset(self, writeset: WriteSet, commit_version: int,
+                       after: Optional[tuple] = None) -> None:
         """Install a certified writeset at ``commit_version``.
 
         Both local commits and refresh transactions funnel through here, so
         every copy applies the identical mutation sequence in the certifier's
-        total order.  Empty writesets (read-only transactions) do not consume
-        a version and must not be passed.
+        order.  ``after`` lists the versions that must already be applied:
+        None is the full prefix (strictly ``version + 1``), a tuple lets
+        independent commits install ahead of the watermark.  Empty writesets
+        (read-only transactions) consume no version and must not be passed.
         """
         if writeset.is_empty:
             raise StorageError("refusing to apply an empty writeset")
-        self._check_apply_order(commit_version)
+        self._check_apply_order(commit_version, after)
         for op in writeset:
             if self._resync_floor.get(op.table, 0) >= commit_version:
                 # A peer row-sync already installed this table's state
@@ -140,27 +137,31 @@ class Database:
         self._advance_version(commit_version)
         self._committed_writesets[commit_version] = writeset
 
-    def _check_apply_order(self, commit_version: int) -> None:
-        if commit_version != self._version + 1:
-            if (
-                not self.allow_gaps
-                or commit_version <= self._version
-                or commit_version in self._applied_ahead
-            ):
-                raise StorageError(
-                    f"out-of-order apply: database at v{self._version}, "
-                    f"writeset for v{commit_version}"
-                )
+    def _check_apply_order(self, commit_version: int, after: Optional[tuple]) -> None:
+        if after is None:
+            in_order = commit_version == self._version + 1
+        else:
+            in_order = not self.has_applied(commit_version) and all(map(self.has_applied, after))
+        if not in_order:
+            raise StorageError(
+                f"out-of-order apply: database at v{self._version}, "
+                f"writeset for v{commit_version}"
+                + ("" if after is None else f" after {after}")
+            )
 
     def _advance_version(self, commit_version: int) -> None:
         if commit_version == self._version + 1:
             self._version = commit_version
-            # Absorb any run applied ahead that is now contiguous.
-            while self._version + 1 in self._applied_ahead:
-                self._applied_ahead.discard(self._version + 1)
-                self._version += 1
+            self._absorb_applied_ahead()
         else:
             self._applied_ahead.add(commit_version)
+
+    def _absorb_applied_ahead(self) -> None:
+        """Carry the watermark across a run applied ahead that is now
+        contiguous with it."""
+        while self._version + 1 in self._applied_ahead:
+            self._applied_ahead.discard(self._version + 1)
+            self._version += 1
 
     def load_row(self, table: str, values: Mapping[str, Any]) -> None:
         """Bulk-load one row as part of the initial data set (version 0).
@@ -190,7 +191,7 @@ class Database:
         """
         if self._version != 0:
             raise StorageError("clone is only legal before the first commit")
-        twin = Database(name, self.allow_gaps, self.maintain_digests)
+        twin = Database(name, self.maintain_digests)
         twin._tables = {
             table_name: table.clone() for table_name, table in self._tables.items()
         }
@@ -258,12 +259,16 @@ class Database:
     def digest(self, table: str) -> int:
         """The incremental digest of one table (0 for a never-written one)."""
         self.table(table)  # raise UnknownTableError for typos
+        if not self.maintain_digests:
+            return self.recompute_digests(table)[table]
         self._fold_pending(table)
         return self._digests.get(table, 0)
 
     def digests(self) -> dict[str, int]:
         """The incremental per-table digest vector (every table, 0 when
         untouched) — a *light* scrub answers with this."""
+        if not self.maintain_digests:
+            return self.recompute_digests()
         self._fold_pending()
         return {name: self._digests.get(name, 0) for name in self._tables}
 
@@ -297,12 +302,8 @@ class Database:
         """
         if version > self._version:
             self._version = version
-            self._applied_ahead = {
-                v for v in self._applied_ahead if v > version
-            }
-            while self._version + 1 in self._applied_ahead:
-                self._applied_ahead.discard(self._version + 1)
-                self._version += 1
+            self._applied_ahead = {v for v in self._applied_ahead if v > version}
+            self._absorb_applied_ahead()
 
     def resync_table(self, table: str, entries, synced_version: int) -> int:
         """Online repair: adopt a healthy peer's latest row images for
@@ -340,7 +341,7 @@ class Database:
 
     # -- fault injection (corruption model) ----------------------------------
     def apply_writeset_corrupted(self, writeset: WriteSet, commit_version: int,
-                                 mode: str) -> None:
+                                 mode: str, after: Optional[tuple] = None) -> None:
         """Install ``commit_version`` *wrongly* — the silent-divergence
         faults the anti-entropy subsystem exists to catch.
 
@@ -354,11 +355,11 @@ class Database:
         if mode not in ("skip", "double"):
             raise ValueError(f"unknown corruption mode {mode!r}")
         if mode == "skip":
-            self._check_apply_order(commit_version)
+            self._check_apply_order(commit_version, after)
             self._advance_version(commit_version)
             self._committed_writesets[commit_version] = writeset
             return
-        self.apply_writeset(writeset, commit_version)
+        self.apply_writeset(writeset, commit_version, after)
         for op in writeset:
             if op.kind is OpKind.DELETE:
                 continue

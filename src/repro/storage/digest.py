@@ -7,7 +7,7 @@ row, keyed by ``(table, key, row-content)``.  XOR makes the digest
   replaced row images out, XOR the new images in (a per-slot hash cache means
   only the new image is ever hashed);
 * **order-independent** — two replicas that applied the same set of commits
-  hold the same digest even if the partitioned pipeline installed them in
+  hold the same digest even if they installed independent commits in
   different interleavings;
 * **vacuum-invariant** — vacuum only trims superseded history, never the
   newest visible image, so the digest is untouched by garbage collection.

@@ -233,17 +233,18 @@ class StorageEngine:
         self._finish_commit(txn, commit_version)
         return commit_version
 
-    def commit_certified(self, txn: Transaction, commit_version: int) -> int:
+    def commit_certified(self, txn: Transaction, commit_version: int,
+                         after: Optional[tuple] = None) -> int:
         """Commit a transaction the *certifier* has already validated.
 
         The proxy calls this once the certifier assigns the commit version;
-        all prior versions must already be applied locally (the proxy's sync
-        stage guarantees that by draining the refresh queue first).
+        its predecessors — ``after``, None for every prior version — must
+        already be applied locally (the proxy's sync stage waits for them).
         """
         txn._require_active()
         if txn.is_read_only:
             raise TransactionStateError("read-only transactions commit locally")
-        self.database.apply_writeset(txn.writeset, commit_version)
+        self.database.apply_writeset(txn.writeset, commit_version, after)
         self._finish_commit(txn, commit_version)
         return commit_version
 
@@ -268,9 +269,10 @@ class StorageEngine:
         self.commit_count += 1
 
     # -- refresh transactions ---------------------------------------------------
-    def apply_refresh(self, writeset: WriteSet, commit_version: int) -> None:
+    def apply_refresh(self, writeset: WriteSet, commit_version: int,
+                      after: Optional[tuple] = None) -> None:
         """Install a remote transaction's writeset at its global version."""
-        self.database.apply_writeset(writeset, commit_version)
+        self.database.apply_writeset(writeset, commit_version, after)
 
     # -- convenience --------------------------------------------------------
     def create_table(self, schema: TableSchema) -> None:

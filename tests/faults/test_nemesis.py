@@ -104,16 +104,15 @@ def test_nemesis_soak_preserves_invariants(seed):
     assert len(committed) > 100
 
 
-def test_nemesis_green_with_index_and_batched_refresh():
-    """The commit hot path optimisations (certification index + group
-    refresh apply) survive the full fault gauntlet: crash/recover churn,
-    certifier kill and promotion, with every audit invariant intact."""
-    cluster, nemesis = chaos_run(31, batch_refresh_apply=True)
+def test_nemesis_green_with_index():
+    """The certification index survives the full fault gauntlet:
+    crash/recover churn, certifier kill and promotion (the successor
+    rebuilds it from its log), with every audit invariant intact."""
+    cluster, nemesis = chaos_run(31)
     assert nemesis.finished
     committed = audit(cluster)
     assert len(committed) > 100
     assert len(cluster.certifier._index) > 0
-    assert any(p.refresh_batches > 0 for p in cluster.replicas.values())
 
 
 def test_nemesis_certifier_kill_forces_promotion():

@@ -15,6 +15,7 @@ import pytest
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector, Nemesis
 from repro.histories.checkers import strong_consistency_violations
+from repro.middleware import RefreshWriteset
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
 
@@ -126,6 +127,53 @@ class TestPartitionedPromotion:
         cluster.quiesce(max_wait_ms=60_000.0)
         audit(cluster)
         assert successor.stats()["cross_partition_commits"] > 0
+
+
+class TestManualFailover:
+    def test_failover_certifier_builds_a_successor_of_the_same_shape(self):
+        """The injector's successor comes from the cluster's own certifier
+        factory: same shards, same bounds, the live digest tracker — so
+        refreshes keep their predecessor vectors after the switchover."""
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=20, rows_per_table=100),
+            ClusterConfig(
+                num_replicas=3, seed=7, level="sc-fine", num_partitions=4,
+                partition_table_groups=GROUPS_4, certifier_queue_bound=64,
+                departed_grace_ms=400.0, scrub_interval_ms=200.0,
+            ),
+        )
+        cluster.add_clients(6, retry_aborts=True)
+        cluster.run(400.0)
+        old = cluster.certifier
+        successor = FaultInjector(cluster).failover_certifier()
+        assert set(successor.shards) == {0, 1, 2, 3}
+        assert successor.inbound_queue_bound == 64
+        assert successor.departed_grace_ms == 400.0
+        assert successor.digest_tracker is old.digest_tracker is not None
+
+        refreshes = []
+        send = cluster.network.send
+
+        def recording_send(sender, recipient, message):
+            if isinstance(message, RefreshWriteset):
+                refreshes.append(message)
+            send(sender, recipient, message)
+
+        cluster.network.send = recording_send
+        before = cluster.commit_version
+        cluster.run(1_500.0)
+        cluster.quiesce(max_wait_ms=60_000.0)
+        assert cluster.commit_version > before + 50
+        assert refreshes and all(r.prev_versions for r in refreshes)
+        audit(cluster)
+        digests = [
+            p.engine.database.recompute_digests() for p in cluster.replicas.values()
+        ]
+        assert all(d == digests[0] for d in digests)
+        assert digests[0] == successor.digest_tracker.expected_at(
+            cluster.commit_version
+        )
+        assert cluster.load_balancer.quarantine_count == 0
 
 
 class TestPartitionedNemesis:

@@ -68,7 +68,7 @@ class TestAdoptCheckpoint:
     def _db(self):
         from repro.storage import Column, Database, TableSchema
 
-        db = Database(allow_gaps=True)
+        db = Database()
         db.create_table(TableSchema("t", [Column("id", int), Column("v", int)], "id"))
         return db
 
@@ -86,7 +86,7 @@ class TestAdoptCheckpoint:
     def test_absorbs_covered_applied_ahead(self):
         db = self._db()
         db.apply_writeset(self._ws(1, 1), 1)
-        db.apply_writeset(self._ws(3, 3), 3)  # buffered ahead
+        db.apply_writeset(self._ws(3, 3), 3, after=(1,))  # buffered ahead
         db.adopt_checkpoint(5)
         assert db.version == 5
         assert not db.has_applied_ahead
@@ -95,9 +95,9 @@ class TestAdoptCheckpoint:
         """Refreshes buffered out of order while the transfer was in flight
         become a contiguous prefix once the checkpoint lands under them."""
         db = self._db()
-        db.apply_writeset(self._ws(6, 6), 6)
-        db.apply_writeset(self._ws(7, 7), 7)
-        db.apply_writeset(self._ws(9, 9), 9)
+        db.apply_writeset(self._ws(6, 6), 6, after=())
+        db.apply_writeset(self._ws(7, 7), 7, after=(6,))
+        db.apply_writeset(self._ws(9, 9), 9, after=(7,))
         db.adopt_checkpoint(5)
         assert db.version == 7
         assert db.has_applied_ahead  # v9 still waits on v8

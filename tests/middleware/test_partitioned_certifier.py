@@ -54,12 +54,6 @@ class TestPartitionMap:
         pmap = PartitionMap(2, table_groups=(("a",), ("b",)))
         assert pmap.partitions_for(["b", "a", "b"]) == (0, 1)
 
-    def test_split_slots_partitions_the_set(self):
-        pmap = PartitionMap(2, table_groups=(("a",), ("b",)))
-        slots = {("a", 1), ("a", 2), ("b", 9)}
-        split = pmap.split_slots(slots)
-        assert split == {0: {("a", 1), ("a", 2)}, 1: {("b", 9)}}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PartitionMap(0)

@@ -1,10 +1,21 @@
 """Tests for the replica proxy: stages, refresh ordering, early
 certification, read-only fast path."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.core.consistency import ConsistencyLevel
-from repro.middleware import ClientRequest, RefreshWriteset, RoutedRequest
+from repro.middleware import (
+    ClientRequest,
+    CommitApplied,
+    RefreshWriteset,
+    RoutedRequest,
+)
+from repro.middleware.messages import next_request_id
+from repro.sim import Environment
 from repro.storage import OpKind, WriteOp, WriteSet
+from repro.workloads import MicroBenchmark
 
 from .conftest import Harness
 
@@ -139,70 +150,76 @@ class TestRefreshApplication:
         assert proxy.refresh_applied_count == 1
 
 
-class TestBatchedRefreshApply:
-    def _batched_harness(self, env, limit=32):
-        return Harness(
-            env,
-            proxy_overrides={"batch_refresh_apply": True, "refresh_batch_limit": limit},
-        )
+def drive_refreshes(arrivals, sizes, vectors):
+    """Feed one proxy the ``(gap_ms, version)`` arrivals; return what it did:
+    ``(time, version)`` per install and per ``CommitApplied`` report."""
+    env = Environment()
+    harness = Harness(env)
+    proxy = harness.proxy(0)
+    installs, reports = [], []
+    apply_refresh = proxy.engine.apply_refresh
+    send = harness.network.send
 
-    def test_backlog_drains_in_one_batch(self, env):
-        """A run of consecutive pending versions is applied in a single
-        engine pass: every version lands, CommitApplied fires per version,
-        and the group pays the fixed refresh overhead once."""
-        harness = self._batched_harness(env)
-        proxy = harness.proxy(1)
-        seed(harness)
-        # Versions 2..5 arrive while version 1 is missing -> backlog builds.
-        for version in range(2, 6):
-            harness.network.send(
-                "certifier", "replica-1",
-                RefreshWriteset(version, ws(1, version * 10), "replica-0", version),
-            )
-        env.run()
-        assert proxy.v_local == 0
-        assert proxy.pending_refresh_count == 4
-        harness.network.send(
-            "certifier", "replica-1", RefreshWriteset(1, ws(1, 10), "replica-0", 1)
-        )
-        env.run()
-        assert proxy.v_local == 5
-        assert proxy.refresh_applied_count == 5
-        assert proxy.refresh_batches >= 1
-        assert proxy.engine.database.table("t").read(1, 5)["v"] == 50
-        assert harness.certifier.applied_versions["replica-1"] == 5
+    def recording_apply(writeset, version, after=None):
+        installs.append((env.now, version))
+        apply_refresh(writeset, version, after=after)
 
-    def test_batch_limit_caps_run_length(self, env):
-        harness = self._batched_harness(env, limit=2)
-        proxy = harness.proxy(1)
-        seed(harness)
-        for version in range(2, 8):
-            harness.network.send(
-                "certifier", "replica-1",
-                RefreshWriteset(version, ws(1, version), "replica-0", version),
-            )
-        env.run()
-        harness.network.send(
-            "certifier", "replica-1", RefreshWriteset(1, ws(1, 1), "replica-0", 1)
-        )
-        env.run()
-        assert proxy.v_local == 7
-        assert proxy.refresh_applied_count == 7
-        # 7 versions at <=2 per pass needs at least 3 multi-version batches.
-        assert proxy.refresh_batches >= 3
+    def recording_send(sender, recipient, message):
+        if isinstance(message, CommitApplied):
+            reports.append((env.now, message.commit_version))
+        send(sender, recipient, message)
 
-    def test_batching_disabled_by_default(self, env, harness):
-        proxy = harness.proxy(1)
-        seed(harness)
-        for version in (2, 3, 1):
-            harness.network.send(
-                "certifier", "replica-1",
-                RefreshWriteset(version, ws(1, version), "replica-0", version),
+    proxy.engine.apply_refresh = recording_apply
+    harness.network.send = recording_send
+
+    def feed():
+        for gap, version in arrivals:
+            yield env.timeout(gap)
+            writeset = WriteSet([
+                WriteOp("t", version * 10 + i, OpKind.INSERT,
+                        {"id": version * 10 + i, "v": version})
+                for i in range(sizes[version - 1])
+            ])
+            send(
+                "certifier", "replica-0",
+                RefreshWriteset(
+                    version, writeset, "replica-1", version,
+                    prev_versions=((0, version - 1),) if vectors else None,
+                ),
             )
-        env.run()
-        assert proxy.v_local == 3
-        assert proxy.refresh_applied_count == 3
-        assert proxy.refresh_batches == 0
+
+    env.process(feed())
+    env.run()
+    return installs, reports, proxy
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_shard_vector_is_the_full_prefix(data):
+    """In-order apply is the no-vector case of the one applier: at one
+    shard the explicit vector ``((0, v - 1),)`` and no vector at all give
+    the same apply order, virtual apply times and progress reports, for any
+    arrival permutation with duplicates."""
+    n = data.draw(st.integers(1, 8), label="versions")
+    order = list(data.draw(st.permutations(range(1, n + 1)), label="arrival"))
+    for duplicate in data.draw(st.lists(st.integers(1, n), max_size=4)):
+        order.insert(data.draw(st.integers(0, len(order))), duplicate)
+    gaps = data.draw(
+        st.lists(st.sampled_from([0.0, 0.1, 0.4, 1.5]),
+                 min_size=len(order), max_size=len(order)),
+        label="gaps",
+    )
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    arrivals = list(zip(gaps, order))
+    plain = drive_refreshes(arrivals, sizes, vectors=False)
+    vectored = drive_refreshes(arrivals, sizes, vectors=True)
+    assert plain[:2] == vectored[:2]
+    installs, reports, proxy = plain
+    assert [version for _t, version in installs] == list(range(1, n + 1))
+    assert [version for _t, version in reports] == list(range(1, n + 1))
+    assert proxy.v_local == n and proxy.pending_refresh_count == 0
+    assert not proxy.partition_clocks  # no vector, no partition clock
+    assert set(vectored[2].partition_clocks) == {0}
 
 
 class TestEarlyCertification:
@@ -221,6 +238,39 @@ class TestEarlyCertification:
         assert not response.committed
         assert "early certification" in response.abort_reason
         assert proxy.early_abort_count == 1
+
+    @pytest.mark.parametrize("num_partitions", [1, 4])
+    def test_refresh_under_apply_is_left_to_the_certifier(self, num_partitions):
+        """The refresh leaves the pending map *before* its CPU hold, at
+        every shard count: a local statement writing one of its rows during
+        the hold passes the statement-side check and is aborted by the
+        certifier instead."""
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=4, rows_per_table=10),
+            ClusterConfig(num_replicas=2, seed=1, num_partitions=num_partitions),
+        )
+        env, proxy = cluster.env, cluster.replica(1)
+
+        def submit(replica):
+            request = ClientRequest(
+                request_id=next_request_id(), template="micro-update-0",
+                params={"key": 1}, session_id="s", reply_to="lb",
+                submit_time=env.now,
+            )
+            cluster.network.send("lb", replica, RoutedRequest(request, 0))
+
+        submit("replica-0")
+        while not proxy.cpu.in_use:  # until replica-1's applier holds the CPU
+            cluster.run(env.now + 0.05)
+        assert proxy.v_local == 0 and proxy.refresh_applied_count == 0
+        assert proxy.pending_refresh_count == 0
+        submit("replica-1")
+        cluster.run(env.now + 50.0)
+        assert proxy.v_local == 1 and proxy.refresh_applied_count == 1
+        assert (proxy.aborted_count, proxy.early_abort_count) == (1, 0)
+        assert cluster.certifier.abort_count == 1
+        # The refresh carried a vector exactly when there are several shards.
+        assert bool(proxy.partition_clocks) == (num_partitions > 1)
 
     def test_precheck_against_newer_committed_write(self, env, harness):
         """With the committed-row pre-check on, a transaction on a stale

@@ -60,6 +60,37 @@ class TestCleanRuns:
         assert cluster.scrubber is None
         assert cluster.stats()["scrub"] is None
 
+    def test_digests_are_not_maintained_without_a_scrubber(self):
+        """No scrubber, no digest bookkeeping on the apply path — and the
+        replicas still agree under the full-scan oracle."""
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=20, rows_per_table=100),
+            ClusterConfig(num_replicas=3, seed=7),
+        )
+        cluster.add_clients(6, retry_aborts=True)
+        cluster.run(600.0)
+        cluster.quiesce()
+        assert cluster.commit_version > 50
+        databases = [p.engine.database for p in cluster.replicas.values()]
+        for database in databases:
+            assert not any(database._pending_digest_ops.values())
+            assert database.digests() == database.recompute_digests()
+        assert all(
+            d.recompute_digests() == databases[0].recompute_digests()
+            for d in databases
+        )
+
+    def test_light_digests_equal_the_oracle_with_a_scrubber(self):
+        cluster = scrub_cluster(scrub_deep=False)
+        cluster.add_clients(6, retry_aborts=True)
+        cluster.run(600.0)
+        cluster.quiesce()
+        assert cluster.commit_version > 50
+        for proxy in cluster.replicas.values():
+            database = proxy.engine.database
+            assert database.maintain_digests
+            assert database.digests() == database.recompute_digests()
+
 
 class TestDetectionAndRepair:
     def run_fault(self, kind, *, deep=True, after_ms=1_200.0, **overrides):

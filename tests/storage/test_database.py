@@ -77,20 +77,16 @@ class TestVersions:
 
 
 class TestGapTolerantApply:
-    """``allow_gaps`` (the partitioned refresh path): applies may land out
-    of order, but visibility is the contiguous watermark."""
+    """``after=`` (the caller names the predecessors): applies may land
+    ahead of the watermark, but visibility is the contiguous watermark."""
 
     @pytest.fixture
-    def gdb(self):
-        database = Database("test", allow_gaps=True)
-        database.create_table(
-            TableSchema("t", [Column("id", int), Column("v", int)], "id")
-        )
-        return database
+    def gdb(self, db):
+        return db
 
     def test_gap_apply_holds_watermark(self, gdb):
         gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
-        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3)
+        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3, after=(1,))
         assert gdb.version == 1  # 2 is missing: watermark stays put
         assert gdb.has_applied(1)
         assert gdb.has_applied(3)
@@ -98,18 +94,34 @@ class TestGapTolerantApply:
 
     def test_filling_the_gap_absorbs_the_run(self, gdb):
         gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
-        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3)
-        gdb.apply_writeset(writeset(4, 40, OpKind.INSERT), 4)
+        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3, after=(1,))
+        gdb.apply_writeset(writeset(4, 40, OpKind.INSERT), 4, after=(3,))
         gdb.apply_writeset(writeset(2, 20, OpKind.INSERT), 2)
         assert gdb.version == 4
         assert gdb.has_applied(4)
 
     def test_duplicate_rejected_even_with_gaps(self, gdb):
-        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3)
+        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3, after=())
         with pytest.raises(StorageError):
-            gdb.apply_writeset(writeset(3, 31, OpKind.INSERT), 3)
+            gdb.apply_writeset(writeset(3, 31, OpKind.INSERT), 3, after=())
         with pytest.raises(StorageError):
-            gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 0)
+            gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 0, after=())
+
+    def test_missing_predecessor_rejected(self, gdb):
+        gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
+        with pytest.raises(StorageError, match="after"):
+            gdb.apply_writeset(writeset(4, 40, OpKind.INSERT), 4, after=(1, 3))
+        assert not gdb.has_applied(4)
+        gdb.apply_writeset(writeset(3, 30, OpKind.INSERT), 3, after=(1,))
+        gdb.apply_writeset(writeset(4, 40, OpKind.INSERT), 4, after=(1, 3))
+        assert gdb.has_applied(4) and gdb.version == 1
+
+    def test_duplicate_below_the_watermark_rejected(self, gdb):
+        gdb.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
+        gdb.apply_writeset(writeset(2, 20, OpKind.INSERT), 2, after=(1,))
+        assert gdb.version == 2
+        with pytest.raises(StorageError):
+            gdb.apply_writeset(writeset(2, 21), 2, after=(1,))
 
     def test_default_database_still_strict(self, db):
         assert db.has_applied(0)

@@ -3,7 +3,7 @@
 The core contract: the incrementally maintained digest equals the digest a
 full rescan computes, after *any* interleaving of writeset applies, bulk
 loads and vacuums — including out-of-order partitioned applies
-(``allow_gaps=True``).  Divergence from that contract is exactly what the
+(``apply_writeset(..., after=…)``).  Divergence from that contract is exactly what the
 scrubber exists to detect, so the oracle must be airtight.
 """
 
@@ -93,20 +93,21 @@ class TestIncrementalDigest:
     def test_order_independence_across_partitions(self):
         """Two copies applying the same writesets in different per-partition
         orders converge to the same digests."""
-        forward = make_db(allow_gaps=True)
-        shuffled = make_db(allow_gaps=True)
+        forward = make_db()
+        shuffled = make_db()
+        # (version, writeset, the partition's previous version)
         writes = [
-            (1, ws(ins("a", 1, 1))),
-            (2, ws(ins("b", 1, 2))),
-            (3, ws(upd("a", 1, 3))),
-            (4, ws(ins("b", 2, 4))),
+            (1, ws(ins("a", 1, 1)), ()),
+            (2, ws(ins("b", 1, 2)), ()),
+            (3, ws(upd("a", 1, 3)), (1,)),
+            (4, ws(ins("b", 2, 4)), (2,)),
         ]
-        for version, writeset in writes:
+        for version, writeset, _after in writes:
             forward.apply_writeset(writeset, version)
         # Partition {a}: versions 1, 3; partition {b}: versions 2, 4 —
         # delivered interleaved the other way around.
-        for version, writeset in (writes[1], writes[3], writes[0], writes[2]):
-            shuffled.apply_writeset(writeset, version)
+        for version, writeset, after in (writes[1], writes[3], writes[0], writes[2]):
+            shuffled.apply_writeset(writeset, version, after=after)
         assert forward.digests() == shuffled.digests()
         assert shuffled.recompute_digests() == shuffled.digests()
 
@@ -253,10 +254,11 @@ def test_incremental_digest_equals_recompute_under_random_interleavings(ops):
     st.randoms(use_true_random=False),
 )
 def test_out_of_order_partitioned_applies_converge(writes, shuffler):
-    """With ``allow_gaps=True`` each partition's stream can interleave any
-    way; the digests must converge to the in-order result regardless."""
-    in_order = make_db(allow_gaps=True)
-    shuffled = make_db(allow_gaps=True)
+    """Gated only on its own partition's predecessor (``after=``), each
+    partition's stream can interleave any way; the digests must converge to
+    the in-order result regardless."""
+    in_order = make_db()
+    shuffled = make_db()
     versioned = []
     seen: dict[tuple, int] = {}
     for offset, (table, key, value) in enumerate(writes):
@@ -270,7 +272,8 @@ def test_out_of_order_partitioned_applies_converge(writes, shuffler):
     # the interleaving *across* tables is arbitrary.
     streams = {"a": [], "b": []}
     for version, table, writeset in versioned:
-        streams[table].append((version, writeset))
+        after = tuple(v for v, _ws, _after in streams[table][-1:])
+        streams[table].append((version, writeset, after))
     order = []
     pick_from = [t for t in ("a", "b") for _ in streams[t]]
     shuffler.shuffle(pick_from)
@@ -278,7 +281,7 @@ def test_out_of_order_partitioned_applies_converge(writes, shuffler):
     for table in pick_from:
         order.append(streams[table][cursors[table]])
         cursors[table] += 1
-    for version, writeset in order:
-        shuffled.apply_writeset(writeset, version)
+    for version, writeset, after in order:
+        shuffled.apply_writeset(writeset, version, after=after)
     assert shuffled.digests() == in_order.digests()
     assert shuffled.recompute_digests() == shuffled.digests()
