@@ -35,6 +35,7 @@ never asserted, so shared runners can't flake it)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -408,6 +409,7 @@ def smoke() -> None:
     from repro.middleware import CertifyRequest
     from repro.metrics.profiler import PROFILER, Profiler
     from repro.metrics.profiler import _NULL_SECTION
+    from repro.sim import Process
     from repro.storage.sql import plan_cache
     from repro.workloads import MicroBenchmark
 
@@ -485,7 +487,33 @@ def smoke() -> None:
     excess = [(probes, pending) for probes, pending in checks if probes > pending + 1]
     assert not excess, f"early-certification probes > pending + 1: {excess[:5]}"
 
+    # 6. Messages are delivered to handlers, not polled for: a read-only
+    #    transaction is 4 messages and 9 kernel events (12 when LB and proxy
+    #    each woke a dispatch-loop process per message), and no middleware
+    #    component runs a dispatch loop.
+    readonly = ReplicatedDatabase(
+        MicroBenchmark(update_types=0, rows_per_table=100),
+        ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
+    )
+    readonly_collector = MetricsCollector(measure_start=0.0)
+    readonly.add_clients(4, readonly_collector)
+    readonly.run(1_000.0)
+    events_per_txn = (
+        readonly.env.events_processed / readonly_collector.summary().committed
+    )
+    assert readonly.certifier.certified_count == 0
+    assert events_per_txn <= 9.5, f"{events_per_txn:.2f} kernel events per read-only txn"
+    components = ["lb", "certifier", *readonly.replica_names]
+    pollers = {f"{name}-{kind}" for name in components for kind in ("loop", "dispatch")}
+    live = {
+        obj.name for obj in gc.get_objects()
+        if isinstance(obj, Process) and obj.env is readonly.env and obj.is_alive
+    }
+    assert f"{readonly.replica_names[0]}-applier" in live  # the scan sees processes
+    assert not live & pollers, f"dispatch-loop processes alive: {sorted(live & pollers)}"
+
     print("perf smoke OK:")
+    print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

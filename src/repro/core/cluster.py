@@ -16,6 +16,7 @@ consistency level.  Two ways to drive it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..histories.records import RunHistory
@@ -470,16 +471,18 @@ class ReplicatedDatabase:
             self.standby = CertifierStandby(
                 env=self.env,
                 network=self.network,
-                perf=CertifierPerformance(
-                    self.params, self.rngs.stream("perf:certifier-standby")
-                ),
                 replica_names=list(self.replica_names),
-                level=self.policy,
+                # The successor keeps drawing service times from the
+                # standby's own stream, whatever its endpoint is called.
+                make_certifier=partial(
+                    self._make_certifier,
+                    perf=CertifierPerformance(
+                        self.params, self.rngs.stream("perf:certifier-standby")
+                    ),
+                ),
                 name=standby_name,
                 heartbeat=heartbeat,
                 promote_hook=self._adopt_certifier,
-                partition_map=self.partition_map,
-                departed_grace_ms=config.departed_grace_ms,
                 digest_tracker=standby_tracker,
             )
         self.scrubber: Optional[Scrubber] = None
@@ -518,14 +521,19 @@ class ReplicatedDatabase:
         self.metrics = self._build_metrics_registry()
         _set_latest(self.metrics)
 
-    def _make_certifier(self, name: str, replica_names: list, **state) -> Certifier:
-        """Wire a certifier for this deployment; ``state`` is what the first
-        one and a successor differ in (log, epoch, standby, digest tracker)."""
+    def _make_certifier(
+        self, name: str, replica_names: list, perf=None, **state
+    ) -> Certifier:
+        """Wire a certifier for this deployment — the only place one is
+        constructed; ``state`` is what the first one and a successor differ
+        in (log, epoch, standby, digest tracker)."""
         config = self.config
+        if perf is None:
+            perf = CertifierPerformance(self.params, self.rngs.stream(f"perf:{name}"))
         return Certifier(
             env=self.env,
             network=self.network,
-            perf=CertifierPerformance(self.params, self.rngs.stream(f"perf:{name}")),
+            perf=perf,
             replica_names=replica_names,
             level=self.policy,
             name=name,

@@ -116,7 +116,7 @@ class BootstrapCoordinator:
         self.scrubber = scrubber
         self.settings = settings if settings is not None else BootstrapSettings()
         self.name = name
-        self.mailbox: Mailbox = network.register(name)
+        self.mailbox: Mailbox = network.register(name, self._handle)
 
         #: replicas with an in-flight bootstrap (dedupes re-triggers)
         self._active: set[str] = set()
@@ -138,8 +138,6 @@ class BootstrapCoordinator:
         self.rebootstraps_triggered = 0
         #: lifecycle audit trail: ``(time, state, replica, detail)`` tuples
         self.events: list[tuple] = []
-
-        self._dispatcher = env.process(self._dispatch(), name=f"{name}-dispatch")
 
     # -- inspection ----------------------------------------------------------
     @property
@@ -172,25 +170,21 @@ class BootstrapCoordinator:
         return True
 
     # -- message handling -----------------------------------------------------
-    def _dispatch(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if isinstance(message, TableSyncReply):
-                self._forward_checkpoint(message)
-            elif isinstance(message, CheckpointInstalled):
-                if message.round_id == self._sync_round.get(message.replica):
-                    self._installed[message.replica] = message.version
-            elif isinstance(message, BootstrapRequired):
-                if message.replica not in self._active:
-                    self.rebootstraps_triggered += 1
-                    self._event("bootstrap-required", message.replica, {
-                        "first_replayable": message.first_replayable,
-                    })
-                    self.bootstrap(message.replica)
-            else:
-                raise TypeError(
-                    f"bootstrap coordinator got unexpected message {message!r}"
-                )
+    def _handle(self, message) -> None:
+        if isinstance(message, TableSyncReply):
+            self._forward_checkpoint(message)
+        elif isinstance(message, CheckpointInstalled):
+            if message.round_id == self._sync_round.get(message.replica):
+                self._installed[message.replica] = message.version
+        elif isinstance(message, BootstrapRequired):
+            if message.replica not in self._active:
+                self.rebootstraps_triggered += 1
+                self._event("bootstrap-required", message.replica, {
+                    "first_replayable": message.first_replayable,
+                })
+                self.bootstrap(message.replica)
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
 
     def _forward_checkpoint(self, sync: TableSyncReply) -> None:
         """Donor images arrived: ship them to the joiner as a checkpoint."""

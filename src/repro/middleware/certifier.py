@@ -121,9 +121,9 @@ class Certifier:
             for p in range(self.partition_map.num_partitions)
         }
         # The shard count decides exactly two things, both fixed here (the
-        # two-decision rule, DESIGN.md D5).  Dispatch: one shard certifies
-        # inside the message loop, so control messages queue behind it (the
-        # paper's serial server); several run one process per request.
+        # two-decision rule, DESIGN.md D5).  Dispatch: one shard keeps the
+        # endpoint busy while it certifies, so control messages queue behind
+        # it (the paper's serial server); several run one process per request.
         self._concurrent = len(self.shards) > 1
         # Predecessor vectors at commit and replay: only with several
         # shards, because a single partition's predecessor is always v-1.
@@ -132,7 +132,7 @@ class Certifier:
         #: every certified writeset, it answers what any replica's per-table
         #: digests must be at any un-truncated version
         self.digest_tracker = digest_tracker
-        self.mailbox: Mailbox = network.register(name)
+        self.mailbox: Mailbox = network.register(name, self._handle)
         # Replica progress: newest version each replica reported applied.
         self.applied_versions: dict[str, int] = {r: 0 for r in self.replica_names}
         # Progress of replicas removed from membership (crashed but may
@@ -218,7 +218,6 @@ class Certifier:
                 },
                 enabled=lambda: not self.halted,
             )
-        self._process = env.process(self._run(), name=f"{name}-loop")
 
     # -- derived state ------------------------------------------------------
     @property
@@ -379,7 +378,7 @@ class Certifier:
             for replica in self.replica_names:
                 self.monitor.add_target(replica)
 
-    # -- main loop ------------------------------------------------------------
+    # -- message dispatch ----------------------------------------------------
     def halt(self) -> None:
         """Crash-stop the certifier: no further decisions.
 
@@ -389,46 +388,45 @@ class Certifier:
         order (found by the chaos test)."""
         self.halted = True
 
-    def _run(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if self.halted:
-                return
-            if isinstance(message, CertifyRequest):
-                if self._concurrent:
-                    # Shards certify concurrently: each request runs as its
-                    # own process queueing on only the shards it touches.
-                    self.env.process(
-                        self._certify(message),
-                        name=f"{self.name}-certify-r{message.request_id}",
-                    )
-                else:
-                    yield from self._certify(message)
-            elif isinstance(message, CommitApplied):
-                self._handle_commit_applied(message)
-            elif isinstance(message, RecoveryRequest):
-                self._handle_recovery(message)
-            elif isinstance(message, CatchUpRequest):
-                self._handle_catch_up(message)
-            elif isinstance(message, FateQuery):
-                self._handle_fate(message)
-            elif isinstance(message, HeartbeatPing):
-                self._handle_ping(message)
-            elif isinstance(message, HeartbeatAck):
-                if self.monitor is not None:
-                    self.monitor.observe_ack(message)
-            elif isinstance(message, DecisionAck):
-                waiter = self._record_waiters.get(message.commit_version)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, StandbyPromoted):
-                # A newer certifier exists: fence ourselves (split-brain
-                # protection for the reachable case).
-                if message.epoch > self.epoch:
-                    self.halt()
-                    return
-            else:
-                raise TypeError(f"certifier got unexpected message {message!r}")
+    def _handle(self, message):
+        if self.halted:
+            return None
+        if isinstance(message, CertifyRequest):
+            if not self._concurrent:
+                # The serial server: the endpoint is busy until the decision
+                # is made, so every later message waits its turn behind it.
+                return self._certify(message)
+            # Shards certify concurrently: each request runs as its
+            # own process queueing on only the shards it touches.
+            self.env.process(
+                self._certify(message),
+                name=f"{self.name}-certify-r{message.request_id}",
+            )
+        elif isinstance(message, CommitApplied):
+            self._handle_commit_applied(message)
+        elif isinstance(message, RecoveryRequest):
+            self._handle_recovery(message)
+        elif isinstance(message, CatchUpRequest):
+            self._handle_catch_up(message)
+        elif isinstance(message, FateQuery):
+            self._handle_fate(message)
+        elif isinstance(message, HeartbeatPing):
+            self._handle_ping(message)
+        elif isinstance(message, HeartbeatAck):
+            if self.monitor is not None:
+                self.monitor.observe_ack(message)
+        elif isinstance(message, DecisionAck):
+            waiter = self._record_waiters.get(message.commit_version)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, StandbyPromoted):
+            # A newer certifier exists: fence ourselves (split-brain
+            # protection for the reachable case).
+            if message.epoch > self.epoch:
+                self.halt()
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
+        return None
 
     def _handle_ping(self, ping: HeartbeatPing) -> None:
         # The standby's pings double as state sync: the ack carries a

@@ -20,10 +20,10 @@ measured quantity: a crash just after an ack costs
 worst case.  :attr:`HeartbeatMonitor.suspect_times` records each suspicion
 so experiments can report it (see ``bench.experiments.availability``).
 
-Monitors are passive about transport: they *send* pings, but the acks come
-back through the owner's mailbox — the owner forwards them via
-:meth:`HeartbeatMonitor.observe_ack` from its message loop.  This keeps one
-mailbox per component, matching the rest of the middleware.
+Monitors are passive about transport: they *send* pings, but the acks are
+delivered to the owner's endpoint — the owner's message handler passes them
+on through :meth:`HeartbeatMonitor.observe_ack`.  This keeps one endpoint
+per component, matching the rest of the middleware.
 """
 
 from __future__ import annotations

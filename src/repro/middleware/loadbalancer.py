@@ -162,7 +162,7 @@ class LoadBalancer:
         self.max_attempts = max_attempts
         self.fate_retry_ms = fate_retry_ms
         self.max_fate_attempts = max_fate_attempts
-        self.mailbox: Mailbox = network.register(name)
+        self.mailbox: Mailbox = network.register(name, self._handle)
 
         self._replicas = list(replica_names)
         self._up = set(replica_names)
@@ -241,7 +241,6 @@ class LoadBalancer:
                 on_restore=lambda replica, _ack: self.replica_up(replica),
             )
 
-        self._loop = env.process(self._run(), name=f"{name}-loop")
 
     # -- inspection ----------------------------------------------------------
     @property
@@ -276,27 +275,25 @@ class LoadBalancer:
             "joins_completed": self.joins_completed,
         }
 
-    # -- main loop ------------------------------------------------------------
-    def _run(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if isinstance(message, ClientRequest):
-                self._dispatch(message)
-            elif isinstance(message, TxnResponse):
-                self._relay(message)
-            elif isinstance(message, FateReply):
-                waiter = self._fate_waiters.pop(message.request_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, HeartbeatAck):
-                if self.monitor is not None:
-                    self.monitor.observe_ack(message)
-            elif isinstance(message, StandbyPromoted):
-                if message.epoch > self._certifier_epoch:
-                    self._certifier_epoch = message.epoch
-                    self.certifier_name = message.certifier
-            else:
-                raise TypeError(f"load balancer got unexpected message {message!r}")
+    # -- message dispatch ------------------------------------------------------
+    def _handle(self, message) -> None:
+        if isinstance(message, ClientRequest):
+            self._dispatch(message)
+        elif isinstance(message, TxnResponse):
+            self._relay(message)
+        elif isinstance(message, FateReply):
+            waiter = self._fate_waiters.pop(message.request_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, HeartbeatAck):
+            if self.monitor is not None:
+                self.monitor.observe_ack(message)
+        elif isinstance(message, StandbyPromoted):
+            if message.epoch > self._certifier_epoch:
+                self._certifier_epoch = message.epoch
+                self.certifier_name = message.certifier
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
 
     # -- request path ---------------------------------------------------------
     def _template_for(self, name: str):

@@ -113,7 +113,7 @@ class ReplicaProxy:
         #: and soft state: after a crash the database is the ground truth.
         self.partition_clocks: dict[int, VersionClock] = defaultdict(lambda: VersionClock(env))
 
-        self.mailbox: Mailbox = network.register(name)
+        self.mailbox: Mailbox = network.register(name, self._handle)
         self.cpu = Resource(env, capacity=perf.params.cores)
         # The replica's log-flush device: policies with a synchronous commit
         # acknowledgment (EAGER) serialize here; the lazy configurations
@@ -194,7 +194,6 @@ class ReplicaProxy:
                 enabled=lambda: not self.crashed,
             )
 
-        self._loop = env.process(self._run(), name=f"{name}-loop")
         self._applier = env.process(self._apply_refreshes(), name=f"{name}-applier")
         self.vacuumed_versions = 0
         if vacuum_interval_ms is not None:
@@ -216,54 +215,52 @@ class ReplicaProxy:
         return len(self._pending_refresh)
 
     # -- message dispatch ------------------------------------------------------
-    def _run(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if self.crashed:
-                continue
-            if isinstance(message, RoutedRequest):
-                rid = message.request.request_id
-                if rid in self._routed_seen:
-                    # The balancer mints a fresh request_id for every
-                    # (re)dispatch, so a repeat can only be the network
-                    # redelivering the same message — executing it again
-                    # would run the transaction twice and wedge the certify
-                    # waiter keyed by this id.
-                    self.duplicate_requests_ignored += 1
-                    continue
-                self._routed_seen.add(rid)
-                self.env.process(
-                    self._execute(message), name=f"{self.name}-txn-{rid}"
-                )
-            elif isinstance(message, CertifyReply):
-                waiter = self._certify_waiters.pop(message.request_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, GlobalCommitNotice):
-                waiter = self._global_waiters.pop(message.request_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, RefreshWriteset):
-                self._receive_refresh(message)
-            elif isinstance(message, RecoveryReply):
-                self._receive_recovery(message)
-            elif isinstance(message, HeartbeatPing):
-                self._handle_ping(message)
-            elif isinstance(message, HeartbeatAck):
-                if self.monitor is not None:
-                    self.monitor.observe_ack(message)
-            elif isinstance(message, StandbyPromoted):
-                self._handle_promotion(message)
-            elif isinstance(message, DigestRequest):
-                self._handle_digest_request(message)
-            elif isinstance(message, TableSyncRequest):
-                self._handle_table_sync(message)
-            elif isinstance(message, RepairApply):
-                self._handle_repair_apply(message)
-            elif isinstance(message, CheckpointInstall):
-                self._handle_checkpoint_install(message)
-            else:
-                raise TypeError(f"{self.name} got unexpected message {message!r}")
+    def _handle(self, message) -> None:
+        if self.crashed:
+            return
+        if isinstance(message, RoutedRequest):
+            rid = message.request.request_id
+            if rid in self._routed_seen:
+                # The balancer mints a fresh request_id for every
+                # (re)dispatch, so a repeat can only be the network
+                # redelivering the same message — executing it again
+                # would run the transaction twice and wedge the certify
+                # waiter keyed by this id.
+                self.duplicate_requests_ignored += 1
+                return
+            self._routed_seen.add(rid)
+            self.env.process(
+                self._execute(message), name=f"{self.name}-txn-{rid}"
+            )
+        elif isinstance(message, CertifyReply):
+            waiter = self._certify_waiters.pop(message.request_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, GlobalCommitNotice):
+            waiter = self._global_waiters.pop(message.request_id, None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, RefreshWriteset):
+            self._receive_refresh(message)
+        elif isinstance(message, RecoveryReply):
+            self._receive_recovery(message)
+        elif isinstance(message, HeartbeatPing):
+            self._handle_ping(message)
+        elif isinstance(message, HeartbeatAck):
+            if self.monitor is not None:
+                self.monitor.observe_ack(message)
+        elif isinstance(message, StandbyPromoted):
+            self._handle_promotion(message)
+        elif isinstance(message, DigestRequest):
+            self._handle_digest_request(message)
+        elif isinstance(message, TableSyncRequest):
+            self._handle_table_sync(message)
+        elif isinstance(message, RepairApply):
+            self._handle_repair_apply(message)
+        elif isinstance(message, CheckpointInstall):
+            self._handle_checkpoint_install(message)
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
 
     # -- failure detection -----------------------------------------------------
     def _handle_ping(self, ping: HeartbeatPing) -> None:

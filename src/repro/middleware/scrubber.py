@@ -105,7 +105,7 @@ class Scrubber:
         self.balancer = balancer
         self.settings = settings
         self.name = name
-        self.mailbox: Mailbox = network.register(name)
+        self.mailbox: Mailbox = network.register(name, self._handle)
 
         #: round currently collecting replies (0 = none)
         self._round = 0
@@ -134,10 +134,9 @@ class Scrubber:
         #: audit trail: ``(time, event, replica, detail)`` tuples
         self.events: list[tuple] = []
 
-        # A dedicated dispatcher consumes the mailbox continuously so no
-        # reply is lost between rounds; the round driver is purely a timer.
-        self._dispatcher = env.process(self._dispatch(), name=f"{name}-dispatch")
-        self._driver = env.process(self._drive(), name=f"{name}-loop")
+        # Replies are handled as they are delivered, so none is lost
+        # between rounds; the round driver is purely a timer.
+        env.process(self._drive(), name=f"{name}-loop")
 
     # -- membership ----------------------------------------------------------
     def add_replica(self, replica: str) -> None:
@@ -178,19 +177,17 @@ class Scrubber:
         }
 
     # -- message handling -----------------------------------------------------
-    def _dispatch(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if isinstance(message, DigestReply):
-                if message.round_id == self._round:
-                    self._replies[message.replica] = message
-                self.digest_replies += 1
-            elif isinstance(message, TableSyncReply):
-                self._forward_repair(message)
-            elif isinstance(message, RepairAck):
-                self._finish_repair(message)
-            else:
-                raise TypeError(f"scrubber got unexpected message {message!r}")
+    def _handle(self, message) -> None:
+        if isinstance(message, DigestReply):
+            if message.round_id == self._round:
+                self._replies[message.replica] = message
+            self.digest_replies += 1
+        elif isinstance(message, TableSyncReply):
+            self._forward_repair(message)
+        elif isinstance(message, RepairAck):
+            self._finish_repair(message)
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
 
     def _drive(self):
         while True:

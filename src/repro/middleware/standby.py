@@ -21,12 +21,14 @@ module supplies the running form of that argument:
   standby that is merely partitioned from the primary from splitting the
   brain while the rest of the cluster still reaches it.
 
-On promotion the standby constructs a fresh :class:`Certifier` on a **new
-endpoint name** (``certifier-<epoch>``) rather than reusing a mailbox:
-the simulator's mailboxes bind pending receives to the old consumer, so a
-handover would silently eat messages.  A :class:`~.messages.StandbyPromoted`
-notice (carrying the new name and epoch) re-points the proxies and the load
-balancer, and fences the old primary if it ever hears it.
+On promotion the standby has the deployment's certifier factory build a
+fresh :class:`Certifier` on a **new endpoint name** (``certifier-<epoch>``):
+an endpoint name is registered once and keeps its handler for good, and
+messages still in flight to the dead primary must die with it rather than
+reach a successor that never sent the requests they answer.  A
+:class:`~.messages.StandbyPromoted` notice (carrying the new name and epoch)
+re-points the proxies and the load balancer, and fences the old primary if
+it ever hears it.
 
 Known limitation (documented in ``docs/PROTOCOL.md``): with a single
 standby and no quorum on the decision itself, a total partition that
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..core.policy import resolve_policy
 from ..sim.kernel import Environment
 from ..sim.network import Mailbox, Network
 from .certifier import Certifier
@@ -53,7 +54,6 @@ from .messages import (
     HeartbeatPing,
     StandbyPromoted,
 )
-from .perfmodel import CertifierPerformance
 
 __all__ = ["CertifierStandby"]
 
@@ -65,37 +65,32 @@ class CertifierStandby:
         self,
         env: Environment,
         network: Network,
-        perf: CertifierPerformance,
         replica_names: list[str],
-        level,
+        make_certifier: Callable[..., Certifier],
         name: str = "certifier-standby",
         primary_name: str = "certifier",
         balancer_name: str = "lb",
         heartbeat: Optional[HeartbeatSettings] = None,
         promote_hook: Optional[Callable[[Certifier], None]] = None,
-        partition_map=None,
-        departed_grace_ms: Optional[float] = None,
         digest_tracker=None,
     ):
         self.env = env
         self.network = network
-        self.perf = perf
+        #: the deployment's certifier factory, called as
+        #: ``make_certifier(name, replica_names, **state)``: the successor
+        #: gets the primary's shards, bounds and heartbeat from the one place
+        #: that wired the primary
+        self.make_certifier = make_certifier
         #: the full replica electorate (votes are counted against this, not
         #: against current membership — a shrunken membership must not make
         #: a lone voter a "majority")
         self.replica_names = list(replica_names)
-        self.policy = resolve_policy(level)
         self.name = name
         self.primary_name = primary_name
         self.balancer_name = balancer_name
         self.heartbeat = heartbeat or HeartbeatSettings()
         self.promote_hook = promote_hook
-        self.mailbox: Mailbox = network.register(name)
-        #: optional table-group partition map (the successor is constructed
-        #: over the same map, so it names the same predecessor vectors)
-        self.partition_map = partition_map
-        #: departed-replica horizon grace the successor certifier inherits
-        self.departed_grace_ms = departed_grace_ms
+        self.mailbox: Mailbox = network.register(name, self._handle)
         #: anti-entropy oracle maintained from the tailed records (seeded
         #: identically to the primary's), handed to the promoted successor so
         #: scrubbing survives a certifier failover
@@ -128,7 +123,6 @@ class CertifierStandby:
             settings=self.heartbeat,
             enabled=lambda: not self.promoted,
         )
-        self._loop = env.process(self._run(), name=f"{name}-loop")
 
     # -- inspection ----------------------------------------------------------
     @property
@@ -140,24 +134,22 @@ class CertifierStandby:
         """Newest decision version the standby holds contiguously."""
         return self.log.last_version
 
-    # -- main loop ------------------------------------------------------------
-    def _run(self):
-        while True:
-            message = yield self.mailbox.receive()
-            if isinstance(message, DecisionRecord):
-                self._tail_record(message.entry)
-            elif isinstance(message, CertifierSuspected):
-                self._handle_vote(message)
-            elif isinstance(message, HeartbeatAck):
-                if message.sender == self.primary_name and isinstance(message.payload, dict):
-                    self._primary_state = message.payload
-                self.monitor.observe_ack(message)
-            elif isinstance(message, HeartbeatPing):
-                self.network.send(
-                    self.name, message.sender, HeartbeatAck(self.name, message.seq)
-                )
-            else:
-                raise TypeError(f"standby got unexpected message {message!r}")
+    # -- message dispatch ------------------------------------------------------
+    def _handle(self, message) -> None:
+        if isinstance(message, DecisionRecord):
+            self._tail_record(message.entry)
+        elif isinstance(message, CertifierSuspected):
+            self._handle_vote(message)
+        elif isinstance(message, HeartbeatAck):
+            if message.sender == self.primary_name and isinstance(message.payload, dict):
+                self._primary_state = message.payload
+            self.monitor.observe_ack(message)
+        elif isinstance(message, HeartbeatPing):
+            self.network.send(
+                self.name, message.sender, HeartbeatAck(self.name, message.seq)
+            )
+        else:
+            raise TypeError(f"{self.name} got unexpected message {message!r}")
 
     # -- log tailing -----------------------------------------------------------
     def _tail_record(self, entry: LogEntry) -> None:
@@ -195,22 +187,14 @@ class CertifierStandby:
         self.promoted = True
         self.promoted_at = self.env.now
         new_name = f"certifier-{self.epoch}"
-        successor = Certifier(
-            env=self.env,
-            network=self.network,
-            perf=self.perf,
+        successor = self.make_certifier(
+            new_name,
             # Construct over the full electorate so the successor's monitor
             # pings every replica; the snapshot below narrows *membership*
             # to the primary's last known view without shrinking the watch.
-            replica_names=list(self.replica_names),
-            level=self.policy,
-            name=new_name,
+            list(self.replica_names),
             log=self.log,
-            heartbeat=self.heartbeat,
-            standby_name=None,
             epoch=self.epoch,
-            partition_map=self.partition_map,
-            departed_grace_ms=self.departed_grace_ms,
             digest_tracker=self.digest_tracker,
         )
         if self._primary_state is not None:

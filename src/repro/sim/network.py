@@ -7,15 +7,21 @@ point-to-point links, each applying a base latency plus uniform jitter per
 message.  Bandwidth is not modelled — at the paper's message sizes the
 propagation term dominates, and the paper's own bottlenecks are CPU-side
 (applying refresh writesets), not the wire.
+
+Endpoints come in two kinds (:class:`Mailbox`): the middleware components
+register a *handler* and have each message delivered to it — no process
+polls for it — while clients and the synchronous session *pull* their
+replies with ``receive()``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .kernel import Environment, Event, _TRIGGERED
+from .kernel import Environment, Event, SimulationError, _TRIGGERED
 from .resources import Store
 from .rng import Rng
 
@@ -57,25 +63,119 @@ class LatencyModel:
 
 
 class Mailbox:
-    """A named message endpoint: a FIFO store plus delivery bookkeeping."""
+    """A named message endpoint: messages are delivered to its handler, or
+    wait to be received.
 
-    def __init__(self, env: Environment, name: str):
+    A **handler** endpoint gets ``handler(message)`` called on arrival, one
+    message at a time in arrival order — the middleware components, which
+    never wait between two messages.  A handler may return a generator of
+    events (work that takes virtual time: the one-shard certifier deciding
+    a request); the endpoint is then *busy* until it finishes and arrivals
+    wait in the inbox.  Whatever a handler or its generator raises surfaces
+    from :meth:`Environment.run`.
+
+    A **pull** endpoint (no handler) parks messages in a :class:`Store`
+    until its consumer asks with :meth:`receive` — for consumers that wait
+    for *their own* reply in the middle of other work (clients, sessions).
+
+    ``len(mailbox)`` counts the messages waiting: behind the one in hand on
+    a handler endpoint, not yet fetched on a pull endpoint.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        name: str,
+        handler: Optional[Callable[[Any], Any]] = None,
+    ):
         self.env = env
         self.name = name
-        self._store = Store(env)
         self.delivered_count = 0
+        self._handler = handler
+        self._store = Store(env) if handler is None else None
+        #: handler endpoint: arrivals waiting behind the message in hand
+        self._inbox: deque = deque()
+        #: a message is in hand: its hand-off is queued, or the generator
+        #: its handler returned (``_work``) is running
+        self._busy = False
+        self._work: Any = None
 
     def deliver(self, message: Any) -> None:
-        """Place a message in the mailbox (called by the network)."""
+        """Hand an arriving message to the endpoint (called by the network).
+
+        The order rule (DESIGN.md D11): the handler runs where a consumer
+        process woken by this arrival would have — after everything already
+        due at this instant.  With nothing due that is right here; otherwise
+        one pooled wake-up carries the message behind what is queued.
+        """
         self.delivered_count += 1
-        self._store.put(message)
+        handler = self._handler
+        if handler is None:
+            self._store.put(message)
+        elif self._busy:
+            self._inbox.append(message)
+        else:
+            env = self.env
+            queue = env._queue
+            if env._immediate or (queue and queue[0][0] <= env._now):
+                self._busy = True
+                env._wakeup(self._handle_deferred).succeed(message)
+            else:
+                work = handler(message)
+                if work is not None:
+                    self._busy = True
+                    self._work = work
+                    self._advance(None)
+
+    def _handle_deferred(self, event: Event) -> None:
+        work = self._handler(event._value)
+        if work is None:
+            self._next()
+        else:
+            self._work = work
+            self._advance(None)
+
+    def _next(self) -> None:
+        """The message in hand is done: hand off the next one, if any."""
+        if self._inbox:
+            self.env._wakeup(self._handle_deferred).succeed(self._inbox.popleft())
+        else:
+            self._busy = False
+
+    def _advance(self, event: Optional[Event]) -> None:
+        """Drive the generator a handler returned.  Not a :class:`Process`:
+        that starts one kick-off event after the message and ends one
+        completion event before :meth:`_next` — hops a polling loop's
+        ``yield from`` never had."""
+        work = self._work
+        try:
+            if event is None:
+                target = work.send(None)
+            elif event._ok:
+                target = work.send(event._value)
+            else:
+                target = work.throw(event._value)
+        except StopIteration:
+            self._work = None
+            self._next()
+            return
+        if target.callbacks is None:
+            # Already processed: resume behind what is queued, as a process would.
+            self.env._wakeup(self._advance).trigger(target)
+        else:
+            target.callbacks.append(self._advance)
 
     def receive(self):
-        """Event that fires with the next message."""
+        """Event that fires with the next message (pull endpoints only)."""
+        if self._store is None:
+            raise SimulationError(
+                f"endpoint {self.name!r} has a handler; its messages are "
+                "delivered, not received"
+            )
         return self._store.get()
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._inbox) if self._store is None else len(self._store)
 
 
 @dataclass
@@ -121,6 +221,8 @@ class Network:
             raise ValueError("reorder_prob must be in [0, 1]")
         self.env = env
         self.rng = rng
+        #: the latency stream's raw ``random()`` (see :meth:`send`)
+        self._random = rng._random.random
         self.latency = latency or LatencyModel()
         self._mailboxes: dict[str, Mailbox] = {}
         self._partition = _Partition()
@@ -147,11 +249,15 @@ class Network:
         self._delivery_pool: list[_Delivery] = []
 
     # -- endpoints ---------------------------------------------------------
-    def register(self, name: str) -> Mailbox:
-        """Create and return the mailbox for endpoint ``name``."""
+    def register(
+        self, name: str, handler: Optional[Callable[[Any], Any]] = None
+    ) -> Mailbox:
+        """Create and return the mailbox for endpoint ``name``: a handler
+        endpoint when ``handler`` is given, a pull endpoint otherwise (see
+        :class:`Mailbox`)."""
         if name in self._mailboxes:
             raise ValueError(f"endpoint {name!r} already registered")
-        mailbox = Mailbox(self.env, name)
+        mailbox = Mailbox(self.env, name, handler)
         self._mailboxes[name] = mailbox
         return mailbox
 
@@ -235,51 +341,52 @@ class Network:
         if (sender, recipient) in self._partition.links:
             self.record_drop("link-cut")
             return
-        delay = self.latency.sample(self.rng)
+        # LatencyModel.sample written out (three frames fewer per message):
+        # random.uniform(0.0, jitter) is ``0.0 + (jitter - 0.0) * random()``,
+        # so the draws are bit-identical — tests/sim/test_network.py pins it.
+        latency = self.latency
+        delay = latency.base
+        if latency.jitter > 0:
+            delay += 0.0 + (latency.jitter - 0.0) * self._random()
+        delays = (delay,)
         if self.duplicate_prob > 0.0 or self.reorder_prob > 0.0:
-            delay = self._inject_delivery_faults(sender, recipient, message, delay)
-        self._schedule_delivery(sender, recipient, message, delay)
+            delays = self._inject_delivery_faults(delay)
+        env = self.env
+        pool = self._delivery_pool
+        for delay in delays:
+            event = pool.pop() if pool else _Delivery(self)
+            event.sender = sender
+            event.recipient = recipient
+            event.message = message
+            event._state = _TRIGGERED
+            # Inlined Environment._schedule (latency is almost always > 0).
+            if delay == 0.0:
+                env._immediate.append((env._now, next(env._event_counter), event))
+                env.immediate_scheduled += 1
+            else:
+                heapq.heappush(
+                    env._queue, (env._now + delay, next(env._event_counter), event)
+                )
 
-    def _inject_delivery_faults(
-        self, sender: str, recipient: str, message: Any, delay: float
-    ) -> float:
-        """Seeded delivery faults: maybe schedule a duplicate copy, maybe
-        hold the original back so later sends overtake it.  Draws happen
-        only for enabled faults — with both knobs at 0 this method is never
-        reached and the delivery schedule is untouched."""
+    def _inject_delivery_faults(self, delay: float) -> tuple:
+        """Seeded delivery faults: the delays to deliver a message after —
+        maybe a duplicate copy first, maybe the original held back so later
+        sends overtake it.  Draws happen only for enabled faults — with both
+        knobs at 0 this method is never reached and the delivery schedule is
+        untouched."""
         rng = self.fault_rng if self.fault_rng is not None else self.rng
+        duplicate = ()
         if self.duplicate_prob > 0.0 and rng.random() < self.duplicate_prob:
             self.record_injection("duplicate")
             # The copy takes its own (longer) path: original delay plus a
             # fresh latency sample, so both copies arrive.
-            self._schedule_delivery(
-                sender, recipient, message, delay + self.latency.sample(rng)
-            )
+            duplicate = (delay + self.latency.sample(rng),)
         if self.reorder_prob > 0.0 and rng.random() < self.reorder_prob:
             self.record_injection("reorder")
             # Hold the message back several latencies: messages sent after
             # it will (with high probability) be delivered before it.
             delay += 3.0 * (self.latency.base + self.latency.jitter)
-        return delay
-
-    def _schedule_delivery(
-        self, sender: str, recipient: str, message: Any, delay: float
-    ) -> None:
-        pool = self._delivery_pool
-        event = pool.pop() if pool else _Delivery(self)
-        event.sender = sender
-        event.recipient = recipient
-        event.message = message
-        event._state = _TRIGGERED
-        # Inlined Environment._schedule (latency is almost always > 0).
-        env = self.env
-        if delay == 0.0:
-            env._immediate.append((env._now, next(env._event_counter), event))
-            env.immediate_scheduled += 1
-        else:
-            heapq.heappush(
-                env._queue, (env._now + delay, next(env._event_counter), event)
-            )
+        return (*duplicate, delay)
 
     def _deliver(self, event: _Delivery) -> None:
         """Delivery-time dispatch for an in-flight message event."""

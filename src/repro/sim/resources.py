@@ -4,8 +4,11 @@ Two primitives cover everything the replicated database prototype needs:
 
 * :class:`Resource` — a server with fixed capacity and a FIFO queue, used to
   model replica CPUs, disks and the certifier's processing capacity.
-* :class:`Store` — an unbounded FIFO buffer of items, used for message
-  mailboxes and the proxies' refresh-writeset queues.
+* :class:`Store` — an unbounded FIFO buffer of items with a blocking
+  ``get``: the mailbox of a *pull* endpoint (closed-loop clients, the
+  synchronous session), whose consumer fetches its own replies.  Handler
+  endpoints — every middleware component — do not use one (see
+  :class:`~repro.sim.network.Mailbox`).
 
 Both integrate with the kernel through events: ``request()``/``get()`` return
 events that a process yields.

@@ -256,9 +256,9 @@ class OpenLoopLoad:
             else None
         )
         self._catalog = workload.catalog()
-        # All requests share one endpoint; a dispatcher process fans the
-        # responses out to per-request waiters by request id.
-        self.mailbox = network.register(name)
+        # All requests share one endpoint; its handler fans the responses
+        # out to per-request waiters by request id.
+        self.mailbox = network.register(name, self._handle)
         self._waiters: dict[int, Event] = {}
         self._backoff_rng = self.rngs.stream(f"{name}:backoff")
         #: logical requests issued / finished / committed
@@ -270,7 +270,6 @@ class OpenLoopLoad:
         #: logical requests abandoned with the retry budget exhausted
         self.budget_denied = 0
         self.env.process(self._arrivals(), name=f"{name}-arrivals")
-        self.env.process(self._dispatcher(), name=f"{name}-dispatcher")
 
     def set_rate(self, rate_tps: float) -> None:
         """Change the offered load (takes effect at the next arrival)."""
@@ -294,12 +293,10 @@ class OpenLoopLoad:
             )
             seq += 1
 
-    def _dispatcher(self):
-        while True:
-            response = yield self.mailbox.receive()
-            waiter = self._waiters.pop(response.request_id, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(response)
+    def _handle(self, response) -> None:
+        waiter = self._waiters.pop(response.request_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(response)
 
     def _request(self, session_id: str, call):
         template = self._catalog.get(call.template)

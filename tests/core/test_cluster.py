@@ -186,3 +186,19 @@ class TestLoadedUse:
 
         with pytest.raises(RuntimeError):
             ReplicatedDatabase(BadWorkload(rows_per_table=5), num_replicas=1)
+
+
+class TestUnexpectedMessages:
+    """A component that receives a message it cannot handle must stop the
+    run with a traceback.  (While the components polled their mailboxes the
+    ``TypeError`` failed a dispatch-loop process nobody waited on: the
+    component went deaf and ``run()`` idled to its horizon without a word.)"""
+
+    @pytest.mark.parametrize("endpoint", ["lb", "replica-1", "certifier"])
+    def test_bogus_message_surfaces_from_run(self, endpoint):
+        cluster = make_cluster(num_replicas=2)
+        cluster.add_clients(2)
+        cluster.run(50.0)
+        cluster.network.send("x", endpoint, object())
+        with pytest.raises(TypeError, match=f"{endpoint} got unexpected message"):
+            cluster.run(100.0)

@@ -12,6 +12,7 @@ import pytest
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.histories.checkers import strong_consistency_violations
+from repro.middleware import CertifyReply
 from repro.workloads import MicroBenchmark
 
 
@@ -61,6 +62,28 @@ class TestAutomaticPromotion:
         assert successor.epoch == 2
         # The successor's log contains every decision the primary released.
         assert successor.commit_version >= standby.replicated_version
+
+    def test_promoted_certifier_keeps_the_backpressure_bound(self):
+        """The successor is built by the cluster's one certifier factory, so
+        the configured bound survives promotion: requests arriving behind a
+        queue past it are shed with ``overloaded``, never silently queued."""
+        cluster, _ = standby_cluster(clients=16, certifier_queue_bound=1)
+        shed_by = []
+        cluster.network.add_tap(
+            lambda sender, _recipient, message: shed_by.append(sender)
+            if isinstance(message, CertifyReply) and message.overloaded
+            else None
+        )
+        cluster.run(500.0)
+        FaultInjector(cluster).kill_certifier()
+        cluster.run(1_500.0)
+        assert cluster.standby.promoted
+        successor = cluster.certifier
+        assert successor.inbound_queue_bound == cluster.config.certifier_queue_bound == 1
+        cluster.run(3_000.0)
+        assert successor.backpressure_rejects > 0
+        assert shed_by.count(successor.name) == successor.backpressure_rejects
+        assert strong_consistency_violations(cluster.history) == []
 
     def test_commits_continue_after_automatic_failover(self):
         cluster, collector = standby_cluster()

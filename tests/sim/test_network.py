@@ -1,8 +1,11 @@
 """Tests for the network fabric."""
 
+import random
+
 import pytest
 
-from repro.sim import LatencyModel, Network, RngRegistry
+from repro.sim import Environment, LatencyModel, Network, RngRegistry, SimulationError
+from repro.sim.rng import Rng
 
 
 @pytest.fixture
@@ -260,3 +263,209 @@ class TestDeliveryFaults:
         env.run()
         assert net.dropped_by_reason == {"link-cut": 1}
         assert net.injected_count == 0  # dropped before the fault draw
+
+
+class TestHandlerEndpoints:
+    """An endpoint registered with a handler has its messages delivered to
+    it.  The order rule: the handler runs where a consumer process woken by
+    the arrival would have run — in place when nothing else is due at that
+    instant, otherwise behind everything that already is."""
+
+    def test_handler_runs_at_the_delivery_instant_with_no_extra_event(self, env, net):
+        seen = []
+        net.register("a", lambda message: seen.append((env.now, message)))
+        net.send("src", "a", "hello")
+        env.run()
+        assert seen == [(1.0, "hello")]
+        assert env.events_processed == 1  # the delivery itself, no wake-up
+
+    def test_deferred_behind_a_timer_due_at_the_same_instant(self, env, net):
+        log = []
+        net.register("a", log.append)
+        net.send("src", "a", "message")  # arrives at t=1.0, scheduled first
+        env.timeout(1.0).callbacks.append(lambda _e: log.append("timer"))
+        env.run()
+        assert log == ["timer", "message"]
+
+    def test_deferred_behind_queued_zero_delay_events(self, env):
+        net = Network(env, RngRegistry(9).stream("net"), LatencyModel(0.0, 0.0))
+        log = []
+        net.register("a", log.append)
+        net.send("src", "a", "message")
+        env.event().succeed().callbacks.append(lambda _e: log.append("immediate"))
+        env.run()
+        assert log == ["immediate", "message"]
+
+    def test_same_instant_messages_are_fifo_around_what_the_first_spawns(self, env, net):
+        """The case in-place dispatch alone gets wrong: the second message
+        is handled after the zero-delay event the first handler scheduled,
+        exactly as a loop's next ``receive()`` would have queued it."""
+        log = []
+
+        def handler(message):
+            log.append(message)
+            env.event().succeed().callbacks.append(
+                lambda _e: log.append(f"spawned by {message}")
+            )
+
+        net.register("a", handler)
+        net.send("src", "a", "first")
+        net.send("src", "a", "second")
+        env.run()
+        assert log == ["first", "spawned by first", "second", "spawned by second"]
+
+    def test_matches_a_polling_consumer_on_same_instant_fan_in(self):
+        """Same sends to a handler endpoint and to a polled one: same order
+        of effects, fewer kernel events."""
+        def run_once(polled):
+            env = Environment()
+            network = Network(env, RngRegistry(9).stream("net"), LatencyModel(1.0, 0.0))
+            log = []
+
+            def handle(message):
+                log.append((env.now, message))
+                if message < 3:
+                    network.send("a", "b", message + 10)
+
+            if polled:
+                mailbox = network.register("a")
+
+                def loop():
+                    while True:
+                        handle((yield mailbox.receive()))
+
+                env.process(loop())
+            else:
+                network.register("a", handle)
+            network.register("b", lambda message: log.append((env.now, message)))
+            for i in range(5):
+                network.send("src", "a", i)
+            env.timeout(1.0).callbacks.append(lambda _e: log.append("timer"))
+            env.run()
+            return log, env.events_processed
+
+        delivered, delivered_events = run_once(polled=False)
+        polled, polled_events = run_once(polled=True)
+        assert delivered == polled
+        assert delivered_events < polled_events
+
+    def test_busy_while_a_returned_generator_runs(self, env, net):
+        log = []
+
+        def handler(message):
+            if message == "slow":
+                return work()
+            log.append((env.now, message, len(mailbox)))
+            return None
+
+        def work():
+            log.append((env.now, "slow starts", len(mailbox)))
+            yield env.timeout(5.0)
+            log.append((env.now, "slow ends", len(mailbox)))
+
+        mailbox = net.register("a", handler)
+        net.send("src", "a", "slow")  # t=1
+        env.run(until=2.0)
+        net.send("src", "a", "x")  # t=3, waits
+        net.send("src", "a", "y")  # t=3, waits behind x
+        env.run(until=4.0)
+        assert len(mailbox) == 2
+        env.run()
+        assert log == [
+            (1.0, "slow starts", 0),
+            (6.0, "slow ends", 2),
+            (6.0, "x", 1),
+            (6.0, "y", 0),
+        ]
+        assert mailbox.delivered_count == 3
+
+    def test_generator_that_never_yields_leaves_the_endpoint_idle(self, env, net):
+        log = []
+
+        def handler(message):
+            def work():
+                log.append(message)
+                return
+                yield
+
+            return work()
+
+        mailbox = net.register("a", handler)
+        net.send("src", "a", 1)
+        net.send("src", "a", 2)
+        env.run()
+        assert log == [1, 2] and len(mailbox) == 0
+
+    def test_a_raising_handler_surfaces_from_run(self, env, net):
+        def handler(message):
+            raise TypeError(f"a got unexpected message {message!r}")
+
+        net.register("a", handler)
+        net.send("src", "a", "bogus")
+        with pytest.raises(TypeError, match="a got unexpected"):
+            env.run()
+
+    def test_a_raising_handler_generator_surfaces_from_run(self, env, net):
+        def handler(message):
+            yield env.timeout(1.0)
+            raise RuntimeError("mid-work failure")
+
+        net.register("a", handler)
+        net.send("src", "a", "m")
+        with pytest.raises(RuntimeError, match="mid-work failure"):
+            env.run()
+        assert env.now == 2.0
+
+    def test_receive_on_a_handler_endpoint_is_an_error(self, env, net):
+        mailbox = net.register("a", lambda message: None)
+        with pytest.raises(SimulationError, match="has a handler"):
+            mailbox.receive()
+
+    def test_crash_and_link_cut_drop_before_the_handler(self, env, net):
+        seen = []
+        net.register("a", seen.append)
+        net.take_down("a")
+        net.send("src", "a", "to a down endpoint")
+        net.bring_up("a")
+        net.send("src", "a", "crashes in flight")
+        net.take_down("a")
+        env.run()
+        net.bring_up("a")
+        net.partition_link("src", "a")
+        net.send("src", "a", "over a cut link")
+        net.heal_all_links()
+        net.send("src", "a", "cut in flight")
+        net.partition_link("src", "a")
+        env.run()
+        assert seen == []
+        assert net.dropped_by_reason == {"endpoint-down": 2, "link-cut": 2}
+
+
+class TestLatencyDraws:
+    def test_send_draws_what_latency_model_sample_draws(self, env):
+        """``Network.send`` writes ``LatencyModel.sample`` out in place
+        (``random.uniform``'s own arithmetic).  Every virtual-time golden
+        depends on the same floats from the same generator state."""
+        model = LatencyModel(base=0.1, jitter=0.05)
+        network = Network(env, Rng(20261003, "net"), model)
+        reference = Rng(20261003, "net")
+        stdlib = random.Random(20261003)
+        arrivals = []
+        network.register("a", lambda _message: arrivals.append(env.now))
+        expected = []
+        for _ in range(10_000):
+            now = env.now
+            network.send("src", "a", None)
+            sample = model.sample(reference)
+            assert sample == 0.1 + stdlib.uniform(0.0, 0.05)
+            expected.append(now + sample)
+            env.run()
+        assert arrivals == expected
+        assert network.rng._random.getstate() == reference._random.getstate()
+
+    def test_no_jitter_draws_nothing(self, env, net):
+        net.register("a", lambda _message: None)
+        net.send("src", "a", None)
+        env.run()
+        assert env.now == 1.0
+        assert net.rng.random() == RngRegistry(9).stream("net").random()
