@@ -1,33 +1,17 @@
-"""Wall-clock hot paths: kernel scheduling, compiled SQL plans, macro runs.
+"""Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
+early certification, handler delivery.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
-afford.  The hot-path overhaul attacks the three hottest layers (kernel
-event scheduling, SQL execution, engine read paths) under the invariant
-that **virtual-time traces stay byte-identical**.  This bench measures the
-real cost of executing the model:
+afford.  The hot paths (kernel event scheduling, SQL execution, engine read
+paths, the proxy's statement-side checks) were optimised under the
+invariant that **virtual-time traces stay byte-identical**; this script
+pins, with deterministic counters, that those fast paths still carry real
+cluster traffic.  Wall-clock is never asserted here — the perf ledger
+(``benchmarks/ledger/run.py``) measures it: ``sim.kernel.probe_events_per_s``,
+``storage.sql.probe_executes_per_s`` and ``tpcw-shopping`` ``wall_s``.
 
-* **kernel micro** — zero-delay hop chains plus timer ticks through
-  ``Environment`` (events/second);
-* **SQL micro** — prepared statements executed against a dict-backed
-  context (executions/second; the pre-overhaul tree re-parses the text and
-  interprets the WHERE clause per call);
-* **macro** — a Fig.5-style TPC-W shopping run through the full cluster
-  (wall seconds per run), with the virtual-time fingerprint recorded so
-  before/after trees can be proven trace-identical.
-
-Run standalone (compares this tree against a pre-overhaul worktree and
-writes ``BENCH_hotpath.json`` at the repo root)::
-
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --before <git-ref>
-
-or probe only the current tree (prints one JSON document to stdout; this
-mode uses only APIs that exist on both trees)::
-
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --probe
-
-or as the CI perf smoke (counter-based assertions only — wall-clock is
-never asserted, so shared runners can't flake it)::
+Run as the CI perf smoke::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke
 """
@@ -36,316 +20,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
-import subprocess
-import sys
-import time
 from collections import Counter
 from contextlib import contextmanager
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-KERNEL_HOPS = 150_000
-KERNEL_TICKS = 30_000
-SQL_CALLS = 30_000
-
-
-# ---------------------------------------------------------------------------
-# Probes (must only use APIs present on both the before and after trees)
-# ---------------------------------------------------------------------------
-
-BACKGROUND_TIMERS = 2_000
-
-
-def kernel_micro(hops: int = KERNEL_HOPS, ticks: int = KERNEL_TICKS) -> dict:
-    """Events/second through the kernel: zero-delay hops + timer ticks.
-
-    A population of far-future timers is parked in the heap first — a
-    running cluster always has hundreds of pending think-time and timeout
-    timers, so every zero-delay event pays the heap's O(log n) sift unless
-    the kernel routes it around the heap.  An empty-heap microbenchmark
-    would flatter the pure-heap kernel and not predict macro behaviour.
-    """
-    from repro.sim import Environment
-
-    env = Environment()
-    horizon = ticks * 0.25 + 1.0
-    for i in range(BACKGROUND_TIMERS):
-        env.timeout(horizon + 1.0 + i)
-
-    def hopper(env, count):
-        for _ in range(count):
-            yield env.timeout(0)
-
-    def ticker(env, count):
-        for _ in range(count):
-            yield env.timeout(0.25)
-
-    env.process(hopper(env, hops))
-    env.process(ticker(env, ticks))
-    start = time.perf_counter()
-    env.run(until=horizon)
-    wall = time.perf_counter() - start
-    events = hops + ticks
-    return {
-        "events": events,
-        "background_timers": BACKGROUND_TIMERS,
-        "wall_s": round(wall, 6),
-        "events_per_s": round(events / wall),
-    }
-
-
-class _SqlBenchCtx:
-    """Dict-backed execution context: isolates SQL-layer cost from MVCC."""
-
-    def __init__(self, schema, rows):
-        self._schema = schema
-        self.rows = {row[schema.primary_key]: dict(row) for row in rows}
-        # Cheap secondary indexes so the microbench measures the SQL layer,
-        # not this toy context (indexed columns are never updated here).
-        self._indexes = {}
-        for column in schema.indexes:
-            index = self._indexes[column] = {}
-            for key in sorted(self.rows):
-                index.setdefault(self.rows[key][column], []).append(key)
-
-    def schema(self, table):
-        return self._schema
-
-    def read(self, table, key):
-        return self.rows.get(key)
-
-    def lookup(self, table, column, value):
-        index = self._indexes.get(column)
-        if index is not None:
-            return index.get(value, [])
-        return sorted(k for k, r in self.rows.items() if r.get(column) == value)
-
-    def scan(self, table, predicate=None, limit=None):
-        out = []
-        for key in sorted(self.rows):
-            row = self.rows[key]
-            if predicate is None or predicate(row):
-                out.append(row)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
-
-    def insert(self, table, values):
-        self.rows[values[self._schema.primary_key]] = dict(values)
-
-    def update(self, table, key, changes):
-        self.rows[key].update(changes)
-
-    def delete(self, table, key):
-        del self.rows[key]
-
-
-SQL_STATEMENTS = (
-    "SELECT * FROM item WHERE id = :id",
-    "SELECT id, price FROM item WHERE subject = :subject AND price > :floor",
-    "UPDATE item SET stock = stock - :q WHERE id = :id",
-)
-
-
-def sql_micro(calls: int = SQL_CALLS) -> dict:
-    """Prepared-statement executions/second through the SQL layer."""
-    from repro.storage import Column, TableSchema
-    from repro.storage.sql import execute
-
-    schema = TableSchema(
-        "item",
-        [
-            Column("id", int),
-            Column("subject", str),
-            Column("price", float),
-            Column("stock", int),
-        ],
-        "id",
-        indexes=["subject"],
-    )
-    subjects = ("ARTS", "SPORTS", "HISTORY", "COOKING")
-    ctx = _SqlBenchCtx(
-        schema,
-        [
-            {
-                "id": i,
-                "subject": subjects[i % len(subjects)],
-                "price": float(5 + i % 40),
-                "stock": 100,
-            }
-            for i in range(200)
-        ],
-    )
-    start = time.perf_counter()
-    for i in range(calls):
-        statement = SQL_STATEMENTS[i % 3]
-        execute(
-            ctx,
-            statement,
-            {"id": i % 200, "subject": subjects[i % 4], "floor": 10.0, "q": 1},
-        )
-    wall = time.perf_counter() - start
-    return {
-        "calls": calls,
-        "wall_s": round(wall, 6),
-        "executes_per_s": round(calls / wall),
-    }
-
-
-def macro_run(quick: bool = True) -> dict:
-    """One Fig.5-style TPC-W shopping run; wall seconds + trace fingerprint."""
-    from repro.bench.runner import ExperimentConfig, run_experiment
-    from repro.core import ConsistencyLevel
-    from repro.workloads.tpcw import TPCWBenchmark
-
-    config = ExperimentConfig(
-        workload_factory=lambda: TPCWBenchmark(
-            mix="shopping", num_items=300, num_customers=200, num_authors=100
-        ),
-        level=ConsistencyLevel.SC_COARSE,
-        num_replicas=4,
-        clients=20,
-        warmup_ms=1_000.0,
-        measure_ms=4_000.0 if quick else 12_000.0,
-        seed=17,
-        label="hotpath-macro",
-    )
-    start = time.perf_counter()
-    result = run_experiment(config)
-    wall = time.perf_counter() - start
-    summary = result.summary
-    return {
-        "wall_s": round(wall, 6),
-        "fingerprint": {
-            "committed": summary.committed,
-            "aborted": summary.aborted,
-            "certified": result.certified,
-            "certification_aborts": result.certification_aborts,
-            "early_aborts": result.early_aborts,
-            "commit_version": result.final_commit_version,
-            "mean_response_ms": round(summary.mean_response_ms, 9),
-            "tps": round(summary.tps, 9),
-        },
-    }
-
-
-def _best_of(measure, repeats: int) -> dict:
-    """Fastest of ``repeats`` runs — wall-clock noise only ever adds time."""
-    runs = [measure() for _ in range(repeats)]
-    fingerprints = {json.dumps(r.get("fingerprint"), sort_keys=True) for r in runs}
-    assert len(fingerprints) == 1, f"non-deterministic repeats: {fingerprints}"
-    return min(runs, key=lambda r: r["wall_s"])
-
-
-def probe(quick: bool = True) -> dict:
-    return {
-        "kernel": _best_of(kernel_micro, 5),
-        "sql": _best_of(sql_micro, 5),
-        "macro": _best_of(lambda: macro_run(quick=quick), 3),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Before/after comparison
-# ---------------------------------------------------------------------------
-
-def _probe_tree(src: Path, quick: bool) -> dict:
-    """Run this script's --probe mode against another tree's ``src``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(src)
-    mode = ["--probe"] if quick else ["--probe", "--full-macro"]
-    output = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), *mode],
-        env=env,
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    return json.loads(output.stdout)
-
-
-def full(before_ref: str, output_path: Path, quick: bool = True) -> dict:
-    worktree = Path("/tmp") / "bench_hotpath_before"
-    created = False
-    if not worktree.exists():
-        subprocess.run(
-            ["git", "-C", str(REPO_ROOT), "worktree", "add", "--detach",
-             str(worktree), before_ref],
-            check=True,
-            capture_output=True,
-        )
-        created = True
-    try:
-        # Alternate the trees so slow machine-load drift hits both sides;
-        # per metric the fastest observation of either round wins.
-        after_runs, before_runs = [], []
-        for round_number in (1, 2):
-            print(f"round {round_number}: probing after-tree ({REPO_ROOT / 'src'}) ...")
-            after_runs.append(_probe_tree(REPO_ROOT / "src", quick))
-            print(f"round {round_number}: probing before-tree ({before_ref}) ...")
-            before_runs.append(_probe_tree(worktree / "src", quick))
-        after = {
-            metric: min((run[metric] for run in after_runs), key=lambda r: r["wall_s"])
-            for metric in ("kernel", "sql", "macro")
-        }
-        before = {
-            metric: min((run[metric] for run in before_runs), key=lambda r: r["wall_s"])
-            for metric in ("kernel", "sql", "macro")
-        }
-    finally:
-        if created:
-            subprocess.run(
-                ["git", "-C", str(REPO_ROOT), "worktree", "remove", "--force",
-                 str(worktree)],
-                check=False,
-                capture_output=True,
-            )
-
-    identical = before["macro"]["fingerprint"] == after["macro"]["fingerprint"]
-    result = {
-        "bench": "bench_hotpath",
-        "before_ref": before_ref,
-        "kernel": {
-            "before": before["kernel"],
-            "after": after["kernel"],
-            "speedup": round(
-                after["kernel"]["events_per_s"] / before["kernel"]["events_per_s"], 2
-            ),
-        },
-        "sql": {
-            "before": before["sql"],
-            "after": after["sql"],
-            "speedup": round(
-                after["sql"]["executes_per_s"] / before["sql"]["executes_per_s"], 2
-            ),
-        },
-        "macro": {
-            "before": before["macro"],
-            "after": after["macro"],
-            "speedup": round(
-                before["macro"]["wall_s"] / after["macro"]["wall_s"], 2
-            ),
-        },
-        "virtual_time_fingerprint_identical": identical,
-    }
-    assert identical, (
-        "virtual-time fingerprints diverged between trees:\n"
-        f"before: {before['macro']['fingerprint']}\n"
-        f"after:  {after['macro']['fingerprint']}"
-    )
-    text = json.dumps(result, indent=2)
-    output_path.write_text(text + "\n")
-    print(text)
-    print(f"\nwrote {output_path}")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# CI smoke
-# ---------------------------------------------------------------------------
 
 @contextmanager
 def _statement_counters():
@@ -459,12 +136,12 @@ def smoke() -> None:
     _, second = run_once()
     assert first == second, f"non-deterministic run: {first} != {second}"
 
-    # 3. Cluster stats surface the new counters; the indexed micro
+    # 3. The metrics registry surfaces the counters; the indexed micro
     #    workload never degrades to scan fallbacks.
-    stats = cluster.stats()
-    assert stats["kernel"]["immediate_scheduled"] > 0
-    assert stats["storage"]["scan_fallbacks"] == 0
-    assert stats["storage"]["plan_cache"]["capacity"] >= 1
+    metrics = cluster.metrics
+    assert metrics.get("kernel.immediate_scheduled") > 0
+    assert metrics.get("storage.scan_fallbacks") == 0
+    assert metrics.get("storage.plan_cache.capacity") >= 1
 
     # 4. Compiled plans are cached: repeated text is a hit, not a reparse.
     cache = plan_cache()
@@ -529,36 +206,10 @@ def main() -> None:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="deterministic counter assertions only (CI perf smoke); no file",
+        help="deterministic counter assertions only (CI perf smoke)",
     )
-    parser.add_argument(
-        "--probe",
-        action="store_true",
-        help="measure this tree only and print JSON to stdout",
-    )
-    parser.add_argument(
-        "--full-macro",
-        action="store_true",
-        help="longer macro measurement interval",
-    )
-    parser.add_argument(
-        "--before",
-        default="HEAD",
-        help="git ref of the pre-overhaul tree to compare against",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_hotpath.json",
-        help="output path for the full benchmark JSON",
-    )
-    arguments = parser.parse_args()
-    if arguments.smoke:
-        smoke()
-    elif arguments.probe:
-        print(json.dumps(probe(quick=not arguments.full_macro), indent=2))
-    else:
-        full(arguments.before, arguments.output, quick=not arguments.full_macro)
+    parser.parse_args()
+    smoke()
 
 
 if __name__ == "__main__":

@@ -21,11 +21,7 @@ varying cross-partition mixes and reports:
   strong-consistency checker green, and must install at least one version
   ahead of a replica's watermark; the same run at 1 partition installs none.
 
-Run standalone (writes ``BENCH_partition.json`` at the repo root)::
-
-    PYTHONPATH=src python benchmarks/bench_partitioned_certifier.py
-
-or as the CI smoke (small streams, counter-based assertions only —
+Run as the CI smoke (small streams, counter-based assertions only —
 wall-clock is never asserted, so shared runners can't flake it)::
 
     PYTHONPATH=src python benchmarks/bench_partitioned_certifier.py --smoke
@@ -34,10 +30,7 @@ wall-clock is never asserted, so shared runners can't flake it)::
 from __future__ import annotations
 
 import argparse
-import json
 import random
-import time
-from pathlib import Path
 
 from repro.core import ClusterConfig, PartitionMap, ReplicatedDatabase
 from repro.core.consistency import ConsistencyLevel
@@ -55,8 +48,6 @@ from repro.storage.database import Database
 from repro.storage.writeset import OpKind, WriteOp, WriteSet
 from repro.workloads.base import TemplateCatalog, TransactionTemplate
 from repro.workloads.microbench import MicroBenchmark, _read_body, _update_body
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 TABLES = ("t0", "t1", "t2", "t3")
 GROUPS = {
@@ -106,7 +97,6 @@ def run_certification(num_partitions, steps, cross_fraction, seed=9):
     rng = random.Random(seed)
     v_commit = 0
     decisions = []
-    started = time.perf_counter()
     for txn_id in range(1, steps + 1):
         num_tables = 2 if rng.random() < cross_fraction else 1
         tables = rng.sample(TABLES, num_tables)
@@ -135,7 +125,6 @@ def run_certification(num_partitions, steps, cross_fraction, seed=9):
                 )
                 if message.certified:
                     v_commit = message.commit_version
-    wall_s = time.perf_counter() - started
     stats = certifier.stats()
     return {
         "num_partitions": num_partitions,
@@ -148,9 +137,8 @@ def run_certification(num_partitions, steps, cross_fraction, seed=9):
         "cross_partition_commits": stats["cross_partition_commits"],
         "cross_shard_stalls": stats["cross_shard_stalls"],
         "shard_commits": {
-            p: shard["certified"] for p, shard in stats["shards"].items()
+            p: shard["certified"] for p, shard in stats["shard"].items()
         },
-        "wall_s": round(wall_s, 6),
     }
 
 
@@ -177,7 +165,6 @@ def certification_rows(steps):
                 "cross_partition_commits": result["cross_partition_commits"],
                 "cross_shard_stalls": result["cross_shard_stalls"],
                 "shard_commits": result["shard_commits"],
-                "wall_s": result["wall_s"],
             }
         rows.append(row)
     return rows
@@ -265,7 +252,7 @@ def run_end_to_end(duration_ms, num_partitions=4, clients=6, seed=11):
         "cross_shard_stalls": stats["cross_shard_stalls"],
         "installed_ahead": installed_ahead,
         "shard_commits": {
-            p: shard["certified"] for p, shard in stats["shards"].items()
+            p: shard["certified"] for p, shard in stats["shard"].items()
         },
         "strongly_consistent": is_strongly_consistent(cluster.history),
         "replicas_converged": all(
@@ -327,47 +314,15 @@ def smoke():
     )
 
 
-def full(output):
-    rows = certification_rows(steps=400)
-    end_to_end = run_end_to_end(duration_ms=2_500.0)
-    result = {
-        "bench": "bench_partitioned_certifier",
-        "shard_counts": list(SHARD_COUNTS),
-        "certification": rows,
-        "end_to_end": end_to_end,
-        "acceptance": {
-            "decisions_identical": all(r["decisions_identical"] for r in rows),
-            "cross_commit_fraction": end_to_end["cross_commit_fraction"],
-            "cross_fraction_under_5pct": end_to_end["cross_commit_fraction"] < 0.05,
-            "strongly_consistent": end_to_end["strongly_consistent"],
-            "replicas_converged": end_to_end["replicas_converged"],
-        },
-    }
-    text = json.dumps(result, indent=2)
-    output.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"\nwrote {output}")
-    return result
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small streams + assertions only (CI smoke); writes no file",
+        help="small streams + assertions only (CI smoke)",
     )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_partition.json",
-        help="where the full run writes its JSON record",
-    )
-    arguments = parser.parse_args()
-    if arguments.smoke:
-        smoke()
-    else:
-        full(arguments.output)
+    parser.parse_args()
+    smoke()
 
 
 if __name__ == "__main__":

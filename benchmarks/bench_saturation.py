@@ -16,25 +16,19 @@ overload-protection stack (``docs/TUNING.md``, "Overload knobs"):
   with a token-bucket retry budget the storm starves itself and goodput
   recovers.
 
-Run standalone (writes ``BENCH_saturation.json`` at the repo root)::
-
-    PYTHONPATH=src python benchmarks/bench_saturation.py
-
-or as the CI perf smoke (short runs, counter-based assertions only —
+Run as the CI perf smoke (short runs, counter-based assertions only —
 wall-clock is never asserted, so shared runners can't flake it)::
 
     PYTHONPATH=src python benchmarks/bench_saturation.py --smoke
+
+The full sweep and storm timeline are ``python -m repro saturation``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
 
 from repro.bench.experiments import retry_storm, saturation
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: offered loads bracketing the 3-replica quick cluster's ~3,500 tps knee
 SMOKE_LOADS = (800.0, 4_800.0)
@@ -42,42 +36,6 @@ SMOKE_LOADS = (800.0, 4_800.0)
 #: "flat" p99 = bounded by queueing inside the MPL cap and admission queue
 #: (tens of ms against an uncongested ~4.5 ms), never by the offered load
 P99_FLAT_FACTOR = 25
-
-
-def saturation_record(quick, loads=None):
-    result = saturation(quick=quick, loads=loads)
-    rows = []
-    for i, offered in enumerate(result.offered_tps):
-        rows.append(
-            {
-                "offered_tps": offered,
-                "unprotected": {
-                    "goodput_tps": round(result.goodput["unprotected"][i], 1),
-                    "p99_ms": round(result.p99_ms["unprotected"][i], 2),
-                    "shed_rate": round(result.shed_rate["unprotected"][i], 4),
-                },
-                "protected": {
-                    "goodput_tps": round(result.goodput["protected"][i], 1),
-                    "p99_ms": round(result.p99_ms["protected"][i], 2),
-                    "shed_rate": round(result.shed_rate["protected"][i], 4),
-                },
-            }
-        )
-    return result, rows
-
-
-def storm_record(quick):
-    result = retry_storm(quick=quick)
-    arms = {}
-    for label in result.timelines:
-        arms[label] = {
-            "baseline_tps": round(result.baseline_tps[label], 1),
-            "tail_tps": round(result.tail_tps[label], 1),
-            "budget_denied": result.budget_denied[label],
-            "recovered": result.recovered(label),
-            "timeline_tps": [round(tps, 1) for _, tps in result.timelines[label]],
-        }
-    return result, arms
 
 
 def check_saturation(result):
@@ -129,9 +87,9 @@ def check_storm(result):
 
 def smoke():
     """CI perf smoke: two load points plus the quick storm, assertions only."""
-    sat, _ = saturation_record(quick=True, loads=SMOKE_LOADS)
+    sat = saturation(quick=True, loads=SMOKE_LOADS)
     check_saturation(sat)
-    storm, _ = storm_record(quick=True)
+    storm = retry_storm(quick=True)
     check_storm(storm)
     print("saturation smoke OK:")
     for i, offered in enumerate(sat.offered_tps):
@@ -149,66 +107,15 @@ def smoke():
         )
 
 
-def full(output):
-    sat, sat_rows = saturation_record(quick=False)
-    check_saturation(sat)
-    storm, storm_arms = storm_record(quick=False)
-    check_storm(storm)
-    high = sat.offered_tps[-1]
-    index = sat.offered_tps.index(high)
-    result = {
-        "bench": "bench_saturation",
-        "saturation": {
-            "title": sat.title,
-            "rows": sat_rows,
-        },
-        "retry_storm": {
-            "title": storm.title,
-            "bucket_ms": storm.bucket_ms,
-            "spike_start_ms": storm.spike_start_ms,
-            "spike_end_ms": storm.spike_end_ms,
-            "arms": storm_arms,
-        },
-        "acceptance": {
-            "p99_ratio_at_max_load": round(
-                sat.p99_ms["unprotected"][index]
-                / max(sat.p99_ms["protected"][index], 1e-9),
-                1,
-            ),
-            "protected_p99_flat": sat.p99_ms["protected"][index]
-            < P99_FLAT_FACTOR * sat.p99_ms["protected"][0],
-            "shed_rate_at_max_load": round(sat.shed_rate["protected"][index], 4),
-            "storm_collapses_without_budget": not storm.recovered("budget-off"),
-            "storm_recovers_with_budget": storm.recovered("budget-on"),
-        },
-    }
-    text = json.dumps(result, indent=2)
-    output.write_text(text + "\n", encoding="utf-8")
-    print(sat.render())
-    print()
-    print(storm.render())
-    print(f"\nwrote {output}")
-    return result
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="two load points + quick storm, assertions only; writes no file",
+        help="two load points + quick storm, assertions only",
     )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_saturation.json",
-        help="where the full run writes its JSON record",
-    )
-    arguments = parser.parse_args()
-    if arguments.smoke:
-        smoke()
-    else:
-        full(arguments.output)
+    parser.parse_args()
+    smoke()
 
 
 if __name__ == "__main__":

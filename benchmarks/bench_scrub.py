@@ -11,25 +11,22 @@ both headline claims (``docs/TUNING.md``, "Anti-entropy knobs"):
 * **digest maintenance tax** — the incremental per-table digests are
   updated on every writeset apply (the refresh hot path).  The bench
   times ``Database.apply_writeset`` with ``maintain_digests`` on vs off;
-  the budget is ≤10% overhead (``OVERHEAD_BUDGET``).
+  the budget is ≤10% overhead (``OVERHEAD_BUDGET``), printed here and
+  tracked by the perf ledger's ``storage.digest.probe_folds_per_s``.
 
-Run standalone (writes ``BENCH_scrub.json`` at the repo root)::
-
-    PYTHONPATH=src python benchmarks/bench_scrub.py
-
-or as the CI perf smoke (one interval, sim-time assertions only —
+Run as the CI perf smoke (one interval, sim-time assertions only —
 wall-clock is measured but never asserted, so shared runners can't
 flake it)::
 
     PYTHONPATH=src python benchmarks/bench_scrub.py --smoke
+
+``python -m repro scrub`` drives the subsystem end to end at any interval.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
@@ -37,10 +34,6 @@ from repro.storage import Column, Database, OpKind, TableSchema, WriteOp, WriteS
 from repro.storage.digest import DigestTracker
 from repro.workloads import MicroBenchmark
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-FULL_INTERVALS = (100.0, 200.0, 400.0, 800.0)
-FULL_SEEDS = (3, 7, 11)
 SMOKE_INTERVALS = (200.0,)
 SMOKE_SEEDS = (7,)
 
@@ -188,58 +181,15 @@ def smoke():
     )
 
 
-def full(output: Path):
-    rows = detection_sweep(FULL_INTERVALS, FULL_SEEDS)
-    tax = digest_overhead()
-    assert tax["overhead_ratio"] <= OVERHEAD_BUDGET, (
-        f"digest maintenance overhead {tax['overhead_ratio']:.3f}x exceeds "
-        f"the {OVERHEAD_BUDGET:.2f}x budget"
-    )
-    result = {
-        "bench": "bench_scrub",
-        "detection": {
-            "title": "detection latency vs scrub interval",
-            "rows": rows,
-        },
-        "digest_overhead": tax,
-        "acceptance": {
-            "all_detections_within_bound": True,  # asserted per point above
-            "max_detection_ms_by_interval": {
-                str(int(row["interval_ms"])): row["max_detection_ms"]
-                for row in rows
-            },
-            "digest_overhead_ratio": tax["overhead_ratio"],
-            "overhead_within_budget": tax["overhead_ratio"] <= OVERHEAD_BUDGET,
-        },
-    }
-    output.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(render(rows))
-    print(
-        f"\ndigest maintenance: {tax['overhead_ratio']:.3f}x apply cost "
-        f"(budget {OVERHEAD_BUDGET:.2f}x)"
-    )
-    print(f"\nwrote {output}")
-    return result
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one interval/seed, sim-time assertions only; writes no file",
+        help="one interval/seed, sim-time assertions only",
     )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_scrub.json",
-        help="where the full run writes its JSON record",
-    )
-    arguments = parser.parse_args()
-    if arguments.smoke:
-        smoke()
-    else:
-        full(arguments.output)
+    parser.parse_args()
+    smoke()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Monitoring a replicated cluster: stats snapshots and throughput timelines.
+"""Monitoring a replicated cluster: metrics snapshots and throughput timelines.
 
 Runs a loaded SC-FINE cluster, crashes a replica mid-run and recovers it,
-sampling :meth:`ReplicatedDatabase.stats` around the fault and plotting the
+sampling the ``cluster.metrics`` registry around the fault and plotting the
 throughput timeline with the library's ASCII chart — the crash dip and the
 recovery catch-up are visible directly in the terminal.
 
@@ -24,11 +24,12 @@ def main():
     injector = FaultInjector(cluster)
 
     def report(moment):
-        stats = cluster.stats()
-        lags = {name: r["lag"] for name, r in stats["replicas"].items()}
-        crashed = [name for name, r in stats["replicas"].items() if r["crashed"]]
-        print(f"t={stats['time_ms']:6.0f}ms  {moment:22s} "
-              f"V_commit={stats['commit_version']:5d}  lags={lags}  "
+        metrics = cluster.metrics
+        replicas = metrics.tree("replica")
+        lags = {name: r["lag"] for name, r in replicas.items()}
+        crashed = [name for name, r in replicas.items() if r["crashed"]]
+        print(f"t={metrics.get('cluster.time_ms'):6.0f}ms  {moment:22s} "
+              f"V_commit={metrics.get('certifier.commit_version'):5d}  lags={lags}  "
               f"crashed={crashed or '-'}")
 
     cluster.run(1_500.0)

@@ -280,7 +280,7 @@ def _run_audit(args) -> str:
 
 def _run_nemesis(args) -> str:
     from .core.cluster import ClusterConfig, ReplicatedDatabase
-    from .faults import FaultInjector, Nemesis
+    from .faults import FaultInjector, Nemesis, durability_audit
     from .histories.checkers import strong_consistency_violations
     from .sim.rng import RngRegistry
     from .workloads import MicroBenchmark
@@ -336,17 +336,9 @@ def _run_nemesis(args) -> str:
         r for r in balancer.history.records
         if r.committed and r.commit_version is not None
     ]
-    lost = [
-        r.request_id for r in committed
-        if not any(
-            certifier.decision_for(a) == r.commit_version
-            for a in balancer.retry_lineage.get(r.request_id, [r.request_id])
-        )
-    ]
-    doubled = [
-        rid for rid in balancer.fenced_request_ids
-        if certifier.decision_for(rid) is not None
-    ]
+    durability = durability_audit(balancer, certifier)
+    lost = durability["lost"]
+    doubled = durability["fenced_but_committed"]
     converged = all(
         p.v_local == certifier.commit_version for p in cluster.replicas.values()
     )
@@ -368,8 +360,7 @@ def _run_nemesis(args) -> str:
         lines += ["", "lifecycle timeline:"]
         lines += [f"  {t:8.1f}  {state:22s} {replica} {detail}"
                   for t, state, replica, detail in bootstrap.events]
-        lines += ["", render({"bootstrap": bootstrap.stats()},
-                             sections=("bootstrap",))]
+        lines += ["", render(cluster.metrics, sections=("bootstrap",))]
         all_live = (
             all(name in certifier.replica_names for name in cluster.replica_names)
             and not cluster.load_balancer.joining_replicas
@@ -446,13 +437,13 @@ def _run_scrub(args) -> str:
     lines += ["", "scrubber timeline:"]
     lines += [f"  {t:8.1f}  {event:17s} {replica} {detail}"
               for t, event, replica, detail in scrubber.events]
-    lines += ["", render({"scrub": scrubber.stats()}, sections=("scrub",))]
+    lines += ["", render(cluster.metrics, sections=("scrub",))]
 
     corrupted = {name for _t, _k, name, _d in injector.corruptions}
     detected = {replica for _t, event, replica, _d in scrubber.events
                 if event == "quarantined"}
     violations = strong_consistency_violations(cluster.load_balancer.history)
-    clean_now = not scrubber.stats()["currently_quarantined"]
+    clean_now = not scrubber.quarantined
     # End-state verification: every replica's *recomputed* digests must
     # match the certifier oracle at its version — no silent divergence
     # survived the run.  (A corruption the workload overwrote before the
@@ -518,7 +509,7 @@ def _run_membership(args) -> tuple[str, int]:
     proxy = cluster.replicas[joiner]
     lines += [
         "",
-        render({"bootstrap": bootstrap.stats()}, sections=("bootstrap",)),
+        render(cluster.metrics, sections=("bootstrap",)),
         "",
         f"joiner V_local={proxy.v_local}, V_commit={commit}, "
         f"catch-up lag={commit - proxy.v_local} versions",

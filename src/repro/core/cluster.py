@@ -337,34 +337,6 @@ class ClusterConfig:
         )
 
 
-def _canonical_certifier(raw: dict) -> dict:
-    """Canonical certifier tree: ``shards`` becomes ``shard`` (so dotted
-    names read ``certifier.shard.0.conflicts``) and per-shard/global
-    ``aborts`` become ``conflicts``."""
-    tree = dict(raw)
-    tree["conflicts"] = tree.pop("aborts", 0)
-    shards = tree.pop("shards", {})
-    tree["shard"] = {
-        shard_id: {
-            ("conflicts" if key == "aborts" else key): value
-            for key, value in shard_stats.items()
-        }
-        for shard_id, shard_stats in shards.items()
-    }
-    return tree
-
-
-def _canonical_scrub(raw: Optional[dict]) -> Optional[dict]:
-    """Canonical scrub tree: drop the redundant ``scrub_`` prefix so the
-    dotted names read ``scrub.rounds`` rather than ``scrub.scrub_rounds``."""
-    if raw is None:
-        return None
-    return {
-        ("rounds" if key == "scrub_rounds" else key): value
-        for key, value in raw.items()
-    }
-
-
 class ReplicatedDatabase:
     """A fully wired multi-master replicated database."""
 
@@ -517,7 +489,7 @@ class ReplicatedDatabase:
         self._session_counter = 0
         self.client_pool: Optional[ClientPool] = None
         #: the unified metrics registry — every producer publishes here
-        #: under stable dotted names; :meth:`stats` is a compatibility view
+        #: under stable dotted names
         self.metrics = self._build_metrics_registry()
         _set_latest(self.metrics)
 
@@ -574,13 +546,13 @@ class ReplicatedDatabase:
 
     def _adopt_certifier(self, certifier: Certifier) -> None:
         """Promotion hook: the promoted standby becomes ``self.certifier`` so
-        stats, audits and the injector keep seeing the live one."""
+        metrics, audits and the injector keep seeing the live one."""
         self.certifier = certifier
 
     # -- level ---------------------------------------------------------------
     @property
     def level(self) -> Optional[ConsistencyLevel]:
-        """The legacy enum member behind the configured policy (None for
+        """The enum member behind the configured policy (None for
         policies without one, e.g. ``bounded:k``)."""
         return self.policy.level
 
@@ -669,43 +641,20 @@ class ReplicatedDatabase:
         return self.certifier.commit_version
 
     # -- metrics registry ----------------------------------------------------
-    def _certifier_metrics(self) -> dict:
-        """Raw certifier tree: the component's own ``stats()`` plus the
-        identity/version fields the legacy snapshot exposed at top level."""
-        certifier = self.certifier
+    def _replica_metrics(self) -> dict:
+        """Each proxy's own subtree plus ``lag``, the one field that needs
+        the certifier's ``V_commit`` as well."""
+        commit_version = self.certifier.commit_version
         return {
-            "name": certifier.name,
-            "epoch": certifier.epoch,
-            "row_comparisons": certifier.row_comparisons,
-            "commit_version": certifier.commit_version,
-            "replication_horizon": certifier.replication_horizon(),
-            **certifier.stats(),
-        }
-
-    def _balancer_metrics(self) -> dict:
-        lb = self.load_balancer
-        return {
-            "v_system": lb.v_system,
-            "outstanding": lb.outstanding_count,
-            "timed_out": lb.timed_out_count,
-            "rerouted_reads": lb.rerouted_reads,
-            "retried_updates": lb.retried_updates,
-            "fate_commits": lb.fate_commits,
-            "fate_aborts": lb.fate_aborts,
-            "shed": lb.shed_count,
-            "deadline_shed": lb.deadline_shed_count,
-            "degraded": lb.degraded_count,
-            "valve_open": lb.valve_open,
-            "unresolved": lb.unresolved_count,
-            "rejected": lb.rejected_count,
-            "quarantines": lb.quarantine_count,
-            **lb.stats(),
+            name: {**proxy.stats(), "lag": commit_version - proxy.v_local}
+            for name, proxy in self.replicas.items()
         }
 
     def _build_metrics_registry(self) -> MetricsRegistry:
         """Wire every producer into one registry of stable dotted names
         (``kernel.events_processed``, ``certifier.shard.0.conflicts``,
-        ``scrub.rounds``, …; full catalog in docs/OBSERVABILITY.md)."""
+        ``scrub.rounds``, …; full catalog in docs/OBSERVABILITY.md).  A
+        component's ``stats()`` is its subtree, registered as-is."""
         registry = MetricsRegistry()
         registry.register(
             "cluster",
@@ -716,20 +665,10 @@ class ReplicatedDatabase:
             },
         )
         registry.register("kernel", self.env.metrics)
-        registry.register(
-            "certifier", self._certifier_metrics, transform=_canonical_certifier
-        )
-        registry.register("balancer", self._balancer_metrics)
-        registry.register(
-            "network",
-            lambda: {
-                "sent": self.network.sent_count,
-                "dropped": self.network.dropped_count,
-                "dropped_by_reason": dict(self.network.dropped_by_reason),
-                "injected": self.network.injected_count,
-                "injected_by_reason": dict(self.network.injected_by_reason),
-            },
-        )
+        # Through ``self``: a failover replaces the certifier.
+        registry.register("certifier", lambda: self.certifier.stats())
+        registry.register("balancer", self.load_balancer.stats)
+        registry.register("network", self.network.metrics)
         registry.register(
             "storage",
             lambda: {
@@ -740,91 +679,18 @@ class ReplicatedDatabase:
                 "plan_cache": _sql.plan_cache().stats(),
             },
         )
+        # None = subsystem not constructed: nothing published under it.
         registry.register(
             "scrub",
             lambda: self.scrubber.stats() if self.scrubber is not None else None,
-            transform=_canonical_scrub,
         )
         registry.register(
             "bootstrap",
             lambda: self.bootstrap.stats() if self.bootstrap is not None else None,
         )
-        registry.register(
-            "replica",
-            lambda: {
-                name: {
-                    "v_local": proxy.v_local,
-                    "lag": self.certifier.commit_version - proxy.v_local,
-                    "pending_refresh": proxy.pending_refresh_count,
-                    "cpu_busy_ms": proxy.cpu.busy_slot_ms,
-                    "executed": proxy.executed_count,
-                    "committed": proxy.committed_count,
-                    "aborted": proxy.aborted_count,
-                    "early_aborts": proxy.early_abort_count,
-                    "crashed": proxy.crashed,
-                }
-                for name, proxy in self.replicas.items()
-            },
-        )
+        registry.register("replica", self._replica_metrics)
         registry.register("trace", TRACER.stats)
         return registry
-
-    def stats(self) -> dict:
-        """A structured snapshot of the cluster's health.
-
-        Per replica: ``V_local``, the refresh backlog, cumulative CPU busy
-        time and abort counters; plus the certifier's ``V_commit``,
-        replication horizon and decision counts, and the balancer's view.
-        Intended for monitoring loops and tests.
-
-        This is the **legacy compatibility view** over :attr:`metrics` —
-        the same providers, re-assembled into the historical nested shape.
-        New code should read ``cluster.metrics`` (stable dotted names)
-        instead.
-        """
-        registry = self.metrics
-        cert = registry.tree("certifier", raw=True)
-        balancer = registry.tree("balancer", raw=True)
-        kernel = registry.tree("kernel", raw=True)
-        return {
-            "time_ms": self.env.now,
-            "level": self.policy.label,
-            "commit_version": cert["commit_version"],
-            "replication_horizon": cert["replication_horizon"],
-            "certified": cert["certified"],
-            "certification_aborts": cert["aborts"],
-            "certifier_name": cert["name"],
-            "certifier_epoch": cert["epoch"],
-            "row_comparisons": cert["row_comparisons"],
-            "certifier_backpressure_rejects": cert["backpressure_rejects"],
-            "partition": {
-                "certifier": self.certifier.stats(),
-                "balancer": self.load_balancer.stats(),
-            },
-            "network": registry.tree("network", raw=True),
-            "scrub": registry.tree("scrub", raw=True),
-            "bootstrap": registry.tree("bootstrap", raw=True),
-            "balancer": {
-                "v_system": balancer["v_system"],
-                "outstanding": balancer["outstanding"],
-                "timed_out": balancer["timed_out"],
-                "rerouted_reads": balancer["rerouted_reads"],
-                "retried_updates": balancer["retried_updates"],
-                "fate_commits": balancer["fate_commits"],
-                "fate_aborts": balancer["fate_aborts"],
-                "pending_depth": balancer["pending_depth"],
-                "shed": balancer["shed"],
-                "deadline_shed": balancer["deadline_shed"],
-                "degraded": balancer["degraded"],
-                "valve_open": balancer["valve_open"],
-            },
-            "kernel": {
-                "events_processed": kernel["events_processed"],
-                "immediate_scheduled": kernel["immediate_scheduled"],
-            },
-            "storage": registry.tree("storage", raw=True),
-            "replicas": registry.tree("replica", raw=True),
-        }
 
     def quiesce(self, settle_ms: float = 50.0, max_wait_ms: float = 60_000.0) -> None:
         """Advance time until all replicas have applied every committed

@@ -100,42 +100,6 @@ class ConsistencyPolicy(abc.ABC):
         """Minimum ``V_local`` the receiving replica must reach before the
         transaction may start (the consistency tag)."""
 
-    def start_versions(
-        self,
-        tracker: "VersionTracker",
-        table_set: Optional[Iterable[str]] = None,
-        session_id: Optional[str] = None,
-    ) -> dict:
-        """Per-partition start-version vector (more than one partition).
-
-        For each partition the transaction's table-set touches, the
-        minimum version of *that partition* the replica must have applied.
-        The default derivation is sound for every shipped policy: each
-        component is the scalar :meth:`start_version` tag capped at the
-        partition's own latest acknowledged commit — a replica that has
-        applied partition ``p`` up to that point exposes everything the
-        scalar tag could require *of partition p*.
-
-        The dispatch path still tags requests with the scalar (the
-        replicas' start-wait clock is the contiguous watermark, against
-        which the scalar tag remains exact); this vector feeds stats,
-        tests and partition-aware admission.  Without a partition map the
-        vector collapses to ``{0: scalar}``.
-        """
-        scalar = self.start_version(
-            tracker, table_set=table_set, session_id=session_id
-        )
-        pmap = getattr(tracker, "partition_map", None)
-        if pmap is None:
-            return {0: scalar}
-        if table_set is None:
-            partitions = range(pmap.num_partitions)
-        else:
-            partitions = pmap.partitions_for(table_set)
-        return {
-            p: min(scalar, tracker.partition_version(p)) for p in partitions
-        }
-
     def observe_response(self, tracker: "VersionTracker", response: "TxnResponse") -> None:
         """Account for a replica's transaction acknowledgment.
 

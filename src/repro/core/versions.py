@@ -55,10 +55,6 @@ class VersionTracker:
         (0 when the table has never been updated)."""
         return self._table_versions.get(table, 0)
 
-    def table_versions(self) -> Mapping[str, int]:
-        """Snapshot of all per-table versions."""
-        return dict(self._table_versions)
-
     def session_version(self, session_id: str) -> int:
         """The version the session must observe (0 for a new session)."""
         return self._session_versions.get(session_id, 0)

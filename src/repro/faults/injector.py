@@ -29,6 +29,7 @@ from __future__ import annotations
 from ..core.cluster import ReplicatedDatabase
 from ..middleware.certifier import Certifier
 from ..middleware.messages import ClientRequest, RoutedRequest, next_request_id
+from .corruption import arm_refresh_fault, corrupt_row_in_place
 
 __all__ = ["FaultInjector"]
 
@@ -43,6 +44,9 @@ class FaultInjector:
         #: corruption injections, for the anti-entropy audits:
         #: ``(time, kind, replica, detail)`` tuples
         self.corruptions: list[tuple] = []
+        #: ``(time, mode, version)`` per refresh a skip/double fault
+        #: actually corrupted (an armed fault fires on the next install)
+        self.corrupted_applies: list[tuple[float, str, int]] = []
 
     # -- helpers -------------------------------------------------------------
     @property
@@ -183,21 +187,30 @@ class FaultInjector:
             if not keys:
                 raise ValueError(f"table {table!r} holds no visible rows")
             key = rng.choice(keys)
-        if not db.corrupt_row_in_place(table, key):
+        if not corrupt_row_in_place(db, table, key):
             raise ValueError(f"no visible image at {table!r}:{key!r}")
         self.corruptions.append(
             (self.cluster.env.now, "corrupt_row", name, (table, key))
         )
         return table, key
 
+    def _arm_refresh_fault(self, name: str, mode: str) -> None:
+        self._check_replica(name)
+        if name in self.crashed_replicas:
+            raise ValueError(f"replica {name!r} is crashed; corrupt a live one")
+        arm_refresh_fault(
+            self.cluster.replicas[name].engine,
+            mode,
+            lambda version: self.corrupted_applies.append(
+                (self.cluster.env.now, mode, version)
+            ),
+        )
+
     def skip_refresh(self, name: str) -> None:
         """Lost apply: the replica's next refresh advances its version
         bookkeeping but installs no rows — it silently believes it applied
         the writeset.  Detected by any scrub (the digests miss the ops)."""
-        self._check_replica(name)
-        if name in self.crashed_replicas:
-            raise ValueError(f"replica {name!r} is crashed; corrupt a live one")
-        self.cluster.replicas[name]._corrupt_next_refresh = "skip"
+        self._arm_refresh_fault(name, "skip")
         self.corruptions.append((self.cluster.env.now, "skip_refresh", name, None))
 
     def double_apply_refresh(self, name: str) -> None:
@@ -205,10 +218,7 @@ class FaultInjector:
         applies normally, then each written row's numeric deltas fold in a
         second time in place.  Only a *deep* scrub can see this fault (the
         incremental digest saw one clean apply)."""
-        self._check_replica(name)
-        if name in self.crashed_replicas:
-            raise ValueError(f"replica {name!r} is crashed; corrupt a live one")
-        self.cluster.replicas[name]._corrupt_next_refresh = "double"
+        self._arm_refresh_fault(name, "double")
         self.corruptions.append(
             (self.cluster.env.now, "double_apply_refresh", name, None)
         )

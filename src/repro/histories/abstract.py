@@ -149,9 +149,6 @@ class AbstractHistory:
     def ops_of(self, txn: str) -> list[Op]:
         return [op for op in self.ops if op.txn == txn]
 
-    def reads_of(self, txn: str) -> list[Op]:
-        return [op for op in self.ops if op.txn == txn and op.kind is OpKind.READ]
-
     def writes_of(self, txn: str) -> list[Op]:
         return [op for op in self.ops if op.txn == txn and op.kind is OpKind.WRITE]
 

@@ -5,15 +5,7 @@ from .ascii_chart import line_chart
 from .collector import MetricsCollector, MetricsSummary, TxnSample
 from .profiler import PROFILER, Profiler
 from .registry import MetricsRegistry, latest_registry
-from .report import (
-    format_bootstrap_stats,
-    format_breakdown,
-    format_partition_stats,
-    format_scrub_stats,
-    format_series,
-    format_table,
-    render,
-)
+from .report import format_breakdown, format_series, format_table, render
 from .stages import STAGE_NAMES, StageTimings
 from .tracing import TRACER, Span, Tracer, trace_invariant_report
 
@@ -31,10 +23,7 @@ __all__ = [
     "STAGE_NAMES",
     "StageTimings",
     "TxnSample",
-    "format_bootstrap_stats",
     "format_breakdown",
-    "format_partition_stats",
-    "format_scrub_stats",
     "format_series",
     "format_table",
     "render",

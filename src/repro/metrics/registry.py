@@ -11,12 +11,8 @@ spelunking through per-component ``stats()`` dicts.
 The registry is *pull-based*: components register a named provider (a
 zero-argument callable returning a nested dict snapshot) once at wiring
 time; nothing is recorded on the hot path and an unread registry costs
-nothing.  Each provider may carry a ``transform`` that maps its raw
-legacy tree onto the canonical naming (e.g. the certifier's ``shards``
-sub-dict becomes ``shard`` with per-shard ``aborts`` published as
-``conflicts``).  The raw tree stays available — legacy surfaces like
-:meth:`repro.core.cluster.ReplicatedDatabase.stats` are thin
-compatibility views over the same providers.
+nothing.  The naming belongs to the producer: a component's ``stats()``
+*is* its subtree, published as-is.
 
 See ``docs/OBSERVABILITY.md`` for the full metric-name catalog.
 """
@@ -28,74 +24,43 @@ from typing import Callable, Dict, List, Optional
 __all__ = ["MetricsRegistry", "latest_registry"]
 
 
-class _Provider:
-    __slots__ = ("name", "fn", "transform", "canonical")
-
-    def __init__(self, name, fn, transform, canonical):
-        self.name = name
-        self.fn = fn
-        self.transform = transform
-        self.canonical = canonical
-
-
 class MetricsRegistry:
     """A named collection of metric providers with a flat dotted view."""
 
     def __init__(self):
-        self._providers: Dict[str, _Provider] = {}
+        self._providers: Dict[str, Callable[[], Optional[dict]]] = {}
 
     # -- registration ------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        provider: Callable[[], Optional[dict]],
-        transform: Optional[Callable[[dict], dict]] = None,
-        canonical: bool = True,
-    ) -> None:
+    def register(self, name: str, provider: Callable[[], Optional[dict]]) -> None:
         """Register (or replace) the provider behind prefix ``name``.
 
-        ``provider`` returns the component's raw snapshot tree (it may
-        return ``None`` for "subsystem not constructed").  ``transform``
-        optionally maps the raw tree to the canonical dotted layout;
-        ``canonical=False`` keeps the provider out of :meth:`collect`
-        (raw-only views used by legacy compatibility surfaces).
+        ``provider`` returns the component's snapshot tree (it may return
+        ``None`` for "subsystem not constructed").
         """
         if "." in name:
             raise ValueError(f"provider name must not contain '.': {name!r}")
-        self._providers[name] = _Provider(name, provider, transform, canonical)
-
-    def unregister(self, name: str) -> None:
-        self._providers.pop(name, None)
+        self._providers[name] = provider
 
     def providers(self) -> List[str]:
         return sorted(self._providers)
 
     # -- reading -----------------------------------------------------------
-    def tree(self, name: str, raw: bool = False):
-        """One provider's snapshot — canonical by default, ``raw=True``
-        for the untransformed legacy shape."""
-        prov = self._providers[name]
-        value = prov.fn()
-        if raw or prov.transform is None or value is None:
-            return value
-        return prov.transform(value)
+    def tree(self, name: str):
+        """One provider's snapshot."""
+        return self._providers[name]()
 
-    def snapshot(self, raw: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """All providers' trees keyed by provider name."""
-        return {name: self.tree(name, raw=raw) for name in sorted(self._providers)}
+        return {name: self.tree(name) for name in sorted(self._providers)}
 
     def collect(self) -> dict:
         """The flat view: ``{dotted.metric.name: value}`` across every
-        canonical provider, sorted by name."""
+        provider, sorted by name."""
         flat: dict = {}
         for name in sorted(self._providers):
-            prov = self._providers[name]
-            if not prov.canonical:
-                continue
             tree = self.tree(name)
-            if tree is None:
-                continue
-            _flatten(tree, name, flat)
+            if tree is not None:
+                _flatten(tree, name, flat)
         return flat
 
     def names(self) -> List[str]:
@@ -104,8 +69,7 @@ class MetricsRegistry:
     def get(self, dotted: str):
         """Resolve one dotted metric name (raises ``KeyError`` if absent)."""
         first, _, rest = dotted.partition(".")
-        prov = self._providers.get(first)
-        if prov is None or not prov.canonical:
+        if first not in self._providers:
             raise KeyError(dotted)
         node = self.tree(first)
         if not rest:

@@ -333,11 +333,6 @@ class Tracer:
         out.sort(key=lambda s: (s.start, s.end))
         return out
 
-    def spans_for_request(self, request_id: int) -> List[Span]:
-        out = [s for s in self._spans if s.request_id == request_id]
-        out.sort(key=lambda s: (s.start, s.end))
-        return out
-
     def spans_for_version(self, commit_version: int) -> List[Span]:
         out = [s for s in self._spans if s.commit_version == commit_version]
         out.sort(key=lambda s: (s.start, s.end))

@@ -146,6 +146,8 @@ class BootstrapCoordinator:
         return frozenset(self._active)
 
     def stats(self) -> dict:
+        """The ``bootstrap.*`` metrics subtree (names cataloged in
+        docs/OBSERVABILITY.md)."""
         return {
             "bootstraps_started": self.bootstraps_started,
             "bootstraps_completed": self.bootstraps_completed,

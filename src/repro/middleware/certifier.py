@@ -107,8 +107,6 @@ class Certifier:
         self.perf = perf
         self.replica_names = list(replica_names)
         self.policy = resolve_policy(level)
-        #: legacy introspection: the enum member behind the policy, if any
-        self.level = self.policy.level
         self.name = name
         #: the one decision log, in commit-version order, whole writesets —
         #: the durability point for every shard count
@@ -140,8 +138,8 @@ class Certifier:
         # possible.
         self._departed_versions: dict[str, int] = {}
         #: grace period (ms) after which a departed replica stops pinning
-        #: the replication horizon (None = pin forever, the legacy
-        #: behaviour that let the decision log grow without bound)
+        #: the replication horizon (None = pin forever, so the decision
+        #: log grows without bound while a replica stays away)
         self.departed_grace_ms = departed_grace_ms
         self._departed_since: dict[str, float] = {}
         # Global-commit bookkeeping (policies with tracks_global_commit):
@@ -165,10 +163,10 @@ class Certifier:
         #: failover epoch this certifier belongs to (bumped per promotion)
         self.epoch = epoch
         #: bound on the inbound queue behind which a CertifyRequest may wait
-        #: (None = unbounded, the legacy behavior); beyond it the certifier
-        #: sheds the request with an ``overloaded`` reply *without* spending
-        #: certification time — backpressure the origin proxy reports to the
-        #: client as a retryable abort
+        #: (None = unbounded); beyond it the certifier sheds the request
+        #: with an ``overloaded`` reply *without* spending certification
+        #: time — backpressure the origin proxy reports to the client as a
+        #: retryable abort
         self.inbound_queue_bound = inbound_queue_bound
         # Counters for tests/metrics.
         self.certified_count = 0
@@ -306,10 +304,16 @@ class Certifier:
         return self.log.truncate_to(horizon)
 
     def stats(self) -> dict:
-        """Counter snapshot for metrics/tests, with per-shard counters."""
+        """This certifier's ``certifier.*`` metrics subtree, per-shard
+        counters included (names cataloged in docs/OBSERVABILITY.md)."""
         return {
+            "name": self.name,
+            "epoch": self.epoch,
             "certified": self.certified_count,
-            "aborts": self.abort_count,
+            "conflicts": self.abort_count,
+            "row_comparisons": self.row_comparisons,
+            "commit_version": self.commit_version,
+            "replication_horizon": self.replication_horizon(),
             "backpressure_rejects": self.backpressure_rejects,
             "queue_length": len(self.mailbox),
             "num_partitions": len(self.shards),
@@ -324,12 +328,11 @@ class Certifier:
             "durability": {
                 "torn_tail_dropped": self.log.torn_tail_dropped,
                 "framed_lines_loaded": self.log.framed_lines_loaded,
-                "legacy_lines_loaded": self.log.legacy_lines_loaded,
             },
-            "shards": {
+            "shard": {
                 p: {
                     "certified": shard.certified_count,
-                    "aborts": shard.abort_count,
+                    "conflicts": shard.abort_count,
                     "queue_length": shard.queue_length,
                     "last_global": shard.last_global,
                 }

@@ -145,8 +145,6 @@ class DecisionLog:
         self.torn_tail_dropped = 0
         #: lines :meth:`load` accepted with a verified CRC32 frame
         self.framed_lines_loaded = 0
-        #: unframed lines :meth:`load` accepted from a pre-CRC sink
-        self.legacy_lines_loaded = 0
 
     def __len__(self) -> int:
         """Entries currently held in memory (excludes the truncated prefix)."""
@@ -252,9 +250,9 @@ class DecisionLog:
     def load(path: str, truncate_torn_tail: bool = True) -> "DecisionLog":
         """Rebuild a log from its file sink (certifier crash recovery).
 
-        Every line's CRC32 frame is verified (lines from pre-CRC sinks have
-        no frame and are accepted as long as they parse).  A bad *final*
-        line is a torn write — the writer crashed mid-append and the
+        Every line's CRC32 frame is verified; a line without a frame is as
+        bad as one whose frame does not verify.  A bad *final* line is a
+        torn write — the writer crashed mid-append and the
         decision never became durable: with ``truncate_torn_tail`` (the
         default) it is dropped and counted in :attr:`torn_tail_dropped`;
         otherwise it raises.  A bad line anywhere *before* the tail cannot
@@ -267,18 +265,13 @@ class DecisionLog:
         if lines and lines[-1] == "":
             lines.pop()  # trailing newline of a clean final append
         for index, line in enumerate(lines):
-            framed = "\t" in line
             try:
-                payload = _unframe(line) if framed else line
-                entry = LogEntry.from_json(payload)
+                entry = LogEntry.from_json(_unframe(line))
             except ValueError as exc:
                 if index == len(lines) - 1 and truncate_torn_tail:
                     log.torn_tail_dropped += 1
                     return log
                 raise LogCorruptionError(path, index + 1, str(exc)) from exc
-            if framed:
-                log.framed_lines_loaded += 1
-            else:
-                log.legacy_lines_loaded += 1
+            log.framed_lines_loaded += 1
             log.append(entry)
         return log

@@ -144,10 +144,8 @@ class LoadBalancer:
         self.network = network
         self.name = name
         self.policy = resolve_policy(level, freshness_bound=freshness_bound)
-        #: legacy introspection: the enum member behind the policy, if any
-        self.level = self.policy.level
         self.templates = templates
-        #: table-group partitioning (None = the legacy scalar pipeline)
+        #: table-group partitioning (None = one partition, scalar versions)
         self.partition_map = partition_map
         self.tracker = VersionTracker(partition_map=partition_map)
         #: template name -> partitions its table-set touches (cached)
@@ -257,8 +255,23 @@ class LoadBalancer:
         return len(self._outstanding)
 
     def stats(self) -> dict:
-        """Counter snapshot for metrics/tests (partition-aware routing)."""
+        """This balancer's ``balancer.*`` metrics subtree (names cataloged
+        in docs/OBSERVABILITY.md)."""
         return {
+            "v_system": self.v_system,
+            "outstanding": self.outstanding_count,
+            "timed_out": self.timed_out_count,
+            "rerouted_reads": self.rerouted_reads,
+            "retried_updates": self.retried_updates,
+            "fate_commits": self.fate_commits,
+            "fate_aborts": self.fate_aborts,
+            "shed": self.shed_count,
+            "deadline_shed": self.deadline_shed_count,
+            "degraded": self.degraded_count,
+            "valve_open": self.valve_open,
+            "unresolved": self.unresolved_count,
+            "rejected": self.rejected_count,
+            "quarantines": self.quarantine_count,
             "dispatched": self.dispatched_count,
             "relayed": self.relayed_count,
             "single_partition_dispatched": self.single_partition_dispatched,
@@ -810,9 +823,9 @@ class LoadBalancer:
 
         With deadlines enabled, its in-flight requests go through the same
         re-route / fate-resolution machinery a timeout triggers.  Without
-        them (the legacy injector path) they fail immediately; a request
-        whose writeset was already certified may then still commit globally
-        even though the client sees a failure — the inherent client
+        them (the injector notifies us directly) they fail immediately; a
+        request whose writeset was already certified may then still commit
+        globally even though the client sees a failure — the inherent client
         uncertainty of the crash-recovery model; see DESIGN.md D5."""
         self._up.discard(replica)
         self._evacuate(replica, f"replica {replica} suspected",

@@ -92,8 +92,6 @@ class ReplicaProxy:
         self.engine = engine
         self.perf = perf
         self.policy = resolve_policy(level)
-        #: legacy introspection: the enum member behind the policy, if any
-        self.level = self.policy.level
         self.templates = templates
         self.certifier_name = certifier_name
         self.balancer_name = balancer_name
@@ -167,11 +165,6 @@ class ReplicaProxy:
         self.checkpoints_installed = 0
         self.bootstrap_required_refusals = 0
         self.last_bootstrap_first_replayable = 0
-        #: armed by FaultInjector.skip_refresh / double_apply_refresh — the
-        #: next refresh apply is installed wrongly ("skip" or "double")
-        self._corrupt_next_refresh: Optional[str] = None
-        #: (time, mode, version) per corrupted apply, for audits
-        self.corrupted_applies: list[tuple[float, str, int]] = []
 
         # Self-healing (all opt-in, see docs/PROTOCOL.md): a bound on the
         # certify/global waits, and — when a standby exists — a heartbeat
@@ -448,11 +441,17 @@ class ReplicaProxy:
         )
 
     def stats(self) -> dict:
-        """Counter snapshot of this replica's proxy (lifecycle view)."""
+        """This replica's ``replica.NAME.*`` metrics subtree (names
+        cataloged in docs/OBSERVABILITY.md)."""
         return {
-            "v_local": self.engine.version,
+            "v_local": self.v_local,
+            "pending_refresh": self.pending_refresh_count,
+            "cpu_busy_ms": self.cpu.busy_slot_ms,
+            "executed": self.executed_count,
             "committed": self.committed_count,
             "aborted": self.aborted_count,
+            "early_aborts": self.early_abort_count,
+            "crashed": self.crashed,
             "refreshes_applied": self.refresh_applied_count,
             "gap_repairs": self.gap_repairs,
             "checkpoints_installed": self.checkpoints_installed,
@@ -650,8 +649,7 @@ class ReplicaProxy:
             )
 
     def _install_refresh(self, writeset, version: int, prevs) -> None:
-        """Install one refresh writeset, honouring an armed corruption fault
-        (``FaultInjector.skip_refresh`` / ``double_apply_refresh``)."""
+        """Install one refresh writeset."""
         if TRACER.enabled and TRACER.version_sampled(version):
             # The one refresh-apply trace point: live refreshes and
             # recovery/catch-up replay all install here.
@@ -660,12 +658,6 @@ class ReplicaProxy:
                 commit_version=version, attrs={"ops": len(writeset)},
             )
         after = None if prevs is None else tuple(prev for _p, prev in prevs)
-        mode = self._corrupt_next_refresh
-        if mode is not None:
-            self._corrupt_next_refresh = None
-            self.engine.database.apply_writeset_corrupted(writeset, version, mode, after)
-            self.corrupted_applies.append((self.env.now, mode, version))
-            return
         self.engine.apply_refresh(writeset, version, after=after)
 
     def _vacuum_loop(self, interval_ms: float):

@@ -157,9 +157,11 @@ class Scrubber:
         return frozenset(self._quarantined_at)
 
     def stats(self) -> dict:
+        """The ``scrub.*`` metrics subtree (names cataloged in
+        docs/OBSERVABILITY.md)."""
         durations = self.quarantine_durations
         return {
-            "scrub_rounds": self.scrub_rounds,
+            "rounds": self.scrub_rounds,
             "digest_replies": self.digest_replies,
             "divergences_detected": self.divergences_detected,
             "diverged_tables_detected": self.diverged_tables_detected,

@@ -294,9 +294,6 @@ class Network:
         """Restore every cut link."""
         self._partition.links.clear()
 
-    def is_link_partitioned(self, sender: str, recipient: str) -> bool:
-        return (sender, recipient) in self._partition.links
-
     @property
     def partitioned_links(self) -> frozenset:
         """Snapshot of the currently cut directed links."""
@@ -321,6 +318,17 @@ class Network:
         """Account one injected delivery fault under ``reason``."""
         self.injected_count += 1
         self.injected_by_reason[reason] = self.injected_by_reason.get(reason, 0) + 1
+
+    def metrics(self) -> dict:
+        """Fabric counters for the cluster's metrics registry
+        (``network.sent``, ``network.dropped_by_reason.*``, …)."""
+        return {
+            "sent": self.sent_count,
+            "dropped": self.dropped_count,
+            "dropped_by_reason": dict(self.dropped_by_reason),
+            "injected": self.injected_count,
+            "injected_by_reason": dict(self.injected_by_reason),
+        }
 
     # -- transmission ---------------------------------------------------------
     def send(self, sender: str, recipient: str, message: Any) -> None:

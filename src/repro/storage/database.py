@@ -339,60 +339,6 @@ class Database:
             self._digests[table] = digest
         return changed
 
-    # -- fault injection (corruption model) ----------------------------------
-    def apply_writeset_corrupted(self, writeset: WriteSet, commit_version: int,
-                                 mode: str, after: Optional[tuple] = None) -> None:
-        """Install ``commit_version`` *wrongly* — the silent-divergence
-        faults the anti-entropy subsystem exists to catch.
-
-        ``mode="skip"`` models a lost apply: the version bookkeeping
-        advances (the replica believes it applied the refresh) but no row is
-        touched.  ``mode="double"`` models a non-idempotent double
-        application: the refresh applies normally, then each written row's
-        numeric deltas are folded in a second time *in place*, beneath the
-        digest bookkeeping — only a content rescan can see it.
-        """
-        if mode not in ("skip", "double"):
-            raise ValueError(f"unknown corruption mode {mode!r}")
-        if mode == "skip":
-            self._check_apply_order(commit_version, after)
-            self._advance_version(commit_version)
-            self._committed_writesets[commit_version] = writeset
-            return
-        self.apply_writeset(writeset, commit_version, after)
-        for op in writeset:
-            if op.kind is OpKind.DELETE:
-                continue
-            self.corrupt_row_in_place(op.table, op.key)
-
-    def corrupt_row_in_place(self, table: str, key) -> bool:
-        """Bit-rot injection: scramble the newest image of ``(table, key)``
-        in place, beneath the incremental digest.  Returns False when there
-        is no visible image to corrupt."""
-        tbl = self.table(table)
-        latest = tbl.latest(key)
-        if latest is None or latest.deleted:
-            return False
-        schema = tbl.schema
-        values = dict(latest.values)
-        for column in sorted(values):
-            if column == schema.primary_key:
-                continue
-            current = values[column]
-            if isinstance(current, bool):
-                values[column] = not current
-            elif isinstance(current, (int, float)):
-                values[column] = current + current + 1
-            else:
-                values[column] = f"{current}☠"
-            # Install a corrupted version rather than touching the stored
-            # one: sibling replicas share it, and a row-sync capture taken
-            # before the corruption must keep observing the clean image it
-            # captured.
-            tbl.swap_latest(key, values)
-            return True
-        return False
-
     # -- maintenance ---------------------------------------------------------
     def vacuum(self, horizon_version: Optional[int] = None) -> int:
         """Trim row versions and writeset history below the horizon.

@@ -99,10 +99,6 @@ class Transaction:
         else:  # previous UPDATE
             self._writes[slot] = op
 
-    def buffered_op(self, table: str, key: Any) -> Optional[WriteOp]:
-        """The transaction's own pending op on a row, if any."""
-        return self._writes.get((table, key))
-
     def buffered_read(self, table: str, key: Any) -> tuple[bool, Optional[Mapping[str, Any]]]:
         """Read-your-own-writes lookup.
 

@@ -83,8 +83,7 @@ class ClientPool:
         self.retry_backoff_cap_ms = retry_backoff_cap_ms
         self.retry_jitter = retry_jitter
         #: pool-wide token-bucket retry budget: each success deposits
-        #: ``ratio`` tokens, each retry spends one (None = unbounded retries,
-        #: the legacy behavior)
+        #: ``ratio`` tokens, each retry spends one (None = unbounded retries)
         self.retry_budget: Optional[RetryBudget] = (
             RetryBudget(retry_budget_ratio, retry_budget_burst)
             if retry_budget_ratio is not None

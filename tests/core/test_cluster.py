@@ -142,16 +142,18 @@ class TestStats:
         cluster = make_cluster(num_replicas=2)
         cluster.add_clients(4)
         cluster.run(500.0)
-        stats = cluster.stats()
-        assert stats["commit_version"] > 0
-        assert stats["level"] == "SC-COARSE"
-        assert set(stats["replicas"]) == {"replica-0", "replica-1"}
-        for replica in stats["replicas"].values():
-            assert replica["v_local"] <= stats["commit_version"]
+        metrics = cluster.metrics
+        commit_version = metrics.get("certifier.commit_version")
+        assert commit_version > 0
+        assert metrics.get("cluster.level") == "SC-COARSE"
+        replicas = metrics.tree("replica")
+        assert set(replicas) == {"replica-0", "replica-1"}
+        for replica in replicas.values():
+            assert replica["v_local"] <= commit_version
             assert replica["lag"] >= 0
             assert replica["cpu_busy_ms"] > 0
             assert not replica["crashed"]
-        assert stats["replication_horizon"] <= stats["commit_version"]
+        assert metrics.get("certifier.replication_horizon") <= commit_version
 
     def test_stats_reflect_crash(self):
         from repro.faults import FaultInjector
@@ -160,7 +162,7 @@ class TestStats:
         cluster.add_clients(4)
         cluster.run(300.0)
         FaultInjector(cluster).crash_replica("replica-1")
-        assert cluster.stats()["replicas"]["replica-1"]["crashed"]
+        assert cluster.metrics.get("replica.replica-1.crashed")
 
 
 class TestLoadedUse:

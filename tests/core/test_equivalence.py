@@ -232,7 +232,7 @@ class TestBootstrapKnobsDefaultsOff:
         cluster.run(2_500.0)
         assert fingerprint(cluster, collector) == GOLDEN["sc-coarse"]
         assert cluster.bootstrap is None
-        assert cluster.stats()["bootstrap"] is None
+        assert cluster.metrics.tree("bootstrap") is None
         assert all(
             p.checkpoints_installed == 0 for p in cluster.replicas.values()
         )
@@ -255,11 +255,11 @@ class TestHotPathOverhaul:
 
     def test_stats_expose_kernel_and_storage_counters(self):
         cluster, _ = run_scenario(ConsistencyLevel.SC_COARSE)
-        stats = cluster.stats()
-        assert stats["kernel"]["immediate_scheduled"] > 0
-        assert stats["kernel"]["events_processed"] > 0
-        assert stats["storage"]["scan_fallbacks"] == 0  # indexed workload
-        assert set(stats["storage"]["plan_cache"]) == {
+        metrics = cluster.metrics
+        assert metrics.get("kernel.immediate_scheduled") > 0
+        assert metrics.get("kernel.events_processed") > 0
+        assert metrics.get("storage.scan_fallbacks") == 0  # indexed workload
+        assert set(metrics.get("storage.plan_cache")) == {
             "size", "capacity", "hits", "misses", "evictions",
         }
 
@@ -283,4 +283,4 @@ class TestBoundedStaleness:
         report = staleness_report(cluster.history)
         assert report["count"] > 0
         assert report["max"] <= 2
-        assert cluster.stats()["level"] == "BOUNDED(2)"
+        assert cluster.metrics.get("cluster.level") == "BOUNDED(2)"

@@ -74,13 +74,13 @@ class TestSaturationBehavior:
 
     def test_stats_exposes_overload_counters(self):
         cluster, collector, load = self.run_overloaded()
-        stats = cluster.stats()
-        balancer = stats["balancer"]
+        metrics = cluster.metrics
+        balancer = metrics.tree("balancer")
         for key in ("pending_depth", "shed", "deadline_shed", "degraded", "valve_open"):
             assert key in balancer
         assert balancer["shed"] + balancer["deadline_shed"] > 0
-        assert "certifier_backpressure_rejects" in stats
-        network = stats["network"]
+        assert "backpressure_rejects" in metrics.tree("certifier")
+        network = metrics.tree("network")
         assert network["dropped_by_reason"].get("overload-shed") == balancer["shed"] + balancer["deadline_shed"]
 
     def test_defaults_off_cluster_never_sheds(self):
@@ -97,7 +97,7 @@ class TestSaturationBehavior:
         balancer = cluster.load_balancer
         assert balancer.shed_count == 0
         assert balancer.pending_depth() == 0  # no admission queues at all
-        assert cluster.stats()["balancer"]["valve_open"] is False
+        assert cluster.metrics.get("balancer.valve_open") is False
 
 
 class TestGracefulDegradation:

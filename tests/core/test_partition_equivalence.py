@@ -73,7 +73,7 @@ class TestPartitionKnobsDefaultOff:
         assert cluster.partition_map is None
         stats = cluster.certifier.stats()
         assert stats["num_partitions"] == 1
-        assert list(stats["shards"]) == [0]  # the monolith is the one-shard case
+        assert list(stats["shard"]) == [0]  # the monolith is the one-shard case
         assert stats["cross_partition_commits"] == 0
         assert stats["single_partition_commits"] == stats["certified"]
 
@@ -224,7 +224,7 @@ class TestDifferentialDecisions:
         stats = sharded.stats()
         assert stats["cross_partition_commits"] == cross
         assert stats["single_partition_commits"] == len(sharded.log) - cross
-        assert {p: s["last_global"] for p, s in stats["shards"].items()} == newest
+        assert {p: s["last_global"] for p, s in stats["shard"].items()} == newest
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector, Nemesis
 from repro.histories.checkers import strong_consistency_violations
+from repro.metrics import TRACER
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
 
@@ -77,6 +78,97 @@ class TestCorruptionInjector:
         injector.double_apply_refresh("replica-2")
         kinds = [kind for _t, kind, _name, _d in injector.corruptions]
         assert kinds == ["corrupt_row", "skip_refresh", "double_apply_refresh"]
+
+
+class TestRefreshFaultArming:
+    """``skip_refresh`` / ``double_apply_refresh`` arm a one-shot fault on
+    one replica's engine; no scrubber here, so nothing repairs it."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_global_tracer(self):
+        TRACER.disable()
+        TRACER.reset()
+        yield
+        TRACER.disable()
+        TRACER.reset()
+
+    def cluster(self, **overrides):
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=20, rows_per_table=100),
+            ClusterConfig(num_replicas=3, seed=7, **overrides),
+        )
+        return cluster, FaultInjector(cluster), cluster.open_session("w")
+
+    def commit(self, cluster, session, key):
+        session.execute("micro-update-0", {"key": key})
+        cluster.quiesce()
+        return cluster.commit_version
+
+    def victim(self, cluster):
+        """A replica that only ever applies refreshes in these tests."""
+        name = next(n for n, p in cluster.replicas.items() if p.committed_count == 0)
+        return name, cluster.replicas[name]
+
+    def origin_db(self, cluster):
+        """The database of the replica the serial session executes on."""
+        return next(
+            p.engine.database for p in cluster.replicas.values() if p.committed_count
+        )
+
+    def test_fires_on_exactly_the_next_install_then_restores_itself(self):
+        cluster, injector, session = self.cluster(trace_enabled=True)
+        self.commit(cluster, session, 1)
+        name, victim = self.victim(cluster)
+        armed_at = cluster.env.now
+        injector.skip_refresh(name)
+        skipped = self.commit(cluster, session, 2)
+        clean = self.commit(cluster, session, 3)
+        # The record lives on the injector: (time, mode, version).
+        (fired_at, mode, version), = injector.corrupted_applies
+        assert (mode, version) == ("skip", skipped)
+        assert armed_at < fired_at <= cluster.env.now
+        assert "apply_refresh" not in vars(victim.engine)  # shadow gone
+        healthy = self.origin_db(cluster)
+        db = victim.engine.database
+        assert db.version == healthy.version == clean
+        assert db.table("t0").read(2, clean) != healthy.table("t0").read(2, clean)
+        assert db.table("t0").read(3, clean) == healthy.table("t0").read(3, clean)
+        # The corrupted install still emits its one refresh.apply instant.
+        for v in (skipped, clean):
+            applies = [
+                span for span in TRACER.spans_for_version(v)
+                if span.name == "refresh.apply" and span.component == name
+            ]
+            assert len(applies) == 1
+
+    def test_rearming_before_it_fires_replaces_the_mode(self):
+        cluster, injector, session = self.cluster()
+        self.commit(cluster, session, 1)
+        name, victim = self.victim(cluster)
+        injector.skip_refresh(name)
+        injector.double_apply_refresh(name)
+        doubled = self.commit(cluster, session, 2)
+        self.commit(cluster, session, 3)
+        assert [(m, v) for _t, m, v in injector.corrupted_applies] == [("double", doubled)]
+        written = victim.engine.database.table("t0").read(2, doubled)
+        assert written is not None  # the refresh applied, then rotted in place
+        assert written != self.origin_db(cluster).table("t0").read(2, doubled)
+
+    def test_armed_fault_survives_crash_and_recover(self):
+        cluster, injector, session = self.cluster()
+        self.commit(cluster, session, 1)
+        name, victim = self.victim(cluster)
+        injector.skip_refresh(name)
+        injector.crash_replica(name)
+        missed = self.commit(cluster, session, 2)
+        assert injector.corrupted_applies == []  # down: nothing installed
+        injector.recover_replica(name)
+        cluster.quiesce()
+        # The recovery replay's first install is the one that goes wrong.
+        assert [(m, v) for _t, m, v in injector.corrupted_applies] == [("skip", missed)]
+        assert victim.engine.database.table("t0").read(2, missed) != (
+            self.origin_db(cluster).table("t0").read(2, missed)
+        )
 
 
 class TestCorruptionNemesis:
@@ -176,7 +268,7 @@ class TestRefreshDedupUnderDeliveryFaults:
         cluster.run(2_500.0)
         cluster.quiesce(max_wait_ms=60_000.0)
 
-        network = cluster.stats()["network"]
+        network = cluster.metrics.tree("network")
         assert network["injected"] > 0
         assert set(network["injected_by_reason"]) == {"duplicate", "reorder"}
         dedups = sum(

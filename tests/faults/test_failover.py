@@ -10,7 +10,7 @@ an acknowledged commit is never doubled and never lost.
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, durability_audit
 from repro.histories.checkers import strong_consistency_violations
 from repro.middleware import CertifyReply
 from repro.workloads import MicroBenchmark
@@ -108,23 +108,15 @@ class TestAutomaticPromotion:
             if r.committed and r.commit_version is not None
         ]
         assert committed
-        for record in committed:
-            attempts = balancer.retry_lineage.get(
-                record.request_id, [record.request_id]
-            )
-            assert any(
-                certifier.decision_for(a) == record.commit_version
-                for a in attempts
-            )
+        assert durability_audit(balancer, certifier)["lost"] == []
 
     def test_fenced_requests_never_commit(self):
         cluster, _ = standby_cluster()
         cluster.run(500.0)
         FaultInjector(cluster).kill_certifier()
         cluster.run(2_000.0)
-        certifier = cluster.certifier
-        for fenced in cluster.load_balancer.fenced_request_ids:
-            assert certifier.decision_for(fenced) is None
+        audit = durability_audit(cluster.load_balancer, cluster.certifier)
+        assert audit["fenced_but_committed"] == []
 
 
 class TestPromotedIndexEquivalence:

@@ -13,7 +13,7 @@ and no acknowledged commit lost.
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector, Nemesis
+from repro.faults import FaultInjector, Nemesis, durability_audit
 from repro.histories.checkers import strong_consistency_violations
 from repro.middleware import RefreshWriteset
 from repro.sim.rng import RngRegistry
@@ -55,19 +55,13 @@ def audit(cluster):
     committed = [
         r for r in history.records if r.committed and r.commit_version is not None
     ]
+    assert durability_audit(balancer, certifier) == {
+        "lost": [], "fenced_but_committed": [],
+    }
     for record in committed:
         attempts = balancer.retry_lineage.get(record.request_id, [record.request_id])
-        decided = [
-            a for a in attempts if certifier.decision_for(a) == record.commit_version
-        ]
-        assert decided, (
-            f"acknowledged commit v{record.commit_version} has no decision"
-        )
         in_log = [a for a in attempts if certifier.decision_for(a) is not None]
         assert len(in_log) <= 1, f"lineage {record.request_id} committed twice"
-
-    for fenced in balancer.fenced_request_ids:
-        assert certifier.decision_for(fenced) is None
 
     for proxy in cluster.replicas.values():
         assert not proxy.crashed

@@ -5,7 +5,7 @@ go through a full checkpoint re-bootstrap, not a replay.  The standard
 safety audit then applies unchanged."""
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector, Nemesis
+from repro.faults import FaultInjector, Nemesis, durability_audit
 from repro.histories.checkers import strong_consistency_violations
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
@@ -45,6 +45,9 @@ def audit(cluster):
     violations = strong_consistency_violations(history)
     assert violations == [], f"stale acknowledged reads: {violations[:3]}"
 
+    assert durability_audit(balancer, certifier) == {
+        "lost": [], "fenced_but_committed": [],
+    }
     committed = [
         r for r in history.records if r.committed and r.commit_version is not None
     ]

@@ -4,11 +4,6 @@ import pytest
 
 from repro.core import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsRegistry, render
-from repro.metrics.report import (
-    format_bootstrap_stats,
-    format_partition_stats,
-    format_scrub_stats,
-)
 from repro.workloads import MicroBenchmark
 
 
@@ -34,16 +29,6 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
             registry.register("a.b", lambda: {})
-
-    def test_transform_shapes_the_canonical_tree_only(self):
-        registry = MetricsRegistry()
-        registry.register(
-            "certifier",
-            lambda: {"aborts": 3},
-            transform=lambda raw: {"conflicts": raw["aborts"]},
-        )
-        assert registry.tree("certifier", raw=True) == {"aborts": 3}
-        assert registry.collect()["certifier.conflicts"] == 3
 
     def test_get_walks_dotted_paths_with_int_fallback(self):
         registry = MetricsRegistry()
@@ -93,48 +78,56 @@ class TestClusterRegistry:
                 == cluster.certifier.certified_count)
         assert (cluster.metrics.get("certifier.conflicts")
                 == cluster.certifier.abort_count)
+        assert (cluster.metrics.get("certifier.commit_version")
+                == cluster.commit_version)
+        for name, proxy in cluster.replicas.items():
+            assert (cluster.metrics.get(f"replica.{name}.committed")
+                    == proxy.committed_count)
+            assert cluster.metrics.get(f"replica.{name}.v_local") == proxy.v_local
 
-    def test_legacy_stats_shape_is_preserved(self):
-        """The old nested stats() dict is now a view over the registry —
-        every legacy key must survive with the same value."""
+    def test_component_stats_is_its_registry_subtree(self):
+        """The naming lives with the producer: the registry publishes each
+        component's ``stats()`` as-is (``lag`` is the one field the cluster
+        derives)."""
+        cluster = _small_cluster(scrub_interval_ms=100.0, bootstrap_enabled=True)
+        metrics = cluster.metrics
+        assert metrics.tree("certifier") == cluster.certifier.stats()
+        assert metrics.tree("balancer") == cluster.load_balancer.stats()
+        assert metrics.tree("scrub") == cluster.scrubber.stats()
+        assert metrics.tree("bootstrap") == cluster.bootstrap.stats()
+        for name, proxy in cluster.replicas.items():
+            subtree = metrics.tree("replica")[name]
+            assert subtree.pop("lag") == cluster.commit_version - proxy.v_local
+            assert subtree == proxy.stats()
+
+    def test_unconfigured_subsystems_publish_nothing(self):
         cluster = _small_cluster()
-        stats = cluster.stats()
-        assert set(stats.keys()) == {
-            "time_ms", "level", "commit_version", "replication_horizon",
-            "certified", "certification_aborts", "certifier_name",
-            "certifier_epoch", "row_comparisons",
-            "certifier_backpressure_rejects", "partition", "network",
-            "scrub", "bootstrap", "balancer", "kernel", "storage",
-            "replicas",
-        }
-        assert stats["certified"] == cluster.certifier.certified_count
-        assert stats["commit_version"] == cluster.commit_version
-        assert stats["kernel"]["events_processed"] == cluster.env.events_processed
-        assert set(stats["kernel"].keys()) == {
-            "events_processed", "immediate_scheduled",
-        }
-        assert set(stats["balancer"].keys()) == {
-            "v_system", "outstanding", "timed_out", "rerouted_reads",
-            "retried_updates", "fate_commits", "fate_aborts",
-            "pending_depth", "shed", "deadline_shed", "degraded",
-            "valve_open",
-        }
-        assert stats["scrub"] is None
-        assert stats["bootstrap"] is None
-        for name, replica in stats["replicas"].items():
-            proxy = cluster.replicas[name]
-            assert replica["committed"] == proxy.committed_count
-            assert replica["v_local"] == proxy.v_local
+        assert cluster.metrics.tree("scrub") is None
+        assert cluster.metrics.tree("bootstrap") is None
+        assert not any(
+            name.startswith(("scrub.", "bootstrap."))
+            for name in cluster.metrics.collect()
+        )
+
+    def test_certifier_subtree_follows_a_failover(self):
+        from repro.faults import FaultInjector
+
+        cluster = _small_cluster()
+        successor = FaultInjector(cluster).failover_certifier()
+        assert cluster.metrics.get("certifier.name") == successor.name
+        assert cluster.metrics.get("certifier.epoch") == 2
 
 
 class TestRender:
     def test_render_accepts_registry_and_stats_snapshot(self):
         cluster = _small_cluster()
         via_registry = render(cluster.metrics)
-        via_stats = render(cluster.stats())
-        assert via_registry == via_stats
         assert "V_commit" in via_registry
         assert "commit pipeline" in via_registry
+        assert "partitions=1" in via_registry
+        assert "aborts=" in via_registry
+        assert "scrubbing disabled" in via_registry
+        assert "lifecycle disabled" in via_registry
 
     def test_render_section_selection_and_order(self):
         cluster = _small_cluster()
@@ -144,33 +137,9 @@ class TestRender:
 
     def test_render_rejects_unknown_sections(self):
         with pytest.raises(ValueError):
-            render({}, sections=("bogus",))
+            render(MetricsRegistry(), sections=("bogus",))
 
     def test_trace_section(self):
         cluster = _small_cluster()
         out = render(cluster.metrics, sections=("trace",))
         assert "tracing disabled" in out
-
-
-class TestDeprecatedShims:
-    def test_old_helpers_warn_and_delegate(self):
-        cluster = _small_cluster()
-        stats = cluster.stats()
-        with pytest.warns(DeprecationWarning):
-            partition = format_partition_stats(stats)
-        assert "partitions=1" in partition
-        with pytest.warns(DeprecationWarning):
-            scrub = format_scrub_stats(stats)
-        assert "scrubbing disabled" in scrub
-        with pytest.warns(DeprecationWarning):
-            boot = format_bootstrap_stats(stats)
-        assert "lifecycle disabled" in boot
-
-    def test_old_helpers_match_render_output(self):
-        cluster = _small_cluster()
-        stats = cluster.stats()
-        with pytest.warns(DeprecationWarning):
-            old = format_scrub_stats(stats)
-        new = render(stats, sections=("scrub",))
-        # render adds its section title; the body is identical
-        assert new.splitlines()[1:] == old.splitlines() or new.endswith(old)

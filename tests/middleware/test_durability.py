@@ -137,12 +137,14 @@ class TestFileSink:
         log.append(entry(1, key=7, value=42))
         log.append(entry(2, key=8, value=43))
         log.close()
+        from repro.middleware.durability import _frame
+
         stripped = []
         for line in path.read_text(encoding="utf-8").splitlines():
-            # Legacy sinks predate both the "req" key and the CRC32 frame.
+            # A payload from before the "req" key, under a valid frame.
             data = json.loads(line.rsplit("\t", 1)[0])
             del data["req"]
-            stripped.append(json.dumps(data))
+            stripped.append(_frame(json.dumps(data)))
         legacy = tmp_path / "legacy.log"
         legacy.write_text("\n".join(stripped) + "\n", encoding="utf-8")
 
@@ -227,16 +229,32 @@ class TestCRCFraming:
             DecisionLog.load(path)
         assert exc.value.line_number == 3
 
-    def test_unframed_legacy_lines_still_load(self, tmp_path):
-        """Sinks written before the CRC frame have bare JSON lines; they
-        must keep loading (parse-checked only)."""
+    def test_append_torn_between_payload_and_frame_is_a_torn_tail(self, tmp_path):
+        """The writer crashed after the payload and before the tab + CRC:
+        the line parses, but the decision never became durable."""
+        path = self.write_log(tmp_path)
+        raw = open(path, encoding="utf-8").read()
+        open(path, "w", encoding="utf-8").write(raw[: raw.rindex("\t")])
+        loaded = DecisionLog.load(path)
+        assert loaded.last_version == 4
+        assert loaded.torn_tail_dropped == 1
+        assert loaded.framed_lines_loaded == 4
+
+    def test_unframed_body_line_is_corruption(self, tmp_path):
+        """A body line that lost its frame is unverifiable: here the row
+        image it carries was rewritten too, and it still parses."""
+        from repro.middleware import LogCorruptionError
+
         path = self.write_log(tmp_path)
         lines = open(path, encoding="utf-8").read().splitlines()
-        legacy = [line.rsplit("\t", 1)[0] for line in lines]
-        open(path, "w", encoding="utf-8").write("\n".join(legacy) + "\n")
-        loaded = DecisionLog.load(path)
-        assert loaded.last_version == 5
-        assert loaded.torn_tail_dropped == 0
+        payload = lines[2].rsplit("\t", 1)[0]
+        assert '"v": 30' in payload
+        lines[2] = payload.replace('"v": 30', '"v": 99', 1)
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        with pytest.raises(LogCorruptionError) as exc:
+            DecisionLog.load(path)
+        assert exc.value.line_number == 3
+        assert "missing CRC32 frame" in exc.value.why
 
     def test_replay_after_torn_tail_matches_surviving_prefix(self, tmp_path):
         path = self.write_log(tmp_path)
@@ -253,9 +271,9 @@ class TestCRCFraming:
 
 
 class TestLoadCounters:
-    """``load`` counts what it accepted (framed vs legacy lines, torn tails
-    dropped) so recovery can report how trustworthy the rebuilt log is, and
-    the certifier aggregates the counters into ``stats()["durability"]``."""
+    """``load`` counts what it accepted (verified lines, torn tails dropped)
+    so recovery can report how trustworthy the rebuilt log is, and the
+    certifier aggregates the counters into ``stats()["durability"]``."""
 
     def write_log(self, tmp_path, versions=5, name="decisions.log"):
         path = str(tmp_path / name)
@@ -268,38 +286,37 @@ class TestLoadCounters:
     def test_clean_framed_load_counts(self, tmp_path):
         loaded = DecisionLog.load(self.write_log(tmp_path))
         assert loaded.framed_lines_loaded == 5
-        assert loaded.legacy_lines_loaded == 0
         assert loaded.torn_tail_dropped == 0
 
     def test_all_legacy_load_counts(self, tmp_path):
+        """A sink of bare JSON lines (no CRC frames) is refused at its first
+        line: nothing in it can be verified, so nothing is counted."""
+        from repro.middleware import LogCorruptionError
+
         path = self.write_log(tmp_path)
         lines = open(path, encoding="utf-8").read().splitlines()
         legacy = [line.rsplit("\t", 1)[0] for line in lines]
         open(path, "w", encoding="utf-8").write("\n".join(legacy) + "\n")
-        loaded = DecisionLog.load(path)
-        assert loaded.framed_lines_loaded == 0
-        assert loaded.legacy_lines_loaded == 5
+        with pytest.raises(LogCorruptionError) as exc:
+            DecisionLog.load(path)
+        assert exc.value.line_number == 1
 
     def test_mixed_sink_with_torn_tail_splits_counts(self, tmp_path):
-        """An upgraded sink: legacy prefix, framed suffix, torn final write.
-        Dropped or refused lines must not be counted as loaded."""
+        """Framed lines followed by a final write torn mid-payload: the
+        dropped line must not be counted as loaded."""
         path = self.write_log(tmp_path)
         lines = open(path, encoding="utf-8").read().splitlines()
-        lines[0] = lines[0].rsplit("\t", 1)[0]
-        lines[1] = lines[1].rsplit("\t", 1)[0]
         lines[4] = lines[4][:25]  # torn mid-append, no trailing newline
         open(path, "w", encoding="utf-8").write("\n".join(lines))
         loaded = DecisionLog.load(path)
         assert loaded.last_version == 4
-        assert loaded.framed_lines_loaded == 2
-        assert loaded.legacy_lines_loaded == 2
+        assert loaded.framed_lines_loaded == 4
         assert loaded.torn_tail_dropped == 1
 
     def test_in_memory_log_reports_zero_counts(self):
         log = DecisionLog()
         log.append(entry(1))
         assert log.framed_lines_loaded == 0
-        assert log.legacy_lines_loaded == 0
         assert log.torn_tail_dropped == 0
 
     def _certifier(self, log=None):
@@ -332,5 +349,4 @@ class TestLoadCounters:
         assert durability == {
             "torn_tail_dropped": 1,
             "framed_lines_loaded": 4,
-            "legacy_lines_loaded": 0,
         }

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.partition import PartitionMap
-from repro.metrics import format_partition_stats
+from repro.metrics import MetricsRegistry, render
 from repro.middleware import (
     Certifier,
     CertifierPerformance,
@@ -263,15 +263,19 @@ class TestPartitionedCertifierStats:
         stats = certifier.stats()
         assert stats["num_partitions"] == 2
         assert stats["certified"] == 3
-        assert stats["aborts"] == 1
-        assert stats["shards"][0]["certified"] == 2
-        assert stats["shards"][0]["aborts"] == 1
-        assert stats["shards"][1]["certified"] == 1
-        assert stats["shards"][0]["last_global"] == 3
-        assert stats["shards"][1]["last_global"] == 2
-        rendered = format_partition_stats(
-            {"partition": {"certifier": stats, "balancer": {}}}, title="partitions"
+        assert stats["conflicts"] == 1
+        assert stats["shard"][0]["certified"] == 2
+        assert stats["shard"][0]["conflicts"] == 1
+        assert stats["shard"][1]["certified"] == 1
+        assert stats["shard"][0]["last_global"] == 3
+        assert stats["shard"][1]["last_global"] == 2
+        registry = MetricsRegistry()
+        registry.register("certifier", certifier.stats)
+        registry.register(
+            "balancer",
+            lambda: {"cross_partition_dispatched": 0, "partition_versions": {}},
         )
+        rendered = render(registry, sections=("partition",))
         assert "partitions=2" in rendered
         assert "shard" in rendered and "last_global" in rendered
 

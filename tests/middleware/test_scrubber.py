@@ -46,7 +46,7 @@ class TestCleanRuns:
         cluster.add_clients(8, retry_aborts=True)
         cluster.run(2_000.0)
         stats = cluster.scrubber.stats()
-        assert stats["scrub_rounds"] >= 8
+        assert stats["rounds"] >= 8
         assert stats["digest_replies"] >= 3 * 8
         assert stats["divergences_detected"] == 0
         assert stats["quarantines"] == 0
@@ -58,7 +58,7 @@ class TestCleanRuns:
             ClusterConfig(num_replicas=3, seed=7),
         )
         assert cluster.scrubber is None
-        assert cluster.stats()["scrub"] is None
+        assert cluster.metrics.tree("scrub") is None
 
     def test_digests_are_not_maintained_without_a_scrubber(self):
         """No scrubber, no digest bookkeeping on the apply path — and the

@@ -19,6 +19,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.corruption import corrupt_row_in_place
 from repro.sim import RngRegistry
 from repro.storage import Column, Database, StorageError, TableSchema
 from repro.storage.digest import row_content_hash
@@ -186,7 +187,7 @@ def test_image_is_not_reused_at_another_commit_version():
 
 
 @pytest.mark.parametrize("diverge", [
-    lambda db: db.corrupt_row_in_place("a", 1),
+    lambda db: corrupt_row_in_place(db, "a", 1),
     lambda db: db.resync_table("a", [(1, {"id": 1, "v": 11}, 1, False)], 1),
     lambda db: db.vacuum(),
 ], ids=["corrupt", "resync", "vacuum"])
@@ -427,7 +428,7 @@ def mutate(db, ref, op, log, tip):
         ref.vacuum()
     elif op[0] == "corrupt":
         _tag, table, key = op
-        db.corrupt_row_in_place(table, key)
+        corrupt_row_in_place(db, table, key)
         ref.corrupt(table, key)
 
 

@@ -10,6 +10,7 @@ scrubber exists to detect, so the oracle must be airtight.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.corruption import apply_writeset_corrupted, corrupt_row_in_place
 from repro.storage import Column, Database, OpKind, TableSchema, WriteOp, WriteSet
 from repro.storage.digest import DigestTracker, row_content_hash
 
@@ -117,14 +118,14 @@ class TestCorruptionVisibility:
         db = make_db()
         db.apply_writeset(ws(ins("a", 1, 10)), 1)
         clean = dict(db.digests())
-        assert db.corrupt_row_in_place("a", 1)
+        assert corrupt_row_in_place(db, "a", 1)
         # The incremental bookkeeping was bypassed: only a rescan sees it.
         assert db.digests() == clean
         assert db.recompute_digests() != clean
 
     def test_skip_mode_advances_version_without_rows(self):
         db = make_db()
-        db.apply_writeset_corrupted(ws(ins("a", 1, 10)), 1, mode="skip")
+        apply_writeset_corrupted(db, ws(ins("a", 1, 10)), 1, mode="skip")
         assert db.version == 1
         assert db.table("a").read(1, 1) is None
         # Both digest views agree with each other (nothing was written) but
@@ -134,7 +135,7 @@ class TestCorruptionVisibility:
     def test_double_mode_diverges_content_silently(self):
         db = make_db()
         db.apply_writeset(ws(ins("a", 1, 10)), 1)
-        db.apply_writeset_corrupted(ws(upd("a", 1, 20)), 2, mode="double")
+        apply_writeset_corrupted(db, ws(upd("a", 1, 20)), 2, mode="double")
         assert db.table("a").read(1, 2)["v"] == 41  # 20 doubled in place
         clean_view = db.digests()
         assert db.recompute_digests() != clean_view
@@ -144,7 +145,7 @@ class TestCorruptionVisibility:
         sick = make_db()
         for db in (healthy, sick):
             db.apply_writeset(ws(ins("a", 1, 10), ins("a", 2, 20)), 1)
-        sick.corrupt_row_in_place("a", 1)
+        corrupt_row_in_place(sick, "a", 1)
         entries = list(healthy.table("a").latest_states())
         assert sick.resync_table("a", entries, synced_version=1) == 1
         assert sick.recompute_digests() == healthy.recompute_digests()
@@ -156,7 +157,7 @@ class TestCorruptionVisibility:
         db.apply_writeset(ws(ins("a", 1, 10), ins("a", 2, 20)), 1)
         peer_entries = list(db.table("a").latest_states())  # capture at v1
         db.apply_writeset(ws(upd("a", 2, 99)), 2)
-        db.corrupt_row_in_place("a", 1)
+        corrupt_row_in_place(db, "a", 1)
         db.resync_table("a", peer_entries, synced_version=1)
         assert db.table("a").read(1, db.version)["v"] == 10  # repaired
         assert db.table("a").read(2, db.version)["v"] == 99  # kept

@@ -175,14 +175,14 @@ class TestStatsUnderFaults:
         cluster.run(300.0)
         injector.crash_replica("replica-1")
         cluster.run(900.0)
-        stats = cluster.stats()
-        assert stats["replicas"]["replica-1"]["crashed"]
-        assert stats["replicas"]["replica-1"]["lag"] > 0
+        replicas = cluster.metrics.tree("replica")
+        assert replicas["replica-1"]["crashed"]
+        assert replicas["replica-1"]["lag"] > 0
         alive_lags = [
-            stats["replicas"][name]["lag"]
+            replicas[name]["lag"]
             for name in ("replica-0", "replica-2")
         ]
-        assert all(lag < stats["replicas"]["replica-1"]["lag"] for lag in alive_lags)
+        assert all(lag < replicas["replica-1"]["lag"] for lag in alive_lags)
 
 
 class TestDeterminism:
