@@ -165,7 +165,7 @@ def smoke() -> None:
     assert not excess, f"early-certification probes > pending + 1: {excess[:5]}"
 
     # 6. Messages are delivered to handlers, not polled for: a read-only
-    #    transaction is 4 messages and 9 kernel events (12 when LB and proxy
+    #    transaction is 4 messages and 7 kernel events (12 when LB and proxy
     #    each woke a dispatch-loop process per message), and no middleware
     #    component runs a dispatch loop.
     readonly = ReplicatedDatabase(
@@ -179,7 +179,7 @@ def smoke() -> None:
         readonly.env.events_processed / readonly_collector.summary().committed
     )
     assert readonly.certifier.certified_count == 0
-    assert events_per_txn <= 9.5, f"{events_per_txn:.2f} kernel events per read-only txn"
+    assert events_per_txn <= 7.5, f"{events_per_txn:.2f} kernel events per read-only txn"
     components = ["lb", "certifier", *readonly.replica_names]
     pollers = {f"{name}-{kind}" for name in components for kind in ("loop", "dispatch")}
     live = {

@@ -7,7 +7,7 @@ relies on:
 
 * **strong consistency** (Definition 1): every transaction reads the latest
   committed state as of its begin;
-* **conflict-serializability**: acyclic conflict graph (via networkx);
+* **conflict-serializability**: acyclic conflict graph;
 * **snapshot isolation** / **generalized snapshot isolation**: reads from a
   consistent snapshot (at begin for SI; at-or-before begin for GSI) plus
   first-committer-wins among concurrent writers.
@@ -22,8 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
-
-import networkx as nx
 
 __all__ = [
     "OpKind",
@@ -186,33 +184,60 @@ class AbstractHistory:
 # Conflict serializability
 # ---------------------------------------------------------------------------
 
-def conflict_graph(history: AbstractHistory) -> "nx.DiGraph":
-    """Conflict (precedence) graph over committed transactions.
+def conflict_graph(history: AbstractHistory) -> dict[str, set[str]]:
+    """Conflict (precedence) graph over committed transactions, as a map
+    from each transaction to its successors.
 
     Edge T_a → T_b for each pair of conflicting operations (same item, at
     least one write, different committed transactions) where T_a's operation
     precedes T_b's in the history.
     """
-    committed = set(history.committed_transactions())
-    graph = nx.DiGraph()
-    graph.add_nodes_from(committed)
-    data_ops = [
-        (i, op)
-        for i, op in enumerate(history.ops)
-        if op.kind in (OpKind.READ, OpKind.WRITE) and op.txn in committed
-    ]
-    for a_index, a in data_ops:
-        for b_index, b in data_ops:
-            if a_index >= b_index or a.txn == b.txn or a.item != b.item:
-                continue
-            if a.kind is OpKind.WRITE or b.kind is OpKind.WRITE:
-                graph.add_edge(a.txn, b.txn)
+    graph = {txn: set() for txn in history.committed_transactions()}
+    # Operations conflict only within one item, so one pass that remembers,
+    # per item, who has read and who has written it so far finds every edge.
+    seen: dict[str, tuple[set[str], set[str]]] = {}
+    for op in history.ops:
+        if op.txn not in graph or op.kind not in (OpKind.READ, OpKind.WRITE):
+            continue
+        readers, writers = seen.setdefault(op.item, (set(), set()))
+        if op.kind is OpKind.WRITE:
+            earlier = readers | writers
+            writers.add(op.txn)
+        else:
+            earlier = writers
+            readers.add(op.txn)
+        for txn in earlier:
+            if txn != op.txn:
+                graph[txn].add(op.txn)
     return graph
 
 
 def is_conflict_serializable(history: AbstractHistory) -> bool:
     """True when the conflict graph is acyclic."""
-    return nx.is_directed_acyclic_graph(conflict_graph(history))
+    graph = conflict_graph(history)
+    # Iterative three-colour depth-first search (a history may chain more
+    # transactions than the recursion limit): absent = unvisited, False = on
+    # the current path, True = finished.  An edge into the path is a cycle.
+    finished: dict[str, bool] = {}
+    for root in graph:
+        if root in finished:
+            continue
+        finished[root] = False
+        path = [(root, iter(graph[root]))]
+        while path:
+            txn, successors = path[-1]
+            for successor in successors:
+                state = finished.get(successor)
+                if state is None:
+                    finished[successor] = False
+                    path.append((successor, iter(graph[successor])))
+                    break
+                if not state:
+                    return False
+            else:
+                finished[txn] = True
+                path.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,13 @@ class Process(Event):
                 target = self._throw(event._value)
         except (StopIteration, StopProcess) as stop:
             env._active_process = None
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: an event with no callback orders nothing.
+                self._value = stop.value
+                self._state = _PROCESSED
+                self.callbacks = None
             return
         except BaseException as exc:
             env._active_process = None

@@ -103,44 +103,59 @@ class Mailbox:
     def deliver(self, message: Any) -> None:
         """Hand an arriving message to the endpoint (called by the network).
 
-        The order rule (DESIGN.md D11): the handler runs where a consumer
-        process woken by this arrival would have — after everything already
-        due at this instant.  With nothing due that is right here; otherwise
-        one pooled wake-up carries the message behind what is queued.
+        The order rule (DESIGN.md D11), the same for a handler, for a
+        consumer parked in :meth:`receive` and for the message behind the one
+        in hand (:meth:`_next`): the consumer runs where a process woken by
+        the arrival would have — after everything already due at this
+        instant.  With nothing due that is right here; otherwise one wake-up
+        carries the message behind what is queued.
         """
         self.delivered_count += 1
+        env = self.env
+        queue = env._queue
+        due = env._immediate or (queue and queue[0][0] <= env._now)
         handler = self._handler
         if handler is None:
-            self._store.put(message)
+            getters = self._store._getters
+            if due or not getters:
+                self._store.put(message)
+            else:
+                getter = getters.popleft()
+                getter._value = message
+                getter._run_callbacks()
         elif self._busy:
             self._inbox.append(message)
+        elif due:
+            self._busy = True
+            env._wakeup(self._handle_deferred).succeed(message)
         else:
-            env = self.env
-            queue = env._queue
-            if env._immediate or (queue and queue[0][0] <= env._now):
+            work = handler(message)
+            if work is not None:
                 self._busy = True
-                env._wakeup(self._handle_deferred).succeed(message)
-            else:
-                work = handler(message)
-                if work is not None:
-                    self._busy = True
-                    self._work = work
-                    self._advance(None)
+                self._work = work
+                self._advance(None)
 
     def _handle_deferred(self, event: Event) -> None:
         work = self._handler(event._value)
-        if work is None:
-            self._next()
-        else:
-            self._work = work
-            self._advance(None)
+        self._work = self._next() if work is None else work
+        self._advance(None)
 
-    def _next(self) -> None:
-        """The message in hand is done: hand off the next one, if any."""
-        if self._inbox:
-            self.env._wakeup(self._handle_deferred).succeed(self._inbox.popleft())
-        else:
-            self._busy = False
+    def _next(self) -> Any:
+        """The message in hand is done: hand off what waits behind it, by
+        :meth:`deliver`'s rule.  Returns the generator to drive next, when a
+        message handled here returned one."""
+        env = self.env
+        inbox = self._inbox
+        while inbox:
+            queue = env._queue
+            if env._immediate or (queue and queue[0][0] <= env._now):
+                env._wakeup(self._handle_deferred).succeed(inbox.popleft())
+                return None
+            work = self._handler(inbox.popleft())
+            if work is not None:
+                return work
+        self._busy = False
+        return None
 
     def _advance(self, event: Optional[Event]) -> None:
         """Drive the generator a handler returned.  Not a :class:`Process`:
@@ -148,22 +163,24 @@ class Mailbox:
         completion event before :meth:`_next` — hops a polling loop's
         ``yield from`` never had."""
         work = self._work
-        try:
-            if event is None:
-                target = work.send(None)
-            elif event._ok:
-                target = work.send(event._value)
+        while work is not None:
+            try:
+                if event is None:
+                    target = work.send(None)
+                elif event._ok:
+                    target = work.send(event._value)
+                else:
+                    target = work.throw(event._value)
+            except StopIteration:
+                event = None
+                work = self._work = self._next()
+                continue
+            if target.callbacks is None:
+                # Already processed: resume behind what is queued, as a process would.
+                self.env._wakeup(self._advance).trigger(target)
             else:
-                target = work.throw(event._value)
-        except StopIteration:
-            self._work = None
-            self._next()
+                target.callbacks.append(self._advance)
             return
-        if target.callbacks is None:
-            # Already processed: resume behind what is queued, as a process would.
-            self.env._wakeup(self._advance).trigger(target)
-        else:
-            target.callbacks.append(self._advance)
 
     def receive(self):
         """Event that fires with the next message (pull endpoints only)."""

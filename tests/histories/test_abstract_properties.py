@@ -6,10 +6,15 @@ the classic containments: serial ⇒ serializable ⇒ (here) consistent reads;
 strong consistency of a serial history; SI ⊆ GSI.
 """
 
+import random
+import sys
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.histories import (
     AbstractHistory,
+    abort,
     begin,
     commit,
     is_abstract_strongly_consistent,
@@ -18,6 +23,8 @@ from repro.histories import (
     read,
     write,
 )
+from repro.histories.abstract import OpKind, conflict_graph
+from repro.histories.generator import interleaved_history, serial_history
 
 ITEMS = ("X", "Y", "Z")
 
@@ -107,8 +114,6 @@ class TestContainments:
         assume(is_abstract_strongly_consistent(history))
         committed = history.committed_transactions()
         # Check FCW separately: overlapping committed writers of one item.
-        from repro.histories.abstract import OpKind
-
         fcw_ok = True
         for i, a in enumerate(committed):
             for b in committed[i + 1:]:
@@ -127,3 +132,125 @@ class TestContainments:
     def test_checkers_are_deterministic(self, history):
         assert is_conflict_serializable(history) == is_conflict_serializable(history)
         assert is_snapshot_isolated(history) == is_snapshot_isolated(history)
+
+
+def all_pairs_edges(history):
+    """Reference conflict graph: every ordered pair of committed data
+    operations, O(n²) — what the checker did before it grouped by item."""
+    committed = set(history.committed_transactions())
+    data_ops = [
+        op for op in history.ops
+        if op.kind in (OpKind.READ, OpKind.WRITE) and op.txn in committed
+    ]
+    return {
+        (a.txn, b.txn)
+        for i, a in enumerate(data_ops)
+        for b in data_ops[i + 1:]
+        if a.txn != b.txn and a.item == b.item
+        and OpKind.WRITE in (a.kind, b.kind)
+    }
+
+
+def edges_of(graph):
+    return {(a, b) for a, successors in graph.items() for b in successors}
+
+
+def kahn_is_acyclic(nodes, edges):
+    """Reference cycle check: peel nodes of in-degree zero until stuck."""
+    indegree = {node: 0 for node in nodes}
+    successors = {node: [] for node in nodes}
+    for a, b in edges:
+        successors[a].append(b)
+        indegree[b] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        node = ready.pop()
+        peeled += 1
+        for successor in successors[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                ready.append(successor)
+    return peeled == len(indegree)
+
+
+def history_with_edges(nodes, edges):
+    """A history whose conflict graph is exactly ``edges`` over ``nodes``:
+    every transaction is open throughout, and edge number k is a write by
+    its source followed by a write by its target on a private item k."""
+    ops = [begin(f"T{node}") for node in nodes]
+    for k, (a, b) in enumerate(edges):
+        ops += [write(f"T{a}", f"e{k}", 1), write(f"T{b}", f"e{k}", 2)]
+    ops += [commit(f"T{node}") for node in nodes]
+    return AbstractHistory(ops)
+
+
+class TestConflictGraphDifferential:
+    @given(st.integers(0, 2**32), st.integers(1, 7), st.integers(1, 5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_per_item_edges_equal_the_all_pairs_reference(
+        self, seed, num_txns, max_ops, serial
+    ):
+        rng = random.Random(seed)
+        generate = serial_history if serial else interleaved_history
+        history = generate(rng, num_txns=num_txns, max_ops=max_ops)
+        graph = conflict_graph(history)
+        reference = all_pairs_edges(history)
+        assert set(graph) == set(history.committed_transactions())
+        assert edges_of(graph) == reference
+        assert is_conflict_serializable(history) == kahn_is_acyclic(graph, reference)
+
+    def test_uncommitted_operations_make_no_edges(self):
+        history = AbstractHistory([
+            begin("T1"), begin("T2"), begin("T3"),
+            write("T1", "X", 1), write("T2", "X", 2), read("T3", "X", 1),
+            commit("T1"), abort("T2"),
+        ])
+        assert conflict_graph(history) == {"T1": set()}
+
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda edge: edge[0] != edge[1]),
+                    max_size=25,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dfs_verdict_equals_kahn_peel_on_random_digraphs(self, graph):
+        size, edges = graph
+        history = history_with_edges(range(size), edges)
+        assert edges_of(conflict_graph(history)) == {
+            (f"T{a}", f"T{b}") for a, b in edges
+        }
+        assert is_conflict_serializable(history) == kahn_is_acyclic(range(size), edges)
+
+
+class TestDeepHistories:
+    """The search is iterative: a conflict chain far longer than the
+    interpreter's recursion limit is checked without raising it."""
+
+    LENGTH = 10_000
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(previous)
+
+    def chain(self):
+        return [(i, i + 1) for i in range(self.LENGTH - 1)]
+
+    def test_write_chain_is_serializable(self):
+        history = history_with_edges(range(self.LENGTH), self.chain())
+        assert is_conflict_serializable(history)
+
+    def test_cycle_through_every_transaction_is_found(self):
+        edges = self.chain() + [(self.LENGTH - 1, 0)]
+        history = history_with_edges(range(self.LENGTH), edges)
+        assert not is_conflict_serializable(history)

@@ -7,6 +7,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    StopProcess,
 )
 
 
@@ -233,6 +234,87 @@ class TestProcess:
         env.run()
         assert observed == [p]
         assert env.active_process is None
+
+
+class TestUnobservedCompletion:
+    """A process nobody waits on finishes without scheduling an event; a
+    later waiter finds it already processed."""
+
+    @staticmethod
+    def finished(env, value="done"):
+        def worker(env):
+            yield env.timeout(1.0)
+            return value
+
+        proc = env.process(worker(env))
+        env.run()
+        assert env.events_processed == 2  # kick-off, timeout: no completion
+        assert proc.processed and proc.ok and not proc.is_alive
+        return proc
+
+    def test_waiting_on_it_later_returns_its_value(self, env):
+        proc = self.finished(env)
+
+        def waiter(env):
+            return (yield proc)
+
+        assert env.run_until_event(env.process(waiter(env))) == "done"
+        assert env.now == 1.0
+
+    def test_stop_process_value_is_kept(self, env):
+        def worker(env):
+            yield env.timeout(1.0)
+            raise StopProcess("stopped")
+
+        proc = env.process(worker(env))
+        env.run()
+        assert proc.processed and proc.value == "stopped"
+
+    def test_all_of_finished_and_pending(self, env):
+        proc = self.finished(env)
+        pending = env.timeout(3.0, value="late")
+        both = env.all_of([proc, pending])
+        assert not both.triggered
+        assert env.run_until_event(both) == {proc: "done", pending: "late"}
+        assert env.now == 4.0
+
+    def test_any_of_with_a_finished_process_fires_at_once(self, env):
+        proc = self.finished(env)
+        either = env.any_of([proc, env.timeout(3.0)])
+        assert env.run_until_event(either) == {proc: "done"}
+        assert env.now == 1.0
+
+    def test_run_until_event_on_it_returns_without_stepping(self, env):
+        proc = self.finished(env)
+        before = env.events_processed
+        assert env.run_until_event(proc) == "done"
+        assert env.events_processed == before
+
+    def test_a_waiter_still_gets_a_completion_event(self, env):
+        def inner(env):
+            yield env.timeout(1.0)
+            return 7
+
+        def outer(env):
+            return (yield env.process(inner(env)))
+
+        proc = env.process(outer(env))
+        env.run()
+        assert proc.value == 7
+        # outer's kick-off, inner's kick-off, the timeout, inner's completion
+        assert env.events_processed == 4
+
+    def test_an_unobserved_failure_is_still_scheduled(self, env):
+        def worker(env):
+            yield env.timeout(1.0)
+            raise RuntimeError("nobody is watching")
+
+        proc = env.process(worker(env))
+        env.run()
+        assert env.events_processed == 3  # kick-off, timeout, the failure
+        assert proc.processed and not proc.ok
+        with pytest.raises(RuntimeError, match="nobody is watching"):
+            env.run_until_event(proc)
 
 
 class TestInterrupt:

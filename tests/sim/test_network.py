@@ -441,6 +441,148 @@ class TestHandlerEndpoints:
         assert net.dropped_by_reason == {"endpoint-down": 2, "link-cut": 2}
 
 
+class TestHandOffsBehindTheMessageInHand:
+    """``Mailbox._next`` — the message in hand is done and another waits —
+    follows ``deliver``'s rule: in place when nothing else is due at this
+    instant, otherwise one wake-up behind what is."""
+
+    @staticmethod
+    def slow_then_log(env, log, hold=5.0):
+        def handler(message):
+            if message == "slow":
+                return work()
+            log.append((env.now, message))
+            return None
+
+        def work():
+            yield env.timeout(hold)
+            log.append((env.now, "slow ends"))
+
+        return handler
+
+    def test_in_place_when_the_generator_ends_with_nothing_due(self, env, net):
+        log = []
+        net.register("a", self.slow_then_log(env, log))
+        net.send("src", "a", "slow")  # t=1.0, alone: handled in place
+        env.run(until=2.0)
+        net.send("src", "a", "x")
+        net.send("src", "a", "y")
+        env.run()
+        assert log == [(6.0, "slow ends"), (6.0, "x"), (6.0, "y")]
+        assert env.events_processed == 4  # three deliveries and the hold
+
+    def test_deferred_behind_what_is_due_when_the_generator_ends(self, env, net):
+        log = []
+        net.register("a", self.slow_then_log(env, log))
+        net.send("src", "a", "slow")
+        env.run(until=2.0)
+        net.send("src", "a", "x")
+        net.send("src", "a", "y")
+        env.run(until=3.0)
+        # due at t=6.0 like the end of the hold, but scheduled after it
+        env.timeout(3.0).callbacks.append(lambda _e: log.append((env.now, "timer")))
+        env.run()
+        assert log == [(6.0, "slow ends"), (6.0, "timer"), (6.0, "x"), (6.0, "y")]
+        # deliveries, hold, timer, one wake-up for x; y follows x in place
+        assert env.events_processed == 3 + 1 + 1 + 1
+
+    def test_in_place_after_a_deferred_message_that_spawned_nothing(self, env, net):
+        log = []
+        net.register("a", log.append)
+        net.send("src", "a", "first")  # deferred: the second delivery is due
+        net.send("src", "a", "second")  # waits in the inbox behind it
+        env.run()
+        assert log == ["first", "second"]
+        assert env.events_processed == 3  # two deliveries, one wake-up
+
+    def test_a_long_backlog_of_generators_that_never_yield(self, env, net):
+        """Refusals under backpressure return without waiting: the backlog
+        behind a slow message drains in one step, iteratively."""
+        log = []
+
+        def handler(message):
+            return work(message)
+
+        def work(message):
+            if message == "slow":
+                yield env.timeout(5.0)
+            log.append(message)
+
+        mailbox = net.register("a", handler)
+        net.send("src", "a", "slow")
+        for i in range(5_000):
+            net.send("src", "a", i)
+        env.run()
+        assert log == ["slow", *range(5_000)]
+        assert len(mailbox) == 0 and not mailbox._busy
+
+
+class TestPullHandOff:
+    """A reply for a consumer already parked in ``receive()`` resumes it by
+    the same rule; with nobody parked the message waits in the store."""
+
+    @staticmethod
+    def consumer(env, mailbox, log, spawn=False):
+        def loop():
+            while True:
+                message = yield mailbox.receive()
+                log.append((env.now, message))
+                if spawn:
+                    env.event().succeed().callbacks.append(
+                        lambda _e, m=message: log.append((env.now, f"spawned by {m}"))
+                    )
+
+        return env.process(loop())
+
+    def test_parked_consumer_resumes_in_place(self, env, net):
+        log = []
+        mailbox = net.register("a")
+        self.consumer(env, mailbox, log)
+        net.send("src", "a", "reply")
+        env.run()
+        assert log == [(1.0, "reply")]
+        assert env.events_processed == 2  # kick-off and the delivery
+
+    def test_message_waits_for_a_consumer_that_is_not_parked(self, env, net):
+        log = []
+        mailbox = net.register("a")
+        net.send("src", "a", "early")
+        env.run()
+        assert len(mailbox) == 1
+        self.consumer(env, mailbox, log)
+        env.run()
+        assert log == [(1.0, "early")] and len(mailbox) == 0
+
+    def test_deferred_behind_a_timer_due_at_the_same_instant(self, env, net):
+        log = []
+        mailbox = net.register("a")
+        self.consumer(env, mailbox, log)
+        net.send("src", "a", "reply")
+        env.timeout(1.0).callbacks.append(lambda _e: log.append((env.now, "timer")))
+        env.run()
+        assert log == [(1.0, "timer"), (1.0, "reply")]
+
+    def test_same_instant_replies_are_fifo_around_what_the_first_spawns(self, env, net):
+        log = []
+        mailbox = net.register("a")
+        self.consumer(env, mailbox, log, spawn=True)
+        net.send("src", "a", "first")
+        net.send("src", "a", "second")
+        env.run()
+        assert [entry for _t, entry in log] == [
+            "first", "spawned by first", "second", "spawned by second",
+        ]
+
+    def test_synchronous_wait_on_a_reply(self, env, net):
+        """The session's shape: nobody's callback on the event, the caller
+        drives the kernel until it has fired."""
+        mailbox = net.register("a")
+        net.send("src", "a", "reply")
+        reply = mailbox.receive()
+        assert env.run_until_event(reply) == "reply"
+        assert env.now == 1.0 and env.events_processed == 1
+
+
 class TestLatencyDraws:
     def test_send_draws_what_latency_model_sample_draws(self, env):
         """``Network.send`` writes ``LatencyModel.sample`` out in place

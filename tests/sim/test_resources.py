@@ -99,8 +99,9 @@ class TestResource:
         assert env.now == 5.0
 
     def test_use_costs_one_kernel_event_per_hold(self, env):
-        """Kick-off, the hold, the process's own completion: three events a
-        worker, whether it found the slot free or had to queue for it."""
+        """Kick-off and the hold: two events a worker, whether it found the
+        slot free or had to queue for it (nobody waits on the workers, so
+        their completions schedule nothing)."""
         res = Resource(env, capacity=1)
         done = []
 
@@ -112,7 +113,7 @@ class TestResource:
             env.process(worker(env))
         env.run()
         assert done == [2.0, 4.0, 6.0, 8.0, 10.0]
-        assert env.events_processed == 3 * 5
+        assert env.events_processed == 2 * 5
 
     def test_request_with_a_hold_fires_when_the_hold_is_over(self, env):
         res = Resource(env, capacity=1)
