@@ -1,5 +1,5 @@
 """Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
-early certification, handler delivery.
+early certification, handler delivery, per-request routing and records.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
@@ -79,14 +79,32 @@ def _statement_counters():
             setattr(owner, name, original)
 
 
+@contextmanager
+def _call_count(owner, name):
+    """Count calls of the method ``owner.name`` while the block runs; yields
+    a one-element list holding the count."""
+    original = vars(owner)[name]
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, original)
+
+
 def smoke() -> None:
     """CI perf smoke: deterministic counter assertions, no wall-clock."""
     from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
     from repro.metrics import MetricsCollector
-    from repro.middleware import CertifyRequest
+    from repro.middleware import CertifyRequest, LoadBalancer
     from repro.metrics.profiler import PROFILER, Profiler
     from repro.metrics.profiler import _NULL_SECTION
-    from repro.sim import Process
+    from repro.sim import Process, RngRegistry
     from repro.storage.sql import plan_cache
     from repro.workloads import MicroBenchmark
 
@@ -168,13 +186,15 @@ def smoke() -> None:
     #    transaction is 4 messages and 7 kernel events (12 when LB and proxy
     #    each woke a dispatch-loop process per message), and no middleware
     #    component runs a dispatch loop.
+    readonly_workload = MicroBenchmark(update_types=0, rows_per_table=100)
     readonly = ReplicatedDatabase(
-        MicroBenchmark(update_types=0, rows_per_table=100),
+        readonly_workload,
         ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
     )
     readonly_collector = MetricsCollector(measure_start=0.0)
     readonly.add_clients(4, readonly_collector)
-    readonly.run(1_000.0)
+    with _call_count(LoadBalancer, "_rebuild_routable") as rebuilds:
+        readonly.run(1_000.0)
     events_per_txn = (
         readonly.env.events_processed / readonly_collector.summary().committed
     )
@@ -189,8 +209,21 @@ def smoke() -> None:
     assert f"{readonly.replica_names[0]}-applier" in live  # the scan sees processes
     assert not live & pollers, f"dispatch-loop processes alive: {sorted(live & pollers)}"
 
+    # 7. Per-request work pays nothing for what the run does not use: a
+    #    fault-free run never rebuilds the balancer's routable set (only a
+    #    membership transition does), and the two records built per
+    #    transaction are slotted, with no instance __dict__.
+    dispatched = readonly.load_balancer.dispatched_count
+    assert dispatched > 0 and rebuilds[0] == 0, (
+        f"routable set rebuilt {rebuilds[0]} times over {dispatched} dispatches"
+    )
+    call = readonly_workload.next_call("client-0", RngRegistry(5).stream("probe"))
+    for record in (readonly_collector.samples[0], call):
+        assert not hasattr(record, "__dict__"), f"{type(record).__name__} has a __dict__"
+
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
+    print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

@@ -62,7 +62,6 @@ def apply_writeset_corrupted(database: Database, writeset: WriteSet, commit_vers
     if mode == "skip":
         database._check_apply_order(commit_version, after)
         database._advance_version(commit_version)
-        database._committed_writesets[commit_version] = writeset
         return
     database.apply_writeset(writeset, commit_version, after)
     for op in writeset:

@@ -22,9 +22,12 @@ from .stages import StageTimings
 __all__ = ["TxnSample", "MetricsCollector", "MetricsSummary"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TxnSample:
-    """One measured client transaction."""
+    """One measured client transaction.
+
+    Slotted, not frozen: a run retains one per transaction, and a frozen
+    dataclass pays an ``object.__setattr__`` per field to build one."""
 
     template: str
     is_update: bool

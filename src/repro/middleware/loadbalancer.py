@@ -174,6 +174,9 @@ class LoadBalancer:
         #: state transfer in progress): known to the balancer but never
         #: routed to until the coordinator transitions them to ``live``
         self._joining: set[str] = set()
+        #: ``_replicas`` minus down, quarantined and joining ones, in order
+        #: (derived: see :meth:`_rebuild_routable`)
+        self._routable = list(replica_names)
         #: joining → live transitions completed
         self.joins_completed = 0
         self._active_count: dict[str, int] = {r: 0 for r in replica_names}
@@ -387,7 +390,8 @@ class LoadBalancer:
                 attrs={"replica": replica, "start_version": start_version},
             )
         self.network.send(self.name, replica, RoutedRequest(request, start_version))
-        self._arm_deadline(request.request_id, 1)
+        if self.request_deadline_ms is not None:
+            self._arm_deadline(request.request_id, 1)
 
     # -- admission control (overload protection) -----------------------------
     def _admit(self, request: ClientRequest, read_only: bool) -> None:
@@ -462,9 +466,7 @@ class LoadBalancer:
 
     def _pump(self, replica: str) -> None:
         """A slot freed up: admit pending requests, shedding the ones whose
-        deadline passed while they queued."""
-        if self.overload is None:
-            return
+        deadline passed while they queued (overload protection only)."""
         settings = self.overload
         queue = self._pending.get(replica)
         while (
@@ -518,18 +520,11 @@ class LoadBalancer:
         partition and unknown-shape requests fall back to least-active.
         Returns None when no replica is available.
         """
-        routable = [
-            r
-            for r in self._replicas
-            if r in self._up
-            and r not in self._quarantined
-            and r not in self._joining
-        ]
-        candidates = [r for r in routable if r not in exclude]
-        if not candidates:
+        candidates = self._routable
+        if exclude:
             # Fall back to the excluded set rather than fail — but never to a
             # quarantined replica: wrong data is worse than no answer.
-            candidates = routable
+            candidates = [r for r in candidates if r not in exclude] or candidates
         if not candidates:
             return None
         if self.routing == "round-robin":
@@ -546,7 +541,26 @@ class LoadBalancer:
             home = self._replicas[partitions[0] % len(self._replicas)]
             if home in candidates:
                 return home
-        return min(candidates, key=lambda r: (self._active_count[r], r))
+        # The minimum (active, name) in one pass, without building the keys.
+        active = self._active_count
+        pick = candidates[0]
+        low = active[pick]
+        for replica in candidates:
+            count = active[replica]
+            if count < low or (count == low and replica < pick):
+                pick, low = replica, count
+        return pick
+
+    def _rebuild_routable(self) -> None:
+        """Recompute :attr:`_routable` after a membership transition — before
+        the transition evacuates or pumps, because both route."""
+        self._routable = [
+            r
+            for r in self._replicas
+            if r in self._up
+            and r not in self._quarantined
+            and r not in self._joining
+        ]
 
     def _start_version(self, request: ClientRequest, read_only: bool = False) -> int:
         """The consistency tag: the minimum version the replica must reach.
@@ -581,8 +595,6 @@ class LoadBalancer:
 
     # -- deadlines and retry ---------------------------------------------------
     def _arm_deadline(self, request_id: int, attempts: int) -> None:
-        if self.request_deadline_ms is None:
-            return
         timer = self.env.timeout(self.request_deadline_ms)
 
         def _fire(_event, request_id=request_id, attempts=attempts):
@@ -600,7 +612,8 @@ class LoadBalancer:
             entry.counted = False
             if self._active_count.get(entry.replica, 0) > 0:
                 self._active_count[entry.replica] -= 1
-            self._pump(entry.replica)
+            if self.overload is not None:
+                self._pump(entry.replica)
 
     def _handle_timeout(self, request_id: int, entry: _Outstanding, why: str) -> None:
         """A dispatch attempt is overdue (deadline or replica suspicion)."""
@@ -666,7 +679,8 @@ class LoadBalancer:
         self._outstanding[request.request_id] = entry
         self._active_count[replica] += 1
         self.network.send(self.name, replica, RoutedRequest(request, entry.start_version))
-        self._arm_deadline(request.request_id, entry.attempts)
+        if self.request_deadline_ms is not None:
+            self._arm_deadline(request.request_id, entry.attempts)
 
     # -- fate resolution -------------------------------------------------------
     def _resolve_fate(self, request_id: int, entry: _Outstanding):
@@ -828,6 +842,7 @@ class LoadBalancer:
         globally even though the client sees a failure — the inherent client
         uncertainty of the crash-recovery model; see DESIGN.md D5."""
         self._up.discard(replica)
+        self._rebuild_routable()
         self._evacuate(replica, f"replica {replica} suspected",
                        f"replica {replica} failed")
 
@@ -861,6 +876,7 @@ class LoadBalancer:
         """Resume routing to a recovered replica."""
         if replica in self._replicas:
             self._up.add(replica)
+            self._rebuild_routable()
 
     # -- replica lifecycle (bootstrap) ------------------------------------------
     @property
@@ -880,6 +896,7 @@ class LoadBalancer:
         if replica in self._joining:
             return
         self._joining.add(replica)
+        self._rebuild_routable()
         self._evacuate(replica, f"replica {replica} joining",
                        f"replica {replica} joining")
 
@@ -890,10 +907,12 @@ class LoadBalancer:
             return
         self._joining.discard(replica)
         self._up.add(replica)
+        self._rebuild_routable()
         self.joins_completed += 1
         if self.monitor is not None:
             self.monitor.add_target(replica)
-        self._pump(replica)
+        if self.overload is not None:
+            self._pump(replica)
 
     # -- quarantine (anti-entropy) --------------------------------------------
     @property
@@ -911,6 +930,7 @@ class LoadBalancer:
         if replica in self._quarantined:
             return
         self._quarantined.add(replica)
+        self._rebuild_routable()
         self.quarantine_count += 1
         self._evacuate(replica, f"replica {replica} quarantined",
                        f"replica {replica} quarantined")
@@ -920,4 +940,6 @@ class LoadBalancer:
         if replica not in self._quarantined:
             return
         self._quarantined.discard(replica)
-        self._pump(replica)
+        self._rebuild_routable()
+        if self.overload is not None:
+            self._pump(replica)

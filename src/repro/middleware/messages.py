@@ -66,6 +66,11 @@ def _message(cls):
     ``FrozenInstanceError``; ``__eq__``, ``__repr__``, ``fields`` and
     ``replace`` work; the constructor has the same signature.  Defaults must
     be immutable constants (no ``default_factory``, no ``__post_init__``).
+
+    Storing through ``self.__dict__`` materialises an instance dict, which
+    costs memory for as long as the object lives: this suits transient
+    messages, not records a run retains (those are slotted dataclasses,
+    e.g. ``TxnSample``).
     """
     cls = dataclass(frozen=True)(cls)
     defaults = {

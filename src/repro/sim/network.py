@@ -357,14 +357,12 @@ class Network:
         """
         if recipient not in self._mailboxes:
             raise KeyError(f"unknown endpoint {recipient!r}")
-        for tap in self._taps:
-            tap(sender, recipient, message)
+        if self._taps:
+            for tap in self._taps:
+                tap(sender, recipient, message)
         self.sent_count += 1
-        if recipient in self._partition.down:
-            self.record_drop("endpoint-down")
-            return
-        if (sender, recipient) in self._partition.links:
-            self.record_drop("link-cut")
+        partition = self._partition
+        if (partition.down or partition.links) and self._dropped(sender, recipient):
             return
         # LatencyModel.sample written out (three frames fewer per message):
         # random.uniform(0.0, jitter) is ``0.0 + (jitter - 0.0) * random()``,
@@ -423,10 +421,19 @@ class Network:
         self._delivery_pool.append(event)
         # Re-check at delivery time: the endpoint may have crashed, or the
         # link been cut, while the message was in flight.
-        if recipient in self._partition.down:
-            self.record_drop("endpoint-down")
-            return
-        if (sender, recipient) in self._partition.links:
-            self.record_drop("link-cut")
+        partition = self._partition
+        if (partition.down or partition.links) and self._dropped(sender, recipient):
             return
         self._mailboxes[recipient].deliver(message)
+
+    def _dropped(self, sender: str, recipient: str) -> bool:
+        """Drop (and account) a message whose recipient is down or whose
+        link is cut.  Callers test the two sets for emptiness first, so a
+        fault-free network never builds the link tuple."""
+        if recipient in self._partition.down:
+            self.record_drop("endpoint-down")
+            return True
+        if (sender, recipient) in self._partition.links:
+            self.record_drop("link-cut")
+            return True
+        return False

@@ -27,8 +27,6 @@ class Database:
         self.name = name
         self._tables: dict[str, VersionedTable] = {}
         self._version = 0
-        # commit_version -> writeset, kept for conflict checks and recovery.
-        self._committed_writesets: dict[int, WriteSet] = {}
         #: versions applied ahead of the watermark (an apply that named
         #: its predecessors, see :meth:`apply_writeset`)
         self._applied_ahead: set[int] = set()
@@ -43,9 +41,8 @@ class Database:
         self._latest_hash: dict[tuple, int] = {}
         #: table -> ops applied but not yet folded into the digest; the
         #: apply hot path pays one list append, the fold runs lazily at the
-        #: next digest query (scrub rounds, not refreshes, pay it).  The ops
-        #: are already retained by ``_committed_writesets``, so the queue
-        #: adds references, not copies.
+        #: next digest query (scrub rounds, not refreshes, pay it).  The queue
+        #: holds references to the certified ops, not copies.
         self._pending_digest_ops: dict[str, list] = {}
         #: table -> version through which a peer row-sync repaired it; ops
         #: at or below the floor are already reflected in the synced images
@@ -135,7 +132,6 @@ class Database:
             else:
                 table.apply_op(op, commit_version)
         self._advance_version(commit_version)
-        self._committed_writesets[commit_version] = writeset
 
     def _check_apply_order(self, commit_version: int, after: Optional[tuple]) -> None:
         if after is None:
@@ -202,15 +198,6 @@ class Database:
             for table_name, ops in self._pending_digest_ops.items()
         }
         return twin
-
-    def writesets_since(self, version: int) -> list[tuple[int, WriteSet]]:
-        """(commit_version, writeset) pairs committed after ``version``,
-        ascending.  Used for conflict checks and recovery replay."""
-        return [
-            (v, self._committed_writesets[v])
-            for v in range(version + 1, self._version + 1)
-            if v in self._committed_writesets
-        ]
 
     def latest_write_version(self, table: str, key: Any) -> int:
         """Newest commit version that wrote ``(table, key)``; 0 if none."""
@@ -341,16 +328,13 @@ class Database:
 
     # -- maintenance ---------------------------------------------------------
     def vacuum(self, horizon_version: Optional[int] = None) -> int:
-        """Trim row versions and writeset history below the horizon.
+        """Trim row versions below the horizon.
 
         With no horizon, trims to the current version (only the latest row
         images survive).  Returns the number of row versions removed.
         """
         horizon = self._version if horizon_version is None else horizon_version
-        removed = sum(table.vacuum(horizon) for table in self._tables.values())
-        for version in [v for v in self._committed_writesets if v <= horizon]:
-            del self._committed_writesets[version]
-        return removed
+        return sum(table.vacuum(horizon) for table in self._tables.values())
 
     def __repr__(self) -> str:
         return (

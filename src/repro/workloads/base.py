@@ -65,6 +65,8 @@ class TemplateCatalog:
 
     def __init__(self, templates: Iterable[TransactionTemplate] = ()):
         self._templates: dict[str, TransactionTemplate] = {}
+        #: :attr:`names`, cached until the next :meth:`register`
+        self._names: tuple[str, ...] = ()
         for template in templates:
             self.register(template)
 
@@ -73,6 +75,7 @@ class TemplateCatalog:
         if template.name in self._templates:
             raise ValueError(f"duplicate template {template.name!r}")
         self._templates[template.name] = template
+        self._names = tuple(self._templates)
 
     def get(self, name: str, default=None) -> Optional[TransactionTemplate]:
         return self._templates.get(name, default)
@@ -91,7 +94,7 @@ class TemplateCatalog:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._templates)
+        return self._names
 
     def table_set(self, name: str) -> frozenset[str]:
         """The table-set for a transaction identifier."""
@@ -128,10 +131,11 @@ def sql_template(name: str, statements: Sequence[str]) -> TransactionTemplate:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TxnCall:
     """One transaction invocation a client should issue: which template,
-    with which parameters."""
+    with which parameters (slotted like
+    :class:`~repro.metrics.collector.TxnSample`: one per transaction)."""
 
     template: str
     params: Mapping[str, Any]

@@ -130,19 +130,12 @@ class TestGapTolerantApply:
 
 
 class TestWritesetHistory:
-    def test_writesets_since(self, db):
-        for version in range(1, 4):
-            db.apply_writeset(writeset(version, version, OpKind.INSERT), version)
-        since = db.writesets_since(1)
-        assert [v for v, _ in since] == [2, 3]
-
     def test_vacuum_trims_history_and_versions(self, db):
         db.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
         db.apply_writeset(writeset(1, 11), 2)
         db.apply_writeset(writeset(1, 12), 3)
         removed = db.vacuum()
         assert removed == 2
-        assert db.writesets_since(0) == []
         assert db.table("t").read(1, 3)["v"] == 12
 
 
