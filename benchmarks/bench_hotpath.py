@@ -210,13 +210,18 @@ def smoke() -> None:
     assert not live & pollers, f"dispatch-loop processes alive: {sorted(live & pollers)}"
 
     # 7. Per-request work pays nothing for what the run does not use: a
-    #    fault-free run never rebuilds the balancer's routable set (only a
-    #    membership transition does), and the two records built per
-    #    transaction are slotted, with no instance __dict__.
-    dispatched = readonly.load_balancer.dispatched_count
+    #    fault-free default run never rebuilds the balancer's routable set
+    #    (only a membership transition does), constructs neither the
+    #    admission nor the deadline component (not configured, not built),
+    #    and the two records built per transaction are slotted, with no
+    #    instance __dict__.
+    balancer = readonly.load_balancer
+    dispatched = balancer.dispatched_count
     assert dispatched > 0 and rebuilds[0] == 0, (
         f"routable set rebuilt {rebuilds[0]} times over {dispatched} dispatches"
     )
+    built = {name: getattr(balancer, name) for name in ("admission", "deadlines")}
+    assert built == {"admission": None, "deadlines": None}, f"unconfigured components: {built}"
     call = readonly_workload.next_call("client-0", RngRegistry(5).stream("probe"))
     for record in (readonly_collector.samples[0], call):
         assert not hasattr(record, "__dict__"), f"{type(record).__name__} has a __dict__"
@@ -224,6 +229,7 @@ def smoke() -> None:
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
+    print("  balancer components: none constructed (admission, deadlines)")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

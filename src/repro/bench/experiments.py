@@ -617,8 +617,7 @@ def _saturation_point(
     )
     cluster.run(warmup_ms + measure_ms)
     summary = collector.summary()
-    balancer = cluster.load_balancer
-    shed = balancer.shed_count + balancer.deadline_shed_count
+    shed = cluster.metrics.get("balancer.shed") + cluster.metrics.get("balancer.deadline_shed")
     shed_rate = shed / load.offered if load.offered else 0.0
     return summary.tps, summary.p99_response_ms, shed_rate
 

@@ -81,9 +81,6 @@ class ClusterConfig:
     certify_reads: bool = False
     #: staleness allowance, in versions, for the RELAXED level
     freshness_bound: int = 10
-    #: load balancer routing policy: least-active (the paper's), round-robin
-    #: or random
-    routing: str = "least-active"
     #: periodic MVCC garbage collection at each replica (None = off)
     vacuum_interval_ms: Optional[float] = None
     # -- certifier shards (see docs/PROTOCOL.md) --------------------------
@@ -181,8 +178,6 @@ class ClusterConfig:
             raise ValueError("certify_timeout_ms must be positive")
         # Fail fast on an invalid partition layout (count/groups).
         PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
-        if self.routing == "partition-affinity" and self.num_partitions < 2:
-            raise ValueError("partition-affinity routing requires num_partitions > 1")
         if self.departed_grace_ms is not None and self.departed_grace_ms <= 0:
             raise ValueError("departed_grace_ms must be positive")
         if self.mpl_cap is not None and self.mpl_cap < 1:
@@ -429,8 +424,6 @@ class ReplicatedDatabase:
             level=self.policy,
             templates=self.templates,
             history=self.history,
-            routing=config.routing,
-            rng=self.rngs.stream("lb-routing"),
             freshness_bound=config.freshness_bound,
             heartbeat=heartbeat,
             request_deadline_ms=config.request_deadline_ms,

@@ -285,8 +285,6 @@ class FaultInjector:
             proxy.certifier_name = new_name
             proxy.certifier_epoch = successor.epoch
             proxy.fail_pending_certifications("certifier failover")
-        balancer = self.cluster.load_balancer
-        balancer.certifier_name = new_name
-        balancer._certifier_epoch = successor.epoch
+        self.cluster.load_balancer.follow_certifier(new_name, successor.epoch)
         self.cluster.certifier = successor
         return successor

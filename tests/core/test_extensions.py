@@ -1,5 +1,5 @@
 """Tests for the optional extensions: relaxed currency, serializable
-certification, routing policies and the vacuum daemon."""
+certification, load spreading and the vacuum daemon."""
 
 import pytest
 
@@ -126,26 +126,14 @@ class TestSerializableCertification:
 
 
 class TestRoutingPolicies:
-    def distribution(self, routing):
-        cluster = build(routing=routing)
-        collector = MetricsCollector()
-        cluster.add_clients(8, collector)
-        cluster.run(600.0)
-        return {name: proxy.executed_count for name, proxy in cluster.replicas.items()}
+    """Least-active, the paper's policy, is the balancer's only one."""
 
-    @pytest.mark.parametrize("routing", ["least-active", "round-robin", "random"])
+    @pytest.mark.parametrize("routing", ["least-active"])
     def test_all_policies_spread_load(self, routing):
-        counts = self.distribution(routing)
-        assert all(count > 0 for count in counts.values())
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            build(routing="by-horoscope")
-
-    def test_round_robin_is_balanced(self):
-        counts = self.distribution("round-robin")
-        values = list(counts.values())
-        assert max(values) - min(values) <= max(2, 0.05 * max(values))
+        cluster = build()
+        cluster.add_clients(8, MetricsCollector())
+        cluster.run(600.0)
+        assert all(proxy.executed_count > 0 for proxy in cluster.replicas.values())
 
 
 class TestVacuumDaemon:

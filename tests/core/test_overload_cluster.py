@@ -62,14 +62,14 @@ class TestSaturationBehavior:
 
     def test_sheds_past_capacity_but_keeps_committing(self):
         cluster, collector, load = self.run_overloaded()
-        balancer = cluster.load_balancer
-        assert balancer.shed_count + balancer.deadline_shed_count > 0
+        admission = cluster.load_balancer.admission
+        assert admission.shed_count + admission.deadline_shed_count > 0
         assert collector.summary().committed > 0
         # Bounded queues: pending never exceeds replicas * queue depth.
-        assert balancer.pending_depth() <= 2 * 32
+        assert admission.pending_depth() <= 2 * 32
         # Every shed request got an explicit overloaded response (minus the
         # handful still on the wire when the run stopped).
-        total_shed = balancer.shed_count + balancer.deadline_shed_count
+        total_shed = admission.shed_count + admission.deadline_shed_count
         assert 0 < total_shed - load.shed_responses < 20 or load.shed_responses == total_shed
 
     def test_stats_exposes_overload_counters(self):
@@ -94,9 +94,9 @@ class TestSaturationBehavior:
             rate_tps=6_000.0, rngs=cluster.rngs,
         )
         cluster.run(1_000.0)
-        balancer = cluster.load_balancer
-        assert balancer.shed_count == 0
-        assert balancer.pending_depth() == 0  # no admission queues at all
+        assert cluster.load_balancer.admission is None  # no admission queues at all
+        assert cluster.metrics.get("balancer.shed") == 0
+        assert cluster.metrics.get("balancer.pending_depth") == 0
         assert cluster.metrics.get("balancer.valve_open") is False
 
 
@@ -138,13 +138,13 @@ class TestGracefulDegradation:
 
     def test_valve_opens_under_load_and_closes_after(self):
         cluster, load, drop_time, drop_version = self.run_spike()
-        balancer = cluster.load_balancer
-        actions = [action for _, action, _ in balancer.valve_events]
+        admission = cluster.load_balancer.admission
+        actions = [action for _, action, _ in admission.valve_events]
         assert "open" in actions
-        assert balancer.degraded_count > 0
-        assert not balancer.valve_open
+        assert admission.degraded_count > 0
+        assert not admission.valve_open
         assert actions[-1] == "close"
-        close_time, _, close_version = balancer.valve_events[-1]
+        close_time, _, close_version = admission.valve_events[-1]
         # Strong consistency is restored within bounded time and versions
         # of the load dropping (the queues just have to drain).
         assert close_time - drop_time < 2_000.0
@@ -160,8 +160,7 @@ class TestGracefulDegradation:
 
     def test_strong_consistency_restored_after_close(self):
         cluster, load, drop_time, drop_version = self.run_spike()
-        balancer = cluster.load_balancer
-        close_time = balancer.valve_events[-1][0]
+        close_time = cluster.load_balancer.admission.valve_events[-1][0]
         after = RunHistory()
         for record in cluster.history:
             if record.submit_time >= close_time:

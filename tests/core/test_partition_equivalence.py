@@ -295,9 +295,8 @@ class TestEndToEndCheckers:
 
 
 class TestPartitionAffinityRouting:
-    def test_requires_multiple_partitions(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(routing="partition-affinity")
+    """Affinity routing is gone (the replica model has no locality for it to
+    exploit); the balancer's per-partition accounting it came with stays."""
 
     def test_affinity_routing_stays_strong_and_counts_dispatches(self):
         cluster = ReplicatedDatabase(
@@ -308,7 +307,6 @@ class TestPartitionAffinityRouting:
                 seed=11,
                 num_partitions=4,
                 partition_table_groups=GROUPS[4],
-                routing="partition-affinity",
             ),
         )
         collector = MetricsCollector(measure_start=0.0)

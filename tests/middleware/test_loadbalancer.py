@@ -5,7 +5,15 @@ import pytest
 from repro.core.consistency import ConsistencyLevel
 from repro.histories import RunHistory
 from repro.metrics import StageTimings
-from repro.middleware import ClientRequest, ClientResponse, LoadBalancer, TxnResponse
+from repro.middleware import (
+    ClientRequest,
+    ClientResponse,
+    FateQuery,
+    FateReply,
+    LoadBalancer,
+    TxnResponse,
+    next_request_id,
+)
 
 from .conftest import fixed_latency_network, make_catalog
 
@@ -268,3 +276,159 @@ class TestFaultPaths:
         network.send("client-x", "lb", request(env, request_id=2))
         env.run()
         assert len(drain(mailboxes["replica-0"])) == 1
+
+
+class TestDeadlines:
+    """Request deadlines, re-routing and fate resolution.
+
+    Request ids come from ``next_request_id`` so a retry's fresh id can never
+    collide with one a test picked by hand.  The deadline is 50 ms and the
+    network adds 0.1 ms per hop, so the first attempt times out at 50.1 ms
+    and its ``FateQuery`` reaches the certifier at 50.2 ms.
+    """
+
+    DEADLINE_MS = 50.0
+
+    def build(self, setup, **kwargs):
+        network, mailboxes, client, balancer = setup(
+            request_deadline_ms=self.DEADLINE_MS, **kwargs
+        )
+        certifier = network.register("certifier")
+        return network, mailboxes, client, balancer, certifier
+
+    def submit(self, env, network, template="read-t"):
+        request_id = next_request_id()
+        network.send("client-x", "lb", request(env, template=template, request_id=request_id))
+        return request_id
+
+    def test_timed_out_read_is_rerouted_under_a_fresh_id(self, env, setup):
+        network, mailboxes, client, balancer, _ = self.build(setup)
+        first = self.submit(env, network)
+        env.run(until=1.0)
+        assert [r.request.request_id for r in drain(mailboxes["replica-0"])] == [first]
+        env.run(until=self.DEADLINE_MS + 1.0)
+        retried = drain(mailboxes["replica-1"])
+        assert len(retried) == 1
+        fresh = retried[0].request.request_id
+        assert fresh != first
+        assert balancer.retry_lineage == {first: [first, fresh]}
+        assert drain(client) == []
+        stats = balancer.stats()
+        assert (stats["timed_out"], stats["rerouted_reads"]) == (1, 1)
+        assert stats["dispatched"] == 1  # a retry is not a new dispatch
+        # The retry's answer reaches the client under its original id.
+        network.send("replica-1", "lb", response_for(retried[0]))
+        env.run(until=self.DEADLINE_MS + 2.0)
+        replies = drain(client)
+        assert [(r.request_id, r.committed) for r in replies] == [(first, True)]
+        assert balancer.stats()["outstanding"] == 0
+
+    def test_timed_out_update_acked_from_the_decision_log(self, env, setup):
+        network, mailboxes, client, balancer, certifier = self.build(setup)
+        rid = self.submit(env, network, template="write-t")
+        env.run(until=self.DEADLINE_MS + 1.0)
+        queries = drain(certifier)
+        assert len(queries) == 1 and isinstance(queries[0], FateQuery)
+        assert (queries[0].request_id, queries[0].reply_to) == (rid, "lb")
+        network.send("certifier", "lb", FateReply(rid, committed=True, commit_version=7))
+        env.run(until=self.DEADLINE_MS + 2.0)
+        replies = drain(client)
+        assert [(r.request_id, r.committed, r.commit_version) for r in replies] == [
+            (rid, True, 7)
+        ]
+        stats = balancer.stats()
+        assert (stats["timed_out"], stats["fate_commits"], stats["fate_aborts"]) == (1, 1, 0)
+        assert stats["v_system"] == 7
+        assert stats["outstanding"] == 0
+        assert balancer.fenced_request_ids == []
+        assert [r.commit_version for r in balancer.history.records] == [7]
+        # Nothing was retried: no replica saw a second attempt.
+        assert drain(mailboxes["replica-1"]) == []
+
+    def test_fenced_update_is_retried_elsewhere(self, env, setup):
+        network, mailboxes, client, balancer, certifier = self.build(setup)
+        rid = self.submit(env, network, template="write-t")
+        env.run(until=self.DEADLINE_MS + 1.0)
+        assert len(drain(mailboxes["replica-0"])) == 1
+        assert len(drain(certifier)) == 1
+        network.send("certifier", "lb", FateReply(rid, committed=False))
+        env.run(until=self.DEADLINE_MS + 2.0)
+        assert balancer.fenced_request_ids == [rid]
+        retried = drain(mailboxes["replica-1"])
+        assert len(retried) == 1
+        fresh = retried[0].request.request_id
+        assert balancer.retry_lineage == {rid: [rid, fresh]}
+        assert drain(client) == []
+        stats = balancer.stats()
+        assert (stats["fate_aborts"], stats["retried_updates"]) == (1, 1)
+        assert stats["fate_commits"] == 0
+
+    def test_exhausted_read_attempts_fail_the_client(self, env, setup):
+        network, mailboxes, client, balancer, _ = self.build(setup, max_attempts=2)
+        rid = self.submit(env, network)
+        env.run(until=2 * self.DEADLINE_MS + 1.0)
+        replies = drain(client)
+        assert len(replies) == 1
+        assert replies[0].request_id == rid and not replies[0].committed
+        assert "read-only transaction failed" in replies[0].abort_reason
+        assert "(2 attempts)" in replies[0].abort_reason
+        stats = balancer.stats()
+        assert (stats["timed_out"], stats["rerouted_reads"]) == (2, 1)
+        assert stats["outstanding"] == 0
+
+    def test_exhausted_update_attempts_fail_the_client(self, env, setup):
+        network, mailboxes, client, balancer, certifier = self.build(setup, max_attempts=1)
+        rid = self.submit(env, network, template="write-t")
+        env.run(until=self.DEADLINE_MS + 1.0)
+        network.send("certifier", "lb", FateReply(rid, committed=False))
+        env.run(until=self.DEADLINE_MS + 2.0)
+        replies = drain(client)
+        assert len(replies) == 1
+        assert replies[0].request_id == rid and not replies[0].committed
+        assert "fate resolved as aborted (1 attempts)" in replies[0].abort_reason
+        assert balancer.fenced_request_ids == [rid]
+        stats = balancer.stats()
+        assert (stats["fate_aborts"], stats["retried_updates"]) == (1, 0)
+        assert stats["outstanding"] == 0
+
+    def test_unanswered_fate_query_reports_outcome_unknown(self, env, setup):
+        network, mailboxes, client, balancer, certifier = self.build(setup)
+        rid = self.submit(env, network, template="write-t")
+        env.run(until=2_000.0)
+        # 40 queries, 25 ms apart: the whole fate budget, then give up.
+        queries = drain(certifier)
+        assert len(queries) == 40
+        assert {q.request_id for q in queries} == {rid}
+        replies = drain(client)
+        assert len(replies) == 1 and not replies[0].committed
+        assert "outcome unknown" in replies[0].abort_reason
+        stats = balancer.stats()
+        assert (stats["unresolved"], stats["fate_commits"], stats["fate_aborts"]) == (1, 0, 0)
+        assert stats["outstanding"] == 0
+
+    def test_replica_down_reroutes_in_flight_reads(self, env, setup):
+        network, mailboxes, client, balancer, _ = self.build(setup)
+        rid = self.submit(env, network)
+        env.run(until=1.0)
+        assert len(drain(mailboxes["replica-0"])) == 1
+        balancer.replica_down("replica-0")
+        env.run(until=2.0)
+        # Not failed: re-routed like a timed-out read, before any deadline.
+        assert drain(client) == []
+        retried = drain(mailboxes["replica-1"])
+        assert len(retried) == 1
+        assert balancer.retry_lineage == {rid: [rid, retried[0].request.request_id]}
+        stats = balancer.stats()
+        assert (stats["timed_out"], stats["rerouted_reads"]) == (0, 1)
+        assert stats["active"] == {"replica-0": 0, "replica-1": 1}
+
+    def test_replica_down_fate_resolves_in_flight_updates(self, env, setup):
+        network, mailboxes, client, balancer, certifier = self.build(setup)
+        rid = self.submit(env, network, template="write-t")
+        env.run(until=1.0)
+        balancer.replica_down("replica-0")
+        env.run(until=2.0)
+        assert drain(client) == []
+        queries = drain(certifier)
+        assert [q.request_id for q in queries] == [rid]
+        assert balancer.stats()["timed_out"] == 0

@@ -84,8 +84,8 @@ class TestRetryBudget:
 
 @pytest.fixture
 def setup(env):
-    def build(level=ConsistencyLevel.SC_COARSE, replicas=1, **kwargs):
-        network = fixed_latency_network(env)
+    def build(level=ConsistencyLevel.SC_COARSE, replicas=1, latency_ms=0.1, **kwargs):
+        network = fixed_latency_network(env, base=latency_ms)
         names = [f"replica-{i}" for i in range(replicas)]
         mailboxes = {name: network.register(name) for name in names}
         client = network.register("client-x")
@@ -149,9 +149,9 @@ class TestAdmissionControl:
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
         assert len(drain(mailboxes["replica-0"])) == 2
-        assert balancer.pending_depth("replica-0") == 1
-        assert balancer.pending_depth() == 1
-        assert balancer.shed_count == 0
+        assert balancer.admission.pending_depth("replica-0") == 1
+        assert balancer.admission.pending_depth() == 1
+        assert balancer.admission.shed_count == 0
 
     def test_fast_rejects_past_queue_bound_with_retry_hint(self, env, setup):
         network, mailboxes, client, balancer = setup(
@@ -161,8 +161,8 @@ class TestAdmissionControl:
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
         assert len(drain(mailboxes["replica-0"])) == 1  # one in flight
-        assert balancer.pending_depth("replica-0") == 1  # one queued
-        assert balancer.shed_count == 1  # one rejected
+        assert balancer.admission.pending_depth("replica-0") == 1  # one queued
+        assert balancer.admission.shed_count == 1  # one rejected
         rejections = [
             m for m in drain(client)
             if isinstance(m, ClientResponse) and not m.committed
@@ -194,7 +194,7 @@ class TestAdmissionControl:
         env.run()
         # The response freed the slot; the queued request dispatched.
         assert [r.request.request_id for r in drain(mailboxes["replica-0"])] == [2]
-        assert balancer.pending_depth() == 0
+        assert balancer.admission.pending_depth() == 0
         assert len([m for m in drain(client) if m.committed]) == 1
 
     def test_queue_drains_in_fifo_order(self, env, setup):
@@ -222,20 +222,20 @@ class TestAdmissionControl:
         for i in range(1, 5):
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
-        assert balancer.pending_depth() == 2
+        assert balancer.admission.pending_depth() == 2
         victim = next(
             name for name in ("replica-0", "replica-1")
-            if balancer.pending_depth(name) > 0
+            if balancer.admission.pending_depth(name) > 0
         )
         balancer.replica_down(victim)
         env.run()
-        assert balancer.pending_depth(victim) == 0
+        assert balancer.admission.pending_depth(victim) == 0
         # Nothing silently vanished: every request is in flight, queued on
         # the survivor, or answered (shed / failed by the down-replica path).
         survivor = "replica-1" if victim == "replica-0" else "replica-0"
         accounted = (
             balancer.active_transactions(survivor)
-            + balancer.pending_depth(survivor)
+            + balancer.admission.pending_depth(survivor)
             + len(drain(client))
         )
         assert accounted == 4
@@ -251,8 +251,8 @@ class TestDeadlineShedding:
         for i in range(1, 13):
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
-        assert balancer.deadline_shed_count > 0
-        assert balancer.shed_count == 0  # the queue never filled
+        assert balancer.admission.deadline_shed_count > 0
+        assert balancer.admission.shed_count == 0  # the queue never filled
         rejected = [m for m in drain(client) if not m.committed]
         assert all(m.overloaded for m in rejected)
         assert any("deadline" in m.abort_reason for m in rejected)
@@ -265,14 +265,14 @@ class TestDeadlineShedding:
         network.send("client-x", "lb", request(env, request_id=2))
         env.run()
         first = drain(mailboxes["replica-0"])[0]
-        assert balancer.pending_depth() == 1
+        assert balancer.admission.pending_depth() == 1
         # The in-flight request takes 100 ms — far past the queued one's
         # deadline — so the pump drops it instead of dispatching stale work.
         env.run(until=env.now + 100.0)
         network.send("replica-0", "lb", response_for(first))
         env.run()
         assert drain(mailboxes["replica-0"]) == []
-        assert balancer.deadline_shed_count == 1
+        assert balancer.admission.deadline_shed_count == 1
         rejected = [m for m in drain(client) if not m.committed]
         assert any("deadline exceeded" in m.abort_reason for m in rejected)
 
@@ -287,14 +287,29 @@ class TestDeadlineShedding:
         network.send("replica-0", "lb", response_for(routed))
         env.run()
         # The first observation (~40 ms) seeds the average directly...
-        assert balancer._service_ewma_ms == pytest.approx(40.2, rel=0.05)
+        assert balancer.admission._service_ewma_ms == pytest.approx(40.2, rel=0.05)
         network.send("client-x", "lb", request(env, request_id=2))
         env.run()
         routed = drain(mailboxes["replica-0"])[0]
         network.send("replica-0", "lb", response_for(routed))
         env.run()
         # ...and a fast follow-up (~0.2 ms) decays it: 0.8*40.2 + 0.2*0.2.
-        assert balancer._service_ewma_ms == pytest.approx(32.2, rel=0.05)
+        assert balancer.admission._service_ewma_ms == pytest.approx(32.2, rel=0.05)
+
+    def test_ewma_seeded_by_a_dispatch_at_time_zero(self, env, setup):
+        # Zero latency: the request dispatches at virtual time 0.0, which is
+        # a real dispatch time, not "unset".
+        network, mailboxes, client, balancer = setup(
+            latency_ms=0.0, overload=OverloadSettings(mpl_cap=1, queue_depth=4)
+        )
+        network.send("client-x", "lb", request(env, request_id=1))
+        env.run()
+        assert env.now == 0.0
+        routed = drain(mailboxes["replica-0"])[0]
+        env.run(until=40.0)
+        network.send("replica-0", "lb", response_for(routed))
+        env.run()
+        assert balancer.admission._service_ewma_ms == 40.0
 
 
 class TestUnknownTemplate:
@@ -338,19 +353,19 @@ class TestDegradationValve:
         for i in range(1, 5):  # 1 in flight + 3 queued >= valve_high
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
-        assert balancer.valve_open
-        assert [event[1] for event in balancer.valve_events] == ["open"]
+        assert balancer.admission.valve_open
+        assert [event[1] for event in balancer.admission.valve_events] == ["open"]
         inflight = drain(mailboxes["replica-0"])
         network.send("replica-0", "lb", response_for(inflight[0]))
         env.run()
         inflight = drain(mailboxes["replica-0"])
-        assert balancer.pending_depth() == 2
-        assert balancer.valve_open  # hysteresis: still above valve_low
+        assert balancer.admission.pending_depth() == 2
+        assert balancer.admission.valve_open  # hysteresis: still above valve_low
         network.send("replica-0", "lb", response_for(inflight[0]))
         env.run()
-        assert balancer.pending_depth() == 1  # drained to the low-water mark
-        assert not balancer.valve_open
-        assert [event[1] for event in balancer.valve_events] == ["open", "close"]
+        assert balancer.admission.pending_depth() == 1  # drained to the low-water mark
+        assert not balancer.admission.valve_open
+        assert [event[1] for event in balancer.admission.valve_events] == ["open", "close"]
 
     def test_degrades_only_tagged_reads_while_open(self, env, setup):
         network, mailboxes, client, balancer = self.make(setup)
@@ -358,7 +373,7 @@ class TestDegradationValve:
         for i in range(1, 5):
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
-        assert balancer.valve_open
+        assert balancer.admission.valve_open
         drain(mailboxes["replica-0"])
         # While open: a degradable read starts at the SESSION policy's
         # version (0 — this session saw nothing) instead of V_system=1;
@@ -370,14 +385,14 @@ class TestDegradationValve:
         # Updates are never degraded, tagged or not.
         update = request(env, template="write-t", request_id=52, degradable=True)
         assert balancer._start_version(update, read_only=False) == 1
-        assert balancer.degraded_count == 1
+        assert balancer.admission.degraded_count == 1
 
     def test_valve_events_record_v_system(self, env, setup):
         network, mailboxes, client, balancer = self.make(setup)
         for i in range(1, 5):
             network.send("client-x", "lb", request(env, request_id=i))
         env.run()
-        time_ms, action, v_system = balancer.valve_events[0]
+        time_ms, action, v_system = balancer.admission.valve_events[0]
         assert action == "open"
         assert v_system == balancer.v_system
 
@@ -392,12 +407,12 @@ class TestDegradationValve:
         env.run()
         # Admission control without a valve policy: depth is far past
         # valve_high, but nothing opens and nothing is ever degraded.
-        assert balancer.pending_depth() >= 1
-        assert not balancer.valve_open
-        assert balancer.valve_events == []
+        assert balancer.admission.pending_depth() >= 1
+        assert not balancer.admission.valve_open
+        assert balancer.admission.valve_events == []
         tagged = request(env, request_id=50, degradable=True)
         balancer._start_version(tagged, read_only=True)
-        assert balancer.degraded_count == 0
+        assert balancer.admission.degraded_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ list-and-``min`` routing it replaced.
 rebuilt at the six membership transitions, and picks least-active in one
 pass.  The reference below recomputes the routable list from the membership
 sets on every pick, exactly as routing used to.  Random sequences of
-transitions interleaved with active-count changes must leave every routing
-policy picking the same replica, for every ``exclude`` shape, with the same
-round-robin index and the same random draws.
+transitions interleaved with active-count changes must leave the balancer
+picking the same replica, for every ``exclude`` shape.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.core.consistency import ConsistencyLevel
 from repro.core.partition import PartitionMap
 from repro.middleware import LoadBalancer
 from repro.sim import Environment
-from repro.sim.rng import Rng
 
 from .conftest import fixed_latency_network, make_catalog
 
@@ -36,11 +34,9 @@ TRANSITIONS = (
     "quarantine_replica",
     "unquarantine_replica",
 )
-AFFINITY_SHAPES = (None, (0,), (1,), (2,), (5,), (0, 1))
-SEED = 11
 
 
-def reference_pick(balancer, exclude, partitions, state):
+def reference_pick(balancer, exclude):
     """Routing as it was before the routable list became derived state."""
     routable = [
         r
@@ -54,56 +50,31 @@ def reference_pick(balancer, exclude, partitions, state):
         candidates = routable
     if not candidates:
         return None
-    if balancer.routing == "round-robin":
-        pick = candidates[state["rr"] % len(candidates)]
-        state["rr"] += 1
-        return pick
-    if balancer.routing == "random":
-        return state["rng"].choice(candidates)
-    if (
-        balancer.routing == "partition-affinity"
-        and partitions is not None
-        and len(partitions) == 1
-    ):
-        home = balancer._replicas[partitions[0] % len(balancer._replicas)]
-        if home in candidates:
-            return home
     return min(candidates, key=lambda r: (balancer._active_count[r], r))
 
 
-def build_balancers():
+def build_balancer():
     env = Environment()
     network = fixed_latency_network(env)
     for name in NAMES:
         network.register(name)
-    balancers = {}
-    for routing in LoadBalancer.ROUTING_POLICIES:
-        balancers[routing] = LoadBalancer(
-            env=env,
-            network=network,
-            replica_names=list(MEMBERS),
-            level=ConsistencyLevel.SC_COARSE,
-            templates=make_catalog(("t",)),
-            name=f"lb-{routing}",
-            routing=routing,
-            rng=Rng(SEED, "routing"),
-            partition_map=PartitionMap(4),
-        )
-    return balancers
+    return LoadBalancer(
+        env=env,
+        network=network,
+        replica_names=list(MEMBERS),
+        level=ConsistencyLevel.SC_COARSE,
+        templates=make_catalog(("t",)),
+        partition_map=PartitionMap(4),
+    )
 
 
-def check_every_pick(balancers, states):
-    for routing, balancer in balancers.items():
-        state = states[routing]
-        members = list(balancer._replicas)
-        excludes = [frozenset(), *(frozenset({r}) for r in members), frozenset(members)]
-        shapes = AFFINITY_SHAPES if routing == "partition-affinity" else (None,)
-        for exclude in excludes:
-            for partitions in shapes:
-                expected = reference_pick(balancer, exclude, partitions, state)
-                got = balancer._pick_replica(exclude=exclude, partitions=partitions)
-                assert got == expected, (routing, sorted(exclude), partitions)
-        assert balancer._round_robin_next == state["rr"]
+def check_every_pick(balancer):
+    members = list(balancer._replicas)
+    excludes = [frozenset(), *(frozenset({r}) for r in members), frozenset(members)]
+    for exclude in excludes:
+        expected = reference_pick(balancer, exclude)
+        got = balancer._pick_replica(exclude=exclude)
+        assert got == expected, sorted(exclude)
 
 
 #: (transition or "active", replica, active count — used by "active" only)
@@ -121,15 +92,11 @@ steps = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(steps)
 def test_derived_routing_matches_the_list_and_min_reference(sequence):
-    balancers = build_balancers()
-    states = {
-        routing: {"rr": 0, "rng": Rng(SEED, "routing")} for routing in balancers
-    }
-    check_every_pick(balancers, states)
+    balancer = build_balancer()
+    check_every_pick(balancer)
     for action, replica, count in sequence:
-        for balancer in balancers.values():
-            if action != "active":
-                getattr(balancer, action)(replica)
-            elif replica in balancer._active_count:
-                balancer._active_count[replica] = count
-        check_every_pick(balancers, states)
+        if action != "active":
+            getattr(balancer, action)(replica)
+        elif replica in balancer._active_count:
+            balancer._active_count[replica] = count
+        check_every_pick(balancer)
