@@ -79,6 +79,11 @@ def _statement_counters():
             setattr(owner, name, original)
 
 
+def _live(cls) -> int:
+    """Number of live, GC-tracked instances of exactly ``cls``."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
 @contextmanager
 def _call_count(owner, name):
     """Count calls of the method ``owner.name`` while the block runs; yields
@@ -100,7 +105,7 @@ def _call_count(owner, name):
 def smoke() -> None:
     """CI perf smoke: deterministic counter assertions, no wall-clock."""
     from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
-    from repro.metrics import MetricsCollector
+    from repro.metrics import MetricsCollector, StageTimings, TxnSample
     from repro.middleware import CertifyRequest, LoadBalancer
     from repro.metrics.profiler import PROFILER, Profiler
     from repro.metrics.profiler import _NULL_SECTION
@@ -192,7 +197,9 @@ def smoke() -> None:
         ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
     )
     readonly_collector = MetricsCollector(measure_start=0.0)
-    readonly.add_clients(4, readonly_collector)
+    readonly_clients = 4
+    stage_timings_before = _live(StageTimings)
+    readonly.add_clients(readonly_clients, readonly_collector)
     with _call_count(LoadBalancer, "_rebuild_routable") as rebuilds:
         readonly.run(1_000.0)
     events_per_txn = (
@@ -213,8 +220,10 @@ def smoke() -> None:
     #    fault-free default run never rebuilds the balancer's routable set
     #    (only a membership transition does), constructs neither the
     #    admission nor the deadline component (not configured, not built),
-    #    and the two records built per transaction are slotted, with no
-    #    instance __dict__.
+    #    the metrics collector keeps no object per transaction (no
+    #    TxnSample is alive, and the only live StageTimings are those of
+    #    transactions in flight, at most one per client), and the call
+    #    record built per transaction is slotted, with no instance __dict__.
     balancer = readonly.load_balancer
     dispatched = balancer.dispatched_count
     assert dispatched > 0 and rebuilds[0] == 0, (
@@ -222,14 +231,21 @@ def smoke() -> None:
     )
     built = {name: getattr(balancer, name) for name in ("admission", "deadlines")}
     assert built == {"admission": None, "deadlines": None}, f"unconfigured components: {built}"
+    samples = _live(TxnSample)
+    in_flight = _live(StageTimings) - stage_timings_before
+    assert samples == 0, f"{samples} TxnSample objects alive after the run"
+    assert in_flight <= readonly_clients, (
+        f"{in_flight} StageTimings alive for {readonly_clients} clients"
+    )
     call = readonly_workload.next_call("client-0", RngRegistry(5).stream("probe"))
-    for record in (readonly_collector.samples[0], call):
-        assert not hasattr(record, "__dict__"), f"{type(record).__name__} has a __dict__"
+    assert not hasattr(call, "__dict__"), f"{type(call).__name__} has a __dict__"
 
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
     print("  balancer components: none constructed (admission, deadlines)")
+    print(f"  live after r-o run  : {samples} TxnSample, {in_flight} StageTimings "
+          f"({readonly_collector.summary().committed:,} txns recorded)")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

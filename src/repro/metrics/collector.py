@@ -14,20 +14,29 @@ warm-up interval exactly like the paper's runs (measurements before
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import add, sub
 from typing import Optional
 
 from .stages import StageTimings
 
 __all__ = ["TxnSample", "MetricsCollector", "MetricsSummary"]
 
+#: flag bits of one recorded sample
+_UPDATE, _COMMITTED, _STAGED = 1, 2, 4
+#: doubles per sample: submit and ack time, then the six stages in
+#: ``STAGE_NAMES`` order (zeros when the response carried no stages)
+_WIDTH = 8
+_pack_row = struct.Struct(f"{_WIDTH}d").pack  # one C call, not eight appends
+
 
 @dataclass(slots=True)
 class TxnSample:
-    """One measured client transaction.
-
-    Slotted, not frozen: a run retains one per transaction, and a frozen
-    dataclass pays an ``object.__setattr__`` per field to build one."""
+    """One measured client transaction (built on read: the collector keeps none)."""
 
     template: str
     is_update: bool
@@ -66,23 +75,56 @@ class MetricsSummary:
 
 
 class MetricsCollector:
-    """Client-side accumulator with a warm-up window."""
+    """Client-side accumulator with a warm-up window.
+
+    Keeps columns, not objects: per in-window sample a template id, a flag
+    byte and ``_WIDTH`` doubles, aggregated in record order (DESIGN.md D15)."""
 
     def __init__(self, measure_start: float = 0.0, measure_end: float = math.inf):
         if measure_end <= measure_start:
             raise ValueError("measure_end must be after measure_start")
         self.measure_start = measure_start
         self.measure_end = measure_end
-        self.samples: list[TxnSample] = []
         self.discarded = 0
+        self._template_ids: dict[str, int] = {}  # insertion order is id order
+        self._template_of = array("I")
+        self._flags = bytearray()
+        self._values = array("d")
 
-    def record(self, sample: TxnSample) -> None:
+    def record(self, template: str, is_update: bool, committed: bool, submit_time: float,
+               ack_time: float, stages: Optional[StageTimings]) -> None:
         """Record a finished transaction; warm-up/cool-down samples are
-        discarded (a transaction counts if it *completes* in the window)."""
-        if sample.ack_time < self.measure_start or sample.ack_time > self.measure_end:
+        discarded (a transaction counts if it *completes* in the window).
+        ``stages`` is copied, not kept."""
+        if ack_time < self.measure_start or ack_time > self.measure_end:
             self.discarded += 1
             return
-        self.samples.append(sample)
+        self._template_of.append(
+            self._template_ids.setdefault(template, len(self._template_ids)))
+        if stages is None:
+            self._flags.append(is_update | committed << 1)
+            self._values.frombytes(_pack_row(submit_time, ack_time, 0, 0, 0, 0, 0, 0))
+        else:
+            self._flags.append(is_update | committed << 1 | _STAGED)
+            self._values.frombytes(_pack_row(
+                submit_time, ack_time, stages.version, stages.queries, stages.certify,
+                stages.sync, stages.commit, stages.global_))
+
+    @property
+    def samples(self) -> tuple[TxnSample, ...]:
+        """The recorded samples in record order, built when read, never stored."""
+        values, templates = self._values, list(self._template_ids)
+        return tuple(
+            TxnSample(templates[template_id], bool(flags & _UPDATE), bool(flags & _COMMITTED),
+                      values[i], values[i + 1],
+                      StageTimings(*values[i + 2:i + _WIDTH]) if flags & _STAGED else None)
+            for i, template_id, flags in zip(
+                range(0, len(values), _WIDTH), self._template_of, self._flags)
+        )
+
+    def _where(self, required: int, excluded: int = 0) -> list[bool]:
+        """Per-sample mask: every ``required`` flag set, no ``excluded`` one."""
+        return [(flags & (required | excluded)) == required for flags in self._flags]
 
     def timeline(self, bucket_ms: float = 1_000.0) -> list[tuple[float, float]]:
         """Throughput over time: ``(bucket_start_ms, tps)`` per bucket.
@@ -94,17 +136,17 @@ class MetricsCollector:
         """
         if bucket_ms <= 0:
             raise ValueError("bucket_ms must be positive")
-        committed = [s for s in self.samples if s.committed]
-        if not committed:
+        acks = list(compress(self._values[1::_WIDTH], self._where(_COMMITTED)))
+        if not acks:
             return []
         start = self.measure_start
         end = self.measure_end
         if math.isinf(end):
-            end = max(s.ack_time for s in committed)
+            end = max(acks)
         buckets = max(1, math.ceil((end - start) / bucket_ms))
         counts = [0] * buckets
-        for sample in committed:
-            index = min(buckets - 1, int((sample.ack_time - start) // bucket_ms))
+        for ack in acks:
+            index = min(buckets - 1, int((ack - start) // bucket_ms))
             counts[index] += 1
         return [
             (start + i * bucket_ms, count / (bucket_ms / 1000.0))
@@ -118,39 +160,47 @@ class MetricsCollector:
         ``duration_ms`` defaults to the configured measurement window; pass
         it explicitly when the run was stopped early.
         """
+        values = self._values
+        acks = values[1::_WIDTH]
         if duration_ms is None:
             if math.isinf(self.measure_end):
-                last = max((s.ack_time for s in self.samples), default=self.measure_start)
+                last = max(acks, default=self.measure_start)
                 duration_ms = max(last - self.measure_start, 1e-9)
             else:
                 duration_ms = self.measure_end - self.measure_start
 
-        committed = [s for s in self.samples if s.committed]
-        aborted = [s for s in self.samples if not s.committed]
-        response_times = sorted(s.response_time for s in committed)
-        mean_response = _mean(response_times)
-        sync_delays = [
-            s.stages.synchronization_delay for s in committed if s.stages is not None
-        ]
-
-        read_only = [s for s in committed if not s.is_update and s.stages is not None]
-        updates = [s for s in committed if s.is_update and s.stages is not None]
-
+        committed = self._where(_COMMITTED)
+        staged = self._where(_COMMITTED | _STAGED)
+        read_only = self._where(_COMMITTED | _STAGED, _UPDATE)
+        updates = self._where(_COMMITTED | _STAGED | _UPDATE)
+        response_times = sorted(map(sub, compress(acks, committed),
+                                    compress(values[0::_WIDTH], committed)))
+        sync_delays = list(map(add, compress(values[2::_WIDTH], staged),  # version + global
+                               compress(values[7::_WIDTH], staged)))
         return MetricsSummary(
             duration_ms=duration_ms,
-            committed=len(committed),
-            aborted=len(aborted),
-            tps=len(committed) / (duration_ms / 1000.0),
-            mean_response_ms=mean_response,
+            committed=len(response_times),
+            aborted=len(committed) - len(response_times),
+            tps=len(response_times) / (duration_ms / 1000.0),
+            mean_response_ms=_mean(response_times),
             p50_response_ms=_percentile(response_times, 0.50),
             p95_response_ms=_percentile(response_times, 0.95),
             p99_response_ms=_percentile(response_times, 0.99),
             mean_sync_delay_ms=_mean(sync_delays),
-            read_only_breakdown=_mean_stages([s.stages for s in read_only]),
-            update_breakdown=_mean_stages([s.stages for s in updates]),
-            read_only_count=len(read_only),
-            update_count=len(updates),
+            read_only_breakdown=self._mean_stages(read_only),
+            update_breakdown=self._mean_stages(updates),
+            read_only_count=sum(read_only),
+            update_count=sum(updates),
         )
+
+    def _mean_stages(self, mask: list[bool]) -> StageTimings:
+        # A left fold from 0.0 in record order: StageTimings.add's arithmetic.
+        total = StageTimings(*(
+            reduce(add, compress(self._values[offset::_WIDTH], mask), 0.0)
+            for offset in range(2, _WIDTH)
+        ))
+        count = sum(mask)
+        return total.scaled(1.0 / count) if count else total
 
 
 def _mean(values) -> float:
@@ -163,12 +213,3 @@ def _percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     index = min(len(sorted_values) - 1, max(0, math.ceil(q * len(sorted_values)) - 1))
     return sorted_values[index]
-
-
-def _mean_stages(stage_list: list[StageTimings]) -> StageTimings:
-    total = StageTimings()
-    for stages in stage_list:
-        total.add(stages)
-    if not stage_list:
-        return total
-    return total.scaled(1.0 / len(stage_list))

@@ -22,7 +22,7 @@ __all__ = ["STAGE_NAMES", "StageTimings"]
 STAGE_NAMES = ("version", "queries", "certify", "sync", "commit", "global")
 
 
-@dataclass
+@dataclass(slots=True)
 class StageTimings:
     """Per-transaction latency breakdown, all in milliseconds."""
 
@@ -32,7 +32,6 @@ class StageTimings:
     sync: float = 0.0     # committing prior txns per the global order
     commit: float = 0.0   # local DBMS commit
     global_: float = 0.0  # EAGER global commit delay
-    routing: float = 0.0  # network + balancer time (not a paper stage)
 
     @property
     def total(self) -> float:
@@ -44,7 +43,6 @@ class StageTimings:
             + self.sync
             + self.commit
             + self.global_
-            + self.routing
         )
 
     @property
@@ -72,7 +70,6 @@ class StageTimings:
         self.sync += other.sync
         self.commit += other.commit
         self.global_ += other.global_
-        self.routing += other.routing
 
     def scaled(self, factor: float) -> "StageTimings":
         """A copy with every stage multiplied by ``factor`` (for averaging)."""
@@ -83,5 +80,4 @@ class StageTimings:
             sync=self.sync * factor,
             commit=self.commit * factor,
             global_=self.global_ * factor,
-            routing=self.routing * factor,
         )

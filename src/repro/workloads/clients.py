@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..metrics.collector import MetricsCollector, TxnSample
+from ..metrics.collector import MetricsCollector
 from ..metrics.tracing import TRACER
 from ..middleware.messages import ClientRequest, next_request_id
 from ..middleware.overload import RetryBudget
@@ -149,17 +149,11 @@ class ClientPool:
                             "attempt": attempts,
                         },
                     )
-                self.collector.record(
-                    TxnSample(
-                        template=call.template,
-                        is_update=is_update,
-                        committed=response.committed,
-                        submit_time=submit_time,
-                        ack_time=self.env.now,
-                        stages=response.stages,
-                    )
-                )
-                if response.committed:
+                committed, retry_after_ms = response.committed, response.retry_after_ms
+                self.collector.record(call.template, is_update, committed,
+                                      submit_time, self.env.now, response.stages)
+                del response  # frees the stage timings the collector just copied
+                if committed:
                     if self.retry_budget is not None:
                         self.retry_budget.on_success()
                     break
@@ -181,8 +175,8 @@ class ClientPool:
                     cap_ms=self.retry_backoff_cap_ms,
                     jitter=self.retry_jitter,
                 )
-                if response.retry_after_ms is not None:
-                    delay = max(delay, response.retry_after_ms)
+                if retry_after_ms is not None:
+                    delay = max(delay, retry_after_ms)
                 yield self.env.timeout(delay)
             think = self.workload.think_time_ms(client_id, think_rng)
             if think > 0:
@@ -354,13 +348,5 @@ class OpenLoopLoad:
                     "attempt": attempts,
                 },
             )
-        self.collector.record(
-            TxnSample(
-                template=call.template,
-                is_update=is_update,
-                committed=response.committed,
-                submit_time=first_submit,
-                ack_time=self.env.now,
-                stages=response.stages,
-            )
-        )
+        self.collector.record(call.template, is_update, response.committed,
+                              first_submit, self.env.now, response.stages)

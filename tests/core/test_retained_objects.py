@@ -3,8 +3,10 @@
 Every replica installs the same certified after-images, so a committed row
 write should cost the *cluster* one stored row version — not one per
 replica — and CPython's cyclic collector, whose work grows with the
-population of GC-tracked objects, should see a commit retain about ten
-objects (writeset, log entry, metrics sample, the row version), not dozens.
+population of GC-tracked objects, should see a commit retain a handful of
+objects (writeset, log entry, the row version), not dozens.  A read-only
+transaction retains nothing: the metrics collector keeps its measurements
+as columns, not as an object per transaction.
 Counts, never wall-clock: the run is seeded and the numbers repeat.
 """
 
@@ -14,9 +16,12 @@ from repro import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.workloads import MicroBenchmark
 
-#: retained GC-tracked objects per commit version (measured 9.43 on
-#: CPython 3.11; list-pair chains: 25-35)
-MAX_RETAINED_PER_COMMIT = 10
+#: retained GC-tracked objects per commit version (measured 7.42 on
+#: CPython 3.11; 9.43 with an object per metrics sample; list-pair chains: 25-35)
+MAX_RETAINED_PER_COMMIT = 8
+#: retained GC-tracked objects per finished read-only transaction (measured
+#: 0.001 on CPython 3.11; 2.001 with a sample object and its stage timings)
+MAX_RETAINED_PER_READ_ONLY_TXN = 0.05
 #: storage-layer objects (row versions + chain structure) per committed row
 #: write, over all 8 replicas (list-pair chains: 11-26)
 MAX_STORAGE_OBJECTS_PER_ROW_WRITE = 2
@@ -30,6 +35,23 @@ def census():
         if type(obj).__module__ in ("repro.storage.rows", "repro.storage.table")
     )
     return len(tracked), storage
+
+
+def test_a_read_only_transaction_retains_nothing():
+    cluster = ReplicatedDatabase(
+        MicroBenchmark(update_types=0, rows_per_table=200),
+        ClusterConfig(num_replicas=8, seed=7, record_history=False),
+    )
+    cluster.add_clients(8, MetricsCollector())
+    cluster.run(300.0)  # past the warm-up: pools, caches and queues exist
+    finished = cluster.client_pool.completed
+    tracked_before, _ = census()
+    cluster.run(700.0)
+    tracked_after, _ = census()
+
+    txns = cluster.client_pool.completed - finished
+    assert txns >= 1_000 and cluster.commit_version == 0
+    assert (tracked_after - tracked_before) / txns <= MAX_RETAINED_PER_READ_ONLY_TXN
 
 
 def test_a_commit_retains_one_row_version_cluster_wide():

@@ -12,9 +12,9 @@ class TestStageTimings:
     def test_total_sums_all_stages(self):
         stages = StageTimings(
             version=1.0, queries=2.0, certify=3.0, sync=4.0, commit=5.0,
-            global_=6.0, routing=0.5,
+            global_=6.0,
         )
-        assert stages.total == 21.5
+        assert stages.total == 21.0
 
     def test_synchronization_delay_definition(self):
         """Figure 6's metric: start delay for lazy, global delay for eager."""
@@ -37,11 +37,10 @@ class TestStageTimings:
         assert a.commit == 4.0
 
     def test_scaled_multiplies_everything(self):
-        stages = StageTimings(version=2.0, queries=4.0, routing=1.0)
+        stages = StageTimings(version=2.0, queries=4.0)
         half = stages.scaled(0.5)
         assert half.version == 1.0
         assert half.queries == 2.0
-        assert half.routing == 0.5
         assert stages.version == 2.0  # original untouched
 
     def test_stage_name_order_matches_figure4(self):
