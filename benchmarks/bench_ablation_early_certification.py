@@ -10,7 +10,6 @@ measures where aborts happen.
 
 from conftest import emit
 
-from repro.core import ConsistencyLevel
 from repro.metrics import format_table
 from repro.workloads import MicroBenchmark
 
@@ -26,7 +25,7 @@ def run_pair():
             MicroBenchmark(update_types=40, rows_per_table=60),
             ClusterConfig(
                 num_replicas=4,
-                level=ConsistencyLevel.SC_COARSE,
+                level="sc-coarse",
                 seed=2,
                 early_certification=enabled,
             ),

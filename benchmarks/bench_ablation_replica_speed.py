@@ -11,7 +11,6 @@ receiving replica).
 from conftest import emit
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.core import ConsistencyLevel
 from repro.metrics import format_series
 from repro.middleware.perfmodel import PerformanceParams
 from repro.workloads import MicroBenchmark
@@ -24,7 +23,7 @@ def run_sweep():
               "EAGER TPS": [], "SC-COARSE TPS": []}
     for spread in SPREADS:
         params = PerformanceParams(replica_speed_spread=spread)
-        for level in (ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE):
+        for level in ("eager", "sc-coarse"):
             result = run_experiment(
                 ExperimentConfig(
                     workload_factory=lambda: MicroBenchmark(
@@ -39,7 +38,7 @@ def run_sweep():
                     params=params,
                 )
             )
-            if level is ConsistencyLevel.EAGER:
+            if level == "eager":
                 series["EAGER global (ms)"].append(result.summary.update_breakdown.global_)
                 series["EAGER TPS"].append(result.tps)
             else:

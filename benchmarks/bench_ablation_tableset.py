@@ -10,7 +10,7 @@ is the whole database and SC-FINE must degenerate to SC-COARSE.
 from conftest import emit
 
 from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.core import ConsistencyLevel
+from repro.core import resolve_policy
 from repro.metrics import format_series
 from repro.workloads import MicroBenchmark
 
@@ -20,7 +20,7 @@ WIDTHS = (1, 2, 4)
 def run_sweep():
     series = {"SC-FINE version (ms)": [], "SC-COARSE version (ms)": []}
     for width in WIDTHS:
-        for level in (ConsistencyLevel.SC_FINE, ConsistencyLevel.SC_COARSE):
+        for level in map(resolve_policy, ("sc-fine", "sc-coarse")):
             result = run_experiment(
                 ExperimentConfig(
                     workload_factory=lambda: MicroBenchmark(

@@ -33,7 +33,6 @@ import argparse
 import json
 import time
 
-from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
     Certifier,
     CertifierPerformance,
@@ -90,7 +89,7 @@ def run_certification(mode, window, probes):
         network=network,
         perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
         replica_names=["replica-0"],
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
     )
 
     request_id = 0

@@ -11,7 +11,6 @@ k, the system behaves like the unsynchronized BASELINE.
 
 from conftest import emit
 
-from repro.core import ConsistencyLevel
 from repro.core.cluster import ClusterConfig, ReplicatedDatabase
 from repro.histories import staleness_report
 from repro.metrics import MetricsCollector, format_table
@@ -27,9 +26,8 @@ def run_sweep():
             MicroBenchmark(update_types=20, rows_per_table=500),
             ClusterConfig(
                 num_replicas=8,
-                level=ConsistencyLevel.RELAXED,
+                level=f"relaxed:{bound}",
                 seed=1,
-                freshness_bound=bound,
             ),
         )
         collector = MetricsCollector(measure_start=1_000.0, measure_end=5_000.0)

@@ -15,7 +15,6 @@ Paper shapes verified here:
 from conftest import emit
 
 from repro.bench import fig3
-from repro.core import ConsistencyLevel
 
 
 def test_fig3_microbench_throughput(benchmark):
@@ -24,10 +23,10 @@ def test_fig3_microbench_throughput(benchmark):
     )
     emit("fig3", result.render())
 
-    eager = ConsistencyLevel.EAGER.label
-    session = ConsistencyLevel.SESSION.label
-    coarse = ConsistencyLevel.SC_COARSE.label
-    fine = ConsistencyLevel.SC_FINE.label
+    eager = "EAGER"
+    session = "SESSION"
+    coarse = "SC-COARSE"
+    fine = "SC-FINE"
 
     # Read-only point: everybody identical.
     zero = {label: result.value(label, 0) for label in result.series}

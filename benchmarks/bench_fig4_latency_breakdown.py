@@ -16,7 +16,6 @@ Paper shapes verified here:
 from conftest import emit
 
 from repro.bench import fig4
-from repro.core import ConsistencyLevel
 
 
 def test_fig4_latency_breakdown(benchmark):
@@ -25,10 +24,10 @@ def test_fig4_latency_breakdown(benchmark):
     emit("fig4", text)
 
     for label, res in results.items():
-        eager = res.breakdowns[ConsistencyLevel.EAGER.label]
-        session = res.breakdowns[ConsistencyLevel.SESSION.label]
-        coarse = res.breakdowns[ConsistencyLevel.SC_COARSE.label]
-        fine = res.breakdowns[ConsistencyLevel.SC_FINE.label]
+        eager = res.breakdowns["EAGER"]
+        session = res.breakdowns["SESSION"]
+        coarse = res.breakdowns["SC-COARSE"]
+        fine = res.breakdowns["SC-FINE"]
 
         # The global stage exists only under EAGER and dominates.
         assert eager.global_ > 0

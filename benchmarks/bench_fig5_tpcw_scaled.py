@@ -16,12 +16,11 @@ Paper shapes verified here:
 from conftest import emit
 
 from repro.bench import fig5
-from repro.core import ConsistencyLevel
 
-EAGER = ConsistencyLevel.EAGER.label
-SESSION = ConsistencyLevel.SESSION.label
-COARSE = ConsistencyLevel.SC_COARSE.label
-FINE = ConsistencyLevel.SC_FINE.label
+EAGER = "EAGER"
+SESSION = "SESSION"
+COARSE = "SC-COARSE"
+FINE = "SC-FINE"
 
 
 def test_fig5_tpcw_scaled(benchmark):

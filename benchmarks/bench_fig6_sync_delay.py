@@ -15,12 +15,11 @@ Paper shapes verified here:
 from conftest import emit
 
 from repro.bench import fig6
-from repro.core import ConsistencyLevel
 
-EAGER = ConsistencyLevel.EAGER.label
-SESSION = ConsistencyLevel.SESSION.label
-COARSE = ConsistencyLevel.SC_COARSE.label
-FINE = ConsistencyLevel.SC_FINE.label
+EAGER = "EAGER"
+SESSION = "SESSION"
+COARSE = "SC-COARSE"
+FINE = "SC-FINE"
 
 
 def test_fig6_sync_delay(benchmark):

@@ -104,7 +104,7 @@ def _call_count(owner, name):
 
 def smoke() -> None:
     """CI perf smoke: deterministic counter assertions, no wall-clock."""
-    from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+    from repro.core import ClusterConfig, ReplicatedDatabase
     from repro.metrics import MetricsCollector, StageTimings, TxnSample
     from repro.middleware import CertifyRequest, LoadBalancer
     from repro.metrics.profiler import PROFILER, Profiler
@@ -129,7 +129,7 @@ def smoke() -> None:
     def run_once(tap=None):
         cluster = ReplicatedDatabase(
             MicroBenchmark(update_types=10, rows_per_table=100, tables_per_txn=2),
-            ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
+            ClusterConfig(num_replicas=3, level="sc-coarse", seed=5),
         )
         if tap is not None:
             cluster.network.add_tap(tap)
@@ -194,7 +194,7 @@ def smoke() -> None:
     readonly_workload = MicroBenchmark(update_types=0, rows_per_table=100)
     readonly = ReplicatedDatabase(
         readonly_workload,
-        ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
+        ClusterConfig(num_replicas=3, level="sc-coarse", seed=5),
     )
     readonly_collector = MetricsCollector(measure_start=0.0)
     readonly_clients = 4

@@ -9,24 +9,17 @@ ordering must hold under this tighter experiment too.
 
 from conftest import emit
 
-from repro.core import ConsistencyLevel
+from repro.bench.experiments import LEVELS
 from repro.core.cluster import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector, format_table
 from repro.workloads import MicroBenchmark, TraceRecorder
-
-LEVELS = (
-    ConsistencyLevel.SC_COARSE,
-    ConsistencyLevel.SC_FINE,
-    ConsistencyLevel.SESSION,
-    ConsistencyLevel.EAGER,
-)
 
 
 def record_trace():
     recorder = TraceRecorder(MicroBenchmark(update_types=10, rows_per_table=500))
     cluster = ReplicatedDatabase(
         recorder,
-        ClusterConfig(num_replicas=8, level=ConsistencyLevel.SESSION, seed=1),
+        ClusterConfig(num_replicas=8, level="session", seed=1),
     )
     cluster.add_clients(8, MetricsCollector())
     cluster.run(6_000.0)
@@ -66,9 +59,9 @@ def test_paired_trace(benchmark):
     emit("paired_trace", text)
 
     by_label = {row[0]: row for row in rows}
-    session_tps = by_label[ConsistencyLevel.SESSION.label][1]
+    session_tps = by_label["SESSION"][1]
     # Lazy strong consistency within a few percent of session consistency —
     # now with the workload draw held fixed.
-    for label in (ConsistencyLevel.SC_COARSE.label, ConsistencyLevel.SC_FINE.label):
+    for label in ("SC-COARSE", "SC-FINE"):
         assert abs(by_label[label][1] - session_tps) / session_tps < 0.08
-    assert by_label[ConsistencyLevel.EAGER.label][1] < 0.8 * session_tps
+    assert by_label["EAGER"][1] < 0.8 * session_tps

@@ -33,7 +33,6 @@ import argparse
 import random
 
 from repro.core import ClusterConfig, PartitionMap, ReplicatedDatabase
-from repro.core.consistency import ConsistencyLevel
 from repro.histories import is_strongly_consistent
 from repro.metrics import MetricsCollector
 from repro.middleware import (
@@ -91,7 +90,7 @@ def run_certification(num_partitions, steps, cross_fraction, seed=9):
         network=network,
         perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
         replica_names=["replica-0"],
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
         partition_map=partition_map,
     )
     rng = random.Random(seed)

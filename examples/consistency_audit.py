@@ -15,7 +15,7 @@ The resulting matrix is the paper's guarantee hierarchy, measured.
 Run:  python examples/consistency_audit.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase, resolve_policy
 from repro.histories import (
     is_session_consistent,
     is_strongly_consistent,
@@ -26,13 +26,7 @@ from repro.histories import (
 from repro.metrics import MetricsCollector
 from repro.workloads import MicroBenchmark
 
-LEVELS = [
-    ConsistencyLevel.EAGER,
-    ConsistencyLevel.SC_COARSE,
-    ConsistencyLevel.SC_FINE,
-    ConsistencyLevel.SESSION,
-    ConsistencyLevel.BASELINE,
-]
+LEVELS = ["eager", "sc-coarse", "sc-fine", "session", "baseline"]
 
 
 def audit(level):
@@ -63,23 +57,23 @@ def main():
         stale = result["staleness"]
         flags = [result["strong"], result["strong_strict"], result["session"],
                  result["monotone"]]
-        print(f"{level.label:10s} {result['txns']:>6d} "
+        print(f"{resolve_policy(level).label:10s} {result['txns']:>6d} "
               + " ".join(f"{str(f):>7s}" if i < 3 else f"{str(f):>9s}"
                          for i, f in enumerate(flags))
               + f" {stale['mean']:>11.2f} {stale['max']:>10.0f}")
 
     print("\nExample violations under BASELINE (the weak configuration):")
-    for violation in results[ConsistencyLevel.BASELINE]["violations"]:
+    for violation in results["baseline"]["violations"]:
         print(f"  {violation}")
 
     # The paper's hierarchy, asserted.
-    assert results[ConsistencyLevel.EAGER]["strong_strict"]
-    assert results[ConsistencyLevel.SC_COARSE]["strong_strict"]
-    assert results[ConsistencyLevel.SC_FINE]["strong"]
-    assert not results[ConsistencyLevel.SC_FINE]["strong_strict"]
-    assert results[ConsistencyLevel.SESSION]["session"]
-    assert not results[ConsistencyLevel.SESSION]["strong"]
-    assert not results[ConsistencyLevel.BASELINE]["session"]
+    assert results["eager"]["strong_strict"]
+    assert results["sc-coarse"]["strong_strict"]
+    assert results["sc-fine"]["strong"]
+    assert not results["sc-fine"]["strong_strict"]
+    assert results["session"]["session"]
+    assert not results["session"]["strong"]
+    assert not results["baseline"]["session"]
     print("\nGuarantee hierarchy verified.")
 
 

@@ -13,7 +13,7 @@ Demonstrates the availability story of Section IV:
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.histories import is_strongly_consistent
 from repro.metrics import MetricsCollector
@@ -30,7 +30,7 @@ def build(level, clients=10):
 
 def replica_crash_and_recovery():
     print("=== replica crash and recovery (SC-COARSE) ===")
-    cluster, collector = build(ConsistencyLevel.SC_COARSE)
+    cluster, collector = build("sc-coarse")
     injector = FaultInjector(cluster)
 
     cluster.run(500.0)
@@ -55,7 +55,7 @@ def replica_crash_and_recovery():
 
 def certifier_failover():
     print("=== certifier failover (SC-FINE) ===")
-    cluster, collector = build(ConsistencyLevel.SC_FINE)
+    cluster, collector = build("sc-fine")
     injector = FaultInjector(cluster)
 
     cluster.run(500.0)
@@ -74,7 +74,7 @@ def certifier_failover():
 
 def eager_availability_weakness():
     print("=== the eager approach vs a dead replica ===")
-    cluster, collector = build(ConsistencyLevel.EAGER, clients=6)
+    cluster, collector = build("eager", clients=6)
     injector = FaultInjector(cluster)
     cluster.run(500.0)
 

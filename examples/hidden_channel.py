@@ -17,16 +17,10 @@ the version B's read snapshot was taken at.
 Run:  python examples/hidden_channel.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase, resolve_policy
 from repro.workloads import MicroBenchmark
 
-LEVELS = [
-    ConsistencyLevel.BASELINE,
-    ConsistencyLevel.SESSION,
-    ConsistencyLevel.SC_COARSE,
-    ConsistencyLevel.SC_FINE,
-    ConsistencyLevel.EAGER,
-]
+LEVELS = ["baseline", "session", "sc-coarse", "sc-fine", "eager"]
 
 
 def trade_scenario(level, seed):
@@ -63,7 +57,7 @@ def trade_scenario(level, seed):
 
 def main():
     print(f"{'level':12s} {'trade seen by B?':18s} {'B snapshot':>10s} {'trade version':>14s}")
-    for level in LEVELS:
+    for level in map(resolve_policy, LEVELS):
         # Try several seeds: under the weak configurations the race only
         # fires when B is routed to a replica the update has not reached.
         # "Stale" means B's snapshot predates the trade's commit version.

@@ -8,7 +8,7 @@ recovery catch-up are visible directly in the terminal.
 Run:  python examples/monitoring.py
 """
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.metrics import MetricsCollector, line_chart
 from repro.workloads import MicroBenchmark
@@ -17,7 +17,7 @@ from repro.workloads import MicroBenchmark
 def main():
     cluster = ReplicatedDatabase(
         MicroBenchmark(update_types=20, rows_per_table=300),
-        ClusterConfig(num_replicas=4, level=ConsistencyLevel.SC_FINE, seed=31),
+        ClusterConfig(num_replicas=4, level="sc-fine", seed=31),
     )
     collector = MetricsCollector(measure_start=0.0, measure_end=6_000.0)
     cluster.add_clients(12, collector)

@@ -9,7 +9,7 @@ database gives you, here at lazy-propagation cost.
 Run:  python examples/quickstart.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.workloads import MicroBenchmark
 
 
@@ -18,10 +18,10 @@ def main():
     cluster = ReplicatedDatabase(
         workload,
         num_replicas=4,
-        level=ConsistencyLevel.SC_FINE,
+        level="sc-fine",
         seed=42,
     )
-    print(f"cluster: {len(cluster.replicas)} replicas, level={cluster.level.label}")
+    print(f"cluster: {len(cluster.replicas)} replicas, level={cluster.policy.label}")
 
     alice = cluster.open_session("alice")
     bob = cluster.open_session("bob")

@@ -10,7 +10,7 @@ account-table updates under SC-FINE.
 Run:  python examples/sql_bank.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.storage import Column, TableSchema
 from repro.workloads import TemplateCatalog, TxnCall, Workload, sql_template
@@ -68,7 +68,7 @@ class SqlBank(Workload):
 def main():
     workload = SqlBank()
     cluster = ReplicatedDatabase(
-        workload, num_replicas=4, level=ConsistencyLevel.SC_FINE, seed=21
+        workload, num_replicas=4, level="sc-fine", seed=21
     )
 
     print("statically extracted table-sets (what the balancer's catalog holds):")

@@ -10,7 +10,7 @@ to protect.
 Run:  python examples/tpcc_demo.py
 """
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.workloads import TPCCBenchmark
 from repro.workloads.tpcc import district_key, order_key
@@ -22,7 +22,7 @@ def terminal_walkthrough():
                              customers_per_district=20, num_items=50)
     cluster = ReplicatedDatabase(
         workload, ClusterConfig(num_replicas=3,
-                                level=ConsistencyLevel.SC_FINE, seed=2),
+                                level="sc-fine", seed=2),
     )
     terminal = cluster.open_session("terminal-1")
 
@@ -61,7 +61,7 @@ def hot_district_contention():
                              customers_per_district=30, num_items=80)
     cluster = ReplicatedDatabase(
         workload, ClusterConfig(num_replicas=3,
-                                level=ConsistencyLevel.SC_COARSE, seed=9),
+                                level="sc-coarse", seed=9),
     )
     collector = MetricsCollector()
     cluster.add_clients(10, collector, retry_aborts=True)

@@ -13,7 +13,7 @@ slice of the paper's Figure 5/6.
 Run:  python examples/tpcw_demo.py
 """
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.metrics import MetricsCollector, format_table
 from repro.workloads import TPCWBenchmark
 
@@ -22,7 +22,7 @@ def shopping_session():
     print("=== one shopping session (SC-FINE, 4 replicas) ===")
     workload = TPCWBenchmark(mix="shopping", num_items=200, num_customers=100)
     cluster = ReplicatedDatabase(
-        workload, num_replicas=4, level=ConsistencyLevel.SC_FINE, seed=7
+        workload, num_replicas=4, level="sc-fine", seed=7
     )
     browser = cluster.open_session("client-1")
     customer_id = workload.customer_for("client-1")
@@ -60,12 +60,7 @@ def shopping_session():
 def ordering_mix_comparison():
     print("=== ordering mix (50% updates), 6 replicas, 30 clients ===")
     rows = []
-    for level in (
-        ConsistencyLevel.SESSION,
-        ConsistencyLevel.SC_COARSE,
-        ConsistencyLevel.SC_FINE,
-        ConsistencyLevel.EAGER,
-    ):
+    for level in ("session", "sc-coarse", "sc-fine", "eager"):
         workload = TPCWBenchmark(mix="ordering", num_items=300, num_customers=200)
         cluster = ReplicatedDatabase(workload, num_replicas=6, level=level, seed=3,
                                      record_history=False)
@@ -74,7 +69,7 @@ def ordering_mix_comparison():
         cluster.run(10_000.0)
         summary = collector.summary()
         rows.append([
-            level.label,
+            cluster.policy.label,
             summary.tps,
             summary.mean_response_ms,
             summary.mean_sync_delay_ms,

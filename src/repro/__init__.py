@@ -9,13 +9,13 @@ with a from-scratch snapshot-isolation storage engine.
 
 Quickstart::
 
-    from repro import ReplicatedDatabase, ConsistencyLevel
+    from repro import ReplicatedDatabase
     from repro.workloads import MicroBenchmark
 
     cluster = ReplicatedDatabase(
         MicroBenchmark(update_types=10, rows_per_table=1000),
         num_replicas=3,
-        level=ConsistencyLevel.SC_FINE,
+        level="sc-fine",
         seed=42,
     )
     session = cluster.open_session("alice")
@@ -26,7 +26,6 @@ Quickstart::
 from .core import (
     BoundedStalenessPolicy,
     ClusterConfig,
-    ConsistencyLevel,
     ConsistencyPolicy,
     ReplicatedDatabase,
     SyncSession,
@@ -41,7 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BoundedStalenessPolicy",
     "ClusterConfig",
-    "ConsistencyLevel",
     "ConsistencyPolicy",
     "ReplicatedDatabase",
     "SyncSession",

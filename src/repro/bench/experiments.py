@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core.consistency import ConsistencyLevel
-from ..core.policy import BoundedStalenessPolicy
+from ..core.policy import BoundedStalenessPolicy, ConsistencyPolicy, resolve_policy
 from ..core.versions import VersionTracker
 from ..metrics.report import format_breakdown, format_series, format_table
 from ..metrics.stages import StageTimings
@@ -58,12 +57,7 @@ __all__ = [
 ]
 
 #: the four configurations the paper evaluates, in its plotting order
-LEVELS = (
-    ConsistencyLevel.SC_COARSE,
-    ConsistencyLevel.SC_FINE,
-    ConsistencyLevel.SESSION,
-    ConsistencyLevel.EAGER,
-)
+LEVELS = tuple(map(resolve_policy, ("sc-coarse", "sc-fine", "session", "eager")))
 
 #: clients per replica for the scaled-load TPC-W experiments (Section V-C.1)
 TPCW_CLIENTS_PER_REPLICA = {"browsing": 10, "shopping": 8, "ordering": 5}
@@ -148,8 +142,8 @@ def table1() -> str:
             # The paper's punchline: T6 accesses table A only, so SC-FINE
             # lets it start at V_local >= V_A = 1 while SC-COARSE demands
             # the full V_system = 5.
-            fine = tracker.start_version(ConsistencyLevel.SC_FINE, table_set=tables)
-            coarse = tracker.start_version(ConsistencyLevel.SC_COARSE)
+            fine = resolve_policy("sc-fine").start_version(tracker, table_set=tables)
+            coarse = resolve_policy("sc-coarse").start_version(tracker)
             footer = (
                 f"\nT6 (table A only) start requirement: SC-FINE V_local >= {fine}, "
                 f"SC-COARSE V_local >= {coarse}."
@@ -179,7 +173,7 @@ def table1() -> str:
 # ---------------------------------------------------------------------------
 
 def _micro_config(
-    level,
+    level: ConsistencyPolicy,
     update_types: int,
     quick: bool,
     seed: int,
@@ -340,7 +334,7 @@ class AvailabilityResult:
 def availability(
     quick: bool = True,
     seed: int = 0,
-    levels: Optional[Sequence[ConsistencyLevel]] = None,
+    levels: Sequence = ("sc-fine", "eager"),
     bucket_ms: float = 100.0,
 ) -> AvailabilityResult:
     """Availability around an injected replica crash, per configuration.
@@ -365,15 +359,13 @@ def availability(
     from ..faults.injector import FaultInjector
     from ..metrics.collector import MetricsCollector
 
-    if levels is None:
-        levels = (ConsistencyLevel.SC_FINE, ConsistencyLevel.EAGER)
     warmup_ms = 800.0 if quick else 3_000.0
     crash_after_ms = 1_200.0 if quick else 4_000.0
     observe_ms = 2_000.0 if quick else 6_000.0
     victim = "replica-1"
 
     measurements: dict[str, AvailabilityMeasurement] = {}
-    for level in levels:
+    for level in map(resolve_policy, levels):
         config = ClusterConfig.self_healing(
             num_replicas=4, level=level, seed=seed
         )
@@ -427,7 +419,7 @@ def availability(
 
 def _tpcw_run(
     mix: str,
-    level: ConsistencyLevel,
+    level: ConsistencyPolicy,
     num_replicas: int,
     clients: int,
     quick: bool,
@@ -600,7 +592,7 @@ def _saturation_point(
     warmup_ms = 500.0 if quick else 2_000.0
     measure_ms = 2_500.0 if quick else 10_000.0
     make = ClusterConfig.overload_protected if protected else ClusterConfig
-    config = make(num_replicas=3, level=ConsistencyLevel.SC_FINE, seed=seed)
+    config = make(num_replicas=3, level="sc-fine", seed=seed)
     cluster = ReplicatedDatabase(
         MicroBenchmark(update_types=10, rows_per_table=1_000), config
     )
@@ -752,7 +744,7 @@ def retry_storm(
     for label, ratio in arms.items():
         config = ClusterConfig(
             num_replicas=3,
-            level=ConsistencyLevel.SC_FINE,
+            level="sc-fine",
             seed=seed,
             request_deadline_ms=60.0,
             max_attempts=1,

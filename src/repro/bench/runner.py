@@ -14,7 +14,6 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from ..core.cluster import ClusterConfig, ReplicatedDatabase
-from ..core.consistency import ConsistencyLevel
 from ..core.policy import ConsistencyPolicy
 from ..histories.checkers import (
     is_session_consistent,
@@ -41,8 +40,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one measured run."""
 
     workload_factory: Callable[[], Workload]
-    #: a ConsistencyLevel member, a registered policy spec, or a policy
-    level: "ConsistencyLevel | str | ConsistencyPolicy"
+    #: a registered policy spec or a policy instance
+    level: "str | ConsistencyPolicy"
     num_replicas: int
     clients: int
     warmup_ms: float = 5_000.0

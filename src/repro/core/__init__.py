@@ -1,13 +1,11 @@
 """The paper's contribution: consistency configurations over lazy replication.
 
-Public API: build a :class:`ReplicatedDatabase` over a workload with one of
-the :class:`ConsistencyLevel` configurations (or any registered
-:class:`ConsistencyPolicy`), then drive it with sessions or closed-loop
-clients.
+Public API: build a :class:`ReplicatedDatabase` over a workload with any
+registered :class:`ConsistencyPolicy` (``level="sc-fine"``, ``"bounded:3"``
+or a policy instance), then drive it with sessions or closed-loop clients.
 """
 
 from .cluster import ClusterConfig, ReplicatedDatabase
-from .consistency import ConsistencyLevel
 from .partition import PartitionMap
 from .policy import (
     BoundedStalenessPolicy,
@@ -22,7 +20,6 @@ from .versions import VersionTracker
 __all__ = [
     "BoundedStalenessPolicy",
     "ClusterConfig",
-    "ConsistencyLevel",
     "ConsistencyPolicy",
     "PartitionMap",
     "ReplicatedDatabase",

@@ -3,7 +3,7 @@
 :class:`ReplicatedDatabase` wires the full prototype of Figure 2 together on
 the simulation substrate: N replicas (storage engine + proxy + CPU model), a
 certifier, a load balancer, the network fabric, and the configured
-consistency level.  Two ways to drive it:
+consistency policy.  Two ways to drive it:
 
 * **interactively** via :meth:`open_session` — a synchronous facade that
   submits one transaction at a time and advances virtual time until the
@@ -48,7 +48,6 @@ from ..storage.digest import DigestTracker
 from ..storage.engine import StorageEngine
 from ..workloads.base import Workload
 from ..workloads.clients import ClientPool
-from .consistency import ConsistencyLevel
 from .partition import PartitionMap
 from .policy import ConsistencyPolicy, resolve_policy
 from .session import SyncSession
@@ -61,9 +60,9 @@ class ClusterConfig:
     """Configuration of one replicated-database deployment."""
 
     num_replicas: int = 3
-    #: a ConsistencyLevel member, a registered policy spec ("sc-fine",
-    #: "bounded:3"), or a ready ConsistencyPolicy instance
-    level: "ConsistencyLevel | str | ConsistencyPolicy" = ConsistencyLevel.SC_COARSE
+    #: a registered policy spec ("sc-fine", "relaxed:5", "bounded:3") or a
+    #: ready ConsistencyPolicy instance
+    level: "str | ConsistencyPolicy" = "sc-coarse"
     seed: int = 0
     #: override the workload's performance model
     params: Optional[PerformanceParams] = None
@@ -79,8 +78,6 @@ class ClusterConfig:
     #: serializable certification: validate readsets at the certifier
     #: (turns GSI into one-copy serializability at the cost of aborts)
     certify_reads: bool = False
-    #: staleness allowance, in versions, for the RELAXED level
-    freshness_bound: int = 10
     #: periodic MVCC garbage collection at each replica (None = off)
     vacuum_interval_ms: Optional[float] = None
     # -- certifier shards (see docs/PROTOCOL.md) --------------------------
@@ -94,11 +91,9 @@ class ClusterConfig:
     #: this grace period (None = pin forever)
     departed_grace_ms: Optional[float] = None
     # -- self-healing (all off by default; see docs/PROTOCOL.md) -----------
-    #: heartbeat period for failure detection (None = no heartbeats: faults
-    #: are only visible through explicit injector calls, as before)
-    heartbeat_interval_ms: Optional[float] = None
-    #: consecutive missed heartbeats before a component is suspected
-    suspicion_threshold: int = 3
+    #: heartbeat failure detection (None = no heartbeats: faults are only
+    #: visible through explicit injector calls)
+    heartbeat: Optional[HeartbeatSettings] = None
     #: per-request deadline at the load balancer (None = wait forever);
     #: timed-out reads are re-routed, timed-out updates fate-resolved
     request_deadline_ms: Optional[float] = None
@@ -110,25 +105,12 @@ class ClusterConfig:
     #: dispatch attempts per request before the client sees a failure
     max_attempts: int = 3
     # -- overload protection (all off by default; see docs/TUNING.md) ------
-    #: per-replica cap on concurrently dispatched transactions (None = no
-    #: admission control: every request dispatches immediately, as before)
-    mpl_cap: Optional[int] = None
-    #: bound of each replica's admission queue (used only with ``mpl_cap``)
-    admission_queue_depth: int = 64
-    #: shed queued requests that cannot start within this budget of their
-    #: submission (None = no deadline-aware shedding)
-    shed_deadline_ms: Optional[float] = None
-    #: retry-after hint carried by ``Overloaded`` fast-rejects
-    retry_after_hint_ms: float = 10.0
+    #: the balancer's admission control, shedding and degradation valve
+    #: (None = every request dispatches immediately)
+    overload: Optional[OverloadSettings] = None
     #: bound on the certifier's inbound queue; beyond it certifications are
-    #: refused with backpressure (None = unbounded, as before)
+    #: refused with backpressure (None = unbounded)
     certifier_queue_bound: Optional[int] = None
-    #: degradation-valve policy spec served to degradable reads while the
-    #: balancer is overloaded (e.g. "session" or "bounded:8"; None = off)
-    degradation_policy: Optional[str] = None
-    #: total admission-queue depth at which the valve opens / closes
-    valve_high: int = 16
-    valve_low: int = 4
     # -- anti-entropy (all off by default; see docs/PROTOCOL.md) ------------
     #: period between scrub rounds (None = no scrubber, no digest oracle —
     #: the whole anti-entropy subsystem stays unconstructed)
@@ -144,16 +126,10 @@ class ClusterConfig:
     net_duplicate_prob: float = 0.0
     net_reorder_prob: float = 0.0
     # -- replica lifecycle (off by default; see docs/PROTOCOL.md) -----------
-    #: run the bootstrap coordinator: fresh/stale replicas are brought to
+    #: the bootstrap coordinator: fresh/stale replicas are brought to
     #: ``live`` by checkpoint transfer + log replay under full client load
-    #: (False = the subsystem stays unconstructed, as before)
-    bootstrap_enabled: bool = False
-    #: catching-up → live threshold, in versions behind ``V_commit``
-    bootstrap_live_lag: int = 4
-    #: poll period of the bootstrap state machine (ms)
-    bootstrap_retry_ms: float = 25.0
-    #: checkpoint transfer retry timeout (ms)
-    bootstrap_checkpoint_timeout_ms: float = 200.0
+    #: (None = the subsystem stays unconstructed)
+    bootstrap: Optional[BootstrapSettings] = None
     # -- tracing (off by default; see docs/OBSERVABILITY.md) ----------------
     #: enable the module-level TRACER when this cluster is constructed.
     #: Tracing is record-only — it never schedules events or draws RNG, so
@@ -170,8 +146,6 @@ class ClusterConfig:
     def __post_init__(self):
         if self.num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        if self.heartbeat_interval_ms is not None and self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be positive")
         if self.request_deadline_ms is not None and self.request_deadline_ms <= 0:
             raise ValueError("request_deadline_ms must be positive")
         if self.certify_timeout_ms is not None and self.certify_timeout_ms <= 0:
@@ -180,30 +154,11 @@ class ClusterConfig:
         PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
         if self.departed_grace_ms is not None and self.departed_grace_ms <= 0:
             raise ValueError("departed_grace_ms must be positive")
-        if self.mpl_cap is not None and self.mpl_cap < 1:
-            raise ValueError("mpl_cap must be >= 1")
-        if self.admission_queue_depth < 0:
-            raise ValueError("admission_queue_depth must be >= 0")
-        if self.shed_deadline_ms is not None and self.shed_deadline_ms <= 0:
-            raise ValueError("shed_deadline_ms must be positive")
         if self.certifier_queue_bound is not None and self.certifier_queue_bound < 1:
             raise ValueError("certifier_queue_bound must be >= 1")
-        if self.shed_deadline_ms is not None and self.mpl_cap is None:
-            raise ValueError("shed_deadline_ms requires mpl_cap (admission control)")
-        if self.degradation_policy is not None:
-            if self.mpl_cap is None:
-                raise ValueError(
-                    "degradation_policy requires mpl_cap (the valve keys on "
-                    "admission-queue depth)"
-                )
-            # Fail fast on an unknown/unparseable policy spec.
-            resolve_policy(self.degradation_policy, freshness_bound=self.freshness_bound)
         if self.scrub_interval_ms is not None:
             # Fail fast on invalid scrub settings.
             self.scrub_settings
-        if self.bootstrap_enabled:
-            # Fail fast on invalid bootstrap settings.
-            self.bootstrap_settings
         if not 0.0 <= self.net_duplicate_prob <= 1.0:
             raise ValueError("net_duplicate_prob must be in [0, 1]")
         if not 0.0 <= self.net_reorder_prob <= 1.0:
@@ -219,8 +174,7 @@ class ClusterConfig:
         heartbeats, request deadlines, certify timeouts and a warm standby.
         Any field can still be overridden by keyword."""
         settings = dict(
-            heartbeat_interval_ms=20.0,
-            suspicion_threshold=3,
+            heartbeat=HeartbeatSettings(),
             request_deadline_ms=250.0,
             certify_timeout_ms=150.0,
             standby_certifier=True,
@@ -233,11 +187,10 @@ class ClusterConfig:
         """A configuration with the overload-protection stack enabled:
         admission control with bounded queues, deadline-aware shedding and
         certifier backpressure.  Any field can still be overridden by
-        keyword (set ``degradation_policy`` to also open the valve)."""
+        keyword (give ``overload`` a ``valve_policy`` to also open the
+        valve)."""
         settings = dict(
-            mpl_cap=8,
-            admission_queue_depth=32,
-            shed_deadline_ms=500.0,
+            overload=OverloadSettings(mpl_cap=8, queue_depth=32, shed_deadline_ms=500.0),
             certifier_queue_bound=64,
         )
         settings.update(overrides)
@@ -265,28 +218,15 @@ class ClusterConfig:
         fresh or purged replicas back to ``live`` by state transfer.  Any
         field can still be overridden by keyword."""
         settings = dict(
-            heartbeat_interval_ms=20.0,
-            suspicion_threshold=3,
+            heartbeat=HeartbeatSettings(),
             request_deadline_ms=250.0,
             certify_timeout_ms=150.0,
             standby_certifier=True,
             departed_grace_ms=400.0,
-            bootstrap_enabled=True,
+            bootstrap=BootstrapSettings(),
         )
         settings.update(overrides)
         return cls(**settings)
-
-    @property
-    def bootstrap_settings(self) -> Optional["BootstrapSettings"]:
-        """The resolved bootstrap settings (None when the lifecycle
-        subsystem is off)."""
-        if not self.bootstrap_enabled:
-            return None
-        return BootstrapSettings(
-            live_lag=self.bootstrap_live_lag,
-            retry_ms=self.bootstrap_retry_ms,
-            checkpoint_timeout_ms=self.bootstrap_checkpoint_timeout_ms,
-        )
 
     @property
     def scrub_settings(self) -> Optional["ScrubSettings"]:
@@ -308,28 +248,6 @@ class ClusterConfig:
         if self.num_partitions == 1:
             return None
         return PartitionMap(self.num_partitions, table_groups=self.partition_table_groups)
-
-    @property
-    def heartbeat_settings(self) -> Optional[HeartbeatSettings]:
-        """The resolved heartbeat settings (None when detection is off)."""
-        if self.heartbeat_interval_ms is None:
-            return None
-        return HeartbeatSettings(self.heartbeat_interval_ms, self.suspicion_threshold)
-
-    @property
-    def overload_settings(self) -> Optional[OverloadSettings]:
-        """The resolved admission-control settings (None when off)."""
-        if self.mpl_cap is None:
-            return None
-        return OverloadSettings(
-            mpl_cap=self.mpl_cap,
-            queue_depth=self.admission_queue_depth,
-            shed_deadline_ms=self.shed_deadline_ms,
-            retry_after_ms=self.retry_after_hint_ms,
-            valve_policy=self.degradation_policy,
-            valve_high=self.valve_high,
-            valve_low=self.valve_low,
-        )
 
 
 class ReplicatedDatabase:
@@ -358,7 +276,7 @@ class ReplicatedDatabase:
             # cross-link spans between runs.
             TRACER.new_run()
         #: the consistency scheme, resolved once and shared by every layer
-        self.policy = resolve_policy(config.level, freshness_bound=config.freshness_bound)
+        self.policy = resolve_policy(config.level)
         self.env = Environment()
         self.rngs = RngRegistry(config.seed)
         self.network = Network(
@@ -382,7 +300,6 @@ class ReplicatedDatabase:
         speed_factors = draw_speed_factors(
             self.params, self.rngs.stream("speed"), config.num_replicas
         )
-        heartbeat = config.heartbeat_settings
         standby_name = "certifier-standby" if config.standby_certifier else None
         #: None for num_partitions=1 (one certifier shard, no vectors)
         self.partition_map = config.partition_map
@@ -424,11 +341,10 @@ class ReplicatedDatabase:
             level=self.policy,
             templates=self.templates,
             history=self.history,
-            freshness_bound=config.freshness_bound,
-            heartbeat=heartbeat,
+            heartbeat=config.heartbeat,
             request_deadline_ms=config.request_deadline_ms,
             max_attempts=config.max_attempts,
-            overload=config.overload_settings,
+            overload=config.overload,
             partition_map=self.partition_map,
         )
         self.standby: Optional[CertifierStandby] = None
@@ -446,7 +362,7 @@ class ReplicatedDatabase:
                     ),
                 ),
                 name=standby_name,
-                heartbeat=heartbeat,
+                heartbeat=config.heartbeat,
                 promote_hook=self._adopt_certifier,
                 digest_tracker=standby_tracker,
             )
@@ -464,7 +380,7 @@ class ReplicatedDatabase:
                 settings=scrub_settings,
             )
         self.bootstrap: Optional[BootstrapCoordinator] = None
-        if config.bootstrap_enabled:
+        if config.bootstrap is not None:
             self.bootstrap = BootstrapCoordinator(
                 env=self.env,
                 network=self.network,
@@ -475,7 +391,7 @@ class ReplicatedDatabase:
                 # The live dict itself, so replicas added online are visible.
                 replicas=self.replicas,
                 scrubber=self.scrubber,
-                settings=config.bootstrap_settings,
+                settings=config.bootstrap,
             )
             for proxy in self.replicas.values():
                 proxy.bootstrap_name = self.bootstrap.name
@@ -502,7 +418,7 @@ class ReplicatedDatabase:
             replica_names=replica_names,
             level=self.policy,
             name=name,
-            heartbeat=config.heartbeat_settings,
+            heartbeat=config.heartbeat,
             inbound_queue_bound=config.certifier_queue_bound,
             partition_map=self.partition_map,
             departed_grace_ms=config.departed_grace_ms,
@@ -532,7 +448,7 @@ class ReplicatedDatabase:
             early_certification=config.early_certification,
             certify_reads=config.certify_reads,
             vacuum_interval_ms=config.vacuum_interval_ms,
-            heartbeat=config.heartbeat_settings,
+            heartbeat=config.heartbeat,
             standby_name="certifier-standby" if config.standby_certifier else None,
             certify_timeout_ms=config.certify_timeout_ms,
         )
@@ -541,13 +457,6 @@ class ReplicatedDatabase:
         """Promotion hook: the promoted standby becomes ``self.certifier`` so
         metrics, audits and the injector keep seeing the live one."""
         self.certifier = certifier
-
-    # -- level ---------------------------------------------------------------
-    @property
-    def level(self) -> Optional[ConsistencyLevel]:
-        """The enum member behind the configured policy (None for
-        policies without one, e.g. ``bounded:k``)."""
-        return self.policy.level
 
     # -- interactive use ------------------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> SyncSession:
@@ -602,7 +511,7 @@ class ReplicatedDatabase:
         """
         if self.bootstrap is None:
             raise RuntimeError(
-                "add_replica_online requires bootstrap_enabled=True "
+                "add_replica_online requires bootstrap settings "
                 "(e.g. ClusterConfig.elastic())"
             )
         if name is None:

@@ -1,12 +1,11 @@
 """Pluggable consistency policies — the protocol's decision points as a
 strategy layer.
 
-Historically every consistency scheme was a :class:`ConsistencyLevel` enum
-branch scattered across three middleware layers: start-version tagging in
-the load balancer, commit-acknowledgment rules in the replica proxy, and
-global-commit tracking in the certifier.  A :class:`ConsistencyPolicy`
-gathers those decisions behind one interface so a new scheme is a single
-class, not a cross-layer edit:
+A consistency scheme makes decisions in three middleware layers:
+start-version tagging in the load balancer, commit-acknowledgment rules in
+the replica proxy, and global-commit tracking in the certifier.  A
+:class:`ConsistencyPolicy` gathers those decisions behind one interface so a
+new scheme is a single class, not a cross-layer edit:
 
 * **load balancer** — :meth:`~ConsistencyPolicy.start_version` computes the
   consistency tag (the minimum ``V_local`` a replica must reach before the
@@ -21,9 +20,9 @@ class, not a cross-layer edit:
 
 Policies register under a short name (``"sc-fine"``, ``"bounded"``) in a
 process-wide registry; :func:`resolve_policy` accepts a registered name
-(optionally parameterized, ``"bounded:3"``), a legacy
-:class:`ConsistencyLevel` member, or a ready policy instance, so all
-existing enum-based call sites keep working unchanged.
+(optionally parameterized, ``"bounded:3"``) or a ready policy instance.
+A scheme's parameter lives in its spec: ``"relaxed:5"``, and bare
+``"relaxed"`` means ``"relaxed:10"``.
 
 The module ships the paper's four configurations (EAGER, SC-COARSE,
 SC-FINE, SESSION), the BASELINE and RELAXED extensions, and
@@ -37,8 +36,6 @@ from __future__ import annotations
 
 import abc
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
-
-from .consistency import ConsistencyLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..middleware.messages import TxnResponse
@@ -74,8 +71,6 @@ class ConsistencyPolicy(abc.ABC):
     name: str = ""
     #: report label matching the paper's legends, e.g. ``"SC-COARSE"``
     label: str = ""
-    #: the legacy enum member this policy implements, when one exists
-    level: Optional[ConsistencyLevel] = None
     #: True for schemes that guarantee strong consistency
     is_strong: bool = False
     #: True when update propagation is lazy (commit acks do not wait for
@@ -143,7 +138,6 @@ class EagerPolicy(ConsistencyPolicy):
 
     name = "eager"
     label = "EAGER"
-    level = ConsistencyLevel.EAGER
     is_strong = True
     is_lazy = False
     waits_for_global_commit = True
@@ -162,7 +156,6 @@ class ScCoarsePolicy(ConsistencyPolicy):
 
     name = "sc-coarse"
     label = "SC-COARSE"
-    level = ConsistencyLevel.SC_COARSE
     is_strong = True
     uses_start_delay = True
 
@@ -178,7 +171,6 @@ class ScFinePolicy(ConsistencyPolicy):
 
     name = "sc-fine"
     label = "SC-FINE"
-    level = ConsistencyLevel.SC_FINE
     is_strong = True
     uses_start_delay = True
 
@@ -197,7 +189,6 @@ class SessionPolicy(ConsistencyPolicy):
 
     name = "session"
     label = "SESSION"
-    level = ConsistencyLevel.SESSION
     uses_start_delay = True
 
     def start_version(self, tracker, table_set=None, session_id=None) -> int:
@@ -212,7 +203,6 @@ class BaselinePolicy(ConsistencyPolicy):
 
     name = "baseline"
     label = "BASELINE"
-    level = ConsistencyLevel.BASELINE
 
     def start_version(self, tracker, table_set=None, session_id=None) -> int:
         return 0
@@ -220,27 +210,28 @@ class BaselinePolicy(ConsistencyPolicy):
 
 class RelaxedPolicy(ConsistencyPolicy):
     """The relaxed-currency model (Bernstein et al. [6], Guo et al. [21]):
-    a configurable freshness bound of *k* versions behind ``V_system``."""
+    a freshness bound of *k* versions behind ``V_system`` (``relaxed:k``;
+    bare ``relaxed`` is ``relaxed:10``).  Bound 0 degenerates to SC-COARSE;
+    an unbounded one to BASELINE."""
 
     name = "relaxed"
     label = "RELAXED"
-    level = ConsistencyLevel.RELAXED
     uses_start_delay = True
 
-    def __init__(self, freshness_bound: int = 0):
-        self.freshness_bound = freshness_bound
+    def __init__(self, bound: int = 10):
+        self.bound = bound
 
     @property
     def spec(self) -> str:
-        return f"relaxed:{self.freshness_bound}"
+        return f"relaxed:{self.bound}"
 
     def start_version(self, tracker, table_set=None, session_id=None) -> int:
-        return max(0, tracker.v_system - max(0, self.freshness_bound))
+        return max(0, tracker.v_system - max(0, self.bound))
 
 
 class BoundedStalenessPolicy(ConsistencyPolicy):
     """``bounded:k`` — bounded staleness, written purely against the
-    policy interface (no enum member, no middleware edits).
+    policy interface (no middleware edits).
 
     A client may read a snapshot at most ``k`` versions behind
     ``V_system``; ``k = 0`` degenerates to SC-COARSE and is therefore
@@ -275,19 +266,18 @@ class BoundedStalenessPolicy(ConsistencyPolicy):
 # Registry
 # ---------------------------------------------------------------------------
 
-#: name -> factory(arg, freshness_bound) -> ConsistencyPolicy
-_REGISTRY: dict[str, Callable[[Optional[str], Optional[int]], ConsistencyPolicy]] = {}
+#: name -> factory(arg) -> ConsistencyPolicy
+_REGISTRY: dict[str, Callable[[Optional[str]], ConsistencyPolicy]] = {}
 
 
 def register_policy(
     name: str,
-    factory: Callable[[Optional[str], Optional[int]], ConsistencyPolicy],
+    factory: Callable[[Optional[str]], ConsistencyPolicy],
 ) -> None:
     """Register a policy factory under ``name``.
 
-    ``factory(arg, freshness_bound)`` receives the optional ``:arg`` suffix
-    of a parameterized spec (``"bounded:3"`` → ``arg="3"``) and the
-    deployment's configured freshness bound (for policies that honour it).
+    ``factory(arg)`` receives the optional ``:arg`` suffix of a
+    parameterized spec (``"bounded:3"`` → ``arg="3"``; None when absent).
     """
     _REGISTRY[name] = factory
 
@@ -307,7 +297,7 @@ def _int_arg(name: str, arg: str) -> int:
 
 
 def _stateless(policy: ConsistencyPolicy):
-    return lambda arg, freshness_bound: policy
+    return lambda arg: policy
 
 
 register_policy("eager", _stateless(EagerPolicy()))
@@ -317,39 +307,28 @@ register_policy("session", _stateless(SessionPolicy()))
 register_policy("baseline", _stateless(BaselinePolicy()))
 register_policy(
     "relaxed",
-    lambda arg, freshness_bound: RelaxedPolicy(
-        _int_arg("relaxed", arg) if arg is not None
-        else (freshness_bound if freshness_bound is not None else 0)
-    ),
+    lambda arg: RelaxedPolicy() if arg is None else RelaxedPolicy(_int_arg("relaxed", arg)),
 )
 register_policy(
     "bounded",
-    lambda arg, freshness_bound: BoundedStalenessPolicy(
-        _int_arg("bounded", arg) if arg is not None else 0
-    ),
+    lambda arg: BoundedStalenessPolicy(_int_arg("bounded", arg) if arg is not None else 0),
 )
 
 
-def resolve_policy(
-    spec,
-    freshness_bound: Optional[int] = None,
-) -> ConsistencyPolicy:
+def resolve_policy(spec) -> ConsistencyPolicy:
     """Resolve a policy from whatever the caller has.
 
-    ``spec`` may be a :class:`ConsistencyPolicy` instance (returned as-is),
-    a legacy :class:`ConsistencyLevel` member, or a registered name with an
-    optional ``:parameter`` suffix (``"sc-fine"``, ``"bounded:3"``).
-    Raises :class:`ValueError` naming the registered policies for an
-    unknown name.
+    ``spec`` may be a :class:`ConsistencyPolicy` instance (returned as-is)
+    or a registered name with an optional ``:parameter`` suffix
+    (``"sc-fine"``, ``"bounded:3"``).  Raises :class:`ValueError` naming the
+    registered policies for an unknown name.
     """
     if isinstance(spec, ConsistencyPolicy):
         return spec
-    if isinstance(spec, ConsistencyLevel):
-        spec = spec.value
     if not isinstance(spec, str):
         raise TypeError(
             f"cannot resolve a consistency policy from {spec!r}; expected a "
-            "ConsistencyPolicy, ConsistencyLevel or registered policy name"
+            "ConsistencyPolicy or registered policy name"
         )
     name, _, arg = spec.partition(":")
     factory = _REGISTRY.get(name)
@@ -358,4 +337,4 @@ def resolve_policy(
             f"unknown consistency policy {name!r}; registered policies: "
             + ", ".join(available_policies())
         )
-    return factory(arg if arg else None, freshness_bound)
+    return factory(arg if arg else None)

@@ -13,15 +13,12 @@ The load balancer maintains three pieces of soft state (Section IV):
 The *minimum database version a replica must reach before starting a
 transaction* — the single number the whole technique turns on — is computed
 by the configured :class:`~repro.core.policy.ConsistencyPolicy` from this
-tracker's state; :meth:`VersionTracker.start_version` remains as a
-level-keyed convenience wrapper.
+tracker's state (``policy.start_version(tracker, ...)``).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
-
-from .consistency import ConsistencyLevel
 
 __all__ = ["VersionTracker"]
 
@@ -102,36 +99,6 @@ class VersionTracker:
                 observed = max(observed, commit_version)
             if observed > self._session_versions.get(session_id, 0):
                 self._session_versions[session_id] = observed
-
-    # -- the decision the paper proposes ------------------------------------
-    def start_version(
-        self,
-        level: ConsistencyLevel,
-        table_set: Optional[Iterable[str]] = None,
-        session_id: Optional[str] = None,
-        freshness_bound: Optional[int] = None,
-    ) -> int:
-        """Minimum ``V_local`` the receiving replica must reach before the
-        transaction may start.
-
-        Delegates to the :class:`~repro.core.policy.ConsistencyPolicy`
-        registered for ``level``:
-
-        * EAGER and BASELINE never delay transaction start (version 0);
-        * SC-COARSE requires the full ``V_system``;
-        * SC-FINE requires ``max(V_t for t in table_set)`` — the highest
-          version among the tables the transaction can access (Table I's
-          ``V_start``).  When the table-set is unknown it falls back to
-          ``V_system``, i.e. degrades to coarse-grained, which is always
-          safe;
-        * SESSION requires the session's last observed version;
-        * RELAXED requires ``V_system - freshness_bound`` (clamped at 0) —
-          the relaxed-currency model's "at most k versions stale".
-        """
-        from .policy import resolve_policy  # deferred: policy imports us
-
-        policy = resolve_policy(level, freshness_bound=freshness_bound)
-        return policy.start_version(self, table_set=table_set, session_id=session_id)
 
     def forget_session(self, session_id: str) -> None:
         """Drop a finished session's entry (soft state)."""

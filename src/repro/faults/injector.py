@@ -7,7 +7,7 @@ cluster:
 * **replica crash** — the replica loses its soft state (pending refresh
   writesets, active transactions); its durable database survives.  How the
   rest of the cluster reacts depends on the configuration: with heartbeats
-  enabled (``heartbeat_interval_ms``) the injector only kills the process —
+  enabled (``ClusterConfig.heartbeat``) the injector only kills the process —
   the load balancer and certifier *detect* the failure through missed
   heartbeats and route around it, which is the honest model (detection
   latency becomes measurable).  Without heartbeats, the injector plays
@@ -54,7 +54,7 @@ class FaultInjector:
         """True when the cluster runs heartbeat failure detection — the
         injector then never tells anyone about a fault; the middleware has
         to notice on its own."""
-        return self.cluster.config.heartbeat_interval_ms is not None
+        return self.cluster.config.heartbeat is not None
 
     def _check_replica(self, name: str) -> None:
         if name not in self.cluster.replicas:

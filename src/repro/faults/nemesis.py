@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.cluster import ReplicatedDatabase
+from ..middleware.heartbeat import HeartbeatSettings
 from ..sim.rng import Rng
 from .injector import FaultInjector
 
@@ -146,9 +147,10 @@ class Nemesis:
                 # Hold past detection + departed grace so the certifier
                 # drops this replica's horizon pin, then truncate: the log
                 # suffix the returnee would need is gone.
-                interval = config.heartbeat_interval_ms or 20.0
+                heartbeat = config.heartbeat or HeartbeatSettings()
+                interval = heartbeat.interval_ms
                 hold = (
-                    (config.suspicion_threshold + 1) * interval
+                    (heartbeat.suspicion_threshold + 1) * interval
                     + config.departed_grace_ms
                     + 3 * interval
                 )

@@ -127,7 +127,7 @@ def _render_scrub(scrub: Optional[Mapping]) -> str:
 def _render_bootstrap(boot: Optional[Mapping]) -> str:
     lines = ["-- replica lifecycle --"]
     if boot is None:
-        lines.append("replica lifecycle disabled (bootstrap_enabled=False)")
+        lines.append("replica lifecycle disabled (bootstrap=None)")
         return "\n".join(lines)
     lines += [
         "bootstraps: started={bootstraps_started} completed={bootstraps_completed}  "

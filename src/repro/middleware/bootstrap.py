@@ -38,9 +38,9 @@ re-bootstrap: the certifier's refusal now carries a machine-readable
 :class:`~.messages.BootstrapRequired`, and the coordinator re-runs the
 lifecycle for it.
 
-Everything is opt-in (``bootstrap_enabled=False`` keeps the coordinator
-unconstructed) and the defaults-off path is trace-identical to a build
-without it.
+Everything is opt-in (``ClusterConfig(bootstrap=None)`` keeps the
+coordinator unconstructed) and the defaults-off path is trace-identical to
+a build without it.
 """
 
 from __future__ import annotations

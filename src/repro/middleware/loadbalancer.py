@@ -89,7 +89,6 @@ class LoadBalancer:
         templates: dict,
         name: str = "lb",
         history: Optional[RunHistory] = None,
-        freshness_bound: Optional[int] = None,
         certifier_name: str = "certifier",
         heartbeat: Optional[HeartbeatSettings] = None,
         request_deadline_ms: Optional[float] = None,
@@ -102,7 +101,7 @@ class LoadBalancer:
         self.env = env
         self.network = network
         self.name = name
-        self.policy = resolve_policy(level, freshness_bound=freshness_bound)
+        self.policy = resolve_policy(level)
         self.templates = templates
         #: table-group partitioning (None = one partition, scalar versions)
         self.partition_map = partition_map
@@ -110,8 +109,6 @@ class LoadBalancer:
         #: template name -> partitions its table-set touches (cached)
         self._template_partitions: dict[str, tuple] = {}
         self.history = history
-        #: staleness allowance (versions) for the RELAXED level
-        self.freshness_bound = freshness_bound
         #: where fate queries go; re-pointed by :meth:`follow_certifier`
         self.certifier_name = certifier_name
         self._certifier_epoch = 1

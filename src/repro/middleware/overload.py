@@ -93,6 +93,9 @@ class OverloadSettings:
             raise ValueError("valve_high must be >= 1")
         if not 0 <= self.valve_low < self.valve_high:
             raise ValueError("valve_low must be within [0, valve_high)")
+        if self.valve_policy is not None:
+            # Fail fast on an unknown/unparseable policy spec.
+            resolve_policy(self.valve_policy)
 
 
 class AdmissionControl:
@@ -121,7 +124,7 @@ class AdmissionControl:
         #: valve transitions: ``(virtual_time, "open"/"close", v_system)``
         self.valve_events: list[tuple[float, str, int]] = []
         self.valve_policy = (
-            resolve_policy(settings.valve_policy, freshness_bound=balancer.freshness_bound)
+            resolve_policy(settings.valve_policy)
             if settings.valve_policy is not None
             else None
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import SeriesResult, fig3, table1
 from repro.bench.experiments import _micro_config
-from repro.core import ConsistencyLevel
+from repro.core import resolve_policy
 
 
 class TestTable1:
@@ -43,13 +43,13 @@ class TestSeriesResult:
 
 class TestMicroConfig:
     def test_quick_config_is_small(self):
-        cfg = _micro_config(ConsistencyLevel.SESSION, 10, quick=True, seed=0)
+        cfg = _micro_config(resolve_policy("session"), 10, quick=True, seed=0)
         workload = cfg.workload_factory()
         assert workload.rows_per_table == 1_000
         assert cfg.measure_ms < 10_000
 
     def test_full_config_matches_paper_scale(self):
-        cfg = _micro_config(ConsistencyLevel.SESSION, 10, quick=False, seed=0)
+        cfg = _micro_config(resolve_policy("session"), 10, quick=False, seed=0)
         workload = cfg.workload_factory()
         assert workload.rows_per_table == 10_000
         assert cfg.num_replicas == 8
@@ -64,8 +64,8 @@ class TestFig3Tiny:
         at_zero = {label: result.value(label, 0) for label in result.series}
         # All configurations identical on a read-only workload.
         assert len({round(v, 3) for v in at_zero.values()}) == 1
-        eager = result.value(ConsistencyLevel.EAGER.label, 100)
-        session = result.value(ConsistencyLevel.SESSION.label, 100)
+        eager = result.value("EAGER", 100)
+        session = result.value("SESSION", 100)
         assert eager < 0.8 * session
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import ConsistencyLevel
 from repro.bench import ExperimentConfig, run_experiment
 from repro.workloads import MicroBenchmark
 
@@ -10,7 +9,7 @@ from repro.workloads import MicroBenchmark
 def config(**overrides):
     defaults = dict(
         workload_factory=lambda: MicroBenchmark(update_types=20, rows_per_table=50),
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
         num_replicas=2,
         clients=4,
         warmup_ms=100.0,
@@ -89,7 +88,7 @@ class TestRunExperiment:
 
     def test_baseline_fails_strong_check(self):
         result = run_experiment(
-            config(level=ConsistencyLevel.BASELINE, record_history=True,
+            config(level="baseline", record_history=True,
                    num_replicas=4, clients=8)
         )
         assert result.strongly_consistent is False

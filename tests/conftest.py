@@ -9,7 +9,7 @@ import threading
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.sim import Environment, RngRegistry
 from repro.storage import Column, StorageEngine, TableSchema
@@ -90,7 +90,7 @@ def two_table_engine():
 
 
 def make_cluster(
-    level=ConsistencyLevel.SC_COARSE,
+    level="sc-coarse",
     num_replicas=3,
     seed=7,
     update_types=20,

@@ -1,8 +1,10 @@
 """Tests for cluster construction and the public API."""
 
+import dataclasses
+
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.workloads import MicroBenchmark
 
 from ..conftest import make_cluster
@@ -25,10 +27,8 @@ class TestConstruction:
 
     def test_keyword_overrides(self):
         workload = MicroBenchmark(rows_per_table=10)
-        cluster = ReplicatedDatabase(
-            workload, num_replicas=2, level=ConsistencyLevel.EAGER
-        )
-        assert cluster.level is ConsistencyLevel.EAGER
+        cluster = ReplicatedDatabase(workload, num_replicas=2, level="eager")
+        assert cluster.policy.spec == "eager"
         assert len(cluster.replicas) == 2
 
     def test_replicas_start_identical_at_version_zero(self):
@@ -188,6 +188,53 @@ class TestLoadedUse:
 
         with pytest.raises(RuntimeError):
             ReplicatedDatabase(BadWorkload(rows_per_table=5), num_replicas=1)
+
+
+#: preset -> (monitors, admission, deadlines, standby, scrubber, bootstrap,
+#: certifier.inbound_queue_bound, certifier.departed_grace_ms)
+PRESET_CENSUS = {
+    "default": (False, False, False, False, False, False, None, None),
+    "self_healing": (True, False, True, True, False, False, None, None),
+    "overload_protected": (False, True, False, False, False, False, 64, None),
+    "anti_entropy": (False, False, False, False, True, False, None, None),
+    "elastic": (True, False, True, True, False, True, None, 400.0),
+}
+
+
+class TestPresetCensus:
+    """Which opt-in components each preset builds; a component that is not
+    configured is not constructed."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_CENSUS))
+    def test_preset_builds_exactly_its_components(self, preset):
+        config = (
+            ClusterConfig(num_replicas=2)
+            if preset == "default"
+            else getattr(ClusterConfig, preset)(num_replicas=2)
+        )
+        cluster = ReplicatedDatabase(MicroBenchmark(rows_per_table=10), config)
+        balancer, certifier = cluster.load_balancer, cluster.certifier
+        monitors = {
+            balancer.monitor is not None,
+            certifier.monitor is not None,
+            *(proxy.monitor is not None for proxy in cluster.replicas.values()),
+        }
+        assert len(monitors) == 1, "monitors are built everywhere or nowhere"
+        census = (
+            monitors.pop(),
+            balancer.admission is not None,
+            balancer.deadlines is not None,
+            cluster.standby is not None,
+            cluster.scrubber is not None,
+            cluster.bootstrap is not None,
+            certifier.inbound_queue_bound,
+            certifier.departed_grace_ms,
+        )
+        assert census == PRESET_CENSUS[preset]
+
+    def test_config_field_count(self):
+        """Subsystem knobs are their settings objects, not flat fields."""
+        assert len(dataclasses.fields(ClusterConfig)) == 31
 
 
 class TestUnexpectedMessages:

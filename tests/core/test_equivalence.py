@@ -13,7 +13,7 @@ indistinguishable from SC-COARSE and passes the strong-consistency audit.
 
 import pytest
 
-from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro.core import ClusterConfig, ReplicatedDatabase
 from repro.histories import is_strongly_consistent, staleness_report
 from repro.metrics import MetricsCollector
 from repro.metrics.stages import StageTimings
@@ -130,19 +130,10 @@ def fingerprint(cluster, collector):
 
 
 class TestLegacyLevelEquivalence:
-    @pytest.mark.parametrize(
-        "level",
-        [
-            ConsistencyLevel.SC_COARSE,
-            ConsistencyLevel.SC_FINE,
-            ConsistencyLevel.SESSION,
-            ConsistencyLevel.EAGER,
-        ],
-        ids=lambda level: level.value,
-    )
+    @pytest.mark.parametrize("level", ["sc-coarse", "sc-fine", "session", "eager"])
     def test_matches_pre_refactor_baseline(self, level):
         cluster, collector = run_scenario(level)
-        assert fingerprint(cluster, collector) == GOLDEN[level.value]
+        assert fingerprint(cluster, collector) == GOLDEN[level]
 
 
 class TestOverloadKnobsDefaultsOff:
@@ -154,16 +145,10 @@ class TestOverloadKnobsDefaultsOff:
             MicroBenchmark(update_types=10, rows_per_table=200),
             ClusterConfig(
                 num_replicas=4,
-                level=ConsistencyLevel.SC_COARSE,
+                level="sc-coarse",
                 seed=11,
-                mpl_cap=None,
-                admission_queue_depth=64,
-                shed_deadline_ms=None,
-                retry_after_hint_ms=10.0,
+                overload=None,
                 certifier_queue_bound=None,
-                degradation_policy=None,
-                valve_high=16,
-                valve_low=4,
             ),
         )
         collector = MetricsCollector(measure_start=0.0)
@@ -190,7 +175,7 @@ class TestAntiEntropyKnobsDefaultsOff:
             MicroBenchmark(update_types=10, rows_per_table=200),
             ClusterConfig(
                 num_replicas=4,
-                level=ConsistencyLevel.SC_COARSE,
+                level="sc-coarse",
                 seed=11,
                 scrub_interval_ms=None,
                 scrub_deep=True,
@@ -219,12 +204,9 @@ class TestBootstrapKnobsDefaultsOff:
             MicroBenchmark(update_types=10, rows_per_table=200),
             ClusterConfig(
                 num_replicas=4,
-                level=ConsistencyLevel.SC_COARSE,
+                level="sc-coarse",
                 seed=11,
-                bootstrap_enabled=False,
-                bootstrap_live_lag=4,
-                bootstrap_retry_ms=25.0,
-                bootstrap_checkpoint_timeout_ms=200.0,
+                bootstrap=None,
             ),
         )
         collector = MetricsCollector(measure_start=0.0)
@@ -245,7 +227,7 @@ class TestHotPathOverhaul:
     the fast paths demonstrably carry the traffic."""
 
     def test_defaults_run_is_byte_identical_and_fast_paths_exercised(self):
-        cluster, collector = run_scenario(ConsistencyLevel.SC_COARSE)
+        cluster, collector = run_scenario("sc-coarse")
         assert fingerprint(cluster, collector) == GOLDEN["sc-coarse"]
         # The optimisations were actually on for that identical trace:
         assert cluster.env.immediate_scheduled > 0
@@ -254,7 +236,7 @@ class TestHotPathOverhaul:
         assert len(cluster.network._delivery_pool) > 0
 
     def test_stats_expose_kernel_and_storage_counters(self):
-        cluster, _ = run_scenario(ConsistencyLevel.SC_COARSE)
+        cluster, _ = run_scenario("sc-coarse")
         metrics = cluster.metrics
         assert metrics.get("kernel.immediate_scheduled") > 0
         assert metrics.get("kernel.events_processed") > 0

@@ -3,13 +3,13 @@ certification, load spreading and the vacuum daemon."""
 
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase, resolve_policy
 from repro.histories import staleness_report
 from repro.metrics import MetricsCollector
 from repro.workloads import MicroBenchmark, TransactionTemplate
 
 
-def build(level=ConsistencyLevel.SC_COARSE, **config):
+def build(level="sc-coarse", **config):
     workload = MicroBenchmark(update_types=20, rows_per_table=200)
     return ReplicatedDatabase(
         workload, ClusterConfig(num_replicas=4, level=level, seed=3, **config)
@@ -18,7 +18,7 @@ def build(level=ConsistencyLevel.SC_COARSE, **config):
 
 class TestRelaxedCurrency:
     def run_with_bound(self, bound):
-        cluster = build(level=ConsistencyLevel.RELAXED, freshness_bound=bound)
+        cluster = build(level=f"relaxed:{bound}")
         collector = MetricsCollector()
         cluster.add_clients(16, collector)
         cluster.run(2_000.0)
@@ -43,10 +43,10 @@ class TestRelaxedCurrency:
         assert len(loose.history) >= len(tight.history)
 
     def test_relaxed_level_classification(self):
-        level = ConsistencyLevel.RELAXED
-        assert level.is_lazy
-        assert level.uses_start_delay
-        assert not level.is_strong
+        policy = resolve_policy("relaxed")
+        assert policy.is_lazy
+        assert policy.uses_start_delay
+        assert not policy.is_strong
 
 
 class TestSerializableCertification:
@@ -74,7 +74,7 @@ class TestSerializableCertification:
         ))
         return ReplicatedDatabase(
             workload,
-            ClusterConfig(num_replicas=2, level=ConsistencyLevel.BASELINE, seed=1,
+            ClusterConfig(num_replicas=2, level="baseline", seed=1,
                           certify_reads=certify_reads,
                           early_certification=False),
         )

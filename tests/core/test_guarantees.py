@@ -9,7 +9,6 @@ exactly as the paper describes.
 
 import pytest
 
-from repro import ConsistencyLevel
 from repro.histories import (
     is_session_consistent,
     is_strongly_consistent,
@@ -31,14 +30,14 @@ def loaded(level):
 class TestStrongConsistency:
     @pytest.mark.parametrize(
         "level",
-        [ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE, ConsistencyLevel.SC_FINE],
+        ["eager", "sc-coarse", "sc-fine"],
     )
     def test_strong_levels_are_strongly_consistent(self, level):
         cluster, _ = loaded(level)
         assert is_strongly_consistent(cluster.history)
 
     @pytest.mark.parametrize(
-        "level", [ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE]
+        "level", ["eager", "sc-coarse"]
     )
     def test_coarse_and_eager_satisfy_the_strict_variant(self, level):
         cluster, _ = loaded(level)
@@ -47,36 +46,36 @@ class TestStrongConsistency:
     def test_fine_grained_is_observational_only(self):
         """SC-FINE deliberately allows stale *unaccessed* tables: it passes
         the observational check but generally not the strict one."""
-        cluster, _ = loaded(ConsistencyLevel.SC_FINE)
+        cluster, _ = loaded("sc-fine")
         assert is_strongly_consistent(cluster.history)
         assert not is_strongly_consistent(cluster.history, observational=False)
 
     @pytest.mark.parametrize(
-        "level", [ConsistencyLevel.SESSION, ConsistencyLevel.BASELINE]
+        "level", ["session", "baseline"]
     )
     def test_weak_levels_violate_strong_consistency(self, level):
         cluster, _ = loaded(level)
         assert not is_strongly_consistent(cluster.history)
 
     def test_strong_levels_have_zero_staleness(self):
-        for level in (ConsistencyLevel.SC_COARSE, ConsistencyLevel.EAGER):
+        for level in ("sc-coarse", "eager"):
             cluster, _ = loaded(level)
             report = staleness_report(cluster.history)
             assert report["max"] == 0.0
 
     def test_baseline_exhibits_staleness(self):
-        cluster, _ = loaded(ConsistencyLevel.BASELINE)
+        cluster, _ = loaded("baseline")
         report = staleness_report(cluster.history)
         assert report["max"] > 0
 
 
 class TestSessionConsistency:
     def test_session_level_is_session_consistent(self):
-        cluster, _ = loaded(ConsistencyLevel.SESSION)
+        cluster, _ = loaded("session")
         assert is_session_consistent(cluster.history)
 
     def test_strong_levels_are_also_session_consistent(self):
-        for level in (ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE):
+        for level in ("eager", "sc-coarse"):
             cluster, _ = loaded(level)
             assert is_session_consistent(cluster.history)
 
@@ -89,20 +88,20 @@ class TestSessionConsistency:
         measurable."""
         from repro.histories import session_monotonicity_violations
 
-        cluster, _ = loaded(ConsistencyLevel.SESSION)
+        cluster, _ = loaded("session")
         assert session_monotonicity_violations(cluster.history) == []
         dips = [
             len(session_monotonicity_violations(loaded(level)[0].history))
-            for level in (ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE)
+            for level in ("eager", "sc-coarse")
         ]
         assert any(count > 0 for count in dips)
 
     def test_fine_grained_is_observationally_session_consistent(self):
-        cluster, _ = loaded(ConsistencyLevel.SC_FINE)
+        cluster, _ = loaded("sc-fine")
         assert is_session_consistent(cluster.history, observational=True)
 
     def test_baseline_violates_session_consistency(self):
-        cluster, _ = loaded(ConsistencyLevel.BASELINE)
+        cluster, _ = loaded("baseline")
         assert not is_session_consistent(cluster.history)
 
 
@@ -124,7 +123,7 @@ class TestHiddenChannel:
 
     @pytest.mark.parametrize(
         "level",
-        [ConsistencyLevel.EAGER, ConsistencyLevel.SC_COARSE, ConsistencyLevel.SC_FINE],
+        ["eager", "sc-coarse", "sc-fine"],
     )
     def test_strong_levels_see_the_update_immediately(self, level):
         new_value, observed = self.scenario(level)
@@ -133,11 +132,7 @@ class TestHiddenChannel:
     def test_every_strong_level_agrees_on_the_value(self):
         values = {
             self.scenario(level)
-            for level in (
-                ConsistencyLevel.EAGER,
-                ConsistencyLevel.SC_COARSE,
-                ConsistencyLevel.SC_FINE,
-            )
+            for level in ("eager", "sc-coarse", "sc-fine")
         }
         assert all(new == seen for new, seen in values)
 
@@ -145,13 +140,7 @@ class TestHiddenChannel:
 class TestConvergence:
     @pytest.mark.parametrize(
         "level",
-        [
-            ConsistencyLevel.EAGER,
-            ConsistencyLevel.SC_COARSE,
-            ConsistencyLevel.SC_FINE,
-            ConsistencyLevel.SESSION,
-            ConsistencyLevel.BASELINE,
-        ],
+        ["eager", "sc-coarse", "sc-fine", "session", "baseline"],
     )
     def test_replicas_converge_to_identical_state(self, level):
         """After quiescing, every replica holds the same data at the same

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ClusterConfig, ReplicatedDatabase
 from repro.histories import RunHistory, is_session_consistent, is_strongly_consistent
 from repro.metrics import MetricsCollector
+from repro.middleware.overload import OverloadSettings
 from repro.workloads import MicroBenchmark
 from repro.workloads.clients import OpenLoopLoad
 
@@ -13,31 +14,27 @@ from repro.workloads.clients import OpenLoopLoad
 class TestConfigValidation:
     def test_overload_knobs_validated(self):
         with pytest.raises(ValueError, match="mpl_cap"):
-            ClusterConfig(mpl_cap=0)
-        with pytest.raises(ValueError, match="admission_queue_depth"):
-            ClusterConfig(mpl_cap=4, admission_queue_depth=-1)
+            ClusterConfig(overload=OverloadSettings(mpl_cap=0))
+        with pytest.raises(ValueError, match="queue_depth"):
+            ClusterConfig(overload=OverloadSettings(mpl_cap=4, queue_depth=-1))
         with pytest.raises(ValueError, match="certifier_queue_bound"):
             ClusterConfig(certifier_queue_bound=0)
 
-    def test_dependent_knobs_require_admission_control(self):
-        with pytest.raises(ValueError, match="shed_deadline_ms requires"):
-            ClusterConfig(shed_deadline_ms=100.0)
-        with pytest.raises(ValueError, match="degradation_policy requires"):
-            ClusterConfig(degradation_policy="session")
-
     def test_degradation_policy_resolved_eagerly(self):
         with pytest.raises(ValueError, match="unknown consistency policy"):
-            ClusterConfig(mpl_cap=4, degradation_policy="definitely-not-a-policy")
+            ClusterConfig(
+                overload=OverloadSettings(mpl_cap=4, valve_policy="definitely-not-a-policy")
+            )
 
     def test_overload_protected_preset(self):
         config = ClusterConfig.overload_protected()
-        settings = config.overload_settings
+        settings = config.overload
         assert settings is not None
         assert settings.mpl_cap == 8
         assert settings.shed_deadline_ms == 500.0
         assert config.certifier_queue_bound == 64
-        # Defaults-off: the plain config resolves to no settings at all.
-        assert ClusterConfig().overload_settings is None
+        # Defaults-off: the plain config has no settings at all.
+        assert ClusterConfig().overload is None
 
 
 class TestSaturationBehavior:
@@ -110,11 +107,9 @@ class TestGracefulDegradation:
             num_replicas=2,
             level="sc-coarse",
             seed=9,
-            mpl_cap=2,
-            admission_queue_depth=32,
-            degradation_policy="session",
-            valve_high=8,
-            valve_low=2,
+            overload=OverloadSettings(
+                mpl_cap=2, queue_depth=32, valve_policy="session", valve_high=8, valve_low=2
+            ),
         )
         cluster = ReplicatedDatabase(
             MicroBenchmark(update_types=10, rows_per_table=200), config

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core import ClusterConfig, ConsistencyLevel, PartitionMap, ReplicatedDatabase
+from repro.core import ClusterConfig, PartitionMap, ReplicatedDatabase
 from repro.histories import is_session_consistent, is_strongly_consistent
 from repro.metrics import MetricsCollector
 from repro.middleware import (
@@ -59,7 +59,7 @@ class TestPartitionKnobsDefaultOff:
             MicroBenchmark(update_types=10, rows_per_table=200),
             ClusterConfig(
                 num_replicas=4,
-                level=ConsistencyLevel.SC_COARSE,
+                level="sc-coarse",
                 seed=11,
                 num_partitions=1,
                 partition_table_groups=None,
@@ -116,7 +116,7 @@ def drive_certifier(num_partitions, steps=250, seed=9, maintenance=True):
             network=network,
             perf=CertifierPerformance(quiet_params(), RngRegistry(1).stream("cert")),
             replica_names=["replica-0"],
-            level=ConsistencyLevel.SC_COARSE,
+            level="sc-coarse",
             name=f"certifier-g{generation}",
             log=log,
             partition_map=partition_map,

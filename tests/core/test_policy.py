@@ -3,7 +3,7 @@ spec resolution, per-policy decisions, and the BOUNDED(k) extension."""
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
+from repro.core.cluster import ClusterConfig, ReplicatedDatabase
 from repro.core.policy import (
     BaselinePolicy,
     BoundedStalenessPolicy,
@@ -17,6 +17,8 @@ from repro.core.policy import (
 )
 from repro.core.policy import _REGISTRY
 from repro.core.versions import VersionTracker
+from repro.middleware.overload import OverloadSettings
+from repro.workloads import MicroBenchmark
 
 
 def tracker_at(v_system, tables=(), session=None):
@@ -28,11 +30,9 @@ def tracker_at(v_system, tables=(), session=None):
 
 
 class TestResolution:
-    def test_every_enum_member_resolves_to_its_policy(self):
-        for level in ConsistencyLevel:
-            policy = resolve_policy(level)
-            assert policy.level is level
-            assert policy.name == level.value
+    def test_every_registered_name_resolves_to_its_policy(self):
+        for name in available_policies():
+            assert resolve_policy(name).name == name
 
     def test_string_spec_resolves(self):
         assert isinstance(resolve_policy("sc-coarse"), ScCoarsePolicy)
@@ -48,10 +48,24 @@ class TestResolution:
         assert policy.staleness_bound == 3
         assert policy.spec == "bounded:3"
 
-    def test_relaxed_arg_overrides_configured_freshness_bound(self):
-        assert resolve_policy("relaxed:7", freshness_bound=2).freshness_bound == 7
-        assert resolve_policy("relaxed", freshness_bound=2).freshness_bound == 2
-        assert resolve_policy(ConsistencyLevel.RELAXED).freshness_bound == 0
+    def test_relaxed_bound_lives_in_the_spec(self):
+        assert resolve_policy("relaxed:7").bound == 7
+        assert resolve_policy("relaxed:0").start_version(tracker_at(4)) == 4
+        assert resolve_policy("relaxed").bound == 10
+
+    def test_bare_relaxed_means_one_bound_on_every_path(self):
+        """Bare ``relaxed`` names one bound whether it reaches the policy
+        through ``resolve_policy`` (``repro audit --level``), a cluster's
+        ``level`` or a degradation valve."""
+        workload = MicroBenchmark(rows_per_table=10)
+        assert (
+            resolve_policy("relaxed").spec
+            == ReplicatedDatabase(workload, ClusterConfig(level="relaxed")).policy.spec
+            == "relaxed:10"
+        )
+        valve = OverloadSettings(mpl_cap=4, valve_policy="relaxed")
+        cluster = ReplicatedDatabase(workload, ClusterConfig(overload=valve))
+        assert cluster.load_balancer.admission.valve_policy.spec == "relaxed:10"
 
     def test_unknown_name_lists_registered_policies(self):
         with pytest.raises(ValueError) as excinfo:
@@ -74,8 +88,8 @@ class TestRegistry:
     def test_available_policies_sorted_and_complete(self):
         names = available_policies()
         assert names == tuple(sorted(names))
-        for level in ConsistencyLevel:
-            assert level.value in names
+        for name in ("eager", "sc-coarse", "sc-fine", "session", "baseline", "relaxed"):
+            assert name in names
         assert "bounded" in names
 
     def test_register_custom_policy(self):
@@ -86,7 +100,7 @@ class TestRegistry:
             def start_version(self, tracker, table_set=None, session_id=None):
                 return 42
 
-        register_policy("pinned", lambda arg, freshness_bound: PinnedPolicy())
+        register_policy("pinned", lambda arg: PinnedPolicy())
         try:
             assert "pinned" in available_policies()
             policy = resolve_policy("pinned")
@@ -146,7 +160,6 @@ class TestBoundedStaleness:
         assert BoundedStalenessPolicy(0).is_strong
         assert not BoundedStalenessPolicy(1).is_strong
         assert BoundedStalenessPolicy(2).label == "BOUNDED(2)"
-        assert BoundedStalenessPolicy(2).level is None
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -170,8 +183,3 @@ class TestProtocolDecisions:
         assert EagerPolicy().commit_ack_flush(perf, 2) == 3.5
         for name in ("sc-coarse", "sc-fine", "session", "baseline", "bounded"):
             assert resolve_policy(name).commit_ack_flush(perf, 2) == 0.0
-
-    def test_legacy_tracker_start_version_delegates(self):
-        tracker = tracker_at(4)
-        assert tracker.start_version(ConsistencyLevel.SC_COARSE) == 4
-        assert tracker.start_version(ConsistencyLevel.RELAXED, freshness_bound=1) == 3

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import ConsistencyLevel
 from repro.storage import TransactionAborted
 
 from ..conftest import make_cluster
@@ -35,7 +34,7 @@ class TestSyncSession:
         assert row["id"] == 2
 
     def test_two_sessions_are_distinct_for_session_consistency(self):
-        cluster = make_cluster(level=ConsistencyLevel.SESSION)
+        cluster = make_cluster(level="session")
         alice = cluster.open_session("alice")
         bob = cluster.open_session("bob")
         alice.execute("micro-update-0", {"key": 1})
@@ -44,7 +43,7 @@ class TestSyncSession:
         assert response.committed
 
     def test_session_sees_its_own_update_under_session_level(self):
-        cluster = make_cluster(level=ConsistencyLevel.SESSION)
+        cluster = make_cluster(level="session")
         session = cluster.open_session("alice")
         update = session.execute("micro-update-0", {"key": 4})
         read = session.execute("micro-read-20", {"key": 4})

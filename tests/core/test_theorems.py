@@ -11,7 +11,7 @@ per seed, so each failing example would be perfectly reproducible.)
 
 from hypothesis import given, settings, strategies as st
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.histories import is_session_consistent, is_strongly_consistent
 from repro.metrics import MetricsCollector
 from repro.workloads import MicroBenchmark
@@ -41,7 +41,7 @@ class TestTheorem1:
     @settings(max_examples=12, deadline=None)
     def test_coarse_grained_is_strongly_consistent(self, shape):
         replicas, clients, update_types, seed = shape
-        history = run(ConsistencyLevel.SC_COARSE, replicas, clients,
+        history = run("sc-coarse", replicas, clients,
                       update_types, seed)
         assert is_strongly_consistent(history)
         assert is_strongly_consistent(history, observational=False)
@@ -52,7 +52,7 @@ class TestTheorem2:
     @settings(max_examples=12, deadline=None)
     def test_fine_grained_is_strongly_consistent(self, shape, width):
         replicas, clients, update_types, seed = shape
-        history = run(ConsistencyLevel.SC_FINE, replicas, clients,
+        history = run("sc-fine", replicas, clients,
                       update_types, seed, tables_per_txn=width)
         assert is_strongly_consistent(history)
 
@@ -62,7 +62,7 @@ class TestEagerReference:
     @settings(max_examples=8, deadline=None)
     def test_eager_is_strongly_consistent(self, shape):
         replicas, clients, update_types, seed = shape
-        history = run(ConsistencyLevel.EAGER, replicas, clients,
+        history = run("eager", replicas, clients,
                       update_types, seed)
         assert is_strongly_consistent(history, observational=False)
 
@@ -72,6 +72,6 @@ class TestSessionReference:
     @settings(max_examples=8, deadline=None)
     def test_session_level_is_session_consistent(self, shape):
         replicas, clients, update_types, seed = shape
-        history = run(ConsistencyLevel.SESSION, replicas, clients,
+        history = run("session", replicas, clients,
                       update_types, seed)
         assert is_session_consistent(history)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro.core import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector, TRACER, trace_invariant_report
 from repro.metrics.stages import STAGE_NAMES, StageTimings
 from tests.core.test_equivalence import GOLDEN, fingerprint
@@ -35,7 +35,7 @@ def _clean_global_tracer():
     TRACER.reset()
 
 
-def _run(level=ConsistencyLevel.SC_COARSE, duration=2_500.0, clients=6,
+def _run(level="sc-coarse", duration=2_500.0, clients=6,
          **config_kwargs):
     from repro.workloads import MicroBenchmark
 

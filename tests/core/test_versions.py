@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ConsistencyLevel, VersionTracker
+from repro.core import VersionTracker, resolve_policy
 
 
 class TestObserveCommit:
@@ -55,30 +55,30 @@ class TestStartVersion:
         return tracker
 
     def test_eager_and_baseline_never_wait(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.EAGER) == 0
-        assert tracker.start_version(ConsistencyLevel.BASELINE) == 0
+        assert resolve_policy("eager").start_version(tracker) == 0
+        assert resolve_policy("baseline").start_version(tracker) == 0
 
     def test_coarse_requires_v_system(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SC_COARSE) == 2
+        assert resolve_policy("sc-coarse").start_version(tracker) == 2
 
     def test_fine_requires_max_table_version(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set={"a"}) == 1
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set={"b"}) == 2
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set={"a", "b"}) == 2
+        assert resolve_policy("sc-fine").start_version(tracker, table_set={"a"}) == 1
+        assert resolve_policy("sc-fine").start_version(tracker, table_set={"b"}) == 2
+        assert resolve_policy("sc-fine").start_version(tracker, table_set={"a", "b"}) == 2
 
     def test_fine_on_never_updated_table_is_zero(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set={"zzz"}) == 0
+        assert resolve_policy("sc-fine").start_version(tracker, table_set={"zzz"}) == 0
 
     def test_fine_with_empty_table_set_is_zero(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set=set()) == 0
+        assert resolve_policy("sc-fine").start_version(tracker, table_set=set()) == 0
 
     def test_fine_without_table_set_degrades_to_coarse(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set=None) == 2
+        assert resolve_policy("sc-fine").start_version(tracker, table_set=None) == 2
 
     def test_session_uses_session_version(self, tracker):
-        assert tracker.start_version(ConsistencyLevel.SESSION, session_id="alice") == 2
-        assert tracker.start_version(ConsistencyLevel.SESSION, session_id="bob") == 0
-        assert tracker.start_version(ConsistencyLevel.SESSION, session_id=None) == 0
+        assert resolve_policy("session").start_version(tracker, session_id="alice") == 2
+        assert resolve_policy("session").start_version(tracker, session_id="bob") == 0
+        assert resolve_policy("session").start_version(tracker, session_id=None) == 0
 
 
 class TestTableI:
@@ -108,5 +108,5 @@ class TestTableI:
         tracker = VersionTracker()
         for tables in [{"A"}, {"B", "C"}, {"B"}, {"C"}, {"B", "C"}]:
             tracker.observe_commit(tracker.v_system + 1, tables)
-        assert tracker.start_version(ConsistencyLevel.SC_FINE, table_set={"A"}) == 1
-        assert tracker.start_version(ConsistencyLevel.SC_COARSE) == 5
+        assert resolve_policy("sc-fine").start_version(tracker, table_set={"A"}) == 1
+        assert resolve_policy("sc-coarse").start_version(tracker) == 5

@@ -8,6 +8,7 @@ from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector, Nemesis
 from repro.histories.checkers import strong_consistency_violations
 from repro.metrics import TRACER
+from repro.middleware import HeartbeatSettings
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
 
@@ -178,7 +179,7 @@ class TestCorruptionNemesis:
     cluster must end provably convergent with a green consistency audit."""
 
     def soak(self, seed, duration_ms=2_000.0):
-        cluster = build(seed=seed, heartbeat_interval_ms=50.0)
+        cluster = build(seed=seed, heartbeat=HeartbeatSettings(interval_ms=50.0))
         cluster.add_clients(6, retry_aborts=True)
         injector = FaultInjector(cluster)
         nemesis = Nemesis(
@@ -235,7 +236,7 @@ class TestCorruptionNemesis:
         assert strong_consistency_violations(cluster.load_balancer.history) == []
 
     def test_corruption_off_by_default(self):
-        cluster = build(seed=3, heartbeat_interval_ms=50.0)
+        cluster = build(seed=3, heartbeat=HeartbeatSettings(interval_ms=50.0))
         cluster.add_clients(4, retry_aborts=True)
         injector = FaultInjector(cluster)
         nemesis = Nemesis(

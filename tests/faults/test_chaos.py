@@ -13,7 +13,7 @@ still satisfy its invariants:
 
 from hypothesis import given, settings, strategies as st
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.histories import is_strongly_consistent
 from repro.metrics import MetricsCollector
@@ -54,7 +54,7 @@ def fault_schedules(draw):
 def test_chaos_schedule_preserves_invariants(schedule, seed):
     cluster = ReplicatedDatabase(
         MicroBenchmark(update_types=20, rows_per_table=80),
-        ClusterConfig(num_replicas=4, level=ConsistencyLevel.SC_COARSE, seed=seed),
+        ClusterConfig(num_replicas=4, level="sc-coarse", seed=seed),
     )
     collector = MetricsCollector()
     cluster.add_clients(8, collector)

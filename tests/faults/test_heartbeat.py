@@ -1,7 +1,7 @@
 """Heartbeat failure detection: the suspicion state machine and the
 end-to-end detection path (no oracle — the middleware notices on its own)."""
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.middleware import HeartbeatAck, HeartbeatMonitor, HeartbeatPing, HeartbeatSettings
 from repro.workloads import MicroBenchmark
@@ -162,7 +162,7 @@ class TestClusterDetection:
         assert cluster.replica("replica-1").v_local == cluster.commit_version
 
     def test_detection_disabled_by_default(self):
-        cluster = make_cluster(level=ConsistencyLevel.SC_COARSE)
+        cluster = make_cluster(level="sc-coarse")
         assert cluster.load_balancer.monitor is None
         assert cluster.certifier.monitor is None
         assert FaultInjector(cluster).detection_enabled is False

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import ConsistencyLevel
 from repro.faults import FaultInjector
 from repro.histories import is_strongly_consistent
 from repro.metrics import MetricsCollector
@@ -10,7 +9,7 @@ from repro.metrics import MetricsCollector
 from ..conftest import make_cluster
 
 
-def loaded_cluster(level=ConsistencyLevel.SC_COARSE, clients=8):
+def loaded_cluster(level="sc-coarse", clients=8):
     cluster = make_cluster(level=level, num_replicas=3, rows=100)
     collector = MetricsCollector()
     cluster.add_clients(clients, collector)
@@ -69,7 +68,7 @@ class TestReplicaCrash:
         assert lag < lag_at_recovery / 4  # caught up (applies faster than new commits)
 
     def test_strong_consistency_holds_across_crash_and_recovery(self):
-        cluster, _ = loaded_cluster(level=ConsistencyLevel.SC_COARSE)
+        cluster, _ = loaded_cluster(level="sc-coarse")
         injector = FaultInjector(cluster)
         cluster.run(300.0)
         injector.crash_replica("replica-2")
@@ -79,7 +78,7 @@ class TestReplicaCrash:
         assert is_strongly_consistent(cluster.history)
 
     def test_fine_grained_strong_consistency_across_crash(self):
-        cluster, _ = loaded_cluster(level=ConsistencyLevel.SC_FINE)
+        cluster, _ = loaded_cluster(level="sc-fine")
         injector = FaultInjector(cluster)
         cluster.run(300.0)
         injector.crash_replica("replica-0")
@@ -89,7 +88,7 @@ class TestReplicaCrash:
         assert is_strongly_consistent(cluster.history)
 
     def test_recovered_replica_state_identical(self):
-        cluster = make_cluster(level=ConsistencyLevel.SC_COARSE, num_replicas=3, rows=30)
+        cluster = make_cluster(level="sc-coarse", num_replicas=3, rows=30)
         injector = FaultInjector(cluster)
         session = cluster.open_session("writer")
         session.execute("micro-update-0", {"key": 1})
@@ -110,7 +109,7 @@ class TestEagerAvailability:
     def test_eager_blocks_on_dead_replica_without_exclusion(self):
         """The eager approach's availability weakness: keep the dead replica
         in the membership and update commits stop being acknowledged."""
-        cluster, collector = loaded_cluster(level=ConsistencyLevel.EAGER, clients=4)
+        cluster, collector = loaded_cluster(level="eager", clients=4)
         injector = FaultInjector(cluster)
         cluster.run(300.0)
         injector.crash_replica("replica-1", exclude_from_membership=False)
@@ -122,7 +121,7 @@ class TestEagerAvailability:
         assert update_acks_after == 0
 
     def test_eager_continues_with_exclusion(self):
-        cluster, collector = loaded_cluster(level=ConsistencyLevel.EAGER, clients=4)
+        cluster, collector = loaded_cluster(level="eager", clients=4)
         injector = FaultInjector(cluster)
         cluster.run(300.0)
         injector.crash_replica("replica-1", exclude_from_membership=True)
@@ -207,7 +206,7 @@ class TestCertifierFailover:
         assert cluster.commit_version > before
 
     def test_strong_consistency_across_failover(self):
-        cluster, _ = loaded_cluster(level=ConsistencyLevel.SC_COARSE)
+        cluster, _ = loaded_cluster(level="sc-coarse")
         injector = FaultInjector(cluster)
         cluster.run(400.0)
         injector.failover_certifier()

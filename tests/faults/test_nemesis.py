@@ -23,6 +23,7 @@ import pytest
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector, Nemesis, durability_audit
 from repro.histories.checkers import strong_consistency_violations
+from repro.middleware.overload import OverloadSettings
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
 
@@ -131,7 +132,7 @@ def test_nemesis_overload_bursts_stay_green_while_shedding():
     client load — and every safety-audit invariant still holds."""
     config = ClusterConfig.self_healing(
         num_replicas=3, seed=37, level="sc-fine",
-        mpl_cap=1, admission_queue_depth=1,
+        overload=OverloadSettings(mpl_cap=1, queue_depth=1),
     )
     cluster = ReplicatedDatabase(
         MicroBenchmark(update_types=20, rows_per_table=100), config

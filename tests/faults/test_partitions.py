@@ -6,7 +6,7 @@ snapshot, its update transactions abort or queue instead of committing,
 and when the partition heals it catches up cleanly through gap repair.
 """
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.histories.checkers import strong_consistency_violations
 from repro.middleware import ClientRequest, RoutedRequest, TxnResponse
@@ -72,7 +72,7 @@ class TestPartitionedReplicaScenario:
 
     def _run_scenario(self):
         config = ClusterConfig.self_healing(
-            num_replicas=3, seed=13, level=ConsistencyLevel.SC_COARSE
+            num_replicas=3, seed=13, level="sc-coarse"
         )
         cluster = ReplicatedDatabase(
             MicroBenchmark(update_types=20, rows_per_table=100), config

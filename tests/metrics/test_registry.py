@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsRegistry, render
+from repro.middleware import BootstrapSettings
 from repro.workloads import MicroBenchmark
 
 
@@ -89,7 +90,7 @@ class TestClusterRegistry:
         """The naming lives with the producer: the registry publishes each
         component's ``stats()`` as-is (``lag`` is the one field the cluster
         derives)."""
-        cluster = _small_cluster(scrub_interval_ms=100.0, bootstrap_enabled=True)
+        cluster = _small_cluster(scrub_interval_ms=100.0, bootstrap=BootstrapSettings())
         metrics = cluster.metrics
         assert metrics.tree("certifier") == cluster.certifier.stats()
         assert metrics.tree("balancer") == cluster.load_balancer.stats()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
     Certifier,
     CertifierPerformance,
@@ -79,7 +78,7 @@ def make_catalog(tables=("t",)):
 class Harness:
     """One certifier + N proxies + a stub 'lb' mailbox to observe responses."""
 
-    def __init__(self, env, num_replicas=2, level=ConsistencyLevel.SC_COARSE,
+    def __init__(self, env, num_replicas=2, level="sc-coarse",
                  tables=("t",), params=None, proxy_overrides=None):
         self.env = env
         self.network = fixed_latency_network(env)

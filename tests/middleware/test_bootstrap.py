@@ -52,16 +52,19 @@ class TestBootstrapSettings:
             BootstrapSettings(checkpoint_timeout_ms=-5.0)
 
     def test_config_knobs_resolve_to_settings(self):
-        config = ClusterConfig.elastic(bootstrap_live_lag=2, bootstrap_retry_ms=10.0)
-        settings = config.bootstrap_settings
-        assert settings == BootstrapSettings(live_lag=2, retry_ms=10.0)
+        settings = BootstrapSettings(live_lag=2, retry_ms=10.0)
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(rows_per_table=10), ClusterConfig.elastic(bootstrap=settings)
+        )
+        assert cluster.bootstrap.settings is settings
 
     def test_disabled_config_has_no_settings(self):
-        assert ClusterConfig().bootstrap_settings is None
+        assert ClusterConfig().bootstrap is None
+        assert ClusterConfig.elastic().bootstrap == BootstrapSettings()
 
     def test_invalid_knobs_fail_fast_at_config_time(self):
         with pytest.raises(ValueError):
-            ClusterConfig.elastic(bootstrap_retry_ms=-1.0)
+            ClusterConfig.elastic(bootstrap=BootstrapSettings(retry_ms=-1.0))
 
 
 class TestAdoptCheckpoint:

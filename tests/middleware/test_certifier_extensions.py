@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
     Certifier,
     CertifierPerformance,
@@ -25,7 +24,7 @@ def setup(env):
         network=network,
         perf=CertifierPerformance(low_variance_params(), RngRegistry(1).stream("c")),
         replica_names=replicas,
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
     )
     return network, mailboxes, certifier
 

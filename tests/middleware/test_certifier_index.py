@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
     CertificationIndex,
     Certifier,
@@ -134,7 +133,7 @@ class ScanCertifier(Certifier):
 class CertifierPair:
     """Two certifiers (index + scan) driven in lockstep on one simulation."""
 
-    def __init__(self, env, level=ConsistencyLevel.SC_COARSE):
+    def __init__(self, env, level="sc-coarse"):
         self.env = env
         self.network = fixed_latency_network(env)
         self.level = level

@@ -320,7 +320,6 @@ class TestLoadCounters:
         assert log.torn_tail_dropped == 0
 
     def _certifier(self, log=None):
-        from repro.core.consistency import ConsistencyLevel
         from repro.middleware import Certifier, CertifierPerformance
         from repro.sim import Environment, LatencyModel, Network, RngRegistry
 
@@ -336,7 +335,7 @@ class TestLoadCounters:
             network=network,
             perf=CertifierPerformance(low_variance_params(), RngRegistry(1).stream("c")),
             replica_names=["replica-0"],
-            level=ConsistencyLevel.SC_COARSE,
+            level="sc-coarse",
             log=log,
         )
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.histories import RunHistory
 from repro.metrics import StageTimings
 from repro.middleware import (
@@ -20,7 +19,7 @@ from .conftest import fixed_latency_network, make_catalog
 
 @pytest.fixture
 def setup(env):
-    def build(level=ConsistencyLevel.SC_COARSE, **kwargs):
+    def build(level="sc-coarse", **kwargs):
         network = fixed_latency_network(env)
         replicas = ["replica-0", "replica-1"]
         mailboxes = {name: network.register(name) for name in replicas}
@@ -115,7 +114,7 @@ class TestRouting:
 
 class TestVersionTagging:
     def test_sc_coarse_tags_v_system(self, env, setup):
-        network, mailboxes, client, balancer = setup(ConsistencyLevel.SC_COARSE)
+        network, mailboxes, client, balancer = setup("sc-coarse")
         network.send("client-x", "lb", request(env, template="write-t", request_id=1))
         env.run()
         routed = drain(mailboxes["replica-0"])[0]
@@ -132,7 +131,7 @@ class TestVersionTagging:
         assert routed2.start_version == 1
 
     def test_sc_fine_tags_only_relevant_table_version(self, env, setup):
-        network, mailboxes, client, balancer = setup(ConsistencyLevel.SC_FINE)
+        network, mailboxes, client, balancer = setup("sc-fine")
         network.send("client-x", "lb", request(env, template="write-t", request_id=1))
         env.run()
         routed = drain(mailboxes["replica-0"])[0]
@@ -150,7 +149,7 @@ class TestVersionTagging:
         assert by_id[3].start_version == 1  # table t updated at v1
 
     def test_session_tags_own_session_version_only(self, env, setup):
-        network, mailboxes, client, balancer = setup(ConsistencyLevel.SESSION)
+        network, mailboxes, client, balancer = setup("session")
         network.send("client-x", "lb", request(env, template="write-t", request_id=1, session="alice"))
         env.run()
         routed = drain(mailboxes["replica-0"])[0]
@@ -168,7 +167,7 @@ class TestVersionTagging:
         assert by_id[3].start_version == 0  # bob does not
 
     def test_eager_and_baseline_never_tag(self, env, setup):
-        for level in (ConsistencyLevel.EAGER, ConsistencyLevel.BASELINE):
+        for level in ("eager", "baseline"):
             network, mailboxes, client, balancer = setup(level)
             network.send("client-x", "lb", request(env, template="write-t", request_id=1))
             env.run()
@@ -184,9 +183,7 @@ class TestVersionTagging:
             assert routed2.start_version == 0
 
     def test_relaxed_tags_bounded_staleness(self, env, setup):
-        network, mailboxes, client, balancer = setup(
-            ConsistencyLevel.RELAXED, freshness_bound=3
-        )
+        network, mailboxes, client, balancer = setup("relaxed:3")
         network.send("client-x", "lb", request(env, template="write-t", request_id=1))
         env.run()
         routed = drain(mailboxes["replica-0"])[0]

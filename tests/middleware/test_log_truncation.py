@@ -81,7 +81,6 @@ class TestTruncation:
 
 class TestCertifierTruncation:
     def build(self, env):
-        from repro.core.consistency import ConsistencyLevel
         from repro.middleware import Certifier, CertifierPerformance, CommitApplied
         from repro.sim import RngRegistry
 
@@ -96,7 +95,7 @@ class TestCertifierTruncation:
             network=network,
             perf=CertifierPerformance(low_variance_params(), RngRegistry(1).stream("c")),
             replica_names=replicas,
-            level=ConsistencyLevel.SC_COARSE,
+            level="sc-coarse",
         )
         for version in range(1, 6):
             certifier.log.append(entry(version, key=version))

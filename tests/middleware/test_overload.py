@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.core.partition import PartitionMap
 from repro.histories import RunHistory
 from repro.metrics import StageTimings
@@ -84,7 +83,7 @@ class TestRetryBudget:
 
 @pytest.fixture
 def setup(env):
-    def build(level=ConsistencyLevel.SC_COARSE, replicas=1, latency_ms=0.1, **kwargs):
+    def build(level="sc-coarse", replicas=1, latency_ms=0.1, **kwargs):
         network = fixed_latency_network(env, base=latency_ms)
         names = [f"replica-{i}" for i in range(replicas)]
         mailboxes = {name: network.register(name) for name in names}
@@ -329,7 +328,7 @@ class TestUnknownTemplate:
 class TestDegradationValve:
     def make(self, setup, high=2, low=1):
         return setup(
-            level=ConsistencyLevel.SC_COARSE,
+            level="sc-coarse",
             overload=OverloadSettings(
                 mpl_cap=1, queue_depth=16,
                 valve_policy="session", valve_high=high, valve_low=low,
@@ -434,7 +433,7 @@ class TestCertifierBackpressure:
                 low_variance_params(), RngRegistry(1).stream("c")
             ),
             replica_names=["replica-0"],
-            level=ConsistencyLevel.SC_COARSE,
+            level="sc-coarse",
             inbound_queue_bound=bound,
             partition_map=partition_map,
         )

@@ -8,7 +8,6 @@ stale-recovery refusal that keeps that fix safe.
 
 import pytest
 
-from repro.core.consistency import ConsistencyLevel
 from repro.core.partition import PartitionMap
 from repro.metrics import MetricsRegistry, render
 from repro.middleware import (
@@ -69,7 +68,7 @@ def bare_certifier(env, network, partition_map=None, **overrides):
         network=network,
         perf=CertifierPerformance(low_variance_params(), RngRegistry(1).stream("c")),
         replica_names=["replica-0", "replica-1"],
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
         partition_map=partition_map,
     )
     settings.update(overrides)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.core.consistency import ConsistencyLevel
 from repro.middleware import (
     ClientRequest,
     CommitApplied,
@@ -294,7 +293,7 @@ class TestEarlyCertification:
 
 class TestEagerStage:
     def test_global_stage_present_only_in_eager(self, env):
-        eager = Harness(env, level=ConsistencyLevel.EAGER)
+        eager = Harness(env, level="eager")
         seed(eager, 1, 0)
         route(eager, "write-t", {"key": 1, "v": 5}, request_id=1)
         env.run()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.consistency import ConsistencyLevel
 from repro.core.partition import PartitionMap
 from repro.middleware import LoadBalancer
 from repro.sim import Environment
@@ -62,7 +61,7 @@ def build_balancer():
         env=env,
         network=network,
         replica_names=list(MEMBERS),
-        level=ConsistencyLevel.SC_COARSE,
+        level="sc-coarse",
         templates=make_catalog(("t",)),
         partition_map=PartitionMap(4),
     )

@@ -3,7 +3,6 @@ order the certifier decided — observed from the wire, under load."""
 
 import pytest
 
-from repro import ConsistencyLevel
 from repro.metrics import MetricsCollector
 from repro.middleware.messages import CommitApplied, RefreshWriteset
 
@@ -12,8 +11,8 @@ from ..conftest import make_cluster
 
 @pytest.mark.parametrize(
     "level",
-    [ConsistencyLevel.SC_COARSE, ConsistencyLevel.SC_FINE,
-     ConsistencyLevel.SESSION, ConsistencyLevel.EAGER],
+    ["sc-coarse", "sc-fine",
+     "session", "eager"],
 )
 def test_commit_applied_streams_are_gapless_and_ordered(level):
     cluster = make_cluster(level=level, num_replicas=3, rows=100)
@@ -45,7 +44,7 @@ def test_commit_applied_streams_are_gapless_and_ordered(level):
 
 
 def test_every_version_refreshed_to_exactly_n_minus_one_replicas():
-    cluster = make_cluster(level=ConsistencyLevel.SC_COARSE, num_replicas=4, rows=100)
+    cluster = make_cluster(level="sc-coarse", num_replicas=4, rows=100)
     recipients_per_version: dict[int, set[str]] = {}
 
     def tap(sender, recipient, message):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.faults import FaultInjector
 from repro.metrics import MetricsCollector
 from repro.middleware import (
@@ -26,7 +26,7 @@ TABLE_GROUPS = {
 
 
 def build(tmp_path=None, **config):
-    defaults = dict(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=17)
+    defaults = dict(num_replicas=3, level="sc-coarse", seed=17)
     defaults.update(config)
     workload = MicroBenchmark(update_types=20, rows_per_table=100)
     return ReplicatedDatabase(workload, ClusterConfig(**defaults))
@@ -81,7 +81,7 @@ class TestDurableLogFile:
             # Two tables per transaction: single- and cross-partition commits.
             MicroBenchmark(update_types=20, rows_per_table=100, tables_per_txn=2),
             ClusterConfig(
-                num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=17,
+                num_replicas=3, level="sc-coarse", seed=17,
                 log_path=path, num_partitions=num_partitions,
                 partition_table_groups=TABLE_GROUPS[num_partitions],
             ),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.workloads import MicroBenchmark
 
@@ -10,7 +10,7 @@ from repro.workloads import MicroBenchmark
 def cluster_with_clients(count, retry_aborts=False, **kwargs):
     workload = MicroBenchmark(update_types=20, rows_per_table=50)
     cluster = ReplicatedDatabase(
-        workload, num_replicas=2, level=ConsistencyLevel.SC_COARSE, seed=9, **kwargs
+        workload, num_replicas=2, level="sc-coarse", seed=9, **kwargs
     )
     collector = MetricsCollector()
     cluster.add_clients(count, collector, retry_aborts=retry_aborts)
@@ -128,7 +128,7 @@ class TestRetryBudgetInPool:
     def test_budget_caps_retries(self):
         workload = MicroBenchmark(update_types=20, rows_per_table=50)
         cluster = ReplicatedDatabase(
-            workload, num_replicas=2, level=ConsistencyLevel.SC_COARSE, seed=9
+            workload, num_replicas=2, level="sc-coarse", seed=9
         )
         cluster.add_clients(
             8, MetricsCollector(), retry_aborts=True,
@@ -154,7 +154,7 @@ class TestOpenLoopLoad:
 
         workload = MicroBenchmark(update_types=10, rows_per_table=50)
         cluster = ReplicatedDatabase(
-            workload, num_replicas=2, level=ConsistencyLevel.SC_COARSE, seed=seed
+            workload, num_replicas=2, level="sc-coarse", seed=seed
         )
         collector = MetricsCollector()
         load = OpenLoopLoad(

@@ -9,7 +9,7 @@ final database states.
 
 from hypothesis import given, settings, strategies as st
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.storage import Column, TableSchema
 from repro.workloads import TemplateCatalog, TransactionTemplate, TxnCall, Workload, sql_template
 
@@ -72,7 +72,7 @@ class PythonBank(BankBase):
 def final_state(workload, calls):
     cluster = ReplicatedDatabase(
         workload,
-        ClusterConfig(num_replicas=1, level=ConsistencyLevel.SC_COARSE, seed=3),
+        ClusterConfig(num_replicas=1, level="sc-coarse", seed=3),
     )
     session = cluster.open_session("driver")
     for call in calls:

@@ -3,7 +3,7 @@ replicated system (the paper's prepared-statement model, end to end)."""
 
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.histories import is_strongly_consistent
 from repro.storage import Column, TableSchema
 from repro.storage.sql import SqlError
@@ -95,7 +95,7 @@ class TestBankEndToEnd:
     def cluster(self):
         return ReplicatedDatabase(
             BankWorkload(),
-            ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_FINE, seed=5),
+            ClusterConfig(num_replicas=3, level="sc-fine", seed=5),
         )
 
     def test_balance_read(self, cluster):
@@ -127,7 +127,7 @@ class TestBankEndToEnd:
 
         cluster = ReplicatedDatabase(
             BankWorkload(),
-            ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=5),
+            ClusterConfig(num_replicas=3, level="sc-coarse", seed=5),
         )
         collector = MetricsCollector()
         cluster.add_clients(8, collector)
@@ -156,7 +156,7 @@ class TestBankEndToEnd:
 
         cluster = ReplicatedDatabase(
             BankWorkload(),
-            ClusterConfig(num_replicas=4, level=ConsistencyLevel.SC_FINE, seed=8),
+            ClusterConfig(num_replicas=4, level="sc-fine", seed=8),
         )
         collector = MetricsCollector()
         cluster.add_clients(10, collector)
@@ -171,7 +171,7 @@ class TestMixedCatalog:
             "SELECT * FROM t0 WHERE id = :key",
         ]))
         cluster = ReplicatedDatabase(
-            workload, num_replicas=2, level=ConsistencyLevel.SC_FINE, seed=1
+            workload, num_replicas=2, level="sc-fine", seed=1
         )
         session = cluster.open_session("s")
         session.execute("micro-update-0", {"key": 5})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.histories import is_strongly_consistent
 from repro.metrics import MetricsCollector
 from repro.sim import RngRegistry
@@ -23,7 +23,7 @@ def small_tpcc(**kwargs):
     return TPCCBenchmark(**defaults)
 
 
-def tpcc_cluster(level=ConsistencyLevel.SC_FINE, n=2, seed=6, **wl_kwargs):
+def tpcc_cluster(level="sc-fine", n=2, seed=6, **wl_kwargs):
     return ReplicatedDatabase(
         small_tpcc(**wl_kwargs), ClusterConfig(num_replicas=n, level=level, seed=seed)
     )
@@ -165,7 +165,7 @@ class TestUnderLoad:
         stay unique."""
         cluster = ReplicatedDatabase(
             small_tpcc(districts_per_warehouse=1, customers_per_district=20),
-            ClusterConfig(num_replicas=3, level=ConsistencyLevel.SC_COARSE, seed=2),
+            ClusterConfig(num_replicas=3, level="sc-coarse", seed=2),
         )
         collector = MetricsCollector()
         cluster.add_clients(8, collector, retry_aborts=True)
@@ -179,14 +179,14 @@ class TestUnderLoad:
         assert orders == next_o - 1  # every committed order got a unique id
 
     def test_strong_consistency_on_tpcc(self):
-        cluster = tpcc_cluster(level=ConsistencyLevel.SC_FINE, n=3)
+        cluster = tpcc_cluster(level="sc-fine", n=3)
         collector = MetricsCollector()
         cluster.add_clients(8, collector)
         cluster.run(1_500.0)
         assert is_strongly_consistent(cluster.history)
 
     def test_replicas_converge(self):
-        cluster = tpcc_cluster(level=ConsistencyLevel.SESSION, n=3)
+        cluster = tpcc_cluster(level="session", n=3)
         collector = MetricsCollector()
         cluster.add_clients(6, collector)
         cluster.run(1_000.0)

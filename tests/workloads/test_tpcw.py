@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConsistencyLevel, ReplicatedDatabase
+from repro import ReplicatedDatabase
 from repro.sim import RngRegistry
 from repro.storage import Database
 from repro.workloads import MIXES, MIX_UPDATE_FRACTION, TPCWBenchmark
@@ -18,7 +18,7 @@ def small_tpcw(mix="shopping"):
     return TPCWBenchmark(mix=mix, num_items=60, num_customers=40, num_authors=20)
 
 
-def tpcw_cluster(mix="shopping", level=ConsistencyLevel.SC_FINE, n=2, seed=5):
+def tpcw_cluster(mix="shopping", level="sc-fine", n=2, seed=5):
     return ReplicatedDatabase(
         small_tpcw(mix), num_replicas=n, level=level, seed=seed
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, ConsistencyLevel, ReplicatedDatabase
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector
 from repro.sim import RngRegistry
 from repro.workloads import MicroBenchmark, TraceRecorder, TraceWorkload
@@ -99,7 +99,7 @@ class TestPairedComparison:
         recorder = TraceRecorder(base)
         seed_cluster = ReplicatedDatabase(
             recorder, ClusterConfig(num_replicas=2, seed=4,
-                                    level=ConsistencyLevel.SESSION),
+                                    level="session"),
         )
         seed_cluster.add_clients(4, MetricsCollector())
         seed_cluster.run(400.0)
@@ -115,8 +115,8 @@ class TestPairedComparison:
             cluster.run(400.0)
             return [s.template for s in collector.samples][:50]
 
-        session_run = committed_templates(ConsistencyLevel.SESSION)
-        coarse_run = committed_templates(ConsistencyLevel.SC_COARSE)
+        session_run = committed_templates("session")
+        coarse_run = committed_templates("sc-coarse")
         # The issued sequences coincide (completion order may differ at the
         # margin, but the per-client call streams are identical, so the
         # first samples line up).
