@@ -18,8 +18,9 @@ varying cross-partition mixes and reports:
 * an **end-to-end acceptance run** — a 4-partition cluster under a
   single-partition-dominant workload (one cross-partition update type in
   24) must keep cross-shard commits under 5% of all commits with the
-  strong-consistency checker green, and must install at least one version
-  ahead of a replica's watermark; the same run at 1 partition installs none.
+  safety audit (``repro.faults.audit``) green, and must install at least
+  one version ahead of a replica's watermark; the same run at 1 partition
+  installs none.
 
 Run as the CI smoke (small streams, counter-based assertions only —
 wall-clock is never asserted, so shared runners can't flake it)::
@@ -33,7 +34,7 @@ import argparse
 import random
 
 from repro.core import ClusterConfig, PartitionMap, ReplicatedDatabase
-from repro.histories import is_strongly_consistent
+from repro.faults.audit import audit
 from repro.metrics import MetricsCollector
 from repro.middleware import (
     Certifier,
@@ -253,11 +254,7 @@ def run_end_to_end(duration_ms, num_partitions=4, clients=6, seed=11):
         "shard_commits": {
             p: shard["certified"] for p, shard in stats["shard"].items()
         },
-        "strongly_consistent": is_strongly_consistent(cluster.history),
-        "replicas_converged": all(
-            proxy.v_local == cluster.commit_version
-            for proxy in cluster.replicas.values()
-        ),
+        "audit": audit(cluster),
     }
 
 
@@ -289,8 +286,7 @@ def smoke():
     assert end_to_end["committed"] > 200
     assert end_to_end["cross_partition_commits"] > 0
     assert end_to_end["cross_commit_fraction"] < 0.05, end_to_end
-    assert end_to_end["strongly_consistent"]
-    assert end_to_end["replicas_converged"]
+    assert end_to_end["audit"].ok, end_to_end["audit"].failures
     # One applier at every shard count: vectors let it install ahead of the
     # watermark at 4 partitions; without them it never does.
     assert end_to_end["installed_ahead"] >= 1, end_to_end
@@ -309,7 +305,7 @@ def smoke():
         f"  end-to-end 4p: {end_to_end['committed']} committed,"
         f" cross fraction {end_to_end['cross_commit_fraction']:.2%},"
         f" {end_to_end['installed_ahead']} installs ahead of the watermark"
-        f" ({one_shard['installed_ahead']} at 1p), checkers green"
+        f" ({one_shard['installed_ahead']} at 1p), audit green"
     )
 
 

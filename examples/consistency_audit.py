@@ -29,7 +29,7 @@ from repro.workloads import MicroBenchmark
 LEVELS = ["eager", "sc-coarse", "sc-fine", "session", "baseline"]
 
 
-def audit(level):
+def check_level(level):
     workload = MicroBenchmark(update_types=20, rows_per_table=300)
     cluster = ReplicatedDatabase(workload, num_replicas=4, level=level, seed=11)
     collector = MetricsCollector()
@@ -52,7 +52,7 @@ def main():
           f"{'session':>8s} {'monotone':>9s} {'mean stale':>11s} {'max stale':>10s}")
     results = {}
     for level in LEVELS:
-        result = audit(level)
+        result = check_level(level)
         results[level] = result
         stale = result["staleness"]
         flags = [result["strong"], result["strong_strict"], result["session"],

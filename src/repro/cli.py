@@ -10,17 +10,20 @@ Usage::
     python -m repro saturation [--full] [--seed N]
     python -m repro nemesis [--seed N] [--duration-ms T] [--no-kill-certifier] [--rolling]
     python -m repro scrub [--seed N] [--corruptions K] [--interval-ms T] [--light]
-    python -m repro membership [--seed N] [--join-at-ms T] [--smoke]
+    python -m repro membership [--seed N] [--join-at-ms T]
     python -m repro levels
 
 ``--full`` switches from the quick windows to the paper-scale sweeps
-(minutes instead of tens of seconds per figure).
+(minutes instead of tens of seconds per figure).  The fault commands
+(``nemesis``, ``scrub``, ``membership``) end in the safety audit of
+:func:`repro.faults.audit.audit` and exit 1 when their verdict is FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .bench import experiments
@@ -189,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     membership.add_argument("--clients", type=int, default=6)
     membership.add_argument("--join-at-ms", type=float, default=800.0,
                             help="virtual time at which the new replica joins")
-    membership.add_argument(
-        "--smoke", action="store_true",
-        help="exit non-zero unless the joiner completed the full "
-             "joining → catching-up → live lifecycle",
-    )
 
     everything = add_parser(
         "all", help="regenerate Table I and every figure (quick scale)"
@@ -278,34 +276,52 @@ def _run_audit(args) -> str:
     return "\n".join(lines)
 
 
-def _run_nemesis(args) -> str:
-    from .core.cluster import ClusterConfig, ReplicatedDatabase
-    from .faults import FaultInjector, Nemesis, durability_audit
-    from .histories.checkers import strong_consistency_violations
-    from .sim.rng import RngRegistry
+def _verdict(label: str, cluster, checks: dict[str, bool]) -> tuple[list[str], bool]:
+    """A fault command's closing lines: one per check of the safety audit
+    run on ``cluster`` with its offender count (and the first offender), one
+    per command-specific check, then ``label: PASS`` or ``FAIL``."""
+    from .faults.audit import audit
+
+    report = audit(cluster)
+    lines = ["", f"acknowledged commits: {report.committed}"]
+    for field in fields(report)[1:]:
+        offenders = getattr(report, field.name)
+        lines.append(f"{field.name.replace('_', ' ')}: {len(offenders)}"
+                     + (f"  (first: {offenders[0]})" if offenders else ""))
+    lines += [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in checks.items()]
+    ok = report.ok and all(checks.values())
+    return lines + ["", f"{label}: " + ("PASS" if ok else "FAIL")], ok
+
+
+def _fault_cluster(preset, args, **overrides):
+    """A fault command's cluster: the micro-benchmark on a ``ClusterConfig``
+    preset, loaded by ``args.clients`` clients that retry aborts."""
+    from .core.cluster import ReplicatedDatabase
     from .workloads import MicroBenchmark
 
-    rolling = getattr(args, "rolling", False)
-    if rolling:
-        # The purge victim must return through the full checkpoint
-        # bootstrap, so rolling mode runs on the elastic configuration.
-        config = ClusterConfig.elastic(
-            num_replicas=args.replicas, seed=args.seed, level="sc-fine"
-        )
-    else:
-        config = ClusterConfig.self_healing(
-            num_replicas=args.replicas, seed=args.seed, level="sc-fine"
-        )
     cluster = ReplicatedDatabase(
-        MicroBenchmark(update_types=20, rows_per_table=100), config
+        MicroBenchmark(update_types=20, rows_per_table=100),
+        preset(num_replicas=args.replicas, seed=args.seed, **overrides),
     )
     cluster.add_clients(args.clients, retry_aborts=True)
-    injector = FaultInjector(cluster)
+    return cluster
+
+
+def _run_nemesis(args) -> tuple[str, bool]:
+    from .core.cluster import ClusterConfig
+    from .faults import FaultInjector, Nemesis
+    from .sim.rng import RngRegistry
+
+    rolling = getattr(args, "rolling", False)
+    # The purge victim must return through the full checkpoint bootstrap,
+    # so rolling mode runs on the elastic configuration.
+    preset = ClusterConfig.elastic if rolling else ClusterConfig.self_healing
+    cluster = _fault_cluster(preset, args, level="sc-fine")
     nemesis = Nemesis(
         cluster,
         RngRegistry(args.seed).stream("nemesis"),
         duration_ms=args.duration_ms,
-        injector=injector,
+        injector=FaultInjector(cluster),
         kill_certifier=not args.no_kill_certifier and not rolling,
         rolling_restart=rolling,
     )
@@ -320,7 +336,6 @@ def _run_nemesis(args) -> str:
     cluster.quiesce(max_wait_ms=60_000.0)
 
     certifier = cluster.certifier
-    balancer = cluster.load_balancer
     lines = [
         f"nemesis seed={args.seed} duration={args.duration_ms:.0f}ms "
         f"replicas={args.replicas} clients={args.clients}"
@@ -330,29 +345,12 @@ def _run_nemesis(args) -> str:
     ]
     lines += [f"  {t:8.1f}  {action:15s} {detail}"
               for t, action, detail in nemesis.actions]
-
-    violations = strong_consistency_violations(balancer.history)
-    committed = [
-        r for r in balancer.history.records
-        if r.committed and r.commit_version is not None
-    ]
-    durability = durability_audit(balancer, certifier)
-    lost = durability["lost"]
-    doubled = durability["fenced_but_committed"]
-    converged = all(
-        p.v_local == certifier.commit_version for p in cluster.replicas.values()
-    )
     lines += [
         "",
         f"certifier: {certifier.name} (epoch {certifier.epoch}), "
         f"V_commit={certifier.commit_version}",
-        f"acknowledged commits: {len(committed)}",
-        f"strong-consistency violations: {len(violations)}",
-        f"acknowledged-but-lost commits: {len(lost)}",
-        f"fenced-but-committed requests: {len(doubled)}",
-        f"replicas converged: {converged}",
     ]
-    ok = not violations and not lost and not doubled and converged
+    checks = {}
     if rolling:
         from .metrics import render
 
@@ -361,45 +359,25 @@ def _run_nemesis(args) -> str:
         lines += [f"  {t:8.1f}  {state:22s} {replica} {detail}"
                   for t, state, replica, detail in bootstrap.events]
         lines += ["", render(cluster.metrics, sections=("bootstrap",))]
-        all_live = (
-            all(name in certifier.replica_names for name in cluster.replica_names)
-            and not cluster.load_balancer.joining_replicas
-            and not cluster.load_balancer.quarantined_replicas
-        )
         purged = any(action == "rolling-purge" for _t, action, _d in nemesis.actions)
-        rebootstrapped = bootstrap.bootstraps_completed >= 1 if purged else True
-        digests = [
-            p.engine.database.recompute_digests()
-            for p in cluster.replicas.values()
-        ]
-        parity = all(d == digests[0] for d in digests)
-        lines += [
-            "",
-            f"rolling restart finished: {nemesis.finished}",
-            f"every replica back to live: {all_live}",
-            f"purged returnee re-bootstrapped: {rebootstrapped}",
-            f"final per-replica digest parity: {parity}",
-        ]
-        ok = ok and nemesis.finished and all_live and rebootstrapped and parity
-    lines += ["", "audit: " + ("PASS" if ok else "FAIL")]
-    return "\n".join(lines)
+        checks = {
+            "rolling restart finished": nemesis.finished,
+            "purged returnee re-bootstrapped":
+                bootstrap.bootstraps_completed >= 1 or not purged,
+        }
+    verdict, ok = _verdict("audit", cluster, checks)
+    return "\n".join(lines + verdict), ok
 
 
-def _run_scrub(args) -> str:
-    from .core.cluster import ClusterConfig, ReplicatedDatabase
+def _run_scrub(args) -> tuple[str, bool]:
+    from .core.cluster import ClusterConfig
     from .faults import FaultInjector
-    from .histories.checkers import strong_consistency_violations
     from .metrics import render
-    from .workloads import MicroBenchmark
 
-    config = ClusterConfig.anti_entropy(
-        num_replicas=args.replicas, seed=args.seed,
+    cluster = _fault_cluster(
+        ClusterConfig.anti_entropy, args,
         scrub_interval_ms=args.interval_ms, scrub_deep=not args.light,
     )
-    cluster = ReplicatedDatabase(
-        MicroBenchmark(update_types=20, rows_per_table=100), config
-    )
-    cluster.add_clients(args.clients, retry_aborts=True)
     injector = FaultInjector(cluster)
 
     # Space the injections over the first ~60% of the run so the scrubber
@@ -442,56 +420,29 @@ def _run_scrub(args) -> str:
     corrupted = {name for _t, _k, name, _d in injector.corruptions}
     detected = {replica for _t, event, replica, _d in scrubber.events
                 if event == "quarantined"}
-    violations = strong_consistency_violations(cluster.load_balancer.history)
-    clean_now = not scrubber.quarantined
-    # End-state verification: every replica's *recomputed* digests must
-    # match the certifier oracle at its version — no silent divergence
-    # survived the run.  (A corruption the workload overwrote before the
-    # next scrub round self-heals without a quarantine; that is fine, the
-    # guarantee is about what persists, and this check proves it.)
-    tracker = cluster.certifier.digest_tracker
-    parity = {}
-    for name, proxy in sorted(cluster.replicas.items()):
-        db = proxy.engine.database
-        expected = tracker.expected_at(db.version)
-        parity[name] = expected is not None and db.recompute_digests() == expected
     lines += [
         "",
         f"corrupted replicas: {sorted(corrupted)}",
         f"detected (quarantined): {sorted(detected)}",
-        f"strong-consistency violations: {len(violations)}",
-        f"all replicas re-admitted: {clean_now}",
-        "final digest parity: " + ", ".join(
-            f"{name}={'ok' if ok else 'DIVERGED'}"
-            for name, ok in parity.items()
-        ),
-        "",
-        "audit: " + ("PASS" if all(parity.values()) and clean_now
-                     and not violations else "FAIL"),
     ]
-    return "\n".join(lines)
+    # The audit's digest check proves no silent divergence persisted: a
+    # corruption the workload overwrote before the next scrub round
+    # self-heals without a quarantine, and that is fine.
+    verdict, ok = _verdict("audit", cluster, {})
+    return "\n".join(lines + verdict), ok
 
 
-def _run_membership(args) -> tuple[str, int]:
-    from .core.cluster import ClusterConfig, ReplicatedDatabase
-    from .histories.checkers import strong_consistency_violations
+def _run_membership(args) -> tuple[str, bool]:
+    from .core.cluster import ClusterConfig
     from .metrics import render
-    from .workloads import MicroBenchmark
 
-    config = ClusterConfig.elastic(
-        num_replicas=args.replicas, seed=args.seed, level="sc-fine"
-    )
-    cluster = ReplicatedDatabase(
-        MicroBenchmark(update_types=20, rows_per_table=100), config
-    )
-    cluster.add_clients(args.clients, retry_aborts=True)
+    cluster = _fault_cluster(ClusterConfig.elastic, args, level="sc-fine")
     cluster.run(args.join_at_ms)
     joiner = cluster.add_replica_online()
     cluster.run(args.join_at_ms + args.duration_ms)
     cluster.quiesce(max_wait_ms=60_000.0)
 
     bootstrap = cluster.bootstrap
-    certifier = cluster.certifier
     lines = [
         f"membership seed={args.seed} replicas={args.replicas}+1 "
         f"clients={args.clients} join-at={args.join_at_ms:.0f}ms "
@@ -501,7 +452,7 @@ def _run_membership(args) -> tuple[str, int]:
         "",
         "lifecycle timeline:",
     ]
-    commit = certifier.commit_version
+    commit = cluster.commit_version
     lines += [
         f"  {t:8.1f}  {state:22s} {replica} {detail}"
         for t, state, replica, detail in bootstrap.events
@@ -516,33 +467,13 @@ def _run_membership(args) -> tuple[str, int]:
         f"joiner served: executed={proxy.executed_count} "
         f"committed={proxy.committed_count}",
     ]
-
     went_live = any(state == "live" and replica == joiner
                     for _t, state, replica, _d in bootstrap.events)
-    in_rotation = (
-        joiner in certifier.replica_names
-        and joiner not in cluster.load_balancer.joining_replicas
-        and joiner not in cluster.load_balancer.quarantined_replicas
-    )
-    converged = proxy.v_local == commit
-    violations = strong_consistency_violations(cluster.load_balancer.history)
-    digests = [
-        p.engine.database.recompute_digests() for p in cluster.replicas.values()
-    ]
-    parity = all(d == digests[0] for d in digests)
-    checks = {
-        "lifecycle completed (joining → catching-up → live)": went_live
-        and bootstrap.bootstraps_completed >= 1,
-        "joiner in certifier membership and routing set": in_rotation,
-        "joiner converged to V_commit": converged,
-        "strong-consistency violations: none": not violations,
-        "final per-replica digest parity": parity,
-    }
-    lines += [""] + [f"{'ok ' if ok else 'FAIL'} {label}"
-                     for label, ok in checks.items()]
-    ok = all(checks.values())
-    lines += ["", "membership: " + ("PASS" if ok else "FAIL")]
-    return "\n".join(lines), 0 if ok or not args.smoke else 1
+    verdict, ok = _verdict("membership", cluster, {
+        "lifecycle completed (joining → catching-up → live)":
+            went_live and bootstrap.bootstraps_completed >= 1,
+    })
+    return "\n".join(lines + verdict), ok
 
 
 def _run_levels() -> str:
@@ -559,6 +490,11 @@ def _run_levels() -> str:
         spec = name if name == policy.spec else f"{name}[:K]"
         lines.append(f"  {spec:12s} ({policy.label}) — {', '.join(traits) or '—'}")
     return "\n".join(lines)
+
+
+_FAULT_COMMANDS = {
+    "nemesis": _run_nemesis, "scrub": _run_scrub, "membership": _run_membership,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -595,13 +531,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(experiments.saturation(quick=quick, seed=args.seed).render())
         print()
         print(experiments.retry_storm(quick=quick, seed=args.seed).render())
-    elif args.command == "nemesis":
-        print(_run_nemesis(args))
-    elif args.command == "scrub":
-        print(_run_scrub(args))
-    elif args.command == "membership":
-        text, exit_code = _run_membership(args)
+    elif args.command in _FAULT_COMMANDS:
+        text, ok = _FAULT_COMMANDS[args.command](args)
         print(text)
+        exit_code = 0 if ok else 1
     elif args.command == "levels":
         print(_run_levels())
     if show_stats:

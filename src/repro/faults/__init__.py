@@ -1,8 +1,7 @@
 """Fault injection: the crash-recovery failure model of Section IV, plus
 the nemesis chaos harness exercising the self-healing middleware."""
 
-from .audit import durability_audit
 from .injector import FaultInjector
 from .nemesis import Nemesis
 
-__all__ = ["FaultInjector", "Nemesis", "durability_audit"]
+__all__ = ["FaultInjector", "Nemesis"]

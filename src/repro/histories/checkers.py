@@ -31,7 +31,7 @@ the consistency-audit example self-explanatory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .records import RunHistory, TxnRecord
 
@@ -64,6 +64,49 @@ class Violation:
         )
 
 
+def _acknowledged_before(
+    committed, observational: bool
+) -> Iterator[tuple[TxnRecord, Optional[TxnRecord]]]:
+    """The acknowledgment sweep every checker here shares.
+
+    Yields each of the ``committed`` records in submit order, paired with
+    the highest-version update acknowledged before it was submitted
+    (``ack(T_i) < submit(T_j)``, the only "commits before starts" order
+    clients and hidden channels can observe) — among updates that wrote a
+    table the record can access when ``observational``, among all of them
+    otherwise; None when there is none.
+    """
+    committed = sorted(committed, key=lambda r: r.submit_time)
+    updates = sorted((r for r in committed if r.is_update), key=lambda r: r.ack_time)
+    # Process acknowledgments in time order, keeping the highest-version
+    # acknowledged update globally and per table.
+    table_max: dict[str, TxnRecord] = {}
+    global_max: Optional[TxnRecord] = None
+    i = 0
+    for later in committed:
+        while i < len(updates) and updates[i].ack_time < later.submit_time:
+            update = updates[i]
+            if global_max is None or update.commit_version > global_max.commit_version:
+                global_max = update
+            if observational:
+                for table in update.updated_tables:
+                    current = table_max.get(table)
+                    if current is None or update.commit_version > current.commit_version:
+                        table_max[table] = update
+            i += 1
+        if not observational:
+            yield later, global_max
+            continue
+        relevant: Optional[TxnRecord] = None
+        for table in later.accessed_tables:
+            candidate = table_max.get(table)
+            if candidate is not None and (
+                relevant is None or candidate.commit_version > relevant.commit_version
+            ):
+                relevant = candidate
+        yield later, relevant
+
+
 def strong_consistency_violations(
     history: RunHistory, observational: bool = True
 ) -> list[Violation]:
@@ -73,50 +116,19 @@ def strong_consistency_violations(
     ``ack(T_i) < submit(T_j)``.  With ``observational=True`` the constraint
     applies only when T_i wrote a table in T_j's table-set.
     """
-    committed = sorted(history.committed(), key=lambda r: r.submit_time)
-    updates = sorted(
-        (r for r in committed if r.is_update), key=lambda r: r.ack_time
-    )
-    violations: list[Violation] = []
-    # Sweep: process acknowledgments in time order, maintaining the
-    # highest-version acknowledged update globally and per table.
-    table_max: dict[str, TxnRecord] = {}
-    global_max: Optional[TxnRecord] = None
-    i = 0
-    for later in committed:
-        while i < len(updates) and updates[i].ack_time < later.submit_time:
-            update = updates[i]
-            if global_max is None or update.commit_version > global_max.commit_version:
-                global_max = update
-            for table in update.updated_tables:
-                current = table_max.get(table)
-                if current is None or update.commit_version > current.commit_version:
-                    table_max[table] = update
-            i += 1
-        if observational:
-            relevant: Optional[TxnRecord] = None
-            for table in later.accessed_tables:
-                candidate = table_max.get(table)
-                if candidate is not None and (
-                    relevant is None
-                    or candidate.commit_version > relevant.commit_version
-                ):
-                    relevant = candidate
-        else:
-            relevant = global_max
-        if relevant is not None and later.snapshot_version < relevant.commit_version:
-            kind = "strong" if observational else "strong-strict"
-            violations.append(
-                Violation(
-                    kind,
-                    relevant,
-                    later,
-                    f"acknowledged at t={relevant.ack_time:.3f}, submitted at "
-                    f"t={later.submit_time:.3f}, snapshot v{later.snapshot_version} "
-                    f"< required v{relevant.commit_version}",
-                )
-            )
-    return violations
+    kind = "strong" if observational else "strong-strict"
+    return [
+        Violation(
+            kind,
+            relevant,
+            later,
+            f"acknowledged at t={relevant.ack_time:.3f}, submitted at "
+            f"t={later.submit_time:.3f}, snapshot v{later.snapshot_version} "
+            f"< required v{relevant.commit_version}",
+        )
+        for later, relevant in _acknowledged_before(history.committed(), observational)
+        if relevant is not None and later.snapshot_version < relevant.commit_version
+    ]
 
 
 def session_consistency_violations(
@@ -138,51 +150,19 @@ def session_consistency_violations(
     guarantee of [12]) is a separate, stronger property — see
     :func:`session_monotonicity_violations`.
     """
-    violations: list[Violation] = []
-    for _session, records in history.sessions().items():
-        committed = sorted(
-            (r for r in records if r.committed), key=lambda r: r.submit_time
+    # The strong checker's sweep, one session at a time (a session may
+    # pipeline requests, so ack(T_i) < submit(T_j) holds even within one).
+    return [
+        Violation(
+            "session", constraint, record,
+            "transaction missed its own session's last update",
         )
-        updates = sorted(
-            (r for r in committed if r.is_update), key=lambda r: r.ack_time
+        for records in history.sessions().values()
+        for record, constraint in _acknowledged_before(
+            (r for r in records if r.committed), observational
         )
-        # Sweep acknowledgments in time order, as in the strong checker:
-        # "T_i commits before T_j starts" means ack(T_i) < submit(T_j) even
-        # within one session (a session may pipeline requests in general).
-        table_last: dict[str, TxnRecord] = {}
-        last_update: Optional[TxnRecord] = None
-        i = 0
-        for record in committed:
-            while i < len(updates) and updates[i].ack_time < record.submit_time:
-                update = updates[i]
-                if last_update is None or update.commit_version > last_update.commit_version:
-                    last_update = update
-                for table in update.updated_tables:
-                    current = table_last.get(table)
-                    if current is None or update.commit_version > current.commit_version:
-                        table_last[table] = update
-                i += 1
-            if observational:
-                constraint: Optional[TxnRecord] = None
-                for table in record.accessed_tables:
-                    candidate = table_last.get(table)
-                    if candidate is not None and (
-                        constraint is None
-                        or candidate.commit_version > constraint.commit_version
-                    ):
-                        constraint = candidate
-            else:
-                constraint = last_update
-            if constraint is not None and record.snapshot_version < constraint.commit_version:
-                violations.append(
-                    Violation(
-                        "session",
-                        constraint,
-                        record,
-                        "transaction missed its own session's last update",
-                    )
-                )
-    return violations
+        if constraint is not None and record.snapshot_version < constraint.commit_version
+    ]
 
 
 def session_monotonicity_violations(history: RunHistory) -> list[Violation]:
@@ -234,16 +214,10 @@ def staleness_report(history: RunHistory) -> dict[str, float]:
     gap that the BASELINE configuration exposes and the strong
     configurations close.
     """
-    committed = sorted(history.committed(), key=lambda r: r.submit_time)
-    updates = sorted((r for r in committed if r.is_update), key=lambda r: r.ack_time)
-    staleness: list[int] = []
-    required = 0
-    i = 0
-    for later in committed:
-        while i < len(updates) and updates[i].ack_time < later.submit_time:
-            required = max(required, updates[i].commit_version)
-            i += 1
-        staleness.append(max(0, required - later.snapshot_version))
+    staleness = [
+        max(0, (0 if required is None else required.commit_version) - later.snapshot_version)
+        for later, required in _acknowledged_before(history.committed(), False)
+    ]
     if not staleness:
         return {"count": 0, "mean": 0.0, "max": 0.0}
     return {

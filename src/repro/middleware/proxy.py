@@ -207,6 +207,11 @@ class ReplicaProxy:
         """Refresh writesets received but not yet applied."""
         return len(self._pending_refresh)
 
+    @property
+    def applier_alive(self) -> bool:
+        """Whether the refresh-applier process is still running."""
+        return self._applier.is_alive
+
     # -- message dispatch ------------------------------------------------------
     def _handle(self, message) -> None:
         if self.crashed:

@@ -23,6 +23,10 @@ from .base import Workload
 
 __all__ = ["ClientPool", "OpenLoopLoad", "backoff_delay_ms"]
 
+#: The clients' first-retry delay; later retries double it up to
+#: :func:`backoff_delay_ms`'s 100 ms cap, less up to half of it as jitter.
+RETRY_BACKOFF_MS = 5.0
+
 
 def backoff_delay_ms(
     base_ms: float,
@@ -62,10 +66,6 @@ class ClientPool:
         balancer_name: str = "lb",
         rngs: Optional[RngRegistry] = None,
         retry_aborts: bool = False,
-        retry_backoff_ms: float = 5.0,
-        retry_backoff_multiplier: float = 2.0,
-        retry_backoff_cap_ms: float = 100.0,
-        retry_jitter: float = 0.5,
         retry_budget_ratio: Optional[float] = None,
         retry_budget_burst: int = 10,
         degradable_reads: bool = False,
@@ -77,11 +77,6 @@ class ClientPool:
         self.balancer_name = balancer_name
         self.rngs = rngs if rngs is not None else RngRegistry(0)
         self.retry_aborts = retry_aborts
-        #: base of the exponential backoff (first retry waits about this)
-        self.retry_backoff_ms = retry_backoff_ms
-        self.retry_backoff_multiplier = retry_backoff_multiplier
-        self.retry_backoff_cap_ms = retry_backoff_cap_ms
-        self.retry_jitter = retry_jitter
         #: pool-wide token-bucket retry budget: each success deposits
         #: ``ratio`` tokens, each retry spends one (None = unbounded retries)
         self.retry_budget: Optional[RetryBudget] = (
@@ -167,14 +162,7 @@ class ClientPool:
                     # of feeding the retry storm.
                     self.retries_denied += 1
                     break
-                delay = backoff_delay_ms(
-                    self.retry_backoff_ms,
-                    attempts,
-                    rng=backoff_rng,
-                    multiplier=self.retry_backoff_multiplier,
-                    cap_ms=self.retry_backoff_cap_ms,
-                    jitter=self.retry_jitter,
-                )
+                delay = backoff_delay_ms(RETRY_BACKOFF_MS, attempts, rng=backoff_rng)
                 if retry_after_ms is not None:
                     delay = max(delay, retry_after_ms)
                 yield self.env.timeout(delay)
@@ -215,10 +203,7 @@ class OpenLoopLoad:
         max_attempts: int = 8,
         retry_budget_ratio: Optional[float] = None,
         retry_budget_burst: int = 10,
-        retry_backoff_ms: float = 5.0,
-        retry_backoff_multiplier: float = 2.0,
         retry_backoff_cap_ms: float = 100.0,
-        retry_jitter: float = 0.5,
         degradable_reads: bool = False,
     ):
         if rate_tps < 0:
@@ -238,10 +223,7 @@ class OpenLoopLoad:
         self.sessions = sessions
         self.retry_aborts = retry_aborts
         self.max_attempts = max_attempts
-        self.retry_backoff_ms = retry_backoff_ms
-        self.retry_backoff_multiplier = retry_backoff_multiplier
         self.retry_backoff_cap_ms = retry_backoff_cap_ms
-        self.retry_jitter = retry_jitter
         self.degradable_reads = degradable_reads
         self.retry_budget: Optional[RetryBudget] = (
             RetryBudget(retry_budget_ratio, retry_budget_burst)
@@ -326,12 +308,8 @@ class OpenLoopLoad:
                 self.budget_denied += 1
                 break
             delay = backoff_delay_ms(
-                self.retry_backoff_ms,
-                attempts,
-                rng=self._backoff_rng,
-                multiplier=self.retry_backoff_multiplier,
+                RETRY_BACKOFF_MS, attempts, rng=self._backoff_rng,
                 cap_ms=self.retry_backoff_cap_ms,
-                jitter=self.retry_jitter,
             )
             if response.retry_after_ms is not None:
                 delay = max(delay, response.retry_after_ms)

@@ -10,7 +10,8 @@ an acknowledged commit is never doubled and never lost.
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector, durability_audit
+from repro.faults import FaultInjector
+from repro.faults.audit import audit
 from repro.histories.checkers import strong_consistency_violations
 from repro.middleware import CertifyReply
 from repro.workloads import MicroBenchmark
@@ -96,27 +97,15 @@ class TestAutomaticPromotion:
         assert strong_consistency_violations(cluster.history) == []
 
     def test_no_acknowledged_commit_lost_across_failover(self):
+        """Nor a fate-resolved (fenced) request committed: the whole audit."""
         cluster, _ = standby_cluster()
         cluster.run(500.0)
         FaultInjector(cluster).kill_certifier()
         cluster.run(2_000.0)
         cluster.quiesce(max_wait_ms=60_000.0)
-        balancer = cluster.load_balancer
-        certifier = cluster.certifier
-        committed = [
-            r for r in balancer.history.records
-            if r.committed and r.commit_version is not None
-        ]
-        assert committed
-        assert durability_audit(balancer, certifier)["lost"] == []
-
-    def test_fenced_requests_never_commit(self):
-        cluster, _ = standby_cluster()
-        cluster.run(500.0)
-        FaultInjector(cluster).kill_certifier()
-        cluster.run(2_000.0)
-        audit = durability_audit(cluster.load_balancer, cluster.certifier)
-        assert audit["fenced_but_committed"] == []
+        report = audit(cluster)
+        assert report.ok, report.failures
+        assert report.committed
 
 
 class TestPromotedIndexEquivalence:

@@ -1,16 +1,7 @@
 """Nemesis soak: seeded chaos (crashes, partitions, certifier kill) under
-load, then the full safety audit.
-
-The audit is the heart of the self-healing work:
-
-* **strong consistency** — the acknowledged history has no stale reads;
-* **no lost acknowledged commit** — every commit a client was told about
-  resolves to a decision in the (surviving) certifier's log;
-* **no doubled commit** — a request whose fate was resolved as aborted was
-  fenced and never later committed, and at most one attempt of any retry
-  lineage committed;
-* **convergence** — after healing and quiescing, every replica reaches the
-  certifier's commit version (and the appliers are all still alive).
+load, then the full safety audit (:func:`repro.faults.audit.audit`: no stale
+read, no lost or doubled acknowledged commit, every replica converged,
+digest-identical and live).
 
 These seeds found two real bugs during development: a replica that missed
 the one-shot promotion notice kept sending gap repairs to the dead
@@ -21,15 +12,15 @@ could double-apply a version and kill the applier process.
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector, Nemesis, durability_audit
-from repro.histories.checkers import strong_consistency_violations
+from repro.faults import FaultInjector, Nemesis
+from repro.faults.audit import audit
 from repro.middleware.overload import OverloadSettings
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
 
 
 def chaos_run(seed, duration_ms=2_000.0, num_replicas=3, kill_certifier=True,
-              **config_overrides):
+              overload_bursts=False, **config_overrides):
     config = ClusterConfig.self_healing(
         num_replicas=num_replicas, seed=seed, level="sc-fine", **config_overrides
     )
@@ -37,64 +28,29 @@ def chaos_run(seed, duration_ms=2_000.0, num_replicas=3, kill_certifier=True,
         MicroBenchmark(update_types=20, rows_per_table=100), config
     )
     cluster.add_clients(6, retry_aborts=True)
-    injector = FaultInjector(cluster)
     nemesis = Nemesis(
         cluster,
         RngRegistry(seed).stream("nemesis"),
         duration_ms=duration_ms,
-        injector=injector,
+        injector=FaultInjector(cluster),
         kill_certifier=kill_certifier,
+        overload_bursts=overload_bursts,
     )
     cluster.run(duration_ms + 700.0)
     cluster.quiesce(max_wait_ms=60_000.0)
     return cluster, nemesis
 
 
-def audit(cluster):
-    certifier = cluster.certifier
-    balancer = cluster.load_balancer
-    history = balancer.history
-
-    violations = strong_consistency_violations(history)
-    assert violations == [], f"stale acknowledged reads: {violations[:3]}"
-
-    committed = [
-        r for r in history.records if r.committed and r.commit_version is not None
-    ]
-    durability = durability_audit(balancer, certifier)
-    assert durability["lost"] == [], "acknowledged commits with no decision in the log"
-    assert durability["fenced_but_committed"] == [], (
-        "requests fate-resolved as aborted but also committed"
-    )
-    for record in committed:
-        attempts = balancer.retry_lineage.get(
-            record.request_id, [record.request_id]
-        )
-        in_log = [a for a in attempts if certifier.decision_for(a) is not None]
-        assert len(in_log) <= 1, (
-            f"retry lineage of request {record.request_id} committed twice: "
-            f"{in_log}"
-        )
-
-    for proxy in cluster.replicas.values():
-        assert not proxy.crashed
-        assert proxy._applier.is_alive, f"{proxy.name}: applier process died"
-        assert proxy.v_local == certifier.commit_version, (
-            f"{proxy.name} stuck at v{proxy.v_local} "
-            f"(certifier at v{certifier.commit_version})"
-        )
-    return committed
-
-
 @pytest.mark.parametrize("seed", [3, 11])
 def test_nemesis_soak_preserves_invariants(seed):
     cluster, nemesis = chaos_run(seed)
     assert nemesis.finished
-    committed = audit(cluster)
+    report = audit(cluster)
+    assert report.ok, report.failures
     # The chaos window must have been eventful and the system must have
     # made progress through it.
     assert len(nemesis.actions) >= 5
-    assert len(committed) > 100
+    assert report.committed > 100
 
 
 def test_nemesis_green_with_index():
@@ -103,8 +59,9 @@ def test_nemesis_green_with_index():
     rebuilds it from its log), with every audit invariant intact."""
     cluster, nemesis = chaos_run(31)
     assert nemesis.finished
-    committed = audit(cluster)
-    assert len(committed) > 100
+    report = audit(cluster)
+    assert report.ok, report.failures
+    assert report.committed > 100
     assert len(cluster.certifier._index) > 0
 
 
@@ -114,7 +71,8 @@ def test_nemesis_certifier_kill_forces_promotion():
     assert cluster.standby.promoted
     assert cluster.certifier.name == "certifier-2"
     assert cluster.certifier.epoch == 2
-    audit(cluster)
+    report = audit(cluster)
+    assert report.ok, report.failures
 
 
 def test_nemesis_schedule_is_deterministic():
@@ -130,25 +88,10 @@ def test_nemesis_overload_bursts_stay_green_while_shedding():
     """The overload fault composes with admission control: bursts bypass the
     balancer and hammer replicas directly while the tiny MPL cap sheds real
     client load — and every safety-audit invariant still holds."""
-    config = ClusterConfig.self_healing(
-        num_replicas=3, seed=37, level="sc-fine",
+    cluster, nemesis = chaos_run(
+        37, kill_certifier=False, overload_bursts=True,
         overload=OverloadSettings(mpl_cap=1, queue_depth=1),
     )
-    cluster = ReplicatedDatabase(
-        MicroBenchmark(update_types=20, rows_per_table=100), config
-    )
-    cluster.add_clients(6, retry_aborts=True)
-    injector = FaultInjector(cluster)
-    nemesis = Nemesis(
-        cluster,
-        RngRegistry(37).stream("nemesis"),
-        duration_ms=2_000.0,
-        injector=injector,
-        kill_certifier=False,
-        overload_bursts=True,
-    )
-    cluster.run(2_700.0)
-    cluster.quiesce(max_wait_ms=60_000.0)
     assert nemesis.finished
     overloads = [d for _, action, d in nemesis.actions if action == "overload"]
     assert overloads, f"no overload fault fired: {nemesis.actions}"
@@ -156,8 +99,9 @@ def test_nemesis_overload_bursts_stay_green_while_shedding():
     # bursts ran, yet the acknowledged history stays strongly consistent,
     # no acknowledged commit is lost or doubled, and the replicas converge.
     assert cluster.metrics.get("balancer.shed") > 0
-    committed = audit(cluster)
-    assert len(committed) > 50
+    report = audit(cluster)
+    assert report.ok, report.failures
+    assert report.committed > 50
 
 
 def test_nemesis_overload_off_by_default():
@@ -179,4 +123,5 @@ def test_nemesis_never_crashes_a_majority():
             crashed -= 1
         worst = max(worst, crashed)
     assert 2 * (total - worst) > total
-    audit(cluster)
+    report = audit(cluster)
+    assert report.ok, report.failures

@@ -13,8 +13,8 @@ and no acknowledged commit lost.
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.faults import FaultInjector, Nemesis, durability_audit
-from repro.histories.checkers import strong_consistency_violations
+from repro.faults import FaultInjector, Nemesis
+from repro.faults.audit import audit
 from repro.middleware import RefreshWriteset
 from repro.sim.rng import RngRegistry
 from repro.workloads import MicroBenchmark
@@ -41,37 +41,6 @@ def partitioned_standby_cluster(seed=7, clients=6, tables_per_txn=1, **overrides
     return cluster, collector
 
 
-def audit(cluster):
-    """The safety audit the nemesis suite runs, against the partitioned
-    pipeline: strong consistency, no lost/doubled acknowledged commit,
-    convergence of every replica to the surviving certifier's version."""
-    certifier = cluster.certifier
-    balancer = cluster.load_balancer
-    history = balancer.history
-
-    violations = strong_consistency_violations(history)
-    assert violations == [], f"stale acknowledged reads: {violations[:3]}"
-
-    committed = [
-        r for r in history.records if r.committed and r.commit_version is not None
-    ]
-    assert durability_audit(balancer, certifier) == {
-        "lost": [], "fenced_but_committed": [],
-    }
-    for record in committed:
-        attempts = balancer.retry_lineage.get(record.request_id, [record.request_id])
-        in_log = [a for a in attempts if certifier.decision_for(a) is not None]
-        assert len(in_log) <= 1, f"lineage {record.request_id} committed twice"
-
-    for proxy in cluster.replicas.values():
-        assert not proxy.crashed
-        assert proxy.v_local == certifier.commit_version, (
-            f"{proxy.name} stuck at v{proxy.v_local} "
-            f"(certifier at v{certifier.commit_version})"
-        )
-    return committed
-
-
 class TestPartitionedStandbyTailing:
     def test_standby_copy_equals_the_primary_log_entry_for_entry(self):
         cluster, _ = partitioned_standby_cluster()
@@ -95,8 +64,7 @@ class TestPartitionedPromotion:
     def test_certifier_kill_promotes_partitioned_standby(self):
         cluster, collector = partitioned_standby_cluster()
         cluster.run(500.0)
-        injector = FaultInjector(cluster)
-        injector.kill_certifier()
+        FaultInjector(cluster).kill_certifier()
         cluster.run(2_000.0)
         assert cluster.standby.promoted
         successor = cluster.certifier
@@ -106,20 +74,21 @@ class TestPartitionedPromotion:
         cluster.run(3_500.0)
         assert cluster.commit_version > before  # shards certify again
         cluster.quiesce(max_wait_ms=60_000.0)
-        committed = audit(cluster)
-        assert len(committed) > 50
+        report = audit(cluster)
+        assert report.ok, report.failures
+        assert report.committed > 50
 
     def test_promotion_with_cross_partition_traffic(self):
         cluster, _ = partitioned_standby_cluster(seed=13, tables_per_txn=2)
         cluster.run(500.0)
-        injector = FaultInjector(cluster)
-        injector.kill_certifier()
+        FaultInjector(cluster).kill_certifier()
         cluster.run(2_000.0)
         assert cluster.standby.promoted
         successor = cluster.certifier
         cluster.run(3_500.0)
         cluster.quiesce(max_wait_ms=60_000.0)
-        audit(cluster)
+        report = audit(cluster)
+        assert report.ok, report.failures
         assert successor.stats()["cross_partition_commits"] > 0
 
 
@@ -159,34 +128,34 @@ class TestManualFailover:
         cluster.quiesce(max_wait_ms=60_000.0)
         assert cluster.commit_version > before + 50
         assert refreshes and all(r.prev_versions for r in refreshes)
-        audit(cluster)
-        digests = [
-            p.engine.database.recompute_digests() for p in cluster.replicas.values()
-        ]
-        assert all(d == digests[0] for d in digests)
-        assert digests[0] == successor.digest_tracker.expected_at(
-            cluster.commit_version
-        )
+        # Digest parity, with every replica matching the live tracker's
+        # expectation at V_commit, is part of the audit.
+        report = audit(cluster)
+        assert report.ok, report.failures
         assert cluster.load_balancer.quarantine_count == 0
 
 
 class TestPartitionedNemesis:
-    @pytest.mark.parametrize("seed", [3, 19])
-    def test_nemesis_soak_stays_green_at_4_partitions(self, seed):
+    def chaos_run(self, seed):
         cluster, _ = partitioned_standby_cluster(seed=seed)
-        injector = FaultInjector(cluster)
         nemesis = Nemesis(
             cluster,
             RngRegistry(seed).stream("nemesis"),
             duration_ms=2_000.0,
-            injector=injector,
+            injector=FaultInjector(cluster),
             kill_certifier=True,
         )
         cluster.run(2_700.0)
         cluster.quiesce(max_wait_ms=60_000.0)
+        return cluster, nemesis
+
+    @pytest.mark.parametrize("seed", [3, 19])
+    def test_nemesis_soak_stays_green_at_4_partitions(self, seed):
+        cluster, nemesis = self.chaos_run(seed)
         assert nemesis.finished
-        committed = audit(cluster)
-        assert len(committed) > 100
+        report = audit(cluster)
+        assert report.ok, report.failures
+        assert report.committed > 100
         if nemesis.certifier_killed:
             assert cluster.standby.promoted
             assert len(cluster.certifier.shards) == 4
@@ -195,19 +164,10 @@ class TestPartitionedNemesis:
         """The acceptance scenario: chaos including a certifier kill, the
         standby promotes over its tailed log copy, and the full safety
         audit passes."""
-        cluster, _ = partitioned_standby_cluster(seed=19)
-        injector = FaultInjector(cluster)
-        nemesis = Nemesis(
-            cluster,
-            RngRegistry(19).stream("nemesis"),
-            duration_ms=2_000.0,
-            injector=injector,
-            kill_certifier=True,
-        )
-        cluster.run(2_700.0)
-        cluster.quiesce(max_wait_ms=60_000.0)
+        cluster, nemesis = self.chaos_run(19)
         assert nemesis.certifier_killed
         assert cluster.standby.promoted
         assert cluster.certifier.epoch == 2
         assert len(cluster.certifier.shards) == 4
-        audit(cluster)
+        report = audit(cluster)
+        assert report.ok, report.failures

@@ -124,6 +124,33 @@ class TestCommands:
         assert "strong consistency (observational): False" in out
 
 
+class TestFaultCommands:
+    """One short run of each fault command, and the exit code of a failed
+    safety audit."""
+
+    @pytest.mark.parametrize("argv, verdict", [
+        (["nemesis", "--duration-ms", "600"], "audit: PASS"),
+        (["nemesis", "--rolling", "--duration-ms", "600"], "audit: PASS"),
+        (["scrub", "--duration-ms", "600"], "audit: PASS"),
+        (["membership", "--duration-ms", "600"], "membership: PASS"),
+    ])
+    def test_short_run_passes(self, argv, verdict, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.rstrip().splitlines()[-1] == verdict
+
+    @pytest.mark.parametrize("command", ["nemesis", "scrub", "membership"])
+    def test_failed_audit_exits_one(self, command, monkeypatch, capsys):
+        from repro.faults import audit as audit_module
+
+        lost = audit_module.AuditReport(0, (), (7,), (), (), (), (), ())
+        assert not lost.ok and lost.failures == {"lost": (7,)}
+        monkeypatch.setattr(audit_module, "audit", lambda cluster: lost)
+        assert main([command, "--duration-ms", "300"]) == 1
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(": FAIL")
+        assert "lost: 1  (first: 7)" in out
+
+
 class TestObservability:
     def test_audit_trace_writes_chrome_trace(self, capsys, tmp_path):
         import json

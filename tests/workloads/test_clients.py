@@ -98,11 +98,14 @@ class TestBackoffDelay:
             backoff_delay_ms(5.0, 1, jitter=1.5)
 
     def test_client_pool_uses_backoff_stream(self):
+        """The clients' backoff is constants: a 5 ms first retry, doubling
+        per attempt, capped at 100 ms."""
+        from repro.workloads.clients import RETRY_BACKOFF_MS, backoff_delay_ms
+
+        delays = [backoff_delay_ms(RETRY_BACKOFF_MS, a) for a in (1, 2, 3, 6)]
+        assert delays == [5.0, 10.0, 20.0, 100.0]
         cluster, _ = cluster_with_clients(2, retry_aborts=True)
-        pool = cluster.client_pool
-        assert pool.retry_backoff_ms == 5.0
-        assert pool.retry_backoff_multiplier == 2.0
-        assert pool.retry_backoff_cap_ms == 100.0
+        assert not hasattr(cluster.client_pool, "retry_backoff_ms")
 
     def test_multiplier_one_keeps_delay_constant(self):
         from repro.workloads.clients import backoff_delay_ms
