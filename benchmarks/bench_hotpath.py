@@ -1,5 +1,6 @@
 """Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
-early certification, handler delivery, per-request routing and records.
+early certification, handler delivery, per-request routing and records,
+and an initial load that builds no commit ops.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
@@ -110,7 +111,10 @@ def smoke() -> None:
     from repro.metrics.profiler import PROFILER, Profiler
     from repro.metrics.profiler import _NULL_SECTION
     from repro.sim import Process, RngRegistry
+    from repro.storage import Database
+    from repro.storage.rows import RowVersion
     from repro.storage.sql import plan_cache
+    from repro.storage.writeset import WriteOp
     from repro.workloads import MicroBenchmark
 
     # 1. Profiler is zero-overhead while off: shared no-op section object,
@@ -240,12 +244,31 @@ def smoke() -> None:
     call = readonly_workload.next_call("client-0", RngRegistry(5).stream("probe"))
     assert not hasattr(call, "__dict__"), f"{type(call).__name__} has a __dict__"
 
+    # 8. The initial data set loads as data, not as commits: populating a
+    #    database without digests constructs no WriteOp and exactly one
+    #    RowVersion per loaded row.
+    load_workload = MicroBenchmark(rows_per_table=2_000)
+    loaded = Database(maintain_digests=False)
+    for schema in load_workload.schemas():
+        loaded.create_table(schema)
+    with _call_count(WriteOp, "__post_init__") as ops, \
+            _call_count(RowVersion, "__init__") as images:
+        load_workload.populate(loaded, RngRegistry(5).stream("populate"))
+    loaded_rows = sum(len(loaded.table(name)) for name in loaded.table_names)
+    assert loaded_rows == 2_000 * len(load_workload.tables)
+    assert ops[0] == 0, f"{ops[0]} WriteOps built loading {loaded_rows:,} rows"
+    assert images[0] == loaded_rows, (
+        f"{images[0]} RowVersions built for {loaded_rows:,} loaded rows"
+    )
+
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
     print("  balancer components: none constructed (admission, deadlines)")
     print(f"  live after r-o run  : {samples} TxnSample, {in_flight} StageTimings "
           f"({readonly_collector.summary().committed:,} txns recorded)")
+    print(f"  initial load        : {loaded_rows:,} rows, {images[0]:,} RowVersions, "
+          f"{ops[0]} WriteOps")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

@@ -70,7 +70,7 @@ def _message(cls):
     Storing through ``self.__dict__`` materialises an instance dict, which
     costs memory for as long as the object lives: this suits transient
     messages, not records a run retains (those are slotted dataclasses,
-    e.g. ``TxnSample``).
+    e.g. ``StageTimings``).
     """
     cls = dataclass(frozen=True)(cls)
     defaults = {

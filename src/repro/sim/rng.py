@@ -38,8 +38,14 @@ class Rng:
         return self._random.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in ``[low, high]`` inclusive: ``random.Random.randint``
+        written out, the same draws (``tests/sim/test_rng.py`` pins them)."""
+        width = high - low + 1
+        if width.__class__ is not int:  # a float, Decimal or Fraction bound
+            raise TypeError(f"randint needs integer bounds, got ({low!r}, {high!r})")
+        if width <= 0:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        return low + self._random._randbelow(width)
 
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given mean (used for think times)."""

@@ -163,17 +163,21 @@ class Database:
         """Bulk-load one row as part of the initial data set (version 0).
 
         Initial population is not an update transaction: every replica
-        starts with the identical data set at database version 0, so loads
-        bypass versioning entirely.  Only legal before the first commit.
+        starts with the identical data set at database version 0, so the row
+        is installed directly (:meth:`VersionedTable.load_row`); only a
+        database keeping digests builds an op, for its lazy fold.  Only
+        legal before the first commit.
         """
         if self._version != 0:
             raise StorageError("load_row is only legal before the first commit")
+        if values is None:
+            raise ValueError("a loaded row requires values")
         tbl = self.table(table)
-        op = WriteOp(table, tbl.schema.key_of(values), OpKind.INSERT, values)
         if self.maintain_digests:
+            op = WriteOp(table, tbl.schema.key_of(values), OpKind.INSERT, values)
             self._digest_apply(tbl, op, 0)
         else:
-            tbl.apply_op(op, 0)
+            tbl.load_row(values)
 
     def clone(self, name: str) -> "Database":
         """A copy of the version-0 data set over the same row versions.

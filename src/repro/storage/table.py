@@ -221,6 +221,17 @@ class VersionedTable:
         if self._indexes and not image.deleted:
             self._index_row(key, image.values)
 
+    def load_row(self, values: Mapping[str, Any]) -> None:
+        """Install one row of the initial data set at version 0: validated as
+        :meth:`apply_op` validates an insert, a present key refused by the
+        :class:`RowVersion` order check, and no op built."""
+        key = self.schema.key_of(values)
+        self.schema.validate_row(values)
+        self._chains[key] = RowVersion(0, dict(values), False, self._chains.get(key))
+        self._note_key(key)
+        if self._indexes:
+            self._index_row(key, values)
+
     def _build_image(
         self, op: WriteOp, commit_version: int, head: Optional[RowVersion]
     ) -> RowVersion:

@@ -135,7 +135,7 @@ def sql_template(name: str, statements: Sequence[str]) -> TransactionTemplate:
 class TxnCall:
     """One transaction invocation a client should issue: which template,
     with which parameters (slotted like
-    :class:`~repro.metrics.collector.TxnSample`: one per transaction)."""
+    :class:`~repro.metrics.stages.StageTimings`: one per transaction)."""
 
     template: str
     params: Mapping[str, Any]

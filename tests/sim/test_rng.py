@@ -113,6 +113,43 @@ class TestDistributions:
                 assert ours.exponential(5.0) == stdlib.expovariate(1.0 / 5.0)
         assert ours._random.getstate() == stdlib.getstate()
 
+    def test_randint_is_stdlib_randint_draw_for_draw(self):
+        """``randint`` writes ``random.Random.randint`` out inline; every
+        populate and workload choice depends on the two drawing the same
+        integers from the same generator state.  Widths 1 (a draw that is 0),
+        1 001 and 10 000 (the workloads' ranges), one above 2**32 (more than
+        one 32-bit word per draw), and negative lows."""
+        ours = Rng(20261017, "randint")
+        stdlib = random.Random(20261017)
+        bounds = [
+            (7, 7), (0, 1_000), (1, 10_000), (-5, 2**33), (-10_000, -1),
+            (-(2**40), -(2**40) + 1_000), (1, 1), (-3, 3),
+        ]
+        for i in range(12_000):
+            low, high = bounds[i % len(bounds)]
+            draw = ours.randint(low, high)
+            assert draw == stdlib.randint(low, high), f"draw {i} ({low=}, {high=})"
+            assert type(draw) is int and low <= draw <= high
+            if i % 5 == 0:
+                assert ours.random() == stdlib.random()
+        assert ours._random.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("low, high", [(1, 0), (5, 3), (-1, -2)])
+    def test_randint_rejects_an_empty_range(self, rng, low, high):
+        state = rng._random.getstate()
+        with pytest.raises(ValueError, match="empty range"):
+            rng.randint(low, high)
+        assert rng._random.getstate() == state
+
+    @pytest.mark.parametrize(
+        "low, high", [(1.5, 3), (1, 3.5), (1.0, 3.0), (0, 2.0), ("1", 3), (1, None)]
+    )
+    def test_randint_rejects_non_integer_bounds(self, rng, low, high):
+        state = rng._random.getstate()
+        with pytest.raises(TypeError):
+            rng.randint(low, high)
+        assert rng._random.getstate() == state
+
     def test_choice_and_weighted_choice(self, rng):
         seq = ["a", "b", "c"]
         assert rng.choice(seq) in seq
