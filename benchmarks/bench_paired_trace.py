@@ -7,8 +7,6 @@ consistency mechanisms alone (no workload-draw variance).  The paper's
 ordering must hold under this tighter experiment too.
 """
 
-from conftest import emit
-
 from repro.bench.experiments import LEVELS
 from repro.core.cluster import ClusterConfig, ReplicatedDatabase
 from repro.metrics import MetricsCollector, format_table
@@ -56,7 +54,8 @@ def test_paired_trace(benchmark):
         title="Paired trace replay — identical call sequences, 8 replicas, 25% updates",
         floatfmt="{:.2f}",
     )
-    emit("paired_trace", text)
+    print()
+    print(text)
 
     by_label = {row[0]: row for row in rows}
     session_tps = by_label["SESSION"][1]

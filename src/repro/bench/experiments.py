@@ -9,12 +9,16 @@ Every function regenerates the corresponding artifact's rows/series:
 * :func:`fig6`   — Figure 6, TPC-W synchronization delay, scaled load;
 * :func:`fig7`   — Figure 7, TPC-W response time, fixed load.
 
+The ablations and extensions of EXPERIMENTS.md (:func:`ablation_tableset`
+to :func:`tpcc_contention`) take the same ``(quick, seed)``; what each
+figure must show is in :mod:`repro.bench.claims`.
+
 Beyond the paper, :func:`availability` measures throughput around an
 injected replica crash, and :func:`saturation` / :func:`retry_storm` drive
 the cluster past its capacity knee with an open-loop generator to evaluate
 the overload-protection stack (see ``docs/TUNING.md``).
 
-``quick=True`` (the default, used by the pytest benches) shrinks the
+``quick=True`` (the default, used by ``repro claims``) shrinks the
 warm-up/measurement windows and the sweep so a figure regenerates in tens of
 seconds; ``quick=False`` runs the paper-scale sweep used for EXPERIMENTS.md.
 Results from the TPC-W sweeps are cached per-process so Figures 5 and 6
@@ -27,11 +31,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..core.cluster import ClusterConfig, ReplicatedDatabase
 from ..core.policy import BoundedStalenessPolicy, ConsistencyPolicy, resolve_policy
 from ..core.versions import VersionTracker
+from ..histories.checkers import staleness_report
+from ..metrics.collector import MetricsCollector
 from ..metrics.report import format_breakdown, format_series, format_table
 from ..metrics.stages import StageTimings
+from ..middleware.perfmodel import PerformanceParams
 from ..workloads.microbench import MicroBenchmark
+from ..workloads.tpcc import TPCCBenchmark
 from ..workloads.tpcw import TPCWBenchmark
 from .runner import ExperimentConfig, ExperimentResult, run_experiment
 
@@ -52,6 +61,11 @@ __all__ = [
     "fig5",
     "fig6",
     "fig7",
+    "ablation_tableset",
+    "ablation_early_certification",
+    "ablation_replica_speed",
+    "relaxed_currency",
+    "tpcc_contention",
     "bounded_staleness_sweep",
     "clear_cache",
 ]
@@ -119,10 +133,11 @@ class BreakdownResult:
 # Table I
 # ---------------------------------------------------------------------------
 
-def table1() -> str:
+def table1(quick: bool = True, seed: int = 0) -> str:
     """Reproduce Table I: version maintenance for T1..T6 on tables A, B, C.
 
-    Deterministic — exercises :class:`VersionTracker` exactly as the paper's
+    Deterministic, so ``quick`` and ``seed`` (which every figure takes) are
+    ignored.  Exercises :class:`VersionTracker` exactly as the paper's
     walkthrough does, then shows the SC-FINE vs SC-COARSE start version for
     the final transaction T6 (which accesses table A only).
     """
@@ -179,11 +194,14 @@ def _micro_config(
     seed: int,
     num_replicas: int = 8,
     clients: int = 8,
+    tables_per_txn: int = 1,
+    params: Optional[PerformanceParams] = None,
 ) -> ExperimentConfig:
     rows = 1_000 if quick else 10_000
     return ExperimentConfig(
         workload_factory=lambda: MicroBenchmark(
-            update_types=update_types, rows_per_table=rows
+            update_types=update_types, rows_per_table=rows,
+            tables_per_txn=tables_per_txn,
         ),
         level=level,
         num_replicas=num_replicas,
@@ -191,6 +209,7 @@ def _micro_config(
         warmup_ms=1_000.0 if quick else 10_000.0,
         measure_ms=4_000.0 if quick else 30_000.0,
         seed=seed,
+        params=params,
         label=f"micro-{update_types}/40-{level.label}",
     )
 
@@ -355,9 +374,7 @@ def availability(
     it, so its dip is total; the lazy levels keep committing on the
     surviving replicas throughout.
     """
-    from ..core.cluster import ClusterConfig, ReplicatedDatabase
     from ..faults.injector import FaultInjector
-    from ..metrics.collector import MetricsCollector
 
     warmup_ms = 800.0 if quick else 3_000.0
     crash_after_ms = 1_200.0 if quick else 4_000.0
@@ -549,6 +566,116 @@ def fig7(
 
 
 # ---------------------------------------------------------------------------
+# Design-choice ablations and extensions (DESIGN.md §5)
+# ---------------------------------------------------------------------------
+
+def _columns(title: str, x_label: str, x_values, names, rows) -> SeriesResult:
+    """A sweep's table (one row per x) as one series per column."""
+    return SeriesResult(title, x_label, list(x_values), dict(zip(names, map(list, zip(*rows)))))
+
+
+def _closed_loop(workload, config: ClusterConfig, quick_window, quick: bool):
+    """Run 16 clients on a cluster :class:`ExperimentConfig` cannot describe;
+    return it and its summary over ``quick_window`` (warm-up, end) ms, or
+    over 10 s / 40 s at full scale."""
+    warmup_ms, end_ms = quick_window if quick else (10_000.0, 40_000.0)
+    cluster = ReplicatedDatabase(workload, config)
+    collector = MetricsCollector(measure_start=warmup_ms, measure_end=end_ms)
+    cluster.add_clients(16, collector)
+    cluster.run(end_ms)
+    return cluster, collector.summary()
+
+
+def ablation_tableset(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Ablation D3: SC-FINE's and SC-COARSE's start delays by table-set width.
+
+    At 4 tables per transaction every table-set is the whole database, so
+    SC-FINE degenerates to SC-COARSE (Section III-C).
+    """
+    widths, levels = (1, 2, 4), tuple(map(resolve_policy, ("sc-fine", "sc-coarse")))
+    rows = [[run_experiment(_micro_config(level, 40, quick, seed, clients=16, tables_per_txn=w))
+             .summary.update_breakdown.version for level in levels] for w in widths]
+    return _columns("Ablation D3 — table-set width (micro, 100% updates, 8 replicas)",
+                    "tables/txn", widths, [f"{level.label} version (ms)" for level in levels], rows)
+
+
+def ablation_early_certification(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Ablation D4: where aborts happen, with early certification on and off.
+
+    The proxy aborts a doomed transaction at its replica instead of paying
+    for a certification that must fail (Section IV).
+    """
+    rows = []
+    for enabled in (True, False):
+        cluster, summary = _closed_loop(
+            MicroBenchmark(update_types=40, rows_per_table=60),
+            ClusterConfig(num_replicas=4, level="sc-coarse", seed=seed,
+                          early_certification=enabled),
+            (500.0, 4_500.0), quick)
+        early = sum(p.early_abort_count for p in cluster.replicas.values())
+        rows.append((summary.tps, summary.aborted, early, cluster.certifier.abort_count))
+    return _columns("Ablation D4 — early certification (micro, 100% updates, hot rows)",
+                    "early-cert", ("on", "off"),
+                    ["TPS", "client aborts", "early aborts", "certifier aborts"], rows)
+
+
+def ablation_replica_speed(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Ablation D1: replica speed heterogeneity at the 25 % micro mix.
+
+    EAGER's commit round waits for the slowest replica (Section III-A); the
+    lazy techniques wait only for the replica that received the transaction.
+    """
+    spreads, rows = (0.0, 0.25, 0.5, 1.0), []
+    for spread in spreads:
+        params = PerformanceParams(replica_speed_spread=spread)
+        eager, coarse = (run_experiment(_micro_config(level, 10, quick, seed, params=params))
+                         for level in map(resolve_policy, ("eager", "sc-coarse")))
+        rows.append((eager.summary.update_breakdown.global_,
+                     coarse.summary.update_breakdown.synchronization_delay, eager.tps, coarse.tps))
+    return _columns("Ablation D1 — replica speed heterogeneity (micro, 25% updates, 8 replicas)",
+                    "speed-spread", spreads,
+                    ["EAGER global (ms)", "SC-COARSE sync (ms)", "EAGER TPS", "SC-COARSE TPS"], rows)
+
+
+def relaxed_currency(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Extension: the relaxed-currency dial ([6], [21] in the paper).
+
+    ``relaxed:k`` trades staleness for start delay; ``relaxed:0`` is SC-COARSE.
+    """
+    bounds, rows = (0, 2, 5, 10, 25), []
+    for bound in bounds:
+        cluster, summary = _closed_loop(
+            MicroBenchmark(update_types=20, rows_per_table=500),
+            ClusterConfig(num_replicas=8, level=f"relaxed:{bound}", seed=seed),
+            (1_000.0, 5_000.0), quick)
+        report = staleness_report(cluster.history)
+        rows.append((summary.tps, summary.mean_response_ms, summary.read_only_breakdown.version,
+                     report["mean"], report["max"]))
+    return _columns("Extension — relaxed currency: freshness bound vs staleness "
+                    "(micro, 50% updates, 8 replicas)", "bound k", bounds,
+                    ["TPS", "resp (ms)", "read start delay (ms)", "mean staleness",
+                     "max staleness"], rows)
+
+
+def tpcc_contention(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Extension: TPC-C-lite under the four configurations.
+
+    92 % updates, a hot district row, retries on; the paper leans on TPC-C
+    running under GSI (Section IV), though it does not measure it.
+    """
+    results = [run_experiment(ExperimentConfig(
+        workload_factory=lambda: TPCCBenchmark(num_warehouses=2, districts_per_warehouse=8,
+                                               customers_per_district=20, num_items=100),
+        level=level, num_replicas=4, clients=20, seed=seed, retry_aborts=True,
+        warmup_ms=2_000.0 if quick else 10_000.0, measure_ms=10_000.0 if quick else 40_000.0,
+    )) for level in LEVELS]
+    return _columns("TPC-C-lite, 4 replicas, 20 clients, retries on", "config",
+                    [level.label for level in LEVELS],
+                    ["TPS", "response (ms)", "sync delay (ms)", "aborts"],
+                    [(r.tps, r.response_ms, r.sync_delay_ms, r.summary.aborted) for r in results])
+
+
+# ---------------------------------------------------------------------------
 # Overload protection (saturation sweep and retry storms)
 # ---------------------------------------------------------------------------
 
@@ -585,8 +712,6 @@ class SaturationResult:
 def _saturation_point(
     protected: bool, offered_tps: float, quick: bool, seed: int
 ) -> tuple[float, float, float]:
-    from ..core.cluster import ClusterConfig, ReplicatedDatabase
-    from ..metrics.collector import MetricsCollector
     from ..workloads.clients import OpenLoopLoad
 
     warmup_ms = 500.0 if quick else 2_000.0
@@ -727,8 +852,6 @@ def retry_storm(
     re-dispatch (``max_attempts=1``), so retries are purely the clients'
     doing — the only difference between the arms is the budget.
     """
-    from ..core.cluster import ClusterConfig, ReplicatedDatabase
-    from ..metrics.collector import MetricsCollector
     from ..workloads.clients import OpenLoopLoad
 
     spike_start = 1_500.0 if quick else 4_000.0

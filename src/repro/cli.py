@@ -5,6 +5,7 @@ Usage::
     python -m repro table1
     python -m repro fig3 [--full] [--seed N]
     python -m repro fig4 | fig5 | fig6 | fig7 [--full] [--seed N]
+    python -m repro claims
     python -m repro audit [--level sc-fine|bounded:3] [--replicas 4] [--clients 16]
     python -m repro availability [--full] [--seed N]
     python -m repro saturation [--full] [--seed N]
@@ -16,7 +17,8 @@ Usage::
 ``--full`` switches from the quick windows to the paper-scale sweeps
 (minutes instead of tens of seconds per figure).  The fault commands
 (``nemesis``, ``scrub``, ``membership``) end in the safety audit of
-:func:`repro.faults.audit.audit` and exit 1 when their verdict is FAIL.
+:func:`repro.faults.audit.audit`, ``claims`` in the claims table of
+:mod:`repro.bench.claims`; each exits 1 when its verdict is FAIL.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .bench import experiments
+from .bench import claims, experiments
 from .core.policy import available_policies, resolve_policy
 from .metrics.profiler import PROFILER
 from .metrics.tracing import TRACER
@@ -193,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     membership.add_argument("--join-at-ms", type=float, default=800.0,
                             help="virtual time at which the new replica joins")
 
+    add_parser("claims", help="judge every paper claim on the quick figures; exit 1 on a FAIL")
+
     everything = add_parser(
         "all", help="regenerate Table I and every figure (quick scale)"
     )
@@ -201,27 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_parser("levels", help="list the consistency configurations")
     return parser
-
-
-def _run_figure(args) -> str:
-    quick = not args.full
-    if args.command == "fig3":
-        return experiments.fig3(quick=quick, seed=args.seed).render()
-    if args.command == "fig4":
-        results = experiments.fig4(quick=quick, seed=args.seed)
-        return "\n\n".join(res.render() for res in results.values())
-    if args.command == "fig5":
-        results = experiments.fig5(quick=quick, seed=args.seed)
-        return "\n\n".join(
-            results[mix][metric].render()
-            for mix in results
-            for metric in ("throughput", "response")
-        )
-    if args.command == "fig6":
-        results = experiments.fig6(quick=quick, seed=args.seed)
-        return "\n\n".join(res.render() for res in results.values())
-    results = experiments.fig7(quick=quick, seed=args.seed)
-    return "\n\n".join(res.render() for res in results.values())
 
 
 def _run_audit(args) -> str:
@@ -492,8 +475,10 @@ def _run_levels() -> str:
     return "\n".join(lines)
 
 
-_FAULT_COMMANDS = {
+#: commands that end in a PASS/FAIL verdict and exit 1 on FAIL
+_VERDICT_COMMANDS = {
     "nemesis": _run_nemesis, "scrub": _run_scrub, "membership": _run_membership,
+    "claims": lambda _args: claims.report(claims.evaluate()),
 }
 
 
@@ -511,28 +496,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         TRACER.reset()
         TRACER.configure(sample_rate=getattr(args, "trace_sample_rate", 1.0))
         TRACER.enable()
-    if args.command == "table1":
-        print(experiments.table1())
-    elif args.command in ("fig3", "fig4", "fig5", "fig6", "fig7"):
-        print(_run_figure(args))
+    quick, seed = not getattr(args, "full", False), getattr(args, "seed", 0)
+    if args.command in claims.FIGURES:
+        figure = claims.FIGURES[args.command]
+        print(figure.render(figure.compute(quick, seed)))
     elif args.command == "all":
-        print(experiments.table1())
-        print()
-        for figure in ("fig3", "fig4", "fig5", "fig6", "fig7"):
-            args.command = figure
-            print(_run_figure(args))
-            print()
+        for figure in claims.FIGURES.values():
+            if figure.paper:
+                print(figure.render(figure.compute(quick, seed)))
+                print()
     elif args.command == "audit":
         print(_run_audit(args))
     elif args.command == "availability":
-        print(experiments.availability(quick=not args.full, seed=args.seed).render())
+        print(experiments.availability(quick=quick, seed=seed).render())
     elif args.command == "saturation":
-        quick = not args.full
-        print(experiments.saturation(quick=quick, seed=args.seed).render())
+        print(experiments.saturation(quick=quick, seed=seed).render())
         print()
-        print(experiments.retry_storm(quick=quick, seed=args.seed).render())
-    elif args.command in _FAULT_COMMANDS:
-        text, ok = _FAULT_COMMANDS[args.command](args)
+        print(experiments.retry_storm(quick=quick, seed=seed).render())
+    elif args.command in _VERDICT_COMMANDS:
+        text, ok = _VERDICT_COMMANDS[args.command](args)
         print(text)
         exit_code = 0 if ok else 1
     elif args.command == "levels":

@@ -8,7 +8,7 @@ fate-resolved abort is in the log; no lineage has two decisions there), and
 the end state a healed cluster must reach: every replica up, its applier
 alive, at ``V_commit``, with recomputed digests equal to the first
 replica's and to the certifier's digest tracker (when it keeps one), in
-the certifier's membership and routable at the balancer.
+the membership of a certifier that is not halted or down, and routable.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ class AuditReport:
     unconverged: tuple[str, ...]
     diverged: tuple[str, ...]
     not_live: tuple[str, ...]
+    certifier: tuple[str, ...]
 
     @property
     def failures(self) -> dict[str, tuple]:
@@ -105,4 +106,7 @@ def audit(cluster) -> AuditReport:
         unconverged=tuple(unconverged),
         diverged=tuple(diverged),
         not_live=tuple(not_live),
+        certifier=tuple(f"{certifier.name} {fault}" for fault, bad in (
+            ("halted", certifier.halted), ("down", cluster.network.is_down(certifier.name))
+        ) if bad),
     )

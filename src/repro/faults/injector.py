@@ -241,11 +241,13 @@ class FaultInjector:
     def kill_certifier(self) -> Certifier:
         """Crash-stop the live certifier and let the cluster heal itself.
 
-        Requires a configured standby for the cluster to make progress
-        again: proxies vote the certifier suspected once their heartbeats
+        Raises ``ValueError`` unless an unpromoted standby can succeed it:
+        proxies vote the certifier suspected once their heartbeats
         time out, and the standby promotes itself on a majority.  Returns
         the killed certifier (for inspecting its final log).
         """
+        if self.cluster.standby is None or self.cluster.standby.promoted:
+            raise ValueError("no unpromoted standby to succeed the certifier")
         certifier = self.cluster.certifier
         self.cluster.network.take_down(certifier.name)
         certifier.halt()

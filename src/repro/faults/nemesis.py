@@ -14,12 +14,12 @@ self-healing stack is designed for (and the docs are honest about):
 * links touching the **standby** are never cut (a single semi-synchronous
   standby cannot survive losing its shipping channel; quorum replication
   would be needed — see ``docs/PROTOCOL.md``);
-* the certifier kill happens only when all replicas are up, so detection
-  votes can actually assemble a majority.
+* the certifier kill happens only when all replicas are up, so votes can
+  assemble a majority, and the standby has not promoted (no successor left).
 
-Every injected fault is appended to :attr:`Nemesis.actions` as
-``(virtual_time_ms, action, detail)`` for debugging failed audits: a seed
-reproduces its schedule exactly.
+Every injected fault and the standby's promotion are appended to
+:attr:`Nemesis.actions` as ``(virtual_time_ms, action, detail)`` for
+debugging failed audits: a seed reproduces its schedule exactly.
 """
 
 from __future__ import annotations
@@ -184,7 +184,15 @@ class Nemesis:
             yield env.timeout(10.0)
         self._log("rolling-live-timeout", name)
 
+    def _note_promotion(self) -> None:
+        """Log the standby's promotion once; a read, no event and no draw."""
+        standby, logged = self.cluster.standby, {a: t for t, a, _d in self.actions}
+        if standby is not None and standby.promoted and "promotion" not in logged:
+            killed = logged.get("kill-certifier", float("inf")) <= standby.promoted_at
+            self._log("promotion", f"epoch {standby.epoch}, kill before it: {killed}")
+
     def _inject_one(self) -> None:
+        self._note_promotion()
         choices = []
         if self._majority_safe_to_crash():
             choices.append("crash")
@@ -205,7 +213,7 @@ class Nemesis:
         if (
             self.kill_certifier
             and not self.certifier_killed
-            and self.cluster.standby is not None
+            and self.cluster.standby is not None and not self.cluster.standby.promoted
             and not self.injector.crashed_replicas
             and self.cluster.env.now - self._start >= self.certifier_kill_after_ms
         ):
@@ -304,4 +312,5 @@ class Nemesis:
         self.injector.heal_all_links()
         for name in sorted(self.injector.crashed_replicas):
             self.injector.recover_replica(name)
+        self._note_promotion()
         self._log("final-heal", "all links healed, all replicas recovered")

@@ -108,6 +108,53 @@ class TestAutomaticPromotion:
         assert report.committed
 
 
+class TestSingleStandbyEnvelope:
+    """A false-suspicion promotion uses up the only standby.  The schedule is
+    hand-built, not drawn: cutting the primary off from two of the three
+    replicas makes their suspicion votes a majority, the standby promotes
+    while the primary is alive, and from then on nothing can succeed the
+    promoted certifier."""
+
+    def promoted_by_partition(self):
+        cluster, _ = standby_cluster()
+        injector = FaultInjector(cluster)
+        cluster.run(200.0)
+        injector.partition_link("certifier", "replica-0", symmetric=True)
+        injector.partition_link("certifier", "replica-1")
+        cluster.run(600.0)
+        assert cluster.standby.promoted
+        assert cluster.certifier.name == "certifier-2"
+        injector.heal_all_links()
+        cluster.run(700.0)
+        return cluster, injector
+
+    def test_killing_the_promoted_certifier_is_refused(self):
+        cluster, injector = self.promoted_by_partition()
+        with pytest.raises(ValueError, match="no unpromoted standby"):
+            injector.kill_certifier()
+        marker = cluster.commit_version
+        cluster.run(1_500.0)
+        assert cluster.commit_version > marker
+        cluster.quiesce(max_wait_ms=60_000.0)
+        report = audit(cluster)
+        assert report.ok, report.failures
+
+    def test_audit_fails_when_the_last_certifier_is_dead(self):
+        """The kill the injector now refuses, done by hand: updates stop
+        for good, and only the certifier check can tell."""
+        cluster, _ = self.promoted_by_partition()
+        successor = cluster.certifier
+        cluster.network.take_down(successor.name)
+        successor.halt()
+        frozen = cluster.commit_version
+        cluster.run(1_500.0)
+        assert cluster.commit_version == frozen
+        cluster.quiesce(max_wait_ms=5_000.0)
+        report = audit(cluster)
+        assert report.certifier == ("certifier-2 halted", "certifier-2 down")
+        assert set(report.failures) == {"certifier"}
+
+
 class TestPromotedIndexEquivalence:
     """Promotion rebuilds the certification index from the tailed log; the
     successor must decide exactly as the reference scan would over the

@@ -71,6 +71,8 @@ def test_nemesis_certifier_kill_forces_promotion():
     assert cluster.standby.promoted
     assert cluster.certifier.name == "certifier-2"
     assert cluster.certifier.epoch == 2
+    promotions = [d for _, action, d in nemesis.actions if action == "promotion"]
+    assert promotions == ["epoch 2, kill before it: True"]
     report = audit(cluster)
     assert report.ok, report.failures
 

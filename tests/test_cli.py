@@ -142,7 +142,7 @@ class TestFaultCommands:
     def test_failed_audit_exits_one(self, command, monkeypatch, capsys):
         from repro.faults import audit as audit_module
 
-        lost = audit_module.AuditReport(0, (), (7,), (), (), (), (), ())
+        lost = audit_module.AuditReport(0, (), (7,), (), (), (), (), (), ())
         assert not lost.ok and lost.failures == {"lost": (7,)}
         monkeypatch.setattr(audit_module, "audit", lambda cluster: lost)
         assert main([command, "--duration-ms", "300"]) == 1

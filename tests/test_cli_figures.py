@@ -90,3 +90,40 @@ class TestFigureCommands:
         monkeypatch.setattr(experiments, "fig3", fake_fig3)
         main(["fig3", "--full", "--seed", "5"])
         assert seen == {"quick": False, "seed": 5}
+
+
+class TestClaimsCommand:
+    """``repro claims`` over a table cut down to Figure 3, with a stubbed
+    figure: the real fig3 predicates judge it."""
+
+    @pytest.fixture
+    def fig3_only(self, monkeypatch):
+        from repro.bench import claims, experiments
+
+        monkeypatch.setattr(claims, "FIGURES", {"fig3": claims.FIGURES["fig3"]})
+
+        def stub(eager):
+            result = SeriesResult(
+                title="Figure 3 stub", x_label="update%", x_values=[0, 50, 100],
+                series={"SC-COARSE": [100.0, 60.0, 40.0], "SC-FINE": [100.0, 61.0, 41.0],
+                        "SESSION": [100.0, 60.0, 40.0], "EAGER": eager},
+            )
+            monkeypatch.setattr(experiments, "fig3", lambda quick, seed: result)
+        return stub
+
+    def test_exits_zero_when_every_claim_holds(self, fig3_only, capsys):
+        fig3_only([100.0, 40.0, 20.0])
+        assert main(["claims"]) == 0
+        out = capsys.readouterr().out
+        assert "ok   fig3-eager-behind" in out
+        assert "claims: 4/4 hold" in out
+        assert out.rstrip().endswith("claims: PASS")
+
+    def test_exits_one_naming_the_failing_claim(self, fig3_only, capsys):
+        fig3_only([100.0, 50.0, 35.0])  # EAGER within 0.75x of SESSION
+        assert main(["claims"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL fig3-eager-behind" in out
+        assert "failed: fig3-eager-behind" in out
+        assert "fig3-monotone" in out and "FAIL fig3-monotone" not in out
+        assert out.rstrip().endswith("claims: FAIL")
