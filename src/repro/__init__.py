@@ -24,7 +24,6 @@ Quickstart::
 """
 
 from .core import (
-    BoundedStalenessPolicy,
     ClusterConfig,
     ConsistencyPolicy,
     ReplicatedDatabase,
@@ -38,7 +37,6 @@ from .core import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BoundedStalenessPolicy",
     "ClusterConfig",
     "ConsistencyPolicy",
     "ReplicatedDatabase",

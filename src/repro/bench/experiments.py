@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.cluster import ClusterConfig, ReplicatedDatabase
-from ..core.policy import BoundedStalenessPolicy, ConsistencyPolicy, resolve_policy
+from ..core.policy import ConsistencyPolicy, resolve_policy
 from ..core.versions import VersionTracker
 from ..histories.checkers import staleness_report
 from ..metrics.collector import MetricsCollector
@@ -66,7 +66,6 @@ __all__ = [
     "ablation_replica_speed",
     "relaxed_currency",
     "tpcc_contention",
-    "bounded_staleness_sweep",
     "clear_cache",
 ]
 
@@ -251,45 +250,6 @@ def fig4(quick: bool = True, seed: int = 0) -> dict[str, BreakdownResult]:
             read_only_breakdowns=read_breakdowns,
         )
     return results
-
-
-def bounded_staleness_sweep(
-    quick: bool = True,
-    seed: int = 0,
-    bounds: Sequence[int] = (0, 1, 2, 5, 10),
-    update_types: int = 10,
-) -> SeriesResult:
-    """Beyond the paper: the freshness/performance trade-off of the
-    ``BOUNDED(k)`` policy on the micro-benchmark.
-
-    Sweeps the staleness bound *k*: ``BOUNDED(0)`` coincides with SC-COARSE
-    (full ``V_system`` synchronization), and growing *k* trades staleness
-    for a shorter synchronization start delay.  One series per metric so the
-    trade-off is visible in a single table.
-    """
-    tps: list[float] = []
-    response: list[float] = []
-    sync_delay: list[float] = []
-    for bound in bounds:
-        result = run_experiment(
-            _micro_config(BoundedStalenessPolicy(bound), update_types, quick, seed)
-        )
-        tps.append(result.tps)
-        response.append(result.response_ms)
-        sync_delay.append(result.sync_delay_ms)
-    return SeriesResult(
-        title=(
-            "Bounded staleness — micro-benchmark "
-            f"({int(round(100 * update_types / 40))}% update mix), 8 replicas"
-        ),
-        x_label="staleness bound k",
-        x_values=list(bounds),
-        series={
-            "TPS": tps,
-            "response ms": response,
-            "sync delay ms": sync_delay,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ deterministic in its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional
 
 from ..core.cluster import ClusterConfig, ReplicatedDatabase
@@ -21,7 +20,6 @@ from ..histories.checkers import (
 )
 from ..metrics.collector import MetricsCollector, MetricsSummary
 from ..metrics.profiler import PROFILER
-from ..metrics.tracing import TRACER
 from ..middleware.perfmodel import PerformanceParams
 from ..sim.network import LatencyModel
 from ..workloads.base import Workload
@@ -52,15 +50,6 @@ class ExperimentConfig:
     record_history: bool = False
     retry_aborts: bool = False
     label: str = ""
-    #: enable the wall-clock profiler for this run and attach its report
-    #: to the result (see :mod:`repro.metrics.profiler`)
-    profile: bool = False
-    #: enable per-transaction tracing for this run and attach the captured
-    #: spans to the result (see :mod:`repro.metrics.tracing`)
-    trace: bool = False
-    #: fraction of transactions to trace when ``trace`` is set (0..1);
-    #: deterministic in the request id, never touches the RNG streams
-    trace_sample_rate: float = 1.0
 
     @property
     def total_ms(self) -> float:
@@ -79,10 +68,6 @@ class ExperimentResult:
     final_commit_version: int
     strongly_consistent: Optional[bool] = None
     session_consistent: Optional[bool] = None
-    #: rendered wall-clock profile, when the run had ``profile`` set
-    profile_report: Optional[str] = None
-    #: captured trace spans, when the run had ``trace`` set
-    trace_spans: Optional[tuple] = None
 
     @property
     def tps(self) -> float:
@@ -152,19 +137,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     When ``record_history`` is set, the run history is checked for strong
     and session consistency so experiments double as correctness evidence.
     """
-    started_profiler = False
-    if config.profile and not PROFILER.enabled:
-        PROFILER.reset()
-        PROFILER.enable()
-        started_profiler = True
-    started_tracer = False
-    if config.trace and not TRACER.enabled:
-        TRACER.reset()
-        TRACER.configure(sample_rate=config.trace_sample_rate)
-        TRACER.enable()
-        started_tracer = True
-    wall_start = perf_counter()
-
     with PROFILER.section("cluster.build"):
         workload = config.workload_factory()
         cluster = ReplicatedDatabase(
@@ -187,22 +159,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with PROFILER.section("run.measure"):
         cluster.run(config.total_ms)
 
-    profile_report = None
-    if config.profile:
-        PROFILER.count("kernel.events", cluster.env.events_processed)
-        PROFILER.count("kernel.immediate", cluster.env.immediate_scheduled)
-        profile_report = PROFILER.report(
-            events=cluster.env.events_processed,
-            wall_s=perf_counter() - wall_start,
-        )
-    if started_profiler:
-        PROFILER.disable()
-    trace_spans = None
-    if config.trace:
-        trace_spans = tuple(TRACER.spans)
-    if started_tracer:
-        TRACER.disable()
-
     early_aborts = sum(p.early_abort_count for p in cluster.replicas.values())
     strongly = session = None
     if config.record_history and cluster.history is not None:
@@ -218,6 +174,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         final_commit_version=cluster.commit_version,
         strongly_consistent=strongly,
         session_consistent=session,
-        profile_report=profile_report,
-        trace_spans=trace_spans,
     )

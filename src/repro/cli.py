@@ -6,7 +6,7 @@ Usage::
     python -m repro fig3 [--full] [--seed N]
     python -m repro fig4 | fig5 | fig6 | fig7 [--full] [--seed N]
     python -m repro claims
-    python -m repro audit [--level sc-fine|bounded:3] [--replicas 4] [--clients 16]
+    python -m repro audit [--level sc-fine|relaxed:3] [--replicas 4] [--clients 16]
     python -m repro availability [--full] [--seed N]
     python -m repro saturation [--full] [--seed N]
     python -m repro nemesis [--seed N] [--duration-ms T] [--no-kill-certifier] [--rolling]
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--level", default="sc-coarse", type=_policy_spec,
         metavar="{" + ",".join(available_policies()) + "}[:K]",
         help="a registered consistency policy, optionally parameterized "
-             "(e.g. sc-fine, bounded:3, relaxed:5)",
+             "(e.g. sc-fine, relaxed:3)",
     )
     audit.add_argument(
         "--workload", default="micro", choices=["micro", "tpcw", "tpcc"],

@@ -1,14 +1,13 @@
 """The paper's contribution: consistency configurations over lazy replication.
 
 Public API: build a :class:`ReplicatedDatabase` over a workload with any
-registered :class:`ConsistencyPolicy` (``level="sc-fine"``, ``"bounded:3"``
+registered :class:`ConsistencyPolicy` (``level="sc-fine"``, ``"relaxed:3"``
 or a policy instance), then drive it with sessions or closed-loop clients.
 """
 
 from .cluster import ClusterConfig, ReplicatedDatabase
 from .partition import PartitionMap
 from .policy import (
-    BoundedStalenessPolicy,
     ConsistencyPolicy,
     available_policies,
     register_policy,
@@ -18,7 +17,6 @@ from .session import SyncSession
 from .versions import VersionTracker
 
 __all__ = [
-    "BoundedStalenessPolicy",
     "ClusterConfig",
     "ConsistencyPolicy",
     "PartitionMap",

@@ -60,7 +60,7 @@ class ClusterConfig:
     """Configuration of one replicated-database deployment."""
 
     num_replicas: int = 3
-    #: a registered policy spec ("sc-fine", "relaxed:5", "bounded:3") or a
+    #: a registered policy spec ("sc-fine", "relaxed:5") or a
     #: ready ConsistencyPolicy instance
     level: "str | ConsistencyPolicy" = "sc-coarse"
     seed: int = 0
@@ -345,7 +345,6 @@ class ReplicatedDatabase:
             request_deadline_ms=config.request_deadline_ms,
             max_attempts=config.max_attempts,
             overload=config.overload,
-            partition_map=self.partition_map,
         )
         self.standby: Optional[CertifierStandby] = None
         if config.standby_certifier:

@@ -12,14 +12,14 @@ the certification index and the commit-version counter stay single.
 deliberately tiny and stateless: a table name maps to a partition id either
 through an explicit table-group list (the TPC-W style "by functional area"
 split) or through a stable hash (``zlib.crc32``, so the mapping is
-independent of dict ordering, process hash seeds and run seeds).  Every
-layer — certifier, proxies, load balancer, standby — shares one instance,
-so "which shard owns table ``t``" has exactly one answer everywhere.
+independent of dict ordering, process hash seeds and run seeds).  Only the
+certifier holds the map (a failover hands it to the successor), so "which
+shard owns table ``t``" has exactly one answer; proxies see only the
+predecessor vectors it sends, and the load balancer sees nothing of it.
 
 The single-partition map (``num_partitions=1``) is *trivial*: the certifier
 runs it as its one-shard case and sends no predecessor vectors, so every
-replica applies in full-prefix order; the load balancer checks
-:attr:`PartitionMap.is_trivial` and keeps its scalar version accounting.
+replica applies in full-prefix order.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ new scheme is a single class, not a cross-layer edit:
 
 * **load balancer** — :meth:`~ConsistencyPolicy.start_version` computes the
   consistency tag (the minimum ``V_local`` a replica must reach before the
-  transaction starts) and :meth:`~ConsistencyPolicy.observe_response`
-  maintains the version tracker's ``V_system``/per-table/per-session state;
+  transaction starts) from the version tracker's
+  ``V_system``/per-table/per-session state;
 * **replica proxy** — :attr:`~ConsistencyPolicy.waits_for_global_commit`
   gates the EAGER-style *global* stage and
   :meth:`~ConsistencyPolicy.commit_ack_flush` prices the synchronous
@@ -18,18 +18,17 @@ new scheme is a single class, not a cross-layer edit:
 * **certifier** — :attr:`~ConsistencyPolicy.tracks_global_commit` turns on
   the per-commit applied-replica counters behind global-commit notices.
 
-Policies register under a short name (``"sc-fine"``, ``"bounded"``) in a
+Policies register under a short name (``"sc-fine"``, ``"relaxed"``) in a
 process-wide registry; :func:`resolve_policy` accepts a registered name
-(optionally parameterized, ``"bounded:3"``) or a ready policy instance.
+(optionally parameterized, ``"relaxed:3"``) or a ready policy instance.
 A scheme's parameter lives in its spec: ``"relaxed:5"``, and bare
 ``"relaxed"`` means ``"relaxed:10"``.
 
 The module ships the paper's four configurations (EAGER, SC-COARSE,
-SC-FINE, SESSION), the BASELINE and RELAXED extensions, and
-:class:`BoundedStalenessPolicy` — ``bounded:k`` bounded staleness, written
-purely against this interface as the extensibility proof: a client may read
-a snapshot at most ``k`` versions behind ``V_system``; ``k = 0``
-degenerates to SC-COARSE.
+SC-FINE, SESSION) and the BASELINE and RELAXED extensions.
+:class:`RelaxedPolicy` — ``relaxed:k`` bounded staleness — is written purely
+against this interface: a client may read a snapshot at most ``k`` versions
+behind ``V_system``; ``k = 0`` degenerates to SC-COARSE.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import abc
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..middleware.messages import TxnResponse
     from ..middleware.perfmodel import ReplicaPerformance
     from .versions import VersionTracker
 
@@ -50,7 +48,6 @@ __all__ = [
     "SessionPolicy",
     "BaselinePolicy",
     "RelaxedPolicy",
-    "BoundedStalenessPolicy",
     "register_policy",
     "available_policies",
     "resolve_policy",
@@ -94,23 +91,6 @@ class ConsistencyPolicy(abc.ABC):
     ) -> int:
         """Minimum ``V_local`` the receiving replica must reach before the
         transaction may start (the consistency tag)."""
-
-    def observe_response(self, tracker: "VersionTracker", response: "TxnResponse") -> None:
-        """Account for a replica's transaction acknowledgment.
-
-        The default maintains the full version soft state (``V_system``,
-        per-table, per-session) for committed transactions, which every
-        shipped scheme relies on; a policy that needs different bookkeeping
-        overrides this.
-        """
-        if not response.committed:
-            return
-        tracker.observe_commit(
-            commit_version=response.commit_version,
-            updated_tables=response.updated_tables,
-            session_id=response.session_id,
-            replica_version=response.replica_version,
-        )
 
     # -- replica proxy decisions -------------------------------------------
     #: wait for the certifier's global-commit notice before acknowledging
@@ -210,8 +190,9 @@ class BaselinePolicy(ConsistencyPolicy):
 
 class RelaxedPolicy(ConsistencyPolicy):
     """The relaxed-currency model (Bernstein et al. [6], Guo et al. [21]):
-    a freshness bound of *k* versions behind ``V_system`` (``relaxed:k``;
-    bare ``relaxed`` is ``relaxed:10``).  Bound 0 degenerates to SC-COARSE;
+    bounded staleness, a freshness bound of *k* versions behind
+    ``V_system`` (``relaxed:k``; bare ``relaxed`` is ``relaxed:10``).
+    Bound 0 degenerates to SC-COARSE and is therefore strongly consistent;
     an unbounded one to BASELINE."""
 
     name = "relaxed"
@@ -219,47 +200,20 @@ class RelaxedPolicy(ConsistencyPolicy):
     uses_start_delay = True
 
     def __init__(self, bound: int = 10):
+        if bound < 0:
+            raise ValueError("staleness bound must be >= 0")
         self.bound = bound
 
     @property
     def spec(self) -> str:
         return f"relaxed:{self.bound}"
 
-    def start_version(self, tracker, table_set=None, session_id=None) -> int:
-        return max(0, tracker.v_system - max(0, self.bound))
-
-
-class BoundedStalenessPolicy(ConsistencyPolicy):
-    """``bounded:k`` — bounded staleness, written purely against the
-    policy interface (no middleware edits).
-
-    A client may read a snapshot at most ``k`` versions behind
-    ``V_system``; ``k = 0`` degenerates to SC-COARSE and is therefore
-    strongly consistent.
-    """
-
-    name = "bounded"
-    uses_start_delay = True
-
-    def __init__(self, staleness_bound: int = 0):
-        if staleness_bound < 0:
-            raise ValueError("staleness bound must be >= 0")
-        self.staleness_bound = staleness_bound
-
-    @property
-    def label(self) -> str:  # type: ignore[override]
-        return f"BOUNDED({self.staleness_bound})"
-
-    @property
-    def spec(self) -> str:
-        return f"bounded:{self.staleness_bound}"
-
     @property
     def is_strong(self) -> bool:  # type: ignore[override]
-        return self.staleness_bound == 0
+        return self.bound == 0
 
     def start_version(self, tracker, table_set=None, session_id=None) -> int:
-        return max(0, tracker.v_system - self.staleness_bound)
+        return max(0, tracker.v_system - self.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +231,7 @@ def register_policy(
     """Register a policy factory under ``name``.
 
     ``factory(arg)`` receives the optional ``:arg`` suffix of a
-    parameterized spec (``"bounded:3"`` → ``arg="3"``; None when absent).
+    parameterized spec (``"relaxed:3"`` → ``arg="3"``; None when absent).
     """
     _REGISTRY[name] = factory
 
@@ -309,10 +263,6 @@ register_policy(
     "relaxed",
     lambda arg: RelaxedPolicy() if arg is None else RelaxedPolicy(_int_arg("relaxed", arg)),
 )
-register_policy(
-    "bounded",
-    lambda arg: BoundedStalenessPolicy(_int_arg("bounded", arg) if arg is not None else 0),
-)
 
 
 def resolve_policy(spec) -> ConsistencyPolicy:
@@ -320,7 +270,7 @@ def resolve_policy(spec) -> ConsistencyPolicy:
 
     ``spec`` may be a :class:`ConsistencyPolicy` instance (returned as-is)
     or a registered name with an optional ``:parameter`` suffix
-    (``"sc-fine"``, ``"bounded:3"``).  Raises :class:`ValueError` naming the
+    (``"sc-fine"``, ``"relaxed:3"``).  Raises :class:`ValueError` naming the
     registered policies for an unknown name.
     """
     if isinstance(spec, ConsistencyPolicy):

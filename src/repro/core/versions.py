@@ -18,28 +18,18 @@ tracker's state (``policy.start_version(tracker, ...)``).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 __all__ = ["VersionTracker"]
 
 
 class VersionTracker:
-    """The load balancer's version and session accounting.
+    """The load balancer's version and session accounting."""
 
-    With a :class:`~repro.core.partition.PartitionMap` attached, the
-    tracker additionally generalizes ``V_system`` to a per-partition
-    vector: component ``p`` is the version of the latest acknowledged
-    commit whose writeset touched partition ``p`` (maintained from the
-    same response tags that drive the per-table versions).
-    """
-
-    def __init__(self, partition_map=None):
+    def __init__(self):
         self._v_system = 0
         self._table_versions: dict[str, int] = {}
         self._session_versions: dict[str, int] = {}
-        #: optional table-group partition map (enables the vector view)
-        self.partition_map = partition_map
-        self._partition_versions: dict[int, int] = {}
 
     # -- state views ---------------------------------------------------------
     @property
@@ -55,16 +45,6 @@ class VersionTracker:
     def session_version(self, session_id: str) -> int:
         """The version the session must observe (0 for a new session)."""
         return self._session_versions.get(session_id, 0)
-
-    def partition_version(self, partition: int) -> int:
-        """Component ``partition`` of the per-partition version vector:
-        the latest acknowledged commit that touched the partition (0 when
-        nothing has, or when no partition map is attached)."""
-        return self._partition_versions.get(partition, 0)
-
-    def partition_versions(self) -> Mapping[int, int]:
-        """Snapshot of the per-partition version vector."""
-        return dict(self._partition_versions)
 
     # -- updates (driven by replica responses) -------------------------------
     def observe_commit(
@@ -83,23 +63,14 @@ class VersionTracker:
         sees a monotonically non-decreasing snapshot.
         """
         if commit_version is not None:
-            updated_tables = tuple(updated_tables)
             if commit_version > self._v_system:
                 self._v_system = commit_version
             for table in updated_tables:
                 if commit_version > self._table_versions.get(table, 0):
                     self._table_versions[table] = commit_version
-            if self.partition_map is not None:
-                for p in self.partition_map.partitions_for(updated_tables):
-                    if commit_version > self._partition_versions.get(p, 0):
-                        self._partition_versions[p] = commit_version
         if session_id is not None:
             observed = replica_version if replica_version is not None else 0
             if commit_version is not None:
                 observed = max(observed, commit_version)
             if observed > self._session_versions.get(session_id, 0):
                 self._session_versions[session_id] = observed
-
-    def forget_session(self, session_id: str) -> None:
-        """Drop a finished session's entry (soft state)."""
-        self._session_versions.pop(session_id, None)

@@ -78,28 +78,19 @@ def format_breakdown(
     return format_table(headers, rows, title=title, floatfmt="{:.2f}")
 
 
-def _render_partition(certifier: Mapping, balancer: Mapping) -> str:
+def _render_partition(certifier: Mapping) -> str:
     """One summary block plus one row per certifier shard."""
     lines = [
         "-- commit pipeline --",
         "partitions={num_partitions}  single-commits={single_partition_commits}  "
         "cross-commits={cross_partition_commits}  "
-        "cross-shard-stalls={cross_shard_stalls}".format_map(certifier)
-        + "  cross-dispatched={cross_partition_dispatched}".format_map(balancer),
+        "cross-shard-stalls={cross_shard_stalls}".format_map(certifier),
         "departed-purged={departed_purged}  "
         "stale-recovery-refusals={stale_recovery_refusals}".format_map(certifier),
     ]
-    versions = balancer["partition_versions"]
-    headers = ["shard", "certified", "aborts", "queue", "last_global", "v_ack"]
+    headers = ["shard", "certified", "aborts", "queue", "last_global"]
     rows = [
-        [
-            p,
-            shard["certified"],
-            shard["conflicts"],
-            shard["queue_length"],
-            shard["last_global"],
-            versions.get(p, 0),
-        ]
+        [p, shard["certified"], shard["conflicts"], shard["queue_length"], shard["last_global"]]
         for p, shard in sorted(certifier["shard"].items())
     ]
     lines.append(format_table(headers, rows))
@@ -169,7 +160,7 @@ def _render_trace(trace: Mapping) -> str:
 #: section name -> (renderer, the registry subtrees it reads), in display order
 _SECTION_RENDERERS = {
     "summary": (_render_summary, ("cluster", "certifier", "kernel")),
-    "partition": (_render_partition, ("certifier", "balancer")),
+    "partition": (_render_partition, ("certifier",)),
     "scrub": (_render_scrub, ("scrub",)),
     "bootstrap": (_render_bootstrap, ("bootstrap",)),
     "replicas": (_render_replicas, ("replica",)),

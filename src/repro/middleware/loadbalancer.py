@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.partition import PartitionMap
 from ..core.policy import resolve_policy
 from ..core.versions import VersionTracker
 from ..histories.records import RunHistory, TxnRecord
@@ -94,7 +93,6 @@ class LoadBalancer:
         request_deadline_ms: Optional[float] = None,
         max_attempts: int = 3,
         overload: Optional[OverloadSettings] = None,
-        partition_map: Optional[PartitionMap] = None,
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -103,11 +101,7 @@ class LoadBalancer:
         self.name = name
         self.policy = resolve_policy(level)
         self.templates = templates
-        #: table-group partitioning (None = one partition, scalar versions)
-        self.partition_map = partition_map
-        self.tracker = VersionTracker(partition_map=partition_map)
-        #: template name -> partitions its table-set touches (cached)
-        self._template_partitions: dict[str, tuple] = {}
+        self.tracker = VersionTracker()
         self.history = history
         #: where fate queries go; re-pointed by :meth:`follow_certifier`
         self.certifier_name = certifier_name
@@ -137,10 +131,6 @@ class LoadBalancer:
         self.dispatched_count = 0
         self.relayed_count = 0
         self.rejected_count = 0
-        #: dispatches whose template touches exactly one partition
-        self.single_partition_dispatched = 0
-        #: dispatches whose template spans partitions
-        self.cross_partition_dispatched = 0
         #: request ids fenced into a final abort — the nemesis audit checks
         #: none of them appears in the decision log
         self.fenced_request_ids: list[int] = []
@@ -197,14 +187,6 @@ class LoadBalancer:
             "quarantines": self.quarantine_count,
             "dispatched": self.dispatched_count,
             "relayed": self.relayed_count,
-            "single_partition_dispatched": self.single_partition_dispatched,
-            "cross_partition_dispatched": self.cross_partition_dispatched,
-            "num_partitions": (
-                self.partition_map.num_partitions
-                if self.partition_map is not None
-                else 1
-            ),
-            "partition_versions": self.tracker.partition_versions(),
             "active": dict(self._active_count),
             "joining": sorted(self._joining),
             "joins_completed": self.joins_completed,
@@ -253,19 +235,6 @@ class LoadBalancer:
                 + ", ".join(sorted(known))
             ) from None
 
-    def _partitions_for_template(self, name: str) -> Optional[tuple]:
-        """Partitions the template's table-set touches (cached; None when
-        no partition map is configured)."""
-        if self.partition_map is None:
-            return None
-        cached = self._template_partitions.get(name)
-        if cached is None:
-            cached = self.partition_map.partitions_for(
-                self._template_for(name).table_set
-            )
-            self._template_partitions[name] = cached
-        return cached
-
     def _dispatch(self, request: ClientRequest) -> None:
         template = self._template_for(request.template)
         read_only = not template.is_update
@@ -292,12 +261,6 @@ class LoadBalancer:
 
     def _dispatch_now(self, request: ClientRequest, replica: str,
                       read_only: bool) -> None:
-        partitions = self._partitions_for_template(request.template)
-        if partitions is not None:
-            if len(partitions) > 1:
-                self.cross_partition_dispatched += 1
-            else:
-                self.single_partition_dispatched += 1
         self._send(_Outstanding(request, replica, read_only))
 
     def _send(self, entry: _Outstanding) -> None:
@@ -400,7 +363,13 @@ class LoadBalancer:
         self._release_slot(entry)
         client_request = entry.client_request
 
-        self.policy.observe_response(self.tracker, response)
+        if response.committed:
+            self.tracker.observe_commit(
+                commit_version=response.commit_version,
+                updated_tables=response.updated_tables,
+                session_id=response.session_id,
+                replica_version=response.replica_version,
+            )
         self.relayed_count += 1
         if TRACER.enabled and TRACER.is_sampled(response.request_id):
             TRACER.instant(

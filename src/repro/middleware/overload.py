@@ -54,7 +54,7 @@ class OverloadSettings:
     is shed instead of occupying a slot it can no longer use.
 
     The degradation valve is configured by ``valve_policy`` (a registered
-    consistency-policy spec such as ``"session"`` or ``"bounded:8"``): while
+    consistency-policy spec such as ``"session"`` or ``"relaxed:8"``): while
     the total pending depth is at or above ``valve_high`` the balancer tags
     *degradable* read-only requests with the weaker policy's start version;
     the valve closes — restoring the configured strong policy — once the

@@ -7,7 +7,7 @@ microsecond.  The golden numbers below were captured on the pre-refactor
 tree (commit 544fa41) with this very scenario; any drift in the refactored
 protocol shows up as a hard mismatch.
 
-Also proves the BOUNDED(k) extension's degenerate case: ``bounded:0`` is
+Also proves the bounded-staleness dial's degenerate case: ``relaxed:0`` is
 indistinguishable from SC-COARSE and passes the strong-consistency audit.
 """
 
@@ -248,16 +248,16 @@ class TestHotPathOverhaul:
 
 class TestBoundedStaleness:
     def test_bounded_zero_is_byte_identical_to_sc_coarse(self):
-        cluster, collector = run_scenario("bounded:0")
+        cluster, collector = run_scenario("relaxed:0")
         assert fingerprint(cluster, collector) == GOLDEN["sc-coarse"]
 
     def test_bounded_zero_passes_strong_consistency_audit(self):
-        cluster, _ = run_scenario("bounded:0")
+        cluster, _ = run_scenario("relaxed:0")
         assert is_strongly_consistent(cluster.history)
         assert is_strongly_consistent(cluster.history, observational=False)
 
     def test_bounded_k_runs_end_to_end_within_bound(self):
-        cluster, collector = run_scenario("bounded:2")
+        cluster, collector = run_scenario("relaxed:2")
         summary = collector.summary()
         assert summary.committed > 0
         # Every snapshot is at most k=2 versions behind the latest commit
@@ -265,4 +265,4 @@ class TestBoundedStaleness:
         report = staleness_report(cluster.history)
         assert report["count"] > 0
         assert report["max"] <= 2
-        assert cluster.metrics.get("cluster.level") == "BOUNDED(2)"
+        assert cluster.metrics.get("cluster.level") == "RELAXED"

@@ -292,36 +292,3 @@ class TestEndToEndCheckers:
         for proxy in cluster.replicas.values():
             assert proxy.v_local == target
             assert proxy.engine.database.version == target
-
-
-class TestPartitionAffinityRouting:
-    """Affinity routing is gone (the replica model has no locality for it to
-    exploit); the balancer's per-partition accounting it came with stays."""
-
-    def test_affinity_routing_stays_strong_and_counts_dispatches(self):
-        cluster = ReplicatedDatabase(
-            MicroBenchmark(update_types=10, rows_per_table=200),
-            ClusterConfig(
-                num_replicas=4,
-                level="sc-coarse",
-                seed=11,
-                num_partitions=4,
-                partition_table_groups=GROUPS[4],
-            ),
-        )
-        collector = MetricsCollector(measure_start=0.0)
-        cluster.add_clients(6, collector)
-        cluster.run(2_500.0)
-        cluster.quiesce()
-        assert collector.summary().committed > 1_000
-        assert is_strongly_consistent(cluster.history)
-        lb_stats = cluster.load_balancer.stats()
-        assert lb_stats["num_partitions"] == 4
-        assert lb_stats["single_partition_dispatched"] > 0
-        assert lb_stats["cross_partition_dispatched"] == 0  # one table per txn
-        # The per-partition version vector tracked acknowledged commits.
-        assert max(lb_stats["partition_versions"].values()) > 0
-        assert (
-            max(lb_stats["partition_versions"].values())
-            <= cluster.commit_version
-        )

@@ -1,12 +1,11 @@
 """Tests for the pluggable consistency-policy layer: the registry,
-spec resolution, per-policy decisions, and the BOUNDED(k) extension."""
+spec resolution, per-policy decisions, and the ``relaxed:k`` staleness dial."""
 
 import pytest
 
 from repro.core.cluster import ClusterConfig, ReplicatedDatabase
 from repro.core.policy import (
     BaselinePolicy,
-    BoundedStalenessPolicy,
     ConsistencyPolicy,
     EagerPolicy,
     RelaxedPolicy,
@@ -39,14 +38,14 @@ class TestResolution:
         assert isinstance(resolve_policy("eager"), EagerPolicy)
 
     def test_policy_instance_passes_through(self):
-        policy = BoundedStalenessPolicy(3)
+        policy = RelaxedPolicy(3)
         assert resolve_policy(policy) is policy
 
     def test_parameterized_spec(self):
-        policy = resolve_policy("bounded:3")
-        assert isinstance(policy, BoundedStalenessPolicy)
-        assert policy.staleness_bound == 3
-        assert policy.spec == "bounded:3"
+        policy = resolve_policy("relaxed:3")
+        assert isinstance(policy, RelaxedPolicy)
+        assert policy.bound == 3
+        assert policy.spec == "relaxed:3"
 
     def test_relaxed_bound_lives_in_the_spec(self):
         assert resolve_policy("relaxed:7").bound == 7
@@ -77,7 +76,11 @@ class TestResolution:
 
     def test_non_integer_parameter_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            resolve_policy("bounded:soon")
+            resolve_policy("relaxed:soon")
+
+    def test_negative_bound_in_the_spec_rejected(self):
+        with pytest.raises(ValueError, match="staleness bound"):
+            resolve_policy("relaxed:-3")
 
     def test_unresolvable_type_rejected(self):
         with pytest.raises(TypeError):
@@ -88,9 +91,7 @@ class TestRegistry:
     def test_available_policies_sorted_and_complete(self):
         names = available_policies()
         assert names == tuple(sorted(names))
-        for name in ("eager", "sc-coarse", "sc-fine", "session", "baseline", "relaxed"):
-            assert name in names
-        assert "bounded" in names
+        assert names == ("baseline", "eager", "relaxed", "sc-coarse", "sc-fine", "session")
 
     def test_register_custom_policy(self):
         class PinnedPolicy(ConsistencyPolicy):
@@ -144,26 +145,29 @@ class TestStartVersions:
 
 
 class TestBoundedStaleness:
+    """``relaxed:k`` is the one bounded-staleness dial."""
+
     def test_start_version_at_most_k_behind(self):
         tracker = tracker_at(10)
-        assert BoundedStalenessPolicy(3).start_version(tracker) == 7
-        assert BoundedStalenessPolicy(20).start_version(tracker) == 0
+        assert RelaxedPolicy(3).start_version(tracker) == 7
+        assert RelaxedPolicy(20).start_version(tracker) == 0
 
     def test_k_zero_matches_sc_coarse(self):
         tracker = tracker_at(6)
         assert (
-            BoundedStalenessPolicy(0).start_version(tracker)
+            RelaxedPolicy(0).start_version(tracker)
             == ScCoarsePolicy().start_version(tracker)
         )
 
     def test_classification(self):
-        assert BoundedStalenessPolicy(0).is_strong
-        assert not BoundedStalenessPolicy(1).is_strong
-        assert BoundedStalenessPolicy(2).label == "BOUNDED(2)"
+        assert RelaxedPolicy(0).is_strong
+        assert not RelaxedPolicy(1).is_strong
+        assert not RelaxedPolicy().is_strong
+        assert RelaxedPolicy(2).label == "RELAXED"
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
-            BoundedStalenessPolicy(-1)
+            RelaxedPolicy(-1)
 
 
 class TestProtocolDecisions:
@@ -181,5 +185,5 @@ class TestProtocolDecisions:
 
         perf = Perf()
         assert EagerPolicy().commit_ack_flush(perf, 2) == 3.5
-        for name in ("sc-coarse", "sc-fine", "session", "baseline", "bounded"):
+        for name in ("sc-coarse", "sc-fine", "session", "baseline", "relaxed"):
             assert resolve_policy(name).commit_ack_flush(perf, 2) == 0.0

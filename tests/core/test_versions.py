@@ -39,12 +39,6 @@ class TestObserveCommit:
         tracker.observe_commit(None, (), session_id="s", replica_version=6)
         assert tracker.session_version("s") == 7  # no regression
 
-    def test_forget_session(self):
-        tracker = VersionTracker()
-        tracker.observe_commit(3, {"a"}, session_id="s", replica_version=3)
-        tracker.forget_session("s")
-        assert tracker.session_version("s") == 0
-
 
 class TestStartVersion:
     @pytest.fixture

@@ -14,7 +14,6 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 PLACEHOLDERS = (
     (r"^replica\.[^.]+\.", "replica.NAME."),
     (r"^certifier\.shard\.\d+\.", "certifier.shard.N."),
-    (r"^balancer\.partition_versions\.\d+$", "balancer.partition_versions.N"),
     (r"^balancer\.active\..+$", "balancer.active.NAME"),
     (r"^(network\.(?:dropped|injected)_by_reason)\..+$", r"\1.*"),
 )
@@ -65,6 +64,6 @@ def test_default_cluster_publishes_the_catalog_minus_absent_subsystems():
     assert names - catalog() == set()
     absent = catalog() - names - BY_REASON
     assert absent and all(
-        name.startswith(("scrub.", "bootstrap.", "balancer.partition_versions."))
+        name.startswith(("scrub.", "bootstrap."))
         for name in absent
     )

@@ -270,10 +270,6 @@ class TestPartitionedCertifierStats:
         assert stats["shard"][1]["last_global"] == 2
         registry = MetricsRegistry()
         registry.register("certifier", certifier.stats)
-        registry.register(
-            "balancer",
-            lambda: {"cross_partition_dispatched": 0, "partition_versions": {}},
-        )
         rendered = render(registry, sections=("partition",))
         assert "partitions=2" in rendered
         assert "shard" in rendered and "last_global" in rendered

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partition import PartitionMap
 from repro.middleware import LoadBalancer
 from repro.sim import Environment
 
@@ -63,7 +62,6 @@ def build_balancer():
         replica_names=list(MEMBERS),
         level="sc-coarse",
         templates=make_catalog(("t",)),
-        partition_map=PartitionMap(4),
     )
 
 

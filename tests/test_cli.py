@@ -25,10 +25,15 @@ class TestParser:
             build_parser().parse_args(["audit", "--level", "bogus"])
 
     def test_audit_level_accepts_parameterized_policy(self):
-        args = build_parser().parse_args(["audit", "--level", "bounded:2"])
-        assert args.level == "bounded:2"
+        args = build_parser().parse_args(["audit", "--level", "relaxed:2"])
+        assert args.level == "relaxed:2"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["audit", "--level", "bounded:soon"])
+            build_parser().parse_args(["audit", "--level", "relaxed:soon"])
+
+    def test_audit_level_rejects_a_negative_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["audit", "--level", "relaxed:-3"])
+        assert "staleness bound must be >= 0" in capsys.readouterr().err
 
     def test_unknown_level_error_lists_registered_policies(self, capsys):
         with pytest.raises(SystemExit):
@@ -36,7 +41,7 @@ class TestParser:
         err = capsys.readouterr().err
         assert "unknown consistency policy 'bogus'" in err
         assert "sc-coarse" in err
-        assert "bounded" in err
+        assert "relaxed" in err
 
     def test_observability_flags_accepted_before_or_after_the_command(self):
         parser = build_parser()
@@ -103,12 +108,12 @@ class TestCommands:
 
     def test_audit_bounded_runs_end_to_end(self, capsys):
         code = main([
-            "audit", "--level", "bounded:2", "--replicas", "2",
+            "audit", "--level", "relaxed:2", "--replicas", "2",
             "--clients", "4", "--duration-ms", "400",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "level=BOUNDED(2)" in out
+        assert "level=RELAXED" in out
         assert "TPS" in out
 
     def test_audit_rejects_unknown_workload(self):
