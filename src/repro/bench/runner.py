@@ -9,7 +9,7 @@ deterministic in its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.cluster import ClusterConfig, ReplicatedDatabase
@@ -21,7 +21,6 @@ from ..histories.checkers import (
 from ..metrics.collector import MetricsCollector, MetricsSummary
 from ..metrics.profiler import PROFILER
 from ..middleware.perfmodel import PerformanceParams
-from ..sim.network import LatencyModel
 from ..workloads.base import Workload
 
 __all__ = [
@@ -46,7 +45,6 @@ class ExperimentConfig:
     measure_ms: float = 20_000.0
     seed: int = 0
     params: Optional[PerformanceParams] = None
-    latency: LatencyModel = field(default_factory=LatencyModel)
     record_history: bool = False
     retry_aborts: bool = False
     label: str = ""
@@ -146,7 +144,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 level=config.level,
                 seed=config.seed,
                 params=config.params,
-                latency=config.latency,
                 record_history=config.record_history,
             ),
         )

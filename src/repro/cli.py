@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -44,6 +45,25 @@ def _policy_spec(spec: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok(value)``
+    (a bad value exits with code 2 and a usage error)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" text
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_ms = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_at_ms = _checked(float, lambda v: 0 <= v < math.inf, "non-negative and finite")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "within [0, 1]")
 
 
 def _observability_parent() -> argparse.ArgumentParser:
@@ -72,7 +92,7 @@ def _observability_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--trace-sample-rate",
-        type=float,
+        type=_fraction,
         metavar="RATE",
         default=argparse.SUPPRESS,
         help="fraction of transactions to trace (0..1, default 1.0); "
@@ -124,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--workload", default="micro", choices=["micro", "tpcw", "tpcc"],
     )
-    audit.add_argument("--replicas", type=int, default=4)
-    audit.add_argument("--clients", type=int, default=16)
-    audit.add_argument("--duration-ms", type=float, default=2_000.0)
+    audit.add_argument("--replicas", type=_positive_int, default=4)
+    audit.add_argument("--clients", type=_positive_int, default=16)
+    audit.add_argument("--duration-ms", type=_positive_ms, default=2_000.0)
     audit.add_argument("--seed", type=int, default=0)
 
     avail = add_parser(
@@ -151,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
              "with the full safety audit",
     )
     nemesis.add_argument("--seed", type=int, default=3)
-    nemesis.add_argument("--duration-ms", type=float, default=2_500.0)
-    nemesis.add_argument("--replicas", type=int, default=3)
-    nemesis.add_argument("--clients", type=int, default=6)
+    nemesis.add_argument("--duration-ms", type=_positive_ms, default=2_500.0)
+    nemesis.add_argument("--replicas", type=_positive_int, default=3)
+    nemesis.add_argument("--clients", type=_positive_int, default=6)
     nemesis.add_argument(
         "--no-kill-certifier", action="store_true",
         help="leave the certifier alone (replica crashes and partitions only)",
@@ -171,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
              "scrubber detect, quarantine, repair and re-admit",
     )
     scrub.add_argument("--seed", type=int, default=7)
-    scrub.add_argument("--duration-ms", type=float, default=4_000.0)
-    scrub.add_argument("--replicas", type=int, default=3)
-    scrub.add_argument("--clients", type=int, default=8)
-    scrub.add_argument("--corruptions", type=int, default=3,
+    scrub.add_argument("--duration-ms", type=_positive_ms, default=4_000.0)
+    scrub.add_argument("--replicas", type=_positive_int, default=3)
+    scrub.add_argument("--clients", type=_positive_int, default=8)
+    scrub.add_argument("--corruptions", type=_count, default=3,
                        help="silent faults to inject, spaced over the run")
-    scrub.add_argument("--interval-ms", type=float, default=200.0,
+    scrub.add_argument("--interval-ms", type=_positive_ms, default=200.0,
                        help="scrub round period")
     scrub.add_argument(
         "--light", action="store_true",
@@ -189,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
              "cluster and watch it bootstrap to live",
     )
     membership.add_argument("--seed", type=int, default=5)
-    membership.add_argument("--duration-ms", type=float, default=2_500.0)
-    membership.add_argument("--replicas", type=int, default=3)
-    membership.add_argument("--clients", type=int, default=6)
-    membership.add_argument("--join-at-ms", type=float, default=800.0,
+    membership.add_argument("--duration-ms", type=_positive_ms, default=2_500.0)
+    membership.add_argument("--replicas", type=_positive_int, default=3)
+    membership.add_argument("--clients", type=_positive_int, default=6)
+    membership.add_argument("--join-at-ms", type=_at_ms, default=800.0,
                             help="virtual time at which the new replica joins")
 
     add_parser("claims", help="judge every paper claim on the quick figures; exit 1 on a FAIL")

@@ -68,8 +68,6 @@ class ClusterConfig:
     params: Optional[PerformanceParams] = None
     latency: LatencyModel = field(default_factory=LatencyModel)
     record_history: bool = True
-    #: statement-side early-certification pre-check against committed rows
-    precheck_committed: bool = True
     #: the early-certification mechanism as a whole (Section IV); the
     #: ablation bench disables it
     early_certification: bool = True
@@ -443,7 +441,6 @@ class ReplicatedDatabase:
             perf=ReplicaPerformance(self.params, self.rngs.stream(f"perf:{name}"), speed),
             level=self.policy,
             templates=self.templates,
-            precheck_committed=config.precheck_committed,
             early_certification=config.early_certification,
             certify_reads=config.certify_reads,
             vacuum_interval_ms=config.vacuum_interval_ms,

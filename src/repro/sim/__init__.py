@@ -5,14 +5,11 @@ resources (CPUs, queues), network fabric and deterministic random streams.
 """
 
 from .kernel import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
-    StopProcess,
     Timeout,
 )
 from .network import LatencyModel, Mailbox, Network
@@ -20,11 +17,9 @@ from .resources import Request, Resource, Store
 from .rng import Rng, RngRegistry
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "LatencyModel",
     "Mailbox",
     "Network",
@@ -34,7 +29,6 @@ __all__ = [
     "Rng",
     "RngRegistry",
     "SimulationError",
-    "StopProcess",
     "Store",
     "Timeout",
 ]

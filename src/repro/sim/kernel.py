@@ -32,36 +32,13 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
-    "StopProcess",
-    "AllOf",
     "AnyOf",
 ]
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to terminate it with a value.
-
-    ``return value`` inside the generator is the idiomatic way to finish; this
-    exception exists for code that must stop from a helper function.
-    """
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states
@@ -163,8 +140,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         # Flattened Event.__init__ + _schedule: timeouts are created for
         # every service-time charge, so each saved call is paid back 10^5
         # times per run.
@@ -188,7 +165,8 @@ class Process(Event):
 
     The process itself is an event that fires when the generator finishes,
     with the generator's return value.  Other processes may therefore wait
-    for a process by yielding it.
+    for a process by yielding it.  A process is resumed only by the event
+    it yielded, and finishes only by returning or raising.
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "name")
@@ -207,6 +185,9 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
+        # Unread, but it orders how a dropped cluster's suspended processes
+        # are collected: without it a ReplicaProxy._execute finalizer raises
+        # "generator already executing" (test_overload_cluster.py; D21).
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick the process off via a (pooled) initialisation event.
@@ -217,39 +198,16 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self.env._wakeup(self._interrupted).fail(Interrupt(cause))
-
-    def _interrupted(self, event: Event) -> None:
-        if self.is_alive:  # not finished in the meantime
-            self._resume(event)
-
     def _resume(self, event: Event) -> None:
         # The wake-up path, 10^5 times per run, is this one Python frame.
         self._waiting_on = None
         env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 target = self._send(event._value)
             else:
                 target = self._throw(event._value)
-        except (StopIteration, StopProcess) as stop:
-            env._active_process = None
+        except StopIteration as stop:
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -259,12 +217,10 @@ class Process(Event):
                 self.callbacks = None
             return
         except BaseException as exc:
-            env._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
             return
-        env._active_process = None
 
         if not isinstance(target, Event):
             message = (
@@ -286,10 +242,14 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AnyOf(Event):
+    """Fires as soon as any constituent event fires (the one composite wait).
 
-    __slots__ = ("_events", "_remaining")
+    Its value maps each fired constituent to its value (``{}`` when empty);
+    a constituent that fails first fails it.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -297,7 +257,6 @@ class _Condition(Event):
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("condition mixes events from different environments")
-        self._remaining = len(self._events)
         if not self._events:
             self.succeed({})
             return
@@ -308,62 +267,28 @@ class _Condition(Event):
                 event.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self, extra: Optional[Event] = None) -> dict[Event, Any]:
-        # Only events whose callbacks already ran have truly *fired*;
-        # Timeout events are born scheduled (triggered) but have not
-        # occurred until processed.  ``extra`` is the event whose firing is
-        # being handled right now (its processed flag flips afterwards).
-        return {
-            event: event._value
-            for event in self._events
-            if event._ok and (event._state == _PROCESSED or event is extra)
-        }
-
-
-class AllOf(_Condition):
-    """Fires when all constituent events have fired.
-
-    The value is a dict mapping each event to its value.  If any constituent
-    fails, the condition fails with that exception.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self._state != _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
             return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect(extra=event))
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect(extra=event))
+        # Fired = processed (a Timeout is born triggered), or ``event``
+        # itself, whose processed flag flips after this callback.
+        self.succeed({
+            other: other._value
+            for other in self._events
+            if other._ok and (other._state == _PROCESSED or other is event)
+        })
 
 
 class _Wakeup(Event):
     """A pooled single-callback event used for internal process wakeups.
 
     These events (process kick-off, immediate resume on an already-processed
-    target, interrupt delivery) are created by the kernel itself, carry
-    exactly one callback, and are referenced by nothing once their callback
-    has run — so :class:`Environment` recycles them through a free list
-    instead of allocating a fresh :class:`Event` per wakeup.
+    target) are created by the kernel itself, carry exactly one callback,
+    and are referenced by nothing once their callback has run — so
+    :class:`Environment` recycles them through a free list instead of
+    allocating a fresh :class:`Event` per wakeup.
     """
 
     __slots__ = ()
@@ -400,7 +325,6 @@ class Environment:
         #: construction; popped in merge order with the heap
         self._immediate: deque[tuple[float, int, Event]] = deque()
         self._event_counter = itertools.count()
-        self._active_process: Optional[Process] = None
         #: recycled internal wakeup events (see :class:`_Wakeup`)
         self._wakeup_pool: list[_Wakeup] = []
         #: events processed by :meth:`step` (profiler events/sec)
@@ -424,11 +348,6 @@ class Environment:
             "queue_depth": len(self._queue) + len(self._immediate),
         }
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
         """Create a new pending event."""
@@ -441,10 +360,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """An event that fires when any of ``events`` has fired."""
@@ -521,7 +436,7 @@ class Environment:
         When ``until`` is given the clock is left exactly at ``until`` even
         if the next event lies beyond it.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"cannot run until {until}; clock is already at {self._now}"
             )

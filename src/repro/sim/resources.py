@@ -97,8 +97,8 @@ class Resource:
     def request(self, hold: float = 0.0) -> Request:
         """Claim a slot; the returned event fires ``hold`` ms after the slot
         is granted — by default at the grant itself."""
-        if hold < 0:
-            raise SimulationError(f"negative hold: {hold!r}")
+        if not hold >= 0:  # also rejects NaN
+            raise SimulationError(f"hold must be >= 0, got {hold!r}")
         req = Request(self, hold)
         if len(self._users) < self.capacity:
             self._grant(req)
@@ -145,8 +145,9 @@ class Resource:
 
         One kernel event per hold: the grant is scheduled ``duration`` after
         the slot is taken, so the process wakes once, when the hold is over.
-        Interrupt-safe: whether the interrupt lands while waiting for the
-        slot or while holding it, the request is withdrawn/released.
+        Closing the generator (explicitly, or when a dropped process is
+        collected) while it waits for the slot or holds it withdraws or
+        releases the request.
         """
         req = self.request(duration)
         try:

@@ -234,7 +234,7 @@ class TestPresetCensus:
 
     def test_config_field_count(self):
         """Subsystem knobs are their settings objects, not flat fields."""
-        assert len(dataclasses.fields(ClusterConfig)) == 31
+        assert len(dataclasses.fields(ClusterConfig)) == 30
 
 
 class TestUnexpectedMessages:

@@ -1,32 +1,4 @@
-"""Edge-case kernel tests: StopProcess, failing triggers, nested processes."""
-
-
-from repro.sim import StopProcess
-
-
-class TestStopProcess:
-    def test_stop_process_sets_value(self, env):
-        def helper():
-            raise StopProcess("early result")
-
-        def proc(env):
-            yield env.timeout(1.0)
-            helper()
-            yield env.timeout(100.0)  # never reached
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == "early result"
-        assert env.now == 1.0
-
-    def test_stop_process_without_value(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-            raise StopProcess()
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value is None
+"""Edge-case kernel tests: failing triggers, nested processes."""
 
 
 class TestTriggerChaining:

@@ -43,6 +43,13 @@ class TestResource:
         assert third.triggered
         assert not second.triggered
 
+    @pytest.mark.parametrize("hold", [-1.0, float("nan")])
+    def test_bad_hold_rejected(self, env, hold):
+        res = Resource(env, capacity=1)
+        with pytest.raises(SimulationError):
+            res.request(hold)
+        assert res.in_use == 0 and res.queue_length == 0
+
     def test_release_of_waiting_request_cancels_it(self, env):
         res = Resource(env, capacity=1)
         res.request()
@@ -152,60 +159,42 @@ class TestResource:
 
 
 class TestInterruptInteraction:
+    """A ``use()`` cut short -- its generator closed, as when a dropped
+    process is collected -- still gives its slot or queue place back."""
+
     def test_interrupted_holder_releases_slot(self, env):
-        """A process interrupted while *holding* a slot releases it via the
-        use() helper's finally clause."""
-        from repro.sim import Interrupt
-
         res = Resource(env, capacity=1)
-
-        def holder(env):
-            try:
-                yield from res.use(100.0)
-            except Interrupt:
-                return "interrupted"
+        holder = res.use(100.0)
+        next(holder)  # granted: holds the only slot
 
         def follower(env):
             yield from res.use(1.0)
             return env.now
 
-        p1 = env.process(holder(env))
         p2 = env.process(follower(env))
-
-        def interrupter(env):
-            yield env.timeout(5.0)
-            p1.interrupt()
-
-        env.process(interrupter(env))
+        env.run(until=5.0)
+        assert res.in_use == 1 and res.queue_length == 1
+        holder.close()
         env.run()
-        assert p1.value == "interrupted"
-        assert p2.value == 6.0  # got the slot right after the interrupt
+        assert p2.value == 6.0  # got the slot right after the close
         assert res.in_use == 0
 
     def test_interrupted_waiter_leaves_queue_clean(self, env):
-        from repro.sim import Interrupt
-
         res = Resource(env, capacity=1)
 
         def holder(env):
             yield from res.use(10.0)
 
-        def waiter(env):
-            try:
-                yield from res.use(1.0)
-            except Interrupt:
-                return "gave up"
-
         env.process(holder(env))
-        p2 = env.process(waiter(env))
-
-        def interrupter(env):
-            yield env.timeout(2.0)
-            p2.interrupt()
-
-        env.process(interrupter(env))
+        env.run(until=1.0)
+        waiter = res.use(1.0)
+        next(waiter)  # queued behind the holder
+        assert res.queue_length == 1
+        env.run(until=2.0)
+        waiter.close()
+        assert res.queue_length == 0
         env.run()
-        assert p2.value == "gave up"
+        assert env.now == 10.0
         assert res.in_use == 0
         assert res.queue_length == 0
 

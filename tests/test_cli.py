@@ -43,6 +43,27 @@ class TestParser:
         assert "sc-coarse" in err
         assert "relaxed" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("audit", "--replicas", "0"),
+        ("nemesis", "--replicas", "0"),
+        ("audit", "--clients", "0"),
+        ("audit", "--duration-ms", "-5"),
+        ("audit", "--duration-ms", "nan"),
+        ("nemesis", "--duration-ms", "inf"),
+        ("scrub", "--corruptions", "-1"),
+        ("scrub", "--interval-ms", "0"),
+        ("membership", "--join-at-ms", "-1"),
+        ("membership", "--join-at-ms", "nan"),
+        ("audit", "--trace-sample-rate", "2"),
+        ("audit", "--trace-sample-rate", "nan"),
+    ])
+    def test_bad_numeric_argument_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}" in err
+
     def test_observability_flags_accepted_before_or_after_the_command(self):
         parser = build_parser()
         for argv in (
