@@ -1,6 +1,7 @@
 """Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
 early certification, handler delivery, per-request routing and records,
-and an initial load that builds no commit ops.
+an initial load that builds no commit ops, and replicas that share every
+table they have not written.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
@@ -114,7 +115,7 @@ def smoke() -> None:
     from repro.storage import Database
     from repro.storage.rows import RowVersion
     from repro.storage.sql import plan_cache
-    from repro.storage.writeset import WriteOp
+    from repro.storage.writeset import OpKind, WriteOp
     from repro.workloads import MicroBenchmark
 
     # 1. Profiler is zero-overhead while off: shared no-op section object,
@@ -261,6 +262,38 @@ def smoke() -> None:
         f"{images[0]} RowVersions built for {loaded_rows:,} loaded rows"
     )
 
+    # 9. A replica pays only for state it has made its own: after a
+    #    read-only run every table's key -> head map is one object
+    #    cluster-wide and no proxy keeps a request id (the network cannot
+    #    duplicate); one update makes the written table's maps private on
+    #    every replica and leaves every other table shared.  A committed op
+    #    lives in the decision log for the whole run: it has no __dict__.
+    def map_objects(cluster, table):
+        return len({
+            id(proxy.engine.database.table(table)._chains)
+            for proxy in cluster.replicas.values()
+        })
+
+    shared_workload = MicroBenchmark(update_types=0, rows_per_table=100)
+    shared = ReplicatedDatabase(shared_workload, ClusterConfig(num_replicas=8, seed=5))
+    shared.add_clients(4)
+    shared.run(300.0)
+    assert shared.certifier.certified_count == 0 and shared.load_balancer.dispatched_count > 0
+    copies = {table: map_objects(shared, table) for table in shared_workload.tables}
+    assert set(copies.values()) == {1}, f"key -> head maps per table: {copies}"
+    kept = [name for name, proxy in shared.replicas.items() if proxy._routed_seen is not None]
+    assert not kept, f"proxies keeping request ids: {kept}"
+    written = ReplicatedDatabase(
+        MicroBenchmark(update_types=20, rows_per_table=100), ClusterConfig(num_replicas=8, seed=5)
+    )
+    written.open_session("w").execute("micro-update-0", {"key": 3})
+    written.quiesce()
+    assert all(proxy.v_local == 1 for proxy in written.replicas.values())
+    copies = {table: map_objects(written, table) for table in written.workload.tables}
+    assert copies == {"t0": 8, "t1": 1, "t2": 1, "t3": 1}, f"maps after one update: {copies}"
+    op = WriteOp("t0", 3, OpKind.UPDATE, {"id": 3})
+    assert not hasattr(op, "__dict__"), "WriteOp has a __dict__"
+
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
@@ -269,6 +302,7 @@ def smoke() -> None:
           f"({readonly_collector.summary().committed:,} txns recorded)")
     print(f"  initial load        : {loaded_rows:,} rows, {images[0]:,} RowVersions, "
           f"{ops[0]} WriteOps")
+    print(f"  maps after 1 update : {copies} (8 replicas; 1 = shared)")
     print(f"  immediate_scheduled : {cluster.env.immediate_scheduled:,}")
     print(f"  events_processed    : {cluster.env.events_processed:,}")
     print(f"  wakeup pool         : {len(cluster.env._wakeup_pool)}")

@@ -151,7 +151,12 @@ class ReplicaProxy:
         self.gap_repairs = 0
         self.duplicate_refreshes_ignored = 0
         self.duplicate_requests_ignored = 0
-        self._routed_seen: set[int] = set()
+        #: ids of the requests routed here, kept only when the network can
+        #: deliver a message twice: otherwise the balancer routes each id
+        #: once (a retry gets a fresh one) and nothing can repeat it
+        self._routed_seen: Optional[set[int]] = (
+            set() if network.duplicate_prob > 0 else None
+        )
         # Anti-entropy bookkeeping (see middleware/scrubber.py).
         self.digest_replies = 0
         self.table_syncs_served = 0
@@ -218,15 +223,16 @@ class ReplicaProxy:
             return
         if isinstance(message, RoutedRequest):
             rid = message.request.request_id
-            if rid in self._routed_seen:
-                # The balancer mints a fresh request_id for every
-                # (re)dispatch, so a repeat can only be the network
-                # redelivering the same message — executing it again
-                # would run the transaction twice and wedge the certify
-                # waiter keyed by this id.
-                self.duplicate_requests_ignored += 1
-                return
-            self._routed_seen.add(rid)
+            seen = self._routed_seen
+            if seen is not None:
+                if rid in seen:
+                    # A repeat can only be the network redelivering a
+                    # message — executing it again would run the
+                    # transaction twice and wedge the certify waiter
+                    # keyed by this id.
+                    self.duplicate_requests_ignored += 1
+                    return
+                seen.add(rid)
             self.env.process(
                 self._execute(message), name=f"{self.name}-txn-{rid}"
             )

@@ -183,10 +183,11 @@ class Database:
         """A copy of the version-0 data set over the same row versions.
 
         A fully replicated cluster populates one database and gives every
-        replica a clone: the row versions are shared (see
-        :meth:`VersionedTable.clone`), and stay shared as the copies apply
-        the same certified ops.  The digest state comes along unfolded, so
-        the lazy fold stays lazy.
+        replica a clone: each table's key -> head map and index sets are
+        shared until that copy first writes the table, and the row versions
+        stay shared as the copies apply the same certified ops (see
+        :meth:`VersionedTable.clone`).  The digest state comes along
+        unfolded, so the lazy fold stays lazy.
         Only legal before the first commit.
         """
         if self._version != 0:

@@ -9,12 +9,12 @@ primary reads.
 The primary index maps each key to the *newest* :class:`RowVersion`; older
 versions hang off it through ``prev`` (``storage.rows``).  Versions are
 immutable once installed, so tables share them freely: a
-:meth:`VersionedTable.clone` is a copy of the key → head map, and the
-replicas of a cluster, which install the same certified ops in the same
-order, end up holding one node per committed row write between them
-(:meth:`VersionedTable.apply_op`).  A table that diverges — peer resync,
-vacuum, injected corruption — gets private nodes from then on; nothing it
-does can reach a sibling.
+:meth:`VersionedTable.clone` shares even the key → head map and the index
+sets until its first write, and the replicas of a cluster, which install
+the same certified ops in the same order, end up holding one node per
+committed row write between them (:meth:`VersionedTable.apply_op`).  A
+table that diverges — peer resync, vacuum, injected corruption — gets
+private nodes from then on; nothing it does can reach a sibling.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class VersionedTable:
         #: key -> newest committed version (older ones through ``prev``)
         self._chains: dict[Any, RowVersion] = {}
         self._indexes: dict[str, dict[Any, set]] = {col: {} for col in schema.indexes}
+        #: ``_chains`` and ``_indexes`` may be a clone sibling's too: copy
+        #: them before the first in-place mutation (:meth:`_own`)
+        self._shared = False
         #: key-ordered snapshot of the key set, rebuilt lazily after inserts
         self._sorted_cache: Optional[list] = None
         #: exact type shared by every key so far (None until the first key);
@@ -54,22 +57,33 @@ class VersionedTable:
     def clone(self) -> "VersionedTable":
         """A twin of this table over the same (immutable) row versions.
 
-        What a write mutates in place (the key → head map, the index sets)
-        is copied.  The key-order snapshot is shared as is: it is only ever
+        The twin shares even what a write mutates in place (the key → head
+        map, the index sets): both tables are marked shared, and each takes
+        a private copy just before its own first mutation (:meth:`_own`), so
+        a table that is never written exists once however many replicas
+        hold it.  The key-order snapshot is shared as is: it is only ever
         replaced, never edited.
         """
         twin = VersionedTable(self.schema)
-        twin._chains = dict(self._chains)
-        twin._indexes = {
-            column: {value: set(keys) for value, keys in index.items()}
-            for column, index in self._indexes.items()
-        }
+        twin._chains = self._chains
+        twin._indexes = self._indexes
+        self._shared = twin._shared = True
         twin._sorted_cache = self._sorted_cache
         twin._key_type = self._key_type
         twin._mixed_keys = self._mixed_keys
         twin.scan_fallbacks = self.scan_fallbacks
         twin._fallback_logged = set(self._fallback_logged)
         return twin
+
+    def _own(self) -> None:
+        """Take private copies of the key → head map and the index sets a
+        clone shares (called by every in-place mutation while shared)."""
+        self._chains = dict(self._chains)
+        self._indexes = {
+            column: {value: set(keys) for value, keys in index.items()}
+            for column, index in self._indexes.items()
+        }
+        self._shared = False
 
     # -- key ordering -------------------------------------------------------
     def _note_key(self, key: Any) -> None:
@@ -206,6 +220,8 @@ class VersionedTable:
             raise SchemaError(
                 f"op for table {op.table!r} applied to {self.schema.name!r}"
             )
+        if self._shared:
+            self._own()
         key = op.key
         head = self._chains.get(key)
         image = op._image
@@ -227,6 +243,8 @@ class VersionedTable:
         :class:`RowVersion` order check, and no op built."""
         key = self.schema.key_of(values)
         self.schema.validate_row(values)
+        if self._shared:
+            self._own()
         self._chains[key] = RowVersion(0, dict(values), False, self._chains.get(key))
         self._note_key(key)
         if self._indexes:
@@ -264,6 +282,8 @@ class VersionedTable:
         commit).  The installed node is left alone — siblings may hold it —
         and a private one takes its place here."""
         head = self._chains[key]
+        if self._shared:
+            self._own()
         self._chains[key] = RowVersion(head.commit_version, values, prev=head.prev)
 
     # -- anti-entropy --------------------------------------------------------
@@ -317,6 +337,7 @@ class VersionedTable:
                 changed += 1
             chains[key] = version
         self._chains = chains
+        self._shared = False  # fresh map; the index sets are rebuilt below
         self._sorted_cache = None
         self._key_type = None
         self._mixed_keys = False
@@ -334,13 +355,15 @@ class VersionedTable:
     def vacuum(self, horizon_version: int) -> int:
         """Trim version chains below the snapshot horizon; returns versions
         removed.  A trimmed chain is this table's own from then on (see
-        :func:`~repro.storage.rows.vacuumed`)."""
+        :func:`~repro.storage.rows.vacuumed`); a vacuum that trims nothing
+        leaves a shared map shared."""
         total = 0
-        chains = self._chains
-        for key, head in chains.items():
+        for key, head in self._chains.items():
             trimmed, removed = vacuumed(head, horizon_version)
             if removed:
-                chains[key] = trimmed  # existing key: safe while iterating
+                if self._shared:
+                    self._own()  # the loop goes on over the old map
+                self._chains[key] = trimmed  # existing key: safe while iterating
                 total += removed
         return total
 

@@ -27,7 +27,7 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteOp:
     """One row mutation: table, primary key, kind and the row after-image."""
 

@@ -51,14 +51,23 @@ class TestConstruction:
 
         cluster = ReplicatedDatabase(Counting(rows_per_table=20), num_replicas=8)
         assert len(calls) == 1
+        databases = [proxy.engine.database for proxy in cluster.replicas.values()]
         first = cluster.replica(0).engine.database.table("t0")
         last = cluster.replica(7).engine.database.table("t0")
         assert first.read(3, 0) is last.read(3, 0)
-        assert first is not last and first._chains is not last._chains
+        # At version 0 the replicas' key -> head maps are one object.
+        assert first is not last and first._chains is last._chains
+        assert len({id(db.table("t0")._chains) for db in databases}) == 1
         session = cluster.open_session("w")
         session.execute("micro-update-0", {"key": 3})
         cluster.quiesce()
         version = cluster.commit_version
+        # The written table is private on every replica that applied the
+        # update; the tables nobody wrote are still shared.
+        assert all(db.version == version for db in databases)
+        assert len({id(db.table("t0")._chains) for db in databases}) == len(databases)
+        for untouched in ("t1", "t2", "t3"):
+            assert len({id(db.table(untouched)._chains) for db in databases}) == 1
         # Every replica installed the one image the commit produced, on top
         # of the version-0 image they already shared.
         assert first.read(3, version) is last.read(3, version)

@@ -357,3 +357,65 @@ class TestCrash:
             RecoveryReply("replica-1", ((1, ws(1, 1)), (2, ws(1, 2))))
         )
         assert victim.pending_refresh_count == 0
+
+
+
+class TestRoutedRequestDedup:
+    """A network that duplicates delivers every ``RoutedRequest`` twice; the
+    proxy runs the transaction once.  A network that cannot duplicate keeps
+    no request ids at all."""
+
+    @staticmethod
+    def run_cluster(duplicate_prob):
+        from repro.faults.audit import audit
+        from repro.metrics import MetricsCollector
+        from repro.workloads.clients import OpenLoopLoad
+
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=20, rows_per_table=100),
+            ClusterConfig(num_replicas=3, seed=11, net_duplicate_prob=duplicate_prob),
+        )
+        routed = []
+        cluster.network.add_tap(
+            lambda sender, recipient, message: routed.append(
+                (recipient, message.request.request_id)
+            ) if isinstance(message, RoutedRequest) else None
+        )
+        # Open loop, so the load can stop and every copy in flight land
+        # (a closed-loop client would take a duplicated response for the
+        # answer to its next request).
+        load = OpenLoopLoad(
+            cluster.env, cluster.network, cluster.workload, MetricsCollector(),
+            rate_tps=300.0, rngs=cluster.rngs,
+        )
+        cluster.run(600.0)
+        load.set_rate(0.0)
+        cluster.quiesce()
+        cluster.run(cluster.env.now + 100.0)
+        report = audit(cluster)
+        assert report.ok, report.failures
+        assert load.completed == load.offered > 100
+        return cluster, routed
+
+    def test_every_duplicated_request_executes_once(self):
+        cluster, routed = self.run_cluster(1.0)
+        proxies = cluster.replicas.values()
+        # Every routed message arrives twice.  The balancer forwards the
+        # client's own request id, and the client's request was duplicated
+        # too, so one id can be routed twice to the same replica: a replica
+        # runs each id it is sent once, whatever the number of copies.
+        delivered = set(routed)
+        assert cluster.certifier.certified_count > 0
+        assert len(delivered) < len(routed)
+        assert sum(proxy.executed_count for proxy in proxies) == len(delivered)
+        assert (
+            sum(proxy.duplicate_requests_ignored for proxy in proxies)
+            == 2 * len(routed) - len(delivered)
+        )
+
+    def test_a_network_that_cannot_duplicate_keeps_no_request_ids(self):
+        cluster, routed = self.run_cluster(0.0)
+        proxies = cluster.replicas.values()
+        assert sum(proxy.executed_count for proxy in proxies) == len(routed)
+        assert all(proxy.duplicate_requests_ignored == 0 for proxy in proxies)
+        assert all(not proxy._routed_seen for proxy in proxies)

@@ -3,7 +3,7 @@
 A cluster populates one seed database and hands every replica a clone
 (``Database.clone``); from then on the replicas install the same certified
 ops in the same order and so keep holding *one* ``RowVersion`` per committed
-row write between them.  Three contracts keep that invisible:
+row write between them.  Four contracts keep that invisible:
 
 * **differential** — a clone is indistinguishable from a database that ran
   the same populate itself (digests, counts, key order, index lookups);
@@ -11,7 +11,10 @@ row write between them.  Three contracts keep that invisible:
   any other state (other commit version, other head) builds its own;
 * **isolation** — whatever one copy does (commit, delete, peer resync,
   vacuum, bit rot), at whatever lag behind the others, leaves the seed and
-  every sibling unchanged, at every snapshot version.
+  every sibling unchanged, at every snapshot version;
+* **ownership** — a clone shares even the key → head map and the index
+  sets until its own first write (commit, load, bit rot, resync, a vacuum
+  that trims), so a clone that never writes keeps holding the seed's.
 """
 
 from bisect import bisect_right
@@ -246,8 +249,8 @@ KEYS = range(1, 9)
 TABLES = ("a", "b")
 
 
-def make_indexed_db():
-    db = Database()
+def make_indexed_db(maintain_digests=True):
+    db = Database(maintain_digests=maintain_digests)
     for name in TABLES:
         db.create_table(
             TableSchema(name, [Column("id", int), Column("v", int)], "id", indexes=["v"])
@@ -368,23 +371,21 @@ row_writes = st.lists(
               st.integers(0, 99), st.booleans()),
     min_size=1, max_size=2, unique_by=lambda w: w[:2],
 )
+clone_op = st.one_of(
+    # apply the next certified writeset this clone has not seen yet;
+    # at the tip of the log, certify the drawn one first
+    st.tuples(st.just("apply"), row_writes),
+    st.tuples(st.just("resync"), st.sampled_from(TABLES),
+              st.lists(st.tuples(st.sampled_from(KEYS), st.integers(0, 99),
+                                 st.booleans()),
+                       max_size=4, unique_by=lambda e: e[0]),
+              st.integers(0, 2)),  # how far behind the peer's capture is
+    st.tuples(st.just("vacuum")),
+    st.tuples(st.just("corrupt"), st.sampled_from(TABLES),
+              st.sampled_from(KEYS)),
+)
 mutations = st.lists(
-    st.tuples(
-        st.integers(0, 2),  # which clone
-        st.one_of(
-            # apply the next certified writeset this clone has not seen yet;
-            # at the tip of the log, certify the drawn one first
-            st.tuples(st.just("apply"), row_writes),
-            st.tuples(st.just("resync"), st.sampled_from(TABLES),
-                      st.lists(st.tuples(st.sampled_from(KEYS), st.integers(0, 99),
-                                         st.booleans()),
-                               max_size=4, unique_by=lambda e: e[0]),
-                      st.integers(0, 2)),  # how far behind the peer's capture is
-            st.tuples(st.just("vacuum")),
-            st.tuples(st.just("corrupt"), st.sampled_from(TABLES),
-                      st.sampled_from(KEYS)),
-        ),
-    ),
+    st.tuples(st.integers(0, 2), clone_op),  # which clone, what it does
     min_size=1, max_size=30,
 )
 
@@ -452,3 +453,104 @@ def test_mutating_one_clone_leaves_seed_and_siblings_unchanged(ops):
             assert_matches(clone, ref, every_snapshot=index == target)
     for clone, ref in zip(clones, refs):
         assert_matches(clone, ref, every_snapshot=True)
+
+
+# -- (d) ownership: a table copies the shared maps on its first write only -----
+
+def load_seed(seed, refs):
+    for table in TABLES:
+        for key in range(1, 5):
+            seed.load_row(table, {"id": key, "v": key * 10})
+            for ref in refs:
+                ref.load(table, {"id": key, "v": key * 10})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(0, 1),  # which writing clone
+        st.one_of(
+            clone_op,
+            # add a row to the initial data set (while still at version 0)
+            st.tuples(st.just("load"), st.sampled_from(TABLES),
+                      st.sampled_from(KEYS), st.integers(0, 99)),
+        ),
+    ),
+    min_size=1, max_size=30,
+))
+def test_clones_that_never_write_keep_sharing_the_seed_maps(ops):
+    seed = make_indexed_db()
+    refs = [Reference() for _ in range(2)]
+    load_seed(seed, refs)
+    pristine = image(seed)
+    clones = [seed.clone(f"clone-{i}") for i in range(4)]
+    writers, idle = clones[:2], clones[2:]
+    assert writers[0].vacuum() == 0  # trims nothing: takes no copy
+    log, tip = [], {(table, key) for table in TABLES for key in range(1, 5)}
+    for target, op in ops:
+        writer, ref = writers[target], refs[target]
+        if op[0] != "load":
+            mutate(writer, ref, op, log, tip)
+            continue
+        _tag, table, key, value = op
+        if writer.version == 0 and writer.table(table).latest(key) is None:
+            writer.load_row(table, {"id": key, "v": value})
+            ref.load(table, {"id": key, "v": value})
+    for name in TABLES:
+        shared = seed.table(name)
+        for db in idle:
+            assert db.table(name)._chains is shared._chains
+            assert db.table(name)._indexes is shared._indexes
+        for db in writers:
+            if db.table(name)._chains is shared._chains:
+                assert db.table(name)._indexes is shared._indexes
+    assert image(seed) == pristine
+    for db in idle:
+        assert image(db) == pristine
+        for name in TABLES:
+            for snapshot in range(len(log) + 1):
+                for key in KEYS:
+                    assert db.table(name).read(key, snapshot) == seed.table(name).read(key, 0)
+    for writer, ref in zip(writers, refs):
+        assert_matches(writer, ref, every_snapshot=True)
+
+
+@pytest.mark.parametrize("maintain_digests", [True, False], ids=["digests", "no-digests"])
+def test_each_write_path_takes_ownership_once(maintain_digests):
+    writes = {
+        "apply": lambda db: db.apply_writeset(ws(upd("a", 1, 11)), 1),
+        "load_row": lambda db: db.load_row("a", {"id": 9, "v": 90}),
+        "bit rot": lambda db: corrupt_row_in_place(db, "a", 1),
+        "replace_rows": lambda db: db.resync_table("a", [(1, {"id": 1, "v": 7}, 0, False)], 0),
+    }
+    seed = make_indexed_db(maintain_digests)
+    load_seed(seed, [])
+    for name, write in writes.items():
+        db, sibling = seed.clone(name), seed.clone("sibling")
+        assert db.vacuum() == 0
+        assert db.table("a")._chains is seed.table("a")._chains, name
+        write(db)
+        owned = db.table("a")._chains
+        assert owned is not seed.table("a")._chains, name
+        assert db.table("a")._indexes is not seed.table("a")._indexes, name
+        assert sibling.table("a")._chains is seed.table("a")._chains, name
+        assert image(sibling)["a"] == image(seed)["a"], name
+        db.apply_writeset(ws(ins("a", 10, 100)), db.version + 1)
+        assert db.table("a")._chains is owned, name  # one copy, not one per write
+
+
+def test_a_vacuum_takes_ownership_only_when_it_trims():
+    # A database clones at version 0, where no chain has history to trim;
+    # a table can clone later, with history shared.
+    table = make_indexed_db().table("a")
+    for version, value in enumerate((10, 11, 12)):
+        op = upd("a", 1, value) if version else ins("a", 1, value)
+        table.apply_op(op, version)
+    twin, sibling = table.clone(), table.clone()
+    assert twin.vacuum(0) == 0 and twin._chains is table._chains
+    assert twin.vacuum(2) == 2
+    assert twin._chains is not table._chains
+    assert twin.read(1, 1) is None and twin.read(1, 2) == {"id": 1, "v": 12}
+    for snapshot, value in enumerate((10, 11, 12)):
+        assert sibling.read(1, snapshot) == table.read(1, snapshot) == {"id": 1, "v": value}
+    assert sibling._chains is table._chains and table.version_count() == 3
