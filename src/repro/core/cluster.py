@@ -103,8 +103,8 @@ class ClusterConfig:
     #: dispatch attempts per request before the client sees a failure
     max_attempts: int = 3
     # -- overload protection (all off by default; see docs/TUNING.md) ------
-    #: the balancer's admission control, shedding and degradation valve
-    #: (None = every request dispatches immediately)
+    #: the balancer's admission control and shedding (None = every request
+    #: dispatches immediately)
     overload: Optional[OverloadSettings] = None
     #: bound on the certifier's inbound queue; beyond it certifications are
     #: refused with backpressure (None = unbounded)
@@ -185,8 +185,7 @@ class ClusterConfig:
         """A configuration with the overload-protection stack enabled:
         admission control with bounded queues, deadline-aware shedding and
         certifier backpressure.  Any field can still be overridden by
-        keyword (give ``overload`` a ``valve_policy`` to also open the
-        valve)."""
+        keyword."""
         settings = dict(
             overload=OverloadSettings(mpl_cap=8, queue_depth=32, shed_deadline_ms=500.0),
             certifier_queue_bound=64,
@@ -468,9 +467,6 @@ class ReplicatedDatabase:
         count: int,
         collector: Optional[MetricsCollector] = None,
         retry_aborts: bool = False,
-        retry_budget_ratio: Optional[float] = None,
-        retry_budget_burst: int = 10,
-        degradable_reads: bool = False,
     ) -> MetricsCollector:
         """Spawn ``count`` closed-loop clients; returns their collector."""
         if collector is None:
@@ -483,9 +479,6 @@ class ReplicatedDatabase:
                 collector=collector,
                 rngs=self.rngs,
                 retry_aborts=retry_aborts,
-                retry_budget_ratio=retry_budget_ratio,
-                retry_budget_burst=retry_budget_burst,
-                degradable_reads=degradable_reads,
             )
         self.client_pool.spawn(count)
         return collector

@@ -33,6 +33,13 @@ from .injector import FaultInjector
 
 __all__ = ["Nemesis"]
 
+#: directed links cut at once, at most
+MAX_PARTITIONS = 2
+#: silent-divergence faults injected per run, at most
+MAX_CORRUPTIONS = 3
+#: synthetic read-only requests in one overload burst
+OVERLOAD_REQUEST_COUNT = 40
+
 
 class Nemesis:
     """Seeded fault scheduler running as a simulation process."""
@@ -47,11 +54,8 @@ class Nemesis:
         fault_duration_ms: tuple[float, float] = (80.0, 400.0),
         kill_certifier: bool = False,
         certifier_kill_after_ms: float = 500.0,
-        max_partitions: int = 2,
         overload_bursts: bool = False,
-        overload_request_count: int = 40,
         corruption: bool = False,
-        max_corruptions: int = 3,
         rolling_restart: bool = False,
     ):
         if duration_ms <= 0:
@@ -64,18 +68,15 @@ class Nemesis:
         self.fault_duration_ms = fault_duration_ms
         self.kill_certifier = kill_certifier
         self.certifier_kill_after_ms = certifier_kill_after_ms
-        self.max_partitions = max_partitions
         #: include "overload" faults: a burst of synthetic read-only load
         #: straight at one replica (off by default so existing seeded
         #: schedules replay unchanged)
         self.overload_bursts = overload_bursts
-        self.overload_request_count = overload_request_count
         #: include "corrupt" faults: silent divergence (bit rot, lost or
         #: doubled refresh applies) on one live replica — only meaningful
         #: against a cluster running the scrubber, and off by default so
         #: existing seeded schedules replay unchanged
         self.corruption = corruption
-        self.max_corruptions = max_corruptions
         #: run the deterministic-shape rolling-restart script instead of the
         #: random schedule: serially crash-restart every replica (and hold
         #: one past the departed-grace purge + an explicit log truncation so
@@ -198,7 +199,7 @@ class Nemesis:
             choices.append("crash")
         if self.injector.crashed_replicas:
             choices.append("recover")
-        if len(self._cut_links) < self.max_partitions:
+        if len(self._cut_links) < MAX_PARTITIONS:
             choices.append("partition")
         if self._cut_links:
             choices.append("heal")
@@ -206,7 +207,7 @@ class Nemesis:
             choices.append("overload")
         if (
             self.corruption
-            and len(self.injector.corruptions) < self.max_corruptions
+            and len(self.injector.corruptions) < MAX_CORRUPTIONS
             and self.injector.surviving_replicas()
         ):
             choices.append("corrupt")
@@ -256,7 +257,7 @@ class Nemesis:
 
     def _do_overload(self) -> None:
         name = self.rng.choice(self.injector.surviving_replicas())
-        sent = self.injector.overload(name, requests=self.overload_request_count)
+        sent = self.injector.overload(name, requests=OVERLOAD_REQUEST_COUNT)
         self._log("overload", f"{name} x{sent}")
 
     def _do_corrupt(self) -> None:

@@ -1,9 +1,9 @@
 """Unified metrics registry: one namespace of stable dotted metric names.
 
 Every producer in the system — simulation kernel, storage layer,
-certifier (and its shards), load balancer, overload valve, scrubber,
-bootstrap coordinator, durability log, tracer — publishes into a single
-:class:`MetricsRegistry` owned by the cluster.  Consumers read metrics
+certifier (and its shards), load balancer (with its admission control),
+scrubber, bootstrap coordinator, durability log, tracer — publishes into a
+single :class:`MetricsRegistry` owned by the cluster.  Consumers read metrics
 by **stable dotted names** (``kernel.events_processed``,
 ``certifier.shard.0.conflicts``, ``scrub.rounds``, …) instead of
 spelunking through per-component ``stats()`` dicts.

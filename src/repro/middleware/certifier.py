@@ -33,7 +33,7 @@ Self-healing extensions (all opt-in, see ``docs/PROTOCOL.md``):
   *released* (reply + refresh fan-out + fate answers) once the standby acks
   it, so a promotion never loses an acknowledged commit.  A standby that
   stops acking degrades the primary to asynchronous shipping after
-  ``standby_ack_timeout_ms`` (counted in ``standby_sync_timeouts``).
+  ``STANDBY_ACK_TIMEOUT_MS`` (counted in ``standby_sync_timeouts``).
 
 Table-group partitioning (``partition_map``) shards only the certifier's
 *service*: for every shard count there is one decision log, one
@@ -78,6 +78,9 @@ from .shards import CertifierShard
 
 __all__ = ["Certifier"]
 
+#: how long a decision waits for the standby's ack before its release anyway
+STANDBY_ACK_TIMEOUT_MS = 10.0
+
 
 class Certifier:
     """Certification, total ordering, durability and update propagation."""
@@ -93,7 +96,6 @@ class Certifier:
         log: Optional[DecisionLog] = None,
         heartbeat: Optional[HeartbeatSettings] = None,
         standby_name: Optional[str] = None,
-        standby_ack_timeout_ms: float = 10.0,
         epoch: int = 1,
         inbound_queue_bound: Optional[int] = None,
         partition_map: Optional[PartitionMap] = None,
@@ -155,7 +157,6 @@ class Certifier:
         self._fenced: set[int] = set()
         # Semi-synchronous standby shipping.
         self.standby_name = standby_name
-        self.standby_ack_timeout_ms = standby_ack_timeout_ms
         self._record_waiters: dict[int, Event] = {}
         #: versions appended but not yet released (standby ack outstanding);
         #: fate queries for them are deferred until release.
@@ -662,7 +663,7 @@ class Certifier:
         return version
 
     def _release_after_standby(self, waiter, request, reply):
-        timer = self.env.timeout(self.standby_ack_timeout_ms)
+        timer = self.env.timeout(STANDBY_ACK_TIMEOUT_MS)
         yield self.env.any_of([waiter, timer])
         self._record_waiters.pop(reply.commit_version, None)
         if not waiter.triggered:

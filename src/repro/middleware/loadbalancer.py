@@ -131,6 +131,14 @@ class LoadBalancer:
         self.dispatched_count = 0
         self.relayed_count = 0
         self.rejected_count = 0
+        #: client request ids dispatched so far, kept only when the network
+        #: can deliver a message twice (the proxy's rule, DESIGN.md D22): a
+        #: copy can arrive after its id has left ``_outstanding``
+        self._dispatched_ids: Optional[set[int]] = (
+            set() if network.duplicate_prob > 0 else None
+        )
+        #: duplicated client requests dropped instead of dispatched again
+        self.duplicate_request_count = 0
         #: request ids fenced into a final abort — the nemesis audit checks
         #: none of them appears in the decision log
         self.fenced_request_ids: list[int] = []
@@ -187,6 +195,7 @@ class LoadBalancer:
             "quarantines": self.quarantine_count,
             "dispatched": self.dispatched_count,
             "relayed": self.relayed_count,
+            "duplicate_requests": self.duplicate_request_count,
             "active": dict(self._active_count),
             "joining": sorted(self._joining),
             "joins_completed": self.joins_completed,
@@ -236,6 +245,14 @@ class LoadBalancer:
             ) from None
 
     def _dispatch(self, request: ClientRequest) -> None:
+        dispatched = self._dispatched_ids
+        if dispatched is not None:
+            if request.request_id in dispatched:
+                # A network copy of a request already dispatched: running it
+                # again would leak an active count and could execute it twice.
+                self.duplicate_request_count += 1
+                return
+            dispatched.add(request.request_id)
         template = self._template_for(request.template)
         read_only = not template.is_update
         if TRACER.enabled:
@@ -269,7 +286,7 @@ class LoadBalancer:
         request = entry.request
         request_id = request.request_id
         replica = entry.replica
-        entry.start_version = start_version = self._start_version(request, entry.read_only)
+        entry.start_version = start_version = self._start_version(request)
         entry.dispatch_time = self.env.now
         self._outstanding[request_id] = entry
         self._active_count[replica] += 1
@@ -322,22 +339,15 @@ class LoadBalancer:
             and r not in self._joining
         ]
 
-    def _start_version(self, request: ClientRequest, read_only: bool = False) -> int:
+    def _start_version(self, request: ClientRequest) -> int:
         """The consistency tag: the minimum version the replica must reach.
 
         The policy decides; the balancer supplies its soft state — the
         version tracker, plus the transaction's table-set looked up in the
         catalog by the request's transaction identifier (template name),
         exactly as the paper's balancer queries its table-set dictionary.
-
-        While the degradation valve is open, a *degradable* read-only
-        request is tagged by the weaker valve policy instead — the graceful
-        alternative to queueing or shedding it.
         """
-        policy = self.policy
-        if self.admission is not None and read_only and request.degradable:
-            policy = self.admission.degraded_policy() or policy
-        return policy.start_version(
+        return self.policy.start_version(
             self.tracker,
             table_set=self.templates[request.template].table_set,
             session_id=request.session_id,

@@ -99,9 +99,6 @@ class ClientRequest:
     *transaction identifier*, which SC-FINE uses to look up the table-set);
     ``params`` are the prepared-statement parameters; ``session_id``
     identifies the client's session; ``reply_to`` is the client's endpoint.
-    ``degradable`` marks a read-only request the client is willing to have
-    served at a weaker consistency level while the balancer's degradation
-    valve is open (ignored for updates and when the valve is unconfigured).
     """
 
     request_id: int
@@ -110,7 +107,6 @@ class ClientRequest:
     session_id: str
     reply_to: str
     submit_time: float
-    degradable: bool = False
 
 
 @_message

@@ -9,14 +9,12 @@ trace-identical to a build without it):
 
 * :class:`OverloadSettings` — the load balancer's admission-control
   parameters: a multiprogramming-level (MPL) cap per replica, a bounded
-  pending queue in front of each replica, deadline-aware shedding, the
-  retry-after hint carried by fast-reject responses, and the graceful
-  degradation valve (downgrade tagged read-only transactions to a weaker
-  consistency policy while queues are deep).
+  pending queue in front of each replica, deadline-aware shedding and the
+  retry-after hint carried by fast-reject responses.
 * :class:`AdmissionControl` — the component that enforces them, which the
   balancer constructs only when it is given settings.
-* :class:`RetryBudget` — the client pool's token bucket: retries are paid
-  for by successes, so a transient spike cannot turn into a self-sustaining
+* :class:`RetryBudget` — the open-loop load's token bucket: retries are
+  paid for by successes, so a transient spike cannot turn into a self-sustaining
   retry storm (the metastable-failure scenario the saturation bench
   demonstrates).
 
@@ -33,7 +31,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.policy import resolve_policy
 from ..metrics.tracing import TRACER
 from .messages import ClientRequest
 
@@ -52,14 +49,6 @@ class OverloadSettings:
     milliseconds of its submission — estimated at enqueue time from the
     queue depth and the observed service time, and re-checked at dequeue —
     is shed instead of occupying a slot it can no longer use.
-
-    The degradation valve is configured by ``valve_policy`` (a registered
-    consistency-policy spec such as ``"session"`` or ``"relaxed:8"``): while
-    the total pending depth is at or above ``valve_high`` the balancer tags
-    *degradable* read-only requests with the weaker policy's start version;
-    the valve closes — restoring the configured strong policy — once the
-    depth drains to ``valve_low`` (hysteresis, so the valve does not
-    flutter).
     """
 
     #: per-replica cap on concurrently dispatched transactions
@@ -72,13 +61,6 @@ class OverloadSettings:
     shed_deadline_ms: Optional[float] = None
     #: retry-after hint carried by fast-reject responses
     retry_after_ms: float = 10.0
-    #: consistency-policy spec served to degradable reads while the valve
-    #: is open (None = no degradation valve)
-    valve_policy: Optional[str] = None
-    #: total pending depth at which the valve opens
-    valve_high: int = 16
-    #: total pending depth at which the valve closes again
-    valve_low: int = 4
 
     def __post_init__(self):
         if self.mpl_cap < 1:
@@ -89,24 +71,15 @@ class OverloadSettings:
             raise ValueError("shed_deadline_ms must be positive")
         if self.retry_after_ms < 0:
             raise ValueError("retry_after_ms must be >= 0")
-        if self.valve_high < 1:
-            raise ValueError("valve_high must be >= 1")
-        if not 0 <= self.valve_low < self.valve_high:
-            raise ValueError("valve_low must be within [0, valve_high)")
-        if self.valve_policy is not None:
-            # Fail fast on an unknown/unparseable policy spec.
-            resolve_policy(self.valve_policy)
 
 
 class AdmissionControl:
-    """MPL slots, bounded queues, shedding and the valve of one load balancer.
+    """MPL slots, bounded queues and shedding of one load balancer.
 
     The balancer constructs it only when given settings (DESIGN.md D14)."""
 
     #: what a balancer without admission control reports for the names below
-    IDLE_STATS = {
-        "shed": 0, "deadline_shed": 0, "degraded": 0, "valve_open": False, "pending_depth": 0,
-    }
+    IDLE_STATS = {"shed": 0, "deadline_shed": 0, "pending_depth": 0}
 
     def __init__(self, balancer, settings: OverloadSettings):
         self.balancer = balancer
@@ -117,17 +90,6 @@ class AdmissionControl:
         self.shed_count = 0
         #: sheds because the request could no longer meet its deadline
         self.deadline_shed_count = 0
-        #: read-only requests served at the valve's degraded policy
-        self.degraded_count = 0
-        #: True while the degradation valve is open
-        self.valve_open = False
-        #: valve transitions: ``(virtual_time, "open"/"close", v_system)``
-        self.valve_events: list[tuple[float, str, int]] = []
-        self.valve_policy = (
-            resolve_policy(settings.valve_policy)
-            if settings.valve_policy is not None
-            else None
-        )
         #: EWMA of observed dispatch→response time (the shedding estimate)
         self._service_ewma_ms: Optional[float] = None
 
@@ -136,8 +98,6 @@ class AdmissionControl:
         return {
             "shed": self.shed_count,
             "deadline_shed": self.deadline_shed_count,
-            "degraded": self.degraded_count,
-            "valve_open": self.valve_open,
             "pending_depth": self.pending_depth(),
         }
 
@@ -168,7 +128,6 @@ class AdmissionControl:
             # Admission queueing: the interval closes at dispatch (or shed).
             TRACER.mark(request.request_id, "lb.queue", balancer.env.now)
         queue.append((request, read_only))
-        self._update_valve()
 
     def _shed(self, request: ClientRequest, why: str, deadline: bool = False) -> None:
         """Refuse a request before it starts: an ``Overloaded`` fast-reject
@@ -226,7 +185,6 @@ class AdmissionControl:
                 self._shed(request, "deadline exceeded while queued", deadline=True)
                 continue
             balancer._dispatch_now(request, replica, read_only)
-        self._update_valve()
 
     def evacuate(self, replica: str) -> None:
         """Re-admit a no-longer-routable replica's queued (never dispatched)
@@ -237,7 +195,6 @@ class AdmissionControl:
             queue.clear()
             for request, read_only in stranded:
                 self.admit(request, read_only)
-            self._update_valve()
 
     def pending_depth(self, replica: Optional[str] = None) -> int:
         """Requests waiting in admission queues (one replica's, or all)."""
@@ -245,37 +202,15 @@ class AdmissionControl:
             return len(self._pending.get(replica, ()))
         return sum(len(queue) for queue in self._pending.values())
 
-    def _update_valve(self) -> None:
-        """Hysteresis valve over the total pending depth: open at
-        ``valve_high``, close at ``valve_low``."""
-        if self.valve_policy is None:
-            return
-        balancer = self.balancer
-        depth = self.pending_depth()
-        if not self.valve_open and depth >= self.settings.valve_high:
-            self.valve_open = True
-            self.valve_events.append((balancer.env.now, "open", balancer.tracker.v_system))
-        elif self.valve_open and depth <= self.settings.valve_low:
-            self.valve_open = False
-            self.valve_events.append((balancer.env.now, "close", balancer.tracker.v_system))
-
-    def degraded_policy(self):
-        """The valve's weaker policy for a degradable read while the valve is
-        open (counted as one degraded read), else None."""
-        if not self.valve_open:
-            return None
-        self.degraded_count += 1
-        return self.valve_policy
-
 
 class RetryBudget:
-    """Token-bucket retry budget shared by a pool of clients.
+    """Token-bucket retry budget shared by an open-loop load's requests.
 
     The bucket starts full at ``burst`` tokens; every *successful* request
     deposits ``ratio`` tokens (capped at ``burst``) and every retry spends
     one.  In steady state retries are therefore capped at ``ratio`` times
     the success rate — a load spike can drain the burst allowance, but it
-    cannot recruit the client pool into an open-ended retry storm that
+    cannot recruit the offered load into an open-ended retry storm that
     outlives the spike.
     """
 

@@ -62,6 +62,9 @@ from .perfmodel import ReplicaPerformance
 
 __all__ = ["ReplicaProxy", "ReplicaCrashed", "CertifierUnavailable"]
 
+#: the shortest interval between two gap-repair requests of one replica
+GAP_REPAIR_COOLDOWN_MS = 100.0
+
 
 class ReplicaProxy:
     """Proxy + local DBMS + CPU model: one replica of the system."""
@@ -77,14 +80,12 @@ class ReplicaProxy:
         templates: dict,
         certifier_name: str = "certifier",
         balancer_name: str = "lb",
-        precheck_committed: bool = True,
         early_certification: bool = True,
         certify_reads: bool = False,
         vacuum_interval_ms: Optional[float] = None,
         heartbeat: Optional[HeartbeatSettings] = None,
         standby_name: Optional[str] = None,
         certify_timeout_ms: Optional[float] = None,
-        gap_repair_cooldown_ms: float = 100.0,
     ):
         self.env = env
         self.network = network
@@ -95,9 +96,9 @@ class ReplicaProxy:
         self.templates = templates
         self.certifier_name = certifier_name
         self.balancer_name = balancer_name
-        self.precheck_committed = precheck_committed
-        # Section IV's hidden-deadlock prevention; the ablation bench turns
-        # it off to show conflicts then travelling to the certifier.
+        # Section IV's hidden-deadlock prevention, plus the statement-side
+        # check against newer committed heads; the ablation bench turns both
+        # off to show conflicts then travelling to the certifier.
         self.early_certification = early_certification
         # Serializable certification mode: ship the readset for backward
         # validation at the certifier.
@@ -176,7 +177,6 @@ class ReplicaProxy:
         # monitor over the certifier whose suspicions become promotion votes.
         self.certify_timeout_ms = certify_timeout_ms
         self.standby_name = standby_name
-        self.gap_repair_cooldown_ms = gap_repair_cooldown_ms
         self.certifier_epoch = 1
         self._last_gap_repair = float("-inf")
         self.monitor: Optional[HeartbeatMonitor] = None
@@ -307,7 +307,7 @@ class ReplicaProxy:
             return
         if next_version in self._pending_refresh or next_version in self._reserved:
             return
-        if self.env.now - self._last_gap_repair < self.gap_repair_cooldown_ms:
+        if self.env.now - self._last_gap_repair < GAP_REPAIR_COOLDOWN_MS:
             return
         self._last_gap_repair = self.env.now
         self.gap_repairs += 1
@@ -690,8 +690,8 @@ class ReplicaProxy:
         self, txn: Transaction, table: str, key: Any
     ) -> Optional[str]:
         """Statement-side check of the row a statement just buffered: is it
-        written by a pending refresh writeset (or, optionally, already
-        overwritten past the snapshot)?  Returns the abort reason or None.
+        written by a pending refresh writeset, or already overwritten past
+        the snapshot?  Returns the abort reason or None.
 
         Probing this one row decides for the whole partial writeset: a
         template body runs at a single virtual instant, so no refresh can
@@ -709,13 +709,12 @@ class ReplicaProxy:
                 return (
                     f"early certification: conflict with pending refresh v{version}"
                 )
-        if self.precheck_committed:
-            committed_at = self.engine.database.latest_write_version(table, key)
-            if committed_at > txn.snapshot_version:
-                return (
-                    f"early certification: {table}:{key} overwritten "
-                    f"at v{committed_at} (snapshot v{txn.snapshot_version})"
-                )
+        committed_at = self.engine.database.latest_write_version(table, key)
+        if committed_at > txn.snapshot_version:
+            return (
+                f"early certification: {table}:{key} overwritten "
+                f"at v{committed_at} (snapshot v{txn.snapshot_version})"
+            )
         return None
 
     # -- transaction execution ---------------------------------------------------

@@ -318,8 +318,8 @@ class Environment:
     O(log n) heap traffic with O(1) appends.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         #: zero-delay events, already sorted by (time, counter) by
         #: construction; popped in merge order with the heap

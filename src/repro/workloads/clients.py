@@ -23,34 +23,30 @@ from .base import Workload
 
 __all__ = ["ClientPool", "OpenLoopLoad", "backoff_delay_ms"]
 
-#: The clients' first-retry delay; later retries double it up to
-#: :func:`backoff_delay_ms`'s 100 ms cap, less up to half of it as jitter.
+#: the first retry's delay, before jitter
 RETRY_BACKOFF_MS = 5.0
+#: growth factor of the delay per further attempt
+BACKOFF_MULTIPLIER = 2.0
+#: the largest fraction of a delay that jitter takes off
+BACKOFF_JITTER = 0.5
+#: sessions an open-loop load spreads its requests over
+OPEN_LOOP_SESSIONS = 8
 
 
-def backoff_delay_ms(
-    base_ms: float,
-    attempt: int,
-    rng=None,
-    multiplier: float = 2.0,
-    cap_ms: float = 100.0,
-    jitter: float = 0.5,
-) -> float:
+def backoff_delay_ms(attempt: int, rng=None, cap_ms: float = 100.0) -> float:
     """Exponential retry backoff with jitter and a cap.
 
-    ``base_ms * multiplier**(attempt-1)``, capped at ``cap_ms``, then
-    reduced by up to ``jitter`` (fraction) of itself — full-jitter style, so
-    a burst of clients aborted by the same conflict doesn't retry in
-    lockstep and recreate the conflict.  ``attempt`` counts from 1 (the
-    first retry).
+    ``RETRY_BACKOFF_MS * BACKOFF_MULTIPLIER**(attempt-1)``, capped at
+    ``cap_ms``, then reduced by up to ``BACKOFF_JITTER`` of itself when an
+    ``rng`` is given — full-jitter style, so a burst of clients aborted by
+    the same conflict doesn't retry in lockstep and recreate the conflict.
+    ``attempt`` counts from 1 (the first retry).
     """
     if attempt < 1:
         raise ValueError("attempt counts from 1")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError("jitter must be within [0, 1]")
-    delay = min(base_ms * multiplier ** (attempt - 1), cap_ms)
-    if rng is not None and jitter > 0:
-        delay *= 1.0 - jitter * rng.random()
+    delay = min(RETRY_BACKOFF_MS * BACKOFF_MULTIPLIER ** (attempt - 1), cap_ms)
+    if rng is not None:
+        delay *= 1.0 - BACKOFF_JITTER * rng.random()
     return delay
 
 
@@ -66,9 +62,6 @@ class ClientPool:
         balancer_name: str = "lb",
         rngs: Optional[RngRegistry] = None,
         retry_aborts: bool = False,
-        retry_budget_ratio: Optional[float] = None,
-        retry_budget_burst: int = 10,
-        degradable_reads: bool = False,
     ):
         self.env = env
         self.network = network
@@ -77,20 +70,8 @@ class ClientPool:
         self.balancer_name = balancer_name
         self.rngs = rngs if rngs is not None else RngRegistry(0)
         self.retry_aborts = retry_aborts
-        #: pool-wide token-bucket retry budget: each success deposits
-        #: ``ratio`` tokens, each retry spends one (None = unbounded retries)
-        self.retry_budget: Optional[RetryBudget] = (
-            RetryBudget(retry_budget_ratio, retry_budget_burst)
-            if retry_budget_ratio is not None
-            else None
-        )
-        #: tag read-only requests as degradable (the balancer's valve may
-        #: serve them at its weaker policy while overloaded)
-        self.degradable_reads = degradable_reads
         self.client_ids: list[str] = []
         self.completed = 0
-        #: retries abandoned because the budget was exhausted
-        self.retries_denied = 0
 
     def spawn(self, count: int, prefix: str = "client") -> list[str]:
         """Create ``count`` clients; returns their identifiers."""
@@ -127,10 +108,13 @@ class ClientPool:
                     session_id=client_id,
                     reply_to=client_id,
                     submit_time=submit_time,
-                    degradable=self.degradable_reads and not is_update,
                 )
                 self.network.send(client_id, self.balancer_name, request)
                 response = yield mailbox.receive()
+                while response.request_id != request.request_id:
+                    # A network copy of an earlier answer (at-least-once
+                    # delivery), not the answer to this request.
+                    response = yield mailbox.receive()
                 self.completed += 1
                 if TRACER.enabled and TRACER.is_sampled(request.request_id):
                     # The end-to-end client span: submit → acknowledgment.
@@ -148,21 +132,9 @@ class ClientPool:
                 self.collector.record(call.template, is_update, committed,
                                       submit_time, self.env.now, response.stages)
                 del response  # frees the stage timings the collector just copied
-                if committed:
-                    if self.retry_budget is not None:
-                        self.retry_budget.on_success()
+                if committed or not self.retry_aborts:
                     break
-                if not self.retry_aborts:
-                    break
-                if (
-                    self.retry_budget is not None
-                    and not self.retry_budget.try_spend()
-                ):
-                    # Budget exhausted: give the abort to the caller instead
-                    # of feeding the retry storm.
-                    self.retries_denied += 1
-                    break
-                delay = backoff_delay_ms(RETRY_BACKOFF_MS, attempts, rng=backoff_rng)
+                delay = backoff_delay_ms(attempts, rng=backoff_rng)
                 if retry_after_ms is not None:
                     delay = max(delay, retry_after_ms)
                 yield self.env.timeout(delay)
@@ -198,18 +170,13 @@ class OpenLoopLoad:
         balancer_name: str = "lb",
         rngs: Optional[RngRegistry] = None,
         name: str = "openloop",
-        sessions: int = 8,
         retry_aborts: bool = False,
         max_attempts: int = 8,
         retry_budget_ratio: Optional[float] = None,
-        retry_budget_burst: int = 10,
         retry_backoff_cap_ms: float = 100.0,
-        degradable_reads: bool = False,
     ):
         if rate_tps < 0:
             raise ValueError("rate_tps must be >= 0")
-        if sessions < 1:
-            raise ValueError("sessions must be >= 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.env = env
@@ -220,13 +187,12 @@ class OpenLoopLoad:
         self.balancer_name = balancer_name
         self.rngs = rngs if rngs is not None else RngRegistry(0)
         self.name = name
-        self.sessions = sessions
         self.retry_aborts = retry_aborts
         self.max_attempts = max_attempts
         self.retry_backoff_cap_ms = retry_backoff_cap_ms
-        self.degradable_reads = degradable_reads
+        #: retries paid for by successes (None = unbounded retries)
         self.retry_budget: Optional[RetryBudget] = (
-            RetryBudget(retry_budget_ratio, retry_budget_burst)
+            RetryBudget(retry_budget_ratio)
             if retry_budget_ratio is not None
             else None
         )
@@ -261,7 +227,7 @@ class OpenLoopLoad:
                 yield self.env.timeout(1.0)
                 continue
             yield self.env.timeout(arrival_rng.exponential(1000.0 / self.rate_tps))
-            session_id = f"{self.name}-s{seq % self.sessions}"
+            session_id = f"{self.name}-s{seq % OPEN_LOOP_SESSIONS}"
             call = self.workload.next_call(session_id, mix_rng)
             self.env.process(
                 self._request(session_id, call), name=f"{self.name}-req-{seq}"
@@ -276,7 +242,6 @@ class OpenLoopLoad:
     def _request(self, session_id: str, call):
         template = self._catalog.get(call.template)
         is_update = template.is_update if template is not None else False
-        degradable = self.degradable_reads and not is_update
         self.offered += 1
         first_submit = self.env.now
         attempts = 0
@@ -289,7 +254,6 @@ class OpenLoopLoad:
                 session_id=session_id,
                 reply_to=self.name,
                 submit_time=self.env.now,
-                degradable=degradable,
             )
             waiter = Event(self.env)
             self._waiters[request.request_id] = waiter
@@ -308,8 +272,7 @@ class OpenLoopLoad:
                 self.budget_denied += 1
                 break
             delay = backoff_delay_ms(
-                RETRY_BACKOFF_MS, attempts, rng=self._backoff_rng,
-                cap_ms=self.retry_backoff_cap_ms,
+                attempts, rng=self._backoff_rng, cap_ms=self.retry_backoff_cap_ms,
             )
             if response.retry_after_ms is not None:
                 delay = max(delay, response.retry_after_ms)

@@ -41,6 +41,9 @@ MIX = (
     ("tpcc-stock-level", 0.04),
 )
 
+#: order lines in one new-order transaction, at most (at least 3)
+MAX_ORDER_LINES = 8
+
 
 def district_key(warehouse: int, district: int) -> int:
     """Primary key of a district."""
@@ -210,7 +213,6 @@ class TPCCBenchmark(Workload):
         customers_per_district: int = 30,
         num_items: int = 200,
         think_time_mean_ms: float = 50.0,
-        max_order_lines: int = 8,
     ):
         if not 1 <= districts_per_warehouse <= 99:
             raise ValueError("districts_per_warehouse must be in [1, 99]")
@@ -221,7 +223,6 @@ class TPCCBenchmark(Workload):
         self.customers_per_district = customers_per_district
         self.num_items = num_items
         self.think_time_mean_ms = think_time_mean_ms
-        self.max_order_lines = max_order_lines
         self._history_seq: dict[str, int] = {}
         self._catalog = self._build_catalog()
 
@@ -345,7 +346,7 @@ class TPCCBenchmark(Workload):
         params: dict = {"warehouse": warehouse, "district": district}
         if template == "tpcc-new-order":
             params["customer"] = rng.randint(1, self.customers_per_district)
-            count = rng.randint(3, self.max_order_lines)
+            count = rng.randint(3, MAX_ORDER_LINES)
             params["items"] = [
                 (item, rng.randint(1, 5))
                 for item in rng.sample(list(range(1, self.num_items + 1)), count)

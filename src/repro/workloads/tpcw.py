@@ -31,6 +31,9 @@ from .base import TemplateCatalog, TransactionTemplate, TxnCall, Workload
 
 __all__ = ["TPCWBenchmark", "MIXES", "MIX_UPDATE_FRACTION"]
 
+#: rows of the country table (the TPC-W specification's 92 countries)
+NUM_COUNTRIES = 92
+
 SUBJECTS = [
     "ARTS", "BIOGRAPHIES", "BUSINESS", "CHILDREN", "COMPUTERS", "COOKING",
     "HEALTH", "HISTORY", "HOME", "HUMOR", "LITERATURE", "MYSTERY",
@@ -265,7 +268,6 @@ class TPCWBenchmark(Workload):
         num_items: int = 1_000,
         num_customers: int = 500,
         num_authors: int = 250,
-        num_countries: int = 92,
         think_time_mean_ms: float = 50.0,
     ):
         if mix not in MIXES:
@@ -274,7 +276,6 @@ class TPCWBenchmark(Workload):
         self.num_items = num_items
         self.num_customers = num_customers
         self.num_authors = num_authors
-        self.num_countries = num_countries
         self.think_time_mean_ms = think_time_mean_ms
         self._weights = MIXES[mix]
         self._template_names = list(self._weights)
@@ -414,7 +415,7 @@ class TPCWBenchmark(Workload):
         return self._catalog
 
     def populate(self, database: Database, rng: Rng) -> None:
-        for cid in range(1, self.num_countries + 1):
+        for cid in range(1, NUM_COUNTRIES + 1):
             database.load_row("country", {"id": cid, "name": f"country-{cid}"})
         for aid in range(1, self.num_authors + 1):
             database.load_row(
@@ -439,7 +440,7 @@ class TPCWBenchmark(Workload):
                     "id": cust,
                     "street": f"{cust} Main St",
                     "city": f"city-{cust % 97}",
-                    "country_id": rng.randint(1, self.num_countries),
+                    "country_id": rng.randint(1, NUM_COUNTRIES),
                 },
             )
             database.load_row(

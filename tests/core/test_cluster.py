@@ -1,10 +1,12 @@
 """Tests for cluster construction and the public API."""
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
+from repro.middleware.overload import OverloadSettings
 from repro.workloads import MicroBenchmark
 
 from ..conftest import make_cluster
@@ -244,6 +246,18 @@ class TestPresetCensus:
     def test_config_field_count(self):
         """Subsystem knobs are their settings objects, not flat fields."""
         assert len(dataclasses.fields(ClusterConfig)) == 30
+
+    def test_overload_settings_field_count(self):
+        """Admission control keeps the four knobs its callers set."""
+        assert [f.name for f in dataclasses.fields(OverloadSettings)] == [
+            "mpl_cap", "queue_depth", "shed_deadline_ms", "retry_after_ms",
+        ]
+
+    def test_add_clients_signature(self):
+        """Closed-loop clients take a count, a collector and the retry
+        switch; nothing else is settable per pool."""
+        params = list(inspect.signature(ReplicatedDatabase.add_clients).parameters)
+        assert params == ["self", "count", "collector", "retry_aborts"]
 
 
 class TestUnexpectedMessages:

@@ -152,15 +152,11 @@ class TestOverloadKnobsDefaultsOff:
             ),
         )
         collector = MetricsCollector(measure_start=0.0)
-        cluster.add_clients(
-            6, collector,
-            retry_budget_ratio=None, retry_budget_burst=10, degradable_reads=False,
-        )
+        cluster.add_clients(6, collector, retry_aborts=False)
         cluster.run(2_500.0)
         assert fingerprint(cluster, collector) == GOLDEN["sc-coarse"]
         assert cluster.load_balancer.admission is None  # not configured, not built
         assert cluster.metrics.get("balancer.shed") == 0
-        assert cluster.metrics.get("balancer.degraded") == 0
         assert cluster.certifier.backpressure_rejects == 0
 
 

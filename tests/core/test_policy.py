@@ -16,7 +16,6 @@ from repro.core.policy import (
 )
 from repro.core.policy import _REGISTRY
 from repro.core.versions import VersionTracker
-from repro.middleware.overload import OverloadSettings
 from repro.workloads import MicroBenchmark
 
 
@@ -54,17 +53,14 @@ class TestResolution:
 
     def test_bare_relaxed_means_one_bound_on_every_path(self):
         """Bare ``relaxed`` names one bound whether it reaches the policy
-        through ``resolve_policy`` (``repro audit --level``), a cluster's
-        ``level`` or a degradation valve."""
+        through ``resolve_policy`` (``repro audit --level``) or a cluster's
+        ``level``."""
         workload = MicroBenchmark(rows_per_table=10)
         assert (
             resolve_policy("relaxed").spec
             == ReplicatedDatabase(workload, ClusterConfig(level="relaxed")).policy.spec
             == "relaxed:10"
         )
-        valve = OverloadSettings(mpl_cap=4, valve_policy="relaxed")
-        cluster = ReplicatedDatabase(workload, ClusterConfig(overload=valve))
-        assert cluster.load_balancer.admission.valve_policy.spec == "relaxed:10"
 
     def test_unknown_name_lists_registered_policies(self):
         with pytest.raises(ValueError) as excinfo:

@@ -79,7 +79,7 @@ class Harness:
     """One certifier + N proxies + a stub 'lb' mailbox to observe responses."""
 
     def __init__(self, env, num_replicas=2, level="sc-coarse",
-                 tables=("t",), params=None, proxy_overrides=None):
+                 tables=("t",), params=None):
         self.env = env
         self.network = fixed_latency_network(env)
         self.params = params or low_variance_params()
@@ -99,7 +99,6 @@ class Harness:
                 perf=ReplicaPerformance(self.params, rngs.stream(f"p:{name}")),
                 level=level,
                 templates=self.catalog,
-                **(proxy_overrides or {}),
             )
         self.certifier = Certifier(
             env=env,

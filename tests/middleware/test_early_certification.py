@@ -29,14 +29,13 @@ def whole_writeset_conflict(proxy, txn):
     for version, refresh in proxy._pending_refresh.items():
         if refresh.conflicts_with(partial):
             return f"early certification: conflict with pending refresh v{version}"
-    if proxy.precheck_committed:
-        for op in partial:
-            committed_at = proxy.engine.database.latest_write_version(op.table, op.key)
-            if committed_at > txn.snapshot_version:
-                return (
-                    f"early certification: {op.table}:{op.key} overwritten "
-                    f"at v{committed_at} (snapshot v{txn.snapshot_version})"
-                )
+    for op in partial:
+        committed_at = proxy.engine.database.latest_write_version(op.table, op.key)
+        if committed_at > txn.snapshot_version:
+            return (
+                f"early certification: {op.table}:{op.key} overwritten "
+                f"at v{committed_at} (snapshot v{txn.snapshot_version})"
+            )
     return None
 
 
@@ -59,13 +58,12 @@ def updates(keys, v):
         st.tuples(st.sampled_from(["insert", "update", "delete"]), KEYS),
         min_size=1, max_size=12,
     ),
-    precheck=st.booleans(),
 )
 def test_incremental_check_equals_whole_writeset_reference(
-    loaded, committed, snapshot_lag, pending, arrival, body, precheck
+    loaded, committed, snapshot_lag, pending, arrival, body
 ):
     env = Environment()
-    harness = Harness(env, proxy_overrides={"precheck_committed": precheck})
+    harness = Harness(env)
     proxy = harness.proxy(0)
     for key in loaded:
         proxy.engine.database.load_row("t", image(key, 0))

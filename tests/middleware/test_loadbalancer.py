@@ -19,8 +19,9 @@ from .conftest import fixed_latency_network, make_catalog
 
 @pytest.fixture
 def setup(env):
-    def build(level="sc-coarse", **kwargs):
+    def build(level="sc-coarse", duplicate_prob=0.0, **kwargs):
         network = fixed_latency_network(env)
+        network.duplicate_prob = duplicate_prob
         replicas = ["replica-0", "replica-1"]
         mailboxes = {name: network.register(name) for name in replicas}
         client = network.register("client-x")
@@ -110,6 +111,19 @@ class TestRouting:
         env.run()
         assert len(drain(client)) == 1
         assert balancer.relayed_count == 1
+
+    def test_duplicated_request_is_dispatched_once(self, env, setup):
+        network, mailboxes, client, balancer = setup(duplicate_prob=1.0)
+        network.send("client-x", "lb", request(env, request_id=1))
+        env.run()
+        # The network delivers the request twice; the copy is dropped, not
+        # routed to the other replica under the same id.
+        assert balancer.stats()["duplicate_requests"] == 1
+        assert balancer.dispatched_count == 1
+        assert drain(mailboxes["replica-1"]) == []
+        assert {routed.request.request_id for routed in drain(mailboxes["replica-0"])} == {1}
+        assert balancer.active_transactions("replica-0") == 1
+        assert balancer.active_transactions("replica-1") == 0
 
 
 class TestVersionTagging:

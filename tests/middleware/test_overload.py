@@ -1,4 +1,4 @@
-"""Overload protection: admission control, shedding, backpressure, valve."""
+"""Overload protection: admission control, shedding, backpressure."""
 
 import pytest
 
@@ -27,7 +27,6 @@ class TestOverloadSettings:
         settings = OverloadSettings(mpl_cap=8)
         assert settings.queue_depth == 64
         assert settings.shed_deadline_ms is None
-        assert settings.valve_policy is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,10 +35,6 @@ class TestOverloadSettings:
             dict(mpl_cap=4, queue_depth=-1),
             dict(mpl_cap=4, shed_deadline_ms=0.0),
             dict(mpl_cap=4, retry_after_ms=-1.0),
-            dict(mpl_cap=4, valve_high=0),
-            dict(mpl_cap=4, valve_low=-1),
-            dict(mpl_cap=4, valve_high=4, valve_low=4),
-            dict(mpl_cap=4, valve_high=4, valve_low=9),
         ],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )
@@ -102,7 +97,7 @@ def setup(env):
     return build
 
 
-def request(env, template="read-t", request_id=1, session="s1", degradable=False):
+def request(env, template="read-t", request_id=1, session="s1"):
     return ClientRequest(
         request_id=request_id,
         template=template,
@@ -110,7 +105,6 @@ def request(env, template="read-t", request_id=1, session="s1", degradable=False
         session_id=session,
         reply_to="client-x",
         submit_time=env.now,
-        degradable=degradable,
     )
 
 
@@ -323,95 +317,6 @@ class TestUnknownTemplate:
         )
         with pytest.raises(ValueError, match="known templates"):
             balancer._dispatch(request(env, template="nope"))
-
-
-class TestDegradationValve:
-    def make(self, setup, high=2, low=1):
-        return setup(
-            level="sc-coarse",
-            overload=OverloadSettings(
-                mpl_cap=1, queue_depth=16,
-                valve_policy="session", valve_high=high, valve_low=low,
-            ),
-        )
-
-    def bump_v_system(self, env, network, mailboxes, client):
-        """Commit one update so SC-COARSE demands start_version 1."""
-        network.send("client-x", "lb", request(env, template="write-t", request_id=900))
-        env.run()
-        routed = drain(mailboxes["replica-0"])[0]
-        network.send(
-            "replica-0", "lb",
-            response_for(routed, commit_version=1, tables={"t"}, replica_version=1),
-        )
-        env.run()
-        drain(client)
-
-    def test_opens_at_high_water_and_closes_at_low(self, env, setup):
-        network, mailboxes, client, balancer = self.make(setup)
-        for i in range(1, 5):  # 1 in flight + 3 queued >= valve_high
-            network.send("client-x", "lb", request(env, request_id=i))
-        env.run()
-        assert balancer.admission.valve_open
-        assert [event[1] for event in balancer.admission.valve_events] == ["open"]
-        inflight = drain(mailboxes["replica-0"])
-        network.send("replica-0", "lb", response_for(inflight[0]))
-        env.run()
-        inflight = drain(mailboxes["replica-0"])
-        assert balancer.admission.pending_depth() == 2
-        assert balancer.admission.valve_open  # hysteresis: still above valve_low
-        network.send("replica-0", "lb", response_for(inflight[0]))
-        env.run()
-        assert balancer.admission.pending_depth() == 1  # drained to the low-water mark
-        assert not balancer.admission.valve_open
-        assert [event[1] for event in balancer.admission.valve_events] == ["open", "close"]
-
-    def test_degrades_only_tagged_reads_while_open(self, env, setup):
-        network, mailboxes, client, balancer = self.make(setup)
-        self.bump_v_system(env, network, mailboxes, client)
-        for i in range(1, 5):
-            network.send("client-x", "lb", request(env, request_id=i))
-        env.run()
-        assert balancer.admission.valve_open
-        drain(mailboxes["replica-0"])
-        # While open: a degradable read starts at the SESSION policy's
-        # version (0 — this session saw nothing) instead of V_system=1;
-        # an untagged read still pays the full SC-COARSE version.
-        tagged = request(env, request_id=50, degradable=True, session="fresh")
-        plain = request(env, request_id=51, degradable=False, session="fresh")
-        assert balancer._start_version(tagged, read_only=True) == 0
-        assert balancer._start_version(plain, read_only=True) == 1
-        # Updates are never degraded, tagged or not.
-        update = request(env, template="write-t", request_id=52, degradable=True)
-        assert balancer._start_version(update, read_only=False) == 1
-        assert balancer.admission.degraded_count == 1
-
-    def test_valve_events_record_v_system(self, env, setup):
-        network, mailboxes, client, balancer = self.make(setup)
-        for i in range(1, 5):
-            network.send("client-x", "lb", request(env, request_id=i))
-        env.run()
-        time_ms, action, v_system = balancer.admission.valve_events[0]
-        assert action == "open"
-        assert v_system == balancer.v_system
-
-    def test_no_valve_without_policy(self, env, setup):
-        network, mailboxes, client, balancer = setup(
-            overload=OverloadSettings(
-                mpl_cap=1, queue_depth=16, valve_high=1, valve_low=0
-            )
-        )
-        for i in range(1, 6):
-            network.send("client-x", "lb", request(env, request_id=i))
-        env.run()
-        # Admission control without a valve policy: depth is far past
-        # valve_high, but nothing opens and nothing is ever degraded.
-        assert balancer.admission.pending_depth() >= 1
-        assert not balancer.admission.valve_open
-        assert balancer.admission.valve_events == []
-        tagged = request(env, request_id=50, degradable=True)
-        balancer._start_version(tagged, read_only=True)
-        assert balancer.admission.degraded_count == 0
 
 
 # ---------------------------------------------------------------------------

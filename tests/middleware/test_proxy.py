@@ -91,9 +91,9 @@ class TestUpdatePath:
         assert other.refresh_applied_count == 1
 
     def test_certification_conflict_aborts_with_reason(self, env, harness):
-        # Disable the local pre-check so the conflict reaches the certifier.
+        # Disable early certification so the conflict reaches the certifier.
         for proxy in harness.proxies.values():
-            proxy.precheck_committed = False
+            proxy.early_certification = False
         seed(harness)
         route(harness, "write-t", {"key": 1, "v": 5}, request_id=1, replica="replica-0")
         route(harness, "write-t", {"key": 1, "v": 6}, request_id=2, replica="replica-1")
@@ -272,8 +272,8 @@ class TestEarlyCertification:
         assert bool(proxy.partition_clocks) == (num_partitions > 1)
 
     def test_precheck_against_newer_committed_write(self, env, harness):
-        """With the committed-row pre-check on, a transaction on a stale
-        snapshot aborts locally instead of round-tripping to the certifier."""
+        """The committed-row pre-check: a transaction on a stale snapshot
+        aborts locally instead of round-tripping to the certifier."""
         proxy = harness.proxy(0)
         seed(harness)
         txn = proxy.engine.begin(snapshot_version=0)
@@ -361,61 +361,84 @@ class TestCrash:
 
 
 class TestRoutedRequestDedup:
-    """A network that duplicates delivers every ``RoutedRequest`` twice; the
-    proxy runs the transaction once.  A network that cannot duplicate keeps
-    no request ids at all."""
+    """A network that duplicates delivers every message twice — client
+    requests, routed requests and client responses alike.  Under closed-loop
+    clients each client request still executes once, on one replica, and
+    each client takes only its own request's answer.  A network that cannot
+    duplicate keeps no request ids at all."""
 
-    @staticmethod
-    def run_cluster(duplicate_prob):
+    CLIENTS = 6
+
+    @classmethod
+    def run_cluster(cls, duplicate_prob):
+        from collections import Counter
+
         from repro.faults.audit import audit
-        from repro.metrics import MetricsCollector
-        from repro.workloads.clients import OpenLoopLoad
+        from repro.middleware import ClientResponse, TxnResponse
 
         cluster = ReplicatedDatabase(
             MicroBenchmark(update_types=20, rows_per_table=100),
             ClusterConfig(num_replicas=3, seed=11, net_duplicate_prob=duplicate_prob),
         )
-        routed = []
-        cluster.network.add_tap(
-            lambda sender, recipient, message: routed.append(
-                (recipient, message.request.request_id)
-            ) if isinstance(message, RoutedRequest) else None
-        )
-        # Open loop, so the load can stop and every copy in flight land
-        # (a closed-loop client would take a duplicated response for the
-        # answer to its next request).
-        load = OpenLoopLoad(
-            cluster.env, cluster.network, cluster.workload, MetricsCollector(),
-            rate_tps=300.0, rngs=cluster.rngs,
-        )
+        # Sends, not deliveries: each send is delivered twice at
+        # duplicate_prob=1.
+        executed, answered = Counter(), Counter()
+        routed = set()
+
+        def tap(sender, recipient, message):
+            if isinstance(message, RoutedRequest):
+                # Checked as it happens, because a second dispatch multiplies
+                # the load: the copy runs too, and its client's next request
+                # goes out early on the copied answer.
+                rid = message.request.request_id
+                assert rid not in routed, f"request {rid} routed twice"
+                routed.add(rid)
+            elif isinstance(message, TxnResponse):
+                executed[message.request_id] += 1
+            elif isinstance(message, ClientResponse):
+                answered[message.request_id] += 1
+
+        cluster.network.add_tap(tap)
+        cluster.add_clients(cls.CLIENTS)
         cluster.run(600.0)
-        load.set_rate(0.0)
         cluster.quiesce()
-        cluster.run(cluster.env.now + 100.0)
         report = audit(cluster)
         assert report.ok, report.failures
-        assert load.completed == load.offered > 100
-        return cluster, routed
+        assert len(routed) > 100
+        return cluster, routed, executed, answered
 
     def test_every_duplicated_request_executes_once(self):
-        cluster, routed = self.run_cluster(1.0)
+        cluster, routed, executed, _ = self.run_cluster(1.0)
         proxies = cluster.replicas.values()
-        # Every routed message arrives twice.  The balancer forwards the
-        # client's own request id, and the client's request was duplicated
-        # too, so one id can be routed twice to the same replica: a replica
-        # runs each id it is sent once, whatever the number of copies.
-        delivered = set(routed)
         assert cluster.certifier.certified_count > 0
-        assert len(delivered) < len(routed)
-        assert sum(proxy.executed_count for proxy in proxies) == len(delivered)
-        assert (
-            sum(proxy.duplicate_requests_ignored for proxy in proxies)
-            == 2 * len(routed) - len(delivered)
-        )
+        # The balancer routes each client request once and drops the
+        # network's copy of it.
+        balancer = cluster.metrics.tree("balancer")
+        assert balancer["dispatched"] == len(routed)
+        assert len(routed) - self.CLIENTS <= balancer["duplicate_requests"] <= len(routed)
+        # A replica runs a routed request once, whatever the number of
+        # copies, and answers it once.  At most one request per client is
+        # still on the wire or running.
+        assert set(executed.values()) == {1}
+        ran = sum(proxy.executed_count for proxy in proxies)
+        ignored = sum(proxy.duplicate_requests_ignored for proxy in proxies)
+        assert len(routed) - self.CLIENTS <= len(executed) <= ran <= len(routed)
+        assert len(routed) - self.CLIENTS <= ignored <= len(routed)
+
+    def test_closed_loop_clients_take_only_their_own_answer(self):
+        cluster, _, _, answered = self.run_cluster(1.0)
+        # Each client request is answered once; a client counts an answer
+        # only when it names its outstanding request, so the network's
+        # copies never complete a later request.  At most one answer per
+        # client is still on the wire.
+        assert set(answered.values()) == {1}
+        assert len(answered) - self.CLIENTS <= cluster.client_pool.completed <= len(answered)
 
     def test_a_network_that_cannot_duplicate_keeps_no_request_ids(self):
-        cluster, routed = self.run_cluster(0.0)
+        cluster, routed, executed, _ = self.run_cluster(0.0)
         proxies = cluster.replicas.values()
-        assert sum(proxy.executed_count for proxy in proxies) == len(routed)
+        assert set(executed.values()) == {1}
         assert all(proxy.duplicate_requests_ignored == 0 for proxy in proxies)
-        assert all(not proxy._routed_seen for proxy in proxies)
+        assert all(proxy._routed_seen is None for proxy in proxies)
+        assert cluster.load_balancer._dispatched_ids is None
+        assert cluster.metrics.get("balancer.duplicate_requests") == 0

@@ -64,57 +64,47 @@ class TestBackoffDelay:
     def test_growth_is_exponential_in_attempts(self):
         from repro.workloads.clients import backoff_delay_ms
 
-        delays = [backoff_delay_ms(5.0, attempt, rng=None) for attempt in (1, 2, 3, 4)]
+        delays = [backoff_delay_ms(attempt, rng=None) for attempt in (1, 2, 3, 4)]
         assert delays == [5.0, 10.0, 20.0, 40.0]
 
     def test_cap_bounds_the_delay(self):
         from repro.workloads.clients import backoff_delay_ms
 
-        assert backoff_delay_ms(5.0, 10, rng=None, cap_ms=100.0) == 100.0
-        assert backoff_delay_ms(5.0, 50, rng=None, cap_ms=100.0) == 100.0
+        assert backoff_delay_ms(10, rng=None, cap_ms=100.0) == 100.0
+        assert backoff_delay_ms(50, rng=None, cap_ms=100.0) == 100.0
+        assert backoff_delay_ms(4, rng=None, cap_ms=30.0) == 30.0
 
     def test_jitter_spreads_but_never_exceeds_undithered_delay(self):
         from repro.sim.rng import RngRegistry
         from repro.workloads.clients import backoff_delay_ms
 
         rng = RngRegistry(42).stream("jitter")
-        delays = {backoff_delay_ms(5.0, 3, rng=rng, jitter=0.5) for _ in range(50)}
+        delays = {backoff_delay_ms(3, rng=rng) for _ in range(50)}
         assert len(delays) > 1  # actually jittered
         assert all(10.0 <= d <= 20.0 for d in delays)  # within [half, full]
 
     def test_zero_jitter_is_deterministic(self):
-        from repro.sim.rng import RngRegistry
+        """Without an rng no jitter is drawn: the delay is the undithered one."""
         from repro.workloads.clients import backoff_delay_ms
 
-        rng = RngRegistry(42).stream("jitter")
-        assert backoff_delay_ms(5.0, 2, rng=rng, jitter=0.0) == 10.0
+        assert backoff_delay_ms(2, rng=None) == 10.0
+        assert backoff_delay_ms(2) == backoff_delay_ms(2, rng=None)
 
     def test_invalid_arguments_rejected(self):
         from repro.workloads.clients import backoff_delay_ms
 
         with pytest.raises(ValueError):
-            backoff_delay_ms(5.0, 0)
-        with pytest.raises(ValueError):
-            backoff_delay_ms(5.0, 1, jitter=1.5)
+            backoff_delay_ms(0)
 
     def test_client_pool_uses_backoff_stream(self):
         """The clients' backoff is constants: a 5 ms first retry, doubling
         per attempt, capped at 100 ms."""
-        from repro.workloads.clients import RETRY_BACKOFF_MS, backoff_delay_ms
+        from repro.workloads.clients import backoff_delay_ms
 
-        delays = [backoff_delay_ms(RETRY_BACKOFF_MS, a) for a in (1, 2, 3, 6)]
+        delays = [backoff_delay_ms(a) for a in (1, 2, 3, 6)]
         assert delays == [5.0, 10.0, 20.0, 100.0]
         cluster, _ = cluster_with_clients(2, retry_aborts=True)
         assert not hasattr(cluster.client_pool, "retry_backoff_ms")
-
-    def test_multiplier_one_keeps_delay_constant(self):
-        from repro.workloads.clients import backoff_delay_ms
-
-        delays = [
-            backoff_delay_ms(5.0, attempt, rng=None, multiplier=1.0)
-            for attempt in (1, 2, 5, 20)
-        ]
-        assert delays == [5.0, 5.0, 5.0, 5.0]
 
     def test_deterministic_under_fixed_rng(self):
         from repro.sim.rng import RngRegistry
@@ -122,33 +112,9 @@ class TestBackoffDelay:
 
         def sequence():
             rng = RngRegistry(7).stream("backoff")
-            return [backoff_delay_ms(5.0, a, rng=rng) for a in range(1, 9)]
+            return [backoff_delay_ms(a, rng=rng) for a in range(1, 9)]
 
         assert sequence() == sequence()
-
-
-class TestRetryBudgetInPool:
-    def test_budget_caps_retries(self):
-        workload = MicroBenchmark(update_types=20, rows_per_table=50)
-        cluster = ReplicatedDatabase(
-            workload, num_replicas=2, level="sc-coarse", seed=9
-        )
-        cluster.add_clients(
-            8, MetricsCollector(), retry_aborts=True,
-            retry_budget_ratio=0.0, retry_budget_burst=1,
-        )
-        cluster.run(1500.0)
-        pool = cluster.client_pool
-        assert pool.retry_budget is not None
-        # ratio 0: nothing refills, so at most `burst` retries ever happen,
-        # and further aborts are surfaced instead of retried.
-        assert pool.retry_budget.spent <= 1
-        if pool.retry_budget.denied:
-            assert pool.retries_denied == pool.retry_budget.denied
-
-    def test_no_budget_by_default(self):
-        cluster, _ = cluster_with_clients(2, retry_aborts=True)
-        assert cluster.client_pool.retry_budget is None
 
 
 class TestOpenLoopLoad:
@@ -207,9 +173,6 @@ class TestOpenLoopLoad:
         workload = MicroBenchmark(update_types=10, rows_per_table=50)
         with pytest.raises(ValueError):
             OpenLoopLoad(env, network, workload, MetricsCollector(), rate_tps=-1.0)
-        with pytest.raises(ValueError):
-            OpenLoopLoad(env, network, workload, MetricsCollector(),
-                         rate_tps=10.0, sessions=0)
         with pytest.raises(ValueError):
             OpenLoopLoad(env, network, workload, MetricsCollector(),
                          rate_tps=10.0, max_attempts=0)
