@@ -1,7 +1,8 @@
 """Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
 early certification, handler delivery, per-request routing and records,
-an initial load that builds no commit ops, and replicas that share every
-table they have not written.
+an initial load that builds no commit ops, replicas that share every
+table they have not written, and a refresh fan-out whose Python calls per
+commit version stay under a gate while its kernel events stay pinned.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import sys
 from collections import Counter
 from contextlib import contextmanager
 
@@ -102,6 +104,24 @@ def _call_count(owner, name):
         yield calls
     finally:
         setattr(owner, name, original)
+
+
+@contextmanager
+def _python_calls():
+    """Count Python-level calls (function entries and generator resumes)
+    while the block runs; yields a one-element list holding the count."""
+    calls = [0]
+
+    def hook(_frame, event, _arg):
+        if event == "call":
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
 
 
 def smoke() -> None:
@@ -294,6 +314,34 @@ def smoke() -> None:
     op = WriteOp("t0", 3, OpKind.UPDATE, {"id": 3})
     assert not hasattr(op, "__dict__"), "WriteOp has a __dict__"
 
+    # 10. A refresh costs each replica one pass: on a fixed 8-replica
+    #     all-update run every commit version is installed 8 times (7 of
+    #     them as refreshes), and the Python-level calls per commit version
+    #     (function entries and generator resumes, counted by a profile
+    #     hook) stay at or under the gate.  Kernel events per commit
+    #     version are pinned exactly, so a lower call count can only come
+    #     from fewer frames per event, never from a different model.
+    refresh = ReplicatedDatabase(
+        MicroBenchmark(update_types=40, rows_per_table=2_000),
+        ClusterConfig(num_replicas=8, level="sc-coarse", seed=3),
+    )
+    refresh.add_clients(8)
+    refresh.run(200.0)
+    versions_before = refresh.commit_version
+    events_before = refresh.env.events_processed
+    with _python_calls() as python_calls:
+        refresh.run(1_400.0)
+    versions = refresh.commit_version - versions_before
+    events = refresh.env.events_processed - events_before
+    calls_per_version = python_calls[0] / versions
+    assert (versions, events) == (1_547, 59_884), (
+        f"model moved: {events:,} kernel events over {versions:,} commit versions "
+        "(expected 59,884 over 1,547: 38.71 per version)"
+    )
+    assert calls_per_version <= 560, (
+        f"{calls_per_version:.1f} Python-level calls per commit version (gate 560)"
+    )
+
     print("perf smoke OK:")
     print(f"  events / r-o txn    : {events_per_txn:.2f}")
     print(f"  routable rebuilds   : {rebuilds[0]} over {dispatched:,} dispatches")
@@ -311,6 +359,9 @@ def smoke() -> None:
     print(f"  certified txns      : {len(certify_requests)} (1 WriteSet each)")
     print(f"  early-cert checks   : {len(checks):,} "
           f"(max {max(probes for probes, _ in checks)} row probes)")
+    print(f"  refresh fan-out     : {calls_per_version:.1f} Python calls, "
+          f"{events / versions:.2f} kernel events per commit version "
+          f"({versions:,} versions, 8 replicas)")
 
 
 def main() -> None:

@@ -395,7 +395,14 @@ class Certifier:
     def _handle(self, message):
         if self.halted:
             return None
-        if isinstance(message, CertifyRequest):
+        if isinstance(message, CommitApplied):  # the per-version message first
+            replica = message.replica
+            applied = self.applied_versions
+            if replica in applied and message.commit_version > applied[replica]:
+                applied[replica] = message.commit_version
+            if self.policy.tracks_global_commit:
+                self._credit(replica, message.commit_version)
+        elif isinstance(message, CertifyRequest):
             if not self._concurrent:
                 # The serial server: the endpoint is busy until the decision
                 # is made, so every later message waits its turn behind it.
@@ -406,8 +413,6 @@ class Certifier:
                 self._certify(message),
                 name=f"{self.name}-certify-r{message.request_id}",
             )
-        elif isinstance(message, CommitApplied):
-            self._handle_commit_applied(message)
         elif isinstance(message, RecoveryRequest):
             self._handle_recovery(message)
         elif isinstance(message, CatchUpRequest):
@@ -714,14 +719,6 @@ class Certifier:
                 self._fenced.add(query.request_id)
             reply = FateReply(query.request_id, committed=False)
         self.network.send(self.name, query.reply_to, reply)
-
-    def _handle_commit_applied(self, message: CommitApplied) -> None:
-        if message.replica in self.applied_versions:
-            current = self.applied_versions[message.replica]
-            if message.commit_version > current:
-                self.applied_versions[message.replica] = message.commit_version
-        if self.policy.tracks_global_commit:
-            self._credit(message.replica, message.commit_version)
 
     def _credit(self, replica: str, watermark: int) -> None:
         """EAGER counting: credit ``replica`` with every awaited version at

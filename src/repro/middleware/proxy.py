@@ -221,7 +221,9 @@ class ReplicaProxy:
     def _handle(self, message) -> None:
         if self.crashed:
             return
-        if isinstance(message, RoutedRequest):
+        if isinstance(message, RefreshWriteset):  # the per-version message first
+            self._receive_refresh(message)
+        elif isinstance(message, RoutedRequest):
             rid = message.request.request_id
             seen = self._routed_seen
             if seen is not None:
@@ -244,8 +246,6 @@ class ReplicaProxy:
             waiter = self._global_waiters.pop(message.request_id, None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(message)
-        elif isinstance(message, RefreshWriteset):
-            self._receive_refresh(message)
         elif isinstance(message, RecoveryReply):
             self._receive_recovery(message)
         elif isinstance(message, HeartbeatPing):
@@ -473,23 +473,32 @@ class ReplicaProxy:
 
     # -- refresh handling ------------------------------------------------------
     def _receive_refresh(self, message: RefreshWriteset) -> None:
-        if self.engine.database.has_applied(message.commit_version):
+        version = message.commit_version
+        if self.engine.database.has_applied(version):
             self.duplicate_refreshes_ignored += 1
             return  # duplicate (recovery replay or a network-level re-send)
-        self._enqueue_refresh(
-            message.commit_version, message.writeset, message.prev_versions
-        )
+        writeset = message.writeset
+        pending = self._pending_refresh
+        if version in pending:  # a copy that raced ahead of the applier
+            self.duplicate_refreshes_ignored += 1
+        else:
+            heappush(self._pending_versions, version)
+        pending[version] = writeset
+        if message.prev_versions:
+            self._pending_prevs[version] = message.prev_versions
         # Arrival-side early certification: doom conflicting active locals.
-        if self.early_certification:
-            for txn in list(self._executing.values()):
-                if txn.is_read_only:
-                    continue
-                if message.writeset.conflicts_with(txn.partial_writeset()):
+        if self.early_certification and self._executing:
+            slots = writeset.slots
+            for txn in self._executing.values():
+                if txn.writes_any(slots):
                     self._doomed[txn.txn_id] = (
-                        f"early certification: refresh v{message.commit_version} "
+                        f"early certification: refresh v{version} "
                         "conflicts with partial writeset"
                     )
-        self._wake_applier()
+        wakeup = self._applier_wakeup
+        if wakeup is not None:
+            self._applier_wakeup = None
+            wakeup.succeed()
 
     def _receive_recovery(self, message: RecoveryReply) -> None:
         if message.bootstrap_required:
@@ -521,20 +530,11 @@ class ReplicaProxy:
                 and version not in self._pending_refresh
                 and version not in self._reserved
             ):
-                self._enqueue_refresh(version, writeset, prevs)
+                heappush(self._pending_versions, version)
+                self._pending_refresh[version] = writeset
+                if prevs:
+                    self._pending_prevs[version] = prevs
         self._wake_applier()
-
-    def _enqueue_refresh(self, version: int, writeset, prevs=None) -> None:
-        if version not in self._pending_refresh:
-            heappush(self._pending_versions, version)
-        else:
-            # Already buffered: a duplicate delivery that raced ahead of the
-            # apply loop (the post-apply duplicates are caught by
-            # ``has_applied`` in ``_receive_refresh``).
-            self.duplicate_refreshes_ignored += 1
-        self._pending_refresh[version] = writeset
-        if prevs:
-            self._pending_prevs[version] = prevs
 
     def _purge_stale_refreshes(self) -> None:
         """Drop pending entries at or below ``V_local``.
@@ -551,8 +551,11 @@ class ReplicaProxy:
             self._pending_prevs.pop(stale, None)
 
     def _wake_applier(self) -> None:
-        if self._applier_wakeup is not None and not self._applier_wakeup.triggered:
-            self._applier_wakeup.succeed()
+        # The first wake takes the event: later ones before the applier runs are no-ops.
+        wakeup = self._applier_wakeup
+        if wakeup is not None:
+            self._applier_wakeup = None
+            wakeup.succeed()
 
     def _apply_refreshes(self):
         """The one refresh applier: install each refresh once its
@@ -563,51 +566,68 @@ class ReplicaProxy:
         statement-side early certification does not see it during the hold;
         a conflicting local write then travels to the certifier.
         """
+        # One pass per turn, each step written out (DESIGN.md D24); a crash
+        # clears these maps in place, never rebinds them.
         database = self.engine.database
+        pending, pending_prevs = self._pending_refresh, self._pending_prevs
+        heap, reserved = self._pending_versions, self._reserved
         while True:
-            # A recovery replay can leave entries at or below V_local behind
-            # a local commit; drop them so they cannot pin memory.
-            self._purge_stale_refreshes()
-            version = None if self.crashed else self._ready_pending_version()
+            # ``_purge_stale_refreshes`` (the heap keeps installed versions).
+            watermark = database.version
+            while heap and heap[0] <= watermark:
+                stale = heappop(heap)
+                pending.pop(stale, None)
+                pending_prevs.pop(stale, None)
+            version = watermark + 1  # ready by construction when pending
+            if self.crashed:
+                version = None
+            elif version not in pending or version in reserved:
+                version = self._ready_pending_version() if pending_prevs else None
             if version is None:
                 # Whatever can make a version ready also wakes us: arrivals,
                 # local commits (releasing their reservation), repairs,
                 # checkpoint installs, recovery.
                 self._applier_wakeup = Event(self.env)
                 yield self._applier_wakeup
-                self._applier_wakeup = None
                 continue
-            writeset = self._pending_refresh.pop(version)
-            prevs = self._pending_prevs.pop(version, None)
-            yield from self.cpu.use(self.perf.refresh(len(writeset)))
+            writeset = pending.pop(version)
+            prevs = pending_prevs.pop(version, None)
+            size = len(writeset)
+            hold = self.cpu.request(self.perf.refresh(size))  # ``Resource.use``
+            try:
+                yield hold
+            finally:
+                self.cpu.release(hold)
             # Re-validate against what happened during the hold: a crash, a
             # recovery replay that applied the version, or a certify reply
             # that assigned it to a local transaction (whose commit owns it;
             # our copy on top would be a duplicate).
-            if self.crashed or database.has_applied(version) or version in self._reserved:
+            if self.crashed or database.has_applied(version) or version in reserved:
                 continue
-            self._install_refresh(writeset, version, prevs)
+            if TRACER.enabled and TRACER.version_sampled(version):
+                # The one refresh-apply trace point: live refreshes and
+                # recovery/catch-up replay all install here.
+                TRACER.instant(
+                    "refresh.apply", self.name, self.env.now,
+                    commit_version=version, attrs={"ops": size},
+                )
+            after = None if prevs is None else tuple(prev for _p, prev in prevs)
+            # Looked up on the instance: the fault injector shadows it there.
+            self.engine.apply_refresh(writeset, version, after=after)
             self.refresh_applied_count += 1
             # A duplicate that arrived during the hold must not linger.
-            self._pending_refresh.pop(version, None)
-            self._pending_prevs.pop(version, None)
-            self._publish_applied(version, prevs, len(writeset))
+            pending.pop(version, None)
+            pending_prevs.pop(version, None)
+            self._publish_applied(version, prevs, size)
 
     def _ready_pending_version(self) -> Optional[int]:
-        """Smallest pending, unreserved version whose predecessors are all
-        applied.
-
-        ``V_local + 1`` is ready by construction.  Any other version can
-        only be ready through the vector the certifier sent, so the scan
-        covers ``_pending_prevs`` alone — empty at one shard.  A reserved
+        """Smallest pending, unreserved version whose predecessor vector is
+        all applied: the applier's scan when ``V_local + 1`` is not ready
+        (a refresh without a vector waits for the full prefix).  A reserved
         version belongs to its local commit even when a gap-repair replay
-        also holds it as a refresh.
-        """
+        also holds it as a refresh."""
         database = self.engine.database
         reserved = self._reserved
-        head = database.version + 1
-        if head in self._pending_refresh and head not in reserved:
-            return head
         best: Optional[int] = None
         for version, prevs in self._pending_prevs.items():
             if (
@@ -638,9 +658,10 @@ class ReplicaProxy:
         """
         for p, _prev in prevs or ():
             self.partition_clocks[p].advance_to(version)
-        watermark = self.engine.version
+        watermark = self.engine.database.version
         self.clock.advance_to(watermark)
-        self._wake_applier()
+        if self._applier_wakeup is not None:  # None when the applier publishes
+            self._wake_applier()
         flush = self.policy.commit_ack_flush(self.perf, writeset_size)
         if flush > 0:
             self.env.process(
@@ -658,18 +679,6 @@ class ReplicaProxy:
             self.network.send(
                 self.name, self.certifier_name, CommitApplied(self.name, commit_version)
             )
-
-    def _install_refresh(self, writeset, version: int, prevs) -> None:
-        """Install one refresh writeset."""
-        if TRACER.enabled and TRACER.version_sampled(version):
-            # The one refresh-apply trace point: live refreshes and
-            # recovery/catch-up replay all install here.
-            TRACER.instant(
-                "refresh.apply", self.name, self.env.now,
-                commit_version=version, attrs={"ops": len(writeset)},
-            )
-        after = None if prevs is None else tuple(prev for _p, prev in prevs)
-        self.engine.apply_refresh(writeset, version, after=after)
 
     def _vacuum_loop(self, interval_ms: float):
         """Periodically trim row versions no local snapshot can still read.

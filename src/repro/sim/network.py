@@ -51,10 +51,15 @@ class _Delivery(Event):
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """One-way message latency: ``base + U(0, jitter)`` milliseconds."""
+    """One-way message latency: ``base + U(0, jitter)`` milliseconds, both
+    terms finite and >= 0 (``Network.send`` bypasses the kernel's checks)."""
 
     base: float = 0.1
     jitter: float = 0.05
+
+    def __post_init__(self):
+        if not 0.0 <= self.base < float("inf") or not 0.0 <= self.jitter < float("inf"):
+            raise ValueError(f"latency base and jitter must be finite and >= 0: {self}")
 
     def sample(self, rng: Rng) -> float:
         if self.jitter <= 0:

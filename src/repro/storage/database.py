@@ -115,23 +115,32 @@ class Database:
         None is the full prefix (strictly ``version + 1``), a tuple lets
         independent commits install ahead of the watermark.  Empty writesets
         (read-only transactions) consume no version and must not be passed.
+        The in-order case with no resync floor (every commit on every
+        replica) calls no helper; one naming predecessors checks its order.
         """
-        if writeset.is_empty:
-            raise StorageError("refusing to apply an empty writeset")
-        self._check_apply_order(commit_version, after)
+        in_order = after is None and commit_version == self._version + 1
+        if not in_order:
+            self._check_apply_order(commit_version, after)
+        tables, floors = self._tables, self._resync_floor
+        op = None
         for op in writeset:
-            if self._resync_floor.get(op.table, 0) >= commit_version:
+            if floors and floors.get(op.table, 0) >= commit_version:
                 # A peer row-sync already installed this table's state
                 # through a newer version; the op's effect is in the synced
                 # images and re-appending it would fork the chain.
                 self.resync_skipped_ops += 1
                 continue
-            table = self.table(op.table)
+            table = tables[op.table] if op.table in tables else self.table(op.table)
             if self.maintain_digests:
                 self._digest_apply(table, op, commit_version)
             else:
                 table.apply_op(op, commit_version)
-        self._advance_version(commit_version)
+        if op is None:
+            raise StorageError("refusing to apply an empty writeset")
+        if in_order and not self._applied_ahead:
+            self._version = commit_version
+        else:
+            self._advance_version(commit_version)
 
     def _check_apply_order(self, commit_version: int, after: Optional[tuple]) -> None:
         if after is None:

@@ -139,11 +139,10 @@ class Transaction:
             ws = self._writeset_cache = WriteSet(self._writes.values())
         return ws
 
-    def partial_writeset(self) -> WriteSet:
-        """Alias for :attr:`writeset` taken mid-transaction — the *partial
-        writeset* an arriving refresh writeset is checked against
-        (arrival-side early certification)."""
-        return self.writeset
+    def writes_any(self, slots: frozenset) -> bool:
+        """Whether any ``(table, key)`` of ``slots`` is buffered: the
+        partial-writeset conflict test, with no :class:`WriteSet` built."""
+        return not slots.isdisjoint(self._writes)
 
     @property
     def table_set(self) -> frozenset[str]:

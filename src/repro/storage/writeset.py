@@ -83,11 +83,11 @@ class WriteSet:
     buffering time, so here replacement is last-writer-wins on kind+image).
     """
 
-    __slots__ = ("_ops", "_order", "_slots")
+    __slots__ = ("_ops", "_slots")
 
     def __init__(self, ops: Iterable[WriteOp] = ()):
+        # Insertion-ordered: replacing a slot's op keeps its position.
         self._ops: dict[tuple[str, Any], WriteOp] = {}
-        self._order: list[tuple[str, Any]] = []
         # Cached key-set; rebuilt lazily after a new slot is added so the
         # conflict predicate is a frozenset intersection, not per-op probing.
         self._slots: Optional[frozenset] = None
@@ -99,7 +99,6 @@ class WriteSet:
         """Add (or replace) the op for ``(op.table, op.key)``."""
         slot = (op.table, op.key)
         if slot not in self._ops:
-            self._order.append(slot)
             self._slots = None
         self._ops[slot] = op
 
@@ -111,8 +110,7 @@ class WriteSet:
         return bool(self._ops)
 
     def __iter__(self) -> Iterator[WriteOp]:
-        for slot in self._order:
-            yield self._ops[slot]
+        return iter(self._ops.values())
 
     def __contains__(self, slot: tuple[str, Any]) -> bool:
         return slot in self._ops

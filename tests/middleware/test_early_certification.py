@@ -25,7 +25,7 @@ def whole_writeset_conflict(proxy, txn):
     doomed = proxy._doomed.get(txn.txn_id)
     if doomed is not None:
         return doomed
-    partial = txn.partial_writeset()
+    partial = txn.writeset
     for version, refresh in proxy._pending_refresh.items():
         if refresh.conflicts_with(partial):
             return f"early certification: conflict with pending refresh v{version}"

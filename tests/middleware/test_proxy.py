@@ -1,6 +1,8 @@
 """Tests for the replica proxy: stages, refresh ordering, early
 certification, read-only fast path."""
 
+from heapq import heappush
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -352,7 +354,8 @@ class TestCrash:
         assert victim.v_local == 2
         # A duplicate replay of already-applied versions (e.g. a second
         # recovery racing a refresh that caught the replica up first).
-        victim._enqueue_refresh(1, ws(1, 1))
+        victim._pending_refresh[1] = ws(1, 1)
+        heappush(victim._pending_versions, 1)
         victim._receive_recovery(
             RecoveryReply("replica-1", ((1, ws(1, 1)), (2, ws(1, 2))))
         )

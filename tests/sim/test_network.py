@@ -1,8 +1,11 @@
 """Tests for the network fabric."""
 
+import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, LatencyModel, Network, RngRegistry, SimulationError
 from repro.sim.rng import Rng
@@ -611,3 +614,78 @@ class TestLatencyDraws:
         env.run()
         assert env.now == 1.0
         assert net.rng.random() == RngRegistry(9).stream("net").random()
+
+
+BAD_LATENCIES = [
+    {"base": -5.0, "jitter": 0.0},
+    {"base": math.nan, "jitter": 0.0},
+    {"base": math.inf, "jitter": 0.0},
+    {"base": 0.1, "jitter": -0.01},
+    {"base": 0.1, "jitter": math.nan},
+    {"base": 0.1, "jitter": math.inf},
+]
+
+
+class TestLatencyValidation:
+    """``Network.send`` schedules deliveries itself, past the kernel's
+    delay checks: a latency it would accept must never move the clock
+    backwards or to NaN."""
+
+    @pytest.mark.parametrize("terms", BAD_LATENCIES)
+    def test_construction_refuses_negative_or_non_finite_terms(self, terms):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            LatencyModel(**terms)
+
+    @pytest.mark.parametrize("terms", BAD_LATENCIES)
+    def test_cluster_config_cannot_carry_one(self, terms):
+        from repro.core import ClusterConfig
+
+        config = ClusterConfig()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dataclasses.replace(config, latency=dataclasses.replace(config.latency, **terms))
+
+    def test_zero_latency_is_accepted(self, env):
+        network = Network(env, RngRegistry(9).stream("net"), LatencyModel(0.0, 0.0))
+        arrivals = []
+        network.register("a", lambda _message: arrivals.append(env.now))
+        network.send("src", "a", None)
+        env.run()
+        assert arrivals == [0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.floats(min_value=-50.0, max_value=50.0) | st.just(math.nan),
+        jitter=st.floats(min_value=-50.0, max_value=50.0) | st.just(math.inf),
+        gaps=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=20),
+        duplicate_prob=st.sampled_from([0.0, 0.5]),
+        reorder_prob=st.sampled_from([0.0, 0.5]),
+    )
+    def test_no_delivery_fires_before_its_send(
+        self, base, jitter, gaps, duplicate_prob, reorder_prob
+    ):
+        """Whatever latency is asked for, either the model refuses it or
+        every delivery lands at or after its send, in clock order."""
+        try:
+            latency = LatencyModel(base, jitter)
+        except ValueError:
+            assert not (0.0 <= base < math.inf and 0.0 <= jitter < math.inf)
+            return
+        env = Environment()
+        network = Network(
+            env, RngRegistry(9).stream("net"), latency,
+            duplicate_prob=duplicate_prob, reorder_prob=reorder_prob,
+        )
+        clock = []
+        network.register("a", lambda sent_at: clock.append((sent_at, env.now)))
+
+        def sender(env):
+            for gap in gaps:
+                yield env.timeout(gap)
+                network.send("src", "a", env.now)
+
+        env.process(sender(env))
+        env.run()
+        assert len(clock) >= len(gaps)
+        assert all(sent_at <= delivered_at for sent_at, delivered_at in clock)
+        delivered = [delivered_at for _sent, delivered_at in clock]
+        assert delivered == sorted(delivered)

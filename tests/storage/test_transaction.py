@@ -1,6 +1,7 @@
 """Tests for transaction objects: buffering, composition, lifecycle."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.storage import (
     OpKind,
@@ -8,6 +9,7 @@ from repro.storage import (
     TransactionStateError,
     TxnState,
     WriteOp,
+    WriteSet,
 )
 
 
@@ -143,3 +145,29 @@ class TestComposition:
         txn.note_read("t", 2)
         txn.note_read("t", 1)
         assert txn.read_keys == {("t", 1), ("t", 2)}
+
+
+SLOTS = st.tuples(st.sampled_from(["t", "u"]), st.integers(1, 6))
+
+
+@given(
+    writes=st.lists(st.tuples(st.sampled_from(["insert", "update", "delete"]), SLOTS),
+                    max_size=12),
+    refresh=st.lists(SLOTS, max_size=4),
+)
+def test_writes_any_equals_the_partial_writeset_conflict(writes, refresh):
+    """``writes_any`` decides arrival-side early certification exactly as
+    ``WriteSet.conflicts_with(txn.writeset)`` does, whatever the buffered
+    writes composed to: insert→delete cancels the slot, delete→insert
+    keeps it as an update, and a write after a delete is refused."""
+    txn = Transaction(0)
+    for kind, (table, key) in writes:
+        values = None if kind == "delete" else {"id": key, "v": len(writes)}
+        try:
+            txn.buffer_write(WriteOp(table, key, OpKind(kind), values))
+        except TransactionStateError:
+            pass  # update or delete after a delete
+    arriving = WriteSet(
+        WriteOp(table, key, OpKind.UPDATE, {"id": key, "v": 0}) for table, key in refresh
+    )
+    assert txn.writes_any(arriving.slots) == arriving.conflicts_with(txn.writeset)
