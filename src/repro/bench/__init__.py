@@ -18,9 +18,7 @@ from .experiments import (
 from .runner import (
     ExperimentConfig,
     ExperimentResult,
-    ReplicatedResult,
     run_experiment,
-    run_replicated,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "BreakdownResult",
     "ExperimentConfig",
     "ExperimentResult",
-    "ReplicatedResult",
     "SeriesResult",
     "clear_cache",
     "fig3",
@@ -40,6 +37,5 @@ __all__ = [
     "fig6",
     "fig7",
     "run_experiment",
-    "run_replicated",
     "table1",
 ]

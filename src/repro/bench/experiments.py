@@ -202,13 +202,13 @@ def _micro_config(
             update_types=update_types, rows_per_table=rows,
             tables_per_txn=tables_per_txn,
         ),
-        level=level,
-        num_replicas=num_replicas,
+        cluster=ClusterConfig(
+            num_replicas=num_replicas, level=level, seed=seed, params=params,
+            record_history=False,
+        ),
         clients=clients,
         warmup_ms=1_000.0 if quick else 10_000.0,
         measure_ms=4_000.0 if quick else 30_000.0,
-        seed=seed,
-        params=params,
         label=f"micro-{update_types}/40-{level.label}",
     )
 
@@ -412,12 +412,13 @@ def _tpcw_run(
                 num_customers=200 * scale,
                 num_authors=100 * scale,
             ),
-            level=level,
-            num_replicas=num_replicas,
+            cluster=ClusterConfig(
+                num_replicas=num_replicas, level=level, seed=seed,
+                record_history=False,
+            ),
             clients=clients,
             warmup_ms=3_000.0 if quick else 10_000.0,
             measure_ms=12_000.0 if quick else 40_000.0,
-            seed=seed,
             label=f"tpcw-{mix}-{level.label}-{num_replicas}r",
         )
         _tpcw_cache[key] = run_experiment(config)
@@ -534,16 +535,14 @@ def _columns(title: str, x_label: str, x_values, names, rows) -> SeriesResult:
     return SeriesResult(title, x_label, list(x_values), dict(zip(names, map(list, zip(*rows)))))
 
 
-def _closed_loop(workload, config: ClusterConfig, quick_window, quick: bool):
-    """Run 16 clients on a cluster :class:`ExperimentConfig` cannot describe;
-    return it and its summary over ``quick_window`` (warm-up, end) ms, or
-    over 10 s / 40 s at full scale."""
+def _closed_loop(workload_factory, cluster: ClusterConfig, quick_window, quick: bool):
+    """16 clients on ``cluster``, measured over ``quick_window`` (warm-up,
+    end) ms, or over 10 s / 40 s at full scale."""
     warmup_ms, end_ms = quick_window if quick else (10_000.0, 40_000.0)
-    cluster = ReplicatedDatabase(workload, config)
-    collector = MetricsCollector(measure_start=warmup_ms, measure_end=end_ms)
-    cluster.add_clients(16, collector)
-    cluster.run(end_ms)
-    return cluster, collector.summary()
+    return run_experiment(ExperimentConfig(
+        workload_factory=workload_factory, cluster=cluster, clients=16,
+        warmup_ms=warmup_ms, measure_ms=end_ms - warmup_ms,
+    ))
 
 
 def ablation_tableset(quick: bool = True, seed: int = 0) -> SeriesResult:
@@ -567,13 +566,13 @@ def ablation_early_certification(quick: bool = True, seed: int = 0) -> SeriesRes
     """
     rows = []
     for enabled in (True, False):
-        cluster, summary = _closed_loop(
-            MicroBenchmark(update_types=40, rows_per_table=60),
+        result = _closed_loop(
+            lambda: MicroBenchmark(update_types=40, rows_per_table=60),
             ClusterConfig(num_replicas=4, level="sc-coarse", seed=seed,
                           early_certification=enabled),
             (500.0, 4_500.0), quick)
-        early = sum(p.early_abort_count for p in cluster.replicas.values())
-        rows.append((summary.tps, summary.aborted, early, cluster.certifier.abort_count))
+        rows.append((result.tps, result.summary.aborted, result.early_aborts,
+                     result.certification_aborts))
     return _columns("Ablation D4 — early certification (micro, 100% updates, hot rows)",
                     "early-cert", ("on", "off"),
                     ["TPS", "client aborts", "early aborts", "certifier aborts"], rows)
@@ -604,12 +603,12 @@ def relaxed_currency(quick: bool = True, seed: int = 0) -> SeriesResult:
     """
     bounds, rows = (0, 2, 5, 10, 25), []
     for bound in bounds:
-        cluster, summary = _closed_loop(
-            MicroBenchmark(update_types=20, rows_per_table=500),
+        result = _closed_loop(
+            lambda: MicroBenchmark(update_types=20, rows_per_table=500),
             ClusterConfig(num_replicas=8, level=f"relaxed:{bound}", seed=seed),
             (1_000.0, 5_000.0), quick)
-        report = staleness_report(cluster.history)
-        rows.append((summary.tps, summary.mean_response_ms, summary.read_only_breakdown.version,
+        report = staleness_report(result.history)
+        rows.append((result.tps, result.response_ms, result.summary.read_only_breakdown.version,
                      report["mean"], report["max"]))
     return _columns("Extension — relaxed currency: freshness bound vs staleness "
                     "(micro, 50% updates, 8 replicas)", "bound k", bounds,
@@ -626,7 +625,8 @@ def tpcc_contention(quick: bool = True, seed: int = 0) -> SeriesResult:
     results = [run_experiment(ExperimentConfig(
         workload_factory=lambda: TPCCBenchmark(num_warehouses=2, districts_per_warehouse=8,
                                                customers_per_district=20, num_items=100),
-        level=level, num_replicas=4, clients=20, seed=seed, retry_aborts=True,
+        cluster=ClusterConfig(num_replicas=4, level=level, seed=seed, record_history=False),
+        clients=20, retry_aborts=True,
         warmup_ms=2_000.0 if quick else 10_000.0, measure_ms=10_000.0 if quick else 40_000.0,
     )) for level in LEVELS]
     return _columns("TPC-C-lite, 4 replicas, 20 clients, retries on", "config",

@@ -4,7 +4,14 @@ A run follows the paper's methodology (Section V-A): deploy the cluster,
 attach closed-loop clients, let the system warm up, then measure for a fixed
 interval and report throughput, response time, and stage breakdowns.
 All times are virtual; a given :class:`ExperimentConfig` is fully
-deterministic in its seed.
+deterministic in its cluster's seed.
+
+Every measured cell of :mod:`repro.bench.experiments` is one
+:func:`run_experiment` call.  Runs at one seed are already paired: each
+client draws its calls and think times from its own named streams, so the
+same seed issues the same per-client call sequences under every
+consistency level.  Judging a claim over several seeds is the figure's
+business, not the runner's.
 """
 
 from __future__ import annotations
@@ -13,22 +20,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.cluster import ClusterConfig, ReplicatedDatabase
-from ..core.policy import ConsistencyPolicy
-from ..histories.checkers import (
-    is_session_consistent,
-    is_strongly_consistent,
-)
+from ..histories.records import RunHistory
 from ..metrics.collector import MetricsCollector, MetricsSummary
 from ..metrics.profiler import PROFILER
-from ..middleware.perfmodel import PerformanceParams
 from ..workloads.base import Workload
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "ReplicatedResult",
     "run_experiment",
-    "run_replicated",
 ]
 
 
@@ -37,15 +37,11 @@ class ExperimentConfig:
     """Everything needed to reproduce one measured run."""
 
     workload_factory: Callable[[], Workload]
-    #: a registered policy spec or a policy instance
-    level: "str | ConsistencyPolicy"
-    num_replicas: int
+    #: the deployment the run builds: level, replicas, seed, history, ...
+    cluster: ClusterConfig
     clients: int
     warmup_ms: float = 5_000.0
     measure_ms: float = 20_000.0
-    seed: int = 0
-    params: Optional[PerformanceParams] = None
-    record_history: bool = False
     retry_aborts: bool = False
     label: str = ""
 
@@ -64,8 +60,8 @@ class ExperimentResult:
     certification_aborts: int
     early_aborts: int
     final_commit_version: int
-    strongly_consistent: Optional[bool] = None
-    session_consistent: Optional[bool] = None
+    #: the run's history, when its cluster records one
+    history: Optional[RunHistory] = None
 
     @property
     def tps(self) -> float:
@@ -80,73 +76,10 @@ class ExperimentResult:
         return self.summary.mean_sync_delay_ms
 
 
-@dataclass(frozen=True)
-class ReplicatedResult:
-    """Aggregate of several runs of one configuration (the paper's
-    methodology: "Each experiment consists of 10 separate runs ... We
-    report average measured values, with the deviation being less than 5%
-    in all cases")."""
-
-    config: ExperimentConfig
-    runs: tuple[ExperimentResult, ...]
-
-    @property
-    def mean_tps(self) -> float:
-        return sum(r.tps for r in self.runs) / len(self.runs)
-
-    @property
-    def mean_response_ms(self) -> float:
-        return sum(r.response_ms for r in self.runs) / len(self.runs)
-
-    @property
-    def tps_deviation(self) -> float:
-        """Max relative deviation of any run's TPS from the mean."""
-        mean = self.mean_tps
-        if mean == 0:
-            return 0.0
-        return max(abs(r.tps - mean) / mean for r in self.runs)
-
-    @property
-    def response_deviation(self) -> float:
-        """Max relative deviation of any run's response time from the mean."""
-        mean = self.mean_response_ms
-        if mean == 0:
-            return 0.0
-        return max(abs(r.response_ms - mean) / mean for r in self.runs)
-
-
-def run_replicated(config: ExperimentConfig, num_runs: int = 10) -> ReplicatedResult:
-    """Run the experiment ``num_runs`` times with distinct seeds derived
-    from ``config.seed`` and aggregate, as the paper's runs do."""
-    if num_runs < 1:
-        raise ValueError("num_runs must be >= 1")
-    from dataclasses import replace
-
-    runs = tuple(
-        run_experiment(replace(config, seed=config.seed * 1_000 + i))
-        for i in range(num_runs)
-    )
-    return ReplicatedResult(config=config, runs=runs)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Build the cluster, run warm-up + measurement, aggregate the metrics.
-
-    When ``record_history`` is set, the run history is checked for strong
-    and session consistency so experiments double as correctness evidence.
-    """
+    """Build the cluster, run warm-up + measurement, aggregate the metrics."""
     with PROFILER.section("cluster.build"):
-        workload = config.workload_factory()
-        cluster = ReplicatedDatabase(
-            workload,
-            ClusterConfig(
-                num_replicas=config.num_replicas,
-                level=config.level,
-                seed=config.seed,
-                params=config.params,
-                record_history=config.record_history,
-            ),
-        )
+        cluster = ReplicatedDatabase(config.workload_factory(), config.cluster)
         collector = MetricsCollector(
             measure_start=config.warmup_ms, measure_end=config.total_ms
         )
@@ -156,19 +89,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with PROFILER.section("run.measure"):
         cluster.run(config.total_ms)
 
-    early_aborts = sum(p.early_abort_count for p in cluster.replicas.values())
-    strongly = session = None
-    if config.record_history and cluster.history is not None:
-        strongly = is_strongly_consistent(cluster.history)
-        session = is_session_consistent(cluster.history, observational=True)
-
     return ExperimentResult(
         config=config,
         summary=collector.summary(),
         certified=cluster.certifier.certified_count,
         certification_aborts=cluster.certifier.abort_count,
-        early_aborts=early_aborts,
+        early_aborts=sum(p.early_abort_count for p in cluster.replicas.values()),
         final_commit_version=cluster.commit_version,
-        strongly_consistent=strongly,
-        session_consistent=session,
+        history=cluster.history,
     )

@@ -5,7 +5,6 @@ from .clients import ClientPool
 from .microbench import MicroBenchmark
 from .tpcc import TPCCBenchmark
 from .tpcw import MIXES, MIX_UPDATE_FRACTION, TPCWBenchmark
-from .trace import TraceRecorder, TraceWorkload
 
 __all__ = [
     "ClientPool",
@@ -15,8 +14,6 @@ __all__ = [
     "TPCCBenchmark",
     "TPCWBenchmark",
     "TemplateCatalog",
-    "TraceRecorder",
-    "TraceWorkload",
     "TransactionTemplate",
     "TxnCall",
     "Workload",

@@ -53,7 +53,7 @@ class TestMicroConfig:
         cfg = _micro_config(resolve_policy("session"), 10, quick=False, seed=0)
         workload = cfg.workload_factory()
         assert workload.rows_per_table == 10_000
-        assert cfg.num_replicas == 8
+        assert cfg.cluster.num_replicas == 8
 
 
 @pytest.mark.slow

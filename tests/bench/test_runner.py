@@ -1,52 +1,55 @@
 """Tests for the experiment runner."""
 
-import pytest
+import dataclasses
 
+from repro import ClusterConfig
 from repro.bench import ExperimentConfig, run_experiment
+from repro.histories import is_session_consistent, is_strongly_consistent
 from repro.workloads import MicroBenchmark
 
 
-def config(**overrides):
-    defaults = dict(
+def config(clients=4, measure_ms=400.0, **cluster):
+    settings = dict(level="sc-coarse", num_replicas=2, seed=1, record_history=False)
+    settings.update(cluster)
+    return ExperimentConfig(
         workload_factory=lambda: MicroBenchmark(update_types=20, rows_per_table=50),
-        level="sc-coarse",
-        num_replicas=2,
-        clients=4,
+        cluster=ClusterConfig(**settings),
+        clients=clients,
         warmup_ms=100.0,
-        measure_ms=400.0,
-        seed=1,
+        measure_ms=measure_ms,
     )
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
 
 
-class TestRunReplicated:
-    def test_aggregates_multiple_seeds(self):
-        from repro.bench import run_replicated
+class TestConfigShape:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "workload_factory", "cluster", "clients", "warmup_ms", "measure_ms",
+            "retry_aborts", "label",
+        ]
 
-        result = run_replicated(config(), num_runs=4)
-        assert len(result.runs) == 4
-        seeds = {r.config.seed for r in result.runs}
-        assert len(seeds) == 4
-        assert result.mean_tps > 0
-        assert 0.0 <= result.tps_deviation
+    def test_windows_replace_and_sum(self):
+        """The ledger's fig5-sweep shortens a cell's windows with
+        ``dataclasses.replace`` and reads ``total_ms``."""
+        cfg = dataclasses.replace(config(), warmup_ms=30.0, measure_ms=120.0)
+        assert (cfg.warmup_ms, cfg.measure_ms, cfg.total_ms) == (30.0, 120.0, 150.0)
+        assert cfg.cluster == config().cluster
 
+
+class TestPaperMethodology:
     def test_paper_methodology_deviation_under_5_percent(self):
         """The paper reports deviations below 5 % across its 10 runs; our
         simulated runs are at least that stable on a standard config."""
-        from repro.bench import run_replicated
+        runs = [
+            run_experiment(config(measure_ms=1_500.0, clients=8, num_replicas=3, seed=seed))
+            for seed in range(1_000, 1_005)
+        ]
 
-        result = run_replicated(
-            config(measure_ms=1_500.0, clients=8, num_replicas=3), num_runs=5
-        )
-        assert result.tps_deviation < 0.05
-        assert result.response_deviation < 0.15
+        def deviation(values):
+            mean = sum(values) / len(values)
+            return max(abs(v - mean) / mean for v in values)
 
-    def test_zero_runs_rejected(self):
-        from repro.bench import run_replicated
-
-        with pytest.raises(ValueError):
-            run_replicated(config(), num_runs=0)
+        assert deviation([r.tps for r in runs]) < 0.05
+        assert deviation([r.response_ms for r in runs]) < 0.15
 
 
 class TestPercentiles:
@@ -78,20 +81,18 @@ class TestRunExperiment:
         assert a.summary.committed != b.summary.committed
 
     def test_history_checks_when_recorded(self):
-        result = run_experiment(config(record_history=True))
-        assert result.strongly_consistent is True
-        assert result.session_consistent is True
+        history = run_experiment(config(record_history=True)).history
+        assert is_strongly_consistent(history)
+        assert is_session_consistent(history, observational=True)
 
     def test_history_checks_skipped_by_default(self):
-        result = run_experiment(config())
-        assert result.strongly_consistent is None
+        assert run_experiment(config()).history is None
 
     def test_baseline_fails_strong_check(self):
         result = run_experiment(
-            config(level="baseline", record_history=True,
-                   num_replicas=4, clients=8)
+            config(level="baseline", record_history=True, num_replicas=4, clients=8)
         )
-        assert result.strongly_consistent is False
+        assert not is_strongly_consistent(result.history)
 
     def test_total_ms(self):
         cfg = config()

@@ -16,7 +16,7 @@ def load_census():
     return module
 
 
-def test_table1_reaches_its_experiment_and_not_run_replicated():
+def test_table1_reaches_its_experiment_and_not_fig3():
     census = load_census()
     known = census.functions()
     entered, failed = census.record([census.cli("table1")], log=io.StringIO())
@@ -26,7 +26,7 @@ def test_table1_reaches_its_experiment_and_not_run_replicated():
         (f.path, f.qualname) for f in known.values()
     }
     assert ("src/repro/bench/experiments.py", "table1") not in missed
-    assert ("src/repro/bench/runner.py", "run_replicated") in missed
+    assert ("src/repro/bench/experiments.py", "fig3") in missed
     report = census.report(census.unreached(entered, known), known)
-    assert "run_replicated" in report
+    assert " fig3 (line " in report
     assert report.splitlines()[-1].startswith(f"total: {len(missed)} of {len(known)} functions")
