@@ -76,8 +76,6 @@ class ClusterConfig:
     #: serializable certification: validate readsets at the certifier
     #: (turns GSI into one-copy serializability at the cost of aborts)
     certify_reads: bool = False
-    #: periodic MVCC garbage collection at each replica (None = off)
-    vacuum_interval_ms: Optional[float] = None
     # -- certifier shards (see docs/PROTOCOL.md) --------------------------
     #: number of table-group certifier shards; 1 (the default) is the
     #: paper's single serial certifier — the one-shard case of the pipeline
@@ -136,10 +134,9 @@ class ClusterConfig:
     #: nothing.
     trace_enabled: bool = False
     #: fraction of transactions traced (deterministic hash sampling over
-    #: request ids — no RNG stream is consumed)
+    #: request ids — no RNG stream is consumed); the span buffer's size is
+    #: the tracer's own (``TRACER.configure(capacity=)``)
     trace_sample_rate: float = 1.0
-    #: span ring-buffer capacity (oldest spans dropped beyond it)
-    trace_buffer: int = 65536
 
     def __post_init__(self):
         if self.num_replicas < 1:
@@ -163,8 +160,6 @@ class ClusterConfig:
             raise ValueError("net_reorder_prob must be in [0, 1]")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.trace_buffer < 1:
-            raise ValueError("trace_buffer must be >= 1")
 
     @classmethod
     def self_healing(cls, **overrides) -> "ClusterConfig":
@@ -261,10 +256,7 @@ class ReplicatedDatabase:
             # The tracer is a module-level singleton (like PROFILER): the
             # knob turns it on for this process; callers that interleave
             # traced and untraced clusters disable/reset it themselves.
-            TRACER.configure(
-                sample_rate=config.trace_sample_rate,
-                capacity=config.trace_buffer,
-            )
+            TRACER.configure(sample_rate=config.trace_sample_rate)
             TRACER.enable()
         if TRACER.enabled:
             # Request ids and commit versions restart per cluster: give
@@ -423,8 +415,10 @@ class ReplicatedDatabase:
 
     def _empty_database(self, name: str) -> Database:
         """A database holding the workload's tables and no rows.  Digests
-        are maintained only when a scrubber will ask for them."""
-        database = Database(name, maintain_digests=self.config.scrub_settings is not None)
+        are maintained only when a light scrubber will ask for them (a deep
+        scrub rescans every row instead)."""
+        scrub = self.config.scrub_settings
+        database = Database(name, maintain_digests=scrub is not None and not scrub.deep)
         for schema in self.workload.schemas():
             database.create_table(schema)
         return database
@@ -442,7 +436,6 @@ class ReplicatedDatabase:
             templates=self.templates,
             early_certification=config.early_certification,
             certify_reads=config.certify_reads,
-            vacuum_interval_ms=config.vacuum_interval_ms,
             heartbeat=config.heartbeat,
             standby_name="certifier-standby" if config.standby_certifier else None,
             certify_timeout_ms=config.certify_timeout_ms,

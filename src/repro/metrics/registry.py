@@ -19,7 +19,7 @@ See ``docs/OBSERVABILITY.md`` for the full metric-name catalog.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = ["MetricsRegistry", "latest_registry"]
 
@@ -41,17 +41,10 @@ class MetricsRegistry:
             raise ValueError(f"provider name must not contain '.': {name!r}")
         self._providers[name] = provider
 
-    def providers(self) -> List[str]:
-        return sorted(self._providers)
-
     # -- reading -----------------------------------------------------------
     def tree(self, name: str):
         """One provider's snapshot."""
         return self._providers[name]()
-
-    def snapshot(self) -> dict:
-        """All providers' trees keyed by provider name."""
-        return {name: self.tree(name) for name in sorted(self._providers)}
 
     def collect(self) -> dict:
         """The flat view: ``{dotted.metric.name: value}`` across every
@@ -62,9 +55,6 @@ class MetricsRegistry:
             if tree is not None:
                 _flatten(tree, name, flat)
         return flat
-
-    def names(self) -> List[str]:
-        return sorted(self.collect())
 
     def get(self, dotted: str):
         """Resolve one dotted metric name (raises ``KeyError`` if absent)."""

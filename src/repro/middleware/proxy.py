@@ -82,7 +82,6 @@ class ReplicaProxy:
         balancer_name: str = "lb",
         early_certification: bool = True,
         certify_reads: bool = False,
-        vacuum_interval_ms: Optional[float] = None,
         heartbeat: Optional[HeartbeatSettings] = None,
         standby_name: Optional[str] = None,
         certify_timeout_ms: Optional[float] = None,
@@ -193,13 +192,6 @@ class ReplicaProxy:
             )
 
         self._applier = env.process(self._apply_refreshes(), name=f"{name}-applier")
-        self.vacuumed_versions = 0
-        if vacuum_interval_ms is not None:
-            if vacuum_interval_ms <= 0:
-                raise ValueError("vacuum_interval_ms must be positive")
-            self._vacuum = env.process(
-                self._vacuum_loop(vacuum_interval_ms), name=f"{name}-vacuum"
-            )
 
     # -- convenience --------------------------------------------------------
     @property
@@ -679,20 +671,6 @@ class ReplicaProxy:
             self.network.send(
                 self.name, self.certifier_name, CommitApplied(self.name, commit_version)
             )
-
-    def _vacuum_loop(self, interval_ms: float):
-        """Periodically trim row versions no local snapshot can still read.
-
-        The safe horizon is the oldest active local snapshot (or the current
-        version when idle); vacuuming below it preserves every visible read.
-        """
-        while True:
-            yield self.env.timeout(interval_ms)
-            if self.crashed:
-                continue
-            oldest = self.engine.oldest_active_snapshot()
-            horizon = self.engine.version if oldest is None else oldest
-            self.vacuumed_versions += self.engine.database.vacuum(horizon)
 
     # -- early certification -------------------------------------------------
     def early_certification_conflict(

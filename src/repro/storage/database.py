@@ -340,16 +340,6 @@ class Database:
             self._digests[table] = digest
         return changed
 
-    # -- maintenance ---------------------------------------------------------
-    def vacuum(self, horizon_version: Optional[int] = None) -> int:
-        """Trim row versions below the horizon.
-
-        With no horizon, trims to the current version (only the latest row
-        images survive).  Returns the number of row versions removed.
-        """
-        horizon = self._version if horizon_version is None else horizon_version
-        return sum(table.vacuum(horizon) for table in self._tables.values())
-
     def __repr__(self) -> str:
         return (
             f"<Database {self.name!r} v{self._version} "

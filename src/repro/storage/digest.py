@@ -8,9 +8,7 @@ row, keyed by ``(table, key, row-content)``.  XOR makes the digest
   only the new image is ever hashed);
 * **order-independent** — two replicas that applied the same set of commits
   hold the same digest even if they installed independent commits in
-  different interleavings;
-* **vacuum-invariant** — vacuum only trims superseded history, never the
-  newest visible image, so the digest is untouched by garbage collection.
+  different interleavings.
 
 Two digests exist per table: the cheap incremental one maintained on the
 apply path, and :meth:`~repro.storage.database.Database.recompute_digests`,

@@ -71,18 +71,12 @@ class StorageEngine:
         these when a refresh writeset arrives)."""
         return tuple(self._active.values())
 
-    def oldest_active_snapshot(self) -> Optional[int]:
-        """Oldest snapshot among active transactions (vacuum horizon)."""
-        if not self._active:
-            return None
-        return min(txn.snapshot_version for txn in self._active.values())
-
     # -- reads --------------------------------------------------------------
     def read(self, txn: Transaction, table: str, key: Any) -> Optional[Mapping[str, Any]]:
         """Row visible to ``txn`` (its own writes first), or None.
 
-        The buffered-read probe is inlined (one dict lookup): this is the
-        single hottest storage entry point.
+        The read-your-own-writes probe is one dict lookup written out
+        here: this is the single hottest storage entry point.
         """
         txn._require_active()
         op = txn._writes.get((table, key))

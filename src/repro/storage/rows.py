@@ -11,8 +11,9 @@ A version is immutable once a table has published it, which is what lets
 one object serve the whole cluster: every replica installs the same
 after-images in the same order, so their chains *are* the same nodes (see
 ``VersionedTable.apply_op``).  Nothing here ever edits a node — a commit
-puts a new head in front, and :func:`vacuumed` rebuilds the kept prefix
-instead of cutting a node other tables may still reach.
+puts a new head in front.  Nothing trims a chain either: every certified
+op in the certifier's decision log keeps its node reachable, so there is
+no history a garbage collector could free (DESIGN.md D26).
 
 The functions below take a chain by its head (``None`` = empty chain).
 """
@@ -79,28 +80,3 @@ def visible_at(head: Optional[RowVersion], snapshot_version: int) -> Optional[Ro
     while head is not None and head.commit_version > snapshot_version:
         head = head.prev
     return None if head is None or head.deleted else head
-
-
-def vacuumed(head: Optional[RowVersion], horizon_version: int) -> tuple:
-    """``(head, removed)`` after dropping versions superseded before
-    ``horizon_version``.
-
-    Keeps the newest version at-or-below the horizon (still readable by a
-    snapshot at the horizon) plus everything newer.  Published nodes are
-    never cut: when something is removed the kept prefix is rebuilt as
-    private nodes over the same row images; when nothing is, the chain
-    comes back as it was.
-    """
-    kept = []
-    node = head
-    while node is not None and node.commit_version > horizon_version:
-        kept.append(node)
-        node = node.prev
-    if node is None or node.prev is None:
-        return head, 0
-    kept.append(node)
-    removed = sum(1 for _ in versions(node.prev))
-    head = None
-    for node in reversed(kept):
-        head = RowVersion(node.commit_version, node.values, node.deleted, head)
-    return head, removed

@@ -1,10 +1,10 @@
 """Versioned table: primary index of version chains plus secondary indexes.
 
-A :class:`VersionedTable` stores every committed version of every row (until
-vacuumed) and answers snapshot reads and scans.  Secondary indexes map a
-column value to the set of keys that *ever* held that value; lookups filter
-candidates through snapshot visibility, so index reads are as consistent as
-primary reads.
+A :class:`VersionedTable` stores every committed version of every row and
+answers snapshot reads and scans.  Secondary indexes map a column value to
+the set of keys that *ever* held that value; lookups filter candidates
+through snapshot visibility, so index reads are as consistent as primary
+reads.
 
 The primary index maps each key to the *newest* :class:`RowVersion`; older
 versions hang off it through ``prev`` (``storage.rows``).  Versions are
@@ -13,8 +13,8 @@ immutable once installed, so tables share them freely: a
 sets until its first write, and the replicas of a cluster, which install
 the same certified ops in the same order, end up holding one node per
 committed row write between them (:meth:`VersionedTable.apply_op`).  A
-table that diverges — peer resync, vacuum, injected corruption — gets
-private nodes from then on; nothing it does can reach a sibling.
+table that diverges — peer resync, injected corruption — gets private
+nodes from then on; nothing it does can reach a sibling.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import logging
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .errors import SchemaError
-from .rows import RowVersion, vacuumed, versions, visible_at
+from .rows import RowVersion, versions, visible_at
 from .schema import TableSchema
 from .writeset import OpKind, WriteOp
 
@@ -350,26 +350,6 @@ class VersionedTable:
                     if not version.deleted:
                         self._index_row(key, version.values)
         return changed
-
-    # -- maintenance ---------------------------------------------------------
-    def vacuum(self, horizon_version: int) -> int:
-        """Trim version chains below the snapshot horizon; returns versions
-        removed.  A trimmed chain is this table's own from then on (see
-        :func:`~repro.storage.rows.vacuumed`); a vacuum that trims nothing
-        leaves a shared map shared."""
-        total = 0
-        for key, head in self._chains.items():
-            trimmed, removed = vacuumed(head, horizon_version)
-            if removed:
-                if self._shared:
-                    self._own()  # the loop goes on over the old map
-                self._chains[key] = trimmed  # existing key: safe while iterating
-                total += removed
-        return total
-
-    def version_count(self) -> int:
-        """Total stored versions across all chains (storage footprint)."""
-        return sum(1 for head in self._chains.values() for _ in versions(head))
 
     def __len__(self) -> int:
         """Number of keys ever written (including tombstoned)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from .errors import TransactionStateError
 from .writeset import OpKind, WriteOp, WriteSet
@@ -98,20 +98,6 @@ class Transaction:
                 )
         else:  # previous UPDATE
             self._writes[slot] = op
-
-    def buffered_read(self, table: str, key: Any) -> tuple[bool, Optional[Mapping[str, Any]]]:
-        """Read-your-own-writes lookup.
-
-        Returns ``(hit, values)``: ``hit`` is True when the transaction has
-        a buffered op for the row, in which case ``values`` is the buffered
-        image (None for a buffered delete).
-        """
-        op = self._writes.get((table, key))
-        if op is None:
-            return False, None
-        if op.kind is OpKind.DELETE:
-            return True, None
-        return True, op.values
 
     def note_read(self, table: str, key: Any) -> None:
         """Record a row read (for histories and analysis)."""

@@ -245,7 +245,7 @@ class TestPresetCensus:
 
     def test_config_field_count(self):
         """Subsystem knobs are their settings objects, not flat fields."""
-        assert len(dataclasses.fields(ClusterConfig)) == 30
+        assert len(dataclasses.fields(ClusterConfig)) == 28
 
     def test_overload_settings_field_count(self):
         """Admission control keeps the four knobs its callers set."""

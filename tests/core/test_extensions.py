@@ -1,5 +1,5 @@
 """Tests for the optional extensions: relaxed currency, serializable
-certification, load spreading and the vacuum daemon."""
+certification and load spreading."""
 
 import pytest
 
@@ -134,40 +134,6 @@ class TestRoutingPolicies:
         cluster.add_clients(8, MetricsCollector())
         cluster.run(600.0)
         assert all(proxy.executed_count > 0 for proxy in cluster.replicas.values())
-
-
-class TestVacuumDaemon:
-    def test_vacuum_reclaims_versions_under_load(self):
-        cluster = build(vacuum_interval_ms=200.0)
-        collector = MetricsCollector()
-        cluster.add_clients(8, collector)
-        cluster.run(2_000.0)
-        total = sum(p.vacuumed_versions for p in cluster.replicas.values())
-        assert total > 0
-        # Version count stays close to the live row count.
-        proxy = cluster.replica(0)
-        live_rows = sum(
-            len(proxy.engine.database.table(t))
-            for t in proxy.engine.database.table_names
-        )
-        stored = sum(
-            proxy.engine.database.table(t).version_count()
-            for t in proxy.engine.database.table_names
-        )
-        assert stored < live_rows * 2
-
-    def test_vacuum_preserves_reads(self):
-        cluster = build(vacuum_interval_ms=50.0)
-        session = cluster.open_session("s")
-        for key in range(1, 30):
-            session.execute("micro-update-0", {"key": key % 10 + 1})
-        cluster.run(cluster.env.now + 500.0)
-        row = session.result("micro-read-20", {"key": 5})
-        assert row is not None
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            build(vacuum_interval_ms=0.0)
 
 
 class TestResourceUtilization:

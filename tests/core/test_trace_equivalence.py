@@ -71,8 +71,14 @@ class TestFingerprintNeutrality:
         assert fingerprint(cluster, collector) == baseline
 
     def test_trace_buffer_overflow_is_also_neutral(self):
-        cluster, collector = _run_small(trace_enabled=True, trace_buffer=64)
-        assert fingerprint(cluster, collector) == _baseline_small_fingerprint()
+        baseline = _baseline_small_fingerprint()
+        capacity = TRACER.capacity
+        TRACER.configure(capacity=64)
+        try:
+            cluster, collector = _run_small(trace_enabled=True)
+        finally:
+            TRACER.configure(capacity=capacity)
+        assert fingerprint(cluster, collector) == baseline
         assert len(TRACER) <= 64
         assert TRACER.dropped > 0
 

@@ -47,8 +47,9 @@ class TestCorruptionInjector:
 
     def test_corruption_stays_on_the_targeted_replica(self):
         """Replicas share the version-0 row images; bit rot and a doubled
-        refresh on one of them must not show on the others."""
-        cluster = build()
+        refresh on one of them must not show on the others.  Light scrubs:
+        the incremental digests are what a doubled refresh leaves behind."""
+        cluster = build(scrub_deep=False)
         injector = FaultInjector(cluster)
         databases = {
             name: proxy.engine.database for name, proxy in cluster.replicas.items()

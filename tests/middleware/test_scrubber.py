@@ -80,6 +80,20 @@ class TestCleanRuns:
             for d in databases
         )
 
+    def test_deep_scrubs_queue_no_digest_ops(self):
+        """A deep scrub rescans every row, so nothing reads the incremental
+        digests and the apply path queues no fold for them."""
+        cluster = scrub_cluster()
+        cluster.add_clients(6, retry_aborts=True)
+        cluster.run(600.0)
+        cluster.quiesce()
+        assert cluster.commit_version > 50
+        assert cluster.scrubber.stats()["rounds"] >= 2
+        for proxy in cluster.replicas.values():
+            database = proxy.engine.database
+            assert not any(database._pending_digest_ops.values())
+            assert not database.maintain_digests
+
     def test_light_digests_equal_the_oracle_with_a_scrubber(self):
         cluster = scrub_cluster(scrub_deep=False)
         cluster.add_clients(6, retry_aborts=True)

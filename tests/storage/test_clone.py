@@ -10,11 +10,11 @@ row write between them.  Four contracts keep that invisible:
 * **sharing** — copies in the same state install the same node; a copy in
   any other state (other commit version, other head) builds its own;
 * **isolation** — whatever one copy does (commit, delete, peer resync,
-  vacuum, bit rot), at whatever lag behind the others, leaves the seed and
-  every sibling unchanged, at every snapshot version;
+  bit rot), at whatever lag behind the others, leaves the seed and every
+  sibling unchanged, at every snapshot version;
 * **ownership** — a clone shares even the key → head map and the index
-  sets until its own first write (commit, load, bit rot, resync, a vacuum
-  that trims), so a clone that never writes keeps holding the seed's.
+  sets until its own first write (commit, load, bit rot, resync), so a
+  clone that never writes keeps holding the seed's.
 """
 
 from bisect import bisect_right
@@ -192,8 +192,7 @@ def test_image_is_not_reused_at_another_commit_version():
 @pytest.mark.parametrize("diverge", [
     lambda db: corrupt_row_in_place(db, "a", 1),
     lambda db: db.resync_table("a", [(1, {"id": 1, "v": 11}, 1, False)], 1),
-    lambda db: db.vacuum(),
-], ids=["corrupt", "resync", "vacuum"])
+], ids=["corrupt", "resync"])
 @pytest.mark.parametrize("diverged_first", [False, True])
 def test_image_is_not_reused_on_another_head(diverge, diverged_first):
     seed = make_db()
@@ -219,28 +218,6 @@ def test_image_is_not_reused_on_another_head(diverge, diverged_first):
     ]
     if not diverged_first:
         assert healthy.table("a").latest(1) is late.table("a").latest(1)
-
-
-def test_vacuum_on_one_copy_leaves_old_snapshots_readable_on_a_sibling():
-    seed = make_db()
-    seed.load_row("a", {"id": 1, "v": 0})
-    left, right = seed.clone("left"), seed.clone("right")
-    for version in range(1, 6):
-        write = ws(upd("a", 1, version))
-        left.apply_writeset(write, version)
-        right.apply_writeset(write, version)
-    assert left.table("a").version_count() == right.table("a").version_count() == 6
-    assert left.vacuum(4) == 4  # versions 0..3 go, 4 and 5 stay
-    assert left.table("a").version_count() == 2
-    assert left.table("a").read(1, 4) == {"id": 1, "v": 4}
-    assert left.table("a").read(1, 3) is None
-    assert right.table("a").version_count() == 6
-    for snapshot in range(6):
-        assert right.table("a").read(1, snapshot) == {"id": 1, "v": snapshot}
-    assert seed.table("a").version_count() == 1
-    # Nothing to trim: the chain stays the shared one.
-    assert right.vacuum(0) == 0
-    assert right.table("a").latest(1).prev is not left.table("a").latest(1).prev
 
 
 # -- (c) isolation under random, lagging op interleavings ---------------------
@@ -308,13 +285,6 @@ class Reference:
             for image in images if image is not None
         }
 
-    def vacuum(self):
-        for chains in self.chains.values():
-            for commit_versions, images in chains.values():
-                stale = bisect_right(commit_versions, self.version) - 1
-                if stale > 0:
-                    del commit_versions[:stale], images[:stale]
-
     def corrupt(self, table, key):
         chain = self.chains[table].get(key)
         if chain is not None and chain[1][-1] is not None:
@@ -341,7 +311,6 @@ def assert_matches(db, ref, every_snapshot):
     for name in TABLES:
         table, chains = db.table(name), ref.chains[name]
         assert list(table._ordered_keys()) == sorted(chains)
-        assert table.version_count() == sum(len(cvs) for cvs, _ in chains.values())
         for key in chains:
             assert history(table.latest(key)) == ref.history(name, key)
         if not every_snapshot:
@@ -380,7 +349,6 @@ clone_op = st.one_of(
                                  st.booleans()),
                        max_size=4, unique_by=lambda e: e[0]),
               st.integers(0, 2)),  # how far behind the peer's capture is
-    st.tuples(st.just("vacuum")),
     st.tuples(st.just("corrupt"), st.sampled_from(TABLES),
               st.sampled_from(KEYS)),
 )
@@ -424,9 +392,6 @@ def mutate(db, ref, op, log, tip):
         ]
         db.resync_table(table, entries, synced_version=synced)
         ref.resync(table, entries, synced)
-    elif op[0] == "vacuum":
-        db.vacuum()
-        ref.vacuum()
     elif op[0] == "corrupt":
         _tag, table, key = op
         corrupt_row_in_place(db, table, key)
@@ -485,7 +450,6 @@ def test_clones_that_never_write_keep_sharing_the_seed_maps(ops):
     pristine = image(seed)
     clones = [seed.clone(f"clone-{i}") for i in range(4)]
     writers, idle = clones[:2], clones[2:]
-    assert writers[0].vacuum() == 0  # trims nothing: takes no copy
     log, tip = [], {(table, key) for table in TABLES for key in range(1, 5)}
     for target, op in ops:
         writer, ref = writers[target], refs[target]
@@ -527,7 +491,6 @@ def test_each_write_path_takes_ownership_once(maintain_digests):
     load_seed(seed, [])
     for name, write in writes.items():
         db, sibling = seed.clone(name), seed.clone("sibling")
-        assert db.vacuum() == 0
         assert db.table("a")._chains is seed.table("a")._chains, name
         write(db)
         owned = db.table("a")._chains
@@ -537,20 +500,3 @@ def test_each_write_path_takes_ownership_once(maintain_digests):
         assert image(sibling)["a"] == image(seed)["a"], name
         db.apply_writeset(ws(ins("a", 10, 100)), db.version + 1)
         assert db.table("a")._chains is owned, name  # one copy, not one per write
-
-
-def test_a_vacuum_takes_ownership_only_when_it_trims():
-    # A database clones at version 0, where no chain has history to trim;
-    # a table can clone later, with history shared.
-    table = make_indexed_db().table("a")
-    for version, value in enumerate((10, 11, 12)):
-        op = upd("a", 1, value) if version else ins("a", 1, value)
-        table.apply_op(op, version)
-    twin, sibling = table.clone(), table.clone()
-    assert twin.vacuum(0) == 0 and twin._chains is table._chains
-    assert twin.vacuum(2) == 2
-    assert twin._chains is not table._chains
-    assert twin.read(1, 1) is None and twin.read(1, 2) == {"id": 1, "v": 12}
-    for snapshot, value in enumerate((10, 11, 12)):
-        assert sibling.read(1, snapshot) == table.read(1, snapshot) == {"id": 1, "v": value}
-    assert sibling._chains is table._chains and table.version_count() == 3

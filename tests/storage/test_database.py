@@ -129,16 +129,6 @@ class TestGapTolerantApply:
             db.apply_writeset(writeset(1, 10, OpKind.INSERT), 2)
 
 
-class TestWritesetHistory:
-    def test_vacuum_trims_history_and_versions(self, db):
-        db.apply_writeset(writeset(1, 10, OpKind.INSERT), 1)
-        db.apply_writeset(writeset(1, 11), 2)
-        db.apply_writeset(writeset(1, 12), 3)
-        removed = db.vacuum()
-        assert removed == 2
-        assert db.table("t").read(1, 3)["v"] == 12
-
-
 class TestBulkLoad:
     def test_load_row_at_version_zero(self, db):
         db.load_row("t", {"id": 1, "v": 10})

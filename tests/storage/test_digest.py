@@ -1,8 +1,8 @@
 """Tests for the incremental per-table state digests (anti-entropy layer).
 
 The core contract: the incrementally maintained digest equals the digest a
-full rescan computes, after *any* interleaving of writeset applies, bulk
-loads and vacuums — including out-of-order partitioned applies
+full rescan computes, after *any* interleaving of writeset applies and bulk
+loads — including out-of-order partitioned applies
 (``apply_writeset(..., after=…)``).  Divergence from that contract is exactly what the
 scrubber exists to detect, so the oracle must be airtight.
 """
@@ -80,16 +80,6 @@ class TestIncrementalDigest:
         db.apply_writeset(ws(ins("a", 1, 10)), 3)
         assert db.digest("a") == before
         assert db.recompute_digests() == db.digests()
-
-    def test_vacuum_does_not_change_digests(self):
-        db = make_db()
-        for version in range(1, 20):
-            db.apply_writeset(ws(upd("a", 1, version) if version > 1
-                                 else ins("a", 1, version)), version)
-        before = db.digests()
-        assert db.vacuum() > 0
-        assert db.digests() == before
-        assert db.recompute_digests() == before
 
     def test_order_independence_across_partitions(self):
         """Two copies applying the same writesets in different per-partition
@@ -209,7 +199,6 @@ operations = st.lists(
                   st.integers(1, 6), st.integers(0, 99), st.booleans()),
         st.tuples(st.just("load"), st.sampled_from(["a", "b"]),
                   st.integers(1, 6), st.integers(0, 99)),
-        st.tuples(st.just("vacuum")),
     ),
     min_size=1, max_size=40,
 )
@@ -218,7 +207,7 @@ operations = st.lists(
 @settings(max_examples=60)
 @given(operations)
 def test_incremental_digest_equals_recompute_under_random_interleavings(ops):
-    """After any interleaving of applies, bulk loads and vacuums, the
+    """After any interleaving of applies and bulk loads, the
     incrementally maintained digests equal a fresh full-scan recomputation."""
     db = make_db()
     version = 0
@@ -240,8 +229,6 @@ def test_incremental_digest_equals_recompute_under_random_interleavings(ops):
             else:
                 kind = upd if db.table(table).read(key, version - 1) else ins
                 db.apply_writeset(ws(kind(table, key, value)), version)
-        elif op[0] == "vacuum":
-            db.vacuum()
     assert db.recompute_digests() == db.digests()
 
 

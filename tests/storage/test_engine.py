@@ -44,15 +44,6 @@ class TestBegin:
         engine.abort(t1)
         assert set(engine.active_transactions) == {t2}
 
-    def test_oldest_active_snapshot(self, engine):
-        assert engine.oldest_active_snapshot() is None
-        seed_row(engine)
-        t1 = engine.begin(snapshot_version=0)
-        engine.begin(snapshot_version=1)
-        assert engine.oldest_active_snapshot() == 0
-        engine.abort(t1)
-        assert engine.oldest_active_snapshot() == 1
-
 
 class TestSnapshotReads:
     def test_transaction_does_not_see_later_commits(self, engine):

@@ -15,7 +15,7 @@ from repro.storage import (
     WriteOp,
     WriteSet,
 )
-from repro.storage.rows import vacuumed, visible_at
+from repro.storage.rows import visible_at
 
 keys = st.integers(min_value=1, max_value=8)
 values = st.integers(min_value=0, max_value=1000)
@@ -46,27 +46,6 @@ class TestVersionChainProperties:
                 expected = None if deleted else value
         visible = visible_at(head, snapshot)
         assert (visible.values["v"] if visible else None) == expected
-
-    @given(
-        st.lists(values, min_size=1, max_size=15),
-        st.integers(min_value=0, max_value=20),
-    )
-    def test_vacuum_preserves_visibility_at_and_after_horizon(self, vals, horizon):
-        head = None
-        for offset, value in enumerate(vals):
-            head = RowVersion(offset + 1, {"v": value}, prev=head)
-        everything = {snap: visible_at(head, snap) for snap in range(len(vals) + 2)}
-        trimmed, removed = vacuumed(head, horizon)
-        assert removed == max(0, min(horizon, len(vals)) - 1)
-        for snap, expected in everything.items():
-            # The chain the vacuum was cut from still answers every snapshot
-            # with the same node; the trimmed one answers from the horizon on.
-            assert visible_at(head, snap) is expected
-            if snap >= horizon:
-                got = visible_at(trimmed, snap)
-                assert (got.values if got else None) == (
-                    expected.values if expected else None
-                )
 
 
 class TestWriteSetProperties:

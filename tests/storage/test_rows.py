@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage import OpKind, RowVersion, WriteOp
-from repro.storage.rows import vacuumed, versions, visible_at
+from repro.storage.rows import versions, visible_at
 
 
 def chain(*entries):
@@ -79,34 +79,11 @@ class TestVersionChain:
         assert visible_at(head, 0).values["v"] == 1
         assert visible_at(head, 10).values["v"] == 1
 
-    def test_vacuum_keeps_horizon_version(self):
-        head = chain(*((version, {"v": version}) for version in (1, 3, 5, 7)))
-        trimmed, removed = vacuumed(head, 5)
-        assert removed == 2  # versions 1 and 3
-        assert visible_at(trimmed, 5).values["v"] == 5
-        assert visible_at(trimmed, 7).values["v"] == 7
-        assert visible_at(trimmed, 4) is None
-
-    def test_vacuum_below_first_version_is_noop(self):
-        head = chain((5, {"v": 5}))
-        assert vacuumed(head, 3) == (head, 0)
-        assert vacuumed(head, 5) == (head, 0)
-
-    def test_vacuum_empty_chain(self):
-        assert vacuumed(None, 10) == (None, 0)
-
 
 class TestFrozenChain:
     """An installed version is shared by every table that installed it, so
-    nothing may edit one: a commit puts a new head in front of it and a
-    vacuum that trims rebuilds what it keeps.  Whoever still holds the old
-    head keeps reading exactly what it read before."""
-
-    def test_reads_and_noop_vacuum_still_work(self):
-        head = chain((0, {"v": 0}))
-        assert visible_at(head, 5).values == {"v": 0}
-        trimmed, removed = vacuumed(head, 5)  # one version: nothing to trim
-        assert removed == 0 and trimmed is head  # ... and still shared
+    nothing may edit one: a commit puts a new head in front of it.  Whoever
+    still holds the old head keeps reading exactly what it read before."""
 
     def test_append_leaves_the_shared_head_untouched(self):
         shared = chain((0, {"v": 0}))
@@ -116,17 +93,3 @@ class TestFrozenChain:
         assert history(left) == [(0, {"v": 0}), (1, {"v": 1})]
         assert history(right) == [(0, {"v": 0}), (2, {"v": 2})]
         assert left.prev is right.prev is shared
-
-    def test_copy_is_private_and_shares_the_versions(self):
-        """A trimming vacuum returns a private copy of the kept prefix over
-        the same row images; the chain it was cut from is as it was."""
-        head = chain((1, {"v": 1}), (2, {"v": 2}), (3, {"v": 3}))
-        before = history(head)
-        trimmed, removed = vacuumed(head, 2)
-        assert removed == 1
-        assert history(head) == before
-        assert history(trimmed) == before[1:]
-        assert all(
-            new is not old and new.values is old.values
-            for new, old in zip(versions(trimmed), versions(head))
-        )

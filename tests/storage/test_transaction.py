@@ -70,24 +70,6 @@ class TestLifecycle:
 
 
 class TestBuffering:
-    def test_buffered_write_visible_to_read(self):
-        txn = Transaction(0)
-        txn.buffer_write(ins(1, v=10))
-        hit, values = txn.buffered_read("t", 1)
-        assert hit and values["v"] == 10
-
-    def test_unbuffered_read_misses(self):
-        txn = Transaction(0)
-        hit, values = txn.buffered_read("t", 1)
-        assert not hit and values is None
-
-    def test_buffered_delete_reads_as_gone(self):
-        txn = Transaction(0)
-        txn.buffer_write(upd(1, v=1))
-        txn.buffer_write(dele(1))
-        hit, values = txn.buffered_read("t", 1)
-        assert hit and values is None
-
     def test_writeset_has_one_op_per_row(self):
         txn = Transaction(0)
         txn.buffer_write(upd(1, v=1))

@@ -1,5 +1,5 @@
-"""Cross-cutting integration tests: durability file sink, vacuum under
-faults, stats during recovery, determinism of whole loaded runs."""
+"""Cross-cutting integration tests: durability file sink, stats during
+recovery, determinism of whole loaded runs."""
 
 import random
 
@@ -147,24 +147,6 @@ class TestDurableLogFile:
             v_commit = decisions[0][1] or v_commit
         assert outcomes == {True, False}  # the probes commit *and* conflict
         assert DecisionLog.load(path).last_version == live.commit_version > 60
-
-
-class TestVacuumWithFaults:
-    def test_recovery_works_even_after_vacuum_elsewhere(self):
-        """Vacuum trims replica-local MVCC history, but recovery replays
-        from the certifier's log, so a crashed replica still catches up."""
-        cluster = build(vacuum_interval_ms=100.0)
-        collector = MetricsCollector()
-        cluster.add_clients(8, collector)
-        injector = FaultInjector(cluster)
-        cluster.run(400.0)
-        injector.crash_replica("replica-2")
-        cluster.run(1_200.0)
-        assert sum(p.vacuumed_versions for p in cluster.replicas.values()) > 0
-        injector.recover_replica("replica-2")
-        cluster.run(2_600.0)
-        lag = cluster.commit_version - cluster.replica("replica-2").v_local
-        assert lag < cluster.commit_version * 0.2
 
 
 class TestStatsUnderFaults:
