@@ -59,7 +59,6 @@ CLI_COMMANDS = [
 #: the benches CI runs with ``--smoke``
 SMOKE_BENCHES = [
     "bench_certifier_scaling.py",
-    "bench_saturation.py",
     "bench_scrub.py",
     "bench_partitioned_certifier.py",
     "bench_hotpath.py",

@@ -2,8 +2,6 @@
 
 from .experiments import (
     LEVELS,
-    AvailabilityMeasurement,
-    AvailabilityResult,
     BreakdownResult,
     SeriesResult,
     availability,
@@ -23,8 +21,6 @@ from .runner import (
 
 __all__ = [
     "LEVELS",
-    "AvailabilityMeasurement",
-    "AvailabilityResult",
     "availability",
     "BreakdownResult",
     "ExperimentConfig",

@@ -22,6 +22,10 @@ __all__ = ["Claim", "Figure", "Verdict", "CLAIMS", "FIGURES", "judge", "evaluate
 EAGER, SESSION, COARSE, FINE = "EAGER", "SESSION", "SC-COARSE", "SC-FINE"
 LAZY = (SESSION, COARSE, FINE)
 MIXES = ("shopping", "ordering")
+#: a flat p99 past the knee: bounded by queueing inside the MPL cap and the
+#: admission queue (tens of ms against an uncongested ~4.5 ms), never by the
+#: offered load
+P99_FLAT_FACTOR = 25
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
 
@@ -59,7 +63,8 @@ FIGURES: dict[str, Figure] = {figure.name: figure for figure in (
     Figure("fig7"), Figure("ablation_tableset", "{:.3f}"),
     Figure("ablation_early_certification", "{:.1f}", seed=2),
     Figure("ablation_replica_speed", "{:.2f}"), Figure("relaxed_currency", "{:.2f}", seed=1),
-    Figure("tpcc_contention", "{:.1f}"),
+    Figure("tpcc_contention", "{:.1f}"), Figure("availability", "{:.1f}"),
+    Figure("saturation", "{:.3f}"), Figure("retry_storm", "{:.2f}"),
 )}
 
 
@@ -114,6 +119,11 @@ def _fig5(r, mix: str, label: str, at: int = 8, metric: str = "throughput") -> f
 
 def _ordering_scaling(r, label: str) -> float:
     return _fig5(r, "ordering", label) / _fig5(r, "ordering", label, at=1)
+
+
+def _knee(r, curve: str, arm: str, high: bool) -> float:
+    """A saturation curve's value below (first load) or past (last) the knee."""
+    return r[curve].series[arm][-1 if high else 0]
 
 
 def _widths(r) -> list:
@@ -265,6 +275,56 @@ CLAIMS: tuple[Claim, ...] = (
          lambda r: [("EAGER", r.value("TPS", EAGER), "<", 0.85 * r.value("TPS", SESSION))]),
         ("tpcc-aborts-everywhere", "The hot district row aborts under every configuration.",
          lambda r: [(c, r.value("aborts", c), ">", 0) for c in r.x_values]),
+    ),
+    *_claims(
+        "availability",
+        ("availability-detected", "Heartbeats detect the crashed replica within 200 ms.",
+         lambda r: [(f"detect@{c}", r.value("detect (ms)", c), op, bound)
+                    for c in r.x_values for op, bound in ((">", 0.0), ("<=", 200.0))]),
+        ("availability-dip-measured", "Every configuration commits before the crash, and its "
+         "dip depth is a share of that baseline.",
+         lambda r: [(c, r.value("baseline tps", c), ">", 0) for c in r.x_values]
+         + [(f"depth@{c}", r.value("dip depth (%)", c), op, bound)
+            for c in r.x_values for op, bound in ((">=", 0.0), ("<=", 100.0))]),
+        ("availability-eager-dips-deeper", "EAGER stalls updates on the dead replica, so its "
+         "throughput dips deeper than SC-FINE's.",
+         lambda r: [("EAGER", r.value("dip depth (%)", EAGER), ">",
+                     r.value("dip depth (%)", FINE))]),
+    ),
+    *_claims(
+        "saturation",
+        ("saturation-no-shed-below-knee", "Below the knee the protected arm sheds nothing.",
+         lambda r: [("shed", _knee(r, "shed", "protected", False), "==", 0.0)]),
+        ("saturation-unprotected-p99-diverges", "Past the knee the unprotected p99 is over 5x "
+         "the protected one.",
+         lambda r: [("unprotected", _knee(r, "p99", "unprotected", True), ">",
+                     5 * _knee(r, "p99", "protected", True))]),
+        ("saturation-protected-p99-flat", "Past the knee the protected p99 stays below 25x its "
+         "uncongested value.",
+         lambda r: [("protected", _knee(r, "p99", "protected", True), "<",
+                     P99_FLAT_FACTOR * _knee(r, "p99", "protected", False))]),
+        ("saturation-protected-sheds", "Past the knee the protected arm sheds over 5 % of the "
+         "offered load.",
+         lambda r: [("shed", _knee(r, "shed", "protected", True), ">", 0.05)]),
+        ("saturation-goodput-kept", "Past the knee the protected goodput is over 0.7x the "
+         "unprotected one.",
+         lambda r: [("protected", _knee(r, "goodput", "protected", True), ">",
+                     0.7 * _knee(r, "goodput", "unprotected", True))]),
+    ),
+    *_claims(
+        "retry_storm",
+        ("storm-sustains-without-budget", "Without a retry budget the storm outlives the "
+         "spike: tail goodput stays below half the baseline.",
+         lambda r: [("budget-off", r.value("tail tps", "budget-off"), "<",
+                     0.5 * r.value("baseline tps", "budget-off"))]),
+        ("storm-budget-recovers", "With a retry budget tail goodput returns to half the "
+         "baseline.",
+         lambda r: [("baseline", r.value("baseline tps", "budget-on"), ">", 0),
+                    ("budget-on", r.value("tail tps", "budget-on"), ">=",
+                     0.5 * r.value("baseline tps", "budget-on"))]),
+        ("storm-only-budget-denies", "Only the budgeted arm has retries denied.",
+         lambda r: [("budget-on", r.value("denied", "budget-on"), ">", 0),
+                    ("budget-off", r.value("denied", "budget-off"), "==", 0)]),
     ),
 )
 

@@ -10,13 +10,13 @@ Every function regenerates the corresponding artifact's rows/series:
 * :func:`fig7`   — Figure 7, TPC-W response time, fixed load.
 
 The ablations and extensions of EXPERIMENTS.md (:func:`ablation_tableset`
-to :func:`tpcc_contention`) take the same ``(quick, seed)``; what each
-figure must show is in :mod:`repro.bench.claims`.
-
-Beyond the paper, :func:`availability` measures throughput around an
-injected replica crash, and :func:`saturation` / :func:`retry_storm` drive
-the cluster past its capacity knee with an open-loop generator to evaluate
-the overload-protection stack (see ``docs/TUNING.md``).
+to :func:`tpcc_contention`) take the same ``(quick, seed)``, and so do the
+experiments beyond the paper: :func:`availability` measures throughput
+around an injected replica crash, and :func:`saturation` /
+:func:`retry_storm` drive the cluster past its capacity knee with an
+open-loop generator to evaluate the overload-protection stack (see
+``docs/TUNING.md``).  Every function is a figure of
+:mod:`repro.bench.claims`, which says what each must show.
 
 ``quick=True`` (the default, used by ``repro claims``) shrinks the
 warm-up/measurement windows and the sweep so a figure regenerates in tens of
@@ -46,12 +46,8 @@ from .runner import ExperimentConfig, ExperimentResult, run_experiment
 
 __all__ = [
     "LEVELS",
-    "AvailabilityMeasurement",
-    "AvailabilityResult",
     "SeriesResult",
     "BreakdownResult",
-    "SaturationResult",
-    "RetryStormResult",
     "availability",
     "saturation",
     "retry_storm",
@@ -262,136 +258,6 @@ _tpcw_cache: dict[tuple, ExperimentResult] = {}
 def clear_cache() -> None:
     """Drop the per-process TPC-W result cache."""
     _tpcw_cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Availability under a replica crash (self-healing middleware)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AvailabilityMeasurement:
-    """What one level's crash experiment produced."""
-
-    detection_latency_ms: float
-    baseline_tps: float
-    dip_tps: float
-    recovery_ms: float  # math.inf when throughput never returned to 90 %
-
-    @property
-    def dip_depth_pct(self) -> float:
-        if self.baseline_tps <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.dip_tps / self.baseline_tps)
-
-
-@dataclass
-class AvailabilityResult:
-    """Availability experiment data: one measurement per configuration."""
-
-    title: str
-    measurements: dict[str, AvailabilityMeasurement]
-
-    def render(self) -> str:
-        header = (
-            f"{'config':>10} | {'detect (ms)':>11} | {'baseline tps':>12} | "
-            f"{'dip tps':>9} | {'dip depth':>9} | {'recover (ms)':>12}"
-        )
-        rows = [self.title, "", header, "-" * len(header)]
-        for label, m in self.measurements.items():
-            recover = (
-                f"{m.recovery_ms:12.0f}" if math.isfinite(m.recovery_ms)
-                else f"{'never':>12}"
-            )
-            rows.append(
-                f"{label:>10} | {m.detection_latency_ms:11.1f} | "
-                f"{m.baseline_tps:12.0f} | {m.dip_tps:9.0f} | "
-                f"{m.dip_depth_pct:8.0f}% | {recover}"
-            )
-        return "\n".join(rows)
-
-
-def availability(
-    quick: bool = True,
-    seed: int = 0,
-    levels: Sequence = ("sc-fine", "eager"),
-    bucket_ms: float = 100.0,
-) -> AvailabilityResult:
-    """Availability around an injected replica crash, per configuration.
-
-    A self-healing cluster (heartbeat detection, request deadlines, standby
-    certifier) runs a mixed micro-benchmark; one replica crashes mid-run
-    with **no oracle notification** — the middleware must detect it.  The
-    experiment reports, per consistency level:
-
-    * **detection latency** — crash until the balancer's monitor suspects;
-    * **throughput dip** — the worst post-crash bucket vs the pre-crash
-      baseline;
-    * **time to recover** — crash until bucketed throughput is back at 90 %
-      of the baseline.
-
-    The interesting contrast is SC-FINE vs EAGER: the eager protocol keeps
-    every update waiting on the dead replica until the certifier excludes
-    it, so its dip is total; the lazy levels keep committing on the
-    surviving replicas throughout.
-    """
-    from ..faults.injector import FaultInjector
-
-    warmup_ms = 800.0 if quick else 3_000.0
-    crash_after_ms = 1_200.0 if quick else 4_000.0
-    observe_ms = 2_000.0 if quick else 6_000.0
-    victim = "replica-1"
-
-    measurements: dict[str, AvailabilityMeasurement] = {}
-    for level in map(resolve_policy, levels):
-        config = ClusterConfig.self_healing(
-            num_replicas=4, level=level, seed=seed
-        )
-        cluster = ReplicatedDatabase(
-            MicroBenchmark(update_types=20, rows_per_table=1_000), config
-        )
-        collector = MetricsCollector(measure_start=warmup_ms)
-        cluster.add_clients(12, collector, retry_aborts=True)
-        injector = FaultInjector(cluster)
-
-        cluster.run(warmup_ms + crash_after_ms)
-        crash_at = cluster.env.now
-        injector.crash_replica(victim)
-        cluster.run(crash_at + observe_ms)
-
-        monitor = cluster.load_balancer.monitor
-        detection = monitor.suspect_times.get(victim, math.inf) - crash_at
-
-        timeline = collector.timeline(bucket_ms=bucket_ms)
-        before = [tps for start, tps in timeline if start + bucket_ms <= crash_at]
-        after = [(start, tps) for start, tps in timeline if start >= crash_at]
-        baseline = sum(before) / len(before) if before else 0.0
-        dip = min((tps for _, tps in after), default=0.0)
-        dip_index = next(
-            (i for i, (_, tps) in enumerate(after) if tps == dip), 0
-        )
-        # Recovery is counted from the crash to the first bucket at or
-        # after the worst one that is back above 90 % of the baseline.
-        recovery = math.inf
-        for start, tps in after[dip_index:]:
-            if tps >= 0.9 * baseline:
-                recovery = start + bucket_ms - crash_at
-                break
-
-        measurements[level.label] = AvailabilityMeasurement(
-            detection_latency_ms=detection,
-            baseline_tps=baseline,
-            dip_tps=dip,
-            recovery_ms=recovery,
-        )
-
-    return AvailabilityResult(
-        title=(
-            "Availability — replica crash with heartbeat detection "
-            f"(4 replicas, 12 clients, crash at t={crash_after_ms:.0f}ms "
-            "after warm-up)"
-        ),
-        measurements=measurements,
-    )
 
 
 def _tpcw_run(
@@ -635,38 +501,88 @@ def tpcc_contention(quick: bool = True, seed: int = 0) -> SeriesResult:
                     [(r.tps, r.response_ms, r.sync_delay_ms, r.summary.aborted) for r in results])
 
 
+
+
 # ---------------------------------------------------------------------------
-# Overload protection (saturation sweep and retry storms)
+# Beyond the paper: availability and overload protection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SaturationResult:
-    """Offered-load sweep data: per-arm goodput / p99 / shed-rate curves."""
+#: the availability experiment's configurations and its timeline bucket
+AVAILABILITY_LEVELS = ("sc-fine", "eager")
+AVAILABILITY_BUCKET_MS = 100.0
 
-    title: str
-    offered_tps: list[float]
-    goodput: dict[str, list[float]]
-    p99_ms: dict[str, list[float]]
-    shed_rate: dict[str, list[float]]
+#: the retry storm's offered loads (base, spike) and its timeline bucket
+STORM_BASE_TPS, STORM_SPIKE_TPS, STORM_BUCKET_MS = 800.0, 8_000.0, 250.0
 
-    def render(self) -> str:
-        return "\n\n".join(
-            [
-                format_series(
-                    "offered tps", self.offered_tps, self.goodput,
-                    title=f"{self.title} — goodput (committed TPS)",
-                ),
-                format_series(
-                    "offered tps", self.offered_tps, self.p99_ms,
-                    title=f"{self.title} — p99 response (ms)",
-                ),
-                format_series(
-                    "offered tps", self.offered_tps, self.shed_rate,
-                    title=f"{self.title} — shed fraction of offered load",
-                    floatfmt="{:.3f}",
-                ),
-            ]
+
+def availability(quick: bool = True, seed: int = 0) -> SeriesResult:
+    """Availability around an injected replica crash, per configuration.
+
+    A self-healing cluster (heartbeat detection, request deadlines, standby
+    certifier) runs a mixed micro-benchmark; one replica crashes mid-run
+    with **no oracle notification** — the middleware must detect it.  The
+    experiment reports, per consistency level:
+
+    * **detection latency** — crash until the balancer's monitor suspects;
+    * **throughput dip** — the worst post-crash bucket vs the pre-crash
+      baseline, and its depth in percent of the baseline;
+    * **time to recover** — crash until bucketed throughput is back at 90 %
+      of the baseline (``inf`` when it never is).
+
+    The interesting contrast is SC-FINE vs EAGER: the eager protocol keeps
+    every update waiting on the dead replica until the certifier excludes
+    it, so its dip is total; the lazy levels keep committing on the
+    surviving replicas throughout.
+    """
+    from ..faults.injector import FaultInjector
+
+    warmup_ms = 800.0 if quick else 3_000.0
+    crash_after_ms = 1_200.0 if quick else 4_000.0
+    observe_ms = 2_000.0 if quick else 6_000.0
+    victim, bucket_ms = "replica-1", AVAILABILITY_BUCKET_MS
+    levels = tuple(map(resolve_policy, AVAILABILITY_LEVELS))
+
+    rows = []
+    for level in levels:
+        config = ClusterConfig.self_healing(num_replicas=4, level=level, seed=seed)
+        cluster = ReplicatedDatabase(
+            MicroBenchmark(update_types=20, rows_per_table=1_000), config
         )
+        collector = MetricsCollector(measure_start=warmup_ms)
+        cluster.add_clients(12, collector, retry_aborts=True)
+        injector = FaultInjector(cluster)
+
+        cluster.run(warmup_ms + crash_after_ms)
+        crash_at = cluster.env.now
+        injector.crash_replica(victim)
+        cluster.run(crash_at + observe_ms)
+
+        monitor = cluster.load_balancer.monitor
+        detection = monitor.suspect_times.get(victim, math.inf) - crash_at
+
+        timeline = collector.timeline(bucket_ms=bucket_ms)
+        before = [tps for start, tps in timeline if start + bucket_ms <= crash_at]
+        after = [(start, tps) for start, tps in timeline if start >= crash_at]
+        baseline = sum(before) / len(before) if before else 0.0
+        dip = min((tps for _, tps in after), default=0.0)
+        dip_index = next(
+            (i for i, (_, tps) in enumerate(after) if tps == dip), 0
+        )
+        # Recovery is counted from the crash to the first bucket at or
+        # after the worst one that is back above 90 % of the baseline.
+        recovery = math.inf
+        for start, tps in after[dip_index:]:
+            if tps >= 0.9 * baseline:
+                recovery = start + bucket_ms - crash_at
+                break
+        depth = 100.0 * (1.0 - dip / baseline) if baseline > 0 else 0.0
+        rows.append((detection, baseline, dip, depth, recovery))
+
+    return _columns(
+        "Availability — replica crash with heartbeat detection "
+        f"(4 replicas, 12 clients, crash at t={crash_after_ms:.0f}ms after warm-up)",
+        "config", [level.label for level in levels],
+        ["detect (ms)", "baseline tps", "dip tps", "dip depth (%)", "recover (ms)"], rows)
 
 
 def _saturation_point(
@@ -699,11 +615,7 @@ def _saturation_point(
     return summary.tps, summary.p99_response_ms, shed_rate
 
 
-def saturation(
-    quick: bool = True,
-    seed: int = 0,
-    loads: Optional[Sequence[float]] = None,
-) -> SaturationResult:
+def saturation(quick: bool = True, seed: int = 0) -> dict[str, SeriesResult]:
     """Open-loop saturation sweep: protection off vs on.
 
     Closed-loop clients self-throttle, so saturation collapse is invisible
@@ -716,84 +628,29 @@ def saturation(
     queues, deadline shedding, certifier backpressure): goodput holds at
     capacity, p99 stays flat, and the overflow shows up as explicit
     fast-rejects instead of latency.
+
+    Returns ``{"goodput" | "p99" | "shed": SeriesResult}``, one series per
+    arm over the offered loads.  Each point is its own seeded cluster.
     """
-    if loads is None:
-        # The 3-replica quick cluster's capacity knee sits near 3,500 tps;
-        # the sweep brackets it from both sides.
-        loads = (
-            (800.0, 1_600.0, 3_200.0, 4_800.0)
-            if quick
-            else (800.0, 1_600.0, 2_400.0, 3_200.0, 4_000.0, 4_800.0, 6_400.0)
-        )
-    arms = {"unprotected": False, "protected": True}
-    goodput: dict[str, list[float]] = {label: [] for label in arms}
-    p99: dict[str, list[float]] = {label: [] for label in arms}
-    shed: dict[str, list[float]] = {label: [] for label in arms}
-    for offered in loads:
-        for label, protected in arms.items():
-            tps, p99_ms, shed_rate = _saturation_point(
-                protected, float(offered), quick, seed
-            )
-            goodput[label].append(tps)
-            p99[label].append(p99_ms)
-            shed[label].append(shed_rate)
-    return SaturationResult(
-        title=(
-            "Saturation — open-loop offered load, 3 replicas, 25% update mix"
-        ),
-        offered_tps=[float(x) for x in loads],
-        goodput=goodput,
-        p99_ms=p99,
-        shed_rate=shed,
+    # The 3-replica quick cluster's capacity knee sits near 3,500 tps; the
+    # sweep brackets it from both sides.
+    loads = (
+        (800.0, 1_600.0, 3_200.0, 4_800.0)
+        if quick
+        else (800.0, 1_600.0, 2_400.0, 3_200.0, 4_000.0, 4_800.0, 6_400.0)
     )
+    arms = {"unprotected": False, "protected": True}
+    points = [[_saturation_point(protected, offered, quick, seed)
+               for protected in arms.values()] for offered in loads]
+    title = "Saturation — open-loop offered load, 3 replicas, 25% update mix"
+    curves = {"goodput": "goodput (committed TPS)", "p99": "p99 response (ms)",
+              "shed": "shed fraction of offered load"}
+    return {curve: _columns(f"{title} — {what}", "offered tps", loads, arms,
+                            [[point[i] for point in row] for row in points])
+            for i, (curve, what) in enumerate(curves.items())}
 
 
-@dataclass
-class RetryStormResult:
-    """Retry-storm (metastable failure) experiment data."""
-
-    title: str
-    bucket_ms: float
-    spike_start_ms: float
-    spike_end_ms: float
-    #: per-arm goodput timeline: (bucket_start_ms, committed tps)
-    timelines: dict[str, list[tuple[float, float]]]
-    #: mean goodput before the spike / in the post-spike tail window
-    baseline_tps: dict[str, float]
-    tail_tps: dict[str, float]
-    #: logical requests abandoned because the retry budget was exhausted
-    budget_denied: dict[str, int]
-
-    def recovered(self, label: str, fraction: float = 0.5) -> bool:
-        """Did this arm's tail goodput return to ``fraction`` of baseline?"""
-        base = self.baseline_tps.get(label, 0.0)
-        return base > 0 and self.tail_tps.get(label, 0.0) >= fraction * base
-
-    def render(self) -> str:
-        header = (
-            f"{'arm':>12} | {'baseline tps':>12} | {'tail tps':>9} | "
-            f"{'tail/base':>9} | {'denied':>7} | verdict"
-        )
-        lines = [self.title, "", header, "-" * len(header)]
-        for label in self.timelines:
-            base = self.baseline_tps[label]
-            tail = self.tail_tps[label]
-            ratio = tail / base if base > 0 else 0.0
-            verdict = "recovered" if self.recovered(label) else "collapsed"
-            lines.append(
-                f"{label:>12} | {base:12.0f} | {tail:9.0f} | "
-                f"{ratio:8.0%} | {self.budget_denied[label]:7d} | {verdict}"
-            )
-        return "\n".join(lines)
-
-
-def retry_storm(
-    quick: bool = True,
-    seed: int = 0,
-    base_tps: float = 800.0,
-    spike_tps: float = 8_000.0,
-    bucket_ms: float = 250.0,
-) -> RetryStormResult:
+def retry_storm(quick: bool = True, seed: int = 0) -> SeriesResult:
     """Metastable retry storm: a transient spike with and without budgets.
 
     The classic metastable-failure shape (Bronson et al., HotOS'21): clients
@@ -810,7 +667,9 @@ def retry_storm(
 
     Both arms run a read-only mix with a request deadline and no balancer
     re-dispatch (``max_attempts=1``), so retries are purely the clients'
-    doing — the only difference between the arms is the budget.
+    doing — the only difference between the arms is the budget.  Each arm
+    reports its mean goodput before the spike and in the post-spike tail,
+    and the logical requests its retry budget abandoned.
     """
     from ..workloads.clients import OpenLoopLoad
 
@@ -818,13 +677,11 @@ def retry_storm(
     spike_ms = 1_000.0 if quick else 2_000.0
     tail_ms = 4_000.0 if quick else 12_000.0
     end = spike_start + spike_ms + tail_ms
+    bucket_ms = STORM_BUCKET_MS
     arms: dict[str, Optional[float]] = {"budget-off": None, "budget-on": 0.1}
 
-    timelines: dict[str, list[tuple[float, float]]] = {}
-    baseline: dict[str, float] = {}
-    tail: dict[str, float] = {}
-    denied: dict[str, int] = {}
-    for label, ratio in arms.items():
+    rows = []
+    for ratio in arms.values():
         config = ClusterConfig(
             num_replicas=3,
             level="sc-fine",
@@ -843,7 +700,7 @@ def retry_storm(
             cluster.network,
             cluster.workload,
             collector,
-            rate_tps=base_tps,
+            rate_tps=STORM_BASE_TPS,
             rngs=cluster.rngs,
             retry_aborts=True,
             max_attempts=12,
@@ -851,13 +708,12 @@ def retry_storm(
             retry_backoff_cap_ms=40.0,
         )
         cluster.run(spike_start)
-        load.set_rate(spike_tps)
+        load.set_rate(STORM_SPIKE_TPS)
         cluster.run(spike_start + spike_ms)
-        load.set_rate(base_tps)
+        load.set_rate(STORM_BASE_TPS)
         cluster.run(end)
 
         timeline = collector.timeline(bucket_ms=bucket_ms)
-        timelines[label] = timeline
         # Baseline skips the first 500 ms of warm-up transient; the tail is
         # the last third of the post-spike window.
         before = [
@@ -867,21 +723,11 @@ def retry_storm(
         ]
         tail_window_start = end - tail_ms / 3.0
         after = [tps for start, tps in timeline if start >= tail_window_start]
-        baseline[label] = sum(before) / len(before) if before else 0.0
-        tail[label] = sum(after) / len(after) if after else 0.0
-        denied[label] = load.budget_denied
+        rows.append((sum(before) / len(before) if before else 0.0,
+                     sum(after) / len(after) if after else 0.0, load.budget_denied))
 
-    return RetryStormResult(
-        title=(
-            "Retry storm — open-loop spike "
-            f"({base_tps:.0f} → {spike_tps:.0f} → {base_tps:.0f} tps), "
-            "3 replicas, read-only mix, 60 ms deadline"
-        ),
-        bucket_ms=bucket_ms,
-        spike_start_ms=spike_start,
-        spike_end_ms=spike_start + spike_ms,
-        timelines=timelines,
-        baseline_tps=baseline,
-        tail_tps=tail,
-        budget_denied=denied,
-    )
+    return _columns(
+        "Retry storm — open-loop spike "
+        f"({STORM_BASE_TPS:.0f} → {STORM_SPIKE_TPS:.0f} → {STORM_BASE_TPS:.0f} tps), "
+        "3 replicas, read-only mix, 60 ms deadline",
+        "arm", arms, ["baseline tps", "tail tps", "denied"], rows)

@@ -88,6 +88,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cluster.run(config.warmup_ms)
     with PROFILER.section("run.measure"):
         cluster.run(config.total_ms)
+    PROFILER.count("kernel.events", cluster.env.events_processed)
+    PROFILER.count("kernel.immediate", cluster.env.immediate_scheduled)
 
     return ExperimentResult(
         config=config,

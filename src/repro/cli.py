@@ -29,7 +29,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .bench import claims, experiments
+from .bench import claims
 from .core.policy import available_policies, resolve_policy
 from .metrics.profiler import PROFILER
 from .metrics.tracing import TRACER
@@ -124,8 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_parser("table1", help="Table I — version maintenance walkthrough")
 
-    for figure in ("fig3", "fig4", "fig5", "fig6", "fig7"):
-        figure_parser = add_parser(figure, help=f"regenerate {figure}")
+    figures = {name: f"regenerate {name}" for name in ("fig3", "fig4", "fig5", "fig6", "fig7")}
+    figures["availability"] = ("replica-crash availability: detection latency, throughput "
+                               "dip, time-to-recover (SC-FINE vs EAGER)")
+    figures["saturation"] = ("overload protection under open-loop load: saturation sweep "
+                             "(p99/goodput/shed rate) plus the retry-storm experiment")
+    for figure, text in figures.items():
+        figure_parser = add_parser(figure, help=text)
         figure_parser.add_argument(
             "--full", action="store_true",
             help="paper-scale sweep instead of the quick one",
@@ -148,22 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--clients", type=_positive_int, default=16)
     audit.add_argument("--duration-ms", type=_positive_ms, default=2_000.0)
     audit.add_argument("--seed", type=int, default=0)
-
-    avail = add_parser(
-        "availability",
-        help="replica-crash availability: detection latency, throughput "
-             "dip, time-to-recover (SC-FINE vs EAGER)",
-    )
-    avail.add_argument("--full", action="store_true")
-    avail.add_argument("--seed", type=int, default=0)
-
-    sat = add_parser(
-        "saturation",
-        help="overload protection under open-loop load: saturation sweep "
-             "(p99/goodput/shed rate) plus the retry-storm experiment",
-    )
-    sat.add_argument("--full", action="store_true")
-    sat.add_argument("--seed", type=int, default=0)
 
     nemesis = add_parser(
         "nemesis",
@@ -228,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_audit(args) -> str:
-    from .core.cluster import ClusterConfig, ReplicatedDatabase
+    from .bench import ExperimentConfig, run_experiment
+    from .core.cluster import ClusterConfig
     from .histories import (
         is_session_consistent,
         is_strongly_consistent,
         staleness_report,
     )
-    from .metrics import MetricsCollector
     from .workloads import MicroBenchmark, TPCCBenchmark, TPCWBenchmark
 
     factories = {
@@ -247,19 +236,12 @@ def _run_audit(args) -> str:
                                       num_items=100),
     }
     policy = resolve_policy(args.level)
-    with PROFILER.section("cluster.build"):
-        cluster = ReplicatedDatabase(
-            factories[args.workload](),
-            ClusterConfig(num_replicas=args.replicas, level=policy, seed=args.seed),
-        )
-        collector = MetricsCollector()
-        cluster.add_clients(args.clients, collector)
-    with PROFILER.section("run.measure"):
-        cluster.run(args.duration_ms)
-    PROFILER.count("kernel.events", cluster.env.events_processed)
-    PROFILER.count("kernel.immediate", cluster.env.immediate_scheduled)
-    summary = collector.summary(duration_ms=args.duration_ms)
-    history = cluster.history
+    result = run_experiment(ExperimentConfig(
+        workload_factory=factories[args.workload],
+        cluster=ClusterConfig(num_replicas=args.replicas, level=policy, seed=args.seed),
+        clients=args.clients, warmup_ms=0.0, measure_ms=args.duration_ms,
+    ))
+    summary, history = result.summary, result.history
     with PROFILER.section("checkers"):
         staleness = staleness_report(history)
         observational = is_strongly_consistent(history)
@@ -495,6 +477,17 @@ def _run_levels() -> str:
     return "\n".join(lines)
 
 
+#: commands that print figures of :data:`claims.FIGURES`: each figure with a
+#: command of its name, and ``saturation`` with the retry storm
+_FIGURE_COMMANDS = {name: (name,) for name in claims.FIGURES}
+_FIGURE_COMMANDS["saturation"] = ("saturation", "retry_storm")
+
+
+def _figure(name: str, quick: bool, seed: int) -> str:
+    figure = claims.FIGURES[name]
+    return figure.render(figure.compute(quick, seed))
+
+
 #: commands that end in a PASS/FAIL verdict and exit 1 on FAIL
 _VERDICT_COMMANDS = {
     "nemesis": _run_nemesis, "scrub": _run_scrub, "membership": _run_membership,
@@ -517,22 +510,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         TRACER.configure(sample_rate=getattr(args, "trace_sample_rate", 1.0))
         TRACER.enable()
     quick, seed = not getattr(args, "full", False), getattr(args, "seed", 0)
-    if args.command in claims.FIGURES:
-        figure = claims.FIGURES[args.command]
-        print(figure.render(figure.compute(quick, seed)))
+    if args.command in _FIGURE_COMMANDS:
+        print("\n\n".join(_figure(name, quick, seed) for name in _FIGURE_COMMANDS[args.command]))
     elif args.command == "all":
-        for figure in claims.FIGURES.values():
+        for name, figure in claims.FIGURES.items():
             if figure.paper:
-                print(figure.render(figure.compute(quick, seed)))
+                print(_figure(name, quick, seed))
                 print()
     elif args.command == "audit":
         print(_run_audit(args))
-    elif args.command == "availability":
-        print(experiments.availability(quick=quick, seed=seed).render())
-    elif args.command == "saturation":
-        print(experiments.saturation(quick=quick, seed=seed).render())
-        print()
-        print(experiments.retry_storm(quick=quick, seed=seed).render())
     elif args.command in _VERDICT_COMMANDS:
         text, ok = _VERDICT_COMMANDS[args.command](args)
         print(text)

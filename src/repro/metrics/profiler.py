@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import gc
 from time import perf_counter
-from typing import Optional
 
 __all__ = ["Profiler", "PROFILER"]
+
+#: the sections :meth:`Profiler.report` lists, longest first
+TOP_SECTIONS = 10
 
 
 class _NullSection:
@@ -121,21 +123,17 @@ class Profiler:
         self.counters[name] = self.counters.get(name, 0) + n
 
     # -- reporting ---------------------------------------------------------
-    def report(
-        self,
-        events: Optional[int] = None,
-        wall_s: Optional[float] = None,
-        top: int = 10,
-    ) -> str:
+    def report(self) -> str:
         """Render the accumulated profile.
 
-        ``events``/``wall_s`` add a kernel events-per-second headline (the
-        simulator's core speed metric); sections are listed by cumulative
-        wall time, descending, at most ``top`` of them.
+        A ``kernel.events`` count adds an events-per-second headline (the
+        simulator's core speed metric) over the longest section's wall time;
+        sections are listed by cumulative wall time, descending, at most
+        :data:`TOP_SECTIONS` of them.
         """
         lines = ["-- profile " + "-" * 49]
-        if wall_s is None and self.sections:
-            wall_s = max(total for total, _ in self.sections.values())
+        events = self.counters.get("kernel.events")
+        wall_s = max((total for total, _ in self.sections.values()), default=0.0)
         if events is not None and wall_s:
             lines.append(
                 f"   {events:,} kernel events in {wall_s:.2f}s wall "
@@ -148,13 +146,13 @@ class Profiler:
             lines.append(
                 f"   {'section':<28} {'total s':>9} {'calls':>9} {'per call':>11}"
             )
-            for name, (total, calls) in ranked[:top]:
+            for name, (total, calls) in ranked[:TOP_SECTIONS]:
                 per_call = total / calls if calls else 0.0
                 lines.append(
                     f"   {name:<28} {total:>9.3f} {calls:>9,} {per_call * 1e6:>9,.1f}us"
                 )
-            if len(ranked) > top:
-                lines.append(f"   ... {len(ranked) - top} more sections")
+            if len(ranked) > TOP_SECTIONS:
+                lines.append(f"   ... {len(ranked) - TOP_SECTIONS} more sections")
         for name in sorted(self.counters):
             lines.append(f"   {name:<28} {self.counters[name]:>9,}")
         if len(lines) == 1:

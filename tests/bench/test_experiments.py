@@ -70,20 +70,15 @@ class TestFig3Tiny:
 
 class TestAvailability:
     def test_reports_detection_dip_and_recovery(self):
+        """The crash figure judged by the claims table: heartbeats detect
+        the crash within 200 ms, and EAGER, which stalls updates on the dead
+        replica until exclusion, dips deeper than SC-FINE."""
         from repro.bench import availability
 
         result = availability(quick=True, seed=0)
-        assert set(result.measurements) == {"SC-FINE", "EAGER"}
-        for m in result.measurements.values():
-            # Heartbeats found the crash: interval 20 ms, threshold 3.
-            assert 0.0 < m.detection_latency_ms <= 200.0
-            assert m.baseline_tps > 0
-            assert 0.0 <= m.dip_depth_pct <= 100.0
-        # The paper's availability story: the eager protocol stalls updates
-        # on the dead replica until exclusion, so it dips deeper than the
-        # lazy strong level.
-        fine = result.measurements["SC-FINE"]
-        eager = result.measurements["EAGER"]
-        assert eager.dip_depth_pct > fine.dip_depth_pct
-        rendered = result.render()
-        assert "detect (ms)" in rendered and "SC-FINE" in rendered
+        verdicts = judge("availability", result)
+        assert len(verdicts) == 3
+        assert [v.claim.id for v in verdicts if not v.ok] == []
+        rendered = result.render(chart=False)
+        assert "detect (ms)" in rendered
+        assert "SC-FINE" in rendered and "EAGER" in rendered

@@ -6,7 +6,7 @@ import gc
 
 import pytest
 
-from repro.metrics.profiler import PROFILER, Profiler
+from repro.metrics.profiler import PROFILER, TOP_SECTIONS, Profiler
 from repro.metrics.profiler import _NULL_SECTION
 
 
@@ -72,10 +72,13 @@ class TestEnabledProfiler:
         profiler.enable()
         with profiler.section("run.measure"):
             pass
-        profiler.count("kernel.events", 10)
-        report = profiler.report(events=1000, wall_s=2.0)
+        profiler.count("kernel.events", 1000)
+        # The headline divides the kernel.events count by the longest
+        # section's wall time.
+        profiler.sections["run.measure"] = (2.0, 1)
+        report = profiler.report()
         assert "run.measure" in report
-        assert "500 events/s" in report
+        assert "1,000 kernel events in 2.00s wall = 500 events/s" in report
         assert "kernel.events" in report
 
     def test_report_empty(self):
@@ -84,10 +87,10 @@ class TestEnabledProfiler:
     def test_report_truncates_to_top(self):
         profiler = Profiler()
         profiler.enable()
-        for i in range(5):
+        for i in range(TOP_SECTIONS + 3):
             with profiler.section(f"s{i}"):
                 pass
-        report = profiler.report(top=2)
+        report = profiler.report()
         assert "3 more sections" in report
 
 
