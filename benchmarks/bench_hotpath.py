@@ -1,4 +1,4 @@
-"""Hot-path counter gates: kernel fast path, compiled SQL plans, O(1)
+"""Hot-path counter gates: kernel fast path, the SQL statement cache, O(1)
 early certification, handler delivery, per-request routing and records,
 an initial load that builds no commit ops, replicas that share every
 table they have not written, and a refresh fan-out whose Python calls per
@@ -6,7 +6,7 @@ commit version stay under a gate while its kernel events stay pinned.
 
 Every experiment runs on the DES kernel and the in-memory MVCC engine, so
 simulator wall-clock bounds how large a cluster / how long a trace we can
-afford.  The hot paths (kernel event scheduling, SQL execution, engine read
+afford.  The hot paths (kernel event scheduling, SQL parsing, engine read
 paths, the proxy's statement-side checks) were optimised under the
 invariant that **virtual-time traces stay byte-identical**; this script
 pins, with deterministic counters, that those fast paths still carry real
@@ -191,7 +191,7 @@ def smoke() -> None:
     assert metrics.get("storage.scan_fallbacks") == 0
     assert metrics.get("storage.plan_cache.capacity") >= 1
 
-    # 4. Compiled plans are cached: repeated text is a hit, not a reparse.
+    # 4. Statements are cached: repeated text is a hit, not a reparse.
     cache = plan_cache()
     text = "SELECT * FROM smoke_probe WHERE id = :id"
     cache.get(text)

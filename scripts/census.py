@@ -40,8 +40,9 @@ sys.path.insert(0, str(SRC))
 
 #: the CLI commands, at their quick defaults; the flags reach the
 #: observability paths (registry report, profiler, tracer export).  Each
-#: figure is computed by ``all`` (and again by ``claims``), so no figure
-#: runs alone: ``table1`` reaches the single-figure branch of the CLI, and
+#: figure is computed by ``all`` or ``claims`` (``claims`` computes the
+#: availability, saturation and retry-storm figures too), so no figure runs
+#: alone: ``table1`` reaches the single-figure branch of the CLI, and
 #: ``audit`` alone traces (tracing every figure reaches nothing more).
 CLI_COMMANDS = [
     ["table1"],
@@ -49,8 +50,6 @@ CLI_COMMANDS = [
     ["all", "--stats", "--profile"],
     ["claims"],
     ["audit", "--trace", "{tmp}/audit-trace.json", "--stats"],
-    ["availability"],
-    ["saturation"],
     ["nemesis"],
     ["nemesis", "--rolling"],
     ["scrub"],

@@ -127,13 +127,16 @@ class Profiler:
         """Render the accumulated profile.
 
         A ``kernel.events`` count adds an events-per-second headline (the
-        simulator's core speed metric) over the longest section's wall time;
-        sections are listed by cumulative wall time, descending, at most
-        :data:`TOP_SECTIONS` of them.
+        simulator's core speed metric) over the wall time of the ``run.*``
+        sections, the runs whose events were counted; sections are listed by
+        cumulative wall time, descending, at most :data:`TOP_SECTIONS` of
+        them.
         """
         lines = ["-- profile " + "-" * 49]
         events = self.counters.get("kernel.events")
-        wall_s = max((total for total, _ in self.sections.values()), default=0.0)
+        wall_s = sum(
+            total for name, (total, _) in self.sections.items() if name.startswith("run.")
+        )
         if events is not None and wall_s:
             lines.append(
                 f"   {events:,} kernel events in {wall_s:.2f}s wall "

@@ -63,13 +63,6 @@ class TxnContext:
         access path)."""
         return self._proxy.engine.database.table(table).schema
 
-    def execute_sql(self, statement, params: Optional[Mapping[str, Any]] = None):
-        """Execute one (pre-parsed or textual) SQL statement in this
-        transaction; see :func:`repro.storage.sql.execute`."""
-        from ..storage import sql as _sql
-
-        return _sql.execute(self, statement, params)
-
     # -- read statements ---------------------------------------------------
     def read(self, table: str, key: Any, cost_ms: Optional[float] = None):
         """Point read by primary key; returns the row mapping or None."""

@@ -22,15 +22,14 @@ text.  This module provides exactly that:
 * :func:`table_set` — the static table-set of a statement list (what the
   load balancer's catalog stores);
 
-* an executor that runs parsed statements against a transaction context,
-  choosing a primary-key point read, a secondary-index lookup or a filtered
-  scan, so SQL statements cost exactly what the equivalent programmatic
-  template costs.
+* :func:`execute`, which runs a statement against a transaction context
+  through a primary-key point read, a secondary-index lookup or a filtered
+  scan, chosen from its WHERE clause on each call, so a SQL statement costs
+  exactly what the equivalent programmatic template costs.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -49,13 +48,11 @@ __all__ = [
     "Insert",
     "Update",
     "Delete",
-    "CompiledPlan",
+    "PLAN_CACHE_CAPACITY",
     "PlanCache",
     "parse",
-    "parse_script",
     "table_set",
     "execute",
-    "compile_statement",
     "plan_cache",
 ]
 
@@ -72,7 +69,7 @@ _TOKEN_RE = re.compile(
     r"""
     \s*(?:
         (?P<string>'(?:[^']|'')*')
-      | (?P<number>-?\d+\.\d+|-?\d+)
+      | (?P<number>\d+\.\d+|\d+)
       | (?P<param>:[A-Za-z_][A-Za-z0-9_]*)
       | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
       | (?P<op><=|>=|!=|<>|=|<|>)
@@ -196,8 +193,19 @@ class Assignment:
         return current + self.sign * resolved
 
 
+class _Statement:
+    """What every statement has: the one table it names (its static
+    table-set) and whether it writes."""
+
+    is_update = True
+
+    @property
+    def tables(self) -> frozenset[str]:
+        return frozenset({self.table})
+
+
 @dataclass(frozen=True)
-class Select:
+class Select(_Statement):
     """``SELECT cols FROM table [WHERE ...] [LIMIT n]``"""
 
     table: str
@@ -205,17 +213,11 @@ class Select:
     where: tuple[Comparison, ...] = ()
     limit: Optional[int] = None
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
-
-    @property
-    def is_update(self) -> bool:
-        return False
+    is_update = False
 
 
 @dataclass(frozen=True)
-class Insert:
+class Insert(_Statement):
     """``INSERT INTO table (cols) VALUES (vals)``"""
 
     table: str
@@ -229,46 +231,22 @@ class Insert:
                 f"but {len(self.values)} values"
             )
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
-
-    @property
-    def is_update(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class Update:
+class Update(_Statement):
     """``UPDATE table SET ... [WHERE ...]``"""
 
     table: str
     assignments: tuple[Assignment, ...]
     where: tuple[Comparison, ...] = ()
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
-
-    @property
-    def is_update(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class Delete:
+class Delete(_Statement):
     """``DELETE FROM table [WHERE ...]``"""
 
     table: str
     where: tuple[Comparison, ...] = ()
-
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
-
-    @property
-    def is_update(self) -> bool:
-        return True
 
 
 Statement = Union[Select, Insert, Update, Delete]
@@ -295,26 +273,17 @@ class _Parser:
         self.position += 1
         return token
 
-    def _expect_keyword(self, keyword: str) -> None:
+    def _expect(self, kind: str, value: str) -> None:
+        """Consume a ``kind`` token (``keyword`` or ``punct``) of ``value``."""
         token = self._next()
-        if token.kind != "keyword" or token.value != keyword:
-            raise SqlError(f"expected {keyword}, got {token.value!r} in {self.text!r}")
+        if token.kind != kind or token.value != value:
+            shown = value if kind == "keyword" else repr(value)
+            raise SqlError(f"expected {shown}, got {token.value!r} in {self.text!r}")
 
-    def _accept_keyword(self, keyword: str) -> bool:
+    def _accept(self, kind: str, value: str) -> bool:
+        """Consume the next token if it is a ``kind`` token of ``value``."""
         token = self._peek()
-        if token is not None and token.kind == "keyword" and token.value == keyword:
-            self.position += 1
-            return True
-        return False
-
-    def _expect_punct(self, punct: str) -> None:
-        token = self._next()
-        if token.kind != "punct" or token.value != punct:
-            raise SqlError(f"expected {punct!r}, got {token.value!r} in {self.text!r}")
-
-    def _accept_punct(self, punct: str) -> bool:
-        token = self._peek()
-        if token is not None and token.kind == "punct" and token.value == punct:
+        if token is not None and token.kind == kind and token.value == value:
             self.position += 1
             return True
         return False
@@ -332,36 +301,30 @@ class _Parser:
             raise SqlError("empty SQL statement")
         if token.kind != "keyword":
             raise SqlError(f"SQL must start with a verb, got {token.value!r}")
-        verb = token.value
-        if verb == "SELECT":
-            statement = self._select()
-        elif verb == "INSERT":
-            statement = self._insert()
-        elif verb == "UPDATE":
-            statement = self._update()
-        elif verb == "DELETE":
-            statement = self._delete()
-        else:
-            raise SqlError(f"unsupported SQL verb {verb!r}")
+        verbs = {"SELECT": self._select, "INSERT": self._insert,
+                 "UPDATE": self._update, "DELETE": self._delete}
+        if token.value not in verbs:
+            raise SqlError(f"unsupported SQL verb {token.value!r}")
+        statement = verbs[token.value]()
         if self._peek() is not None:
             raise SqlError(f"trailing tokens after statement in {self.text!r}")
         return statement
 
     def _select(self) -> Select:
-        self._expect_keyword("SELECT")
+        self._expect("keyword", "SELECT")
         columns: Optional[tuple[str, ...]]
-        if self._accept_punct("*"):
+        if self._accept("punct", "*"):
             columns = None
         else:
             names = [self._expect_name()]
-            while self._accept_punct(","):
+            while self._accept("punct", ","):
                 names.append(self._expect_name())
             columns = tuple(names)
-        self._expect_keyword("FROM")
+        self._expect("keyword", "FROM")
         table = self._expect_name()
         where = self._where_opt()
         limit = None
-        if self._accept_keyword("LIMIT"):
+        if self._accept("keyword", "LIMIT"):
             token = self._next()
             if token.kind != "number" or "." in token.value:
                 raise SqlError(f"LIMIT requires an integer, got {token.value!r}")
@@ -371,35 +334,35 @@ class _Parser:
         return Select(table=table, columns=columns, where=where, limit=limit)
 
     def _insert(self) -> Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
+        self._expect("keyword", "INSERT")
+        self._expect("keyword", "INTO")
         table = self._expect_name()
-        self._expect_punct("(")
+        self._expect("punct", "(")
         columns = [self._expect_name()]
-        while self._accept_punct(","):
+        while self._accept("punct", ","):
             columns.append(self._expect_name())
-        self._expect_punct(")")
-        self._expect_keyword("VALUES")
-        self._expect_punct("(")
+        self._expect("punct", ")")
+        self._expect("keyword", "VALUES")
+        self._expect("punct", "(")
         values = [self._value()]
-        while self._accept_punct(","):
+        while self._accept("punct", ","):
             values.append(self._value())
-        self._expect_punct(")")
+        self._expect("punct", ")")
         return Insert(table=table, columns=tuple(columns), values=tuple(values))
 
     def _update(self) -> Update:
-        self._expect_keyword("UPDATE")
+        self._expect("keyword", "UPDATE")
         table = self._expect_name()
-        self._expect_keyword("SET")
+        self._expect("keyword", "SET")
         assignments = [self._assignment()]
-        while self._accept_punct(","):
+        while self._accept("punct", ","):
             assignments.append(self._assignment())
         where = self._where_opt()
         return Update(table=table, assignments=tuple(assignments), where=where)
 
     def _delete(self) -> Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
+        self._expect("keyword", "DELETE")
+        self._expect("keyword", "FROM")
         table = self._expect_name()
         return Delete(table=table, where=self._where_opt())
 
@@ -426,10 +389,10 @@ class _Parser:
         return Assignment(column=column, value=self._value())
 
     def _where_opt(self) -> tuple[Comparison, ...]:
-        if not self._accept_keyword("WHERE"):
+        if not self._accept("keyword", "WHERE"):
             return ()
         comparisons = [self._comparison()]
-        while self._accept_keyword("AND"):
+        while self._accept("keyword", "AND"):
             comparisons.append(self._comparison())
         return tuple(comparisons)
 
@@ -445,8 +408,16 @@ class _Parser:
         token = self._next()
         if token.kind == "param":
             return Param(token.value[1:])
+        sign = ""
+        if token.kind == "punct" and token.value == "-":
+            # A leading '-' makes a negative literal only where a value
+            # starts, so `v-1` after a column is an increment.
+            sign, token = "-", self._next()
+            if token.kind != "number":
+                raise SqlError(f"expected a number after '-', got {token.value!r}")
         if token.kind == "number":
-            return Literal(float(token.value) if "." in token.value else int(token.value))
+            text = sign + token.value
+            return Literal(float(text) if "." in text else int(text))
         if token.kind == "string":
             return Literal(token.value[1:-1].replace("''", "'"))
         if token.kind == "keyword" and token.value == "NULL":
@@ -461,15 +432,6 @@ def parse(text: str) -> Statement:
     return _Parser(_tokenize(text), text).parse_statement()
 
 
-def parse_script(statements: Iterable[str]) -> tuple[Statement, ...]:
-    """Parse a sequence of SQL statements (a prepared transaction body).
-
-    Parsing goes through the process-wide plan cache, so each distinct
-    statement text is parsed exactly once no matter how many workload
-    instances (one per simulated client) share the same template."""
-    return tuple(_PLAN_CACHE.get(text).statement for text in statements)
-
-
 def table_set(statements: Iterable[Union[str, Statement]]) -> frozenset[str]:
     """The static table-set of a statement list — Section III-C's
     "statically extract the table-set that the transaction accesses"."""
@@ -481,364 +443,118 @@ def table_set(statements: Iterable[Union[str, Statement]]) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled plans
+# Statement cache and executor
 # ---------------------------------------------------------------------------
 
-def _compile_comparison(comparison: Comparison):
-    """Compile one comparison into a ``pred(row, params) -> bool`` closure.
-
-    Semantics match :meth:`Comparison.matches` exactly: ``=``/``!=`` use
-    plain equality (NULL included), ordered operators never match when
-    either side is NULL.  Literal operands are folded into the closure so
-    no per-row resolution happens.
-    """
-    column = comparison.column
-    op = comparison.op
-    value = comparison.value
-    if isinstance(value, Literal):
-        const = value.value
-        if op == "=":
-            return lambda row, params: row.get(column) == const
-        if op == "!=":
-            return lambda row, params: row.get(column) != const
-        if const is None:
-            return lambda row, params: False
-        if op == "<":
-            return lambda row, params: (a := row.get(column)) is not None and a < const
-        if op == "<=":
-            return lambda row, params: (a := row.get(column)) is not None and a <= const
-        if op == ">":
-            return lambda row, params: (a := row.get(column)) is not None and a > const
-        return lambda row, params: (a := row.get(column)) is not None and a >= const
-    # Param: inline the lookup (and its missing-parameter error) instead of
-    # going through the bound ``resolve`` method on every row.
-    name = value.name
-    if op == "=":
-        def eq(row, params):
-            try:
-                expected = params[name]
-            except KeyError:
-                raise SqlError(f"missing parameter :{name}") from None
-            return row.get(column) == expected
-
-        return eq
-    if op == "!=":
-        def ne(row, params):
-            try:
-                expected = params[name]
-            except KeyError:
-                raise SqlError(f"missing parameter :{name}") from None
-            return row.get(column) != expected
-
-        return ne
-    cmp = _ORDERED_OPS[op]
-
-    def ordered(row, params):
-        try:
-            expected = params[name]
-        except KeyError:
-            raise SqlError(f"missing parameter :{name}") from None
-        actual = row.get(column)
-        if actual is None or expected is None:
-            return False
-        return cmp(actual, expected)
-
-    return ordered
-
-
-_ORDERED_OPS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _compile_where(where: tuple[Comparison, ...]):
-    """Compile a WHERE clause into one residual predicate, or None when
-    the clause is empty (so scans can skip the call entirely)."""
-    if not where:
-        return None
-    predicates = tuple(_compile_comparison(c) for c in where)
-    if len(predicates) == 1:
-        return predicates[0]
-    if len(predicates) == 2:
-        first, second = predicates
-        return lambda row, params: first(row, params) and second(row, params)
-
-    def residual(row, params):
-        for predicate in predicates:
-            if not predicate(row, params):
-                return False
-        return True
-
-    return residual
-
-
-class CompiledPlan:
-    """A statement compiled for repeated execution.
-
-    Compilation hoists everything that does not depend on the bound
-    parameters out of the per-call path: the WHERE clause becomes a single
-    closure chain (:func:`_compile_where`), and access-path selection
-    (primary-key point read vs secondary-index lookup vs filtered scan) is
-    resolved once per schema and cached behind an identity check — the
-    plan cache is keyed by statement text alone, so the same plan can meet
-    different schemas for the same table name across databases.
-    """
-
-    __slots__ = (
-        "statement",
-        "text",
-        "table",
-        "_residual",
-        "_schema",
-        "_pk_value",
-        "_index_column",
-        "_index_value",
-    )
-
-    def __init__(self, statement: Statement, text: Optional[str] = None):
-        self.statement = statement
-        self.text = text
-        self.table = statement.table
-        self._residual = _compile_where(getattr(statement, "where", ()))
-        self._schema = None
-        self._pk_value: Optional[Value] = None
-        self._index_column: Optional[str] = None
-        self._index_value: Optional[Value] = None
-
-    def _bind(self, schema) -> None:
-        """Pick the access path for ``schema`` (identity-cached)."""
-        where = getattr(self.statement, "where", ())
-        self._pk_value = None
-        for comparison in where:
-            if comparison.op == "=" and comparison.column == schema.primary_key:
-                self._pk_value = comparison.value
-                break
-        self._index_column = None
-        self._index_value = None
-        for comparison in where:
-            if comparison.op == "=" and comparison.column in schema.indexes:
-                self._index_column = comparison.column
-                self._index_value = comparison.value
-                break
-        self._schema = schema
-
-    def _rows(self, ctx, params, copy: bool) -> list:
-        """Rows matching the WHERE clause via the cheapest access path.
-
-        With ``copy`` the returned rows are fresh dicts (safe to hand out
-        or mutate); otherwise they are the context's own row mappings —
-        callers must not retain or modify them.
-        """
-        table = self.table
-        schema = ctx.schema(table)
-        if schema is not self._schema:
-            self._bind(schema)
-        residual = self._residual
-        if self._pk_value is not None:
-            key = self._pk_value.resolve(params)
-            if key is not None:
-                row = ctx.read(table, key)
-                if row is None or (residual is not None and not residual(row, params)):
-                    return []
-                return [dict(row)] if copy else [row]
-        if self._index_column is not None:
-            value = self._index_value.resolve(params)
-            rows = []
-            for key in ctx.lookup(table, self._index_column, value):
-                row = ctx.read(table, key)
-                if row is not None and (residual is None or residual(row, params)):
-                    rows.append(dict(row) if copy else row)
-            return rows
-        predicate = None
-        if residual is not None:
-            def predicate(row):
-                return residual(row, params)
-        if copy:
-            return [dict(r) for r in ctx.scan(table, predicate=predicate)]
-        return list(ctx.scan(table, predicate=predicate))
-
-    def execute(self, ctx, params: Optional[Mapping[str, Any]] = None):
-        raise NotImplementedError
-
-
-class _SelectPlan(CompiledPlan):
-    __slots__ = ("_columns", "_limit")
-
-    def __init__(self, statement: Select, text: Optional[str] = None):
-        super().__init__(statement, text)
-        self._columns = statement.columns
-        self._limit = statement.limit
-
-    def execute(self, ctx, params: Optional[Mapping[str, Any]] = None):
-        params = params if params is not None else {}
-        # Read-only: project straight off the context's row mappings, no
-        # intermediate dict(row) copy per matching row.
-        rows = self._rows(ctx, params, copy=False)
-        if self._limit is not None:
-            rows = rows[: self._limit]
-        columns = self._columns
-        if columns is None:
-            return [dict(row) for row in rows]
-        return [{column: row.get(column) for column in columns} for row in rows]
-
-
-class _InsertPlan(CompiledPlan):
-    __slots__ = ("_pairs",)
-
-    def __init__(self, statement: Insert, text: Optional[str] = None):
-        super().__init__(statement, text)
-        self._pairs = tuple(
-            (column, value.resolve)
-            for column, value in zip(statement.columns, statement.values)
-        )
-
-    def execute(self, ctx, params: Optional[Mapping[str, Any]] = None):
-        params = params if params is not None else {}
-        ctx.insert(self.table, {column: resolve(params) for column, resolve in self._pairs})
-        return 1
-
-
-class _UpdatePlan(CompiledPlan):
-    __slots__ = ("_assignments",)
-
-    def __init__(self, statement: Update, text: Optional[str] = None):
-        super().__init__(statement, text)
-        self._assignments = tuple(
-            (assignment.column, assignment.compute)
-            for assignment in statement.assignments
-        )
-
-    def execute(self, ctx, params: Optional[Mapping[str, Any]] = None):
-        params = params if params is not None else {}
-        rows = self._rows(ctx, params, copy=True)
-        primary_key = self._schema.primary_key
-        for row in rows:
-            changes = {
-                column: compute(row, params) for column, compute in self._assignments
-            }
-            ctx.update(self.table, row[primary_key], changes)
-        return len(rows)
-
-
-class _DeletePlan(CompiledPlan):
-    __slots__ = ()
-
-    def execute(self, ctx, params: Optional[Mapping[str, Any]] = None):
-        params = params if params is not None else {}
-        rows = self._rows(ctx, params, copy=True)
-        primary_key = self._schema.primary_key
-        for row in rows:
-            ctx.delete(self.table, row[primary_key])
-        return len(rows)
-
-
-def _compile(statement: Statement, text: Optional[str] = None) -> CompiledPlan:
-    if isinstance(statement, Select):
-        return _SelectPlan(statement, text)
-    if isinstance(statement, Insert):
-        return _InsertPlan(statement, text)
-    if isinstance(statement, Update):
-        return _UpdatePlan(statement, text)
-    if isinstance(statement, Delete):
-        return _DeletePlan(statement, text)
-    raise SqlError(f"unsupported statement type {type(statement).__name__}")
+#: statement texts a cache holds before it evicts the least recently used
+PLAN_CACHE_CAPACITY = 256
 
 
 class PlanCache:
-    """LRU cache of compiled plans keyed by statement text.
+    """LRU cache of parsed statements, keyed by statement text.
 
-    Statement texts in the benchmarks are prepared templates — a handful of
-    distinct strings executed millions of times — so the cache turns
-    per-call parsing and predicate interpretation into a dict hit.  Parsed
-    :class:`Statement` ASTs are accepted as keys too (they are frozen and
-    hashable), so pre-parsed callers share plans the same way.  ``capacity``
-    may be adjusted at runtime; eviction applies on the next insert.
-    """
+    Prepared templates are a few texts run many times: parsing is a dict hit."""
 
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise SqlError("plan cache capacity must be >= 1")
-        self.capacity = capacity
-        self._plans: "OrderedDict[Any, CompiledPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def __init__(self):
+        self._statements: "OrderedDict[str, Statement]" = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def get(self, statement: Union[str, Statement]) -> CompiledPlan:
-        """The compiled plan for ``statement``, compiling on first sight."""
-        plans = self._plans
-        try:
-            plan = plans.get(statement)
-        except TypeError:
-            # Unhashable AST (programmatically built Literal holding a
-            # mutable value): compile without caching.
-            return _compile(statement)
-        if plan is not None:
-            plans.move_to_end(statement)
+    def get(self, text: str) -> Statement:
+        """The parsed statement for ``text``, parsing on first sight."""
+        statement = self._statements.get(text)
+        if statement is not None:
+            self._statements.move_to_end(text)
             self.hits += 1
-            return plan
+            return statement
         self.misses += 1
-        if isinstance(statement, str):
-            plan = _compile(parse(statement), statement)
-        else:
-            plan = _compile(statement)
-        plans[statement] = plan
-        while len(plans) > self.capacity:
-            plans.popitem(last=False)
+        statement = self._statements[text] = parse(text)
+        if len(self._statements) > PLAN_CACHE_CAPACITY:
+            self._statements.popitem(last=False)
             self.evictions += 1
-        return plan
+        return statement
 
     def clear(self) -> None:
-        """Drop all cached plans and reset the counters."""
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        """Drop all cached statements and reset the counters."""
+        self._statements.clear()
+        self.hits = self.misses = self.evictions = 0
 
     def stats(self) -> dict:
         """Cache effectiveness counters (surfaced in cluster stats)."""
         return {
-            "size": len(self._plans),
-            "capacity": self.capacity,
+            "size": len(self._statements),
+            "capacity": PLAN_CACHE_CAPACITY,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
         }
 
 
-#: process-wide plan cache: every replica in a simulated cluster shares it,
-#: so each distinct statement text is parsed and compiled exactly once
+#: process-wide statement cache, shared by every replica of every cluster
 _PLAN_CACHE = PlanCache()
 
 
 def plan_cache() -> PlanCache:
-    """The process-wide plan cache (shared by all clusters/replicas)."""
+    """The process-wide statement cache (shared by all clusters/replicas)."""
     return _PLAN_CACHE
 
-
-def compile_statement(statement: Union[str, Statement]) -> CompiledPlan:
-    """The (cached) compiled plan for a statement text or parsed AST."""
-    return _PLAN_CACHE.get(statement)
-
-
-# ---------------------------------------------------------------------------
-# Execution against a transaction context
-# ---------------------------------------------------------------------------
 
 def execute(ctx, statement: Union[str, Statement], params: Optional[Mapping[str, Any]] = None):
     """Execute one statement against a transaction context.
 
     Returns a list of row dicts for SELECT and the affected-row count for
-    INSERT/UPDATE/DELETE.  The context's usual statement costs and early
-    certification apply, because execution goes through the context's own
-    read/lookup/scan/insert/update/delete methods.  Plans are compiled and
-    cached per statement text (see :class:`PlanCache`), so repeated calls
-    skip parsing, predicate interpretation and access-path selection.
+    INSERT/UPDATE/DELETE.  It goes through the context's own read, lookup,
+    scan, insert, update and delete, so their statement costs and early
+    certification apply; the WHERE clause picks the access path per call.
     """
-    return _PLAN_CACHE.get(statement).execute(ctx, params)
+    if isinstance(statement, str):
+        statement = _PLAN_CACHE.get(statement)
+    params = params if params is not None else {}
+    table = statement.table
+    if isinstance(statement, Insert):
+        ctx.insert(table, {column: value.resolve(params)
+                           for column, value in zip(statement.columns, statement.values)})
+        return 1
+    schema = ctx.schema(table)
+    selected = (statement.columns if isinstance(statement, Select) else None) or ()
+    for column in (*(comparison.column for comparison in statement.where), *selected):
+        if column not in schema.column_names:
+            raise SqlError(f"table {table!r} has no column {column!r}")
+    rows = _rows(ctx, table, schema, statement.where, params)
+    if isinstance(statement, Select):
+        rows = rows if statement.limit is None else rows[: statement.limit]
+        if statement.columns is None:
+            return [dict(row) for row in rows]
+        return [{column: row.get(column) for column in statement.columns} for row in rows]
+    for row in rows:
+        if isinstance(statement, Update):
+            ctx.update(table, row[schema.primary_key], {
+                assignment.column: assignment.compute(row, params)
+                for assignment in statement.assignments})
+        else:
+            ctx.delete(table, row[schema.primary_key])
+    return len(rows)
+
+
+def _rows(ctx, table: str, schema, where: tuple[Comparison, ...], params) -> list:
+    """The rows matching ``where`` (the context's own, not to be modified)."""
+    for comparison in where:
+        if comparison.op == "=" and comparison.column == schema.primary_key:
+            key = comparison.value.resolve(params)
+            if key is None:
+                break  # a NULL key pins no row
+            row = ctx.read(table, key)
+            return [row] if row is not None and _matches(where, row, params) else []
+    for comparison in where:
+        if comparison.op == "=" and comparison.column in schema.indexes:
+            value = comparison.value.resolve(params)
+            rows = (ctx.read(table, key) for key in ctx.lookup(table, comparison.column, value))
+            return [row for row in rows if row is not None and _matches(where, row, params)]
+    predicate = (lambda row: _matches(where, row, params)) if where else None
+    return list(ctx.scan(table, predicate=predicate))
+
+
+def _matches(where: tuple[Comparison, ...], row, params) -> bool:
+    for comparison in where:
+        if not comparison.matches(row, params):
+            return False
+    return True

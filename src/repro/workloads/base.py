@@ -113,17 +113,16 @@ def sql_template(name: str, statements: Sequence[str]) -> TransactionTemplate:
     """
     from ..storage import sql as _sql
 
-    # Compile through the process-wide plan cache: every client running the
-    # same template shares one parsed AST and one compiled plan per text.
-    plans = [_sql.compile_statement(text) for text in statements]
-    if not plans:
+    # Parse through the process-wide cache: every client running the same
+    # template shares one parsed statement per text.
+    parsed = tuple(_sql.plan_cache().get(text) for text in statements)
+    if not parsed:
         raise ValueError(f"template {name!r} has no statements")
-    parsed = tuple(plan.statement for plan in plans)
     tables = _sql.table_set(parsed)
     is_update = any(statement.is_update for statement in parsed)
 
     def body(ctx, params):
-        return [plan.execute(ctx, params) for plan in plans]
+        return [_sql.execute(ctx, statement, params) for statement in parsed]
 
     body.__name__ = f"sql_{name}"
     return TransactionTemplate(

@@ -73,13 +73,23 @@ class TestEnabledProfiler:
         with profiler.section("run.measure"):
             pass
         profiler.count("kernel.events", 1000)
-        # The headline divides the kernel.events count by the longest
-        # section's wall time.
+        # The headline divides the kernel.events count by the wall time of
+        # the run sections.
         profiler.sections["run.measure"] = (2.0, 1)
         report = profiler.report()
         assert "run.measure" in report
         assert "1,000 kernel events in 2.00s wall = 500 events/s" in report
         assert "kernel.events" in report
+
+    def test_rate_covers_warmup_and_measurement(self):
+        # run_experiment counts the events of warm-up and measurement both.
+        profiler = Profiler()
+        profiler.counters["kernel.events"] = 3000
+        profiler.sections["cluster.build"] = (5.0, 1)
+        profiler.sections["run.warmup"] = (1.0, 1)
+        profiler.sections["run.measure"] = (2.0, 1)
+        report = profiler.report()
+        assert "3,000 kernel events in 3.00s wall = 1,000 events/s" in report
 
     def test_report_empty(self):
         assert "no sections" in Profiler().report()

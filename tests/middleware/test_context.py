@@ -57,9 +57,11 @@ class TestAccounting:
             ctx.read_required("t", 404)
 
     def test_execute_sql_through_context(self, ctx):
-        rows = ctx.execute_sql("SELECT v FROM t WHERE id = :id", {"id": 1})
+        from repro.storage import sql
+
+        rows = sql.execute(ctx, "SELECT v FROM t WHERE id = :id", {"id": 1})
         assert rows == [{"v": 10}]
         assert ctx.read_statement_count == 1
-        count = ctx.execute_sql("UPDATE t SET v = v + 5 WHERE id = :id", {"id": 1})
+        count = sql.execute(ctx, "UPDATE t SET v = v + 5 WHERE id = :id", {"id": 1})
         assert count == 1
         assert ctx.read("t", 1)["v"] == 15

@@ -12,7 +12,6 @@ from repro.storage.sql import (
     SqlError,
     Update,
     parse,
-    parse_script,
     table_set,
 )
 
@@ -83,6 +82,19 @@ class TestParseOthers:
         assert assignment.base.name == "stock"
         assert assignment.sign == -1
 
+    def test_unspaced_increment(self):
+        # `v-1` after a column is an increment, not the column and a
+        # negative literal.
+        for text, sign in (("v-1", -1), ("v+1", 1), ("v - -1", -1)):
+            assignment = parse(f"UPDATE t SET v = {text}").assignments[0]
+            assert assignment.base.name == "v" and assignment.sign == sign
+        assert parse("UPDATE t SET v = v - -1").assignments[0].value == Literal(-1)
+
+    def test_negative_literal_where_a_value_starts(self):
+        assert parse("SELECT * FROM t WHERE v > -1").where[0].value == Literal(-1)
+        assert parse("SELECT * FROM t WHERE v>-1.5").where[0].value == Literal(-1.5)
+        assert parse("UPDATE t SET v = -3").assignments[0].value == Literal(-3)
+
     def test_update_multiple_assignments(self):
         statement = parse("UPDATE t SET a = 1, b = b + 2")
         assert len(statement.assignments) == 2
@@ -114,6 +126,8 @@ class TestParseErrors:
             "UPDATE t SET",
             "SELECT * FROM t extra garbage ;;;",
             "INSERT INTO t VALUES (1)",
+            "SELECT * FROM t WHERE v = -:p",
+            "UPDATE t SET v = v-",
         ],
     )
     def test_rejected(self, bad):
@@ -137,9 +151,8 @@ class TestTableSet:
             {"customer", "item", "orders", "cart_line"}
         )
 
-    def test_parse_script(self):
-        parsed = parse_script(["SELECT * FROM a", "DELETE FROM b"])
-        assert len(parsed) == 2
+    def test_table_set_of_parsed_statements(self):
+        parsed = [parse("SELECT * FROM a"), parse("DELETE FROM b")]
         assert table_set(parsed) == frozenset({"a", "b"})
 
 
@@ -263,6 +276,29 @@ class TestExecute:
         count = execute(ctx, "UPDATE item SET price = 1.0 WHERE subject = 'ARTS'")
         assert count == 2
         assert ctx.rows[1]["price"] == 1.0 and ctx.rows[2]["price"] == 1.0
+
+    def test_update_unspaced_decrement(self, ctx):
+        from repro.storage.sql import execute
+
+        assert execute(ctx, "UPDATE item SET stock = stock-1 WHERE id = 1") == 1
+        assert ctx.rows[1]["stock"] == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT * FROM item WHERE vv = 10",
+            "SELECT * FROM item WHERE item.id = :id",
+            "SELECT id, vv FROM item",
+            "SELECT id FROM item WHERE subject = 'ARTS' AND vv > 1",
+            "UPDATE item SET stock = 1 WHERE vv = 10",
+            "DELETE FROM item WHERE vv = 10",
+        ],
+    )
+    def test_unknown_column_rejected(self, ctx, text):
+        from repro.storage.sql import execute
+
+        with pytest.raises(SqlError, match="no column"):
+            execute(ctx, text, {"id": 1})
 
     def test_delete(self, ctx):
         from repro.storage.sql import execute

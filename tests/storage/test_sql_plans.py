@@ -1,161 +1,53 @@
-"""Compiled SQL plans: differential equivalence and plan-cache behaviour.
+"""The SQL statement cache and the executor's access-path choice.
 
-The hot-path overhaul replaced per-call parsing and per-row
-``Comparison.matches`` interpretation with plans compiled once and cached
-by statement text.  These tests pin the compiled semantics to the
-interpreted ones (property-based, over randomized rows/params/operators)
-and the cache's LRU accounting.
+Statement texts are parsed once through an LRU cache keyed by text; the
+executor picks its access path from the schema it meets on each call.
+These tests pin the cache's LRU accounting and the executor's row copies
+and access paths.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
-
 from repro.storage import Column, TableSchema
 from repro.storage.sql import (
-    Comparison,
-    Literal,
-    Param,
+    PLAN_CACHE_CAPACITY,
     PlanCache,
-    SqlError,
-    compile_statement,
     execute,
-    parse,
-    parse_script,
     plan_cache,
 )
-from repro.storage.sql import _compile_comparison, _compile_where
-
-OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-# Cell values cover every comparison edge the executor can meet: absent
-# column, NULL, cross-type equality, bools (an int subclass), and strings.
-cell_values = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-5, max_value=5),
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
-    st.sampled_from(["a", "b", "zz"]),
-)
-
-columns = st.sampled_from(["c1", "c2", "c3"])
-rows = st.dictionaries(columns, cell_values, max_size=3)
-
-
-def _comparable(actual, expected) -> bool:
-    """True when ``actual <op> expected`` will not raise TypeError."""
-    if actual is None or expected is None:
-        return True  # ordered ops short-circuit before comparing
-    numeric = (bool, int, float)
-    if isinstance(actual, numeric) and isinstance(expected, numeric):
-        return True
-    return isinstance(actual, str) and isinstance(expected, str)
-
-
-class TestCompiledPredicates:
-    @given(columns, st.sampled_from(OPS), cell_values, rows)
-    def test_literal_comparison_matches_interpreter(self, column, op, const, row):
-        comparison = Comparison(column=column, op=op, value=Literal(const))
-        if op not in ("=", "!=") and not _comparable(row.get(column), const):
-            return
-        compiled = _compile_comparison(comparison)
-        assert compiled(row, {}) == comparison.matches(row, {})
-
-    @given(columns, st.sampled_from(OPS), cell_values, rows, st.booleans())
-    def test_param_comparison_matches_interpreter(
-        self, column, op, bound, row, provide
-    ):
-        comparison = Comparison(column=column, op=op, value=Param("p"))
-        params = {"p": bound} if provide else {}
-        compiled = _compile_comparison(comparison)
-        if not provide:
-            with pytest.raises(SqlError, match="missing parameter :p"):
-                comparison.matches(row, params)
-            with pytest.raises(SqlError, match="missing parameter :p"):
-                compiled(row, params)
-            return
-        if op not in ("=", "!=") and not _comparable(row.get(column), bound):
-            return
-        assert compiled(row, params) == comparison.matches(row, params)
-
-    @given(
-        st.lists(
-            st.tuples(columns, st.sampled_from(("=", "!=")), cell_values),
-            max_size=4,
-        ),
-        rows,
-    )
-    def test_where_conjunction_matches_interpreter(self, specs, row):
-        where = tuple(
-            Comparison(column=c, op=op, value=Literal(v)) for c, op, v in specs
-        )
-        compiled = _compile_where(where)
-        expected = all(c.matches(row, {}) for c in where)
-        if compiled is None:
-            assert where == ()
-            assert expected is True
-        else:
-            assert compiled(row, {}) == expected
-
-    def test_empty_where_compiles_to_none(self):
-        assert _compile_where(()) is None
-
-    def test_ordered_null_never_matches(self):
-        for op in ("<", "<=", ">", ">="):
-            comparison = Comparison(column="c1", op=op, value=Literal(None))
-            compiled = _compile_comparison(comparison)
-            assert compiled({"c1": 1}, {}) is False
-            assert comparison.matches({"c1": 1}, {}) is False
+from repro.workloads import sql_template
 
 
 class TestPlanCache:
     def test_hit_and_miss_accounting(self):
-        cache = PlanCache(capacity=4)
+        cache = PlanCache()
         first = cache.get("SELECT * FROM t WHERE id = 1")
         again = cache.get("SELECT * FROM t WHERE id = 1")
         assert first is again
-        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
+        assert cache.hits == 1 and cache.misses == 1 and cache.stats()["size"] == 1
 
     def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
-        a = cache.get("SELECT * FROM t WHERE id = 1")
-        cache.get("SELECT * FROM t WHERE id = 2")
-        # Touch plan a so id=2 becomes the least recently used entry.
-        assert cache.get("SELECT * FROM t WHERE id = 1") is a
-        cache.get("SELECT * FROM t WHERE id = 3")
-        assert cache.evictions == 1
-        assert cache.get("SELECT * FROM t WHERE id = 1") is a  # survived
-        # id=2 was evicted: fetching it again is a miss that recompiles.
+        cache = PlanCache()
+        a = cache.get("SELECT * FROM t WHERE id = 0")
+        for i in range(1, PLAN_CACHE_CAPACITY):
+            cache.get(f"SELECT * FROM t WHERE id = {i}")
+        # Touch id=0 so id=1 becomes the least recently used entry.
+        assert cache.get("SELECT * FROM t WHERE id = 0") is a
+        cache.get("SELECT * FROM t WHERE id = -1")
+        assert cache.evictions == 1 and cache.stats()["size"] == PLAN_CACHE_CAPACITY
+        assert cache.get("SELECT * FROM t WHERE id = 0") is a  # survived
+        # id=1 was evicted: fetching it again is a miss that reparses.
         misses = cache.misses
-        cache.get("SELECT * FROM t WHERE id = 2")
+        cache.get("SELECT * FROM t WHERE id = 1")
         assert cache.misses == misses + 1
 
-    def test_capacity_shrink_applies_on_next_insert(self):
-        cache = PlanCache(capacity=8)
-        for i in range(8):
-            cache.get(f"SELECT * FROM t WHERE id = {i}")
-        cache.capacity = 2
-        cache.get("SELECT * FROM t WHERE id = 99")
-        assert len(cache) == 2
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(SqlError):
-            PlanCache(capacity=0)
-
-    def test_ast_keys_share_plans(self):
-        cache = PlanCache()
-        statement = parse("SELECT * FROM t WHERE id = :id")
-        equal_statement = parse("SELECT * FROM t WHERE id = :id")
-        assert cache.get(statement) is cache.get(equal_statement)
-
     def test_stats_shape(self):
-        cache = PlanCache(capacity=3)
+        cache = PlanCache()
         cache.get("SELECT * FROM t")
         stats = cache.stats()
         assert stats == {
             "size": 1,
-            "capacity": 3,
+            "capacity": PLAN_CACHE_CAPACITY,
             "hits": 0,
             "misses": 1,
             "evictions": 0,
@@ -166,19 +58,15 @@ class TestPlanCache:
         cache.get("SELECT * FROM t")
         cache.get("SELECT * FROM t")
         cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+        assert cache.stats()["size"] == 0 and cache.hits == 0 and cache.misses == 0
 
-    def test_parse_script_dedupes_through_global_cache(self):
+    def test_templates_parse_through_global_cache(self):
         text = "SELECT * FROM dedupe_probe_table WHERE id = :id"
         baseline = plan_cache().misses
-        first = parse_script([text])
-        second = parse_script([text])
-        assert first[0] is second[0]  # same AST object, parsed once
+        sql_template("first", [text])
+        sql_template("second", [text])
         assert plan_cache().misses == baseline + 1
-
-    def test_compile_statement_uses_global_cache(self):
-        text = "SELECT * FROM compile_probe_table WHERE id = :id"
-        assert compile_statement(text) is compile_statement(text)
+        assert plan_cache().get(text) is plan_cache().get(text)
 
 
 class _Ctx:

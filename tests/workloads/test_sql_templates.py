@@ -10,6 +10,7 @@ from repro.storage.sql import SqlError
 from repro.workloads import (
     MicroBenchmark,
     TemplateCatalog,
+    TransactionTemplate,
     TxnCall,
     Workload,
     sql_template,
@@ -66,6 +67,132 @@ class BankWorkload(Workload):
         src = rng.randint(1, self.accounts)
         dst = src % self.accounts + 1
         return TxnCall("transfer", {"src": src, "dst": dst, "amount": 1})
+
+
+class _Recording:
+    """A transaction context that logs each statement call it passes on."""
+
+    def __init__(self, ctx, calls):
+        self._ctx = ctx
+        self._calls = calls
+
+    def schema(self, table):
+        return self._ctx.schema(table)
+
+    def __getattr__(self, name):
+        method = getattr(self._ctx, name)
+
+        def call(*args, **kwargs):
+            self._calls.append((name, *(a for a in args if not callable(a)), *kwargs))
+            return method(*args, **kwargs)
+
+        return call
+
+
+class BranchBank(Workload):
+    """Accounts grouped by an indexed branch, with every template written
+    twice: as prepared SQL, and as a hand-written body making the
+    ``ctx.read``/``lookup``/``scan``/``update`` calls the executor should
+    make for it (a point read, an index lookup and a filtered scan)."""
+
+    name = "branch-bank"
+    ACCOUNTS, BRANCHES = 24, 4
+
+    def __init__(self, sql: bool):
+        def balance(ctx, params):
+            row = ctx.read("account", params["id"])
+            return [[{"balance": row["balance"]}] if row is not None else []]
+
+        def deposit(ctx, params):
+            row = ctx.read("account", params["id"])
+            ctx.update("account", params["id"],
+                       {"balance": row["balance"] + params["amount"]})
+            return [1]
+
+        def branch(ctx, params):
+            rows = [ctx.read("account", key)
+                    for key in ctx.lookup("account", "branch", params["branch"])]
+            return [[{"id": row["id"], "balance": row["balance"]} for row in rows]]
+
+        def poor(ctx, params):
+            rows = ctx.scan("account", predicate=lambda row: row["balance"] < params["floor"])
+            return [[{"id": row["id"]} for row in rows]]
+
+        sql_templates = [
+            sql_template("balance", ["SELECT balance FROM account WHERE id = :id"]),
+            sql_template("deposit", [
+                "UPDATE account SET balance = balance + :amount WHERE id = :id",
+            ]),
+            sql_template("branch", [
+                "SELECT id, balance FROM account WHERE branch = :branch",
+            ]),
+            sql_template("poor", ["SELECT id FROM account WHERE balance < :floor"]),
+        ]
+        bodies = {"balance": balance, "deposit": deposit, "branch": branch, "poor": poor}
+        #: every statement call the bodies make, in the order they make them
+        self.calls = []
+
+        def recorded(body):
+            return lambda ctx, params: body(_Recording(ctx, self.calls), params)
+
+        self._catalog = TemplateCatalog([
+            TransactionTemplate(
+                t.name, t.table_set, recorded(t.body if sql else bodies[t.name]), t.is_update
+            )
+            for t in sql_templates
+        ])
+
+    def schemas(self):
+        return [TableSchema(
+            "account",
+            [Column("id", int), Column("branch", int), Column("balance", int)],
+            "id",
+            indexes=["branch"],
+        )]
+
+    def catalog(self):
+        return self._catalog
+
+    def populate(self, database, rng):
+        for account in range(self.ACCOUNTS):
+            database.load_row("account", {
+                "id": account, "branch": account % self.BRANCHES, "balance": 100,
+            })
+
+    def next_call(self, client_id, rng):
+        roll = rng.random()
+        if roll < 0.3:
+            return TxnCall("balance", {"id": rng.randint(0, self.ACCOUNTS - 1)})
+        if roll < 0.6:
+            return TxnCall("deposit", {
+                "id": rng.randint(0, self.ACCOUNTS - 1), "amount": rng.randint(1, 10),
+            })
+        if roll < 0.9:
+            return TxnCall("branch", {"branch": rng.randint(0, self.BRANCHES - 1)})
+        return TxnCall("poor", {"floor": rng.randint(100, 130)})
+
+
+class TestSqlCostsWhatItsTwinCosts:
+    def test_sql_and_hand_written_bodies_run_identically(self):
+        """The module's promise: a SQL statement costs exactly what the
+        equivalent programmatic template costs, so the two banks produce
+        the same run, transaction for transaction."""
+        from repro.metrics import MetricsCollector
+
+        def run(sql):
+            cluster = ReplicatedDatabase(
+                BranchBank(sql), ClusterConfig(num_replicas=3, level="sc-fine", seed=4)
+            )
+            collector = MetricsCollector(measure_start=0.0, measure_end=1_000.0)
+            cluster.add_clients(6, collector)
+            cluster.run(1_000.0)
+            return (collector.summary(), cluster.commit_version,
+                    cluster.env.events_processed, cluster.workload.calls)
+
+        sql_run, python_run = run(sql=True), run(sql=False)
+        assert sql_run[0].committed > 100 and sql_run[1] > 50
+        assert {call[0] for call in sql_run[3]} == {"read", "lookup", "scan", "update"}
+        assert sql_run == python_run
 
 
 class TestSqlTemplateConstruction:
