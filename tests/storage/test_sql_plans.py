@@ -60,12 +60,23 @@ class TestPlanCache:
         cache.clear()
         assert cache.stats()["size"] == 0 and cache.hits == 0 and cache.misses == 0
 
-    def test_templates_parse_through_global_cache(self):
+    def test_parse_script_dedupes_through_global_cache(self):
+        # Two templates over one text share a single parse.
         text = "SELECT * FROM dedupe_probe_table WHERE id = :id"
         baseline = plan_cache().misses
         sql_template("first", [text])
         sql_template("second", [text])
         assert plan_cache().misses == baseline + 1
+
+    def test_compile_statement_uses_global_cache(self):
+        # A statement executed as text is parsed through the same cache,
+        # which hands back one object per text.
+        text = "SELECT * FROM item WHERE id = :id"
+        ctx = _item_ctx()
+        execute(ctx, text, {"id": 1})
+        misses = plan_cache().misses
+        assert execute(ctx, text, {"id": 2})[0]["price"] == 25.0
+        assert plan_cache().misses == misses
         assert plan_cache().get(text) is plan_cache().get(text)
 
 
