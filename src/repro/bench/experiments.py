@@ -559,6 +559,7 @@ def availability(quick: bool = True, seed: int = 0) -> SeriesResult:
 
         monitor = cluster.load_balancer.monitor
         detection = monitor.suspect_times.get(victim, math.inf) - crash_at
+        cluster.close()
 
         timeline = collector.timeline(bucket_ms=bucket_ms)
         before = [tps for start, tps in timeline if start + bucket_ms <= crash_at]
@@ -609,6 +610,7 @@ def _saturation_point(
         rngs=cluster.rngs,
     )
     cluster.run(warmup_ms + measure_ms)
+    cluster.close()
     summary = collector.summary()
     shed = cluster.metrics.get("balancer.shed") + cluster.metrics.get("balancer.deadline_shed")
     shed_rate = shed / load.offered if load.offered else 0.0
@@ -712,6 +714,7 @@ def retry_storm(quick: bool = True, seed: int = 0) -> SeriesResult:
         cluster.run(spike_start + spike_ms)
         load.set_rate(STORM_BASE_TPS)
         cluster.run(end)
+        cluster.close()
 
         timeline = collector.timeline(bucket_ms=bucket_ms)
         # Baseline skips the first 500 ms of warm-up transient; the tail is

@@ -84,19 +84,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             measure_start=config.warmup_ms, measure_end=config.total_ms
         )
         cluster.add_clients(config.clients, collector, retry_aborts=config.retry_aborts)
-    with PROFILER.section("run.warmup"):
-        cluster.run(config.warmup_ms)
-    with PROFILER.section("run.measure"):
-        cluster.run(config.total_ms)
-    PROFILER.count("kernel.events", cluster.env.events_processed)
-    PROFILER.count("kernel.immediate", cluster.env.immediate_scheduled)
-
-    return ExperimentResult(
-        config=config,
-        summary=collector.summary(),
-        certified=cluster.certifier.certified_count,
-        certification_aborts=cluster.certifier.abort_count,
-        early_aborts=sum(p.early_abort_count for p in cluster.replicas.values()),
-        final_commit_version=cluster.commit_version,
-        history=cluster.history,
-    )
+    with cluster:
+        with PROFILER.section("run.warmup"):
+            cluster.run(config.warmup_ms)
+        with PROFILER.section("run.measure"):
+            cluster.run(config.total_ms)
+        PROFILER.count("kernel.events", cluster.env.events_processed)
+        PROFILER.count("kernel.immediate", cluster.env.immediate_scheduled)
+        # Closed on the way out (DESIGN.md D29): a sweep holds one cluster
+        # at a time, and ``latest_registry()`` keeps this one's snapshot.
+        return ExperimentResult(
+            config=config,
+            summary=collector.summary(),
+            certified=cluster.certifier.certified_count,
+            certification_aborts=cluster.certifier.abort_count,
+            early_aborts=sum(p.early_abort_count for p in cluster.replicas.values()),
+            final_commit_version=cluster.commit_version,
+            history=cluster.history,
+        )

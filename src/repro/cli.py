@@ -280,7 +280,8 @@ def _verdict(label: str, cluster, checks: dict[str, bool]) -> tuple[list[str], b
 
 def _fault_cluster(preset, args, **overrides):
     """A fault command's cluster: the micro-benchmark on a ``ClusterConfig``
-    preset, loaded by ``args.clients`` clients that retry aborts."""
+    preset, loaded by ``args.clients`` clients that retry aborts.  The
+    command closes it once its verdict is made."""
     from .core.cluster import ReplicatedDatabase
     from .workloads import MicroBenchmark
 
@@ -351,6 +352,7 @@ def _run_nemesis(args) -> tuple[str, bool]:
                 bootstrap.bootstraps_completed >= 1 or not purged,
         }
     verdict, ok = _verdict("audit", cluster, checks)
+    cluster.close()
     return "\n".join(lines + verdict), ok
 
 
@@ -414,6 +416,7 @@ def _run_scrub(args) -> tuple[str, bool]:
     # corruption the workload overwrote before the next scrub round
     # self-heals without a quarantine, and that is fine.
     verdict, ok = _verdict("audit", cluster, {})
+    cluster.close()
     return "\n".join(lines + verdict), ok
 
 
@@ -458,6 +461,7 @@ def _run_membership(args) -> tuple[str, bool]:
         "lifecycle completed (joining → catching-up → live)":
             went_live and bootstrap.bootstraps_completed >= 1,
     })
+    cluster.close()
     return "\n".join(lines + verdict), ok
 
 

@@ -385,6 +385,7 @@ class ReplicatedDatabase:
                 proxy.bootstrap_name = self.bootstrap.name
         self._session_counter = 0
         self.client_pool: Optional[ClientPool] = None
+        self._closed = False
         #: the unified metrics registry — every producer publishes here
         #: under stable dotted names
         self.metrics = self._build_metrics_registry()
@@ -446,9 +447,47 @@ class ReplicatedDatabase:
         metrics, audits and the injector keep seeing the live one."""
         self.certifier = certifier
 
+    # -- end of life ---------------------------------------------------------
+    def close(self) -> None:
+        """End the cluster deterministically (DESIGN.md D29).  Idempotent.
+
+        The metrics registry is frozen first: it keeps answering with what
+        it read at this instant (``--stats``, :func:`latest_registry`) but
+        no longer reaches the cluster.  Then every suspended generator is
+        closed — the endpoints' work in hand, then every process in
+        creation order — and the kernel drops its queues; ``finally``
+        blocks run here, not in a later garbage collection.  Last, the bulk
+        goes: the replicas' tables and pending refreshes, the certifier's
+        decision log and certification index, the standby's log.  The
+        ``history`` stays.  After this, :meth:`run`, :meth:`add_clients` and
+        :meth:`open_session` raise.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.metrics.freeze()
+        self.network.close()
+        self.env.close()
+        for proxy in self.replicas.values():
+            proxy.release()
+        self.certifier.release()
+        if self.standby is not None:
+            self.standby.log.truncate_to(self.standby.log.last_version)
+
+    def __enter__(self) -> "ReplicatedDatabase":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the cluster is closed")
+
     # -- interactive use ------------------------------------------------------
     def open_session(self, session_id: Optional[str] = None) -> SyncSession:
         """Open a synchronous client session (one transaction at a time)."""
+        self._check_open()
         if session_id is None:
             self._session_counter += 1
             session_id = f"session-{self._session_counter}"
@@ -462,6 +501,7 @@ class ReplicatedDatabase:
         retry_aborts: bool = False,
     ) -> MetricsCollector:
         """Spawn ``count`` closed-loop clients; returns their collector."""
+        self._check_open()
         if collector is None:
             collector = MetricsCollector()
         if self.client_pool is None:
@@ -478,6 +518,7 @@ class ReplicatedDatabase:
 
     def run(self, until_ms: float) -> None:
         """Advance virtual time to ``until_ms``."""
+        self._check_open()
         self.env.run(until=until_ms)
 
     # -- elastic membership --------------------------------------------------

@@ -41,6 +41,13 @@ class MetricsRegistry:
             raise ValueError(f"provider name must not contain '.': {name!r}")
         self._providers[name] = provider
 
+    def freeze(self) -> None:
+        """Replace every provider by the tree it returns now: the registry
+        keeps reading what it read at this instant and no longer reaches
+        the producers (a closed cluster's registry, DESIGN.md D29)."""
+        for name, provider in self._providers.items():
+            self._providers[name] = _constant(provider())
+
     # -- reading -----------------------------------------------------------
     def tree(self, name: str):
         """One provider's snapshot."""
@@ -74,6 +81,10 @@ class MetricsRegistry:
             else:
                 raise KeyError(dotted)
         return node
+
+
+def _constant(tree):
+    return lambda: tree
 
 
 def _flatten(tree: dict, prefix: str, out: dict) -> None:

@@ -392,6 +392,14 @@ class Certifier:
         order (found by the chaos test)."""
         self.halted = True
 
+    def release(self) -> None:
+        """Drop the bulk once the cluster is closed (DESIGN.md D29): the
+        decision log's entries (``commit_version`` still counts them), its
+        file sink, and the indexes derived from it."""
+        self.log.truncate_to(self.log.last_version)
+        self.log.close()
+        self._derive_from_log()
+
     def _handle(self, message):
         if self.halted:
             return None

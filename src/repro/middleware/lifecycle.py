@@ -325,7 +325,9 @@ class TxnLifecycle:
         proxy = self.proxy
         commit_version = self.commit_version
         yield from proxy.cpu.use(proxy.perf.commit(len(self.writeset)))
-        if proxy.crashed:
+        if proxy.crashed or not self.txn.is_active:
+            # ``not is_active``: a crash and a recovery both fell inside
+            # the hold, and the crash aborted the transaction.
             raise ReplicaCrashed
         prevs = self.certify_prevs
         after = None if prevs is None else tuple(prev for _p, prev in prevs)

@@ -779,6 +779,13 @@ class ReplicaProxy:
         self._global_waiters.clear()
         self._reserved.clear()
 
+    def release(self) -> None:
+        """Drop the bulk once the cluster is closed (DESIGN.md D29): a crash
+        loses the pending refreshes and the in-flight transactions, and the
+        tables go with it."""
+        self.crash()
+        self.engine.database.release()
+
     def recover(self) -> None:
         """Recover: rejoin the network and ask the certifier for the missed
         decisions (replayed through the normal refresh-application path)."""

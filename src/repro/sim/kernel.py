@@ -169,7 +169,7 @@ class Process(Event):
     it yielded, and finishes only by returning or raising.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "name")
+    __slots__ = ("_generator", "_send", "_throw", "name")
 
     def __init__(
         self,
@@ -185,11 +185,8 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        # Unread, but it orders how a dropped cluster's suspended processes
-        # are collected: without it a ReplicaProxy._execute finalizer raises
-        # "generator already executing" (test_overload_cluster.py; D21).
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        env._processes[self] = None
         # Kick the process off via a (pooled) initialisation event.
         env._wakeup(self._resume).succeed()
 
@@ -200,7 +197,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         # The wake-up path, 10^5 times per run, is this one Python frame.
-        self._waiting_on = None
         env = self.env
         try:
             if event._ok:
@@ -208,6 +204,7 @@ class Process(Event):
             else:
                 target = self._throw(event._value)
         except StopIteration as stop:
+            del env._processes[self]
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -219,6 +216,7 @@ class Process(Event):
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            del env._processes[self]
             self.fail(exc)
             return
 
@@ -228,17 +226,18 @@ class Process(Event):
                 "processes may only yield Event instances"
             )
             self._generator.close()
+            del env._processes[self]
             self.fail(SimulationError(message))
             return
         if target.env is not env:
             self._generator.close()
+            del env._processes[self]
             self.fail(SimulationError("yielded event belongs to another environment"))
             return
         if target.callbacks is None:
             # Already processed: resume immediately with its value.
             env._wakeup(self._resume).trigger(target)
         else:
-            self._waiting_on = target
             target.callbacks.append(self._resume)
 
 
@@ -327,6 +326,9 @@ class Environment:
         self._event_counter = itertools.count()
         #: recycled internal wakeup events (see :class:`_Wakeup`)
         self._wakeup_pool: list[_Wakeup] = []
+        #: every process whose generator has not finished, in creation
+        #: order — what :meth:`close` closes
+        self._processes: dict[Process, None] = {}
         #: events processed by :meth:`step` (profiler events/sec)
         self.events_processed = 0
         #: zero-delay schedules that took the FIFO fast path
@@ -482,6 +484,24 @@ class Environment:
             self.events_processed += processed
         if until is not None:
             self._now = float(until)
+
+    def close(self) -> None:
+        """End the simulation: close every unfinished process's generator,
+        in creation order, then drop every scheduled event.
+
+        A generator's ``finally`` blocks run here, once, while every other
+        process is still held — never later, in whatever order a garbage
+        collection would pick (DESIGN.md D29).  Events they schedule are
+        dropped with the rest.  Idempotent.
+        """
+        processes = self._processes
+        while processes:
+            process = next(iter(processes))
+            del processes[process]
+            process._generator.close()
+        self._queue.clear()
+        self._immediate.clear()
+        self._wakeup_pool.clear()
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
         """Run until ``event`` fires; return its value (raise on failure).

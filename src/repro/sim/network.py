@@ -199,6 +199,17 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self._inbox) if self._store is None else len(self._store)
 
+    def close(self) -> None:
+        """Close the generator in hand and drop every waiting message and
+        consumer (a closed cluster's endpoint)."""
+        work, self._work = self._work, None
+        if work is not None:
+            work.close()
+        self._busy = False
+        self._inbox.clear()
+        if self._store is not None:
+            self._store = Store(self.env)
+
 
 @dataclass
 class _Partition:
@@ -351,6 +362,15 @@ class Network:
             "injected": self.injected_count,
             "injected_by_reason": dict(self.injected_by_reason),
         }
+
+    def close(self) -> None:
+        """Close every endpoint (:meth:`Mailbox.close`) and drop the pooled
+        deliveries.  The endpoints stay registered, so a ``finally`` block
+        run later by :meth:`Environment.close` can still send; the
+        environment drops what it sends."""
+        for mailbox in self._mailboxes.values():
+            mailbox.close()
+        self._delivery_pool.clear()
 
     # -- transmission ---------------------------------------------------------
     def send(self, sender: str, recipient: str, message: Any) -> None:

@@ -188,6 +188,14 @@ class Database:
         else:
             tbl.load_row(values)
 
+    def release(self) -> None:
+        """Drop every table and the digest state (a closed cluster's copy);
+        the version counter stays."""
+        self._tables.clear()
+        self._digests.clear()
+        self._latest_hash.clear()
+        self._pending_digest_ops.clear()
+
     def clone(self, name: str) -> "Database":
         """A copy of the version-0 data set over the same row versions.
 

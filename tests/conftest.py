@@ -120,5 +120,7 @@ def run_loaded(level, clients=12, until_ms=2500.0, num_replicas=4, seed=3,
 
 @pytest.fixture
 def small_cluster():
-    """An idle 3-replica SC-COARSE cluster over the micro-benchmark."""
-    return make_cluster()
+    """An idle 3-replica SC-COARSE cluster over the micro-benchmark, closed
+    after the test."""
+    with make_cluster() as cluster:
+        yield cluster

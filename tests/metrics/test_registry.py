@@ -43,6 +43,16 @@ class TestMetricsRegistry:
         registry.register("scrub", lambda: None)
         assert registry.collect() == {}
 
+    def test_freeze_keeps_the_trees_read_at_that_instant(self):
+        counter = {"events": 1}
+        registry = MetricsRegistry()
+        registry.register("kernel", lambda: dict(counter))
+        registry.register("scrub", lambda: None)
+        registry.freeze()
+        counter["events"] = 2
+        assert registry.collect() == {"kernel.events": 1}
+        assert registry.tree("scrub") is None
+
 
 class TestClusterRegistry:
     def test_cluster_publishes_stable_dotted_names(self):

@@ -319,6 +319,43 @@ class TestCrash:
         env.run()
         assert harness.responses() == []
 
+    def test_crash_and_recovery_inside_commit_hold_exits_crashed(self, env, harness):
+        """A crash aborts the transaction and a recovery clears ``crashed``,
+        both during the local commit's CPU hold: the lifecycle must leave
+        through the crash exit (no response, one abort), not fail in
+        ``commit_certified`` on an aborted transaction."""
+        seed(harness)
+        proxy = harness.proxy(0)
+        sample_commit = proxy.perf.commit
+        spawn, spawned = env.process, []
+
+        def recording_spawn(generator, name=""):
+            spawned.append(spawn(generator, name))
+            return spawned[-1]
+
+        def crash_and_recover(hold):
+            yield env.timeout(hold / 2)
+            proxy.crash()
+            proxy.recover()
+
+        def commit(size):
+            hold = sample_commit(size)
+            env.process(crash_and_recover(hold))
+            return hold
+
+        env.process = recording_spawn
+        proxy.perf.commit = commit
+        aborted = proxy.aborted_count
+        route(harness, "write-t", {"key": 1, "v": 5}, request_id=1)
+        env.run()
+        (txn,) = [p for p in spawned if "-txn-" in p.name]
+        assert txn.processed and txn.ok, txn.value
+        assert proxy.aborted_count == aborted + 1
+        assert proxy.committed_count == 0
+        assert harness.responses() == []
+        # The decision was durable: recovery replays it.
+        assert proxy.v_local == 1
+
     def test_recovery_replays_via_certifier(self, env, harness):
         seed(harness)
         route(harness, "write-t", {"key": 1, "v": 1}, request_id=1, replica="replica-0")

@@ -397,3 +397,43 @@ class TestEnvironmentRun:
             return trace
 
         assert build_and_run() == build_and_run()
+
+
+class TestClose:
+    """``Environment.close()`` ends a simulation deterministically."""
+
+    def test_closes_unfinished_processes_in_creation_order(self, env):
+        closed = []
+
+        def worker(env, name, delay):
+            try:
+                yield env.timeout(delay)
+                yield env.event()  # never fires
+            finally:
+                closed.append(name)
+                env.timeout(1.0)  # dropped with the queues
+
+        def quick(env):
+            yield env.timeout(0.5)
+
+        for name, delay in (("b", 3.0), ("a", 1.0), ("c", 2.0)):
+            env.process(worker(env, name, delay))
+        env.process(quick(env))
+        env.run(until=2.5)
+        env.close()
+        assert closed == ["b", "a", "c"]
+        assert not env._processes and not env._queue and not env._immediate
+        env.close()
+        assert closed == ["b", "a", "c"]
+
+    def test_a_finished_process_leaves_the_registry(self, env):
+        def worker(env, fail):
+            yield env.timeout(1.0)
+            if fail:
+                raise RuntimeError("boom")
+
+        env.process(worker(env, False))
+        env.process(worker(env, True))
+        assert len(env._processes) == 2
+        env.run()
+        assert not env._processes
